@@ -107,8 +107,8 @@ type Config struct {
 	// Shards partitions the conflict classes across this many independent
 	// lease/broadcast groups, each with its own sequencer and lease manager.
 	// Transactions whose data-set spans groups commit through the cross-shard
-	// certification path (ALC only; CERT returns an error for them). Zero or
-	// one runs the classic single-group protocol.
+	// certification path. ALC only: NewCluster refuses CERT with more than one
+	// shard. Zero or one runs the classic single-group protocol.
 	Shards int
 	// DisableOptimisticFree turns off the §4.5(b) optimization (freeing
 	// leases at optimistic delivery). On by default.
@@ -131,9 +131,9 @@ type Config struct {
 	// NetworkJitter adds uniform extra delay in [0, Jitter).
 	NetworkJitter time.Duration
 	// Batch tunes ALC's group-commit coalescer and parallel apply stage
-	// (batch caps, flush window, worker count). The zero value enables
-	// batching with the defaults; set Batch.Disable for one URB message per
-	// transaction, applied serially.
+	// (batch caps, flush window, worker count). The zero value selects the
+	// defaults; batching itself is not optional — an idle pipe flushes at
+	// once, so an uncontended commit is still the paper's single URB.
 	Batch core.BatchConfig
 }
 

@@ -143,22 +143,12 @@ func benchCommitLatency(b *testing.B, p bench.Params) {
 	b.ReportMetric(float64(s.CommitLatency.Quantile(0.5).Microseconds()), "p50-µs")
 }
 
-// BenchmarkCommitThroughputBatched / ...Unbatched measure the group-commit
-// pipeline in its target regime: many concurrent committers per replica on
-// disjoint conflict classes (the sharded bank), where without batching every
-// transaction pays its own URB message and receiver-side admission cost.
-// Compare the commits/s metrics; the batched variant also reports the mean
-// batch size it achieved.
+// BenchmarkCommitThroughputBatched measures the group-commit pipeline in its
+// target regime: many concurrent committers per replica on disjoint conflict
+// classes (the sharded bank), where the coalescer amortizes one URB message
+// and its receiver-side admission cost over many transactions. Reports
+// commits/s and the mean batch size achieved.
 func BenchmarkCommitThroughputBatched(b *testing.B) {
-	benchCommitThroughput(b, false)
-}
-
-func BenchmarkCommitThroughputUnbatched(b *testing.B) {
-	benchCommitThroughput(b, true)
-}
-
-func benchCommitThroughput(b *testing.B, disableBatching bool) {
-	b.Helper()
 	const committersPerReplica = 32
 	cfg := bench.BankConfig{
 		Sharded:  true,
@@ -171,7 +161,6 @@ func benchCommitThroughput(b *testing.B, disableBatching bool) {
 	}
 	res, err := bench.RunBank(bench.Params{
 		Protocol: core.ProtocolALC, Replicas: benchReplicas,
-		DisableBatching: disableBatching,
 	}, cfg)
 	if err != nil {
 		b.Fatal(err)

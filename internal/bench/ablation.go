@@ -165,12 +165,12 @@ func RunAblationBloom(replicas int, fpRates []float64, duration time.Duration) (
 	return rows, nil
 }
 
-// RunAblationBatch quantifies group-commit batching and the parallel apply
+// RunAblationBatch characterizes group-commit batching and the parallel apply
 // stage on the sharded high-throughput bank: every replica hosts many
-// concurrent committers on disjoint conflict classes, so without batching
-// each commit pays one URB message (and its receiver-side admission cost)
-// while the apply stage serializes on the dispatcher. Variants toggle the
-// coalescer and the parallel apply independently of each other.
+// concurrent committers on disjoint conflict classes, the regime where the
+// coalescer amortizes one URB message (and its receiver-side admission cost)
+// over many commits. The second variant pins the apply pool to one worker to
+// isolate the parallel-apply share.
 func RunAblationBatch(replicas int, cfg BankConfig) ([]AblationRow, error) {
 	threads := cfg.Threads
 	if threads <= 0 {
@@ -180,8 +180,6 @@ func RunAblationBatch(replicas int, cfg BankConfig) ([]AblationRow, error) {
 		name   string
 		params Params
 	}{
-		{"unbatched (one URB per txn, serial apply)", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas, DisableBatching: true}},
 		{"batched (group commit + parallel apply)", Params{
 			Protocol: core.ProtocolALC, Replicas: replicas}},
 		{"batched, single apply worker", Params{

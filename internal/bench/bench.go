@@ -64,12 +64,7 @@ type Params struct {
 	UncappedAB bool
 	// OrderInterval overrides the calibration when positive.
 	OrderInterval time.Duration
-	// DisableBatching turns off ALC's group-commit coalescer and parallel
-	// apply stage: one URB message per transaction, applied serially (the
-	// pre-batching pipeline, and the ablation-batch baseline).
-	DisableBatching bool
-	// Batch overrides individual batching knobs when batching is enabled
-	// (zero value = defaults).
+	// Batch overrides individual group-commit knobs (zero value = defaults).
 	Batch core.BatchConfig
 	// Route wires the locality-aware transaction router (internal/route)
 	// over the cluster: the affinity variant of ablation-routing submits
@@ -97,10 +92,6 @@ func NewCluster(p Params, seed map[string]stm.Value) (*cluster.Cluster, error) {
 	if p.OrderInterval > 0 {
 		orderInterval = p.OrderInterval
 	}
-	batch := p.Batch
-	if p.DisableBatching {
-		batch.Disable = true
-	}
 	return cluster.New(cluster.Config{
 		N:     p.Replicas,
 		Route: p.Route,
@@ -113,7 +104,7 @@ func NewCluster(p Params, seed map[string]stm.Value) (*cluster.Cluster, error) {
 			},
 			PiggybackCert: p.PiggybackCert,
 			BloomFPRate:   p.BloomFPRate,
-			Batch:         batch,
+			Batch:         p.Batch,
 			Shards:        p.Shards,
 		},
 		Net: memnet.Config{Latency: latency, PerMessageCost: DefaultPerMessageCost},
@@ -169,7 +160,7 @@ type BatchSummary struct {
 
 func (b BatchSummary) String() string {
 	if b.Batches == 0 {
-		return "batching off (or no batches)"
+		return "no batches"
 	}
 	return fmt.Sprintf("batches=%d txns=%d mean=%.2f max=%d flushes[idle=%d size=%d bytes=%d window=%d drain=%d cross=%d] apply[tasks=%d maxpar=%d]",
 		b.Batches, b.Txns, b.MeanSize, b.MaxSize,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -285,5 +286,65 @@ func TestDurableRestartWithoutSnapshotReplaysLog(t *testing.T) {
 	}
 	if got := readBox(t, c.Replica(2), "made"); got != 31 {
 		t.Fatalf("made = %v, want 31", got)
+	}
+}
+
+// TestDurableCloseUnderApplyLoad closes a durable replica while remote
+// write-sets are still flowing into its apply stage. Close must wait the
+// apply workers out before it closes the WAL: a worker that outlives the log
+// handle either dereferences it after it is gone or counts a spurious
+// durability fault appending to the closed log.
+func TestDurableCloseUnderApplyLoad(t *testing.T) {
+	const committersPerReplica = 8
+	seed := make(map[string]stm.Value)
+	for i := 0; i < 2*committersPerReplica; i++ {
+		seed[fmt.Sprintf("c%d", i)] = 0
+	}
+	c, err := New(Config{
+		N:          3,
+		Core:       core.Config{Protocol: core.ProtocolALC},
+		Net:        memnet.Config{Latency: 200 * time.Microsecond},
+		GCS:        testGCS(),
+		Seed:       seed,
+		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	defer c.Close()
+
+	// Replicas 0 and 1 commit on disjoint boxes; replica 2 only applies.
+	var (
+		wg   sync.WaitGroup
+		stop = make(chan struct{})
+	)
+	for i := 0; i < 2*committersPerReplica; i++ {
+		r, box := c.Replica(i%2), fmt.Sprintf("c%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The crash below forces a view change; a commit caught by
+				// it may fail, which is not what this test is about.
+				_ = r.Atomic(increment(box))
+			}
+		}()
+	}
+
+	victim := c.Replica(2)
+	for victim.Stats().WAL.Records < 50 {
+		time.Sleep(time.Millisecond)
+	}
+	c.Crash(2) // closes victim with apply tasks queued and running
+	close(stop)
+	wg.Wait()
+
+	if s := victim.Stats().WAL; s.Errors != 0 {
+		t.Fatalf("closed replica counted %d durability faults (an apply outlived the WAL handle): %+v", s.Errors, s)
 	}
 }

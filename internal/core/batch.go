@@ -15,16 +15,13 @@ import (
 // This file implements the group-commit pipeline: local committers reserve
 // their conflict classes in a striped in-flight table (so only intersecting
 // committers serialize), hand their validated write-sets to a per-replica
-// coalescer that URB-broadcasts them in batches (one message, one gob frame
+// coalescer that URB-broadcasts them in batches (one message, one wire frame
 // and one ack round amortized over many transactions), and UR-delivered
 // batches are applied by a small worker pool that runs disjoint write-sets
 // concurrently while preserving delivery order for intersecting ones.
 
 // BatchConfig tunes the group-commit coalescer and the parallel apply stage.
 type BatchConfig struct {
-	// Disable reverts to the pre-batching pipeline: one URB message per
-	// committed transaction, applied serially on the GCS dispatcher.
-	Disable bool
 	// MaxTxns caps the write-sets coalesced into one batch. Default 128.
 	MaxTxns int
 	// MaxBytes caps the approximate payload bytes per batch. Default 1 MiB.
@@ -230,8 +227,8 @@ type coalescer struct {
 	pendingGroups []*gcs.Group
 	// pendingAt records each entry's enqueue time (parallel to pending) for
 	// the coalescer-residency histogram. It lives here, not on the wire
-	// entry: applyWSEntry is gob-encoded and local timestamps must not
-	// travel.
+	// entry: applyWSEntry is what travels and is WAL-logged, and local
+	// timestamps must do neither.
 	pendingAt    []time.Time
 	pendingBytes int
 	outstanding  int
@@ -248,20 +245,12 @@ func newCoalescer(r *Replica, s *shardState, cfg BatchConfig) *coalescer {
 // in-flight reservation for cls and have registered a waiter for e.TxnID;
 // the coalescer owns both from here — they are released/resolved at
 // self-delivery of the batch, or failed if the batch cannot be broadcast.
-func (c *coalescer) enqueue(e applyWSEntry, cls []lease.ConflictClass) {
-	c.enqueueEntry(e, cls, nil)
-}
-
-// enqueueGroup hands over one per-shard portion of a cross-shard commit: the
-// entry travels as this shard's part of group g (see gcs.Group) instead of
-// inside a batch, but it occupies an ordinary queue position so the
-// per-(writer, shard) sequence numbers stay monotone with the batches around
-// it.
-func (c *coalescer) enqueueGroup(e applyWSEntry, cls []lease.ConflictClass, g *gcs.Group) {
-	c.enqueueEntry(e, cls, g)
-}
-
-func (c *coalescer) enqueueEntry(e applyWSEntry, cls []lease.ConflictClass, g *gcs.Group) {
+//
+// A non-nil g marks one per-shard portion of a cross-shard commit: the entry
+// travels as this shard's part of group g (see gcs.Group) instead of inside a
+// batch, but it occupies an ordinary queue position so the per-(writer,
+// shard) sequence numbers stay monotone with the batches around it.
+func (c *coalescer) enqueue(e applyWSEntry, cls []lease.ConflictClass, g *gcs.Group) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped || !c.r.primary.Load() {
@@ -441,7 +430,7 @@ func (c *coalescer) entryErr() error {
 }
 
 // approxWSBytes estimates a write-set's wire footprint for the byte-cap
-// trigger. It is deliberately cheap, not exact: gob framing and non-trivial
+// trigger. It is deliberately cheap, not exact: framing and non-trivial
 // values are approximated by a flat constant.
 func approxWSBytes(ws stm.WriteSet) int {
 	n := 0
@@ -462,8 +451,8 @@ func approxWSBytes(ws stm.WriteSet) int {
 // --- Parallel apply stage -------------------------------------------------------
 
 // applyTask is one unit of the apply stage: a UR-delivered batch (or a
-// single legacy write-set message), tagged with the shard group channel it
-// was delivered on.
+// single cross-shard portion), tagged with the shard group channel it was
+// delivered on.
 type applyTask struct {
 	classes []lease.ConflictClass // union over the batch, deduplicated
 	sender  transport.ID
@@ -503,6 +492,7 @@ type applyScheduler struct {
 	maxRunning  int
 	tasksDone   int64
 	closed      bool
+	workers     sync.WaitGroup // close waits for every worker to exit
 }
 
 func newApplyScheduler(workers, shards int) *applyScheduler {
@@ -512,6 +502,7 @@ func newApplyScheduler(workers, shards int) *applyScheduler {
 		inFlight: make([]int, shards),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.workers.Add(workers)
 	for i := 0; i < workers; i++ {
 		go s.worker()
 	}
@@ -552,6 +543,7 @@ func (s *applyScheduler) submit(t *applyTask) {
 }
 
 func (s *applyScheduler) worker() {
+	defer s.workers.Done()
 	s.mu.Lock()
 	for {
 		for len(s.ready) == 0 {
@@ -600,7 +592,7 @@ func (s *applyScheduler) worker() {
 // drain blocks until every task submitted for the shard has finished. This
 // is the barrier a dispatcher uses before store-reading upcalls: with it,
 // everything delivered before the barrier on the shard's channel is fully
-// applied — exactly the synchronous semantics of the unbatched pipeline.
+// applied — exactly the semantics of applying inline on the dispatcher.
 // Draining one shard only is deliberate: a cross-shard drain from inside a
 // dispatcher upcall could wait on tasks queued behind the very message that
 // dispatcher is blocked in.
@@ -612,13 +604,16 @@ func (s *applyScheduler) drain(shard int) {
 	s.mu.Unlock()
 }
 
-// close lets workers exit once the queue runs dry. Submitted tasks still
-// complete (Close drains via the GCS shutdown before calling this).
+// close lets the workers run the queue dry and returns once every one of
+// them has exited: after it, no task is running and none ever will. The
+// caller must have stopped all submitters first (Close shuts the GCS
+// dispatchers down before calling this).
 func (s *applyScheduler) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.workers.Wait()
 }
 
 // stats returns (tasks executed, max concurrently running).

@@ -8,24 +8,19 @@ import (
 	"github.com/alcstm/alc/internal/stm"
 )
 
-// ErrCrossShardCert is returned by the CERT baseline when a transaction's
-// data-set spans more than one shard group: CERT certifies in a single
-// group's total order and has no cross-group commit (that is ALC's
-// cross-shard certification path). Keep CERT workloads shard-aligned, or run
-// one shard group.
-var ErrCrossShardCert = errors.New("core: CERT transaction spans multiple shard groups")
-
 // atomicCert is the CERT baseline (D2STM): optimistic local execution, then
 // one atomic broadcast of ⟨Bloom(read-set), write-set⟩ and a deterministic
 // validation at every replica in the total order. Unlike ALC, nothing
 // shelters a re-execution: the transaction can be aborted again and again by
-// remote conflicts (the behaviour Figure 3(b)/4(b) quantifies).
+// remote conflicts (the behaviour Figure 3(b)/4(b) quantifies). CERT is
+// single-group (NewReplica refuses it with Shards > 1): every transaction
+// certifies in shard 0's total order.
 func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
+	s := r.shards[0]
 	aborts := 0
 	// End-to-end latency runs from the first attempt; the per-attempt AB
 	// certification round is timed separately into stageCert.
 	txnStart := time.Now()
-	snapOrds := make([]int64, len(r.shards))
 	for {
 		if r.stopped.Load() {
 			return ErrStopped
@@ -37,15 +32,12 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			return ErrTooManyRetries
 		}
 
-		// Sample every shard's TO commit clock BEFORE the snapshot is taken:
-		// the clock advances synchronously with the store apply (on the
-		// shard's dispatcher), so a pre-Begin sample can only under-state the
-		// transaction's snapshot position — widening the validation window
-		// (possible extra conservative aborts), never narrowing it. The home
-		// shard is only known after execution, hence all shards are sampled.
-		for i, s := range r.shards {
-			snapOrds[i] = s.toOrd.Load()
-		}
+		// Sample the TO commit clock BEFORE the snapshot is taken: the clock
+		// advances synchronously with the store apply (on the dispatcher), so
+		// a pre-Begin sample can only under-state the transaction's snapshot
+		// position — widening the validation window (possible extra
+		// conservative aborts), never narrowing it.
+		snapOrd := s.toOrd.Load()
 
 		execStart := time.Now()
 		txn := r.store.Begin(false)
@@ -63,21 +55,15 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 		// Early validation: cheap local pre-abort before paying for the AB.
 		if !txn.Validate() {
 			txn.Abort()
-			r.nAborts.Inc()
+			r.nAborts[abortEarly].Inc()
 			aborts++
 			continue
 		}
 
 		rs, ws := txn.ReadSet(), txn.WriteSet()
-		home, err := r.certHomeShard(rs, ws)
-		if err != nil {
-			txn.Abort()
-			return err
-		}
-		s := r.shards[home]
 		msg := &certMsg{
 			TxnID:       r.nextTxnID(),
-			SnapshotOrd: snapOrds[home],
+			SnapshotOrd: snapOrd,
 			WS:          ws,
 		}
 		if r.cfg.BloomFPRate > 0 {
@@ -115,7 +101,7 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			return nil
 		case errors.Is(err, errValidationFailed):
 			txn.Abort()
-			r.nAborts.Inc()
+			r.nAborts[abortFinal].Inc()
 			aborts++
 			// No shelter: the next execution races the cluster again.
 		default:
@@ -123,40 +109,6 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			return err
 		}
 	}
-}
-
-// certHomeShard maps a CERT transaction's full data-set to its (single) home
-// shard group, or ErrCrossShardCert when the set spans groups.
-func (r *Replica) certHomeShard(rs stm.ReadSet, ws stm.WriteSet) (int, error) {
-	if len(r.shards) == 1 {
-		return 0, nil
-	}
-	home := -1
-	check := func(box string) error {
-		sh := r.shardOf(box)
-		if home == -1 {
-			home = sh
-			return nil
-		}
-		if sh != home {
-			return ErrCrossShardCert
-		}
-		return nil
-	}
-	for _, e := range rs {
-		if err := check(e.Box); err != nil {
-			return 0, err
-		}
-	}
-	for _, e := range ws {
-		if err := check(e.Box); err != nil {
-			return 0, err
-		}
-	}
-	if home == -1 {
-		home = 0
-	}
-	return home, nil
 }
 
 // certApply is the deterministic certification step, executed at every

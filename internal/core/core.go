@@ -111,7 +111,7 @@ type Config struct {
 	// transactions spanning shards commit through the cross-shard
 	// certification path (per-shard write-set portions under per-shard
 	// leases, acquired in ascending shard order). Default 1: a single group,
-	// behavior-identical to the unsharded replica (no envelope, no mux).
+	// the one-shard case of the same driver, on the raw transport (no mux).
 	Shards int
 	// Durability configures the write-ahead log + snapshot tier and the
 	// delta state-transfer window (see DurabilityConfig). The zero value
@@ -147,10 +147,13 @@ func (c *Config) fillDefaults() {
 // fields are immutable values: safe to retain and read while the replica
 // keeps committing.
 type Stats struct {
-	Commits    int64
-	Aborts     int64 // certification/validation failures (before retry)
-	ReadOnly   int64
-	MigratedIn int64 // transactions shipped here by a remote router (SubmitMigrated)
+	Commits int64
+	Aborts  int64 // certification/validation failures (before retry)
+	// AbortCauses breaks Aborts down by what aborted the attempt; the four
+	// causes sum to Aborts.
+	AbortCauses AbortCauses
+	ReadOnly    int64
+	MigratedIn  int64 // transactions shipped here by a remote router (SubmitMigrated)
 	// Shards is the number of shard groups; CrossCommits counts committed
 	// transactions whose data-set spanned more than one of them.
 	Shards        int
@@ -172,6 +175,33 @@ type Stats struct {
 	// replay, and delta/full state transfers in both directions.
 	WAL WALStats
 }
+
+// AbortCauses counts aborted attempts by cause.
+type AbortCauses struct {
+	// Early: the first attempt's cheap local validation found stale reads
+	// before any lease or broadcast was paid for.
+	Early int64
+	// Final: the commit-time validation failed — ALC's validation under the
+	// established leases, CERT's certification in the total order.
+	Final int64
+	// Payload: a §4.5(c) piggybacked read/write-set failed certification at
+	// lease establishment.
+	Payload int64
+	// Deadlock: a lease acquisition made the transaction a deadlock victim.
+	Deadlock int64
+}
+
+// abortCause indexes the replica's per-cause abort counters (Replica.nAborts):
+// every aborted attempt is counted under exactly one.
+type abortCause int
+
+const (
+	abortEarly abortCause = iota
+	abortFinal
+	abortPayload
+	abortDeadlock
+	numAbortCauses
+)
 
 // StageStats decomposes the update-commit path into its pipeline stages, one
 // latency histogram per stage. Execution, LeaseWait and Certification are
@@ -306,12 +336,13 @@ type Replica struct {
 	inflight *inflightTable
 	sched    *applyScheduler
 
-	// seqMu makes {TxnID allocation; write-set enqueue/broadcast} atomic:
-	// without it two concurrent local committers can allocate seqs 6 and 7
-	// but enqueue 7 first, and the per-writer frontier filter at the
-	// receivers silently drops 6. For a cross-shard commit it additionally
-	// keeps all of one transaction's per-shard portions adjacent in every
-	// channel's sender order.
+	// seqMu makes {TxnID allocation; write-set enqueue} atomic per replica,
+	// so every shard channel carries this replica's write-sets in ascending
+	// Seq order: without it two concurrent local committers can allocate
+	// seqs 6 and 7 but enqueue 7 first, and the per-writer frontier filter at
+	// the receivers silently drops 6. For a cross-shard commit it
+	// additionally keeps all of one transaction's per-shard portions adjacent
+	// in every channel's sender order.
 	seqMu sync.Mutex
 
 	// Waiters for commit outcomes, keyed by transaction ID.
@@ -339,7 +370,7 @@ type Replica struct {
 	viewCond *sync.Cond
 
 	nCommits    metrics.Counter
-	nAborts     metrics.Counter
+	nAborts     [numAbortCauses]metrics.Counter
 	nReadOnly   metrics.Counter
 	nMigratedIn metrics.Counter
 	nCross      metrics.Counter // committed cross-shard transactions
@@ -386,9 +417,6 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	// checker both rely on ID uniqueness). Starting the sequence at the
 	// wall clock makes every incarnation's range disjoint.
 	r.txnSeq.Store(uint64(time.Now().UnixNano()))
-	if !cfg.Batch.Disable {
-		r.sched = newApplyScheduler(cfg.Batch.ApplyWorkers, cfg.Shards)
-	}
 	r.viewCond = sync.NewCond(&r.viewMu)
 	r.primary.Store(!gcsCfg.Joining)
 
@@ -401,6 +429,7 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 		return nil, err
 	}
 	r.dur = dur
+	r.sched = newApplyScheduler(cfg.Batch.ApplyWorkers, cfg.Shards)
 	if !gcsCfg.Joining {
 		// An initial member's store is complete by definition (empty or
 		// seeded, never behind the group), so its frontier is advertisable.
@@ -408,9 +437,9 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	}
 
 	// One GCS endpoint per shard group. A single shard uses the raw transport
-	// directly — no envelope, no mux, behavior-identical to the unsharded
-	// replica; several shards each get a muxed sub-transport, with the shard
-	// ID carried in a transport.ShardEnvelope.
+	// directly — no envelope, and no mux pump-goroutine hop on every message;
+	// several shards each get a muxed sub-transport, with the shard ID
+	// carried in a transport.ShardEnvelope.
 	if cfg.Shards > 1 {
 		r.mux = transport.NewMux(tr, cfg.Shards)
 	}
@@ -435,6 +464,7 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 			if r.mux != nil {
 				r.mux.Close()
 			}
+			r.sched.close()
 			r.dur.close()
 			return nil, fmt.Errorf("core: gcs endpoint (shard %d): %w", i, err)
 		}
@@ -490,8 +520,13 @@ func (r *Replica) InPrimary() bool { return r.primary.Load() }
 // Stats returns an immutable snapshot of the replica's counters.
 func (r *Replica) Stats() Stats {
 	s := Stats{
-		Commits:       r.nCommits.Value(),
-		Aborts:        r.nAborts.Value(),
+		Commits: r.nCommits.Value(),
+		AbortCauses: AbortCauses{
+			Early:    r.nAborts[abortEarly].Value(),
+			Final:    r.nAborts[abortFinal].Value(),
+			Payload:  r.nAborts[abortPayload].Value(),
+			Deadlock: r.nAborts[abortDeadlock].Value(),
+		},
 		ReadOnly:      r.nReadOnly.Value(),
 		MigratedIn:    r.nMigratedIn.Value(),
 		Shards:        len(r.shards),
@@ -509,13 +544,12 @@ func (r *Replica) Stats() Stats {
 			FlushCross:  r.flushCount[flushCross].Value(),
 		},
 	}
+	s.Aborts = s.AbortCauses.Early + s.AbortCauses.Final + s.AbortCauses.Payload + s.AbortCauses.Deadlock
 	s.Batch.Batches = s.Batch.BatchSize.Count()
-	if r.sched != nil {
-		tasks, maxPar := r.sched.stats()
-		s.Batch.ApplyTasks = tasks
-		s.Batch.ApplyMaxParallel = int64(maxPar)
-		s.Queues.ApplyBacklog = int64(r.sched.backlog())
-	}
+	tasks, maxPar := r.sched.stats()
+	s.Batch.ApplyTasks = tasks
+	s.Batch.ApplyMaxParallel = int64(maxPar)
+	s.Queues.ApplyBacklog = int64(r.sched.backlog())
 	s.Stages = StageStats{
 		Execution:     r.stageExec.Snapshot(),
 		LeaseWait:     r.stageLeaseWait.Snapshot(),
@@ -596,11 +630,9 @@ func (r *Replica) Close() error {
 	if r.mux != nil {
 		r.mux.Close()
 	}
-	if r.sched != nil {
-		// The dispatchers have exited: no further submissions. Let the
-		// workers finish the queue and terminate.
-		r.sched.close()
-	}
+	// The dispatchers have exited: no further submissions. Wait for the
+	// workers to finish the queue and terminate.
+	r.sched.close()
 	// After dispatchers and workers are gone nothing appends: final fsync.
 	r.dur.close()
 	return err

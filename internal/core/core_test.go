@@ -1,14 +1,24 @@
 package core
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/alcstm/alc/internal/bloom"
+	"github.com/alcstm/alc/internal/gcs"
+	"github.com/alcstm/alc/internal/lease"
+	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/stm"
+	"github.com/alcstm/alc/internal/transport"
 )
 
 // Integration coverage for the replication managers lives in
-// internal/cluster; this file unit-tests the package's pure pieces.
+// internal/cluster; this file unit-tests the package's pure pieces and the
+// commit pipeline's building blocks (apply scheduler, in-flight table,
+// counting waiter) in isolation.
 
 func TestProtocolString(t *testing.T) {
 	if ProtocolALC.String() != "ALC" || ProtocolCert.String() != "CERT" {
@@ -156,3 +166,292 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func boxName(ts int64) string { return string(rune('a' + ts)) }
+
+// --- Commit pipeline pieces -----------------------------------------------------
+
+// within fails the test when ch does not fire in time; stillBlocked fails it
+// when ch fires although the event it signals must not have happened yet (a
+// bounded wait: it can miss a bug on a slow host, never report a false one).
+func within(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+func stillBlocked(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+		t.Fatalf("%s", what)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// gatedTask returns a task that signals started, then blocks until release is
+// closed, then appends name to order.
+func gatedTask(name string, classes []lease.ConflictClass, sender transport.ID, shard int,
+	release <-chan struct{}, mu *sync.Mutex, order *[]string) (*applyTask, <-chan struct{}) {
+	started := make(chan struct{})
+	return &applyTask{classes: classes, sender: sender, shard: shard, run: func() {
+		close(started)
+		<-release
+		mu.Lock()
+		*order = append(*order, name)
+		mu.Unlock()
+	}}, started
+}
+
+func TestApplySchedulerOrdersDependentTasks(t *testing.T) {
+	open := make(chan struct{})
+	close(open)
+	tests := []struct {
+		name                string
+		secondCls           []lease.ConflictClass
+		secondSender        transport.ID
+		secondShard         int
+		wantDependsOnFirst  bool
+		wantConcurrentStart bool
+	}{
+		{"intersecting classes", []lease.ConflictClass{1, 7}, 2, 0, true, false},
+		{"same sender and shard", []lease.ConflictClass{9}, 1, 0, true, false},
+		{"disjoint classes, other sender", []lease.ConflictClass{9}, 2, 0, false, true},
+		{"disjoint classes, same sender, other shard", []lease.ConflictClass{9}, 1, 1, false, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			s := newApplyScheduler(4, 2)
+			defer s.close()
+			var (
+				mu      sync.Mutex
+				order   []string
+				release = make(chan struct{})
+			)
+			first, firstStarted := gatedTask("first", []lease.ConflictClass{1}, 1, 0, release, &mu, &order)
+			second, secondStarted := gatedTask("second", tt.secondCls, tt.secondSender, tt.secondShard, open, &mu, &order)
+			s.submit(first)
+			within(t, firstStarted, "first task to start")
+			s.submit(second)
+
+			if tt.wantDependsOnFirst {
+				stillBlocked(t, secondStarted, "dependent task started while its predecessor was still running")
+			}
+			if tt.wantConcurrentStart {
+				within(t, secondStarted, "independent task to start beside the running one")
+			}
+			close(release)
+			s.drain(0)
+			s.drain(1)
+
+			mu.Lock()
+			defer mu.Unlock()
+			if len(order) != 2 {
+				t.Fatalf("completed %v, want both tasks", order)
+			}
+			if tt.wantDependsOnFirst && order[0] != "first" {
+				t.Fatalf("completion order = %v, want submission order", order)
+			}
+			if tasks, maxPar := s.stats(); tasks != 2 || (tt.wantConcurrentStart && maxPar < 2) {
+				t.Fatalf("stats = (%d tasks, %d max parallel)", tasks, maxPar)
+			}
+		})
+	}
+}
+
+func TestApplySchedulerDrainWaitsForItsShardOnly(t *testing.T) {
+	s := newApplyScheduler(2, 2)
+	defer s.close()
+	var (
+		mu      sync.Mutex
+		order   []string
+		release = make(chan struct{})
+	)
+	task, started := gatedTask("shard1", []lease.ConflictClass{1}, 1, 1, release, &mu, &order)
+	s.submit(task)
+	within(t, started, "task to start")
+
+	drained0 := make(chan struct{})
+	go func() { s.drain(0); close(drained0) }()
+	within(t, drained0, "drain(0) with only shard 1 busy")
+
+	drained1 := make(chan struct{})
+	go func() { s.drain(1); close(drained1) }()
+	stillBlocked(t, drained1, "drain(1) returned while shard 1's task was running")
+	if got := s.backlog(); got != 1 {
+		t.Fatalf("backlog = %d, want 1", got)
+	}
+	close(release)
+	within(t, drained1, "drain(1) after the task finished")
+	if got := s.backlog(); got != 0 {
+		t.Fatalf("backlog after drain = %d, want 0", got)
+	}
+}
+
+// TestApplySchedulerCloseWaitsForWorkers: close must not return while a task
+// is running or queued — Replica.Close relies on it to close the WAL only
+// after the last applyEntries returned.
+func TestApplySchedulerCloseWaitsForWorkers(t *testing.T) {
+	s := newApplyScheduler(2, 1)
+	var (
+		release  = make(chan struct{})
+		finished atomic.Int32
+	)
+	started := make(chan struct{})
+	s.submit(&applyTask{classes: []lease.ConflictClass{1}, sender: 1, run: func() {
+		close(started)
+		<-release
+		finished.Add(1)
+	}})
+	// Queued behind the running task (same class): must still run before
+	// close returns.
+	s.submit(&applyTask{classes: []lease.ConflictClass{1}, sender: 2, run: func() { finished.Add(1) }})
+	within(t, started, "task to start")
+
+	closed := make(chan struct{})
+	go func() { s.close(); close(closed) }()
+	stillBlocked(t, closed, "close returned while a task was still running")
+	close(release)
+	within(t, closed, "close after the queue ran dry")
+	if got := finished.Load(); got != 2 {
+		t.Fatalf("%d tasks finished before close returned, want 2", got)
+	}
+}
+
+func TestInflightReserveBlocksOnIntersection(t *testing.T) {
+	tbl := newInflightTable()
+	alive := func() bool { return true }
+	held := []lease.ConflictClass{3}
+	if !tbl.reserve(nil, held, alive) {
+		t.Fatal("first reservation refused")
+	}
+	// A disjoint committer (even one on the same stripe) is not held up.
+	other := []lease.ConflictClass{3 + inflightStripes}
+	if !tbl.reserve(other, other, alive) {
+		t.Fatal("disjoint reservation refused")
+	}
+	tbl.release(other)
+
+	got := make(chan struct{})
+	go func() {
+		if !tbl.reserve([]lease.ConflictClass{5, 3}, []lease.ConflictClass{5}, alive) {
+			t.Error("intersecting reservation refused instead of admitted after release")
+		}
+		close(got)
+	}()
+	stillBlocked(t, got, "reserve admitted a committer intersecting an in-flight write-set")
+	tbl.release(held)
+	within(t, got, "reserve to proceed after release")
+
+	// The admitted reservation is now the in-flight one for class 5.
+	tbl.release([]lease.ConflictClass{5})
+	if !tbl.reserve([]lease.ConflictClass{3, 5}, nil, alive) {
+		t.Fatal("table not empty after every release")
+	}
+}
+
+func TestInflightResetWakesWaitersDead(t *testing.T) {
+	tbl := newInflightTable()
+	var alive atomic.Bool
+	alive.Store(true)
+	cls := []lease.ConflictClass{11}
+	if !tbl.reserve(nil, cls, alive.Load) {
+		t.Fatal("first reservation refused")
+	}
+	result := make(chan bool, 1)
+	done := make(chan struct{})
+	go func() {
+		result <- tbl.reserve(cls, cls, alive.Load)
+		close(done)
+	}()
+	stillBlocked(t, done, "reserve admitted a committer intersecting an in-flight write-set")
+
+	// Ejection order: primary flag first, then the table reset.
+	alive.Store(false)
+	tbl.reset()
+	within(t, done, "reset to wake the waiter")
+	if <-result {
+		t.Fatal("waiter woken by reset reserved although the replica is not alive")
+	}
+	// reset cleared the original reservation and the refused waiter left none.
+	alive.Store(true)
+	if !tbl.reserve(cls, nil, alive.Load) {
+		t.Fatal("reservation survived reset")
+	}
+}
+
+// newTestReplica starts a single-member replica over an in-memory network.
+func newTestReplica(t *testing.T) *Replica {
+	t.Helper()
+	net := memnet.New(memnet.Config{})
+	tr, err := net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplica(tr, Config{}, gcs.Config{Members: []transport.ID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = r.Close()
+		net.Close()
+	})
+	return r
+}
+
+func TestCountingWaiter(t *testing.T) {
+	r := newTestReplica(t)
+	fired := func(ch chan error) (error, bool) {
+		select {
+		case err := <-ch:
+			return err, true
+		default:
+			return nil, false
+		}
+	}
+
+	// n portions: the outcome fires on the n-th success, not before.
+	id := r.nextTxnID()
+	ch := r.registerWaiterN(id, 3)
+	for i := 1; i <= 2; i++ {
+		r.resolveWaiter(id, nil)
+		if _, ok := fired(ch); ok {
+			t.Fatalf("waiter fired after %d of 3 portions", i)
+		}
+	}
+	r.resolveWaiter(id, nil)
+	if err, ok := fired(ch); !ok || err != nil {
+		t.Fatalf("after the last portion: fired=%t err=%v, want true/nil", ok, err)
+	}
+
+	// The first error fires at once; later portions find no waiter.
+	id = r.nextTxnID()
+	ch = r.registerWaiterN(id, 3)
+	r.resolveWaiter(id, nil)
+	r.resolveWaiter(id, ErrEjected)
+	if err, ok := fired(ch); !ok || !errors.Is(err, ErrEjected) {
+		t.Fatalf("after an error: fired=%t err=%v, want true/ErrEjected", ok, err)
+	}
+	r.resolveWaiter(id, nil) // must neither block nor fire again
+	if _, ok := fired(ch); ok {
+		t.Fatal("waiter fired twice")
+	}
+
+	// registerWaiter is the count-1 case.
+	id = r.nextTxnID()
+	ch = r.registerWaiter(id)
+	r.resolveWaiter(id, nil)
+	if err, ok := fired(ch); !ok || err != nil {
+		t.Fatalf("single waiter: fired=%t err=%v, want true/nil", ok, err)
+	}
+
+	// Close fails whatever is still registered.
+	id = r.nextTxnID()
+	ch = r.registerWaiterN(id, 2)
+	r.resolveWaiter(id, nil)
+	_ = r.Close()
+	if err, ok := fired(ch); !ok || !errors.Is(err, ErrStopped) {
+		t.Fatalf("after Close: fired=%t err=%v, want true/ErrStopped", ok, err)
+	}
+}

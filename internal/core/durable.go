@@ -454,8 +454,14 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 		}
 		d.pushRetainedLocked(sh, e)
 	}
-	logIt := d.log != nil && len(fresh) > 0
-	if logIt {
+	// The handle is captured under mu: disableLog (another appender's write
+	// failure) nils d.log concurrently, and a degraded log must cost this
+	// appender an error from the closed handle, not a nil dereference.
+	var log *wal.Log
+	if len(fresh) > 0 {
+		log = d.log
+	}
+	if log != nil {
 		d.sinceSnap += len(fresh)
 		if d.cfg.SnapshotEvery > 0 && d.sinceSnap >= d.cfg.SnapshotEvery {
 			d.wantSnap.Store(true)
@@ -463,14 +469,14 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 	}
 	d.mu.Unlock()
 
-	if logIt {
+	if log != nil {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&walRecord{Shard: shard, Entries: fresh}); err != nil {
 			// Unencodable values (unregistered types): degrade to memory-only
 			// rather than blocking commits.
 			d.errors.Inc()
 			d.disableLog()
-		} else if n, err := d.log.Append(buf.Bytes()); err != nil {
+		} else if n, err := log.Append(buf.Bytes()); err != nil {
 			d.errors.Inc()
 			d.disableLog()
 		} else {
@@ -650,7 +656,10 @@ func (d *durable) installFull(shard int, f map[transport.ID]uint64, store *stm.S
 	}
 }
 
-// close flushes and closes the log (final fsync under always/interval).
+// close flushes and closes the log (final fsync under always/interval). The
+// caller guarantees no applier is running or can start (Replica.Close stops
+// the dispatchers and waits out the apply workers first), so nothing appends
+// to the closed handle.
 func (d *durable) close() {
 	d.mu.Lock()
 	log := d.log

@@ -41,7 +41,7 @@ func (h *shardHandler) OnTODeliver(from transport.ID, body any) {
 	r, s := h.r, h.s
 	switch m := body.(type) {
 	case *lease.Request:
-		r.drainApplies(s.idx)
+		r.sched.drain(s.idx)
 		s.lm.HandleRequestTO(m)
 	case *certMsg:
 		r.certApply(s, m)
@@ -61,7 +61,7 @@ func (h *shardHandler) OnURDeliver(from transport.ID, body any) {
 	case *lease.Freed:
 		// A lease may only move to its next holder after every write-set
 		// it covered is applied: drain this shard before the release.
-		r.drainApplies(s.idx)
+		r.sched.drain(s.idx)
 		s.lm.HandleFreed(m)
 	}
 	r.maybeDurableSnapshot()
@@ -82,7 +82,7 @@ func (r *Replica) maybeDurableSnapshot() {
 // OnViewChange installs the shard group's new membership.
 func (h *shardHandler) OnViewChange(v gcs.View) {
 	r, s := h.r, h.s
-	r.drainApplies(s.idx)
+	r.sched.drain(s.idx)
 	r.viewMu.Lock()
 	s.view = v
 	r.viewCond.Broadcast()
@@ -111,7 +111,7 @@ func (h *shardHandler) OnEjected() {
 	r, s := h.r, h.s
 	s.primary.Store(false)
 	r.primary.Store(false)
-	r.drainApplies(s.idx)
+	r.sched.drain(s.idx)
 	s.lm.HandleEjected()
 	// Order matters: with primary already false, a committer that enqueues
 	// after this fail is rejected by the coalescer itself, so no stale
@@ -132,7 +132,7 @@ func (h *shardHandler) OnEjected() {
 // it matches the frontier exactly.
 func (h *shardHandler) StateSnapshot() any {
 	r, s := h.r, h.s
-	r.drainApplies(s.idx)
+	r.sched.drain(s.idx)
 	r.dur.applyMu.Lock()
 	snap := r.store.Snapshot()
 	frontier := r.dur.advertise(s.idx)
@@ -171,7 +171,7 @@ func (r *Replica) filterShardBoxes(boxes []stm.BoxState, shard int) []stm.BoxSta
 // shard's GCS dispatcher (gcs.DeltaProvider).
 func (h *shardHandler) StateDelta(f map[transport.ID]uint64) (any, bool) {
 	r, s := h.r, h.s
-	r.drainApplies(s.idx)
+	r.sched.drain(s.idx)
 	entries, ok := r.dur.delta(s.idx, f)
 	if !ok {
 		return nil, false
@@ -194,7 +194,7 @@ func (h *shardHandler) InstallState(state any) {
 	r, s := h.r, h.s
 	switch st := state.(type) {
 	case *xferState:
-		r.drainApplies(s.idx)
+		r.sched.drain(s.idx)
 		// Anything still queued locally predates the transferred state and is
 		// void (the joiner's waiters were already failed at ejection).
 		s.coal.fail(ErrEjected)
@@ -214,7 +214,7 @@ func (h *shardHandler) InstallState(state any) {
 		s.toOrd.Store(toFrontierOf(st.Frontier))
 		r.dur.installFull(s.idx, st.Frontier, r.store)
 	case *xferDelta:
-		r.drainApplies(s.idx)
+		r.sched.drain(s.idx)
 		s.coal.fail(ErrEjected)
 		r.inflight.reset()
 		// applyEntries runs the normal apply path: the durability filter
@@ -239,28 +239,12 @@ func toFrontierOf(f map[transport.ID]uint64) int64 {
 	return int64(f[transport.Nobody])
 }
 
-// drainApplies blocks the calling dispatcher until the apply stage has
-// executed every delivered write-set of the given shard. Upcalls that read
-// or replace the shard's slice of the store — lease transfers, view changes,
-// state snapshot/install — run behind this barrier and therefore observe
-// exactly the synchronous delivery semantics of the unbatched pipeline.
-func (r *Replica) drainApplies(shard int) {
-	if r.sched != nil {
-		r.sched.drain(shard)
-	}
-}
-
 // enqueueApply hands UR-delivered write-sets (the paper's commitRemoteXact;
 // for the replica's own transactions, the commit confirmation) to the
-// parallel apply stage, or applies them inline when batching is disabled.
-// Entries of one message apply in order; messages of one (sender, shard)
-// channel or with intersecting conflict classes apply in delivery order;
-// everything else runs concurrently on the worker pool.
+// parallel apply stage. Entries of one message apply in order; messages of
+// one (sender, shard) channel or with intersecting conflict classes apply in
+// delivery order; everything else runs concurrently on the worker pool.
 func (r *Replica) enqueueApply(s *shardState, from transport.ID, entries []applyWSEntry, fromBatch bool) {
-	if r.sched == nil {
-		r.applyEntries(s, entries, fromBatch)
-		return
-	}
 	boxes := make([]string, 0, len(entries)*2)
 	for _, e := range entries {
 		for _, w := range e.WS {

@@ -197,7 +197,13 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	peers := strings.Join(peerParts, ",")
 
 	// Replicas 0 and 1 live in this process, memory-only (they still retain
-	// the delta window and serve deltas; only the child persists).
+	// the delta window and serve deltas; only the child persists). The window
+	// is sized well past what replica 0 can commit while the child is away:
+	// at the default 8192 entries a ~10k commits/s loopback pipeline fills it
+	// in under a second, and whether the ~1 s kill-to-rejoin gap fits then
+	// hangs on which join-request period the readmission lands in — this
+	// test is about the delta path, the fallback when a gap outruns retention
+	// has its own (TestDurableFallbackWhenGapOutrunsRetention).
 	local := make([]*core.Replica, 2)
 	for i := 0; i < 2; i++ {
 		tr, err := tcpnet.New(tcpnet.Config{Self: transport.ID(i), Addrs: addrs})
@@ -205,8 +211,9 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 			t.Fatalf("transport %d: %v", i, err)
 		}
 		r, err := core.NewReplica(tr, core.Config{
-			Protocol: core.ProtocolALC,
-			Lease:    lease.Config{OptimisticFree: true},
+			Protocol:   core.ProtocolALC,
+			Lease:      lease.Config{OptimisticFree: true},
+			Durability: core.DurabilityConfig{Retain: 1 << 16},
 		}, gcs.Config{Members: members, AutoRejoin: true})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)

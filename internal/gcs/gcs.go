@@ -229,6 +229,13 @@ type Endpoint struct {
 	// readmitting a healthy member on one of them wipes its live lease state
 	// cluster-wide while it still has transactions committing under it.
 	staleSince map[transport.ID]time.Time
+	// behindSince is the mirror image, seen from the laggard: when this
+	// process, believing itself a primary member, first saw a peer beacon a
+	// view NEWER than its own (zero: never since the last install). Behind
+	// for longer than SuspectAfter means the install is not merely in flight —
+	// this process was dropped from the view and missed the eject notice, or
+	// lost the install — and nobody else will tell it: see handleNet.
+	behindSince time.Time
 
 	// flush state (proposer side)
 	prop           *proposal

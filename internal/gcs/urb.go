@@ -111,6 +111,20 @@ func (e *Endpoint) handleData(d *urbData) {
 		e.tryDeliverLocked()
 		return
 	}
+	if e.blocked && d.ID.Sender != e.self {
+		// Flush in progress: this process has already reported its unstable
+		// set for the coming view (handlePrepare). Staging — above all,
+		// acknowledging — a peer's message it first sees now would let the
+		// sender collect a full set of acks, UR-deliver the message and prune
+		// it as stable while no flush report names it; the install would then
+		// discard it here as "outside the final set" although its sender has
+		// already acknowledged it to the application. Left unacknowledged it
+		// stays unstable at its sender, whose own report carries it (or whose
+		// retransmission does, should the flush stall and unblock). Own
+		// messages looping back are exempt: a message absent from every
+		// report is resubmitted by its sender in the new view.
+		return
+	}
 
 	vs.pending[d.ID] = &pendingMsg{data: d, sentAt: time.Now(), committed: d.Committed}
 	vs.ackSet(d.ID)[e.self] = true

@@ -75,6 +75,22 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 			delete(e.staleSince, m.From)
 			delete(e.joinReqs, m.From)
 			delete(e.joinFrontiers, m.From)
+		} else if m.View > e.view.ID && e.inPrimary && !e.joining {
+			// A peer is in a later view than the one this process still
+			// believes it is a primary member of. If that lasts (the same
+			// patience as above: an install in flight explains a few beacons),
+			// this process is behind the primary component for good. The
+			// coordinator's pull-in above only covers members of ITS view; a
+			// process dropped from the view whose eject notice was lost — it
+			// was partitioned away, or not yet running — hears everybody's
+			// beacons, so it never suspects a quorum and never ejects itself,
+			// and would stay wedged in the dead view forever. Rejoin instead.
+			switch {
+			case e.behindSince.IsZero():
+				e.behindSince = time.Now()
+			case time.Since(e.behindSince) > e.cfg.SuspectAfter:
+				e.handleStale(&vcStale{ViewID: m.View})
+			}
 		}
 	case *joinReq:
 		if e.inPrimary {
@@ -443,7 +459,13 @@ func (e *Endpoint) maybeFinishProposalLocked(now time.Time) {
 			continue
 		}
 		members = append(members, m)
-		if e.view.Contains(m) {
+		// A joiner is not a survivor even while it is formally still a member
+		// of the current view: a process that crashed and restarted (or was
+		// ejected) rejoins under its old identity with no claim on the old
+		// view's state. Counting it would let ONE stateful member plus a
+		// stateless joiner pass for a majority and install a view that
+		// silently discards what the dropped members had delivered.
+		if e.view.Contains(m) && !p.joiners[m] {
 			oldSurvivors++
 		}
 	}
@@ -785,6 +807,7 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 	e.joinReqs = make(map[transport.ID]bool)
 	e.joinFrontiers = make(map[transport.ID]map[transport.ID]uint64)
 	e.staleSince = make(map[transport.ID]time.Time)
+	e.behindSince = _timeZero
 	e.peerJoinViews = make(map[transport.ID]uint64)
 	now := time.Now()
 	for _, m := range in.View.Members {

@@ -251,6 +251,14 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.Commits })
 	counter("alc_aborts_total", "Certification/validation failures (each retried).",
 		func(s repSample) int64 { return s.stats.Aborts })
+	fmt.Fprintf(w, "# HELP alc_aborts_by_cause_total Aborted attempts by cause; the causes sum to alc_aborts_total.\n# TYPE alc_aborts_by_cause_total counter\n")
+	for _, s := range samples {
+		ac := s.stats.AbortCauses
+		fmt.Fprintf(w, "alc_aborts_by_cause_total{replica=%q,cause=\"early\"} %d\n", s.name, ac.Early)
+		fmt.Fprintf(w, "alc_aborts_by_cause_total{replica=%q,cause=\"final\"} %d\n", s.name, ac.Final)
+		fmt.Fprintf(w, "alc_aborts_by_cause_total{replica=%q,cause=\"payload\"} %d\n", s.name, ac.Payload)
+		fmt.Fprintf(w, "alc_aborts_by_cause_total{replica=%q,cause=\"deadlock\"} %d\n", s.name, ac.Deadlock)
+	}
 	counter("alc_readonly_total", "Completed read-only transactions.",
 		func(s repSample) int64 { return s.stats.ReadOnly })
 	counter("alc_lease_requests_total", "Lease requests atomically broadcast.",

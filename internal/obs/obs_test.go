@@ -160,9 +160,59 @@ func parseProm(t *testing.T, text string) (map[string]string, []promSample) {
 	return types, samples
 }
 
+// forceEarlyAbort makes one transaction on replica 1 abort with cause
+// "early", deterministically: its first execution reads k, then — still
+// inside the transaction body — commits an increment of k on replica 0 and
+// waits for that write-set to apply on replica 1, so replica 1's first-attempt
+// local validation finds the read stale. The re-execution commits.
+func forceEarlyAbort(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	readK := func(tx *stm.Txn) (int, error) {
+		v, err := tx.Read("k")
+		if err != nil {
+			return 0, err
+		}
+		return v.(int), nil
+	}
+	attempts := 0
+	err := c.Replica(1).Atomic(func(tx *stm.Txn) error {
+		attempts++
+		k, err := readK(tx)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			commitN(t, c, 1)
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				var now int
+				if err := c.Replica(1).AtomicRO(func(ro *stm.Txn) error {
+					now, err = readK(ro)
+					return err
+				}); err != nil {
+					return err
+				}
+				if now != k {
+					break
+				}
+				if time.Now().After(deadline) {
+					return fmt.Errorf("replica 0's commit never applied on replica 1")
+				}
+			}
+		}
+		return tx.Write("k", k+1)
+	})
+	if err != nil {
+		t.Fatalf("forced-abort transaction: %v", err)
+	}
+	if attempts != 2 {
+		t.Fatalf("forced-abort transaction ran %d times, want 2", attempts)
+	}
+}
+
 func TestObsEndpointMetrics(t *testing.T) {
 	c, srv := newCluster(t, 300*time.Microsecond)
 	commitN(t, c, 25)
+	forceEarlyAbort(t, c)
 
 	code, body := get(t, "http://"+srv.Addr()+"/metrics")
 	if code != http.StatusOK {
@@ -211,6 +261,37 @@ func TestObsEndpointMetrics(t *testing.T) {
 	}
 	if got.value < 25 {
 		t.Fatalf("alc_commits_total{replica=r0} = %v, want >= 25", got.value)
+	}
+
+	// Abort causes are per replica: the forced abort shows up on r1 under
+	// its cause and nowhere else, and on every replica the causes sum to
+	// alc_aborts_total.
+	if types["alc_aborts_by_cause_total"] != "counter" {
+		t.Fatalf("alc_aborts_by_cause_total missing or mistyped: %v", types)
+	}
+	for _, r := range []string{"r0", "r1", "r2"} {
+		total, ok := find("alc_aborts_total", map[string]string{"replica": r})
+		if !ok {
+			t.Fatalf("missing alc_aborts_total{replica=%q}", r)
+		}
+		sum := 0.0
+		for _, cause := range []string{"early", "final", "payload", "deadlock"} {
+			s, ok := find("alc_aborts_by_cause_total", map[string]string{"replica": r, "cause": cause})
+			if !ok {
+				t.Fatalf("missing alc_aborts_by_cause_total{replica=%q,cause=%q}", r, cause)
+			}
+			sum += s.value
+			want := 0.0
+			if r == "r1" && cause == "early" {
+				want = 1
+			}
+			if s.value != want {
+				t.Fatalf("alc_aborts_by_cause_total{replica=%q,cause=%q} = %v, want %v", r, cause, s.value, want)
+			}
+		}
+		if sum != total.value {
+			t.Fatalf("replica %s: abort causes sum to %v, alc_aborts_total = %v", r, sum, total.value)
+		}
 	}
 
 	// Every replica exposes all eight queue-depth gauges.
