@@ -1,6 +1,6 @@
 // TCP cluster: the same replicated STM over real sockets. Three replicas run
 // in this process but communicate exclusively through TCP on localhost — the
-// exact stack cmd/alc-node deploys across machines (gob wire encoding,
+// exact stack cmd/alc-node deploys across machines (binary wire codec,
 // reconnecting links, the full GCS on top).
 package main
 

@@ -136,6 +136,11 @@ func TestBatchingCoalescesDisjointCommitters(t *testing.T) {
 						t.Errorf("replica %d: %s = %v, want %d (acknowledged commit lost)", rep.ID(), box, got, each)
 					}
 				}
+				// The same bug as a gauge: the frontier filter dropping an
+				// entry it never absorbed (alc_wal_filtered_total{seen="never"}).
+				if n := rep.Stats().WAL.FilteredNeverSeen; n != 0 {
+					t.Errorf("replica %d: frontier filter dropped %d never-seen entries", rep.ID(), n)
+				}
 			}
 
 			s := r.Stats()

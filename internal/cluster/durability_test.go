@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,12 +13,15 @@ import (
 	"github.com/alcstm/alc/internal/core"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/stm"
+	"github.com/alcstm/alc/internal/wal"
 )
 
 func init() {
-	// The WAL gob-encodes box values even over the in-memory transport.
-	core.RegisterValue(0)
-	core.RegisterValue([]byte(nil))
+	// memnet never serializes; the codecs are registered only so the
+	// transfer-size gauges (WALStats.LastDeltaBytes/LastFullBytes) can
+	// measure. The WAL needs nothing: int and []byte box values are wire
+	// primitives.
+	core.RegisterWire()
 }
 
 // newDurableCluster builds a cluster persisting under a fresh temp root.
@@ -286,6 +291,68 @@ func TestDurableRestartWithoutSnapshotReplaysLog(t *testing.T) {
 	}
 	if got := readBox(t, c.Replica(2), "made"); got != 31 {
 		t.Fatalf("made = %v, want 31", got)
+	}
+}
+
+// TestDurableGobEraDirectoryRejoinsByFullTransfer: a durability directory
+// written by a build that gob-encoded its WAL records and snapshot (every
+// build before the wire-codec WAL) is not read: recovery counts the fault,
+// discards it whole — never a partially applied log — and the replica
+// rejoins stateless, by full transfer.
+func TestDurableGobEraDirectoryRejoinsByFullTransfer(t *testing.T) {
+	c, root := newDurableCluster(t, 3, core.DurabilityConfig{})
+	commitN(t, c, "counter", 20)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(2)
+
+	// The old build's file shapes: one gob stream per CRC frame.
+	type gobSnapshot struct {
+		Boxes    map[string]int
+		Frontier map[int32]uint64
+	}
+	type gobRecord struct {
+		Shard int
+		Boxes map[string]int
+	}
+	gobFrame := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return wal.EncodeRecord(buf.Bytes())
+	}
+	dir := filepath.Join(root, "r2")
+	snap := gobFrame(&gobSnapshot{Boxes: map[string]int{"counter": 7}, Frontier: map[int32]uint64{0: 99}})
+	log := append(gobFrame(&gobRecord{Boxes: map[string]int{"counter": 8}}), gobFrame(&gobRecord{Boxes: map[string]int{"counter": 9}})...)
+	if err := os.WriteFile(wal.SnapshotPath(dir), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal.LogPath(dir), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	commitN(t, c, "counter", 10)
+	if err := c.Restart(2); err != nil {
+		t.Fatalf("restart over a gob-era directory: %v", err)
+	}
+	waitRejoined(t, c, 2)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	s2 := c.Replica(2).Stats().WAL
+	if s2.Errors != 1 || s2.RecoveredFromSnapshot || s2.ReplayedEntries != 0 {
+		t.Errorf("gob-era directory was not discarded and counted once (stats: %+v)", s2)
+	}
+	if s2.FullInstalled == 0 || s2.DeltaInstalled != 0 {
+		t.Errorf("rejoin after the discard was not a full transfer (stats: %+v)", s2)
+	}
+	if got := readBox(t, c.Replica(2), "counter"); got != 30 {
+		t.Fatalf("counter = %v, want 30", got)
+	}
+	if diff := c.CheckHistories(); diff != "" {
+		t.Fatalf("history divergence after the full-transfer rejoin: %s", diff)
 	}
 }
 

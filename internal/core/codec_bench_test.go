@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
-	"io"
 	"testing"
 
 	"github.com/alcstm/alc/internal/lease"
@@ -11,15 +8,11 @@ import (
 	"github.com/alcstm/alc/internal/wire"
 )
 
-// The gob-vs-wire codec A/B, microscopic half (bench.RunNetload is the
-// end-to-end half): encode and decode of a representative group-commit
-// write-set batch — the message the hot tcpnet path carries most — measured
-// with allocs/op.
-//
-// The gob benchmarks model the retired gob framing (kept as the historical
-// baseline the binary codec replaced): a persistent encoder/decoder pair per
-// connection, so type descriptors are transmitted once and every measured
-// iteration is steady-state.
+// Codec microbenchmarks (bench.RunNetload is the end-to-end half): encode and
+// decode of a representative group-commit write-set batch — the message the
+// hot tcpnet path carries most — measured with allocs/op. The gob side of
+// PR 8's A/B (its rows are kept in EXPERIMENTS.md) went with the gob
+// registrations it measured; it is reproducible from commit c837db2.
 
 // benchBatch builds a group-commit batch of 16 transactions, 4 writes each,
 // with small int values — the sharded-bank shape the throughput experiments
@@ -41,12 +34,6 @@ func benchBatch() *applyWSBatchMsg {
 		}
 	}
 	return &applyWSBatchMsg{Entries: entries}
-}
-
-// gobEnvelope mirrors the retired gob framing's frame body.
-type gobEnvelope struct {
-	From    int32
-	Payload any
 }
 
 func BenchmarkCodecWireEncode(b *testing.B) {
@@ -77,86 +64,6 @@ func BenchmarkCodecWireDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := wire.DecodeEnvelope(body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodecGobEncode(b *testing.B) {
-	RegisterWire() // gob.Register side included
-	msg := benchBatch()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	// Prime the connection: the first Encode ships type descriptors.
-	if err := enc.Encode(gobEnvelope{From: 2, Payload: msg}); err != nil {
-		b.Fatal(err)
-	}
-	steady := buf.Len()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.Encode(gobEnvelope{From: 2, Payload: msg}); err != nil {
-			b.Fatal(err)
-		}
-		steady = buf.Len()
-	}
-	b.SetBytes(int64(steady))
-}
-
-// repeatReader yields prime once, then steady forever: the byte stream a
-// persistent gob connection carries after its first message.
-type repeatReader struct {
-	prime  []byte
-	steady []byte
-	off    int
-	primed bool
-}
-
-func (r *repeatReader) Read(p []byte) (int, error) {
-	cur := r.steady
-	if !r.primed {
-		cur = r.prime
-	}
-	if r.off == len(cur) {
-		if !r.primed {
-			r.primed = true
-		}
-		r.off = 0
-		cur = r.steady
-	}
-	n := copy(p, cur[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func BenchmarkCodecGobDecode(b *testing.B) {
-	RegisterWire()
-	msg := benchBatch()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(gobEnvelope{From: 2, Payload: msg}); err != nil {
-		b.Fatal(err)
-	}
-	prime := append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := enc.Encode(gobEnvelope{From: 2, Payload: msg}); err != nil {
-		b.Fatal(err)
-	}
-	steady := append([]byte(nil), buf.Bytes()...)
-
-	r := &repeatReader{prime: prime, steady: steady}
-	dec := gob.NewDecoder(io.Reader(r))
-	var env gobEnvelope
-	if err := dec.Decode(&env); err != nil { // consume the priming message
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(steady)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var env gobEnvelope
-		if err := dec.Decode(&env); err != nil {
 			b.Fatal(err)
 		}
 	}

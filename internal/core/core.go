@@ -447,7 +447,7 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	for i := range r.shards {
 		s := &shardState{r: r, idx: i, certLog: newCertLog(cfg.CertLogSize)}
 		s.primary.Store(!gcsCfg.Joining)
-		s.toOrd.Store(r.dur.toOrd(i))
+		s.toOrd.Store(toFrontierOf(r.dur.advertise(i))) // the recovered TO commit clock
 		s.coal = newCoalescer(r, s, cfg.Batch)
 		shardTr := tr
 		if r.mux != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"sync"
@@ -13,6 +11,7 @@ import (
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
 	"github.com/alcstm/alc/internal/wal"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 // DurabilityConfig enables the per-replica durability tier: a write-ahead
@@ -76,48 +75,100 @@ type WALStats struct {
 	FullsServed    int64
 	DeltaInstalled int64
 	FullInstalled  int64
-	// LastDeltaBytes / LastFullBytes are the gob-encoded sizes of the most
-	// recent transfer served (best-effort: 0 when the payload has types not
-	// registered for gob, as in in-memory test transports).
+	// LastDeltaBytes / LastFullBytes are the wire-encoded sizes of the most
+	// recent transfer served (best-effort: 0 when RegisterWire was never
+	// called, as over in-memory transports, or a box value has no codec).
 	LastDeltaBytes int64
 	LastFullBytes  int64
 	// RetainedEntries is the current delta-window length (gauge).
 	RetainedEntries int64
-	// Errors counts durability faults (encode/write/snapshot failures). The
-	// replica degrades to memory-only operation rather than stopping.
+	// FilteredSeen / FilteredNeverSeen count entries the apply path's
+	// frontier filter dropped as already absorbed. Seen: the entry is still
+	// in the shard's retained window or at/below its eviction watermark — a
+	// genuine duplicate (a delta install over a stale advertised frontier, a
+	// replayed log record the snapshot covers). NeverSeen: at/below the
+	// frontier yet in neither — an entry overtaken by a later one from its
+	// writer, i.e. an acknowledged commit being lost; must stay 0.
+	FilteredSeen      int64
+	FilteredNeverSeen int64
+	// Errors counts durability faults: encode/write/snapshot failures (the
+	// replica degrades to memory-only operation rather than stopping) and
+	// recovery discarding a snapshot, log or log suffix it cannot use.
 	Errors int64
 }
 
-// walRecord is the payload of one WAL record: the write-set entries of one
-// applied batch, in apply order, tagged with the shard group that delivered
-// it (replay filters each lane against its own shard's frontiers).
-type walRecord struct {
-	Shard   int
-	Entries []applyWSEntry
+// walFormat is the first byte of every WAL record and snapshot payload, ahead
+// of fields in the wire codec (the same helpers that put write-sets and store
+// snapshots on the network, so one fuzzed decoder guards disk and network):
+//
+//	record:   walFormat · shard (uvarint) · appendWSEntries — one applied
+//	          batch in apply order, tagged with the shard group that delivered
+//	          it (replay filters each lane against its own shard's frontiers)
+//	snapshot: walFormat · appendStoreSnapshot · shard count (uvarint) · one
+//	          appendFrontier per shard, in advertised() form
+//
+// The value is one no encoding/gob stream can begin with (its leading length
+// byte is 0x00-0x7F or 0xF8-0xFF), so a directory written by the gob-era
+// build fails decoding at byte 0; bump it for any incompatible layout change.
+const walFormat byte = 0xA1
+
+func appendWALRecord(b []byte, shard int, entries []applyWSEntry) ([]byte, error) {
+	return appendWSEntries(wire.AppendUvarint(append(b, walFormat), uint64(shard)), entries)
 }
 
-// walShardFrontier is one shard group's progress marker in the snapshot
-// file: the per-writer URB frontier plus the TO commit clock.
-type walShardFrontier struct {
-	Frontier map[transport.ID]uint64
-	TO       int64
+func readWALRecord(payload []byte) (shard int, entries []applyWSEntry, err error) {
+	r := walReader(payload)
+	shard = int(r.Uvarint())
+	entries, err = readWSEntries(r)
+	return shard, entries, walPayloadEnd(r, err)
 }
 
-// walSnapshot is the snapshot file payload: the store image plus the
-// per-shard frontiers it corresponds to. Replay filters log records through
-// the frontiers, so a crash between snapshot write and log truncation only
-// costs re-reading (not re-applying) covered records. Frontier is the legacy
-// single-group field (pre-sharding snapshot files); Shards supersedes it.
-type walSnapshot struct {
-	Store    stm.StoreSnapshot
-	Frontier map[transport.ID]uint64
-	Shards   []walShardFrontier
+func appendWALSnapshot(b []byte, store stm.StoreSnapshot, fronts []map[transport.ID]uint64) ([]byte, error) {
+	b, err := appendStoreSnapshot(append(b, walFormat), store)
+	if err != nil {
+		return b, err
+	}
+	b = wire.AppendUvarint(b, uint64(len(fronts)))
+	for _, f := range fronts {
+		b = appendFrontier(b, f)
+	}
+	return b, nil
 }
 
-func init() {
-	// The WAL encodes the same wire types the serializing transports do.
-	gob.Register(&walRecord{})
-	gob.Register(&walSnapshot{})
+func readWALSnapshot(payload []byte) (stm.StoreSnapshot, []map[transport.ID]uint64, error) {
+	r := walReader(payload)
+	store, err := readStoreSnapshot(r)
+	if err != nil {
+		return store, nil, err
+	}
+	fronts := make([]map[transport.ID]uint64, r.Count())
+	for i := range fronts {
+		fronts[i] = readFrontier(r)
+	}
+	return store, fronts, walPayloadEnd(r, nil)
+}
+
+// walReader returns a copying reader (decoded values outlive the replay
+// buffer) over the payload past its format byte — over nothing when the
+// format is foreign, so the decoder's first read fails.
+func walReader(payload []byte) *wire.Reader {
+	r := wire.NewReader(payload)
+	if r.Byte() != walFormat {
+		return wire.NewReader(nil)
+	}
+	return r
+}
+
+// walPayloadEnd closes a payload decode: the first decode error, or trailing
+// bytes — a payload must be consumed exactly.
+func walPayloadEnd(r *wire.Reader, err error) error {
+	if err == nil {
+		err = r.Err()
+	}
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("core: %d trailing bytes after wal payload", r.Len())
+	}
+	return err
 }
 
 // durShard is one shard group's slice of the durability + delta-transfer
@@ -151,6 +202,62 @@ type durShard struct {
 	// after a full state install. Never set by a delta install alone (it was
 	// already required to be set for the delta to have been requested).
 	hasState bool
+}
+
+// resetTo restarts the shard's bookkeeping at advertised frontier f (see
+// advertised): the delta window is empty and its eviction watermarks sit at
+// f, because nothing at or below f can be served from the ring. A nil f is
+// the stateless shard: zero frontiers, nothing to advertise.
+func (sh *durShard) resetTo(f map[transport.ID]uint64) {
+	*sh = durShard{
+		frontier:   make(map[transport.ID]uint64, len(f)),
+		evicted:    make(map[transport.ID]uint64, len(f)),
+		toFrontier: toFrontierOf(f),
+		evictedTO:  toFrontierOf(f),
+		hasState:   f != nil,
+	}
+	for w, seq := range f {
+		if w != transport.Nobody {
+			sh.frontier[w], sh.evicted[w] = seq, seq
+		}
+	}
+}
+
+// advertised returns a copy of the shard's applied frontier — the per-writer
+// URB frontier plus, keyed under transport.Nobody (no writer ever has that
+// ID, and it keeps the wire format a plain ID→seq map), the TO commit clock —
+// or nil when the local store is not a complete frontier-consistent state.
+// It is what a joinReq carries (nil makes the coordinator ship a full
+// transfer) and what the snapshot file records per shard.
+func (sh *durShard) advertised() map[transport.ID]uint64 {
+	if !sh.hasState {
+		return nil
+	}
+	f := make(map[transport.ID]uint64, len(sh.frontier)+1)
+	for w, seq := range sh.frontier {
+		f[w] = seq
+	}
+	f[transport.Nobody] = uint64(sh.toFrontier)
+	return f
+}
+
+// seen reports whether a stale entry (at or below its lane's frontier) is one
+// this shard demonstrably absorbed: at or below the eviction watermark, or
+// still in the retained window. Newest first: duplicates are recent.
+func (sh *durShard) seen(e applyWSEntry) bool {
+	if e.Ord > 0 {
+		if e.Ord <= sh.evictedTO {
+			return true
+		}
+	} else if e.TxnID.Seq <= sh.evicted[e.TxnID.Replica] {
+		return true
+	}
+	for i := len(sh.ring) - 1; i >= 0; i-- {
+		if sh.ring[i].TxnID == e.TxnID {
+			return true
+		}
+	}
+	return false
 }
 
 // durable is the replica's durability + delta-transfer state, one durShard
@@ -191,6 +298,8 @@ type durable struct {
 	fullInstalled  metrics.Counter
 	lastDeltaBytes atomic.Int64
 	lastFullBytes  atomic.Int64
+	filteredSeen   metrics.Counter
+	filteredNever  metrics.Counter
 	errors         metrics.Counter
 }
 
@@ -205,8 +314,7 @@ func newDurable(cfg DurabilityConfig, store *stm.Store, shards int) (*durable, e
 		shards: make([]durShard, shards),
 	}
 	for i := range d.shards {
-		d.shards[i].frontier = make(map[transport.ID]uint64)
-		d.shards[i].evicted = make(map[transport.ID]uint64)
+		d.shards[i].resetTo(nil)
 	}
 	if cfg.Dir == "" {
 		return d, nil
@@ -239,133 +347,94 @@ func newDurable(cfg DurabilityConfig, store *stm.Store, shards int) (*durable, e
 // through the snapshot's frontier so records covered by the snapshot (a
 // crash can land between snapshot write and log truncation) are not applied
 // twice. It returns the log's valid-prefix size for OpenLog's torn-tail
-// truncation. A corrupt snapshot invalidates the log too (its records build
-// on an unreconstructable base): both are wiped and the replica starts
-// stateless, taking a full transfer on join.
+// truncation. A snapshot that cannot be used invalidates the log too (its
+// records build on an unreconstructable base): see discardState.
 func (d *durable) recover(store *stm.Store) (int64, error) {
 	start := time.Now()
 	snapPayload, err := wal.ReadSnapshot(d.cfg.Dir)
 	if err != nil {
-		// Corrupt snapshot: wipe and start over, stateless.
-		d.errors.Inc()
-		if rmErr := wal.RemoveSnapshot(d.cfg.Dir); rmErr != nil {
-			return 0, fmt.Errorf("core: discard corrupt snapshot: %w", rmErr)
-		}
-		if rmErr := os.Remove(wal.LogPath(d.cfg.Dir)); rmErr != nil && !os.IsNotExist(rmErr) {
-			return 0, fmt.Errorf("core: discard orphaned wal: %w", rmErr)
-		}
-		return 0, nil
+		return 0, d.discardState(store) // the frame does not verify: corrupt
 	}
 	if snapPayload != nil {
-		var snap walSnapshot
-		if derr := gob.NewDecoder(bytes.NewReader(snapPayload)).Decode(&snap); derr != nil {
-			// Framing verified but the payload does not decode (e.g. written
-			// by an incompatible build): treat like corruption.
-			d.errors.Inc()
-			if rmErr := wal.RemoveSnapshot(d.cfg.Dir); rmErr != nil {
-				return 0, fmt.Errorf("core: discard undecodable snapshot: %w", rmErr)
-			}
-			if rmErr := os.Remove(wal.LogPath(d.cfg.Dir)); rmErr != nil && !os.IsNotExist(rmErr) {
-				return 0, fmt.Errorf("core: discard orphaned wal: %w", rmErr)
-			}
-			return 0, nil
+		snap, fronts, derr := readWALSnapshot(snapPayload)
+		// An intact frame around a payload that does not decode was written
+		// by an incompatible build (the gob-era format included). One from a
+		// different shard-group count is as useless: the class→shard mapping
+		// changed, so its per-shard frontiers describe lanes that no longer
+		// exist.
+		if derr != nil || len(fronts) != len(d.shards) {
+			return 0, d.discardState(store)
 		}
-		// A snapshot from a different shard-group count is useless: the
-		// class→shard mapping changed, so its per-shard frontiers describe
-		// lanes that no longer exist. Wipe and start stateless (full transfer
-		// on join) rather than recover a mis-partitioned history.
-		switch {
-		case len(snap.Shards) == len(d.shards):
-			for i, sf := range snap.Shards {
-				sh := &d.shards[i]
-				for w, seq := range sf.Frontier {
-					sh.frontier[w] = seq
-					sh.evicted[w] = seq // pre-snapshot entries are not in the ring
-				}
-				sh.toFrontier = sf.TO
-				sh.evictedTO = sf.TO
-			}
-		case len(snap.Shards) == 0 && len(d.shards) == 1:
-			sh := &d.shards[0] // legacy pre-sharding snapshot file
-			for w, seq := range snap.Frontier {
-				sh.frontier[w] = seq
-				sh.evicted[w] = seq
-			}
-		default:
-			d.errors.Inc()
-			if rmErr := wal.RemoveSnapshot(d.cfg.Dir); rmErr != nil {
-				return 0, fmt.Errorf("core: discard mis-sharded snapshot: %w", rmErr)
-			}
-			if rmErr := os.Remove(wal.LogPath(d.cfg.Dir)); rmErr != nil && !os.IsNotExist(rmErr) {
-				return 0, fmt.Errorf("core: discard orphaned wal: %w", rmErr)
-			}
-			return 0, nil
+		store.Restore(snap)
+		for i, f := range fronts {
+			d.shards[i].resetTo(f)
 		}
-		store.Restore(snap.Store)
 		d.recoveredSnap = true
-		for i := range d.shards {
-			d.shards[i].hasState = true
-		}
 	}
 
-	incompat := false
+	missharded := false
 	records, validSize, err := wal.Replay(wal.LogPath(d.cfg.Dir), func(payload []byte) error {
-		var rec walRecord
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
-			// An undecodable record despite an intact CRC: stop replay here
-			// by reporting it — but since the frame verified, this is a
-			// codec/schema problem, not tail damage. Treat conservatively as
-			// end-of-log.
+		shard, entries, derr := readWALRecord(payload)
+		if derr != nil {
+			// An undecodable record despite an intact CRC is a codec/schema
+			// problem, not tail damage. Treat conservatively as end-of-log:
+			// the prefix stands, OpenLog truncates the rest.
+			d.errors.Inc()
 			return errStopReplay
 		}
-		if rec.Shard < 0 || rec.Shard >= len(d.shards) {
-			// Shard-group count changed across the restart with no snapshot
-			// to catch it: the recovered prefix cannot be advertised.
-			incompat = true
+		if shard < 0 || shard >= len(d.shards) {
+			missharded = true
 			return errStopReplay
 		}
-		sh := &d.shards[rec.Shard]
-		for _, e := range rec.Entries {
-			if e.Ord > 0 {
-				if e.Ord <= sh.toFrontier {
-					continue // covered by the snapshot
-				}
-				store.ApplyWriteSet(e.TxnID, e.WS)
-				sh.toFrontier = e.Ord
-			} else {
-				if e.TxnID.Seq <= sh.frontier[e.TxnID.Replica] {
-					continue
-				}
-				store.ApplyWriteSet(e.TxnID, e.WS)
-				sh.frontier[e.TxnID.Replica] = e.TxnID.Seq
-			}
-			d.pushRetainedLocked(sh, e)
+		// The apply path's own filter (no log is open yet, so append only
+		// filters, advances the frontiers and refills the delta window) drops
+		// what the snapshot covers.
+		for _, e := range d.append(shard, entries) {
+			store.ApplyWriteSet(e.TxnID, e.WS)
 			d.replayEntries++
 		}
 		return nil
 	})
-	if err == errStopReplay {
-		err = nil
-	}
-	if err != nil {
+	if err != nil && err != errStopReplay {
 		return 0, err
 	}
-	if records > 0 && !incompat {
-		// The log is only ever truncated immediately after a snapshot is
-		// durably in place, so snapshot (possibly absent) + full log is a
-		// complete history: safe to advertise.
-		for i := range d.shards {
-			d.shards[i].hasState = true
-		}
+	if missharded {
+		// The shard-group count changed across the restart with no snapshot
+		// to catch it: everything replayed so far was partitioned under
+		// another class→shard mapping.
+		return 0, d.discardState(store)
 	}
-	if incompat {
-		for i := range d.shards {
-			d.shards[i].hasState = false
-		}
+	if snapPayload == nil && records > 0 {
+		// With a snapshot, it says which shards hold a complete state.
+		// Without one the log was never truncated (that only happens right
+		// after a snapshot is durably in place), so it is an initial member's
+		// complete history on every shard: safe to advertise.
+		d.markComplete()
 	}
 	d.replayRecords = int64(records)
 	d.replayDuration = time.Since(start)
 	return validSize, nil
+}
+
+// discardState is recovery's one answer to a durability directory it cannot
+// build on — corrupt or undecodable snapshot, snapshot or log from another
+// shard-group count: count the fault, wipe snapshot and log, drop whatever
+// was recovered so far, and start stateless (nothing advertised, so the
+// replica takes a full transfer on join).
+func (d *durable) discardState(store *stm.Store) error {
+	d.errors.Inc()
+	if err := wal.RemoveSnapshot(d.cfg.Dir); err != nil {
+		return fmt.Errorf("core: discard unusable snapshot: %w", err)
+	}
+	if err := os.Remove(wal.LogPath(d.cfg.Dir)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("core: discard orphaned wal: %w", err)
+	}
+	store.Restore(stm.StoreSnapshot{})
+	for i := range d.shards {
+		d.shards[i].resetTo(nil)
+	}
+	d.recoveredSnap, d.replayEntries = false, 0
+	return nil
 }
 
 var errStopReplay = fmt.Errorf("core: stop wal replay")
@@ -380,17 +449,8 @@ func (d *durable) markComplete() {
 	d.mu.Unlock()
 }
 
-// toOrd returns the shard's recovered TO commit clock (NewReplica seeds the
-// live clock from it after recovery).
-func (d *durable) toOrd(shard int) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.shards[shard].toFrontier
-}
-
 // pushRetainedLocked appends one applied entry to the shard's delta window,
-// evicting from the front when over capacity. Caller holds d.mu (or has
-// exclusive access during recovery).
+// evicting from the front when over capacity. Caller holds d.mu.
 func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
 	if len(sh.ring) >= d.cfg.Retain {
 		old := sh.ring[0]
@@ -410,8 +470,9 @@ func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
 }
 
 // append is the durability tier's entry on the apply path, called BEFORE the
-// write-sets are installed in the store, under applyMu (shared). It filters
-// out entries the shard already absorbed — URB-lane entries (Ord == 0) at or
+// write-sets are installed in the store, under applyMu (shared); recovery
+// replays the log through it too, before any log is open. It filters out
+// entries the shard already absorbed — URB-lane entries (Ord == 0) at or
 // below the writer's frontier, TO-lane entries (Ord > 0) at or below the TO
 // frontier — the idempotence point that makes delta installs safe when the
 // advertised frontier went stale. Survivors advance their lane's frontier,
@@ -437,8 +498,13 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 			stale = e.TxnID.Seq <= sh.frontier[e.TxnID.Replica]
 		}
 		if stale {
-			// Rare path: copy-on-first-skip keeps the common all-fresh case
-			// allocation-free.
+			// Rare path: classifying and copy-on-first-skip only here keeps
+			// the common all-fresh case scan- and allocation-free.
+			if sh.seen(e) {
+				d.filteredSeen.Inc()
+			} else {
+				d.filteredNever.Inc()
+			}
 			if len(fresh) == len(entries) {
 				fresh = append([]applyWSEntry(nil), entries[:i]...)
 			}
@@ -470,13 +536,15 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 	d.mu.Unlock()
 
 	if log != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&walRecord{Shard: shard, Entries: fresh}); err != nil {
-			// Unencodable values (unregistered types): degrade to memory-only
-			// rather than blocking commits.
-			d.errors.Inc()
-			d.disableLog()
-		} else if n, err := log.Append(buf.Bytes()); err != nil {
+		payload, err := appendWALRecord(make([]byte, 0, 256), shard, fresh) // one allocation for the usual small batch
+		n := 0
+		if err == nil {
+			n, err = log.Append(payload)
+		}
+		if err != nil {
+			// Unencodable values (box types never passed to RegisterValue)
+			// or a failed write: degrade to memory-only rather than blocking
+			// commits.
 			d.errors.Inc()
 			d.disableLog()
 		} else {
@@ -522,28 +590,20 @@ func (d *durable) snapshot(store *stm.Store) {
 	d.applyMu.Lock()
 	d.mu.Lock()
 	log := d.log
-	shards := make([]walShardFrontier, len(d.shards))
+	fronts := make([]map[transport.ID]uint64, len(d.shards))
 	for i := range d.shards {
-		sh := &d.shards[i]
-		f := make(map[transport.ID]uint64, len(sh.frontier))
-		for w, seq := range sh.frontier {
-			f[w] = seq
-		}
-		shards[i] = walShardFrontier{Frontier: f, TO: sh.toFrontier}
+		fronts[i] = d.shards[i].advertised()
 	}
 	d.mu.Unlock()
 	if log == nil {
 		d.applyMu.Unlock()
 		return
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&walSnapshot{Store: store.Snapshot(), Shards: shards})
-	if err != nil {
-		d.applyMu.Unlock()
-		d.errors.Inc()
-		return
+	payload, err := appendWALSnapshot(nil, store.Snapshot(), fronts)
+	if err == nil {
+		err = wal.WriteSnapshot(d.cfg.Dir, payload)
 	}
-	if err := wal.WriteSnapshot(d.cfg.Dir, buf.Bytes()); err != nil {
+	if err != nil {
 		d.applyMu.Unlock()
 		d.errors.Inc()
 		return
@@ -562,25 +622,11 @@ func (d *durable) snapshot(store *stm.Store) {
 	d.lastSnapNanos.Store(time.Now().UnixNano())
 }
 
-// advertise returns a copy of the shard's applied frontier for the next
-// joinReq — the per-writer URB frontier plus, keyed under transport.Nobody
-// (no writer ever has that ID, and it keeps the wire format a plain ID→seq
-// map), the TO commit clock — or nil when the local store is not a complete
-// frontier-consistent state (a nil advertisement makes the coordinator ship
-// a full transfer).
+// advertise returns the shard's advertised frontier for the next joinReq.
 func (d *durable) advertise(shard int) map[transport.ID]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sh := &d.shards[shard]
-	if !sh.hasState {
-		return nil
-	}
-	f := make(map[transport.ID]uint64, len(sh.frontier)+1)
-	for w, seq := range sh.frontier {
-		f[w] = seq
-	}
-	f[transport.Nobody] = uint64(sh.toFrontier)
-	return f
+	return d.shards[shard].advertised()
 }
 
 // delta computes the entry suffix a joiner at frontier f is missing on this
@@ -633,21 +679,8 @@ func (d *durable) delta(shard int, f map[transport.ID]uint64) ([]applyWSEntry, b
 // drained (InstallState), after the store install.
 func (d *durable) installFull(shard int, f map[transport.ID]uint64, store *stm.Store) {
 	d.mu.Lock()
-	sh := &d.shards[shard]
-	sh.frontier = make(map[transport.ID]uint64, len(f))
-	sh.evicted = make(map[transport.ID]uint64, len(f))
-	for w, seq := range f {
-		if w == transport.Nobody {
-			continue
-		}
-		sh.frontier[w] = seq
-		sh.evicted[w] = seq
-	}
-	sh.toFrontier = int64(f[transport.Nobody])
-	sh.evictedTO = sh.toFrontier
-	sh.ring = nil
+	d.shards[shard].resetTo(f)
 	d.sinceSnap = 0
-	sh.hasState = true
 	hasLog := d.log != nil
 	d.mu.Unlock()
 	d.fullInstalled.Inc()
@@ -668,17 +701,6 @@ func (d *durable) close() {
 	if log != nil {
 		_ = log.Close()
 	}
-}
-
-// encodedSize gob-encodes v to measure a transfer's wire size. Best-effort:
-// in-memory transports never serialize, so box values may hold types not
-// registered with gob — then the size is reported as 0, not an error.
-func encodedSize(v any) int64 {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0
-	}
-	return int64(buf.Len())
 }
 
 // stats assembles the WALStats snapshot.
@@ -708,6 +730,8 @@ func (d *durable) stats() WALStats {
 		LastDeltaBytes:        d.lastDeltaBytes.Load(),
 		LastFullBytes:         d.lastFullBytes.Load(),
 		RetainedEntries:       retained,
+		FilteredSeen:          d.filteredSeen.Value(),
+		FilteredNeverSeen:     d.filteredNever.Value(),
 		Errors:                d.errors.Value(),
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/trace"
 	"github.com/alcstm/alc/internal/transport"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 // shardHandler adapts one shard group of a Replica to the gcs.Handler
@@ -147,8 +148,19 @@ func (h *shardHandler) StateSnapshot() any {
 		Frontier: frontier,
 	}
 	r.dur.fullsServed.Inc()
-	r.dur.lastFullBytes.Store(encodedSize(any(st)))
+	r.dur.lastFullBytes.Store(wireSize(st))
 	return st
+}
+
+// wireSize measures a state transfer in the wire codec. Best-effort: without
+// RegisterWire (in-memory transports never serialize) or with a box value
+// that has no codec, the size is reported as 0, not an error.
+func wireSize(st any) int64 {
+	b, err := wire.AppendAny(nil, st)
+	if err != nil {
+		return 0
+	}
+	return int64(len(b))
 }
 
 // filterShardBoxes keeps only the boxes whose conflict class lives on the
@@ -182,7 +194,7 @@ func (h *shardHandler) StateDelta(f map[transport.ID]uint64) (any, bool) {
 		CertLog: s.certLog.snapshot(),
 	}
 	r.dur.deltasServed.Inc()
-	r.dur.lastDeltaBytes.Store(encodedSize(any(st)))
+	r.dur.lastDeltaBytes.Store(wireSize(st))
 	return st, true
 }
 

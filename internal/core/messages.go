@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/gob"
 	"errors"
 
 	"github.com/alcstm/alc/internal/bloom"
 	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 // errValidationFailed is the internal commit outcome for a transaction whose
@@ -128,26 +128,8 @@ type xferDelta struct {
 	CertLog []certLogEntry
 }
 
-// RegisterWire registers every replication-layer wire type for transports
-// that serialize payloads (tcpnet), under both codecs: encoding/gob (the
-// legacy fallback) and the hand-rolled binary codec (RegisterBinary). Values
-// stored in boxes must additionally be registered by the application
-// (RegisterValue); under the binary codec, non-primitive values ride in a
-// gob-blob fallback, so one registration covers both paths.
-func RegisterWire() {
-	RegisterBinary()
-	gob.Register(&applyWSMsg{})
-	gob.Register(&applyWSBatchMsg{})
-	gob.Register(&certMsg{})
-	gob.Register(&certPayload{})
-	gob.Register(&lease.Request{})
-	gob.Register(&lease.Freed{})
-	gob.Register(&xferState{})
-	gob.Register(&xferDelta{})
-}
-
-// RegisterValue registers an application value type stored in boxes, for
-// serializing transports.
-func RegisterValue(v any) {
-	gob.Register(v)
-}
+// RegisterValue registers an application value type stored in boxes that is
+// not one of the wire codec's primitives (nil, bool, int, int64, uint64,
+// float64, string, []byte), so it can cross a serializing transport and be
+// written to the WAL.
+func RegisterValue(v any) { wire.RegisterValue(v) }

@@ -25,12 +25,12 @@ const (
 	tagGroupEnv     byte = 0x2A
 )
 
-// RegisterBinary installs the hand-rolled binary codecs for every
-// replication-layer wire type, including the lease messages it broadcasts.
-// RegisterWire calls it; box VALUES use the wire package's primitive tags and
-// fall back to a gob blob for application types registered only through
-// RegisterValue.
-func RegisterBinary() {
+// RegisterWire installs the binary codecs for every replication-layer wire
+// type, including the lease messages it broadcasts, for transports that
+// serialize payloads (tcpnet). Box VALUES use the wire package's primitive
+// tags; application types beyond those must additionally be registered
+// through RegisterValue.
+func RegisterWire() {
 	wire.Register(tagApplyWS, &applyWSMsg{},
 		func(b []byte, v any) ([]byte, error) {
 			m := v.(*applyWSMsg)

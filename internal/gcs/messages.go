@@ -1,7 +1,6 @@
 package gcs
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -148,22 +147,4 @@ type vcInstall struct {
 // been excluded from the primary component).
 type ejectNotice struct {
 	ViewID uint64
-}
-
-// RegisterWire registers every GCS wire type for serializing transports
-// (tcpnet), under both codecs: encoding/gob (the legacy fallback) and the
-// hand-rolled binary codec (RegisterBinary). Application payload types
-// carried inside broadcasts must be registered separately.
-func RegisterWire() {
-	RegisterBinary()
-	gob.Register(&urbData{})
-	gob.Register(&urbAck{})
-	gob.Register(&orderBatch{})
-	gob.Register(&heartbeat{})
-	gob.Register(&joinReq{})
-	gob.Register(&vcPrepare{})
-	gob.Register(&vcFlush{})
-	gob.Register(&vcInstall{})
-	gob.Register(&vcStale{})
-	gob.Register(&ejectNotice{})
 }

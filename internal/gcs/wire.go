@@ -22,11 +22,10 @@ const (
 	tagEjectNotice byte = 0x19
 )
 
-// RegisterBinary installs the hand-rolled binary codecs for every GCS wire
-// type. RegisterWire calls it; the binary codec is the only frame codec
-// tcpnet speaks (gob registration survives solely for the wire codec's
-// app-value fallback).
-func RegisterBinary() {
+// RegisterWire installs the binary codecs for every GCS wire type, for
+// transports that serialize payloads (tcpnet). Application payload types
+// carried inside broadcasts must be registered separately.
+func RegisterWire() {
 	wire.Register(tagURBData, &urbData{},
 		func(b []byte, v any) ([]byte, error) { return appendURBData(b, v.(*urbData)) },
 		func(r *wire.Reader) (any, error) { return readURBData(r) })

@@ -307,8 +307,13 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.WAL.DeltasServed })
 	counter("alc_wal_fulls_served_total", "Full state transfers served (joiner had no usable frontier).",
 		func(s repSample) int64 { return s.stats.WAL.FullsServed })
-	counter("alc_wal_errors_total", "Durability faults (the replica degrades to memory-only).",
+	counter("alc_wal_errors_total", "Durability faults (write failures degrade the replica to memory-only; recovery discards count too).",
 		func(s repSample) int64 { return s.stats.WAL.Errors })
+	fmt.Fprintf(w, "# HELP alc_wal_filtered_total Entries dropped by the apply path's frontier filter: seen before (a duplicate, e.g. a delta install over a stale frontier) or never (an acknowledged commit being lost; must stay 0).\n# TYPE alc_wal_filtered_total counter\n")
+	for _, s := range samples {
+		fmt.Fprintf(w, "alc_wal_filtered_total{replica=%q,seen=\"before\"} %d\n", s.name, s.stats.WAL.FilteredSeen)
+		fmt.Fprintf(w, "alc_wal_filtered_total{replica=%q,seen=\"never\"} %d\n", s.name, s.stats.WAL.FilteredNeverSeen)
+	}
 
 	fmt.Fprintf(w, "# HELP alc_lease_reuse_ratio Fraction of lease establishments served by a retained lease (the routing win metric).\n# TYPE alc_lease_reuse_ratio gauge\n")
 	for _, s := range samples {

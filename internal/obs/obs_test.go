@@ -229,6 +229,7 @@ func TestObsEndpointMetrics(t *testing.T) {
 	// (counters just stay 0), so dashboards need no conditional scraping.
 	if types["alc_wal_records_total"] != "counter" ||
 		types["alc_wal_appended_bytes_total"] != "counter" ||
+		types["alc_wal_filtered_total"] != "counter" ||
 		types["alc_wal_snapshot_age_seconds"] != "gauge" ||
 		types["alc_wal_retained_entries"] != "gauge" ||
 		types["alc_wal_fsync_latency_seconds"] != "histogram" {

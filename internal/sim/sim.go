@@ -21,8 +21,9 @@ import (
 	"github.com/alcstm/alc/internal/vacation"
 )
 
-// registerDurableValues registers every workload value type with gob: the WAL
-// serializes box values to disk even when the transport is in-memory.
+// registerDurableValues registers the workload box types that have no wire
+// codec (sorted-set nodes, vacation records): the WAL serializes box values
+// to disk even when the transport is in-memory.
 var registerValuesOnce sync.Once
 
 func registerDurableValues() {

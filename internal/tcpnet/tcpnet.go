@@ -12,12 +12,12 @@
 // and decode path. Every connection opens with an 8-byte handshake naming the
 // codec, so a node from the retired gob-framing release (or a stray client on
 // the replica port) fails loudly at accept time instead of corrupting the
-// stream. Gob survives only as the wire codec's app-value fallback (tag 0x0F)
-// for box value types without a registered binary codec.
+// stream.
 //
 // All payload types crossing the wire must be registered: gcs.RegisterWire
 // and core.RegisterWire cover the protocol stack, and applications register
-// their box value types via core.RegisterValue.
+// box value types beyond the codec's primitives via core.RegisterValue (they
+// ride the wire codec's tag-0x0F app-value adapter).
 package tcpnet
 
 import (

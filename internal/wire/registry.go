@@ -10,9 +10,11 @@ import (
 
 // Message tags. One byte selects the decoder for a tagged value: primitives
 // are built in here, protocol messages register codecs in their own packages
-// (internal/gcs, internal/core), and anything else falls back to a
-// self-contained gob blob. Tags are part of the wire format: they must never
-// be renumbered, only retired.
+// (internal/gcs, internal/core), and anything else — an application box type
+// with no wire codec — falls back to a self-contained gob blob. That fallback
+// (tagGob, RegisterValue) is the only use of encoding/gob in the tree: this
+// file is its adapter, and CI fails if another non-test file imports it. Tags
+// are part of the wire format: they must never be renumbered, only retired.
 const (
 	tagNil     byte = 0x00
 	tagFalse   byte = 0x01
@@ -80,6 +82,12 @@ func Register(tag byte, prototype any, app AppendFunc, read ReadFunc) {
 	registry.byType[t] = c
 }
 
+// RegisterValue makes an application box value type (anything beyond the
+// built-in primitives, e.g. a struct) encodable by AppendAny's tagGob
+// fallback — on the network and in the WAL alike. core.RegisterValue forwards
+// here.
+func RegisterValue(v any) { gob.Register(v) }
+
 func lookupType(t reflect.Type) *codec {
 	registry.RLock()
 	c := registry.byType[t]
@@ -95,9 +103,9 @@ func lookupTag(tag byte) *codec {
 }
 
 // AppendAny appends one tagged value: nil, a primitive, a registered message,
-// or (as a last resort) a gob blob for application value types that were only
-// registered with encoding/gob. The error is non-nil only when the fallback
-// gob encoding fails (an entirely unregistered type); protocol messages never
+// or (as a last resort) a gob blob for application value types registered
+// through RegisterValue. The error is non-nil only when the fallback gob
+// encoding fails (an entirely unregistered type); protocol messages never
 // take that path.
 func AppendAny(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {

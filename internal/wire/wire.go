@@ -1,9 +1,9 @@
 // Package wire is the hand-rolled binary codec for everything that crosses a
-// TCP connection: inter-replica protocol messages (gcs envelopes, write-set
+// TCP connection — inter-replica protocol messages (gcs envelopes, write-set
 // batches, lease operations, state-transfer frames) and the client
-// request/response protocol. It replaces encoding/gob on the hot tcpnet path
-// (gob remains available behind tcpnet.Config.Codec = "gob" for one release
-// as an A/B fallback).
+// request/response protocol — and, through the same field helpers, for what
+// internal/core writes to disk (WAL records, store snapshots). It is the only
+// serialisation format in the tree.
 //
 // # Format
 //
@@ -26,8 +26,9 @@
 // AppendFunc/ReadFunc pair per concrete type (Register); encode dispatches on
 // the dynamic type, decode on a one-byte tag. Application box values outside
 // the built-in primitives fall back to a self-contained gob blob (tag
-// tagGob), so core.RegisterValue types keep working under the binary codec at
-// gob cost — the protocol's own hot path never touches gob.
+// tagGob, registry.go — the one place encoding/gob is imported), so
+// core.RegisterValue types work on the network and in the WAL at gob cost;
+// the protocol's own messages never touch gob.
 //
 // # Safety
 //
