@@ -175,7 +175,7 @@ func BenchmarkCommitThroughputBatched(b *testing.B) {
 // BenchmarkAblationBloomEncoding regenerates one point of the D2STM Bloom
 // trade-off table: encoding size vs spurious aborts.
 func BenchmarkAblationBloomEncoding(b *testing.B) {
-	rows, err := bench.RunAblationBloom(2, []float64{0.05},
+	rows, err := bench.RunAblationBloom(bench.Params{Replicas: 2}, []float64{0.05},
 		time.Duration(max64(int64(b.N)*2_000_000, int64(300*time.Millisecond))))
 	if err != nil {
 		b.Fatal(err)

@@ -1,82 +1,225 @@
 // Command alc-bench regenerates the paper's evaluation tables and figures
 // (§5) on the simulated cluster, plus the ablations documented in DESIGN.md.
 //
-// Usage:
+//	alc-bench -experiment fig3a -duration 1s
+//	alc-bench -experiment all -ab-ceiling -1     # every table on the native sequencer
 //
-//	alc-bench -experiment fig3a              # Bank, no conflict  (Fig. 3a)
-//	alc-bench -experiment fig3b              # Bank, high conflict (Fig. 3b)
-//	alc-bench -experiment fig4               # Lee-TM speed-up + aborts (Fig. 4a/4b)
-//	alc-bench -experiment latency            # §4.5 commit-latency decomposition
-//	alc-bench -experiment ablation-opt       # §4.5 optimization ablation
-//	alc-bench -experiment ablation-cc        # conflict-class granularity sweep
-//	alc-bench -experiment ablation-bloom     # D2STM Bloom size/abort trade-off
-//	alc-bench -experiment ablation-routing   # live affinity routing vs oblivious placement
-//	alc-bench -experiment ablation-batch     # group-commit batching + parallel apply
-//	alc-bench -experiment netload            # real-TCP end-to-end, binary wire codec
-//	alc-bench -experiment all
+// `alc-bench -h` lists the experiments and the scale knobs; both are printed
+// from the one experiment table below. Every table's title names the
+// sequencer regime its rows ran under (-ab-ceiling: the calibrated 1.2ms
+// pacing that models the paper's atomic broadcast, or the native one).
 //
-// Scale knobs: -replicas (comma list), -duration per cell, -latency one-way
-// network latency, -nets/-grid for Lee.
-//
-// Load-generator mode drives a live alc-node's -client port over the pooled
-// client protocol instead of running a simulation:
-//
-//	alc-bench -loadgen -target 127.0.0.1:7100 -threads 32 -conns 8 -duration 10s
-//
-// It reports committed ops/s and how many requests the server's admission
-// control shed with the retryable overloaded status.
+// The real-TCP stack is measured by benchmark/ (bash benchmark/run.sh), not
+// here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/alcstm/alc/internal/bank"
 	"github.com/alcstm/alc/internal/bench"
-	"github.com/alcstm/alc/internal/clientsrv"
 	"github.com/alcstm/alc/internal/lee"
 	"github.com/alcstm/alc/internal/obs"
-	"github.com/alcstm/alc/internal/wire"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "alc-bench:", err)
-		os.Exit(1)
-	}
+// options is what the flags resolve to. base carries -ab-ceiling: every
+// experiment derives each cell's Params from it, so the flag reaches every
+// cluster without any experiment naming it.
+type options struct {
+	base         bench.Params
+	replicas     []int // never empty
+	duration     time.Duration
+	bank         bench.BankConfig
+	lee          bench.LeeConfig
+	latCommits   int
+	batchThreads int
 }
 
-func run() error {
-	var (
-		experiment   = flag.String("experiment", "all", "fig3a|fig3b|fig4|latency|ablation-opt|ablation-cc|ablation-bloom|ablation-locality|ablation-routing|ablation-batch|ablation-shard|netload|all")
-		replicaArg   = flag.String("replicas", "2,3,4,5,6,7,8", "comma-separated cluster sizes for the sweeps")
-		duration     = flag.Duration("duration", 2*time.Second, "measured duration per throughput cell")
-		latCommits   = flag.Int("latency-commits", 300, "commits per latency cell")
-		grid         = flag.Int("grid", 64, "Lee board dimension (grid x grid)")
-		nets         = flag.Int("nets", 160, "Lee net count")
-		workPerRead  = flag.Duration("work-per-read", 100*time.Microsecond, "Lee per-cell expansion cost (transaction length model)")
-		abCeiling    = flag.Duration("ab-ceiling", 0, "sequencer pacing per ordered message (0 = calibrated default, negative = native uncapped AB)")
-		csvPath      = flag.String("csv", "", "append results in long-format CSV to this file")
-		batchThreads = flag.Int("batch-threads", 32, "committer threads per replica for ablation-batch")
-		httpAddr     = flag.String("http", "", "serve /metrics, /debug/alc and /debug/pprof on this address while the benchmarks run")
+// at returns the base Params for a single-size experiment.
+func (o options) at(n int) bench.Params {
+	p := o.base
+	p.Replicas = n
+	return p
+}
 
-		loadgen  = flag.Bool("loadgen", false, "drive a live alc-node client port instead of running simulations")
-		target   = flag.String("target", "", "loadgen: the node's -client address")
-		lgConns  = flag.Int("conns", 4, "loadgen: pooled connections")
-		lgThread = flag.Int("threads", 16, "loadgen: concurrent request loops")
-		lgKeys   = flag.Int("keys", 64, "loadgen: distinct keys incremented round-robin")
+// table is what every experiment returns: bench.Fig3Rows, Fig4Rows,
+// LatencyRows, AblationRows or BatchRows.
+type table interface {
+	Print(w io.Writer, title string)
+	WriteCSV(c *bench.CSVWriter, experiment string) error
+}
+
+// experiment is one row of the table that the usage text, the -experiment
+// help, the unknown-name error and the order of `all` are derived from.
+type experiment struct {
+	name, what string
+	run        func(o options) (title string, t table, err error)
+}
+
+var experiments = []experiment{
+	{"fig3a", "Bank, no conflict (Fig. 3a)", func(o options) (string, table, error) {
+		rows, err := bench.RunFig3(o.base, o.replicas, bank.NoConflict, o.bank)
+		return "Figure 3(a) — Bank benchmark, no conflict (throughput, commits/s)", rows, err
+	}},
+	{"fig3b", "Bank, high conflict (Fig. 3b)", func(o options) (string, table, error) {
+		rows, err := bench.RunFig3(o.base, o.replicas, bank.HighConflict, o.bank)
+		return "Figure 3(b) — Bank benchmark, high conflict (throughput + abort rate)", rows, err
+	}},
+	{"fig4", "Lee-TM speed-up + aborts (Fig. 4a/4b)", func(o options) (string, table, error) {
+		rows, err := bench.RunFig4(o.base, o.replicas, o.lee)
+		return "Figure 4 — Lee-TM benchmark (a: speed-up ALC vs CERT, b: abort rate)", rows, err
+	}},
+	{"latency", "§4.5 commit-latency decomposition (n = first of -replicas)", func(o options) (string, table, error) {
+		n := o.replicas[0]
+		rows, err := bench.RunLatency(o.at(n), o.latCommits)
+		return fmt.Sprintf("§4.5 — Commit-phase latency by protocol variant (n=%d, one-way latency %v)",
+			n, bench.DefaultLatency), rows, err
+	}},
+	{"ablation-opt", "§4.5 optimization ablation (n = first of -replicas)", func(o options) (string, table, error) {
+		n := o.replicas[0]
+		rows, err := bench.RunAblationOpt(o.at(n), o.bank)
+		return fmt.Sprintf("Ablation — §4.5 optimizations on high-conflict bank (n=%d)", n), rows, err
+	}},
+	{"ablation-cc", "conflict-class granularity sweep", func(o options) (string, table, error) {
+		const n = 4
+		rows, err := bench.RunAblationCC(o.at(n), []int{1, 2, 8, 64, 0}, o.bank)
+		return fmt.Sprintf("Ablation — conflict-class granularity on no-conflict bank (n=%d)", n), rows, err
+	}},
+	{"ablation-bloom", "D2STM Bloom size/abort trade-off", func(o options) (string, table, error) {
+		rows, err := bench.RunAblationBloom(o.at(3), []float64{0, 0.001, 0.01, 0.05, 0.15}, o.duration)
+		return "Ablation — CERT read-set Bloom encoding: size vs spurious aborts (D2STM trade-off)", rows, err
+	}},
+	{"ablation-locality", "§6 rendezvous-routed submission (n = first of -replicas)", func(o options) (string, table, error) {
+		n := o.replicas[0]
+		rows, err := bench.RunAblationLocality(o.at(n), o.duration)
+		return fmt.Sprintf("Ablation — §6 locality-aware routing on high-conflict bank (n=%d)", n), rows, err
+	}},
+	{"ablation-routing", "live affinity routing vs oblivious placement (n = first of -replicas)", func(o options) (string, table, error) {
+		n := o.replicas[0]
+		rows, err := bench.RunAblationRouting(o.at(n), o.duration)
+		return fmt.Sprintf("Ablation — locality-aware routing: live affinity map vs oblivious placement (n=%d, zipfian s=%.1f over %d pairs)",
+			n, bench.RoutingSkew, bench.RoutingPairs), rows, err
+	}},
+	{"ablation-batch", "group-commit batching + parallel apply (-batch-threads)", func(o options) (string, table, error) {
+		const n = 4
+		cfg := o.bank
+		cfg.Threads = o.batchThreads
+		rows, err := bench.RunAblationBatch(o.at(n), cfg)
+		return fmt.Sprintf("Ablation — group-commit batching + parallel apply on sharded bank (n=%d, %d threads/replica)",
+			n, o.batchThreads), bench.BatchRows{AblationRows: rows}, err
+	}},
+	{"ablation-shard", "horizontal sharding, S in {1,2,4}; both sequencer regimes unless -ab-ceiling picks one", func(o options) (string, table, error) {
+		// ROADMAP item 1's decision table: the calibrated rows are where
+		// sharding's recorded gain comes from, the native rows are what this
+		// repository's own sequencer gives.
+		const n = 4
+		ceilings := []time.Duration{o.base.ABCeiling}
+		if o.base.ABCeiling == 0 {
+			ceilings = []time.Duration{0, -1}
+		}
+		var rows bench.AblationRows
+		for _, ceiling := range ceilings {
+			base := o.at(n)
+			base.ABCeiling = ceiling
+			part, err := bench.RunAblationShard(base, []int{1, 2, 4}, o.duration)
+			if err != nil {
+				return "", nil, err
+			}
+			rows = append(rows, part...)
+		}
+		return fmt.Sprintf("Ablation — horizontal sharding: S lease/broadcast groups under lease rotation (n=%d, disjoint + 10%% cross-shard mixes)", n), rows, nil
+	}},
+}
+
+func names() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
+}
+
+// runner runs one experiment and emits its table. Tests substitute a stub.
+type runner func(e experiment, o options, stdout io.Writer, csvw *bench.CSVWriter) error
+
+func runExperiment(e experiment, o options, stdout io.Writer, csvw *bench.CSVWriter) error {
+	title, table, err := e.run(o)
+	if err != nil {
+		return err
+	}
+	table.Print(stdout, title)
+	if csvw != nil {
+		return table.WriteCSV(csvw, e.name)
+	}
+	return nil
+}
+
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr, runExperiment)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "alc-bench:", err)
+	os.Exit(1)
+}
+
+func run(args []string, stdout, stderr io.Writer, runOne runner) error {
+	fs := flag.NewFlagSet("alc-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		experimentArg = fs.String("experiment", "all", strings.Join(names(), "|")+"|all")
+		replicaArg    = fs.String("replicas", "2,3,4,5,6,7,8", "comma-separated cluster sizes for the sweeps")
+		duration      = fs.Duration("duration", 2*time.Second, "measured duration per throughput cell")
+		latCommits    = fs.Int("latency-commits", 300, "commits per latency cell")
+		grid          = fs.Int("grid", 64, "Lee board dimension (grid x grid)")
+		nets          = fs.Int("nets", 160, "Lee net count")
+		workPerRead   = fs.Duration("work-per-read", 100*time.Microsecond, "Lee per-cell expansion cost (transaction length model)")
+		csvPath       = fs.String("csv", "", "append results in long-format CSV to this file")
+		batchThreads  = fs.Int("batch-threads", 32, "committer threads per replica for ablation-batch")
+		httpAddr      = fs.String("http", "", "serve /metrics, /debug/alc and /debug/pprof on this address while the benchmarks run")
 	)
-	flag.Parse()
-	if *loadgen {
-		return runLoadgen(*target, *lgConns, *lgThread, *lgKeys, *duration)
+	var abCeiling time.Duration
+	fs.Func("ab-ceiling", "sequencer pacing per ordered message (`duration`), for every experiment: 0 (default) = calibrated "+
+		bench.DefaultOrderInterval.String()+", negative (-1) = native uncapped AB, a duration = override", func(s string) (err error) {
+		if n, nerr := strconv.Atoi(s); nerr == nil && n < 0 {
+			abCeiling = time.Duration(n) // a bare "-1": only the sign matters
+			return nil
+		}
+		abCeiling, err = time.ParseDuration(s)
+		return err
+	})
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage: alc-bench [flags]\n\nExperiments (-experiment NAME; \"all\" runs them in this order):")
+		for _, e := range experiments {
+			fmt.Fprintf(stderr, "  %-18s %s\n", e.name, e.what)
+		}
+		fmt.Fprintln(stderr, "\nFlags:")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	selected := experiments
+	if *experimentArg != "all" {
+		selected = nil
+		for _, e := range experiments {
+			if e.name == *experimentArg {
+				selected = []experiment{e}
+			}
+		}
+		if selected == nil {
+			return fmt.Errorf("unknown experiment %q (want one of %s, all)",
+				*experimentArg, strings.Join(names(), ", "))
+		}
+	}
 	replicas, err := parseInts(*replicaArg)
 	if err != nil {
 		return err
@@ -90,7 +233,7 @@ func run() error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Printf("observability on http://%s/{metrics,debug/alc,debug/pprof}\n", srv.Addr())
+		fmt.Fprintf(stdout, "observability on http://%s/{metrics,debug/alc,debug/pprof}\n", srv.Addr())
 	}
 	var csvw *bench.CSVWriter
 	if *csvPath != "" {
@@ -103,260 +246,27 @@ func run() error {
 		defer csvw.Flush() //nolint:errcheck // best-effort on exit
 	}
 
-	bankCfg := bench.BankConfig{Duration: *duration, Warmup: 300 * time.Millisecond, ABCeiling: *abCeiling}
-	leeCfg := bench.LeeConfig{Board: lee.GenConfig{W: *grid, H: *grid, Nets: *nets, Seed: 42}, WorkPerRead: *workPerRead, ABCeiling: *abCeiling}
-
-	experiments := map[string]func() error{
-		"fig3a": func() error {
-			rows, err := bench.RunFig3(replicas, bank.NoConflict, bankCfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig3(os.Stdout, "Figure 3(a) — Bank benchmark, no conflict (throughput, commits/s)", rows)
-			if csvw != nil {
-				return csvw.WriteFig3("fig3a", rows)
-			}
-			return nil
-		},
-		"fig3b": func() error {
-			rows, err := bench.RunFig3(replicas, bank.HighConflict, bankCfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig3(os.Stdout, "Figure 3(b) — Bank benchmark, high conflict (throughput + abort rate)", rows)
-			if csvw != nil {
-				return csvw.WriteFig3("fig3b", rows)
-			}
-			return nil
-		},
-		"fig4": func() error {
-			rows, err := bench.RunFig4(replicas, leeCfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig4(os.Stdout, "Figure 4 — Lee-TM benchmark (a: speed-up ALC vs CERT, b: abort rate)", rows)
-			if csvw != nil {
-				return csvw.WriteFig4("fig4", rows)
-			}
-			return nil
-		},
-		"latency": func() error {
-			n := 3
-			if len(replicas) > 0 {
-				n = replicas[0]
-			}
-			rows, err := bench.RunLatency(n, *latCommits)
-			if err != nil {
-				return err
-			}
-			bench.PrintLatency(os.Stdout,
-				fmt.Sprintf("§4.5 — Commit-phase latency by protocol variant (n=%d, one-way latency %v)",
-					n, bench.DefaultLatency), rows)
-			if csvw != nil {
-				return csvw.WriteLatency("latency", rows)
-			}
-			return nil
-		},
-		"ablation-opt": func() error {
-			n := 3
-			if len(replicas) > 0 {
-				n = replicas[0]
-			}
-			rows, err := bench.RunAblationOpt(n, bankCfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Ablation — §4.5 optimizations on high-conflict bank (n=%d)", n), rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-opt", rows)
-			}
-			return nil
-		},
-		"ablation-cc": func() error {
-			n := 4
-			rows, err := bench.RunAblationCC(n, []int{1, 2, 8, 64, 0}, bankCfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Ablation — conflict-class granularity on no-conflict bank (n=%d)", n), rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-cc", rows)
-			}
-			return nil
-		},
-		"ablation-locality": func() error {
-			n := 4
-			if len(replicas) > 0 {
-				n = replicas[0]
-			}
-			rows, err := bench.RunAblationLocality(n, *duration)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Ablation — §6 locality-aware routing on high-conflict bank (n=%d)", n), rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-locality", rows)
-			}
-			return nil
-		},
-		"ablation-routing": func() error {
-			n := 4
-			if len(replicas) > 0 {
-				n = replicas[0]
-			}
-			rows, err := bench.RunAblationRouting(n, *duration)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Ablation — locality-aware routing: live affinity map vs oblivious placement (n=%d, zipfian s=%.1f over %d pairs)",
-					n, bench.RoutingSkew, bench.RoutingPairs), rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-routing", rows)
-			}
-			return nil
-		},
-		"ablation-batch": func() error {
-			const n = 4
-			cfg := bankCfg
-			cfg.Threads = *batchThreads
-			rows, err := bench.RunAblationBatch(n, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Ablation — group-commit batching + parallel apply on sharded bank (n=%d, %d threads/replica)",
-					n, *batchThreads), rows)
-			bench.PrintBatchSizes(os.Stdout, rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-batch", rows)
-			}
-			return nil
-		},
-		"netload": func() error {
-			n := 4
-			if len(replicas) > 0 {
-				n = replicas[0]
-			}
-			rows, err := bench.RunNetload(bench.NetloadConfig{
-				Replicas: n, Duration: *duration, Warmup: 300 * time.Millisecond,
-			})
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Netload — real TCP end to end, binary wire codec (n=%d)", n), rows)
-			if csvw != nil {
-				return csvw.WriteAblation("netload", rows)
-			}
-			return nil
-		},
-		"ablation-shard": func() error {
-			const n = 4
-			rows, err := bench.RunAblationShard(n, []int{1, 2, 4}, *duration)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				fmt.Sprintf("Ablation — horizontal sharding: S lease/broadcast groups under lease rotation (n=%d, disjoint + 10%% cross-shard mixes)", n), rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-shard", rows)
-			}
-			return nil
-		},
-		"ablation-bloom": func() error {
-			rows, err := bench.RunAblationBloom(3, []float64{0, 0.001, 0.01, 0.05, 0.15}, *duration)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblation(os.Stdout,
-				"Ablation — CERT read-set Bloom encoding: size vs spurious aborts (D2STM trade-off)", rows)
-			if csvw != nil {
-				return csvw.WriteAblation("ablation-bloom", rows)
-			}
-			return nil
-		},
+	o := options{
+		base:         bench.Params{ABCeiling: abCeiling},
+		replicas:     replicas,
+		duration:     *duration,
+		bank:         bench.BankConfig{Duration: *duration, Warmup: 300 * time.Millisecond},
+		lee:          bench.LeeConfig{Board: lee.GenConfig{W: *grid, H: *grid, Nets: *nets, Seed: 42}, WorkPerRead: *workPerRead},
+		latCommits:   *latCommits,
+		batchThreads: *batchThreads,
 	}
-
-	order := []string{"fig3a", "fig3b", "fig4", "latency", "ablation-opt", "ablation-cc", "ablation-bloom", "ablation-locality", "ablation-routing", "ablation-batch", "ablation-shard", "netload"}
-	if *experiment != "all" {
-		fn, ok := experiments[*experiment]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (want one of %s, all)",
-				*experiment, strings.Join(order, ", "))
+	for _, e := range selected {
+		if err := runOne(e, o, stdout, csvw); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		return fn()
-	}
-	for _, name := range order {
-		if err := experiments[name](); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if len(selected) > 1 {
+			fmt.Fprintln(stdout)
 		}
-		fmt.Println()
 	}
 	return nil
 }
 
-// runLoadgen hammers a live node's client port with pipelined incs and
-// reports throughput plus the admission-control shed count. Shed requests
-// are retried after a backoff — the overloaded status is retryable by
-// contract — so the reported ops/s counts executed requests only.
-func runLoadgen(target string, conns, threads, keys int, duration time.Duration) error {
-	if target == "" {
-		return fmt.Errorf("-loadgen requires -target host:port")
-	}
-	client := clientsrv.Dial(clientsrv.ClientConfig{Addr: target, Conns: conns})
-	defer client.Close()
-	if err := client.Ping(); err != nil {
-		return fmt.Errorf("ping %s: %w", target, err)
-	}
-
-	var (
-		ok    atomic.Int64
-		shed  atomic.Int64
-		fails atomic.Int64
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-	)
-	start := time.Now()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				key := fmt.Sprintf("lg:%d", (t+i*threads)%keys)
-				p, err := client.Do(wire.OpInc, key, 1)
-				switch {
-				case err != nil:
-					fails.Add(1)
-					return
-				case p.Status == wire.StatusOK:
-					ok.Add(1)
-				case p.Status == wire.StatusOverloaded:
-					shed.Add(1)
-					time.Sleep(time.Millisecond)
-				default:
-					fails.Add(1)
-				}
-			}
-		}(t)
-	}
-	time.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	fmt.Printf("loadgen %s: %d ops in %v (%.0f ops/s), %d shed (retried), %d failures\n",
-		target, ok.Load(), elapsed.Round(time.Millisecond),
-		float64(ok.Load())/elapsed.Seconds(), shed.Load(), fails.Load())
-	if fails.Load() > 0 {
-		return fmt.Errorf("%d requests failed", fails.Load())
-	}
-	return nil
-}
-
+// parseInts parses the -replicas list; the result is never empty.
 func parseInts(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))

@@ -13,7 +13,7 @@
 // classes across that many independent lease/broadcast groups (see README
 // "Horizontal sharding"; every node must agree). -client opens the wire client
 // protocol front door with admission control (-max-inflight, -max-pending);
-// drive it with alc-bench -loadgen or the clientsrv package.
+// drive it with the clientsrv package (clientsrv.Dial), as benchmark/ does.
 //
 // Commands on stdin:
 //

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/alcstm/alc/internal/bank"
@@ -23,25 +22,23 @@ type AblationRow struct {
 // RunAblationOpt quantifies each §4.5 optimization on the high-conflict bank
 // workload (constant lease rotation, where the lease-transfer latency is on
 // the critical path).
-func RunAblationOpt(replicas int, cfg BankConfig) ([]AblationRow, error) {
+func RunAblationOpt(base Params, cfg BankConfig) (AblationRows, error) {
+	cfg.Mode = bank.HighConflict
+	base.Protocol = core.ProtocolALC
 	variants := []struct {
-		name   string
-		params Params
+		name                 string
+		noOptFree, piggyback bool
 	}{
-		{"ALC baseline (no optimizations)", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas, DisableOptimisticFree: true}},
-		{"ALC + opt-delivery freeing (§4.5b)", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas}},
-		{"ALC + piggybacked certification (§4.5c)", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas, DisableOptimisticFree: true, PiggybackCert: true}},
-		{"ALC + both (§4.5b+c)", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas, PiggybackCert: true}},
+		{"ALC baseline (no optimizations)", true, false},
+		{"ALC + opt-delivery freeing (§4.5b)", false, false},
+		{"ALC + piggybacked certification (§4.5c)", true, true},
+		{"ALC + both (§4.5b+c)", false, true},
 	}
-	rows := make([]AblationRow, 0, len(variants))
+	rows := make(AblationRows, 0, len(variants))
 	for _, v := range variants {
-		res, err := RunBank(v.params, BankConfig{
-			Mode: bank.HighConflict, Threads: cfg.Threads, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		})
+		p := base
+		p.DisableOptimisticFree, p.PiggybackCert = v.noOptFree, v.piggyback
+		res, err := RunBank(p, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation-opt %q: %w", v.name, err)
 		}
@@ -54,18 +51,18 @@ func RunAblationOpt(replicas int, cfg BankConfig) ([]AblationRow, error) {
 // the no-conflict bank workload: with few classes, disjoint data items map
 // to shared classes (false sharing) and leases rotate although transactions
 // never truly conflict.
-func RunAblationCC(replicas int, classes []int, cfg BankConfig) ([]AblationRow, error) {
-	rows := make([]AblationRow, 0, len(classes))
+func RunAblationCC(base Params, classes []int, cfg BankConfig) (AblationRows, error) {
+	cfg.Mode = bank.NoConflict
+	base.Protocol, base.PiggybackCert = core.ProtocolALC, true
+	rows := make(AblationRows, 0, len(classes))
 	for _, cc := range classes {
 		name := fmt.Sprintf("%d classes", cc)
 		if cc == 0 {
 			name = "one class per item (paper setting)"
 		}
-		res, err := RunBank(Params{
-			Protocol: core.ProtocolALC, Replicas: replicas, ConflictClasses: cc, PiggybackCert: true,
-		}, BankConfig{
-			Mode: bank.NoConflict, Threads: cfg.Threads, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		})
+		p := base
+		p.ConflictClasses = cc
+		res, err := RunBank(p, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation-cc %d: %w", cc, err)
 		}
@@ -78,10 +75,12 @@ func RunAblationCC(replicas int, classes []int, cfg BankConfig) ([]AblationRow, 
 // workload with no true conflicts, where every abort is a Bloom false
 // positive. Sweeps the target false-positive rate and reports the observed
 // spurious abort rate and the encoded read-set size.
-func RunAblationBloom(replicas int, fpRates []float64, duration time.Duration) ([]AblationRow, error) {
+func RunAblationBloom(base Params, fpRates []float64, duration time.Duration) (AblationRows, error) {
 	if duration <= 0 {
 		duration = time.Second
 	}
+	replicas := base.Replicas
+	base.Protocol = core.ProtocolCert
 	const (
 		accounts    = 256
 		readsPerTxn = 20
@@ -94,62 +93,37 @@ func RunAblationBloom(replicas int, fpRates []float64, duration time.Duration) (
 		seed[fmt.Sprintf("own:%d", i)] = 0
 	}
 
-	rows := make([]AblationRow, 0, len(fpRates))
+	rows := make(AblationRows, 0, len(fpRates))
 	for _, fp := range fpRates {
-		p := Params{Protocol: core.ProtocolCert, Replicas: replicas, BloomFPRate: fp}
+		p := base
+		p.BloomFPRate = fp
 		c, err := NewCluster(p, seed)
 		if err != nil {
 			return nil, err
 		}
 
-		stop := make(chan struct{})
-		errs := make(chan error, replicas)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i, r := range c.Replicas() {
-				go func(i int, r *core.Replica) {
-					rng := rand.New(rand.NewSource(int64(i + 1)))
-					own := fmt.Sprintf("own:%d", i)
-					for {
-						select {
-						case <-stop:
-							errs <- nil
-							return
-						default:
-						}
-						err := r.Atomic(func(tx *stm.Txn) error {
-							sum := 0
-							for k := 0; k < readsPerTxn; k++ {
-								v, err := tx.Read(fmt.Sprintf("pool:%03d", rng.Intn(accounts)))
-								if err != nil {
-									return err
-								}
-								sum += v.(int)
-							}
-							return tx.Write(own, sum)
-						})
+		reps := c.Replicas()
+		res, err := drive(c, replicas, 0, duration, func(i int) func(int) error {
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			own := fmt.Sprintf("own:%d", i)
+			return func(int) error {
+				return reps[i].Atomic(func(tx *stm.Txn) error {
+					sum := 0
+					for k := 0; k < readsPerTxn; k++ {
+						v, err := tx.Read(fmt.Sprintf("pool:%03d", rng.Intn(accounts)))
 						if err != nil {
-							errs <- err
-							return
+							return err
 						}
+						sum += v.(int)
 					}
-				}(i, r)
+					return tx.Write(own, sum)
+				})
 			}
-		}()
-
-		start := time.Now()
-		time.Sleep(duration)
-		close(stop)
-		<-done
-		for i := 0; i < replicas; i++ {
-			if err := <-errs; err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		res := summarize(p, c, time.Since(start))
+		})
 		c.Close()
+		if err != nil {
+			return nil, err
+		}
 
 		name := fmt.Sprintf("bloom fp=%.3f", fp)
 		size := "exact read-set"
@@ -171,27 +145,24 @@ func RunAblationBloom(replicas int, fpRates []float64, duration time.Duration) (
 // coalescer amortizes one URB message (and its receiver-side admission cost)
 // over many commits. The second variant pins the apply pool to one worker to
 // isolate the parallel-apply share.
-func RunAblationBatch(replicas int, cfg BankConfig) ([]AblationRow, error) {
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = 32
+func RunAblationBatch(base Params, cfg BankConfig) (AblationRows, error) {
+	cfg.Sharded = true
+	if cfg.Threads <= 0 {
+		cfg.Threads = 32
 	}
+	base.Protocol = core.ProtocolALC
 	variants := []struct {
-		name   string
-		params Params
+		name         string
+		applyWorkers int
 	}{
-		{"batched (group commit + parallel apply)", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas}},
-		{"batched, single apply worker", Params{
-			Protocol: core.ProtocolALC, Replicas: replicas,
-			Batch: core.BatchConfig{ApplyWorkers: 1}}},
+		{"batched (group commit + parallel apply)", 0},
+		{"batched, single apply worker", 1},
 	}
-	rows := make([]AblationRow, 0, len(variants))
+	rows := make(AblationRows, 0, len(variants))
 	for _, v := range variants {
-		applyCeiling(&v.params, cfg.ABCeiling)
-		res, err := RunBank(v.params, BankConfig{
-			Sharded: true, Threads: threads, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		})
+		p := base
+		p.Batch.ApplyWorkers = v.applyWorkers
+		res, err := RunBank(p, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation-batch %q: %w", v.name, err)
 		}
@@ -204,55 +175,31 @@ func RunAblationBatch(replicas int, cfg BankConfig) ([]AblationRow, error) {
 // on the high-conflict bank: when every thread submits its transfers to the
 // rendezvous-preferred owner of the shared accounts, the lease never
 // rotates and every commit takes the zero-communication reuse path.
-func RunAblationLocality(replicas int, duration time.Duration) ([]AblationRow, error) {
+func RunAblationLocality(base Params, duration time.Duration) (AblationRows, error) {
 	if duration <= 0 {
 		duration = time.Second
 	}
+	replicas := base.Replicas
+	base.Protocol, base.PiggybackCert = core.ProtocolALC, true
 	run := func(routed bool) (Throughput, error) {
-		p := Params{Protocol: core.ProtocolALC, Replicas: replicas, PiggybackCert: true}
 		w := bank.New(replicas, bank.HighConflict)
-		c, err := NewCluster(p, w.Seed())
+		c, err := NewCluster(base, w.Seed())
 		if err != nil {
 			return Throughput{}, err
 		}
 		defer c.Close()
 
 		items := []string{bank.AccountID(0), bank.AccountID(1)}
-		var (
-			wg   sync.WaitGroup
-			stop = make(chan struct{})
-			errs = make(chan error, replicas)
-		)
-		for i, r := range c.Replicas() {
-			wg.Add(1)
-			go func(i int, own *core.Replica) {
-				defer wg.Done()
-				for round := 0; ; round++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					target := own
-					if routed {
-						target = c.Preferred(items)
-					}
-					if err := target.Atomic(w.Transfer(i, round)); err != nil {
-						errs <- err
-						return
-					}
+		reps := c.Replicas()
+		return drive(c, replicas, 0, duration, func(i int) func(int) error {
+			return func(round int) error {
+				target := reps[i]
+				if routed {
+					target = c.Preferred(items)
 				}
-			}(i, r)
-		}
-		start := time.Now()
-		time.Sleep(duration)
-		close(stop)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return Throughput{}, err
-		}
-		return summarize(p, c, time.Since(start)), nil
+				return target.Atomic(w.Transfer(i, round))
+			}
+		})
 	}
 
 	local, err := run(false)
@@ -263,7 +210,7 @@ func RunAblationLocality(replicas int, duration time.Duration) ([]AblationRow, e
 	if err != nil {
 		return nil, err
 	}
-	return []AblationRow{
+	return AblationRows{
 		{Variant: "own-replica submission (lease rotates every commit)", Result: local},
 		{Variant: "locality-routed submission (§6: lease stays resident)", Result: routed,
 			Extra: fmt.Sprintf("reuse rate %.0f%%", 100*routed.LeaseReuseRate)},

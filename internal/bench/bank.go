@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/alcstm/alc/internal/bank"
-	"github.com/alcstm/alc/internal/cluster"
 	"github.com/alcstm/alc/internal/core"
 	"github.com/alcstm/alc/internal/stm"
 )
@@ -23,9 +21,6 @@ type BankConfig struct {
 	// Warmup precedes measurement (lease establishment, JIT-free in Go but
 	// queues fill).
 	Warmup time.Duration
-	// ABCeiling overrides the calibrated sequencer pacing: 0 keeps
-	// DefaultOrderInterval, negative disables the cap (native AB).
-	ABCeiling time.Duration
 	// Sharded gives every (replica, thread) pair its own disjoint account
 	// pair (instead of the per-replica fragments of the paper's NoConflict
 	// mode), so one replica hosts Threads concurrent non-conflicting
@@ -49,57 +44,30 @@ func (c *BankConfig) fillDefaults() {
 // RunBank measures one Figure 3 cell: the bank workload on a fresh cluster.
 func RunBank(p Params, cfg BankConfig) (Throughput, error) {
 	cfg.fillDefaults()
-	var w *bank.Workload
+	var wl *bank.Workload
 	if cfg.Sharded {
-		w = bank.NewSharded(p.Replicas, cfg.Threads)
+		wl = bank.NewSharded(p.Replicas, cfg.Threads)
 	} else {
-		w = bank.New(p.Replicas, cfg.Mode)
+		wl = bank.New(p.Replicas, cfg.Mode)
 	}
-	c, err := NewCluster(p, w.Seed())
+	c, err := NewCluster(p, wl.Seed())
 	if err != nil {
 		return Throughput{}, err
 	}
 	defer c.Close()
 
-	var (
-		wg   sync.WaitGroup
-		stop = make(chan struct{})
-		errs = make(chan error, p.Replicas*cfg.Threads)
-	)
-	for i, r := range c.Replicas() {
-		for th := 0; th < cfg.Threads; th++ {
-			wg.Add(1)
-			go func(i, th int, r *core.Replica) {
-				defer wg.Done()
-				for round := 0; ; round++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					body := w.Transfer(i, round)
-					if cfg.Sharded {
-						body = w.TransferAt(i, th, round)
-					}
-					if err := r.Atomic(body); err != nil {
-						errs <- fmt.Errorf("replica %d: %w", i, err)
-						return
-					}
-				}
-			}(i, th, r)
+	reps := c.Replicas()
+	out, err := drive(c, p.Replicas*cfg.Threads, cfg.Warmup, cfg.Duration, func(w int) func(int) error {
+		i, th := w/cfg.Threads, w%cfg.Threads
+		return func(round int) error {
+			body := wl.Transfer(i, round)
+			if cfg.Sharded {
+				body = wl.TransferAt(i, th, round)
+			}
+			return reps[i].Atomic(body)
 		}
-	}
-
-	time.Sleep(cfg.Warmup)
-	before := snapshotCounts(c)
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	after := snapshotCounts(c)
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	})
+	if err != nil {
 		return Throughput{}, err
 	}
 
@@ -107,34 +75,12 @@ func RunBank(p Params, cfg BankConfig) (Throughput, error) {
 	if err := c.WaitConverged(10 * time.Second); err != nil {
 		return Throughput{}, err
 	}
-	for _, r := range c.Replicas() {
-		if err := r.AtomicRO(func(tx *stm.Txn) error { return w.CheckInvariant(tx) }); err != nil {
+	for _, r := range reps {
+		if err := r.AtomicRO(func(tx *stm.Txn) error { return wl.CheckInvariant(tx) }); err != nil {
 			return Throughput{}, err
 		}
 	}
-
-	out := summarize(p, c, elapsed)
-	out.Commits = after.commits - before.commits
-	out.Aborts = after.aborts - before.aborts
-	out.CommitsPerSec = float64(out.Commits) / elapsed.Seconds()
-	if out.Commits+out.Aborts > 0 {
-		out.AbortRate = float64(out.Aborts) / float64(out.Commits+out.Aborts)
-	}
 	return out, nil
-}
-
-type counts struct {
-	commits, aborts int64
-}
-
-func snapshotCounts(c *cluster.Cluster) counts {
-	var out counts
-	for _, r := range c.Replicas() {
-		s := r.Stats()
-		out.commits += s.Commits
-		out.aborts += s.Aborts
-	}
-	return out
 }
 
 // Fig3Row is one row of Figure 3: both protocols at one cluster size.
@@ -154,37 +100,22 @@ func (r Fig3Row) SpeedupALC() float64 {
 
 // RunFig3 sweeps cluster sizes for one bank mode, producing Figure 3(a)
 // (NoConflict) or Figure 3(b) (HighConflict).
-func RunFig3(replicaCounts []int, mode bank.Mode, cfg BankConfig) ([]Fig3Row, error) {
-	rows := make([]Fig3Row, 0, len(replicaCounts))
+func RunFig3(base Params, replicaCounts []int, mode bank.Mode, cfg BankConfig) (Fig3Rows, error) {
+	cfg.Mode = mode
+	rows := make(Fig3Rows, 0, len(replicaCounts))
 	for _, n := range replicaCounts {
-		alcParams := Params{Protocol: core.ProtocolALC, Replicas: n, PiggybackCert: true}
-		certParams := Params{Protocol: core.ProtocolCert, Replicas: n}
-		applyCeiling(&alcParams, cfg.ABCeiling)
-		applyCeiling(&certParams, cfg.ABCeiling)
-		alc, err := RunBank(alcParams, BankConfig{
-			Mode: mode, Threads: cfg.Threads, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		})
+		alcParams, certParams := base, base
+		alcParams.Protocol, alcParams.Replicas, alcParams.PiggybackCert = core.ProtocolALC, n, true
+		certParams.Protocol, certParams.Replicas = core.ProtocolCert, n
+		alc, err := RunBank(alcParams, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig3 ALC n=%d: %w", n, err)
 		}
-		cert, err := RunBank(certParams, BankConfig{
-			Mode: mode, Threads: cfg.Threads, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		})
+		cert, err := RunBank(certParams, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig3 CERT n=%d: %w", n, err)
 		}
 		rows = append(rows, Fig3Row{Replicas: n, ALC: alc, Cert: cert})
 	}
 	return rows, nil
-}
-
-// applyCeiling maps a harness-level AB-ceiling override onto Params:
-// 0 keeps the calibrated default, negative uncaps the sequencer.
-func applyCeiling(p *Params, ceiling time.Duration) {
-	switch {
-	case ceiling < 0:
-		p.UncappedAB = true
-	case ceiling > 0:
-		p.OrderInterval = ceiling
-	}
 }

@@ -10,6 +10,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/alcstm/alc/internal/cluster"
@@ -39,11 +40,14 @@ const DefaultPerMessageCost = 40 * time.Microsecond
 // while this repository's from-scratch OAB would otherwise order messages
 // nearly as fast as it UR-delivers them. ~1.2ms per ordered message caps AB
 // capacity at ~800/s cluster-wide without touching URB traffic. Set
-// Params.UncappedAB (or alc-bench -ab-ceiling=0) to benchmark the native
-// sequencer instead.
+// Params.ABCeiling negative (alc-bench -ab-ceiling=-1) to benchmark the
+// native sequencer instead; 0 keeps this calibration.
 const DefaultOrderInterval = 1200 * time.Microsecond
 
-// Params selects a cluster configuration for one experiment cell.
+// Params selects a cluster configuration for one experiment cell. Every
+// experiment takes a base Params from its caller and derives its cells from
+// it by copy, never from a fresh literal, so what the caller stamped on the
+// base (Replicas, ABCeiling) reaches every cluster the experiment builds.
 type Params struct {
 	Protocol core.Protocol
 	Replicas int
@@ -59,11 +63,10 @@ type Params struct {
 	BloomFPRate float64
 	// DeadlockDetection enables the §4.4 wait-for-graph detector.
 	DeadlockDetection bool
-	// UncappedAB disables the DefaultOrderInterval calibration and runs the
-	// native (much faster than the paper's) atomic broadcast.
-	UncappedAB bool
-	// OrderInterval overrides the calibration when positive.
-	OrderInterval time.Duration
+	// ABCeiling is the sequencer pacing per ordered message: 0 keeps the
+	// DefaultOrderInterval calibration, negative runs the native (much
+	// faster than the paper's) atomic broadcast, positive overrides.
+	ABCeiling time.Duration
 	// Batch overrides individual group-commit knobs (zero value = defaults).
 	Batch core.BatchConfig
 	// Route wires the locality-aware transaction router (internal/route)
@@ -79,20 +82,31 @@ func (p Params) String() string {
 	return fmt.Sprintf("%v/n=%d", p.Protocol, p.Replicas)
 }
 
-// NewCluster builds a cluster for the given parameters and seed.
-func NewCluster(p Params, seed map[string]stm.Value) (*cluster.Cluster, error) {
+// Cluster is a simulated cluster plus the calibration it was built under,
+// which every result row copies: a row reports the sequencer it ran on, not
+// the one its caller asked for.
+type Cluster struct {
+	*cluster.Cluster
+	Params Params
+	// OrderInterval is the sequencer pacing handed to the GCS (0 = native).
+	OrderInterval time.Duration
+}
+
+// NewCluster builds a cluster for the given parameters and seed. It is the
+// one place the calibration constants meet the GCS.
+func NewCluster(p Params, seed map[string]stm.Value) (*Cluster, error) {
 	latency := p.Latency
 	if latency == 0 {
 		latency = DefaultLatency
 	}
 	orderInterval := DefaultOrderInterval
-	if p.UncappedAB {
+	switch {
+	case p.ABCeiling < 0:
 		orderInterval = 0
+	case p.ABCeiling > 0:
+		orderInterval = p.ABCeiling
 	}
-	if p.OrderInterval > 0 {
-		orderInterval = p.OrderInterval
-	}
-	return cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.Config{
 		N:     p.Replicas,
 		Route: p.Route,
 		Core: core.Config{
@@ -116,11 +130,29 @@ func NewCluster(p Params, seed map[string]stm.Value) (*cluster.Cluster, error) {
 		},
 		Seed: seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{c, p, orderInterval}, nil
+}
+
+// Regime names the sequencer pacing a result row ran under, for titles,
+// table columns and the CSV.
+func Regime(orderInterval time.Duration) string {
+	if orderInterval == 0 {
+		return "native"
+	}
+	if orderInterval == DefaultOrderInterval {
+		return "calibrated " + orderInterval.String()
+	}
+	return "paced " + orderInterval.String()
 }
 
 // Throughput is one measured experiment cell.
 type Throughput struct {
-	Params        Params
+	Params Params
+	// OrderInterval is the sequencer pacing the cell ran under (0 = native).
+	OrderInterval time.Duration
 	Duration      time.Duration
 	Commits       int64
 	Aborts        int64
@@ -168,7 +200,27 @@ func (b BatchSummary) String() string {
 		b.ApplyTasks, b.ApplyMaxParallel)
 }
 
-func summarize(p Params, c *cluster.Cluster, elapsed time.Duration) Throughput {
+// counts is a cluster-wide commit/abort total, snapshotted at the start of a
+// measured window so warmup work is excluded from the rates.
+type counts struct {
+	commits, aborts int64
+}
+
+func snapshotCounts(c *Cluster) counts {
+	var out counts
+	for _, r := range c.Replicas() {
+		s := r.Stats()
+		out.commits += s.Commits
+		out.aborts += s.Aborts
+	}
+	return out
+}
+
+// summarize reads the cluster's counters into one result cell. Commits and
+// aborts (and the rates derived from them) are net of `before`; the latency
+// and batch distributions and the per-commit ratios cover the cluster's
+// whole life.
+func summarize(c *Cluster, elapsed time.Duration, before counts) Throughput {
 	var (
 		commits, aborts, reuses int64
 		atMostOnceWeighted      float64
@@ -221,17 +273,18 @@ func summarize(p Params, c *cluster.Cluster, elapsed time.Duration) Throughput {
 		}
 	}
 	out := Throughput{
-		Params:   p,
+		Params:   c.Params,
 		Duration: elapsed,
-		Commits:  commits,
-		Aborts:   aborts,
+		Commits:  commits - before.commits,
+		Aborts:   aborts - before.aborts,
 		Batch:    batch,
 	}
+	out.OrderInterval = c.OrderInterval
 	if elapsed > 0 {
-		out.CommitsPerSec = float64(commits) / elapsed.Seconds()
+		out.CommitsPerSec = float64(out.Commits) / elapsed.Seconds()
 	}
-	if commits+aborts > 0 {
-		out.AbortRate = float64(aborts) / float64(commits+aborts)
+	if out.Commits+out.Aborts > 0 {
+		out.AbortRate = float64(out.Aborts) / float64(out.Commits+out.Aborts)
 	}
 	if commits > 0 {
 		out.AtMostOnce = atMostOnceWeighted / float64(commits)
@@ -242,4 +295,47 @@ func summarize(p Params, c *cluster.Cluster, elapsed time.Duration) Throughput {
 		out.P99CommitLatency = p99Lat
 	}
 	return out
+}
+
+// drive runs `workers` closed loops against c and measures the cluster over
+// `duration`, after `warmup`. loop(w) is called once on worker w's goroutine
+// to set up its private state (RNG streams) and returns the body it then
+// runs once per round until the window closes; the first error fails the
+// cell.
+func drive(c *Cluster, workers int, warmup, duration time.Duration, loop func(w int) func(round int) error) (Throughput, error) {
+	var (
+		wg   sync.WaitGroup
+		stop = make(chan struct{})
+		errs = make(chan error, workers)
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			body := loop(w)
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := body(round); err != nil {
+					errs <- fmt.Errorf("worker %d: %w", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	time.Sleep(warmup)
+	before := snapshotCounts(c)
+	start := time.Now()
+	time.Sleep(duration)
+	out := summarize(c, time.Since(start), before)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		return Throughput{}, err
+	}
+	return out, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func TestRunBankHighConflictShapes(t *testing.T) {
 }
 
 func TestRunFig3SmallSweep(t *testing.T) {
-	rows, err := RunFig3([]int{2, 3}, bank.NoConflict, quickBank())
+	rows, err := RunFig3(Params{}, []int{2, 3}, bank.NoConflict, quickBank())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestRunFig3SmallSweep(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	var buf bytes.Buffer
-	PrintFig3(&buf, "fig3a (smoke)", rows)
+	rows.Print(&buf, "fig3a (smoke)")
 	if buf.Len() == 0 {
 		t.Fatal("empty table")
 	}
@@ -95,7 +96,7 @@ func TestRunLeeSmallBoard(t *testing.T) {
 }
 
 func TestRunLatencyShape(t *testing.T) {
-	rows, err := RunLatency(3, 40)
+	rows, err := RunLatency(Params{Replicas: 3}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +118,12 @@ func TestRunLatencyShape(t *testing.T) {
 			held.Mean, baseMiss.Mean)
 	}
 	var buf bytes.Buffer
-	PrintLatency(&buf, "latency (smoke)", rows)
+	rows.Print(&buf, "latency (smoke)")
 	t.Logf("\n%s", buf.String())
 }
 
 func TestRunAblationBloomSweep(t *testing.T) {
-	rows, err := RunAblationBloom(2, []float64{0, 0.1}, 300*time.Millisecond)
+	rows, err := RunAblationBloom(Params{Replicas: 2}, []float64{0, 0.1}, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestRunAblationBloomSweep(t *testing.T) {
 }
 
 func TestRunAblationCCFalseSharing(t *testing.T) {
-	rows, err := RunAblationCC(3, []int{1, 0}, quickBank())
+	rows, err := RunAblationCC(Params{Replicas: 3}, []int{1, 0}, quickBank())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,5 +154,53 @@ func TestRunAblationCCFalseSharing(t *testing.T) {
 	if perItem.CommitsPerSec <= oneClass.CommitsPerSec {
 		t.Errorf("per-item classes (%.0f/s) not faster than single class (%.0f/s)",
 			perItem.CommitsPerSec, oneClass.CommitsPerSec)
+	}
+}
+
+// TestABCeilingReachesEveryCell runs the three cheapest experiments that
+// ignored -ab-ceiling before Params.ABCeiling existed and checks, from the
+// rows themselves, that every cell's cluster ran on the sequencer the base
+// Params asked for.
+func TestABCeilingReachesEveryCell(t *testing.T) {
+	cell := BankConfig{Duration: 150 * time.Millisecond, Warmup: 50 * time.Millisecond}
+	experiments := []struct {
+		name string
+		run  func(base Params) (AblationRows, error)
+	}{
+		{"ablation-opt", func(base Params) (AblationRows, error) { return RunAblationOpt(base, cell) }},
+		{"ablation-cc", func(base Params) (AblationRows, error) { return RunAblationCC(base, []int{1, 0}, cell) }},
+		{"ablation-shard", func(base Params) (AblationRows, error) {
+			return RunAblationShard(base, []int{1, 2}, cell.Duration)
+		}},
+	}
+	regimes := []struct {
+		ceiling time.Duration
+		want    time.Duration
+		title   string
+	}{
+		{-1, 0, "[sequencer: native]"},
+		{0, DefaultOrderInterval, "[sequencer: calibrated 1.2ms]"},
+	}
+	for _, e := range experiments {
+		for _, rg := range regimes {
+			rows, err := e.run(Params{Replicas: 2, ABCeiling: rg.ceiling})
+			if err != nil {
+				t.Fatalf("%s ceiling=%v: %v", e.name, rg.ceiling, err)
+			}
+			if len(rows) == 0 {
+				t.Fatalf("%s ceiling=%v: no rows", e.name, rg.ceiling)
+			}
+			for _, r := range rows {
+				if r.Result.OrderInterval != rg.want {
+					t.Errorf("%s ceiling=%v: row %q ran under OrderInterval %v, want %v",
+						e.name, rg.ceiling, r.Variant, r.Result.OrderInterval, rg.want)
+				}
+			}
+			var buf bytes.Buffer
+			rows.Print(&buf, e.name)
+			if first, _, _ := strings.Cut(buf.String(), "\n"); !strings.HasSuffix(first, rg.title) {
+				t.Errorf("%s ceiling=%v: title %q does not name the regime %q", e.name, rg.ceiling, first, rg.title)
+			}
+		}
 	}
 }

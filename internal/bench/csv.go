@@ -41,8 +41,8 @@ func (c *CSVWriter) Flush() error {
 	return c.w.Error()
 }
 
-// WriteFig3 appends a Figure 3 sweep.
-func (c *CSVWriter) WriteFig3(experiment string, rows []Fig3Row) error {
+// WriteCSV appends a Figure 3 sweep.
+func (rows Fig3Rows) WriteCSV(c *CSVWriter, experiment string) error {
 	for _, r := range rows {
 		x := strconv.Itoa(r.Replicas)
 		cells := []struct {
@@ -65,8 +65,8 @@ func (c *CSVWriter) WriteFig3(experiment string, rows []Fig3Row) error {
 	return nil
 }
 
-// WriteFig4 appends a Figure 4 sweep.
-func (c *CSVWriter) WriteFig4(experiment string, rows []Fig4Row) error {
+// WriteCSV appends a Figure 4 sweep.
+func (rows Fig4Rows) WriteCSV(c *CSVWriter, experiment string) error {
 	for _, r := range rows {
 		x := strconv.Itoa(r.Replicas)
 		cells := []struct {
@@ -89,8 +89,8 @@ func (c *CSVWriter) WriteFig4(experiment string, rows []Fig4Row) error {
 	return nil
 }
 
-// WriteLatency appends a latency decomposition.
-func (c *CSVWriter) WriteLatency(experiment string, rows []LatencyRow) error {
+// WriteCSV appends a latency decomposition.
+func (rows LatencyRows) WriteCSV(c *CSVWriter, experiment string) error {
 	for _, r := range rows {
 		if err := c.row(experiment, r.Scenario, strconv.Itoa(r.Steps),
 			"mean_us", float64(r.Mean.Microseconds())); err != nil {
@@ -104,13 +104,15 @@ func (c *CSVWriter) WriteLatency(experiment string, rows []LatencyRow) error {
 	return nil
 }
 
-// WriteAblation appends an ablation sweep.
-func (c *CSVWriter) WriteAblation(experiment string, rows []AblationRow) error {
+// WriteCSV appends an ablation sweep; x is the sequencer regime the row ran
+// under, so a table holding both regimes stays unambiguous.
+func (rows AblationRows) WriteCSV(c *CSVWriter, experiment string) error {
 	for _, r := range rows {
-		if err := c.row(experiment, r.Variant, "", "commits_per_sec", r.Result.CommitsPerSec); err != nil {
+		x := Regime(r.Result.OrderInterval)
+		if err := c.row(experiment, r.Variant, x, "commits_per_sec", r.Result.CommitsPerSec); err != nil {
 			return err
 		}
-		if err := c.row(experiment, r.Variant, "", "abort_rate", r.Result.AbortRate); err != nil {
+		if err := c.row(experiment, r.Variant, x, "abort_rate", r.Result.AbortRate); err != nil {
 			return err
 		}
 	}

@@ -14,11 +14,13 @@ import (
 type LatencyRow struct {
 	Scenario string
 	// Steps is the analytical number of communication steps (§4.5).
-	Steps   int
-	Commits int64
-	Mean    time.Duration
-	P50     time.Duration
-	P99     time.Duration
+	Steps int
+	// OrderInterval is the sequencer pacing the cell ran under (0 = native).
+	OrderInterval time.Duration
+	Commits       int64
+	Mean          time.Duration
+	P50           time.Duration
+	P99           time.Duration
 }
 
 // RunLatency measures the commit-phase latency of every protocol variant
@@ -34,32 +36,29 @@ type LatencyRow struct {
 // Misses are produced by ping-ponging single commits between two replicas,
 // so every commit must pull the lease from an idle peer (pure transfer
 // latency, no queueing).
-func RunLatency(replicas int, commitsPerCell int) ([]LatencyRow, error) {
+func RunLatency(base Params, commitsPerCell int) (LatencyRows, error) {
 	if commitsPerCell <= 0 {
 		commitsPerCell = 200
 	}
-	type cell struct {
-		name     string
-		steps    int
-		params   Params
-		pingPong bool
-	}
-	cells := []cell{
-		{"ALC lease-held (1 URB)", 2,
-			Params{Protocol: core.ProtocolALC, Replicas: replicas}, false},
-		{"ALC lease-miss, baseline §4", 7,
-			Params{Protocol: core.ProtocolALC, Replicas: replicas, DisableOptimisticFree: true}, true},
-		{"ALC lease-miss, opt-delivery free §4.5(b)", 5,
-			Params{Protocol: core.ProtocolALC, Replicas: replicas}, true},
-		{"ALC lease-miss, piggybacked certification §4.5(b+c)", 3,
-			Params{Protocol: core.ProtocolALC, Replicas: replicas, PiggybackCert: true}, true},
-		{"CERT (1 OAB)", 3,
-			Params{Protocol: core.ProtocolCert, Replicas: replicas}, false},
+	cells := []struct {
+		name                 string
+		steps                int
+		protocol             core.Protocol
+		noOptFree, piggyback bool
+		pingPong             bool
+	}{
+		{"ALC lease-held (1 URB)", 2, core.ProtocolALC, false, false, false},
+		{"ALC lease-miss, baseline §4", 7, core.ProtocolALC, true, false, true},
+		{"ALC lease-miss, opt-delivery free §4.5(b)", 5, core.ProtocolALC, false, false, true},
+		{"ALC lease-miss, piggybacked certification §4.5(b+c)", 3, core.ProtocolALC, false, true, true},
+		{"CERT (1 OAB)", 3, core.ProtocolCert, false, false, false},
 	}
 
-	rows := make([]LatencyRow, 0, len(cells))
+	rows := make(LatencyRows, 0, len(cells))
 	for _, cl := range cells {
-		row, err := runLatencyCell(cl.params, cl.pingPong, commitsPerCell)
+		p := base
+		p.Protocol, p.DisableOptimisticFree, p.PiggybackCert = cl.protocol, cl.noOptFree, cl.piggyback
+		row, err := runLatencyCell(p, cl.pingPong, commitsPerCell)
 		if err != nil {
 			return nil, fmt.Errorf("bench: latency %q: %w", cl.name, err)
 		}
@@ -141,5 +140,7 @@ func runLatencyCell(p Params, pingPong bool, commits int) (LatencyRow, error) {
 	if total > 0 {
 		mean /= time.Duration(total)
 	}
-	return LatencyRow{Commits: total, Mean: mean, P50: p50, P99: p99}, nil
+	row := LatencyRow{Commits: total, Mean: mean, P50: p50, P99: p99}
+	row.OrderInterval = c.OrderInterval
+	return row, nil
 }

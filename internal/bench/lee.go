@@ -22,19 +22,18 @@ type LeeConfig struct {
 	// one; the transaction heterogeneity, not intra-replica parallelism, is
 	// the object of study).
 	Workers int
-	// ABCeiling overrides the calibrated sequencer pacing: 0 keeps
-	// DefaultOrderInterval, negative disables the cap.
-	ABCeiling time.Duration
 }
 
 // LeeResult is one measured Lee-TM run.
 type LeeResult struct {
-	Params    Params
-	Elapsed   time.Duration
-	Routed    int
-	Failed    int // unroutable in their final snapshot
-	Aborts    int64
-	AbortRate float64
+	Params Params
+	// OrderInterval is the sequencer pacing the run used (0 = native).
+	OrderInterval time.Duration
+	Elapsed       time.Duration
+	Routed        int
+	Failed        int // unroutable in their final snapshot
+	Aborts        int64
+	AbortRate     float64
 	// AtMostOnce is the fraction of committed transactions aborted at most
 	// once (§5 reports 98% under ALC).
 	AtMostOnce float64
@@ -132,8 +131,8 @@ func RunLee(p Params, cfg LeeConfig) (LeeResult, error) {
 		return LeeResult{}, err
 	}
 
-	t := summarize(p, c, elapsed)
-	return LeeResult{
+	t := summarize(c, elapsed, counts{})
+	res := LeeResult{
 		Params:       p,
 		Elapsed:      elapsed,
 		Routed:       routed,
@@ -143,7 +142,9 @@ func RunLee(p Params, cfg LeeConfig) (LeeResult, error) {
 		AtMostOnce:   t.AtMostOnce,
 		LongestPath:  longestPath,
 		MaxCellsRead: maxCellsRead,
-	}, nil
+	}
+	res.OrderInterval = t.OrderInterval
+	return res, nil
 }
 
 // Fig4Row is one row of Figure 4: both protocols routing the same board at
@@ -164,13 +165,13 @@ func (r Fig4Row) Speedup() float64 {
 
 // RunFig4 sweeps cluster sizes over the same synthetic board for both
 // protocols, producing Figure 4(a) (speed-up) and 4(b) (abort rate).
-func RunFig4(replicaCounts []int, cfg LeeConfig) ([]Fig4Row, error) {
-	rows := make([]Fig4Row, 0, len(replicaCounts))
+func RunFig4(base Params, replicaCounts []int, cfg LeeConfig) (Fig4Rows, error) {
+	rows := make(Fig4Rows, 0, len(replicaCounts))
 	for _, n := range replicaCounts {
-		alcParams := Params{Protocol: core.ProtocolALC, Replicas: n, PiggybackCert: true, DeadlockDetection: true}
-		certParams := Params{Protocol: core.ProtocolCert, Replicas: n}
-		applyCeiling(&alcParams, cfg.ABCeiling)
-		applyCeiling(&certParams, cfg.ABCeiling)
+		alcParams, certParams := base, base
+		alcParams.Protocol, alcParams.Replicas = core.ProtocolALC, n
+		alcParams.PiggybackCert, alcParams.DeadlockDetection = true, true
+		certParams.Protocol, certParams.Replicas = core.ProtocolCert, n
 		alc, err := RunLee(alcParams, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig4 ALC n=%d: %w", n, err)

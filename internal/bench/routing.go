@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/alcstm/alc/internal/bank"
@@ -45,7 +44,7 @@ const RoutingSkew = 1.2
 //
 // All three share the same seeded zipfian streams (per-origin sub-seeds of
 // the same root), so they face the identical access pattern.
-func RunAblationRouting(replicas int, duration time.Duration) ([]AblationRow, error) {
+func RunAblationRouting(base Params, duration time.Duration) (AblationRows, error) {
 	if duration <= 0 {
 		duration = time.Second
 	}
@@ -61,9 +60,9 @@ func RunAblationRouting(replicas int, duration time.Duration) ([]AblationRow, er
 		{"affinity-routed (live lease map + migration)", "affinity"},
 	}
 
-	rows := make([]AblationRow, 0, len(variants))
+	rows := make(AblationRows, 0, len(variants))
 	for _, v := range variants {
-		res, extra, err := runRoutingVariant(v.mode, replicas, duration, root)
+		res, extra, err := runRoutingVariant(v.mode, base, duration, root)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation-routing %q: %w", v.name, err)
 		}
@@ -72,13 +71,8 @@ func RunAblationRouting(replicas int, duration time.Duration) ([]AblationRow, er
 	return rows, nil
 }
 
-func runRoutingVariant(mode string, replicas int, duration time.Duration, root int64) (Throughput, string, error) {
-	p := Params{
-		Protocol:      core.ProtocolALC,
-		Replicas:      replicas,
-		PiggybackCert: true,
-		Route:         mode == "affinity",
-	}
+func runRoutingVariant(mode string, p Params, duration time.Duration, root int64) (Throughput, string, error) {
+	p.Protocol, p.PiggybackCert, p.Route = core.ProtocolALC, true, mode == "affinity"
 	seed := make(map[string]stm.Value, 2*RoutingPairs)
 	for i := 0; i < 2*RoutingPairs; i++ {
 		seed[bank.AccountID(i)] = bank.InitialBalance
@@ -90,53 +84,28 @@ func runRoutingVariant(mode string, replicas int, duration time.Duration, root i
 	defer c.Close()
 
 	reps := c.Replicas()
-	var (
-		wg   sync.WaitGroup
-		stop = make(chan struct{})
-		errs = make(chan error, replicas)
-	)
-	for i := range reps {
-		wg.Add(1)
-		go func(origin int) {
-			defer wg.Done()
-			// Same zipf sub-seed per origin across all three variants: the
-			// conflict pattern each variant faces is identical.
-			z := NewZipf(randseed.Derive(root, fmt.Sprintf("routing-origin-%d", origin)), RoutingSkew, RoutingPairs)
-			rng := rand.New(rand.NewSource(randseed.Derive(root, fmt.Sprintf("routing-pick-%d", origin))))
-			for round := 0; ; round++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				pair := z.Next()
-				items := []string{bank.AccountID(2 * pair), bank.AccountID(2*pair + 1)}
-				fn := bank.TransferBetween(items[0], items[1], round)
-				var err error
-				switch mode {
-				case "random":
-					err = reps[rng.Intn(len(reps))].Atomic(fn)
-				case "rendezvous":
-					err = c.Preferred(items).Atomic(fn)
-				default: // affinity
-					err = c.Submit(origin, items, fn)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
+	res, err := drive(c, len(reps), 0, duration, func(origin int) func(int) error {
+		// Same zipf sub-seed per origin across all three variants: the
+		// conflict pattern each variant faces is identical.
+		z := NewZipf(randseed.Derive(root, fmt.Sprintf("routing-origin-%d", origin)), RoutingSkew, RoutingPairs)
+		rng := rand.New(rand.NewSource(randseed.Derive(root, fmt.Sprintf("routing-pick-%d", origin))))
+		return func(round int) error {
+			pair := z.Next()
+			items := []string{bank.AccountID(2 * pair), bank.AccountID(2*pair + 1)}
+			fn := bank.TransferBetween(items[0], items[1], round)
+			switch mode {
+			case "random":
+				return reps[rng.Intn(len(reps))].Atomic(fn)
+			case "rendezvous":
+				return c.Preferred(items).Atomic(fn)
+			default: // affinity
+				return c.Submit(origin, items, fn)
 			}
-		}(i)
-	}
-	start := time.Now()
-	time.Sleep(duration)
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+		}
+	})
+	if err != nil {
 		return Throughput{}, "", err
 	}
-	res := summarize(p, c, time.Since(start))
 
 	extra := fmt.Sprintf("reuse=%.0f%%", 100*res.LeaseReuseRate)
 	total := c.TotalStats()

@@ -9,9 +9,10 @@ import (
 // TestRunAblationRoutingShape runs a tiny ablation-routing cell and checks
 // mechanics plus the headline direction: the affinity variant reuses leases
 // more than oblivious random placement and actually migrates transactions.
-// (cmd/alc-bench runs the full-size cell for BENCH_PR6.json.)
+// (cmd/alc-bench runs the full-size cell; EXPERIMENTS.md "Historical
+// records", PR 6 row, is the recorded margin.)
 func TestRunAblationRoutingShape(t *testing.T) {
-	rows, err := RunAblationRouting(3, 400*time.Millisecond)
+	rows, err := RunAblationRouting(Params{Replicas: 3}, 400*time.Millisecond)
 	if err != nil {
 		t.Fatalf("ablation-routing: %v", err)
 	}
@@ -27,7 +28,7 @@ func TestRunAblationRoutingShape(t *testing.T) {
 	// regardless of host load. Throughput direction at this tiny duration
 	// is noisy when the whole suite shares a core, so the test only rules
 	// out a regression; the 2x-margin direction claim is the 2s
-	// ablation-routing cell's job (BENCH_PR6.json).
+	// ablation-routing cell's job (EXPERIMENTS.md "Historical records", PR 6).
 	if affinity.LeaseReuseRate <= 2*random.LeaseReuseRate {
 		t.Errorf("affinity reuse %.2f not clearly above random reuse %.2f; routing buys nothing",
 			affinity.LeaseReuseRate, random.LeaseReuseRate)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/alcstm/alc/internal/core"
@@ -16,10 +15,11 @@ import (
 // sequencer. The workload is sharded counters under lease rotation — counter
 // c is incremented by threads on two different replicas, so its lease
 // ping-pongs and every rotation costs one OAB on the counter's home group.
-// At S=1 those requests serialize through ONE paced sequencer (the
-// calibrated ~1.2ms/message atomic broadcast is the paper's bottleneck);
-// at S>1 each group orders independently, so aggregate lease throughput —
-// and with it commit throughput — scales with S.
+// On the calibrated sequencer (base.ABCeiling = 0) those requests serialize
+// at S=1 through ONE ~1.2ms/message token bucket — the paper's bottleneck —
+// and at S>1 through S of them, so commit throughput scales with S. On the
+// native sequencer (negative ABCeiling) ordering is not the bottleneck and
+// S groups only multiply the per-group overhead. cmd/alc-bench runs both.
 //
 // Two mixes per shard count:
 //
@@ -31,10 +31,12 @@ import (
 //
 // The box set and access pattern are identical across shard counts; only
 // the partition varies.
-func RunAblationShard(replicas int, shardCounts []int, duration time.Duration) ([]AblationRow, error) {
+func RunAblationShard(base Params, shardCounts []int, duration time.Duration) (AblationRows, error) {
 	if duration <= 0 {
 		duration = time.Second
 	}
+	replicas := base.Replicas
+	base.Protocol = core.ProtocolALC
 	const threadsPerReplica = 8
 	counters := replicas * threadsPerReplica
 	ids := make([]string, counters)
@@ -44,10 +46,12 @@ func RunAblationShard(replicas int, shardCounts []int, duration time.Duration) (
 		seed[ids[i]] = 0
 	}
 
-	rows := make([]AblationRow, 0, 2*len(shardCounts))
+	rows := make(AblationRows, 0, 2*len(shardCounts))
 	for _, s := range shardCounts {
 		for _, crossFrac := range []float64{0, 0.10} {
-			res, cross, err := runShardCell(replicas, s, crossFrac, threadsPerReplica, ids, seed, duration)
+			p := base
+			p.Shards = s
+			res, cross, err := runShardCell(p, crossFrac, threadsPerReplica, ids, seed, duration)
 			if err != nil {
 				return nil, fmt.Errorf("bench: ablation-shard S=%d cross=%.0f%%: %w", s, 100*crossFrac, err)
 			}
@@ -63,9 +67,9 @@ func RunAblationShard(replicas int, shardCounts []int, duration time.Duration) (
 	return rows, nil
 }
 
-func runShardCell(replicas, shards int, crossFrac float64, threadsPerReplica int,
+func runShardCell(p Params, crossFrac float64, threadsPerReplica int,
 	ids []string, seed map[string]stm.Value, duration time.Duration) (Throughput, int64, error) {
-	p := Params{Protocol: core.ProtocolALC, Replicas: replicas, Shards: shards}
+	replicas, shards := p.Replicas, p.Shards
 	c, err := NewCluster(p, seed)
 	if err != nil {
 		return Throughput{}, 0, err
@@ -105,55 +109,31 @@ func runShardCell(replicas, shards int, crossFrac float64, threadsPerReplica int
 		}
 	}
 
-	var (
-		wg   sync.WaitGroup
-		stop = make(chan struct{})
-		errs = make(chan error, replicas*threadsPerReplica)
-	)
 	reps := c.Replicas()
-	for r := range reps {
-		for t := 0; t < threadsPerReplica; t++ {
-			wg.Add(1)
-			go func(r, t int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(r*threadsPerReplica + t + 1)))
-				// own rotates with a committer on the next replica: counter
-				// `alt` is also incremented by that replica's thread t, so
-				// its lease ping-pongs between the two (every rotation is
-				// one OAB on the counter's home group).
-				own := r*threadsPerReplica + t
-				alt := ((r+1)%len(reps))*threadsPerReplica + t
-				for round := 0; ; round++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					target := own
-					if round%2 == 1 {
-						target = alt
-					}
-					body := incr(ids[target])
-					if crossFrac > 0 && rng.Float64() < crossFrac {
-						body = incr(ids[target], ids[partner[target]])
-					}
-					if err := reps[r].Atomic(body); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(r, t)
+	res, err := drive(c, replicas*threadsPerReplica, 0, duration, func(w int) func(int) error {
+		r, t := w/threadsPerReplica, w%threadsPerReplica
+		rng := rand.New(rand.NewSource(int64(w + 1)))
+		// own rotates with a committer on the next replica: counter `alt`
+		// is also incremented by that replica's thread t, so its lease
+		// ping-pongs between the two (every rotation is one OAB on the
+		// counter's home group).
+		own := w
+		alt := ((r+1)%len(reps))*threadsPerReplica + t
+		return func(round int) error {
+			target := own
+			if round%2 == 1 {
+				target = alt
+			}
+			body := incr(ids[target])
+			if crossFrac > 0 && rng.Float64() < crossFrac {
+				body = incr(ids[target], ids[partner[target]])
+			}
+			return reps[r].Atomic(body)
 		}
-	}
-	start := time.Now()
-	time.Sleep(duration)
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	})
+	if err != nil {
 		return Throughput{}, 0, err
 	}
-	res := summarize(p, c, time.Since(start))
 	var cross int64
 	for _, r := range reps {
 		cross += r.Stats().CrossCommits

@@ -20,12 +20,13 @@ import (
 // batches are applied by a small worker pool that runs disjoint write-sets
 // concurrently while preserving delivery order for intersecting ones.
 
+// maxBatchBytes caps the approximate payload bytes coalesced into one batch.
+const maxBatchBytes = 1 << 20
+
 // BatchConfig tunes the group-commit coalescer and the parallel apply stage.
 type BatchConfig struct {
 	// MaxTxns caps the write-sets coalesced into one batch. Default 128.
 	MaxTxns int
-	// MaxBytes caps the approximate payload bytes per batch. Default 1 MiB.
-	MaxBytes int
 	// MaxDelay bounds how long a pending write-set may wait for
 	// co-travelers while an earlier batch is still in flight. It never
 	// delays an idle pipe: the first write-set after a quiescent period is
@@ -38,9 +39,6 @@ type BatchConfig struct {
 func (c *BatchConfig) fillDefaults() {
 	if c.MaxTxns <= 0 {
 		c.MaxTxns = 128
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 1 << 20
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 200 * time.Microsecond
@@ -192,7 +190,7 @@ const (
 	flushIdle flushReason = iota
 	// flushSize: the MaxTxns cap was reached.
 	flushSize
-	// flushBytes: the MaxBytes cap was reached.
+	// flushBytes: the maxBatchBytes cap was reached.
 	flushBytes
 	// flushWindow: the MaxDelay window expired.
 	flushWindow
@@ -272,7 +270,7 @@ func (c *coalescer) enqueue(e applyWSEntry, cls []lease.ConflictClass, g *gcs.Gr
 		c.flushLocked(flushIdle)
 	case len(c.pending) >= c.cfg.MaxTxns:
 		c.flushLocked(flushSize)
-	case c.pendingBytes >= c.cfg.MaxBytes:
+	case c.pendingBytes >= maxBatchBytes:
 		c.flushLocked(flushBytes)
 	case c.timer == nil:
 		gen := c.timerGen

@@ -180,6 +180,10 @@ type certLog struct {
 	ring []certLogEntry
 }
 
+// certLogSize bounds CERT's retained validation window (committed write-set
+// digests); transactions with older snapshots abort conservatively.
+const certLogSize = 65536
+
 func newCertLog(capacity int) *certLog {
 	return &certLog{ring: make([]certLogEntry, capacity)}
 }

@@ -8,7 +8,7 @@ import (
 	"github.com/alcstm/alc/internal/wire"
 )
 
-// Codec microbenchmarks (bench.RunNetload is the end-to-end half): encode and
+// Codec microbenchmarks (benchmark/ is the end-to-end half): encode and
 // decode of a representative group-commit write-set batch — the message the
 // hot tcpnet path carries most — measured with allocs/op. The gob side of
 // PR 8's A/B (its rows are kept in EXPERIMENTS.md) went with the gob

@@ -89,10 +89,6 @@ type Config struct {
 	// encoding (D2STM's tunable extra abort rate). Zero or negative sends
 	// exact read-sets.
 	BloomFPRate float64
-	// CertLogSize bounds CERT's retained validation window (committed
-	// write-set digests); transactions with older snapshots abort
-	// conservatively. Default 65536.
-	CertLogSize int
 	// MaxRetries bounds re-executions per transaction; 0 means unlimited.
 	MaxRetries int
 	// GCEvery prunes box version histories after every N applied
@@ -127,9 +123,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Protocol == 0 {
 		c.Protocol = ProtocolALC
-	}
-	if c.CertLogSize <= 0 {
-		c.CertLogSize = 65536
 	}
 	if c.GCEvery == 0 {
 		c.GCEvery = 4096
@@ -260,7 +253,7 @@ type BatchStats struct {
 	// BatchSize is the distribution of transactions per batch.
 	BatchSize metrics.IntDistSnapshot
 	// Flush counters, by trigger: idle pipe (no batch in flight — broadcast
-	// immediately, zero added latency), the MaxTxns/MaxBytes caps, the
+	// immediately, zero added latency), the MaxTxns/maxBatchBytes caps, the
 	// MaxDelay window, drain (previous batch self-delivered with entries
 	// pending), and cross (a cross-shard portion forced the queue out).
 	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain, FlushCross int64
@@ -445,7 +438,7 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	}
 	r.shards = make([]*shardState, cfg.Shards)
 	for i := range r.shards {
-		s := &shardState{r: r, idx: i, certLog: newCertLog(cfg.CertLogSize)}
+		s := &shardState{r: r, idx: i, certLog: newCertLog(certLogSize)}
 		s.primary.Store(!gcsCfg.Joining)
 		s.toOrd.Store(toFrontierOf(r.dur.advertise(i))) // the recovered TO commit clock
 		s.coal = newCoalescer(r, s, cfg.Batch)

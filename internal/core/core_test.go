@@ -160,8 +160,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Protocol != ProtocolALC {
 		t.Fatalf("default protocol = %v", c.Protocol)
 	}
-	if c.CertLogSize != 65536 {
-		t.Fatalf("default cert log = %d", c.CertLogSize)
+	if c.GCEvery != 4096 {
+		t.Fatalf("default GC interval = %d", c.GCEvery)
 	}
 }
 
