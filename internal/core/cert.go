@@ -176,7 +176,11 @@ type certLogEntry struct {
 
 // certLog is a ring of recent write-set digests indexed by TO ordinal
 // (ordinals start at 1, so the zero TS doubles as the empty-slot sentinel).
+// Only CERT ever appends to it, so the ring — 2 MB at certLogSize, per shard,
+// all of it counted into the collector's heap goal — is allocated by the
+// first append or non-empty restore, not with the replica.
 type certLog struct {
+	size int
 	ring []certLogEntry
 }
 
@@ -184,22 +188,26 @@ type certLog struct {
 // digests); transactions with older snapshots abort conservatively.
 const certLogSize = 65536
 
-func newCertLog(capacity int) *certLog {
-	return &certLog{ring: make([]certLogEntry, capacity)}
-}
+func newCertLog(capacity int) *certLog { return &certLog{size: capacity} }
 
-func (l *certLog) capacity() int { return len(l.ring) }
+func (l *certLog) capacity() int { return l.size }
 
 func (l *certLog) append(ts int64, boxes []string) {
-	l.ring[ts%int64(len(l.ring))] = certLogEntry{TS: ts, Boxes: boxes}
+	if l.ring == nil {
+		l.ring = make([]certLogEntry, l.size)
+	}
+	l.ring[ts%int64(l.size)] = certLogEntry{TS: ts, Boxes: boxes}
 }
 
 // scan visits every box written at ordinals in [from, to]; it stops and
 // returns false as soon as keep returns false (conflict found) or an entry
 // is missing from the window.
 func (l *certLog) scan(from, to int64, keep func(box string) bool) bool {
+	if l.ring == nil {
+		return from > to // nothing retained at all
+	}
 	for ts := from; ts <= to; ts++ {
-		e := l.ring[ts%int64(len(l.ring))]
+		e := l.ring[ts%int64(l.size)]
 		if e.TS != ts {
 			return false // outside the retained window: abort conservatively
 		}
@@ -214,7 +222,7 @@ func (l *certLog) scan(from, to int64, keep func(box string) bool) bool {
 
 // snapshot exports the populated window (state transfer).
 func (l *certLog) snapshot() []certLogEntry {
-	out := make([]certLogEntry, 0, len(l.ring))
+	var out []certLogEntry
 	for _, e := range l.ring {
 		if e.TS != 0 || len(e.Boxes) > 0 {
 			out = append(out, e)
@@ -225,10 +233,8 @@ func (l *certLog) snapshot() []certLogEntry {
 
 // restore imports a transferred window.
 func (l *certLog) restore(entries []certLogEntry) {
-	for i := range l.ring {
-		l.ring[i] = certLogEntry{}
-	}
+	l.ring = nil
 	for _, e := range entries {
-		l.ring[e.TS%int64(len(l.ring))] = e
+		l.append(e.TS, e.Boxes)
 	}
 }

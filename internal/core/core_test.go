@@ -108,6 +108,13 @@ func TestCertLogScanWindow(t *testing.T) {
 
 func TestCertLogSnapshotRestore(t *testing.T) {
 	l := newCertLog(16)
+	// Only CERT appends: until then (every ALC replica, always) the ring is
+	// not allocated, and the log still answers like an empty one.
+	l.restore(nil)
+	if l.ring != nil || l.capacity() != 16 || len(l.snapshot()) != 0 ||
+		l.scan(1, 1, func(string) bool { return true }) || !l.scan(1, 0, nil) {
+		t.Fatalf("untouched log: ring=%v capacity=%d snapshot=%v", l.ring, l.capacity(), l.snapshot())
+	}
 	for ts := int64(1); ts <= 5; ts++ {
 		l.append(ts, []string{boxName(ts)})
 	}

@@ -188,12 +188,14 @@ func walPayloadEnd(r *wire.Reader, err error) error {
 type durShard struct {
 	frontier   map[transport.ID]uint64
 	toFrontier int64
-	// ring is the retained suffix of applied entries, oldest first, capped
-	// at cfg.Retain; evicted[w] / evictedTO are the highest URB Seq per
-	// writer / TO ordinal dropped from the ring (a joiner needing anything
-	// at or below them that it does not already have must take a full
-	// transfer).
+	// ring is the retained suffix of applied entries, capped at cfg.Retain:
+	// a circular buffer that grows by append until full and then overwrites
+	// its oldest entry, ring[head] (read it through at, oldest first).
+	// evicted[w] / evictedTO are the highest URB Seq per writer / TO ordinal
+	// dropped from the ring (a joiner needing anything at or below them that
+	// it does not already have must take a full transfer).
 	ring      []applyWSEntry
+	head      int
 	evicted   map[transport.ID]uint64
 	evictedTO int64
 	// hasState means the store content exactly equals the frontier-implied
@@ -241,6 +243,11 @@ func (sh *durShard) advertised() map[transport.ID]uint64 {
 	return f
 }
 
+// at returns the i-th oldest retained entry, 0 <= i < len(sh.ring).
+func (sh *durShard) at(i int) *applyWSEntry {
+	return &sh.ring[(sh.head+i)%len(sh.ring)]
+}
+
 // seen reports whether a stale entry (at or below its lane's frontier) is one
 // this shard demonstrably absorbed: at or below the eviction watermark, or
 // still in the retained window. Newest first: duplicates are recent.
@@ -253,7 +260,7 @@ func (sh *durShard) seen(e applyWSEntry) bool {
 		return true
 	}
 	for i := len(sh.ring) - 1; i >= 0; i-- {
-		if sh.ring[i].TxnID == e.TxnID {
+		if sh.at(i).TxnID == e.TxnID {
 			return true
 		}
 	}
@@ -449,24 +456,24 @@ func (d *durable) markComplete() {
 	d.mu.Unlock()
 }
 
-// pushRetainedLocked appends one applied entry to the shard's delta window,
-// evicting from the front when over capacity. Caller holds d.mu.
+// pushRetainedLocked adds one applied entry to the shard's delta window; a
+// full window gives up its oldest entry to the eviction watermarks and takes
+// the new one in its slot. Caller holds d.mu.
 func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
-	if len(sh.ring) >= d.cfg.Retain {
-		old := sh.ring[0]
-		// Shift rather than reslice so the backing array is reused and the
-		// evicted entry is released.
-		copy(sh.ring, sh.ring[1:])
-		sh.ring = sh.ring[:len(sh.ring)-1]
-		if old.Ord > 0 {
-			if old.Ord > sh.evictedTO {
-				sh.evictedTO = old.Ord
-			}
-		} else if old.TxnID.Seq > sh.evicted[old.TxnID.Replica] {
-			sh.evicted[old.TxnID.Replica] = old.TxnID.Seq
-		}
+	if len(sh.ring) < d.cfg.Retain {
+		sh.ring = append(sh.ring, e)
+		return
 	}
-	sh.ring = append(sh.ring, e)
+	old := sh.at(0)
+	if old.Ord > 0 {
+		if old.Ord > sh.evictedTO {
+			sh.evictedTO = old.Ord
+		}
+	} else if old.TxnID.Seq > sh.evicted[old.TxnID.Replica] {
+		sh.evicted[old.TxnID.Replica] = old.TxnID.Seq
+	}
+	*old = e
+	sh.head = (sh.head + 1) % len(sh.ring)
 }
 
 // append is the durability tier's entry on the apply path, called BEFORE the
@@ -658,13 +665,14 @@ func (d *durable) delta(shard int, f map[transport.ID]uint64) ([]applyWSEntry, b
 		}
 	}
 	var out []applyWSEntry
-	for _, e := range sh.ring {
+	for i := range sh.ring {
+		e := sh.at(i)
 		if e.Ord > 0 {
 			if e.Ord > fTO {
-				out = append(out, e)
+				out = append(out, *e)
 			}
 		} else if e.TxnID.Seq > f[e.TxnID.Replica] {
-			out = append(out, e)
+			out = append(out, *e)
 		}
 	}
 	return out, true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -390,6 +391,96 @@ func TestDurableFilterCounters(t *testing.T) {
 	applyTo(small, smallStore, 0, urb(1, 1), to(1), to(2), urb(3, 3))
 	if got := filtered(small); got != [2]int64{4, 0} {
 		t.Fatalf("evicted duplicates: filtered seen/never = %v, want [4 0]", got)
+	}
+}
+
+// TestDurableRetainedWindowWrapsAround pushes 11 entries from two writers and
+// the TO lane through a 4-entry window, so the circular buffer wraps almost
+// three times, and after every entry compares what its readers see — seen for
+// every entry so far (newest first inside), the delta for every joiner
+// frontier (oldest first), the eviction watermarks, the RetainedEntries gauge
+// — with a plain slice that drops its first element.
+func TestDurableRetainedWindowWrapsAround(t *testing.T) {
+	const retain = 4
+	store := stm.NewStore()
+	d, err := newDurable(DurabilityConfig{Retain: retain}, store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.markComplete()
+	sh := &d.shards[0]
+
+	entry := func(w transport.ID, seq uint64, ord int64) applyWSEntry {
+		e := applyWSEntry{TxnID: stm.TxnID{Replica: w, Seq: seq}, Ord: ord}
+		e.WS = stm.WriteSet{{Box: fmt.Sprintf("w%d", w), Value: int(seq)}}
+		return e
+	}
+	schedule := []applyWSEntry{
+		entry(1, 1, 0), entry(2, 1, 0), entry(1, 101, 1), entry(1, 2, 0), entry(1, 3, 0), entry(2, 102, 2),
+		entry(2, 2, 0), entry(1, 4, 0), entry(1, 103, 3), entry(2, 3, 0), entry(1, 5, 0),
+	}
+
+	var window []applyWSEntry // the model: oldest first
+	evicted, evictedTO := map[transport.ID]uint64{}, int64(0)
+	front, frontTO := map[transport.ID]uint64{}, int64(0)
+	for n, e := range schedule {
+		if fresh := applyTo(d, store, 0, e); len(fresh) != 1 {
+			t.Fatalf("entry %d filtered", n)
+		}
+		if window = append(window, e); len(window) > retain {
+			old := window[0]
+			window = window[1:]
+			if old.Ord > 0 {
+				evictedTO = old.Ord
+			} else {
+				evicted[old.TxnID.Replica] = old.TxnID.Seq
+			}
+		}
+		if e.Ord > 0 {
+			frontTO = e.Ord
+		} else {
+			front[e.TxnID.Replica] = e.TxnID.Seq
+		}
+
+		if got := d.stats().RetainedEntries; got != int64(len(window)) {
+			t.Fatalf("after entry %d: RetainedEntries = %d, want %d", n, got, len(window))
+		}
+		if !reflect.DeepEqual(sh.evicted, evicted) || sh.evictedTO != evictedTO {
+			t.Fatalf("after entry %d: watermarks %v / %d, want %v / %d", n, sh.evicted, sh.evictedTO, evicted, evictedTO)
+		}
+		for i := range window {
+			if got := *sh.at(i); !reflect.DeepEqual(got, window[i]) {
+				t.Fatalf("after entry %d: at(%d) = %+v, want %+v", n, i, got, window[i])
+			}
+		}
+		// Everything pushed so far was seen; the entries still to come were not.
+		for i, x := range schedule {
+			if got := sh.seen(x); got != (i <= n) {
+				t.Fatalf("after entry %d: seen(entry %d) = %t", n, i, got)
+			}
+		}
+		for a := uint64(0); a <= 6; a++ {
+			for b := uint64(0); b <= 4; b++ {
+				for c := int64(0); c <= 4; c++ {
+					f := map[transport.ID]uint64{1: a, 2: b, transport.Nobody: uint64(c)}
+					wantOK := a <= front[1] && b <= front[2] && c <= frontTO &&
+						evicted[1] <= a && evicted[2] <= b && evictedTO <= c
+					var want []applyWSEntry
+					for _, x := range window {
+						if wantOK && (x.Ord > c || (x.Ord == 0 && x.TxnID.Seq > f[x.TxnID.Replica])) {
+							want = append(want, x)
+						}
+					}
+					got, ok := d.delta(0, f)
+					if ok != wantOK || !reflect.DeepEqual(got, want) {
+						t.Fatalf("after entry %d: delta(%v) = %+v, %t; want %+v, %t", n, f, got, ok, want, wantOK)
+					}
+				}
+			}
+		}
+	}
+	if sh.head == 0 || len(sh.ring) != retain {
+		t.Fatalf("the window did not wrap: head %d, len %d", sh.head, len(sh.ring))
 	}
 }
 

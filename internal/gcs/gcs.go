@@ -566,7 +566,11 @@ func (e *Endpoint) sendToMembersLocked(payload any) {
 	}
 }
 
-// flushAcks transmits the accumulated acknowledgment batch.
+// flushAcks transmits the accumulated acknowledgment batch to the other
+// members. The own acknowledgement of a message is recorded when it is
+// received (handleData), so a copy to self carries nothing — and, queued
+// behind inbound traffic, it used to arrive after the message had become
+// stable and recreate an ack set that could never complete (see handleAck).
 func (e *Endpoint) flushAcks() {
 	e.mu.Lock()
 	if len(e.ackBatch) == 0 || e.stopped {
@@ -579,6 +583,8 @@ func (e *Endpoint) flushAcks() {
 	e.mu.Unlock()
 
 	for _, m := range members {
-		_ = e.tr.Send(m, batch)
+		if m != e.self {
+			_ = e.tr.Send(m, batch)
+		}
 	}
 }

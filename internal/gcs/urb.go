@@ -148,6 +148,12 @@ func (e *Endpoint) handleAck(a *urbAck) {
 	}
 	vs := e.vs
 	for _, id := range a.IDs {
+		if _, unstable := vs.retained[id]; !unstable && id.Seq <= vs.delivered[id.Sender] {
+			// Delivered and already pruned as stable here: a late or repeated
+			// acknowledgement must not create a set again, nothing would ever
+			// complete it (gcAcksLocked would hold it for 30 s).
+			continue
+		}
 		set := vs.ackSet(id)
 		if set[a.From] {
 			continue

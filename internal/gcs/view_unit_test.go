@@ -280,3 +280,61 @@ func TestLaggardRejoinsOnPersistentNewerViewBeacons(t *testing.T) {
 		t.Fatalf("OnEjected upcalls = %d, want 1", rec.ejected)
 	}
 }
+
+// sentTo records the destinations of what an endpoint sends.
+type sentTo struct {
+	transport.Transport
+	to []transport.ID
+}
+
+func (s *sentTo) Send(to transport.ID, payload any) error {
+	s.to = append(s.to, to)
+	return s.Transport.Send(to, payload)
+}
+
+// TestLateOwnAckCreatesNoState pins the orphan-ack rule: an acknowledgement of
+// a message that is delivered and already pruned as stable must not create an
+// ack set again — nothing would ever complete it, and gcAcksLocked holds it
+// for 30 s (38 k sets, 9 MB, on a 20 s lease-local run). The case that
+// produced them was the endpoint's own ack batch, sent to self and handled
+// after the third member's ack; it is no longer sent either.
+func TestLateOwnAckCreatesNoState(t *testing.T) {
+	net := memnet.New(memnet.Config{})
+	defer net.Close()
+	tr, err := net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &sentTo{Transport: tr}
+	e, err := NewEndpoint(rec, &recorder{}, Config{Members: []transport.ID{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not started: the test plays the dispatcher.
+	deliver := func(from transport.ID, payload any) {
+		e.handleNet(transport.Message{From: from, Payload: payload})
+	}
+	id := msgID{Sender: 1, Seq: 1}
+	ack := func(from transport.ID) *urbAck { return &urbAck{View: 1, From: from, IDs: []msgID{id}} }
+
+	deliver(1, &urbData{View: 1, ID: id, Kind: kindURB, Body: "ws"})
+	deliver(1, ack(1))
+	if _, ok := e.vs.retained[id]; !ok {
+		t.Fatalf("message not delivered on a quorum of acks: pending=%v", e.vs.pending)
+	}
+	deliver(2, ack(2))
+	if len(e.vs.retained) != 0 || len(e.vs.acks) != 0 {
+		t.Fatalf("message not pruned as stable: retained=%v acks=%v", e.vs.retained, e.vs.acks)
+	}
+
+	deliver(0, ack(0)) // the loop-back copy, late
+	deliver(2, ack(2)) // and a repeated one
+	if len(e.vs.acks) != 0 || len(e.vs.ackBorn) != 0 {
+		t.Fatalf("late acknowledgements recreated state: acks=%v ackBorn=%v", e.vs.acks, e.vs.ackBorn)
+	}
+
+	e.flushAcks()
+	if want := []transport.ID{1, 2}; !reflect.DeepEqual(rec.to, want) {
+		t.Fatalf("own ack batch sent to %v, want %v", rec.to, want)
+	}
+}

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -26,21 +27,26 @@ func (m *Manager) HandleRequestTO(req *Request) {
 	if st == nil {
 		st = &reqState{req: req, local: req.ID.Proc == m.self}
 		m.reqs[req.ID] = st
+	} else {
+		m.inflight = without(m.inflight, st)
 	}
 
 	m.enqueueSeq++
 	st.pos = m.enqueueSeq
+	st.enqueued = true
 	if m.earlyFreed[req.ID] {
 		// The release overtook the request (cross-protocol reordering of
 		// the URB release against the OAB request): the net effect is a
 		// request that is enqueued and dequeued in one step.
 		delete(m.earlyFreed, req.ID)
 		st.freed = true
-		st.enqueued = true
 		m.tracef("TO %v pos=%d earlyFreed", req.ID, st.pos)
 	} else {
 		m.tracef("TO %v pos=%d classes=%v wild=%t", req.ID, st.pos, req.Classes, req.Wildcard)
-		st.enqueued = true
+		if req.Wildcard {
+			st.ahead = m.live
+			m.wild = append(m.wild, st)
+		}
 		for _, cc := range req.Classes {
 			q := m.queues[cc]
 			m.queues[cc] = append(q, st)
@@ -48,7 +54,12 @@ func (m *Manager) HandleRequestTO(req *Request) {
 				st.headCount++
 			}
 		}
+		m.live++
 		m.emitTransition(OpGrant, st, 0)
+		m.ripenLocked(st)
+		if m.cfg.DeadlockDetection && st.local && !m.enabledLocked(st) {
+			m.waiting = append(m.waiting, st)
+		}
 	}
 
 	// Fairness and liveness: ANY conflicting request — remote (the paper's
@@ -57,20 +68,9 @@ func (m *Manager) HandleRequestTO(req *Request) {
 	// different classes) — blocks the older local requests so they drain
 	// and transfer. Without the local half, a replica's own retained lease
 	// would starve its own later requests forever.
-	if req.Wildcard {
-		m.blockAllLocalLocked(st, req.ID.Proc)
-	} else {
-		m.blockConflictingLocalLocked(req.Classes, st, req.ID.Proc)
-	}
+	m.blockLocalLocked(req, st)
 
-	m.afterChangeLocked()
-	newlyEnabled := m.enabledPayloadsLocked()
-	h := m.handler
-	m.mu.Unlock()
-
-	for _, r := range newlyEnabled {
-		h(r)
-	}
+	m.settleAndUnlock()
 }
 
 // HandleRequestOpt processes the optimistic delivery of a lease request
@@ -87,11 +87,7 @@ func (m *Manager) HandleRequestOpt(req *Request) {
 	if req.ID.Proc == m.self {
 		return
 	}
-	if req.Wildcard {
-		m.blockAllLocalLocked(nil, req.ID.Proc)
-	} else {
-		m.blockConflictingLocalLocked(req.Classes, nil, req.ID.Proc)
-	}
+	m.blockLocalLocked(req, nil)
 	m.maybeFreeAllLocked()
 }
 
@@ -105,14 +101,7 @@ func (m *Manager) HandleFreed(f *Freed) {
 	for _, id := range f.IDs {
 		m.applyFreedLocked(id)
 	}
-	m.afterChangeLocked()
-	newlyEnabled := m.enabledPayloadsLocked()
-	h := m.handler
-	m.mu.Unlock()
-
-	for _, req := range newlyEnabled {
-		h(req)
-	}
+	m.settleAndUnlock()
 }
 
 // HandleViewChange purges the lease requests of processes excluded from the
@@ -131,36 +120,8 @@ func (m *Manager) HandleViewChange(members []transport.ID, fresh []transport.ID)
 	}
 	m.mu.Lock()
 	m.inPrimary = true
-	// Purge buffered early releases like the requests themselves: entries of
-	// departed or reborn processes are dangerous (a restarted replica reuses
-	// its RequestID sequence, so a stale entry would silently kill its next
-	// request), but a SURVIVOR's entry must be kept — its request can still
-	// be TO-delivered after this view change (an OAB message caught by the
-	// flush without a total-order entry is re-ordered in the new view), and
-	// dropping the buffered release would enqueue the request as a permanent
-	// zombie at the head of its class queues.
-	for id := range m.earlyFreed {
-		if !in[id.Proc] || (reborn[id.Proc] && id.Proc != m.self) {
-			delete(m.earlyFreed, id)
-		}
-	}
-	for id, st := range m.reqs {
-		if !in[id.Proc] || (reborn[id.Proc] && id.Proc != m.self) {
-			m.tracef("view purge %v (members=%v fresh=%v)", id, members, fresh)
-			m.dequeueLocked(st)
-			st.freed = true
-			m.emitTransition(OpPurge, st, 0)
-			delete(m.reqs, id)
-		}
-	}
-	m.afterChangeLocked()
-	newlyEnabled := m.enabledPayloadsLocked()
-	h := m.handler
-	m.mu.Unlock()
-
-	for _, req := range newlyEnabled {
-		h(req)
-	}
+	m.purgeLocked(func(p transport.ID) bool { return !in[p] || (reborn[p] && p != m.self) })
+	m.settleAndUnlock()
 }
 
 // HandleEjected marks the replica as outside the primary component: pending
@@ -175,36 +136,40 @@ func (m *Manager) HandleEjected() {
 
 // --- Internal state transitions ----------------------------------------------
 
-// blockConflictingLocalLocked implements the fairness rule: once a remote
-// conflicting request is delivered, local requests on overlapping classes
-// stop admitting new transactions and are released as soon as they drain.
-// by is the blocking request's issuer; a remote by blocking an ENABLED local
-// request is a steal (the lease this replica held is migrating away).
-func (m *Manager) blockConflictingLocalLocked(classes []ConflictClass, except *reqState, by transport.ID) {
-	for _, st := range m.reqs {
-		if st == except {
-			continue
+// blockLocalLocked implements the fairness rule: once a conflicting request
+// is delivered, the local requests it conflicts with (all of them, for a
+// wildcard) stop admitting new transactions and are released as soon as they
+// drain. A remote request blocking an ENABLED local one is a steal: the lease
+// this replica held is migrating away. Only three places can hold a
+// conflicting local request: the queues of req's classes, the live wildcards
+// and the in-flight set.
+func (m *Manager) blockLocalLocked(req *Request, except *reqState) {
+	block := func(st *reqState) {
+		if st == except || !st.local || st.freed || st.blocked {
+			return
 		}
-		if st.local && !st.freed && (st.req.Wildcard || intersects(st.req.Classes, classes)) {
-			if !st.blocked {
-				m.noteBlockedLocked(st, by)
-				m.tracef("block %v active=%d", st.req.ID, st.active)
-			}
-			st.blocked = true
+		m.noteBlockedLocked(st, req.ID.Proc)
+		m.tracef("block %v active=%d by %v", st.req.ID, st.active, req.ID)
+		m.setBlockedLocked(st)
+	}
+	for _, st := range m.inflight {
+		if req.Wildcard || st.req.Wildcard || intersects(st.req.Classes, req.Classes) {
+			block(st)
 		}
 	}
-}
-
-// blockAllLocalLocked is the wildcard's fairness rule: it conflicts with
-// every local request.
-func (m *Manager) blockAllLocalLocked(except *reqState, by transport.ID) {
-	for _, st := range m.reqs {
-		if st != except && st.local && !st.freed {
-			if !st.blocked {
-				m.noteBlockedLocked(st, by)
-				m.tracef("block %v active=%d (wild)", st.req.ID, st.active)
+	for _, st := range m.wild {
+		block(st)
+	}
+	if req.Wildcard {
+		for _, q := range m.queues {
+			for _, st := range q {
+				block(st)
 			}
-			st.blocked = true
+		}
+	}
+	for _, cc := range req.Classes {
+		for _, st := range m.queues[cc] {
+			block(st)
 		}
 	}
 }
@@ -214,7 +179,7 @@ func (m *Manager) blockAllLocalLocked(except *reqState, by transport.ID) {
 // lease was stolen — the routing-relevant outcome next to reuse and fresh
 // acquisition.
 func (m *Manager) noteBlockedLocked(st *reqState, by transport.ID) {
-	if by == m.self || !st.enqueued || !m.enabledLocked(st) {
+	if by == m.self || !m.enabledLocked(st) {
 		return
 	}
 	m.nStolen.Inc()
@@ -239,7 +204,6 @@ func (m *Manager) applyFreedLocked(id RequestID) {
 		return
 	}
 	m.tracef("freed %v applied", id)
-	st.freed = true
 	m.emitTransition(OpFree, st, 0)
 	m.dequeueLocked(st)
 	if !st.local {
@@ -249,49 +213,85 @@ func (m *Manager) applyFreedLocked(id RequestID) {
 	}
 }
 
+// dequeueLocked marks st released and, if it was live, takes it out of the
+// table; whoever it was holding up — the next request in each of its queues,
+// younger wildcards, everything behind a wildcard — is noted as ripe.
 func (m *Manager) dequeueLocked(st *reqState) {
+	wasLive := st.enqueued && !st.freed
+	st.freed = true
+	if !wasLive {
+		return
+	}
+	m.live--
 	for _, cc := range st.req.Classes {
 		q := m.queues[cc]
-		for i, x := range q {
-			if x != st {
-				continue
-			}
-			m.queues[cc] = append(q[:i], q[i+1:]...)
-			if i == 0 && len(m.queues[cc]) > 0 {
-				// The next request now heads this class queue.
-				m.queues[cc][0].headCount++
-			}
-			break
+		i := slices.Index(q, st)
+		if i < 0 {
+			continue
 		}
-		if len(m.queues[cc]) == 0 {
+		if q = slices.Delete(q, i, i+1); len(q) == 0 {
 			delete(m.queues, cc)
+			continue
+		}
+		m.queues[cc] = q
+		if i == 0 {
+			// The next request now heads this class queue.
+			if q[0].headCount++; q[0].headCount == len(q[0].req.Classes) {
+				m.ripenLocked(q[0])
+			}
 		}
 	}
 	st.headCount = 0
+	for _, w := range m.wild {
+		if w.pos > st.pos {
+			if w.ahead--; w.ahead == 0 {
+				m.ripenLocked(w)
+			}
+		}
+	}
+	if st.req.Wildcard {
+		m.wild = without(m.wild, st)
+		for _, q := range m.queues {
+			m.ripenLocked(q[0])
+		}
+	}
 }
 
-// afterChangeLocked runs the reactions to any queue change: releasing
-// drained blocked leases, waking waiters, and checking for deadlocks.
-func (m *Manager) afterChangeLocked() {
+// ripenLocked notes that st may just have become enabled: the only requests
+// enabledPayloadsLocked has to look at.
+func (m *Manager) ripenLocked(st *reqState) {
+	if m.handler != nil {
+		m.ripe = append(m.ripe, st)
+	}
+}
+
+// settleAndUnlock runs the reactions to any queue change — releasing drained
+// blocked leases, checking for deadlocks, waking waiters — then, with the lock
+// released, the §4.5(c) payload callbacks of the requests it enabled.
+func (m *Manager) settleAndUnlock() {
 	m.maybeFreeAllLocked()
 	if m.cfg.DeadlockDetection {
 		m.maybeDetectDeadlockLocked()
 	}
 	m.cond.Broadcast()
+	newlyEnabled := m.enabledPayloadsLocked()
+	h := m.handler
+	m.mu.Unlock()
+
+	for _, req := range newlyEnabled {
+		h(req)
+	}
 }
 
 // maybeDetectDeadlockLocked gates the wait-for-graph scan: it is pointless
 // without a local waiting request, and a full scan per delivery would burn
 // CPU quadratically under load, so scans are paced.
 func (m *Manager) maybeDetectDeadlockLocked() {
-	waiting := false
-	for _, st := range m.reqs {
-		if st.local && st.enqueued && !st.freed && !st.aborted && !m.enabledLocked(st) {
-			waiting = true
-			break
-		}
-	}
-	if !waiting {
+	// Enablement is final until release, so a request leaves the set once.
+	m.waiting = slices.DeleteFunc(m.waiting, func(st *reqState) bool {
+		return st.freed || st.aborted || m.enabledLocked(st)
+	})
+	if len(m.waiting) == 0 {
 		return
 	}
 	now := time.Now()
@@ -310,20 +310,21 @@ func (m *Manager) maybeDetectDeadlockLocked() {
 // starve the remote requester behind it forever).
 func (m *Manager) maybeFreeAllLocked() {
 	var batch []RequestID
-	var freedStates []*reqState
-	for id, st := range m.reqs {
-		if st.local && st.enqueued && st.blocked && !st.freed && !st.aborted &&
-			!st.replacePending && st.active == 0 {
-			st.freed = true
+	keep := m.draining[:0]
+	for _, st := range m.draining {
+		switch {
+		case st.freed: // released through a piggyback, a purge or as a victim
+		case st.enqueued && !st.aborted && !st.replacePending && st.active == 0:
 			m.emitTransition(OpFree, st, 0)
 			m.dequeueLocked(st)
-			batch = append(batch, id)
-			freedStates = append(freedStates, st)
+			m.gcLocked(st)
+			batch = append(batch, st.req.ID)
+		default:
+			keep = append(keep, st)
 		}
 	}
-	for _, st := range freedStates {
-		m.gcLocked(st)
-	}
+	clear(m.draining[len(keep):])
+	m.draining = keep
 	if len(batch) == 0 {
 		return
 	}
@@ -333,24 +334,23 @@ func (m *Manager) maybeFreeAllLocked() {
 	// The release is broadcast with the lock held to keep it ordered before
 	// any later release; the GCS broadcast call is non-blocking.
 	_ = m.bcast.URBroadcast(&Freed{IDs: batch})
+	// A local request queued behind a released one may be enabled now: its
+	// waiter need not wait for the release to come back from the group.
+	m.cond.Broadcast()
 }
 
 // enabledPayloadsLocked collects the §4.5(c) payload callbacks for requests
 // that just became enabled after a release or purge.
 func (m *Manager) enabledPayloadsLocked() []*Request {
-	if m.handler == nil {
-		return nil
-	}
 	var out []*Request
-	for _, st := range m.reqs {
-		if st.freed || st.payloadDone || !st.enqueued {
-			continue
-		}
-		if m.enabledLocked(st) {
+	for _, st := range m.ripe {
+		if !st.freed && !st.payloadDone && m.enabledLocked(st) {
 			st.payloadDone = true
 			out = append(out, st.req)
 		}
 	}
+	clear(m.ripe)
+	m.ripe = m.ripe[:0]
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ID.Proc != out[j].ID.Proc {
 			return out[i].ID.Proc < out[j].ID.Proc
@@ -372,13 +372,30 @@ func (m *Manager) enabledPayloadsLocked() []*Request {
 // is voluntarily released — an owner may always free its own requests, so no
 // cross-replica agreement on the detection is needed.
 func (m *Manager) detectDeadlockLocked() {
-	// Queue edges: a request waits for every request ahead of it.
+	// Queue edges: a request waits for every request ahead of it. The same
+	// walk sorts the live requests into enabled and waiting, each counted in
+	// the queue of its first class only.
 	waitsFor := make(map[*reqState][]*reqState)
-	var waiting []*reqState
-	for _, q := range m.queues {
-		for i := 1; i < len(q); i++ {
-			waitsFor[q[i]] = append(waitsFor[q[i]], q[:i]...)
+	var enabled, waiting []*reqState
+	sortOut := func(st *reqState) {
+		if m.enabledLocked(st) {
+			enabled = append(enabled, st)
+		} else {
+			waiting = append(waiting, st)
 		}
+	}
+	for cc, q := range m.queues {
+		for i, st := range q {
+			if i > 0 {
+				waitsFor[st] = append(waitsFor[st], q[:i]...)
+			}
+			if st.req.Classes[0] == cc {
+				sortOut(st)
+			}
+		}
+	}
+	for _, st := range m.wild {
+		sortOut(st)
 	}
 	// Owner-coupling edges: an enabled request held by active transactions
 	// is released only after its owner's waiting requests make progress.
@@ -387,17 +404,6 @@ func (m *Manager) detectDeadlockLocked() {
 	// which is why a cycle must PERSIST before it is trusted (transient
 	// lease-rotation queues form phantom cycles that dissolve within
 	// milliseconds, a genuine hold-and-wait does not).
-	var enabled []*reqState
-	for _, st := range m.reqs {
-		if st.freed || st.aborted || !st.enqueued {
-			continue
-		}
-		if m.enabledLocked(st) {
-			enabled = append(enabled, st)
-		} else {
-			waiting = append(waiting, st)
-		}
-	}
 	for _, e := range enabled {
 		if e.local && e.active == 0 {
 			continue // a drained local hold releases on its own
@@ -444,7 +450,6 @@ func (m *Manager) detectDeadlockLocked() {
 			continue
 		}
 		st.aborted = true
-		st.freed = true
 		m.dequeueLocked(st)
 		m.nDeadlocks.Inc()
 		_ = m.bcast.URBroadcast(&Freed{IDs: []RequestID{st.req.ID}})

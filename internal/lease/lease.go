@@ -36,6 +36,7 @@ package lease
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -218,6 +219,9 @@ type reqState struct {
 	// (incrementally maintained so enablement checks are O(1) even for
 	// requests spanning thousands of classes).
 	headCount int
+	// ahead is a wildcard request's count of older live requests: it is
+	// enabled when the count reaches zero.
+	ahead int
 }
 
 // Manager is one replica's Lease Manager.
@@ -230,8 +234,22 @@ type Manager struct {
 	bcast   Broadcaster
 	handler PayloadHandler
 
-	queues           map[ConflictClass][]*reqState
-	reqs             map[RequestID]*reqState
+	queues map[ConflictClass][]*reqState
+	// reqs finds a request by ID. No acquisition or delivery path ranges over
+	// it: asynchronous leases are retained, so it is as large as the working
+	// set. "Which requests …?" is answered from the class queues and the
+	// small sets below, kept at the few points where a request changes state,
+	// so a lease rotation costs O(classes of the request).
+	reqs     map[RequestID]*reqState
+	wild     []*reqState // live wildcard requests, oldest first
+	live     int         // live (enqueued, unreleased) requests, wildcards included
+	inflight []*reqState // local requests not yet TO-delivered
+	draining []*reqState // local blocked requests not yet released
+	waiting  []*reqState // local enqueued requests not yet seen enabled
+	// ripe holds the requests that may have become enabled since the payload
+	// callbacks were last collected.
+	ripe []*reqState
+
 	earlyFreed       map[RequestID]bool // releases delivered before their request
 	nextSeq          uint64
 	enqueueSeq       uint64 // TO-delivery order counter (replica-consistent)
@@ -296,7 +314,9 @@ func (m *Manager) emitTransition(op TransitionOp, st *reqState, by transport.ID)
 	})
 }
 
-// SetPayloadHandler installs the enabled-request payload callback.
+// SetPayloadHandler installs the enabled-request payload callback. Install it
+// before the first delivery: a request is reported when it becomes enabled,
+// not for having been enabled earlier.
 func (m *Manager) SetPayloadHandler(h PayloadHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -334,7 +354,7 @@ func (m *Manager) Close() {
 // every class queue. Returns the request ID to pass to Finished, or
 // ErrNotPrimary (the paper's ⊥), ErrDeadlock, or ErrStopped.
 func (m *Manager) GetLease(dataSet []string) (RequestID, error) {
-	return m.getLease(dataSet, nil, RequestID{})
+	return m.acquire(&Request{Classes: m.cfg.Mapper.Classes(dataSet)}, RequestID{}, true)
 }
 
 // GetLeaseReplacing is GetLease with the §4.4 deadlock-avoidance piggyback:
@@ -342,99 +362,97 @@ func (m *Manager) GetLease(dataSet []string) (RequestID, error) {
 // order) right before the new request is enqueued. The caller must be the
 // only transaction associated with old.
 func (m *Manager) GetLeaseReplacing(dataSet []string, old RequestID) (RequestID, error) {
-	return m.getLease(dataSet, []RequestID{old}, old)
+	return m.acquire(&Request{Classes: m.cfg.Mapper.Classes(dataSet)}, old, false)
 }
 
-func (m *Manager) getLease(dataSet []string, freeFirst []RequestID, old RequestID) (RequestID, error) {
-	classes := m.cfg.Mapper.Classes(dataSet)
+// GetLeaseWithPayload acquires a fresh lease request carrying an opaque
+// replication-manager payload (§4.5 optimization (c): the transaction's
+// read- and write-set ride on the lease request, and every replica certifies
+// the transaction the moment the lease is established). Payload requests are
+// never satisfied by reuse: the payload must travel.
+func (m *Manager) GetLeaseWithPayload(dataSet []string, payload any) (RequestID, error) {
+	return m.acquire(&Request{Classes: m.cfg.Mapper.Classes(dataSet), Payload: payload}, RequestID{}, false)
+}
 
+// acquire is the one acquisition path behind the GetLease forms: with reuse,
+// the transaction joins a local request that can still admit it; otherwise
+// req is OA-broadcast — releasing old, when it is a live local request, in
+// the same totally ordered step — and the call waits for it to be enabled.
+func (m *Manager) acquire(req *Request, old RequestID, reuse bool) (RequestID, error) {
 	m.mu.Lock()
 	if err := m.usableLocked(); err != nil {
 		m.mu.Unlock()
 		return RequestID{}, err
 	}
-
-	if old != (RequestID{}) {
-		if st := m.reqs[old]; st != nil && st.local {
-			// The replacement transfers this transaction's association to
-			// the new request; mark the old one unusable for reuse and
-			// reserve its release for the piggyback.
-			st.active--
-			st.blocked = true
-			st.replacePending = true
+	if reuse {
+		if st := m.joinableLocked(req.Classes); st != nil {
+			defer m.mu.Unlock()
+			st.active++
+			m.nReused.Inc()
+			m.emitTransition(OpReuse, st, 0)
+			m.tracef("join %v active=%d", st.req.ID, st.active)
+			return m.awaitLocked(st)
 		}
 	}
 
-	// Reuse: a local request that is not blocked, not released, and whose
-	// classes cover the requested ones can admit another transaction with
-	// zero communication.
-	if len(freeFirst) == 0 {
-		for _, st := range m.reqs {
-			if st.local && !st.blocked && !st.freed && !st.aborted &&
-				(st.req.Wildcard || subset(classes, st.req.Classes)) {
-				st.active++
-				m.nReused.Inc()
-				m.emitTransition(OpReuse, st, 0)
-				id := st.req.ID
-				m.tracef("join %v active=%d", id, st.active)
-				err := m.waitEnabledLocked(st)
-				if err != nil {
-					m.tracef("join %v failed: %v", id, err)
-					m.releaseWaiterLocked(st)
-				}
-				m.mu.Unlock()
-				return id, err
-			}
+	var replaced *reqState
+	if old != (RequestID{}) {
+		if replaced = m.reqs[old]; replaced != nil && replaced.local {
+			// The replacement transfers this transaction's association to
+			// the new request; mark the old one unusable for reuse and
+			// reserve its release for the piggyback.
+			replaced.active--
+			m.setBlockedLocked(replaced)
+			replaced.replacePending = true
+			req.FreeFirst = []RequestID{old}
 		}
 	}
 
 	m.nextSeq++
-	req := &Request{
-		ID:        RequestID{Proc: m.self, Seq: m.nextSeq},
-		Classes:   classes,
-		FreeFirst: freeFirst,
-	}
+	req.ID = RequestID{Proc: m.self, Seq: m.nextSeq}
 	st := &reqState{req: req, local: true, active: 1}
 	m.reqs[req.ID] = st
+	m.inflight = append(m.inflight, st)
 	m.nRequested.Inc()
-	m.tracef("request %v freeFirst=%v", req.ID, freeFirst)
+	m.tracef("request %v freeFirst=%v", req.ID, req.FreeFirst)
 	m.mu.Unlock()
 
-	if err := m.bcast.OABroadcast(req); err != nil {
-		m.mu.Lock()
-		delete(m.reqs, req.ID)
-		if old != (RequestID{}) {
-			// The piggybacked release never left: let the old request
-			// drain-release through the ordinary path.
-			if st := m.reqs[old]; st != nil && st.local {
-				st.replacePending = false
-				m.maybeFreeAllLocked()
-			}
-		}
-		m.mu.Unlock()
-		return RequestID{}, fmt.Errorf("lease: broadcast request: %w", err)
-	}
+	err := m.bcast.OABroadcast(req)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.waitEnabledLocked(st); err != nil {
-		m.tracef("request %v failed: %v", req.ID, err)
-		m.releaseWaiterLocked(st)
-		return RequestID{}, err
+	if err != nil {
+		delete(m.reqs, req.ID)
+		m.inflight = without(m.inflight, st)
+		if req.FreeFirst != nil {
+			// The piggybacked release never left: let the old request
+			// drain-release through the ordinary path.
+			replaced.replacePending = false
+			m.maybeFreeAllLocked()
+		}
+		return RequestID{}, fmt.Errorf("lease: broadcast request: %w", err)
 	}
-	m.nAcquired.Inc()
-	m.tracef("request %v enabled", req.ID)
-	return req.ID, nil
+	id, err := m.awaitLocked(st)
+	if err == nil {
+		m.nAcquired.Inc()
+	}
+	return id, err
 }
 
-// releaseWaiterLocked undoes a failed acquisition: the caller's transaction
-// will not run under the request.
-func (m *Manager) releaseWaiterLocked(st *reqState) {
-	if st.active > 0 {
-		st.active--
+// awaitLocked waits for st to be enabled on behalf of one transaction already
+// associated with it, and undoes the association when the wait fails: the
+// caller's transaction will not run under the request.
+func (m *Manager) awaitLocked(st *reqState) (RequestID, error) {
+	if err := m.waitEnabledLocked(st); err != nil {
+		m.tracef("acquire %v failed: %v", st.req.ID, err)
+		if st.active > 0 {
+			st.active--
+		}
+		m.maybeFreeAllLocked()
+		m.gcLocked(st)
+		return RequestID{}, err
 	}
-	m.maybeFreeAllLocked()
-	m.gcLocked(st)
+	return st.req.ID, nil
 }
 
 // gcLocked drops a local request that is released and fully drained.
@@ -442,6 +460,20 @@ func (m *Manager) gcLocked(st *reqState) {
 	if st.local && st.freed && st.active == 0 {
 		delete(m.reqs, st.req.ID)
 	}
+}
+
+// setBlockedLocked closes a local request to new transactions; from here on
+// it is a release candidate (maybeFreeAllLocked).
+func (m *Manager) setBlockedLocked(st *reqState) {
+	if !st.blocked {
+		st.blocked = true
+		m.draining = append(m.draining, st)
+	}
+}
+
+// without removes st from a small ordered set.
+func without(set []*reqState, st *reqState) []*reqState {
+	return slices.DeleteFunc(set, func(x *reqState) bool { return x == st })
 }
 
 // waitEnabledLocked blocks until st is enabled, the replica leaves the
@@ -482,11 +514,76 @@ func (m *Manager) waitEnabledLocked(st *reqState) error {
 		case st.freed:
 			// Released while waiting (view change or replacement race).
 			return ErrDeadlock
-		case st.enqueued && m.enabledLocked(st):
+		case m.enabledLocked(st):
 			return nil
 		}
 		m.cond.Wait()
 	}
+}
+
+// --- Reuse: the class index ---------------------------------------------------
+
+// covers reports whether the request's classes include all of classes.
+func (st *reqState) covers(classes []ConflictClass) bool {
+	return st.req.Wildcard || subset(classes, st.req.Classes)
+}
+
+// admits reports whether a new local transaction on classes may be
+// associated with the request: local, unblocked, unreleased and covering.
+func (st *reqState) admits(classes []ConflictClass) bool {
+	return st.local && !st.blocked && !st.freed && !st.aborted && st.covers(classes)
+}
+
+// joinableLocked returns the oldest local request that admits a transaction
+// on classes, or nil: enqueued requests in TO order, then in-flight ones in
+// issue order. A covering request is a wildcard or contains the first class,
+// so only that class's queue, the live wildcards and the in-flight set can
+// hold one. (An empty data set — the replication manager never asks for one,
+// an update transaction has a write-set — is covered by wildcards and
+// in-flight requests only.)
+func (m *Manager) joinableLocked(classes []ConflictClass) *reqState {
+	var best *reqState
+	for _, ordered := range [2][]*reqState{m.firstQueueLocked(classes), m.wild} {
+		for _, st := range ordered {
+			if st.admits(classes) {
+				if best == nil || st.pos < best.pos {
+					best = st
+				}
+				break
+			}
+		}
+	}
+	if best != nil {
+		return best
+	}
+	for _, st := range m.inflight {
+		if st.admits(classes) {
+			return st
+		}
+	}
+	return nil
+}
+
+func (m *Manager) firstQueueLocked(classes []ConflictClass) []*reqState {
+	if len(classes) == 0 {
+		return nil
+	}
+	return m.queues[classes[0]]
+}
+
+// holderLocked returns the enabled local request covering classes, or nil.
+// An enabled request heads every queue of its classes and an enabled wildcard
+// is the oldest live request, so there are two places to look.
+func (m *Manager) holderLocked(classes []ConflictClass) *reqState {
+	for _, ordered := range [2][]*reqState{m.wild, m.firstQueueLocked(classes)} {
+		if len(ordered) > 0 {
+			st := ordered[0]
+			if st.local && !st.aborted && st.covers(classes) && m.enabledLocked(st) {
+				return st
+			}
+		}
+	}
+	return nil
 }
 
 // TryReuse attempts a zero-communication acquisition: if this replica holds
@@ -500,17 +597,15 @@ func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
 	if m.usableLocked() != nil {
 		return RequestID{}, false
 	}
-	for _, st := range m.reqs {
-		if st.local && st.enqueued && !st.blocked && !st.freed && !st.aborted &&
-			(st.req.Wildcard || subset(classes, st.req.Classes)) && m.enabledLocked(st) {
-			st.active++
-			m.nReused.Inc()
-			m.emitTransition(OpReuse, st, 0)
-			m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
-			return st.req.ID, true
-		}
+	st := m.holderLocked(classes)
+	if st == nil || st.blocked {
+		return RequestID{}, false
 	}
-	return RequestID{}, false
+	st.active++
+	m.nReused.Inc()
+	m.emitTransition(OpReuse, st, 0)
+	m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
+	return st.req.ID, true
 }
 
 // HasCoverage reports whether any local request — enabled, queued, or still
@@ -524,13 +619,7 @@ func (m *Manager) HasCoverage(dataSet []string) bool {
 	classes := m.cfg.Mapper.Classes(dataSet)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, st := range m.reqs {
-		if st.local && !st.blocked && !st.freed && !st.aborted &&
-			(st.req.Wildcard || subset(classes, st.req.Classes)) {
-			return true
-		}
-	}
-	return false
+	return m.joinableLocked(classes) != nil
 }
 
 // Covers reports whether the given held lease request still covers the data
@@ -542,8 +631,7 @@ func (m *Manager) Covers(id RequestID, dataSet []string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.reqs[id]
-	return st != nil && st.local && !st.freed && !st.aborted &&
-		(st.req.Wildcard || subset(classes, st.req.Classes))
+	return st != nil && st.local && !st.freed && !st.aborted && st.covers(classes)
 }
 
 // ActiveCount returns the number of transactions associated with a local
@@ -586,53 +674,14 @@ func (m *Manager) usableLocked() error {
 }
 
 // enabledLocked implements isEnabled: the request heads every queue of its
-// classes (a wildcard request must be older than every other live request,
-// and no live wildcard may precede a normal request).
+// classes and no live wildcard is older; a wildcard request must itself be
+// older than every other live request.
 func (m *Manager) enabledLocked(st *reqState) bool {
+	if !st.enqueued {
+		return false
+	}
 	if st.req.Wildcard {
-		return m.wildcardEnabledLocked(st)
+		return st.ahead == 0
 	}
-	return st.enqueued && st.headCount == len(st.req.Classes) &&
-		!m.blockedByWildcardLocked(st)
-}
-
-// GetLeaseWithPayload acquires a fresh lease request carrying an opaque
-// replication-manager payload (§4.5 optimization (c): the transaction's
-// read- and write-set ride on the lease request, and every replica certifies
-// the transaction the moment the lease is established). Payload requests are
-// never satisfied by reuse: the payload must travel.
-func (m *Manager) GetLeaseWithPayload(dataSet []string, payload any) (RequestID, error) {
-	classes := m.cfg.Mapper.Classes(dataSet)
-
-	m.mu.Lock()
-	if err := m.usableLocked(); err != nil {
-		m.mu.Unlock()
-		return RequestID{}, err
-	}
-	m.nextSeq++
-	req := &Request{
-		ID:      RequestID{Proc: m.self, Seq: m.nextSeq},
-		Classes: classes,
-		Payload: payload,
-	}
-	st := &reqState{req: req, local: true, active: 1}
-	m.reqs[req.ID] = st
-	m.nRequested.Inc()
-	m.mu.Unlock()
-
-	if err := m.bcast.OABroadcast(req); err != nil {
-		m.mu.Lock()
-		delete(m.reqs, req.ID)
-		m.mu.Unlock()
-		return RequestID{}, fmt.Errorf("lease: broadcast payload request: %w", err)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.waitEnabledLocked(st); err != nil {
-		m.releaseWaiterLocked(st)
-		return RequestID{}, err
-	}
-	m.nAcquired.Inc()
-	return req.ID, nil
+	return st.headCount == len(st.req.Classes) && (len(m.wild) == 0 || m.wild[0].pos > st.pos)
 }

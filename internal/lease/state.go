@@ -2,6 +2,7 @@ package lease
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -44,10 +45,8 @@ func (m *Manager) SnapshotState() *State {
 		st.Queues[cc] = ids
 	}
 	// Wildcard requests live outside the class queues.
-	for _, rs := range m.reqs {
-		if rs.enqueued && !rs.freed && rs.req.Wildcard {
-			add(rs)
-		}
+	for _, rs := range m.wild {
+		add(rs)
 	}
 	sort.Slice(st.Requests, func(i, j int) bool {
 		a, b := st.Requests[i].ID, st.Requests[j].ID
@@ -89,6 +88,7 @@ func (m *Manager) InstallState(st *State) {
 	m.reqs = make(map[RequestID]*reqState, len(st.Requests))
 	m.earlyFreed = make(map[RequestID]bool)
 	m.enqueueSeq = st.NextPos
+	m.wild, m.inflight, m.draining, m.waiting, m.ripe = nil, nil, nil, nil, nil
 	for i, req := range st.Requests {
 		rs := &reqState{
 			req:      req,
@@ -103,6 +103,21 @@ func (m *Manager) InstallState(st *State) {
 			rs.pos = st.Pos[i]
 		}
 		m.reqs[req.ID] = rs
+		if rs.req.Wildcard {
+			m.wild = append(m.wild, rs)
+		}
+		if rs.local && m.cfg.DeadlockDetection {
+			m.waiting = append(m.waiting, rs) // pruned once seen enabled
+		}
+	}
+	m.live = len(m.reqs)
+	sort.Slice(m.wild, func(i, j int) bool { return m.wild[i].pos < m.wild[j].pos })
+	for _, w := range m.wild {
+		for _, rs := range m.reqs {
+			if rs.pos < w.pos {
+				w.ahead++
+			}
+		}
 	}
 	for cc, ids := range st.Queues {
 		q := make([]*reqState, 0, len(ids))
@@ -113,10 +128,39 @@ func (m *Manager) InstallState(st *State) {
 		}
 		if len(q) > 0 {
 			q[0].headCount++
+			m.queues[cc] = q
 		}
-		m.queues[cc] = q
 	}
 	m.cond.Broadcast()
+}
+
+// purgeLocked drops every request, and every buffered early release, whose
+// owner is gone (HandleViewChange). A membership change is, with the snapshot
+// and the debug view in this file, the only event that walks the whole table.
+//
+// Early releases are purged like the requests themselves: entries of departed
+// or reborn processes are dangerous (a restarted replica reuses its RequestID
+// sequence, so a stale entry would silently kill its next request), but a
+// SURVIVOR's entry must be kept — its request can still be TO-delivered after
+// this view change (an OAB message caught by the flush without a total-order
+// entry is re-ordered in the new view), and dropping the buffered release
+// would enqueue the request as a permanent zombie at the head of its class
+// queues.
+func (m *Manager) purgeLocked(gone func(transport.ID) bool) {
+	for id := range m.earlyFreed {
+		if gone(id.Proc) {
+			delete(m.earlyFreed, id)
+		}
+	}
+	for id, st := range m.reqs {
+		if gone(id.Proc) {
+			m.tracef("view purge %v", id)
+			m.dequeueLocked(st)
+			m.emitTransition(OpPurge, st, 0)
+			delete(m.reqs, id)
+		}
+	}
+	m.inflight = slices.DeleteFunc(m.inflight, func(st *reqState) bool { return st.freed })
 }
 
 // QueueDepth returns the number of requests enqueued for the conflict
@@ -138,13 +182,7 @@ func (m *Manager) HoldsLease(dataSet []string) bool {
 	classes := m.cfg.Mapper.Classes(dataSet)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, st := range m.reqs {
-		if st.local && !st.freed && !st.aborted && st.enqueued &&
-			(st.req.Wildcard || subset(classes, st.req.Classes)) && m.enabledLocked(st) {
-			return true
-		}
-	}
-	return false
+	return m.holderLocked(classes) != nil
 }
 
 // DebugRequest is one lease request's state as seen by this replica's

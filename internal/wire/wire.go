@@ -119,9 +119,11 @@ type Reader struct {
 	err error
 	// shared marks b as stable for the lifetime of everything decoded from
 	// it: String and Bytes then alias b instead of copying (see
-	// NewSharedReader). ints is the boxing arena shared mode draws from.
+	// NewSharedReader). ints is what is left of the current chunk of the
+	// int-boxing arena, chunk that chunk's size (see boxInt).
 	shared bool
 	ints   []int
+	chunk  int
 }
 
 // NewReader returns a Reader over b. String and Bytes copy out of b, so the
@@ -269,13 +271,18 @@ func (r *Reader) Bytes() []byte {
 // boxInt converts an int to any. Small non-negative values ride the
 // runtime's static boxes; everything else is boxed out of a chunked arena so
 // a frame full of integers (a write-set batch of account balances) costs one
-// allocation per 64 values instead of one per value.
+// allocation per 64 values instead of one per value. A boxed value keeps its
+// whole chunk alive, and a Reader lives for one frame, so chunks grow
+// geometrically — 1, 2, 4 … 64 slots: the commit frame that carries a single
+// int, and is then retained by the store and the delta window, pins 8 bytes,
+// not 512.
 func (r *Reader) boxInt(v int) any {
 	if v >= 0 && v < 256 {
 		return v // runtime staticuint64s: no allocation
 	}
 	if len(r.ints) == 0 {
-		r.ints = make([]int, 64)
+		r.chunk = min(max(2*r.chunk, 1), 64)
+		r.ints = make([]int, r.chunk)
 	}
 	r.ints[0] = v
 	p := &r.ints[0]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -360,5 +361,61 @@ func TestClientFrameRejectsBadOps(t *testing.T) {
 	}
 	if _, err := DecodeClientFrame(body); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+}
+
+// TestIntArenaGrowsGeometrically bounds what the int-boxing arena costs at both
+// ends: a frame with one int must not pin a 64-slot chunk (a commit frame
+// carries one, and the store and the retained delta window keep it alive),
+// and a frame full of ints must still cost about one allocation per 64.
+// Arena cost = decoding n boxed ints minus decoding n ints small enough for
+// the runtime's static boxes.
+func TestIntArenaGrowsGeometrically(t *testing.T) {
+	frame := func(n, v int) []byte {
+		var b []byte
+		for i := 0; i < n; i++ {
+			var err error
+			if b, err = AppendAny(b, v+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	cost := func(n, v int) (allocs, bytes float64) {
+		const runs = 200
+		b := frame(n, v)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			r := NewReader(b)
+			for j := 0; j < n; j++ {
+				if got, err := ReadAny(r); err != nil || got != v+j {
+					t.Fatalf("value %d decoded as %v, %v", v+j, got, err)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	arena := func(n int) (chunks, bytes float64) {
+		a0, b0 := cost(n, 0) // static boxes: no arena (n <= 256)
+		a1, b1 := cost(n, 1<<20)
+		return a1 - a0, b1 - b0
+	}
+	if chunks, bytes := arena(1); chunks > 1.05 || bytes > 16 {
+		t.Errorf("a one-int frame costs %.2f arena chunks, %.0f bytes; want 1 chunk of at most 16 bytes", chunks, bytes)
+	}
+	big := frame(1024, 1<<20)
+	chunks := testing.AllocsPerRun(100, func() {
+		r := NewReader(big)
+		for j := 0; j < 1024; j++ {
+			if _, err := ReadAny(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) - 1 // the Reader itself
+	t.Logf("1024-int frame: %.0f arena chunks", chunks)
+	if chunks > 24 {
+		t.Errorf("a 1024-int frame costs %.0f arena chunks, want at most 24", chunks)
 	}
 }
