@@ -10,11 +10,15 @@
 //
 // # Protocol
 //
-// Every broadcast travels as a uniform reliable broadcast: the sender
-// disseminates the payload to all view members, receivers acknowledge to all,
-// and a message is UR-delivered once a majority of the view has acknowledged
-// it and its causal predecessors (tracked by a per-view vector clock) have
-// been delivered — two communication steps in the failure-free case.
+// Every broadcast travels as a uniform reliable broadcast: the sender stages
+// the payload and sends it to the other view members, and a message is
+// UR-delivered once a majority of the view is known to hold it and its causal
+// predecessors (tracked by a per-view vector clock) have been delivered — two
+// communication steps in the failure-free case. A data frame is its sender's
+// acknowledgement; receivers acknowledge at once to the sender, and to all
+// only in views of four or more. In smaller views a receiver's quorum is
+// itself plus the sender, so its ack to the other receiver (stability only)
+// rides the next data frame to it, or leaves at the next tick.
 //
 // Atomic broadcast is layered on URB with a fixed sequencer (the view
 // coordinator): the payload is Opt-delivered at first receipt (one step),
@@ -254,8 +258,13 @@ type Endpoint struct {
 	// pending handler upcalls, collected under mu, invoked outside it
 	upcalls []func()
 
-	// ack batch accumulated during one dispatch round
-	ackBatch []msgID
+	// acks holds the acknowledgements owed to each view member, indexed like
+	// view.Members; reset at every install.
+	acks []owedAcks
+
+	// urbHook, when set (tests only, before Start), observes under mu every
+	// message this process stages or UR-delivers.
+	urbHook func(d *urbData, ev urbEvent)
 
 	notify  chan struct{} // outbox signal
 	stop    chan struct{}
@@ -272,6 +281,25 @@ type outMsg struct {
 	// parts in one frame per peer. See group.go.
 	group *Group
 }
+
+// owedAcks is the acknowledgement backlog towards one peer: due, it leaves this
+// round; else it rides the next data frame to the peer, the tick or maxOwedAcks.
+type owedAcks struct {
+	ids []msgID
+	due bool
+}
+
+const maxOwedAcks = 256
+
+// urbEvent is what urbHook observes: a message first held by this process,
+// UR-delivered (on a quorum, or Committed), or delivered from a final set.
+type urbEvent byte
+
+const (
+	urbStaged urbEvent = iota
+	urbDelivered
+	urbFlushDelivered
+)
 
 // NewEndpoint creates and starts a GCS endpoint over the given transport.
 func NewEndpoint(tr transport.Transport, h Handler, cfg Config) (*Endpoint, error) {
@@ -309,6 +337,7 @@ func NewEndpoint(tr transport.Transport, h Handler, cfg Config) (*Endpoint, erro
 		e.inPrimary = true
 		e.vs = newViewState(initial)
 	}
+	e.acks = make([]owedAcks, len(members))
 	now := time.Now()
 	for _, m := range members {
 		e.lastHeard[m] = now
@@ -544,8 +573,9 @@ func (e *Endpoint) drainOutbox() {
 	}
 }
 
-// broadcastDataLocked assigns identity and vector clock to an application
-// message and sends it to every view member (including self).
+// broadcastDataLocked assigns identity and vector clock to a message, stages
+// it (the sender holds it from here on) and sends it to the other members; a
+// member owed acknowledgements gets its own copy of the frame carrying them.
 func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
 	vs := e.vs
 	vs.mySeq++
@@ -556,35 +586,31 @@ func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
 		VC:   vs.deliveredVector(),
 		Body: body,
 	}
-	e.sendToMembersLocked(d)
-}
-
-// sendToMembersLocked fans a payload out to all current view members.
-func (e *Endpoint) sendToMembersLocked(payload any) {
-	for _, m := range e.view.Members {
-		_ = e.tr.Send(m, payload)
+	e.stageLocked(d)
+	for i, m := range e.view.Members {
+		if m == e.self {
+			continue
+		}
+		out := d
+		if a := &e.acks[i]; len(a.ids) > 0 {
+			cp := *d
+			cp.Acks = a.ids
+			out = &cp
+			*a = owedAcks{}
+		}
+		_ = e.tr.Send(m, out)
 	}
+	e.tryDeliverLocked()
 }
 
-// flushAcks transmits the accumulated acknowledgment batch to the other
-// members. The own acknowledgement of a message is recorded when it is
-// received (handleData), so a copy to self carries nothing — and, queued
-// behind inbound traffic, it used to arrive after the message had become
-// stable and recreate an ack set that could never complete (see handleAck).
+// flushAcks transmits every due acknowledgement backlog to its peer.
 func (e *Endpoint) flushAcks() {
 	e.mu.Lock()
-	if len(e.ackBatch) == 0 || e.stopped {
-		e.mu.Unlock()
-		return
-	}
-	batch := &urbAck{View: e.view.ID, From: e.self, IDs: e.ackBatch}
-	e.ackBatch = nil
-	members := append([]transport.ID(nil), e.view.Members...)
-	e.mu.Unlock()
-
-	for _, m := range members {
-		if m != e.self {
-			_ = e.tr.Send(m, batch)
+	defer e.mu.Unlock()
+	for i := range e.acks {
+		if a := &e.acks[i]; a.due && !e.stopped {
+			_ = e.tr.Send(e.view.Members[i], &urbAck{View: e.view.ID, From: e.self, IDs: a.ids})
+			*a = owedAcks{}
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package gcs
 
-import (
-	"time"
-
-	"github.com/alcstm/alc/internal/transport"
-)
+import "github.com/alcstm/alc/internal/transport"
 
 // Group is a cross-channel atomic broadcast: one application message per
 // endpoint, transmitted to every peer in a single parent-transport frame
@@ -19,11 +15,11 @@ import (
 //
 //  1. All-or-nothing transmission — the initial send is ONE frame per peer
 //     (transport.SendGroup), so every part exists at a peer or none does.
-//  2. Sender-side injection — each part is placed directly into its own
-//     channel's pending set (as if received), so the origin's retransmission,
+//  2. Sender-side injection — each part is staged in its own channel's
+//     pending set, as every broadcast is, so the origin's retransmission,
 //     non-sender relay, and view-change flush/resubmission machinery cover
-//     all parts from the instant of transmission. There is no lost-loopback
-//     hole: a part cannot be "sent to peers but unknown to self".
+//     all parts from the instant of transmission: a part cannot be "sent to
+//     peers but unknown to self".
 //  3. FIFO preservation — parts occupy ordinary outbox positions, so the
 //     per-(writer, shard) sequence numbers stay monotone with respect to
 //     earlier and later broadcasts on the same channel (the receivers'
@@ -152,7 +148,6 @@ func (g *Group) tryComplete() {
 		data    *urbData
 	}
 	sends := make([]partSend, 0, len(g.eps))
-	now := time.Now()
 	for _, e := range g.eps {
 		m := e.outbox[0]
 		e.outbox = e.outbox[1:]
@@ -165,9 +160,7 @@ func (g *Group) tryComplete() {
 			VC:   vs.deliveredVector(),
 			Body: m.body,
 		}
-		vs.pending[d.ID] = &pendingMsg{data: d, sentAt: now}
-		vs.ackSet(d.ID)[e.self] = true
-		e.ackBatch = append(e.ackBatch, d.ID)
+		e.stageLocked(d)
 		e.tryDeliverLocked()
 		sends = append(sends, partSend{
 			tr:      e.tr,
@@ -202,6 +195,6 @@ func (g *Group) tryComplete() {
 		_ = transport.SendGroup(p, trs, payloads)
 	}
 	for _, e := range g.eps {
-		e.kick() // flush the self-acks, run any ready upcalls
+		e.kick() // run any ready upcalls
 	}
 }

@@ -24,9 +24,9 @@ func (id msgID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq)
 
 // urbData is the single wire format for all broadcast payloads. Every
 // broadcast (URB, OAB payload, internal order batch) is disseminated
-// uniform-reliably: receivers acknowledge to all members, and the message is
-// UR-delivered once a majority has acknowledged it and its causal
-// predecessors (VC) have been delivered.
+// uniform-reliably: the frame is its sender's (or relaying member's) ack, and
+// the message is UR-delivered once a majority is known to hold it and its
+// causal predecessors (VC) have been delivered.
 type urbData struct {
 	View uint64
 	ID   msgID
@@ -42,11 +42,14 @@ type urbData struct {
 	// without re-collecting acknowledgements, which would otherwise be
 	// impossible — the historical acks are not replayed.
 	Committed bool
+	// Acks are acknowledgements the sender owed the receiver, piggybacked on
+	// a live send (never on a retransmission, flush or install) and cleared
+	// on receipt.
+	Acks []msgID
 }
 
-// urbAck acknowledges receipt of a batch of messages. Acks are broadcast to
-// all members so that everyone tracks stability (a message acknowledged by
-// the full view can be garbage collected).
+// urbAck acknowledges a batch of messages to one member, for its quorum or for
+// stability (a message the full view holds can be garbage collected).
 type urbAck struct {
 	View uint64
 	From transport.ID

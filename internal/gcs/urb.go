@@ -65,8 +65,8 @@ func (vs *viewState) deliveredVector() map[transport.ID]uint64 {
 	return vc
 }
 
-// ackCount returns how many members have acknowledged id (the local process
-// acknowledges implicitly on receipt).
+// ackSet returns the set of members known to hold id (the local process
+// counts itself when it stages the message).
 func (vs *viewState) ackSet(id msgID) map[transport.ID]bool {
 	s, ok := vs.acks[id]
 	if !ok {
@@ -93,52 +93,89 @@ func (vs *viewState) causallyReady(d *urbData) bool {
 	return true
 }
 
-// handleData processes an incoming urbData (any kind). Called with mu held.
-func (e *Endpoint) handleData(d *urbData) {
+// handleData processes an incoming urbData (any kind) that arrived from
+// member from (its sender, or a member relaying it). Called with mu held.
+func (e *Endpoint) handleData(d *urbData, from transport.ID) {
 	vs := e.vs
 	if d.View != e.view.ID {
 		return // old or future view: old is stale, future cannot happen before install
 	}
-	if d.ID.Seq <= vs.delivered[d.ID.Sender] {
-		// Already delivered (duplicate / retransmission): re-ack so the
-		// sender can reach stability.
-		e.ackBatch = append(e.ackBatch, d.ID)
-		return
+	if d.Acks != nil {
+		// The sender's acknowledgements, piggybacked on a live send; this
+		// copy of the frame was made for this process alone.
+		for _, id := range d.Acks {
+			e.noteAckLocked(id, d.ID.Sender)
+		}
+		d.Acks = nil
 	}
 	if pm, ok := vs.pending[d.ID]; ok {
 		pm.committed = pm.committed || d.Committed
-		e.ackBatch = append(e.ackBatch, d.ID)
-		e.tryDeliverLocked()
-		return
+	} else if d.ID.Seq > vs.delivered[d.ID.Sender] {
+		if e.blocked {
+			// Flush in progress: this process has already reported its
+			// unstable set for the coming view (handlePrepare). Staging — above
+			// all, acknowledging — a message it first sees now would let the
+			// sender collect a full set of acks, UR-deliver the message and
+			// prune it as stable while no flush report names it; the install
+			// would then discard it here as "outside the final set" although
+			// the sender has acknowledged it to the application. Left
+			// unacknowledged it stays unstable at its sender, whose own report
+			// carries it (or whose retransmission does, should the flush
+			// stall and unblock).
+			e.tryDeliverLocked()
+			return
+		}
+		e.stageLocked(d)
 	}
-	if e.blocked && d.ID.Sender != e.self {
-		// Flush in progress: this process has already reported its unstable
-		// set for the coming view (handlePrepare). Staging — above all,
-		// acknowledging — a peer's message it first sees now would let the
-		// sender collect a full set of acks, UR-deliver the message and prune
-		// it as stable while no flush report names it; the install would then
-		// discard it here as "outside the final set" although its sender has
-		// already acknowledged it to the application. Left unacknowledged it
-		// stays unstable at its sender, whose own report carries it (or whose
-		// retransmission does, should the flush stall and unblock). Own
-		// messages looping back are exempt: a message absent from every
-		// report is resubmitted by its sender in the new view.
-		return
+	// A data frame is its sender's acknowledgement: the sender staged the
+	// message before sending it. A relaying member holds it too; a relay from
+	// outside the view must not count, or a full-looking set could lack a
+	// member. Duplicates and retransmissions are re-acknowledged so that the
+	// sender (or relayer) can reach stability.
+	e.noteAckLocked(d.ID, d.ID.Sender)
+	if from != d.ID.Sender && e.view.Contains(from) {
+		e.noteAckLocked(d.ID, from)
 	}
+	e.ackLocked(d.ID, from)
+	e.tryDeliverLocked()
+}
 
-	vs.pending[d.ID] = &pendingMsg{data: d, sentAt: time.Now(), committed: d.Committed}
-	vs.ackSet(d.ID)[e.self] = true
-	e.ackBatch = append(e.ackBatch, d.ID)
-
+// stageLocked puts a message this process holds for the first time in
+// pending with its own acknowledgement, Opt-delivers an OAB payload
+// (spontaneous delivery: one communication step after the OA-broadcast) and
+// hands it to the sequencer.
+func (e *Endpoint) stageLocked(d *urbData) {
+	e.vs.pending[d.ID] = &pendingMsg{data: d, sentAt: time.Now(), committed: d.Committed}
+	e.vs.ackSet(d.ID)[e.self] = true
+	if e.urbHook != nil {
+		e.urbHook(d, urbStaged)
+	}
 	if d.Kind == kindOAB {
-		// Spontaneous (optimistic) delivery at first receipt: one
-		// communication step after the OA-broadcast.
 		from, body := d.ID.Sender, d.Body
 		e.enqueueUpcall(func() { e.handler.OnOptDeliver(from, body) })
 		e.sequencerAssignLocked(d.ID)
 	}
+}
 
-	e.tryDeliverLocked()
+// ackLocked owes this process's acknowledgement of id to every other member.
+// It is due this round to the message's sender and to the member it came
+// through, and to everyone when the quorum exceeds two. Otherwise the other
+// receiver already counts itself and the sender as a quorum: the ack serves
+// its stability only and waits for a data frame to it, the next tick or
+// maxOwedAcks. The sender never acknowledges its own message.
+func (e *Endpoint) ackLocked(id msgID, via transport.ID) {
+	if id.Sender == e.self {
+		return
+	}
+	now := e.view.Quorum() > 2
+	for i, m := range e.view.Members {
+		if m == e.self {
+			continue
+		}
+		a := &e.acks[i]
+		a.ids = append(a.ids, id)
+		a.due = a.due || now || m == id.Sender || m == via || len(a.ids) >= maxOwedAcks
+	}
 }
 
 // handleAck processes an acknowledgment batch. Called with mu held.
@@ -146,31 +183,37 @@ func (e *Endpoint) handleAck(a *urbAck) {
 	if a.View != e.view.ID {
 		return
 	}
-	vs := e.vs
 	for _, id := range a.IDs {
-		if _, unstable := vs.retained[id]; !unstable && id.Seq <= vs.delivered[id.Sender] {
-			// Delivered and already pruned as stable here: a late or repeated
-			// acknowledgement must not create a set again, nothing would ever
-			// complete it (gcAcksLocked would hold it for 30 s).
-			continue
-		}
-		set := vs.ackSet(id)
-		if set[a.From] {
-			continue
-		}
-		set[a.From] = true
-		if len(set) == len(vs.view.Members) {
-			// Stable: everyone has it; no need to retain for flush. OAB
-			// payloads must additionally stay retained until TO-delivered,
-			// because the TO upcall reads the body from the retained set.
-			if pm, ok := vs.retained[id]; ok && (pm.data.Kind != kindOAB || pm.toDelivered) {
-				delete(vs.retained, id)
-				delete(vs.acks, id)
-				delete(vs.ackBorn, id)
-			}
-		}
+		e.noteAckLocked(id, a.From)
 	}
 	e.tryDeliverLocked()
+}
+
+// noteAckLocked records that member from holds id, pruning the message once
+// the whole view does.
+func (e *Endpoint) noteAckLocked(id msgID, from transport.ID) {
+	vs := e.vs
+	if _, unstable := vs.retained[id]; !unstable && id.Seq <= vs.delivered[id.Sender] {
+		// Delivered and already pruned as stable here: a late or repeated
+		// acknowledgement must not create a set again, nothing would ever
+		// complete it (gcAcksLocked would hold it for 30 s).
+		return
+	}
+	set := vs.ackSet(id)
+	if set[from] {
+		return
+	}
+	set[from] = true
+	if len(set) == len(vs.view.Members) {
+		// Stable: everyone has it; no need to retain for flush. OAB payloads
+		// must additionally stay retained until TO-delivered, because the TO
+		// upcall reads the body from the retained set.
+		if pm, ok := vs.retained[id]; ok && (pm.data.Kind != kindOAB || pm.toDelivered) {
+			delete(vs.retained, id)
+			delete(vs.acks, id)
+			delete(vs.ackBorn, id)
+		}
+	}
 }
 
 // tryDeliverLocked repeatedly UR-delivers every pending message that is
@@ -197,6 +240,9 @@ func (e *Endpoint) tryDeliverLocked() {
 func (e *Endpoint) urDeliverLocked(pm *pendingMsg) {
 	vs := e.vs
 	d := pm.data
+	if e.urbHook != nil {
+		e.urbHook(d, urbDelivered)
+	}
 	delete(vs.pending, d.ID)
 	vs.delivered[d.ID.Sender] = d.ID.Seq
 	if len(vs.ackSet(d.ID)) == len(vs.view.Members) && (d.Kind != kindOAB || pm.toDelivered) {
@@ -289,7 +335,7 @@ func (e *Endpoint) sequencerAssignLocked(id msgID) {
 	if e.view.Coordinator() != e.self || e.joining {
 		return
 	}
-	// handleData calls this exactly once per message (first insertion into
+	// stageLocked calls this exactly once per message (first insertion into
 	// pending); duplicates are filtered before reaching it.
 	vs.seqQueue = append(vs.seqQueue, orderEntry{ID: id, GSeq: vs.seqNext})
 	vs.seqNext++

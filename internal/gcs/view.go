@@ -43,7 +43,7 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 		if e.joining {
 			return
 		}
-		e.handleData(m)
+		e.handleData(m, msg.From)
 		e.flushSequencerLocked()
 	case *urbAck:
 		if e.joining {
@@ -159,6 +159,9 @@ func (e *Endpoint) tick() {
 	now := time.Now()
 
 	e.maybeHeartbeatLocked(now)
+	for i := range e.acks {
+		e.acks[i].due = len(e.acks[i].ids) > 0
+	}
 	if !e.joining {
 		e.retransmitLocked(now)
 		e.gcAcksLocked(now)
@@ -583,9 +586,9 @@ func (e *Endpoint) computeInstallLocked() {
 	p := e.prop
 	e.prop = nil
 
-	// Refresh the proposer's own contribution: messages that arrived after
-	// it answered its own prepare (for example its own broadcasts that were
-	// in flight when the flush started) would otherwise miss the union.
+	// Refresh the proposer's own contribution: messages it staged after
+	// answering its own prepare (should the flush have stalled and unblocked
+	// meanwhile) would otherwise miss the union.
 	if own, ok := p.responses[e.self]; ok && !e.joining {
 		own.Unstable = e.unstableMessagesLocked()
 		own.Orders = e.pendingOrdersLocked()
@@ -797,6 +800,7 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 	old := e.view.ID
 	e.view = in.View
 	e.vs = newViewState(in.View)
+	e.acks = make([]owedAcks, len(in.View.Members))
 	e.inPrimary = true
 	e.ejectedAt = 0
 	e.joining = false
@@ -837,10 +841,10 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 // member that installs the view has delivered the same set of messages.
 //
 // It returns the process's own in-flight messages that did NOT make it into
-// the final set: a message broadcast just as the flush started may still
-// have been in flight when every member responded, in which case it exists
-// nowhere in the union and would otherwise be lost (violating validity for
-// its — surviving — sender). Such messages are resubmitted in the new view;
+// the final set: a message staged after its sender's flush report (a stalled
+// flush that unblocked) exists nowhere in the union and would otherwise be
+// lost (violating validity for its — surviving — sender). Such messages are
+// resubmitted in the new view;
 // they are exactly-once because a message absent from the union cannot have
 // been UR- or TO-delivered anywhere (either delivery requires a majority to
 // hold it, and a majority of the old view responded to the flush).
@@ -879,6 +883,9 @@ func (e *Endpoint) deliverFlushSetLocked(in *vcInstall) []*urbData {
 				continue
 			}
 			d := pm.data
+			if e.urbHook != nil {
+				e.urbHook(d, urbFlushDelivered)
+			}
 			delete(vs.pending, d.ID)
 			vs.delivered[d.ID.Sender] = d.ID.Seq
 			vs.retained[d.ID] = pm

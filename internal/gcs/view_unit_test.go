@@ -1,7 +1,9 @@
 package gcs
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -106,9 +108,8 @@ func TestContainsIDHelper(t *testing.T) {
 // message it first sees afterwards. If it did, the sender could collect a full
 // set of acks, deliver the message and prune it as stable — leaving it in no
 // flush report, to be discarded at this member by the install. The message
-// must still reach the member through the install's final set, and the
-// member's own messages looping back during the flush stay exempt (they are
-// resubmitted by their sender when no report names them).
+// must still reach the member through the install's final set. The member's
+// own broadcast, staged when it was made, is in its own report.
 func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 	net := memnet.New(memnet.Config{})
 	defer net.Close()
@@ -116,8 +117,9 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sent := &sentLog{Transport: tr}
 	rec := &recorder{}
-	e, err := NewEndpoint(tr, rec, Config{Members: []transport.ID{0, 1}})
+	e, err := NewEndpoint(sent, rec, Config{Members: []transport.ID{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,29 +133,33 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 
 	before := data(0, 1, "before-flush")
 	deliver(0, before)
-	if _, ok := e.vs.pending[before.ID]; !ok || len(e.ackBatch) != 1 {
-		t.Fatalf("ordinary data not staged and acknowledged: pending=%v acks=%v", e.vs.pending, e.ackBatch)
+	if e.vs.delivered[0] != 1 || len(owed(e, 0)) != 1 {
+		t.Fatalf("ordinary data not delivered and acknowledged: delivered=%v owed=%v", e.vs.delivered, owed(e, 0))
 	}
-	e.ackBatch = nil
+	e.flushAcks()
+	e.mu.Lock()
+	e.broadcastDataLocked(kindURB, "own-before-flush")
+	e.mu.Unlock()
+	own := msgID{Sender: 1, Seq: 1}
 
 	deliver(0, &vcPrepare{ProposalID: 2, Proposer: 0, Members: []transport.ID{0, 1, 2}})
 	if !e.blocked {
 		t.Fatal("member did not enter the flush on vcPrepare")
 	}
+	if f, ok := sent.last().(*vcFlush); !ok || len(f.Unstable) != 1 || f.Unstable[0].ID != own {
+		t.Fatalf("flush report %#v, want it to carry the own broadcast %v", sent.last(), own)
+	}
 
 	late := data(0, 2, "during-flush")
 	deliver(0, late)
-	if _, ok := e.vs.pending[late.ID]; ok || len(e.ackBatch) != 0 {
-		t.Fatalf("peer data first seen during the flush was staged/acknowledged: pending=%t acks=%v",
-			ok, e.ackBatch)
+	if _, ok := e.vs.pending[late.ID]; ok || len(owed(e, 0)) != 0 {
+		t.Fatalf("peer data first seen during the flush was staged/acknowledged: pending=%t owed=%v",
+			ok, owed(e, 0))
 	}
-	// A duplicate of what was reported is still re-acknowledged, and the
-	// member's own broadcast looping back is still staged.
+	// A duplicate of what was reported is still re-acknowledged.
 	deliver(0, before)
-	own := data(1, 1, "own-loopback")
-	deliver(1, own)
-	if _, ok := e.vs.pending[own.ID]; !ok || len(e.ackBatch) != 2 {
-		t.Fatalf("reported duplicate / own loopback mishandled: ownPending=%t acks=%v", ok, e.ackBatch)
+	if len(owed(e, 0)) != 1 {
+		t.Fatalf("reported duplicate not re-acknowledged: owed=%v", owed(e, 0))
 	}
 
 	// The install's final set carries the late message (its sender reported
@@ -161,10 +167,12 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 	deliver(0, &vcInstall{
 		ProposalID: 2,
 		View:       View{ID: 2, Members: []transport.ID{0, 1, 2}, Primary: true},
-		Deliveries: []*urbData{before, late},
+		Deliveries: []*urbData{before, late, e.vs.pending[own].data},
 	})
 	e.runUpcalls()
-	if got, want := rec.urSeq(), []string{"before-flush", "during-flush"}; !reflect.DeepEqual(got, want) {
+	got := rec.urSeq()
+	sort.Strings(got) // the last two are causally independent
+	if want := []string{"before-flush", "during-flush", "own-before-flush"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("UR deliveries across the install = %v, want %v", got, want)
 	}
 	if e.blocked || e.view.ID != 2 {
@@ -281,15 +289,68 @@ func TestLaggardRejoinsOnPersistentNewerViewBeacons(t *testing.T) {
 	}
 }
 
-// sentTo records the destinations of what an endpoint sends.
-type sentTo struct {
+// sentLog records what an endpoint sends, in order; onSend, if set, runs
+// before each send.
+type sentLog struct {
 	transport.Transport
-	to []transport.ID
+	to       []transport.ID
+	payloads []any
+	onSend   func(to transport.ID, payload any)
 }
 
-func (s *sentTo) Send(to transport.ID, payload any) error {
+func (s *sentLog) Send(to transport.ID, payload any) error {
+	if s.onSend != nil {
+		s.onSend(to, payload)
+	}
 	s.to = append(s.to, to)
+	s.payloads = append(s.payloads, payload)
 	return s.Transport.Send(to, payload)
+}
+
+func (s *sentLog) last() any { return s.payloads[len(s.payloads)-1] }
+
+// acksTo returns the acknowledgement frames sent to peer so far.
+func (s *sentLog) acksTo(peer transport.ID) []*urbAck {
+	var out []*urbAck
+	for i, p := range s.payloads {
+		if a, ok := p.(*urbAck); ok && s.to[i] == peer {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// owed returns the acknowledgements e owes peer and has not sent yet.
+func owed(e *Endpoint, peer transport.ID) []msgID {
+	for i, m := range e.view.Members {
+		if m == peer {
+			return e.acks[i].ids
+		}
+	}
+	return nil
+}
+
+// unstarted returns endpoint self of a group over members with its sends
+// logged. It is not started: the test plays the dispatcher.
+func unstarted(t *testing.T, self transport.ID, members ...transport.ID) (*Endpoint, *sentLog, *recorder) {
+	t.Helper()
+	net := memnet.New(memnet.Config{})
+	t.Cleanup(net.Close)
+	tr, err := net.Endpoint(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := &sentLog{Transport: tr}
+	rec := &recorder{}
+	e, err := NewEndpoint(sent, rec, Config{Members: members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, sent, rec
+}
+
+func urb(sender transport.ID, seq uint64) *urbData {
+	return &urbData{View: 1, ID: msgID{Sender: sender, Seq: seq}, Kind: kindURB, Body: fmt.Sprintf("%d:%d", sender, seq)}
 }
 
 // TestLateOwnAckCreatesNoState pins the orphan-ack rule: an acknowledgement of
@@ -297,44 +358,180 @@ func (s *sentTo) Send(to transport.ID, payload any) error {
 // ack set again — nothing would ever complete it, and gcAcksLocked holds it
 // for 30 s (38 k sets, 9 MB, on a 20 s lease-local run). The case that
 // produced them was the endpoint's own ack batch, sent to self and handled
-// after the third member's ack; it is no longer sent either.
+// after the third member's ack; no ack is sent to self any more.
 func TestLateOwnAckCreatesNoState(t *testing.T) {
-	net := memnet.New(memnet.Config{})
-	defer net.Close()
-	tr, err := net.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &sentTo{Transport: tr}
-	e, err := NewEndpoint(rec, &recorder{}, Config{Members: []transport.ID{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not started: the test plays the dispatcher.
+	e, sent, _ := unstarted(t, 0, 0, 1, 2)
 	deliver := func(from transport.ID, payload any) {
 		e.handleNet(transport.Message{From: from, Payload: payload})
 	}
 	id := msgID{Sender: 1, Seq: 1}
 	ack := func(from transport.ID) *urbAck { return &urbAck{View: 1, From: from, IDs: []msgID{id}} }
 
-	deliver(1, &urbData{View: 1, ID: id, Kind: kindURB, Body: "ws"})
-	deliver(1, ack(1))
+	deliver(1, urb(1, 1))
 	if _, ok := e.vs.retained[id]; !ok {
-		t.Fatalf("message not delivered on a quorum of acks: pending=%v", e.vs.pending)
+		t.Fatalf("message not delivered on receipt (self + sender are a quorum): pending=%v", e.vs.pending)
 	}
 	deliver(2, ack(2))
 	if len(e.vs.retained) != 0 || len(e.vs.acks) != 0 {
 		t.Fatalf("message not pruned as stable: retained=%v acks=%v", e.vs.retained, e.vs.acks)
 	}
 
-	deliver(0, ack(0)) // the loop-back copy, late
+	deliver(0, ack(0)) // a copy of its own ack, late
 	deliver(2, ack(2)) // and a repeated one
 	if len(e.vs.acks) != 0 || len(e.vs.ackBorn) != 0 {
 		t.Fatalf("late acknowledgements recreated state: acks=%v ackBorn=%v", e.vs.acks, e.vs.ackBorn)
 	}
 
 	e.flushAcks()
-	if want := []transport.ID{1, 2}; !reflect.DeepEqual(rec.to, want) {
-		t.Fatalf("own ack batch sent to %v, want %v", rec.to, want)
+	if want := []transport.ID{1}; !reflect.DeepEqual(sent.to, want) {
+		t.Fatalf("own acks sent to %v this round, want %v (the one to 2 is deferred)", sent.to, want)
+	}
+}
+
+// TestReceiverAcksOnlySenderThisRound: in a view of three, a receiver's quorum
+// is itself plus the sender, so it delivers at receipt and one frame leaves
+// this round, an ack to the sender. The ack the other receiver needs for
+// stability rides the next data frame to it.
+func TestReceiverAcksOnlySenderThisRound(t *testing.T) {
+	e, sent, rec := unstarted(t, 1, 0, 1, 2)
+	m := urb(0, 1)
+	e.handleNet(transport.Message{From: 0, Payload: m})
+	e.flushAcks()
+	if !reflect.DeepEqual(sent.to, []transport.ID{0}) {
+		t.Fatalf("frames this round went to %v, want one to the sender", sent.to)
+	}
+	if a := sent.acksTo(0); len(a) != 1 || !reflect.DeepEqual(a[0].IDs, []msgID{m.ID}) {
+		t.Fatalf("acks to the sender = %v", a)
+	}
+	e.runUpcalls()
+	if got := rec.urSeq(); !reflect.DeepEqual(got, []string{"0:1"}) {
+		t.Fatalf("UR deliveries = %v, want the message delivered at receipt", got)
+	}
+
+	e.mu.Lock()
+	e.broadcastDataLocked(kindURB, "reply")
+	e.mu.Unlock()
+	var to2 *urbData
+	for i, p := range sent.payloads {
+		if d, ok := p.(*urbData); ok {
+			switch sent.to[i] {
+			case 0:
+				if d.Acks != nil {
+					t.Fatalf("data frame to the sender carries acks %v already sent", d.Acks)
+				}
+			case 2:
+				to2 = d
+			}
+		}
+	}
+	if to2 == nil || !reflect.DeepEqual(to2.Acks, []msgID{m.ID}) {
+		t.Fatalf("data frame to the other receiver = %+v, want it to carry the deferred ack", to2)
+	}
+	if d := e.vs.pending[to2.ID].data; d.Acks != nil {
+		t.Fatalf("the staged copy carries acks %v: flush reports and retransmissions would too", d.Acks)
+	}
+	n := len(sent.to)
+	e.flushAcks()
+	if len(sent.to) != n || len(owed(e, 2)) != 0 {
+		t.Fatalf("acks left after the piggyback: sent %v, owed %v", sent.to[n:], owed(e, 2))
+	}
+}
+
+// TestDeferredAckLeavesAtTickOrWhenMany: with no data frame to carry it, the
+// ack to the other receiver leaves at the next tick, or as soon as
+// maxOwedAcks are owed to it.
+func TestDeferredAckLeavesAtTickOrWhenMany(t *testing.T) {
+	e, sent, _ := unstarted(t, 1, 0, 1, 2)
+	e.handleNet(transport.Message{From: 0, Payload: urb(0, 1)})
+	e.flushAcks()
+	if a := sent.acksTo(2); len(a) != 0 {
+		t.Fatalf("deferred ack sent this round: %v", a)
+	}
+	e.tick()
+	e.flushAcks()
+	if a := sent.acksTo(2); len(a) != 1 || len(a[0].IDs) != 1 {
+		t.Fatalf("acks to the other receiver after a tick = %v, want one", a)
+	}
+
+	e, sent, _ = unstarted(t, 1, 0, 1, 2)
+	for seq := uint64(1); seq <= maxOwedAcks; seq++ {
+		e.handleNet(transport.Message{From: 0, Payload: urb(0, seq)})
+		e.flushAcks()
+		if a := sent.acksTo(2); seq < maxOwedAcks && len(a) != 0 {
+			t.Fatalf("%d owed acks sent early: %v", seq, a)
+		}
+	}
+	if a := sent.acksTo(2); len(a) != 1 || len(a[0].IDs) != maxOwedAcks {
+		t.Fatalf("acks to the other receiver at %d owed = %v", maxOwedAcks, a)
+	}
+}
+
+// TestAllAcksDueFromFourMembers: with a quorum of three a receiver needs a
+// third holder, so every member gets the ack this round.
+func TestAllAcksDueFromFourMembers(t *testing.T) {
+	e, sent, _ := unstarted(t, 1, 0, 1, 2, 3, 4)
+	m := urb(0, 1)
+	e.handleNet(transport.Message{From: 0, Payload: m})
+	if e.vs.delivered[0] != 0 {
+		t.Fatal("delivered with two holders of five")
+	}
+	e.flushAcks()
+	if want := []transport.ID{0, 2, 3, 4}; !reflect.DeepEqual(sent.to, want) {
+		t.Fatalf("acks this round went to %v, want %v", sent.to, want)
+	}
+}
+
+// TestRelayerCountsOnlyInsideTheView: a copy relayed by a member counts the
+// relayer as a holder (and is acknowledged to it); a copy arriving from
+// outside the view counts only the sender.
+func TestRelayerCountsOnlyInsideTheView(t *testing.T) {
+	e, sent, _ := unstarted(t, 1, 0, 1, 2, 3, 4)
+	e.handleNet(transport.Message{From: 2, Payload: urb(0, 1)})
+	if e.vs.delivered[0] != 1 {
+		t.Fatalf("relayed copy did not make a quorum of sender, relayer and self: acks=%v", e.vs.acks)
+	}
+	e.handleNet(transport.Message{From: 9, Payload: urb(0, 2)})
+	id := msgID{Sender: 0, Seq: 2}
+	if set := e.vs.acks[id]; e.vs.delivered[0] != 1 || set[9] || len(set) != 2 {
+		t.Fatalf("copy from a non-member counted it: delivered=%d acks=%v", e.vs.delivered[0], set)
+	}
+	e.flushAcks()
+	for _, to := range sent.to {
+		if to == 9 {
+			t.Fatal("acknowledged to a non-member")
+		}
+	}
+}
+
+// TestBroadcastStagesBeforeSendingNotToSelf: the sender holds its message
+// before any frame leaves, sends none to itself, and owes nobody an ack of
+// its own message.
+func TestBroadcastStagesBeforeSendingNotToSelf(t *testing.T) {
+	e, sent, rec := unstarted(t, 0, 0, 1, 2)
+	id := msgID{Sender: 0, Seq: 1}
+	sent.onSend = func(to transport.ID, payload any) {
+		if to == 0 {
+			t.Errorf("sent %T to self", payload)
+		}
+		if _, ok := e.vs.pending[id]; !ok {
+			t.Errorf("frame to %d left before the message was staged", to)
+		}
+	}
+	e.mu.Lock()
+	e.broadcastDataLocked(kindOAB, "x")
+	e.mu.Unlock()
+	if !reflect.DeepEqual(sent.to, []transport.ID{1, 2}) {
+		t.Fatalf("broadcast sent to %v, want the two peers", sent.to)
+	}
+	if len(owed(e, 1))+len(owed(e, 2)) != 0 {
+		t.Fatalf("sender owes acks of its own message: %v %v", owed(e, 1), owed(e, 2))
+	}
+	e.runUpcalls()
+	if got := rec.optSeq(); !reflect.DeepEqual(got, []string{"x"}) {
+		t.Fatalf("Opt-deliveries at the sender = %v, want the broadcast", got)
+	}
+	e.handleNet(transport.Message{From: 1, Payload: &urbAck{View: 1, From: 1, IDs: []msgID{id}}})
+	if _, ok := e.vs.pending[id]; ok {
+		t.Fatal("not UR-delivered on the first receiver's ack")
 	}
 }

@@ -32,23 +32,10 @@ func RegisterWire() {
 	wire.Register(tagURBAck, &urbAck{},
 		func(b []byte, v any) ([]byte, error) {
 			m := v.(*urbAck)
-			b = wire.AppendUvarint(b, m.View)
-			b = appendProcID(b, m.From)
-			b = wire.AppendUvarint(b, uint64(len(m.IDs)))
-			for _, id := range m.IDs {
-				b = appendMsgID(b, id)
-			}
-			return b, nil
+			return appendMsgIDs(appendProcID(wire.AppendUvarint(b, m.View), m.From), m.IDs), nil
 		},
 		func(r *wire.Reader) (any, error) {
-			m := &urbAck{View: r.Uvarint(), From: readProcID(r)}
-			if n := r.Count(); n > 0 {
-				m.IDs = make([]msgID, n)
-				for i := range m.IDs {
-					m.IDs[i] = readMsgID(r)
-				}
-			}
-			return m, r.Err()
+			return &urbAck{View: r.Uvarint(), From: readProcID(r), IDs: readMsgIDs(r)}, r.Err()
 		})
 	wire.Register(tagOrderBatch, &orderBatch{},
 		func(b []byte, v any) ([]byte, error) {
@@ -229,6 +216,26 @@ func readMsgID(r *wire.Reader) msgID {
 	return msgID{Sender: readProcID(r), Seq: r.Uvarint()}
 }
 
+func appendMsgIDs(b []byte, ids []msgID) []byte {
+	b = wire.AppendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = appendMsgID(b, id)
+	}
+	return b
+}
+
+func readMsgIDs(r *wire.Reader) []msgID {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	ids := make([]msgID, n)
+	for i := range ids {
+		ids[i] = readMsgID(r)
+	}
+	return ids
+}
+
 func appendOrderEntries(b []byte, entries []orderEntry) []byte {
 	b = wire.AppendUvarint(b, uint64(len(entries)))
 	for _, e := range entries {
@@ -272,6 +279,7 @@ func appendURBData(b []byte, m *urbData) ([]byte, error) {
 	b = append(b, m.Kind)
 	b = appendVector(b, m.VC)
 	b = wire.AppendBool(b, m.Committed)
+	b = appendMsgIDs(b, m.Acks)
 	return wire.AppendAny(b, m.Body)
 }
 
@@ -279,6 +287,7 @@ func readURBData(r *wire.Reader) (*urbData, error) {
 	m := &urbData{View: r.Uvarint(), ID: readMsgID(r), Kind: r.Byte()}
 	m.VC = readVector(r)
 	m.Committed = r.Bool()
+	m.Acks = readMsgIDs(r)
 	var err error
 	if m.Body, err = wire.ReadAny(r); err != nil {
 		return nil, err

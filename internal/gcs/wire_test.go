@@ -21,6 +21,8 @@ func TestBinaryRoundtrip(t *testing.T) {
 	msgs := []any{
 		&urbData{View: 4, ID: msgID{Sender: 1, Seq: 17}, Kind: 2, VC: vc,
 			Body: "payload", Committed: true},
+		&urbData{View: 4, ID: msgID{Sender: 2, Seq: 3}, Kind: 1, VC: vc, Body: "piggyback",
+			Acks: []msgID{{Sender: 0, Seq: 9}, {Sender: 1, Seq: 17}}},
 		&urbData{View: 0, ID: msgID{}, Kind: 0, VC: nil, Body: nil},
 		&urbAck{View: 7, From: 2, IDs: []msgID{{Sender: 0, Seq: 1}, {Sender: 3, Seq: 44}}},
 		&urbAck{View: 1, From: 0},
@@ -110,25 +112,31 @@ func TestBinaryRoundtripThroughEnvelope(t *testing.T) {
 // strict prefix.
 func TestBinaryRejectsTruncation(t *testing.T) {
 	RegisterWire()
-	full, err := wire.AppendAny(nil, &vcFlush{
-		ProposalID: 9, From: 1, ViewID: 3,
-		Unstable: []*urbData{
-			{View: 3, ID: msgID{Sender: 1, Seq: 5}, Kind: 1,
-				VC: map[transport.ID]uint64{1: 4}, Body: "x"},
+	for _, m := range []any{
+		&urbData{View: 3, ID: msgID{Sender: 1, Seq: 6}, Kind: 1,
+			VC: map[transport.ID]uint64{1: 5}, Body: "y", Acks: []msgID{{Sender: 2, Seq: 4}}},
+		&vcFlush{
+			ProposalID: 9, From: 1, ViewID: 3,
+			Unstable: []*urbData{
+				{View: 3, ID: msgID{Sender: 1, Seq: 5}, Kind: 1,
+					VC: map[transport.ID]uint64{1: 4}, Body: "x"},
+			},
+			Delivered: map[transport.ID]uint64{0: 6},
+			NextGSeq:  42,
+			Orders:    []orderEntry{{ID: msgID{Sender: 0, Seq: 6}, GSeq: 41}},
+			SeqNext:   6,
 		},
-		Delivered: map[transport.ID]uint64{0: 6},
-		NextGSeq:  42,
-		Orders:    []orderEntry{{ID: msgID{Sender: 0, Seq: 6}, GSeq: 41}},
-		SeqNext:   6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(full); cut++ {
-		r := wire.NewReader(full[:cut])
-		v, err := wire.ReadAny(r)
-		if err == nil && r.Err() == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded to %#v without error", cut, len(full), v)
+	} {
+		full, err := wire.AppendAny(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(full); cut++ {
+			r := wire.NewReader(full[:cut])
+			v, err := wire.ReadAny(r)
+			if err == nil && r.Err() == nil {
+				t.Fatalf("%T: prefix of %d/%d bytes decoded to %#v without error", m, cut, len(full), v)
+			}
 		}
 	}
 }

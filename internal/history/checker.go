@@ -290,7 +290,9 @@ func checkCompleteness(in Input, ref map[string][]stm.TxnID, v *Verdict) {
 //	ww — consecutive writers in each box's version order (the per-box write
 //	     order is total, so consecutive edges carry the full order
 //	     transitively);
-//	rf — version writer → reader, for every read in a commit's read-set;
+//	rf — version writer → reader, for every read in a commit's read-set (a
+//	     read that found no box is a read of the initial version, the zero
+//	     writer: stm records it so);
 //	rw — reader → the writer immediately after the version it observed
 //	     (anti-dependency; later writers are reached through ww edges).
 //
@@ -338,8 +340,9 @@ func checkSerializability(in Input, ref map[string][]stm.TxnID, v *Verdict) {
 			p, known := pos[rd.Box][rd.Writer]
 			if !known {
 				if rd.Writer.IsZero() {
-					// Initial version: virtual predecessor of the whole
-					// order (boxes created by write-sets have no zero entry).
+					// Initial version, also what a read that found no box
+					// records: virtual predecessor of the whole order (boxes
+					// created by write-sets have no zero entry).
 					p = -1
 				} else if exact {
 					v.violatef("read of unknown version: %v observed writer %v on box %q, absent from the version order %v",

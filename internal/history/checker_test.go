@@ -78,6 +78,26 @@ func TestCheckDetectsLostUpdate(t *testing.T) {
 	}
 }
 
+// The lost first increment: T1 and T2 both found b absent — a read of its
+// initial version — and both created it. The order holds no initial entry
+// (the box was created by a write-set), yet the anti-dependency T2 -> T1
+// closes the cycle with ww(T1->T2).
+func TestCheckDetectsLostFirstIncrement(t *testing.T) {
+	t1, t2 := tid(0, 1), tid(1, 1)
+	zero := stm.TxnID{}
+	in := Input{
+		Commits: []core.TxnReport{
+			commit(t1, stm.ReadSet{read("b", zero)}, stm.WriteSet{write("b")}),
+			commit(t2, stm.ReadSet{read("b", zero)}, stm.WriteSet{write("b")}),
+		},
+		Orders:      orders(map[string][]stm.TxnID{"b": {t1, t2}}),
+		FullHistory: []transport.ID{0},
+	}
+	if v := Check(in); v.OK() {
+		t.Fatal("lost first increment not detected")
+	}
+}
+
 // Write skew across two boxes: T1 reads a,b writes a; T2 reads a,b writes b.
 // Snapshot-isolation anomalies must also be caught (rw edges both ways).
 func TestCheckDetectsWriteSkew(t *testing.T) {

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"hash/fnv"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,23 @@ func TestQuickClassesSortedDeterministic(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the inlined hash is hash/fnv's FNV-1a, so classes (and the shards
+// derived from them) are what they always were.
+func TestQuickClassOfIsFNV1a(t *testing.T) {
+	f := func(id string, n uint8) bool {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(id))
+		want := h.Sum64()
+		if n%16 > 0 {
+			want %= uint64(n % 16)
+		}
+		return Mapper{NumClasses: int(n % 16)}.ClassOf(id) == ConflictClass(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"github.com/alcstm/alc/internal/history"
 	"github.com/alcstm/alc/internal/randseed"
 	"github.com/alcstm/alc/internal/stm"
+	"github.com/alcstm/alc/internal/transport"
 )
 
 // TestSimSeeds runs the harness over a batch of distinct fault-schedule
@@ -136,7 +137,8 @@ func TestScheduleFeasible(t *testing.T) {
 // End-to-end checker wiring: take a genuinely recorded history and inject a
 // fabricated lost update — a transaction claiming to have read a version the
 // installed order proves was already overwritten by a transaction it also
-// overwrote. The checker must refuse it (and must accept the untampered
+// overwrote; or two transactions that both found a box absent and both
+// created it. The checker must refuse each (and must accept the untampered
 // history, or the test would prove nothing).
 func TestCheckerDetectsTamperedHistory(t *testing.T) {
 	if testing.Short() {
@@ -167,6 +169,24 @@ func TestCheckerDetectsTamperedHistory(t *testing.T) {
 			break
 		}
 	}
+	// Two creators of one fresh box, both of which read it as absent (the
+	// initial version): the first increment of a new key, lost.
+	first, second := stm.TxnID{Replica: 98, Seq: 1}, stm.TxnID{Replica: 98, Seq: 2}
+	absent := captured
+	absent.Commits = append(append([]core.TxnReport(nil), captured.Commits...),
+		core.TxnReport{ID: first, RS: stm.ReadSet{{Box: "fresh"}}, WS: stm.WriteSet{{Box: "fresh", Value: 1}}},
+		core.TxnReport{ID: second, RS: stm.ReadSet{{Box: "fresh"}}, WS: stm.WriteSet{{Box: "fresh", Value: 1}}})
+	absent.Orders = make(map[transport.ID]map[string][]stm.TxnID, len(captured.Orders))
+	for id, orders := range captured.Orders {
+		absent.Orders[id] = map[string][]stm.TxnID{"fresh": {first, second}}
+		for b, o := range orders {
+			absent.Orders[id][b] = o
+		}
+	}
+	if v := history.Check(absent); v.OK() {
+		t.Fatal("history with two creators that both read the box as absent accepted by the checker")
+	}
+
 	if box == "" {
 		t.Skip("no box with two versions; schedule produced no contention")
 	}

@@ -4,7 +4,8 @@ package stm
 // of the transaction that wrote the version observed. Writer identities —
 // not timestamps — are what can be compared across replicas, because
 // non-conflicting write-sets may be applied in different orders (and hence
-// at different local timestamps) at different replicas.
+// at different local timestamps) at different replicas. A read that found no
+// box records the zero writer: the box's initial version.
 type ReadEntry struct {
 	Box    string
 	Writer TxnID

@@ -292,13 +292,8 @@ func (s *Store) NumBoxes() int {
 
 // Begin starts a transaction against the current snapshot.
 func (s *Store) Begin(readOnly bool) *Txn {
-	snap := s.clock.Load()
-	t := &Txn{
-		store:     s,
-		snapshot:  snap,
-		snapShard: s.snapshots.acquire(snap),
-		readOnly:  readOnly,
-	}
+	t := &Txn{store: s, readOnly: readOnly}
+	t.snapshot, t.snapShard = s.snapshots.acquire(&s.clock)
 	if !readOnly {
 		t.reads = make(map[string]TxnID)
 		t.writes = make(map[string]Value)
@@ -717,19 +712,23 @@ func (t *Txn) Read(id string) (Value, error) {
 			return v, nil
 		}
 	}
-	b, ok := t.store.Box(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchBox, id)
-	}
-	v := b.read(t.snapshot)
-	if v == nil {
-		// Box created after our snapshot: invisible to us.
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchBox, id)
+	var v *version
+	if b, ok := t.store.Box(id); ok {
+		v = b.read(t.snapshot) // nil: box created after our snapshot
 	}
 	if !t.readOnly {
 		if _, seen := t.reads[id]; !seen {
-			t.reads[id] = v.writer
+			// An absent box is read as its initial version (the zero writer),
+			// so validation sees a concurrent creation as a conflict.
+			var w TxnID
+			if v != nil {
+				w = v.writer
+			}
+			t.reads[id] = w
 		}
+	}
+	if v == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchBox, id)
 	}
 	return v.value, nil
 }
@@ -844,15 +843,19 @@ func newSnapshotTracker() *snapshotTracker {
 	return st
 }
 
-// acquire registers an active snapshot and returns the shard index the
-// registration landed in; release must be given it back.
-func (st *snapshotTracker) acquire(snap int64) int {
-	i := int(st.next.Add(1) % snapTrackerShards)
-	sh := &st.shards[i]
+// acquire reads the clock and registers it as an active snapshot, returning
+// the snapshot and the shard index the registration landed in; release must
+// be given both back. The clock is read under the shard lock: a snapshot
+// taken from a clock read before the registration could be older than the
+// fallback of a concurrent min, and GC would prune the versions it needs.
+func (st *snapshotTracker) acquire(clock *atomic.Int64) (snap int64, shard int) {
+	shard = int(st.next.Add(1) % snapTrackerShards)
+	sh := &st.shards[shard]
 	sh.mu.Lock()
+	snap = clock.Load()
 	sh.counts[snap]++
 	sh.mu.Unlock()
-	return i
+	return snap, shard
 }
 
 func (st *snapshotTracker) release(snap int64, shard int) {
@@ -867,9 +870,10 @@ func (st *snapshotTracker) release(snap int64, shard int) {
 }
 
 // min returns the oldest active snapshot, or fallback if none are active.
-// The scan is per-shard, not globally atomic: a transaction beginning during
-// the scan has a snapshot no older than fallback (the clock never retreats),
-// so the result is always a safe GC watermark.
+// The scan is per-shard, not globally atomic: a transaction registering in a
+// shard after the scan passed it read the clock under that shard's lock, so
+// after the caller read fallback — its snapshot is no older than fallback
+// (the clock never retreats), and the result is always a safe GC watermark.
 func (st *snapshotTracker) min(fallback int64) int64 {
 	m := fallback
 	for i := range st.shards {

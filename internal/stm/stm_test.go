@@ -269,12 +269,36 @@ func TestValidateMissingBoxStillValid(t *testing.T) {
 	s := NewStore()
 	tx := s.Begin(false)
 	defer tx.Abort()
-	// Reading a missing box fails but leaves no read-set entry to invalidate.
+	// Reading a missing box fails and records a read of its initial version,
+	// which stays valid while the box stays missing.
 	if _, err := tx.Read("ghost"); !errors.Is(err, ErrNoSuchBox) {
 		t.Fatalf("Read = %v", err)
 	}
+	if rs := tx.ReadSet(); len(rs) != 1 || rs[0] != (ReadEntry{Box: "ghost"}) {
+		t.Fatalf("ReadSet = %+v, want a read of ghost's initial version", rs)
+	}
 	if !tx.Validate() {
-		t.Fatal("Validate failed on empty read-set")
+		t.Fatal("Validate failed while the box is still missing")
+	}
+}
+
+// TestAbsentReadsConflict: two transactions both find k absent and both
+// create it. Exactly one commits; the other's read of "absent" is stale, or
+// the first increment of a key could be lost (both would write 1).
+func TestAbsentReadsConflict(t *testing.T) {
+	s := NewStore()
+	a, b := s.Begin(false), s.Begin(false)
+	for _, tx := range []*Txn{a, b} {
+		if _, err := tx.Read("k"); !errors.Is(err, ErrNoSuchBox) {
+			t.Fatalf("Read = %v, want ErrNoSuchBox", err)
+		}
+		_ = tx.Write("k", 1)
+	}
+	if err := a.Commit(txnID(1)); err != nil {
+		t.Fatalf("first Commit = %v", err)
+	}
+	if err := b.Commit(txnID(2)); !errors.Is(err, ErrConflict) {
+		t.Fatalf("second Commit = %v, want ErrConflict", err)
 	}
 }
 

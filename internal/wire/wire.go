@@ -48,8 +48,9 @@ import (
 
 // Version is the wire format version carried by the handshake and every
 // frame. Bump it for any incompatible layout change: mixed-version clusters
-// must fail at handshake, not corrupt.
-const Version = 1
+// must fail at handshake, not corrupt. Version 2: gcs data frames carry
+// piggybacked acknowledgements.
+const Version = 2
 
 // Errors returned by decode paths.
 var (
