@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,6 +327,59 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	if st.Shed < overShed {
 		t.Fatalf("server shed counter %d < client-observed %d", st.Shed, overShed)
+	}
+}
+
+// TestWorkersBoundedPerConnection: a connection executes its requests on at
+// most MaxInflight reused workers, not on a goroutine per request, and they
+// exit with the connection.
+func TestWorkersBoundedPerConnection(t *testing.T) {
+	const maxInflight = 4
+	baseline := runtime.NumGoroutine()
+	var (
+		mu      sync.Mutex
+		execs   int
+		workers = make(map[string]bool) // goroutine IDs that ran Exec
+	)
+	backend := BackendFunc(func(op wire.Op, key string, arg int64) (int64, error) {
+		buf := make([]byte, 64)
+		id := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1] // "goroutine <id> [running]:"
+		mu.Lock()
+		execs++
+		workers[id] = true
+		mu.Unlock()
+		return arg, nil
+	})
+	s, err := Serve("127.0.0.1:0", Config{Backend: backend, MaxInflight: maxInflight, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Dial(ClientConfig{Addr: s.Addr(), Conns: 1})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ { // more callers than slots, so the pool fills
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				if _, err := c.Inc("k", 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if execs != 2000 || len(workers) > maxInflight {
+		t.Fatalf("%d requests ran on %d goroutines, want 2000 on at most %d", execs, len(workers), maxInflight)
+	}
+	_ = c.Close()
+	_ = s.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not return to the baseline after Close: %d now vs %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

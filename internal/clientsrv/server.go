@@ -39,9 +39,9 @@ import (
 var ErrNotFound = errors.New("clientsrv: key not found")
 
 // Backend executes one client operation. Implementations must be safe for
-// concurrent use; the server calls Exec from one goroutine per admitted
-// request. Returning ErrNotFound maps to wire.StatusNotFound, any other
-// error to wire.StatusErr.
+// concurrent use; the server calls Exec from a pool of up to MaxInflight
+// worker goroutines per connection. Returning ErrNotFound maps to
+// wire.StatusNotFound, any other error to wire.StatusErr.
 type Backend interface {
 	Exec(op wire.Op, key string, arg int64) (int64, error)
 }
@@ -252,6 +252,13 @@ func (s *Server) handle(conn net.Conn) {
 	// read loop stalls frame intake at the limit, which is exactly the
 	// backpressure contract.
 	sem := make(chan struct{}, s.cfg.MaxInflight)
+	// work hands admitted requests to this connection's workers, started on
+	// demand up to MaxInflight and kept: a worker's stack has grown to what
+	// a transaction needs by its first request. They exit when the read loop
+	// does.
+	work := make(chan wire.Request)
+	defer close(work)
+	workers := 0
 	var buf []byte
 	for {
 		body, nbuf, err := wire.ReadFrame(br, buf, wire.MaxClientFrame)
@@ -292,14 +299,31 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.inflight.Add(1)
 		s.admitted.Add(1)
-		s.wg.Add(1)
-		go func(q wire.Request) {
-			defer s.wg.Done()
-			w.send(s.exec(q))
-			s.inflight.Add(-1)
-			s.completed.Add(1)
-			<-sem
-		}(q)
+		select {
+		case work <- q: // an idle worker takes it
+		default:
+			if workers < s.cfg.MaxInflight {
+				workers++
+				s.wg.Add(1)
+				go s.worker(w, q, work, sem)
+			} else {
+				// Every worker is busy or just released its slot: the
+				// semaphore let this request in, so one is on its way back.
+				work <- q
+			}
+		}
+	}
+}
+
+// worker executes q, then every request handed to it on work until the
+// connection's read loop closes it.
+func (s *Server) worker(w *connWriter, q wire.Request, work <-chan wire.Request, sem <-chan struct{}) {
+	defer s.wg.Done()
+	for ok := true; ok; q, ok = <-work {
+		w.send(s.exec(q))
+		s.inflight.Add(-1)
+		s.completed.Add(1)
+		<-sem
 	}
 }
 

@@ -480,7 +480,8 @@ type senderChannel struct {
 // state snapshots and installs.
 type applyScheduler struct {
 	mu          sync.Mutex
-	cond        *sync.Cond // wakes workers (ready work) and drainers (idle)
+	work        *sync.Cond // a parked worker: one per task that becomes ready
+	idle        *sync.Cond // drainers: a shard's last task finished
 	byClass     map[lease.ConflictClass]*applyTask
 	bySender    map[senderChannel]*applyTask
 	ready       []*applyTask
@@ -499,7 +500,8 @@ func newApplyScheduler(workers, shards int) *applyScheduler {
 		bySender: make(map[senderChannel]*applyTask),
 		inFlight: make([]int, shards),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.mu)
+	s.idle = sync.NewCond(&s.mu)
 	s.workers.Add(workers)
 	for i := 0; i < workers; i++ {
 		go s.worker()
@@ -535,7 +537,7 @@ func (s *applyScheduler) submit(t *applyTask) {
 	s.inFlightAll++
 	if t.pending == 0 {
 		s.ready = append(s.ready, t)
-		s.cond.Broadcast()
+		s.work.Signal()
 	}
 	s.mu.Unlock()
 }
@@ -549,7 +551,7 @@ func (s *applyScheduler) worker() {
 				s.mu.Unlock()
 				return
 			}
-			s.cond.Wait()
+			s.work.Wait()
 		}
 		t := s.ready[len(s.ready)-1]
 		s.ready = s.ready[:len(s.ready)-1]
@@ -578,12 +580,16 @@ func (s *applyScheduler) worker() {
 			d.pending--
 			if d.pending == 0 {
 				s.ready = append(s.ready, d)
+				s.work.Signal()
 			}
 		}
 		t.dependents = nil
-		s.inFlight[t.shard]--
-		s.inFlightAll--
-		s.cond.Broadcast()
+		if s.inFlight[t.shard]--; s.inFlight[t.shard] == 0 {
+			s.idle.Broadcast()
+		}
+		if s.inFlightAll--; s.closed && s.inFlightAll == 0 {
+			s.work.Broadcast() // the queue ran dry: parked workers exit
+		}
 	}
 }
 
@@ -597,7 +603,7 @@ func (s *applyScheduler) worker() {
 func (s *applyScheduler) drain(shard int) {
 	s.mu.Lock()
 	for s.inFlight[shard] > 0 {
-		s.cond.Wait()
+		s.idle.Wait()
 	}
 	s.mu.Unlock()
 }
@@ -609,7 +615,8 @@ func (s *applyScheduler) drain(shard int) {
 func (s *applyScheduler) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
+	s.work.Broadcast()
+	s.idle.Broadcast()
 	s.mu.Unlock()
 	s.workers.Wait()
 }

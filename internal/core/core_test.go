@@ -296,6 +296,71 @@ func TestApplySchedulerDrainWaitsForItsShardOnly(t *testing.T) {
 	}
 }
 
+// TestApplySchedulerDrainDoesNotTakeWorkerWakeups: a task that becomes ready
+// wakes one parked worker, never a drainer in its place, and a drain blocked
+// behind a running task returns once it finishes while the other workers stay
+// parked. The drainer starts waiting before the second worker parks, and
+// nothing wakes either in between, so on a cond shared by both the drainer
+// would be first in line for the next task's wake-up.
+func TestApplySchedulerDrainDoesNotTakeWorkerWakeups(t *testing.T) {
+	s := newApplyScheduler(2, 2)
+	defer s.close()
+	var (
+		mu                 sync.Mutex
+		order              []string
+		release0, release1 = make(chan struct{}), make(chan struct{})
+		free0, free1       sync.Once // a failing test still lets close return
+		open               = make(chan struct{})
+	)
+	defer free0.Do(func() { close(release0) })
+	defer free1.Do(func() { close(release1) })
+	close(open)
+	long, longStarted := gatedTask("long", []lease.ConflictClass{1}, 1, 0, release0, &mu, &order)
+	short, shortStarted := gatedTask("short", []lease.ConflictClass{2}, 2, 1, release1, &mu, &order)
+	behind, _ := gatedTask("behind-long", []lease.ConflictClass{1}, 3, 1, open, &mu, &order)
+	s.submit(long)
+	s.submit(short)
+	s.submit(behind) // keeps shard 1 busy until long finishes
+	within(t, longStarted, "first task to start")
+	within(t, shortStarted, "second task to start")
+
+	drained := make(chan struct{})
+	go func() { s.drain(0); close(drained) }()
+	stillBlocked(t, drained, "drain(0) returned while shard 0's task was running")
+	free1.Do(func() { close(release1) })
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		running := s.running
+		s.mu.Unlock()
+		if running == 1 {
+			break // the second worker has parked again
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second task never finished")
+		}
+	}
+
+	late, lateStarted := gatedTask("late", []lease.ConflictClass{3}, 4, 1, open, &mu, &order)
+	s.submit(late)
+	within(t, lateStarted, "a task submitted while a drainer waits to start")
+	stillBlocked(t, drained, "drain(0) returned while shard 0's task was running")
+
+	free0.Do(func() { close(release0) })
+	within(t, drained, "drain(0) after its task finished")
+	s.drain(1)
+	s.mu.Lock()
+	running, ready := s.running, len(s.ready)
+	s.mu.Unlock()
+	if running != 0 || ready != 0 {
+		t.Fatalf("after the drains: %d running, %d ready, want every worker parked", running, ready)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 4 {
+		t.Fatalf("completed %v, want all four tasks", order)
+	}
+}
+
 // TestApplySchedulerCloseWaitsForWorkers: close must not return while a task
 // is running or queued — Replica.Close relies on it to close the WAL only
 // after the last applyEntries returned.

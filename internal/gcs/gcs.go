@@ -14,11 +14,16 @@
 // the payload and sends it to the other view members, and a message is
 // UR-delivered once a majority of the view is known to hold it and its causal
 // predecessors (tracked by a per-view vector clock) have been delivered — two
-// communication steps in the failure-free case. A data frame is its sender's
-// acknowledgement; receivers acknowledge at once to the sender, and to all
-// only in views of four or more. In smaller views a receiver's quorum is
-// itself plus the sender, so its ack to the other receiver (stability only)
-// rides the next data frame to it, or leaves at the next tick.
+// communication steps in the failure-free case. An acknowledgement is a
+// cumulative held vector: per sender, the highest seq up to which the
+// acknowledging process holds every message. A data frame is its sender's
+// acknowledgement of its own messages up to it. In views of four or more
+// every receiver acknowledges to every member at once; in smaller views a
+// receiver's quorum is itself plus the sender, and the sender needs one
+// acknowledgement, so only the sender's designated receiver (the next member
+// in view order, or any receiver once that one is quiet) sends it at once.
+// Every other acknowledgement serves stability only and rides the next data
+// frame to its peer, or leaves at the next tick.
 //
 // Atomic broadcast is layered on URB with a fixed sequencer (the view
 // coordinator): the payload is Opt-delivered at first receipt (one step),
@@ -42,7 +47,7 @@ package gcs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,27 +81,17 @@ func (v View) Coordinator() transport.ID {
 	if len(v.Members) == 0 {
 		return transport.Nobody
 	}
-	min := v.Members[0]
-	for _, m := range v.Members[1:] {
-		if m < min {
-			min = m
-		}
-	}
-	return min
+	return slices.Min(v.Members)
 }
 
 // Quorum returns the majority threshold of the view.
 func (v View) Quorum() int { return len(v.Members)/2 + 1 }
 
 // Contains reports whether id is a member of the view.
-func (v View) Contains(id transport.ID) bool {
-	for _, m := range v.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
+func (v View) Contains(id transport.ID) bool { return v.index(id) >= 0 }
+
+// index returns id's position in v.Members, or -1.
+func (v View) index(id transport.ID) int { return slices.Index(v.Members, id) }
 
 func (v View) String() string {
 	return fmt.Sprintf("view(%d, members=%v, primary=%t)", v.ID, v.Members, v.Primary)
@@ -187,10 +182,7 @@ func (c *Config) fillDefaults() {
 		c.RetransmitAfter = 4 * c.HeartbeatInterval
 	}
 	if c.Tick <= 0 {
-		c.Tick = c.HeartbeatInterval / 4
-		if c.Tick < time.Millisecond {
-			c.Tick = time.Millisecond
-		}
+		c.Tick = max(c.HeartbeatInterval/4, time.Millisecond)
 	}
 }
 
@@ -244,10 +236,9 @@ type Endpoint struct {
 	// flush state (proposer side)
 	prop           *proposal
 	lastProposalID uint64
-	pendingSend    *pendingInstall
+	pendingSend    *pendingInstall // install not yet shipped: the outbox holds
 	// flush state (member side)
 	answeredProposal uint64
-	preparedBy       transport.ID
 	blockedSince     time.Time
 
 	// timers
@@ -255,12 +246,10 @@ type Endpoint struct {
 	lastJoinReq time.Time
 	wantJoin    bool
 
-	// pending handler upcalls, collected under mu, invoked outside it
-	upcalls []func()
-
-	// acks holds the acknowledgements owed to each view member, indexed like
-	// view.Members; reset at every install.
-	acks []owedAcks
+	// pending handler upcalls, collected under mu, invoked outside it by the
+	// dispatcher, which keeps the last batch's buffer in ran for reuse
+	upcalls []upcall
+	ran     []upcall
 
 	// urbHook, when set (tests only, before Start), observes under mu every
 	// message this process stages or UR-delivers.
@@ -282,14 +271,21 @@ type outMsg struct {
 	group *Group
 }
 
-// owedAcks is the acknowledgement backlog towards one peer: due, it leaves this
-// round; else it rides the next data frame to the peer, the tick or maxOwedAcks.
-type owedAcks struct {
-	ids []msgID
-	due bool
+// upcall is one queued handler invocation: call(handler, from, body), call
+// being a Handler method expression or one of the adapters below.
+type upcall struct {
+	call func(Handler, transport.ID, any)
+	from transport.ID
+	body any
 }
 
-const maxOwedAcks = 256
+func onViewChange(h Handler, _ transport.ID, v any)  { h.OnViewChange(v.(View)) }
+func onEjected(h Handler, _ transport.ID, _ any)     { h.OnEjected() }
+func installState(h Handler, _ transport.ID, st any) { h.InstallState(st) }
+
+// maxMembers bounds a group's size, and so every member-indexed vector a
+// frame may carry.
+const maxMembers = 64
 
 // urbEvent is what urbHook observes: a message first held by this process,
 // UR-delivered (on a quorum, or Committed), or delivered from a final set.
@@ -304,11 +300,11 @@ const (
 // NewEndpoint creates and starts a GCS endpoint over the given transport.
 func NewEndpoint(tr transport.Transport, h Handler, cfg Config) (*Endpoint, error) {
 	cfg.fillDefaults()
-	if len(cfg.Members) == 0 {
-		return nil, errors.New("gcs: empty member set")
+	if len(cfg.Members) == 0 || len(cfg.Members) > maxMembers {
+		return nil, fmt.Errorf("gcs: %d members, want 1 to %d", len(cfg.Members), maxMembers)
 	}
 	members := append([]transport.ID(nil), cfg.Members...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 
 	e := &Endpoint{
 		cfg:           cfg,
@@ -331,13 +327,11 @@ func NewEndpoint(tr transport.Transport, h Handler, cfg Config) (*Endpoint, erro
 		e.inPrimary = false
 		// Placeholder view; the real one arrives with the state transfer.
 		e.view = View{ID: 0, Members: members}
-		e.vs = newViewState(e.view)
 	} else {
 		e.view = initial
 		e.inPrimary = true
-		e.vs = newViewState(initial)
 	}
-	e.acks = make([]owedAcks, len(members))
+	e.vs = newViewState(e.view, e.self)
 	now := time.Now()
 	for _, m := range members {
 		e.lastHeard[m] = now
@@ -354,9 +348,7 @@ func (e *Endpoint) Start() {
 	if !e.cfg.Joining {
 		// Announce the initial view to the application.
 		e.mu.Lock()
-		v := e.view
-		h := e.handler
-		e.enqueueUpcall(func() { h.OnViewChange(v) })
+		e.enqueueUpcall(onViewChange, 0, e.view)
 		e.mu.Unlock()
 		e.kick()
 	}
@@ -404,10 +396,15 @@ type QueueStats struct {
 func (e *Endpoint) QueueStats() QueueStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var pending, retained int
+	for s := range e.vs.pending {
+		pending += len(e.vs.pending[s])
+		retained += len(e.vs.retained[s])
+	}
 	return QueueStats{
 		Outbox:      len(e.outbox),
-		URBPending:  len(e.vs.pending),
-		URBRetained: len(e.vs.retained),
+		URBPending:  pending,
+		URBRetained: retained,
 		SeqQueue:    len(e.vs.seqQueue),
 		Dispatch:    len(e.tr.Inbox()),
 	}
@@ -475,8 +472,8 @@ func (e *Endpoint) logf(format string, args ...any) {
 }
 
 // enqueueUpcall schedules a handler invocation; must be called with mu held.
-func (e *Endpoint) enqueueUpcall(f func()) {
-	e.upcalls = append(e.upcalls, f)
+func (e *Endpoint) enqueueUpcall(call func(Handler, transport.ID, any), from transport.ID, body any) {
+	e.upcalls = append(e.upcalls, upcall{call, from, body})
 }
 
 // run is the dispatcher: the single goroutine that processes network input,
@@ -523,34 +520,37 @@ func (e *Endpoint) run() {
 func (e *Endpoint) runUpcalls() {
 	for {
 		e.mu.Lock()
-		if len(e.upcalls) == 0 {
+		calls := e.upcalls
+		if len(calls) == 0 {
 			e.mu.Unlock()
 			return
 		}
-		calls := e.upcalls
-		e.upcalls = nil
+		e.upcalls = e.ran[:0]
 		e.mu.Unlock()
-		for _, f := range calls {
-			f()
+		for i := range calls {
+			calls[i].call(e.handler, calls[i].from, calls[i].body)
+			calls[i] = upcall{}
 		}
+		e.ran = calls
 	}
 }
 
 // drainOutbox transmits queued application broadcasts unless a flush is in
-// progress. A group part at the head is not popped: it holds the outbox
-// until the group completes (all sibling parts at their heads) or fails.
+// progress or this process's install has not left yet. A group part at the
+// head is not popped: it holds the outbox until the group completes (all
+// sibling parts at their heads) or fails.
 func (e *Endpoint) drainOutbox() {
 	var attempt *Group
 	for {
 		e.mu.Lock()
-		if e.blocked || e.joining || len(e.outbox) == 0 || e.stopped {
+		if e.blocked || e.pendingSend != nil || e.joining || len(e.outbox) == 0 || e.stopped {
 			e.mu.Unlock()
 			break
 		}
 		m := e.outbox[0]
 		if g := m.group; g != nil {
 			if g.canceled() {
-				e.outbox = e.outbox[1:]
+				e.outbox = slices.Delete(e.outbox, 0, 1)
 				e.mu.Unlock()
 				continue
 			}
@@ -558,7 +558,7 @@ func (e *Endpoint) drainOutbox() {
 			attempt = g
 			break
 		}
-		e.outbox = e.outbox[1:]
+		e.outbox = slices.Delete(e.outbox, 0, 1)
 		if !e.inPrimary {
 			e.mu.Unlock()
 			continue
@@ -574,43 +574,58 @@ func (e *Endpoint) drainOutbox() {
 }
 
 // broadcastDataLocked assigns identity and vector clock to a message, stages
-// it (the sender holds it from here on) and sends it to the other members; a
-// member owed acknowledgements gets its own copy of the frame carrying them.
+// it (the sender holds it from here on) and sends it to the other members.
+// When any of them is owed an acknowledgement the frame carries this
+// process's held vector, which settles what is owed to all of them.
 func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
 	vs := e.vs
-	vs.mySeq++
-	d := &urbData{
-		View: e.view.ID,
-		ID:   msgID{Sender: e.self, Seq: vs.mySeq},
-		Kind: kind,
-		VC:   vs.deliveredVector(),
-		Body: body,
+	if vs.self < 0 {
+		e.logf("broadcast outside the installed view %v dropped", e.view)
+		return
 	}
-	e.stageLocked(d)
-	for i, m := range e.view.Members {
-		if m == e.self {
-			continue
+	owes := false
+	for _, o := range vs.owed {
+		owes = owes || o.n > 0
+	}
+	d := e.stageOwnLocked(kind, body, owes)
+	if owes {
+		clear(vs.owed)
+	}
+	for k, m := range e.view.Members {
+		if k != vs.self {
+			_ = e.tr.Send(m, d)
 		}
-		out := d
-		if a := &e.acks[i]; len(a.ids) > 0 {
-			cp := *d
-			cp.Acks = a.ids
-			out = &cp
-			*a = owedAcks{}
-		}
-		_ = e.tr.Send(m, out)
 	}
 	e.tryDeliverLocked()
 }
 
-// flushAcks transmits every due acknowledgement backlog to its peer.
+// stageOwnLocked assigns identity and vector clock (and, withHeld, the held
+// vector) to a broadcast of this process and stages it.
+func (e *Endpoint) stageOwnLocked(kind byte, body any, withHeld bool) *urbData {
+	vs := e.vs
+	vs.mySeq++
+	d := &urbData{View: e.view.ID, ID: msgID{Sender: e.self, Seq: vs.mySeq}, Kind: kind, Body: body}
+	d.VC, d.Acks = vs.vectors(withHeld)
+	e.stageLocked(vs.self, d)
+	return d
+}
+
+// flushAcks sends this process's held vector to every peer it is due to.
 func (e *Endpoint) flushAcks() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.acks {
-		if a := &e.acks[i]; a.due && !e.stopped {
-			_ = e.tr.Send(e.view.Members[i], &urbAck{View: e.view.ID, From: e.self, IDs: a.ids})
-			*a = owedAcks{}
+	if e.stopped {
+		return
+	}
+	vs := e.vs
+	var a *urbAck
+	for k := range vs.owed {
+		if o := &vs.owed[k]; o.due {
+			if a == nil {
+				a = &urbAck{View: e.view.ID, From: e.self, Held: append([]uint64(nil), vs.held...)}
+			}
+			_ = e.tr.Send(vs.view.Members[k], a)
+			*o = owedAck{}
 		}
 	}
 }

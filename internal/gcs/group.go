@@ -1,6 +1,11 @@
 package gcs
 
-import "github.com/alcstm/alc/internal/transport"
+import (
+	"slices"
+	"sync"
+
+	"github.com/alcstm/alc/internal/transport"
+)
 
 // Group is a cross-channel atomic broadcast: one application message per
 // endpoint, transmitted to every peer in a single parent-transport frame
@@ -13,8 +18,8 @@ import "github.com/alcstm/alc/internal/transport"
 // the commit: one portion achieves uniform delivery, the sibling was never
 // sent. The group closes that window with three properties:
 //
-//  1. All-or-nothing transmission — the initial send is ONE frame per peer
-//     (transport.SendGroup), so every part exists at a peer or none does.
+//  1. All-or-nothing transmission — every send, retransmissions included, is
+//     ONE frame per peer (SendGroup), so every part reaches a peer or none.
 //  2. Sender-side injection — each part is staged in its own channel's
 //     pending set, as every broadcast is, so the origin's retransmission,
 //     non-sender relay, and view-change flush/resubmission machinery cover
@@ -28,10 +33,10 @@ import "github.com/alcstm/alc/internal/transport"
 // Mechanics: each part head-of-line-blocks its outbox (drainOutbox stops at
 // it without popping). Whenever a dispatcher finds a group part at its head
 // it calls tryComplete, which locks every involved endpoint in creation
-// order, verifies all parts are at their heads with their endpoints healthy,
-// and then — atomically under all the locks — pops the parts, assigns each
-// its sequence number and vector clock, self-injects it, and collects the
-// sends. The last endpoint to become ready completes the group. A group on
+// order, verifies all parts are at their heads with their endpoints healthy
+// and no earlier broadcast of theirs possibly lost (unheardOwn), and then —
+// atomically under all the locks — pops the parts, assigns each its sequence
+// number and vector clock, self-injects it, and collects the sends. The last endpoint to become ready completes the group. A group on
 // an ejected endpoint can never complete; Fail drops the queued sibling
 // parts so their outboxes unblock (the caller fails the commit waiter).
 type Group struct {
@@ -40,24 +45,23 @@ type Group struct {
 	// failMu guards done and failed. Lock order: any endpoint mu before
 	// failMu (tryComplete and the drainOutbox cancellation check both hold
 	// an endpoint's mu when they take it; Fail holds none).
-	failMu chMutex
+	failMu sync.Mutex
 	done   bool
 	failed bool
 }
 
-// chMutex is a tiny channel-based mutex so Group needs no sync import churn.
-type chMutex chan struct{}
-
-func newChMutex() chMutex { m := make(chMutex, 1); return m }
-
-func (m chMutex) lock()   { m <- struct{}{} }
-func (m chMutex) unlock() { <-m }
+// groupFrame is a completed group's transmission: each part on its endpoint's
+// transport.
+type groupFrame struct {
+	trs      []transport.Transport
+	payloads []any
+}
 
 // NewGroup creates a group over the given endpoints. The slice order is the
 // lock order used by completion; callers must use one consistent order for
 // all groups (ascending shard index).
 func NewGroup(eps ...*Endpoint) *Group {
-	return &Group{eps: eps, failMu: newChMutex()}
+	return &Group{eps: eps}
 }
 
 // Fail cancels a group that can no longer complete (a part's endpoint was
@@ -66,27 +70,27 @@ func NewGroup(eps ...*Endpoint) *Group {
 // cancellation is clean all-or-nothing. Idempotent; a no-op after the group
 // completed.
 func (g *Group) Fail() {
-	g.failMu.lock()
+	g.failMu.Lock()
 	if !g.done {
 		g.failed = true
 	}
-	g.failMu.unlock()
+	g.failMu.Unlock()
 	for _, e := range g.eps {
 		e.kick()
 	}
 }
 
 func (g *Group) canceled() bool {
-	g.failMu.lock()
+	g.failMu.Lock()
 	c := g.failed
-	g.failMu.unlock()
+	g.failMu.Unlock()
 	return c
 }
 
 func (g *Group) finished() bool {
-	g.failMu.lock()
+	g.failMu.Lock()
 	f := g.done || g.failed
-	g.failMu.unlock()
+	g.failMu.Unlock()
 	return f
 }
 
@@ -122,77 +126,54 @@ func (g *Group) tryComplete() {
 			g.eps[i].mu.Unlock()
 		}
 	}
-	g.failMu.lock()
+	g.failMu.Lock()
 	if g.done || g.failed {
-		g.failMu.unlock()
+		g.failMu.Unlock()
 		unlockAll()
 		return
 	}
 	for _, e := range g.eps {
-		if e.stopped || e.blocked || e.joining || !e.inPrimary ||
-			len(e.outbox) == 0 || e.outbox[0].group != g {
-			// Not all parts ready (or an endpoint is mid-flush/ejected):
-			// retry when that endpoint's dispatcher next kicks.
-			g.failMu.unlock()
+		if e.stopped || e.blocked || e.pendingSend != nil || e.joining || !e.inPrimary || e.vs.self < 0 ||
+			len(e.outbox) == 0 || e.outbox[0].group != g || e.vs.unheardOwn(e.cfg.Tick) {
+			// Not all parts ready (or an endpoint is mid-flush/ejected, or an
+			// earlier broadcast of its may be lost: a part staged behind it
+			// could never be delivered while a sibling part is): retry when
+			// that endpoint's dispatcher next kicks.
+			g.failMu.Unlock()
 			unlockAll()
 			return
 		}
 	}
 
 	// All parts at their heads, all endpoints healthy: assign identities and
-	// self-inject under the locks, transmit after releasing them.
-	type partSend struct {
-		tr      transport.Transport
-		self    transport.ID
-		members []transport.ID
-		data    *urbData
-	}
-	sends := make([]partSend, 0, len(g.eps))
-	for _, e := range g.eps {
-		m := e.outbox[0]
-		e.outbox = e.outbox[1:]
-		vs := e.vs
-		vs.mySeq++
-		d := &urbData{
-			View: e.view.ID,
-			ID:   msgID{Sender: e.self, Seq: vs.mySeq},
-			Kind: m.kind,
-			VC:   vs.deliveredVector(),
-			Body: m.body,
-		}
-		e.stageLocked(d)
-		e.tryDeliverLocked()
-		sends = append(sends, partSend{
-			tr:      e.tr,
-			self:    e.self,
-			members: append([]transport.ID(nil), e.view.Members...),
-			data:    d,
-		})
-	}
-	g.done = true
-	g.failMu.unlock()
-	unlockAll()
-
+	// self-inject under the locks, transmit after releasing them. Every part
+	// keeps the frame: its retransmission resends all parts, which a heal or
+	// a crash between per-part retransmissions would split.
+	f := &groupFrame{trs: make([]transport.Transport, len(g.eps)), payloads: make([]any, len(g.eps))}
 	// One frame per peer carrying every part. The peer set is the union of
 	// the parts' view memberships (they agree outside view-change windows);
 	// a part sent to a peer outside its own view is dropped there by the
 	// stale-view check, exactly like any late unicast.
 	peers := make(map[transport.ID]bool)
-	for _, s := range sends {
-		for _, m := range s.members {
-			if m != s.self {
-				peers[m] = true
+	for i, e := range g.eps {
+		m := e.outbox[0]
+		e.outbox = slices.Delete(e.outbox, 0, 1)
+		d := e.stageOwnLocked(m.kind, m.body, false)
+		lookup(e.vs.pending[e.vs.self], d.ID.Seq).group = f
+		f.trs[i], f.payloads[i] = e.tr, d
+		for _, p := range e.view.Members {
+			if p != e.self {
+				peers[p] = true
 			}
 		}
+		e.tryDeliverLocked()
 	}
-	trs := make([]transport.Transport, len(sends))
-	payloads := make([]any, len(sends))
-	for i, s := range sends {
-		trs[i] = s.tr
-		payloads[i] = s.data
-	}
+	g.done = true
+	g.failMu.Unlock()
+	unlockAll()
+
 	for p := range peers {
-		_ = transport.SendGroup(p, trs, payloads)
+		_ = transport.SendGroup(p, f.trs, f.payloads)
 	}
 	for _, e := range g.eps {
 		e.kick() // run any ready upcalls

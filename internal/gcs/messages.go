@@ -24,36 +24,39 @@ func (id msgID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq)
 
 // urbData is the single wire format for all broadcast payloads. Every
 // broadcast (URB, OAB payload, internal order batch) is disseminated
-// uniform-reliably: the frame is its sender's (or relaying member's) ack, and
-// the message is UR-delivered once a majority is known to hold it and its
-// causal predecessors (VC) have been delivered.
+// uniform-reliably: the frame is its sender's ack of its own messages up to
+// it, and the message is UR-delivered once a majority is known to hold it and
+// its causal predecessors (VC) have been delivered. Both vectors are indexed
+// like the view's Members.
 type urbData struct {
 	View uint64
 	ID   msgID
 	Kind byte
 	// VC is the sender's delivered-count vector at send time: VC[p] is the
-	// number of messages from p the sender had UR-delivered. Delivery is
-	// delayed until the local delivered vector dominates VC, which yields
-	// causal order (and per-sender FIFO via VC[sender] = Seq-1).
-	VC   map[transport.ID]uint64
+	// number of messages from member p the sender had UR-delivered. Delivery
+	// is delayed until the local delivered vector dominates VC, which yields
+	// causal order (per-sender FIFO comes from the sequence numbers).
+	VC   []uint64
 	Body any
 	// Committed marks a retransmission of a message its sender has already
 	// UR-delivered (hence majority-stable): late receivers may deliver it
 	// without re-collecting acknowledgements, which would otherwise be
 	// impossible — the historical acks are not replayed.
 	Committed bool
-	// Acks are acknowledgements the sender owed the receiver, piggybacked on
-	// a live send (never on a retransmission, flush or install) and cleared
-	// on receipt.
-	Acks []msgID
+	// Acks, when set, is the sender's held vector at send time (see urbAck).
+	// It is attached when the sender owes a peer an acknowledgement, and
+	// stays true for the rest of the view, so copies carry it everywhere.
+	Acks []uint64
 }
 
-// urbAck acknowledges a batch of messages to one member, for its quorum or for
-// stability (a message the full view holds can be garbage collected).
+// urbAck is one member's cumulative acknowledgement, for its peers' quorum
+// checks and for stability (a message the full view holds can be garbage
+// collected): Held[s] is the highest seq such that From holds every message
+// from member s up to it.
 type urbAck struct {
 	View uint64
 	From transport.ID
-	IDs  []msgID
+	Held []uint64
 }
 
 // orderEntry assigns a global sequence number to an OAB payload.
@@ -111,10 +114,6 @@ type vcFlush struct {
 	// known stable (acknowledged by the full view), including already
 	// delivered ones so the coordinator can retransmit to laggards.
 	Unstable []*urbData
-	// Delivered is the member's delivered-count vector.
-	Delivered map[transport.ID]uint64
-	// NextGSeq is the member's next-expected total-order sequence number.
-	NextGSeq uint64
 	// Orders are the member's known, not-yet-TO-delivered order assignments.
 	Orders []orderEntry
 	// SeqNext is meaningful on the old sequencer: the next unassigned GSeq.
@@ -141,9 +140,6 @@ type vcInstall struct {
 	// view's deliveries.
 	HasState bool
 	State    any
-	// Clock is the delivered-vector after processing Deliveries, used by
-	// joiners to adopt the group's progress without replaying it.
-	Clock map[transport.ID]uint64
 }
 
 // ejectNotice tells a process it is not part of the installed view (it has

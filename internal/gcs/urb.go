@@ -1,7 +1,8 @@
 package gcs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -10,21 +11,27 @@ import (
 // viewState is the per-view protocol state. It is replaced wholesale at each
 // view installation, which keeps message identities (view, sender, seq)
 // unambiguous and lets old-view traffic be dropped by a single comparison.
+// Every per-process slice is indexed like view.Members.
 type viewState struct {
 	view View
+	self int // this process's index in view.Members, -1 outside it
 
-	mySeq     uint64                  // my next broadcast sequence number
-	delivered map[transport.ID]uint64 // UR-delivered count per sender
-	pending   map[msgID]*pendingMsg   // received, not yet UR-delivered
-	retained  map[msgID]*pendingMsg   // delivered, not yet stable
-	acks      map[msgID]map[transport.ID]bool
-	ackBorn   map[msgID]time.Time // for orphan-ack GC
+	mySeq     uint64         // my next broadcast sequence number
+	delivered []uint64       // UR-delivered count per sender
+	pending   [][]pendingMsg // per sender, by seq: received, not yet UR-delivered
+	retained  [][]pendingMsg // per sender, by seq: delivered, not yet stable
+	// ackedBy[k*n+s] is the highest seq such that member k is known to hold
+	// every message from sender s up to it (n members). This process's own
+	// row is held; a message is held by k members when k rows reach its seq,
+	// and stable when all do.
+	ackedBy []uint64
+	held    []uint64
+	owed    []owedAck // acknowledgements owed to each peer
 
 	// Total order machinery.
-	orders    map[uint64]msgID // gseq -> message
-	orderedAs map[msgID]uint64 // message -> gseq
-	urDone    map[msgID]bool   // OAB payloads UR-delivered, awaiting order
-	nextGSeq  uint64           // next gseq to TO-deliver
+	orders   map[uint64]msgID // gseq -> message
+	urDone   map[msgID]bool   // OAB payloads UR-delivered, awaiting order
+	nextGSeq uint64           // next gseq to TO-deliver
 
 	// Sequencer (coordinator) state.
 	seqNext   uint64
@@ -37,56 +44,150 @@ type pendingMsg struct {
 	data        *urbData
 	sentAt      time.Time // local receipt/send time, drives retransmission
 	resentAt    time.Time
-	toDelivered bool // OAB payloads: body must be retained until TO-delivered
-	committed   bool // a Committed retransmission waives the quorum check
+	toDelivered bool        // OAB payloads: body must be retained until TO-delivered
+	committed   bool        // a Committed retransmission waives the quorum check
+	group       *groupFrame // own group part: retransmitted with its siblings
 }
 
-func newViewState(v View) *viewState {
-	return &viewState{
+// owedAck is this process's acknowledgement backlog towards one peer: n
+// messages staged or re-received since the peer last got its held vector. Due,
+// the vector leaves this round; else it rides the next data frame, the tick
+// or maxOwedAcks.
+type owedAck struct {
+	n   int
+	due bool
+}
+
+const maxOwedAcks = 256
+
+func newViewState(v View, self transport.ID) *viewState {
+	n := len(v.Members)
+	vs := &viewState{
 		view:      v,
-		delivered: make(map[transport.ID]uint64),
-		pending:   make(map[msgID]*pendingMsg),
-		retained:  make(map[msgID]*pendingMsg),
-		acks:      make(map[msgID]map[transport.ID]bool),
-		ackBorn:   make(map[msgID]time.Time),
+		self:      v.index(self),
+		delivered: make([]uint64, n),
+		pending:   make([][]pendingMsg, n),
+		retained:  make([][]pendingMsg, n),
+		ackedBy:   make([]uint64, n*n),
+		owed:      make([]owedAck, n),
 		orders:    make(map[uint64]msgID),
-		orderedAs: make(map[msgID]uint64),
 		urDone:    make(map[msgID]bool),
 	}
-}
-
-// deliveredVector copies the delivered-count vector (the causal clock
-// attached to outgoing messages).
-func (vs *viewState) deliveredVector() map[transport.ID]uint64 {
-	vc := make(map[transport.ID]uint64, len(vs.delivered))
-	for k, v := range vs.delivered {
-		vc[k] = v
+	if vs.self >= 0 {
+		vs.held = vs.ackedBy[vs.self*n : vs.self*n+n]
+	} else {
+		vs.held = make([]uint64, n)
 	}
-	return vc
+	return vs
 }
 
-// ackSet returns the set of members known to hold id (the local process
-// counts itself when it stages the message).
-func (vs *viewState) ackSet(id msgID) map[transport.ID]bool {
-	s, ok := vs.acks[id]
-	if !ok {
-		s = make(map[transport.ID]bool, len(vs.view.Members))
-		vs.acks[id] = s
-		vs.ackBorn[id] = time.Now()
+// vectors returns a copy of the delivered-count vector (the causal clock of
+// an outgoing message) and, if withHeld, of the held vector, in one
+// allocation.
+func (vs *viewState) vectors(withHeld bool) (vc, held []uint64) {
+	if !withHeld {
+		return slices.Clone(vs.delivered), nil
 	}
-	return s
+	n := len(vs.delivered)
+	buf := append(append(make([]uint64, 0, 2*n), vs.delivered...), vs.held...)
+	return buf[:n:n], buf[n:]
 }
 
-// causallyReady reports whether d's causal predecessors have been delivered.
-func (vs *viewState) causallyReady(d *urbData) bool {
-	if d.ID.Seq != vs.delivered[d.ID.Sender]+1 {
+// holders counts the members known to hold message seq from sender s.
+func (vs *viewState) holders(s int, seq uint64) int {
+	n, c := len(vs.delivered), 0
+	for k := 0; k < n; k++ {
+		if vs.ackedBy[k*n+s] >= seq {
+			c++
+		}
+	}
+	return c
+}
+
+// stable returns the highest seq up to which the whole view holds sender s's
+// messages.
+func (vs *viewState) stable(s int) uint64 {
+	n := len(vs.delivered)
+	m := vs.ackedBy[s]
+	for k := 1; k < n; k++ {
+		m = min(m, vs.ackedBy[k*n+s])
+	}
+	return m
+}
+
+// unheardOwn reports whether a broadcast of this process has gone longer than
+// d without any other member known to hold it: acks come back within a round
+// trip, so it may be lost, and its successors would wait for it everywhere.
+func (vs *viewState) unheardOwn(d time.Duration) bool {
+	n, held := len(vs.delivered), uint64(0)
+	for k := 0; k < n; k++ {
+		if k != vs.self {
+			held = max(held, vs.ackedBy[k*n+vs.self])
+		}
+	}
+	q := vs.pending[vs.self]
+	i, _ := slices.BinarySearchFunc(q, held+1, bySeq)
+	return i < len(q) && time.Since(q[i].sentAt) > d
+}
+
+// credit records that member k holds every message from sender s up to seq.
+func (vs *viewState) credit(k, s int, seq uint64) {
+	if p := &vs.ackedBy[k*len(vs.delivered)+s]; seq > *p {
+		*p = seq
+		vs.prune(s)
+	}
+}
+
+// prune drops sender s's retained messages once the whole view holds them. An
+// OAB payload stays until TO-delivered: the TO upcall reads its body here.
+func (vs *viewState) prune(s int) {
+	q, st := vs.retained[s], vs.stable(s)
+	i, w := 0, 0
+	for ; i < len(q) && q[i].data.ID.Seq <= st; i++ {
+		if q[i].data.Kind == kindOAB && !q[i].toDelivered {
+			q[w] = q[i]
+			w++
+		}
+	}
+	vs.retained[s] = slices.Delete(q, w, i)
+}
+
+// find locates a received message (pending or retained) and its sender's
+// index. Like lookup's, the pointer is valid until the queue changes.
+func (vs *viewState) find(id msgID) (int, *pendingMsg) {
+	s := vs.view.index(id.Sender)
+	if s < 0 {
+		return s, nil
+	}
+	if pm := lookup(vs.retained[s], id.Seq); pm != nil {
+		return s, pm
+	}
+	return s, lookup(vs.pending[s], id.Seq)
+}
+
+func bySeq(pm pendingMsg, seq uint64) int { return cmp.Compare(pm.data.ID.Seq, seq) }
+
+func lookup(q []pendingMsg, seq uint64) *pendingMsg {
+	if i, ok := slices.BinarySearchFunc(q, seq, bySeq); ok {
+		return &q[i]
+	}
+	return nil
+}
+
+// insert puts pm into the seq-ordered q and returns q and pm's position.
+func insert(q []pendingMsg, pm pendingMsg) ([]pendingMsg, int) {
+	i, _ := slices.BinarySearchFunc(q, pm.data.ID.Seq, bySeq)
+	return slices.Insert(q, i, pm), i
+}
+
+// causallyReady reports whether d, from sender s, is next in s's FIFO order
+// and its causal predecessors have been delivered.
+func (vs *viewState) causallyReady(s int, d *urbData) bool {
+	if d.ID.Seq != vs.delivered[s]+1 {
 		return false
 	}
 	for p, c := range d.VC {
-		if p == d.ID.Sender {
-			continue
-		}
-		if vs.delivered[p] < c {
+		if p != s && vs.delivered[p] < c {
 			return false
 		}
 	}
@@ -97,20 +198,19 @@ func (vs *viewState) causallyReady(d *urbData) bool {
 // member from (its sender, or a member relaying it). Called with mu held.
 func (e *Endpoint) handleData(d *urbData, from transport.ID) {
 	vs := e.vs
-	if d.View != e.view.ID {
-		return // old or future view: old is stale, future cannot happen before install
+	s := vs.view.index(d.ID.Sender)
+	if d.View != e.view.ID || s < 0 || s == vs.self || len(d.VC) != len(vs.delivered) {
+		// Old view (stale); future view (a member that installed it first:
+		// its retransmission follows); malformed; or this process's own
+		// message relayed back, staged at broadcast.
+		return
 	}
 	if d.Acks != nil {
-		// The sender's acknowledgements, piggybacked on a live send; this
-		// copy of the frame was made for this process alone.
-		for _, id := range d.Acks {
-			e.noteAckLocked(id, d.ID.Sender)
-		}
-		d.Acks = nil
+		e.noteHeldLocked(s, d.Acks) // the sender's held vector when it sent d
 	}
-	if pm, ok := vs.pending[d.ID]; ok {
+	if pm := lookup(vs.pending[s], d.ID.Seq); pm != nil {
 		pm.committed = pm.committed || d.Committed
-	} else if d.ID.Seq > vs.delivered[d.ID.Sender] {
+	} else if d.ID.Seq > vs.delivered[s] {
 		if e.blocked {
 			// Flush in progress: this process has already reported its
 			// unstable set for the coming view (handlePrepare). Staging — above
@@ -125,141 +225,133 @@ func (e *Endpoint) handleData(d *urbData, from transport.ID) {
 			e.tryDeliverLocked()
 			return
 		}
-		e.stageLocked(d)
+		e.stageLocked(s, d)
 	}
-	// A data frame is its sender's acknowledgement: the sender staged the
-	// message before sending it. A relaying member holds it too; a relay from
-	// outside the view must not count, or a full-looking set could lack a
-	// member. Duplicates and retransmissions are re-acknowledged so that the
-	// sender (or relayer) can reach stability.
-	e.noteAckLocked(d.ID, d.ID.Sender)
-	if from != d.ID.Sender && e.view.Contains(from) {
-		e.noteAckLocked(d.ID, from)
-	}
-	e.ackLocked(d.ID, from)
+	// A data frame is its sender's acknowledgement of everything it sent up
+	// to this message: the sender staged each before sending it. A relaying
+	// member is counted through its own held vector only. Duplicates and
+	// retransmissions are re-acknowledged so that the sender (or relayer) can
+	// reach stability.
+	vs.credit(s, s, d.ID.Seq)
+	e.ackLocked(s, vs.view.index(from))
 	e.tryDeliverLocked()
 }
 
 // stageLocked puts a message this process holds for the first time in
-// pending with its own acknowledgement, Opt-delivers an OAB payload
-// (spontaneous delivery: one communication step after the OA-broadcast) and
-// hands it to the sequencer.
-func (e *Endpoint) stageLocked(d *urbData) {
-	e.vs.pending[d.ID] = &pendingMsg{data: d, sentAt: time.Now(), committed: d.Committed}
-	e.vs.ackSet(d.ID)[e.self] = true
+// pending, advances its held vector, Opt-delivers an OAB payload (spontaneous
+// delivery: one communication step after the OA-broadcast) and hands it to
+// the sequencer.
+func (e *Endpoint) stageLocked(s int, d *urbData) {
+	vs := e.vs
+	q, i := insert(vs.pending[s], pendingMsg{data: d, sentAt: time.Now(), committed: d.Committed})
+	vs.pending[s] = q
+	for ; i < len(q) && q[i].data.ID.Seq == vs.held[s]+1; i++ {
+		vs.held[s]++
+	}
 	if e.urbHook != nil {
 		e.urbHook(d, urbStaged)
 	}
 	if d.Kind == kindOAB {
-		from, body := d.ID.Sender, d.Body
-		e.enqueueUpcall(func() { e.handler.OnOptDeliver(from, body) })
+		e.enqueueUpcall(Handler.OnOptDeliver, d.ID.Sender, d.Body)
 		e.sequencerAssignLocked(d.ID)
 	}
 }
 
-// ackLocked owes this process's acknowledgement of id to every other member.
-// It is due this round to the message's sender and to the member it came
-// through, and to everyone when the quorum exceeds two. Otherwise the other
-// receiver already counts itself and the sender as a quorum: the ack serves
-// its stability only and waits for a data frame to it, the next tick or
-// maxOwedAcks. The sender never acknowledges its own message.
-func (e *Endpoint) ackLocked(id msgID, via transport.ID) {
-	if id.Sender == e.self {
-		return
-	}
-	now := e.view.Quorum() > 2
-	for i, m := range e.view.Members {
-		if m == e.self {
+// ackLocked owes this process's held vector to every peer after it staged or
+// re-received a message from sender s through member via (-1: outside the
+// view). It is due this round to the relayer, and to everyone when the quorum
+// exceeds two, because a receiver then needs a third holder. In smaller views
+// a receiver's quorum is itself plus the sender: the sender needs one ack, so
+// only its designated receiver sends it at once (designatedLocked). Every
+// other ack serves stability only and waits for a data frame to the peer, the
+// next tick or maxOwedAcks.
+func (e *Endpoint) ackLocked(s, via int) {
+	vs := e.vs
+	all := vs.view.Quorum() > 2
+	for k := range vs.owed {
+		if k == vs.self {
 			continue
 		}
-		a := &e.acks[i]
-		a.ids = append(a.ids, id)
-		a.due = a.due || now || m == id.Sender || m == via || len(a.ids) >= maxOwedAcks
+		o := &vs.owed[k]
+		o.n++
+		o.due = o.due || all || o.n >= maxOwedAcks ||
+			(k == via && via != s) || (k == s && e.designatedLocked(s))
 	}
 }
 
-// handleAck processes an acknowledgment batch. Called with mu held.
-func (e *Endpoint) handleAck(a *urbAck) {
-	if a.View != e.view.ID {
-		return
-	}
-	for _, id := range a.IDs {
-		e.noteAckLocked(id, a.From)
-	}
-	e.tryDeliverLocked()
+// designatedLocked reports whether this process acknowledges sender s's
+// messages to s at once in a view of at most three: it is s's designated
+// receiver, the member after s in view order, or it has not heard from that
+// member for longer than HeartbeatInterval + Tick. Beacons are at least
+// HeartbeatInterval apart, and a healthy member sends its next one at the
+// first tick past that, so only a crashed or stalled member (or delivery
+// jitter, which costs no more than a redundant ack) stays quiet longer.
+func (e *Endpoint) designatedLocked(s int) bool {
+	members := e.vs.view.Members
+	d := (s + 1) % len(members)
+	return d == e.vs.self || time.Since(e.lastHeard[members[d]]) > e.cfg.HeartbeatInterval+e.cfg.Tick
 }
 
-// noteAckLocked records that member from holds id, pruning the message once
-// the whole view does.
-func (e *Endpoint) noteAckLocked(id msgID, from transport.ID) {
+// noteHeldLocked records member k's held vector; a vector from outside the
+// view (k < 0), from this process or of the wrong length changes nothing.
+func (e *Endpoint) noteHeldLocked(k int, held []uint64) {
 	vs := e.vs
-	if _, unstable := vs.retained[id]; !unstable && id.Seq <= vs.delivered[id.Sender] {
-		// Delivered and already pruned as stable here: a late or repeated
-		// acknowledgement must not create a set again, nothing would ever
-		// complete it (gcAcksLocked would hold it for 30 s).
+	if k < 0 || k == vs.self || len(held) != len(vs.delivered) {
 		return
 	}
-	set := vs.ackSet(id)
-	if set[from] {
-		return
-	}
-	set[from] = true
-	if len(set) == len(vs.view.Members) {
-		// Stable: everyone has it; no need to retain for flush. OAB payloads
-		// must additionally stay retained until TO-delivered, because the TO
-		// upcall reads the body from the retained set.
-		if pm, ok := vs.retained[id]; ok && (pm.data.Kind != kindOAB || pm.toDelivered) {
-			delete(vs.retained, id)
-			delete(vs.acks, id)
-			delete(vs.ackBorn, id)
-		}
+	for s, h := range held {
+		vs.credit(k, s, h)
 	}
 }
 
-// tryDeliverLocked repeatedly UR-delivers every pending message that is
-// causally ready and majority-acknowledged.
+// tryDeliverLocked repeatedly UR-delivers each sender's next message while it
+// is causally ready and held by a quorum.
 func (e *Endpoint) tryDeliverLocked() {
 	vs := e.vs
 	quorum := vs.view.Quorum()
 	for progress := true; progress; {
 		progress = false
-		for id, pm := range vs.pending {
-			if !vs.causallyReady(pm.data) {
-				continue
+		for s := range vs.pending {
+			for q := vs.pending[s]; len(q) > 0; q = vs.pending[s] {
+				pm := &q[0]
+				if !vs.causallyReady(s, pm.data) || (!pm.committed && vs.holders(s, pm.data.ID.Seq) < quorum) {
+					break
+				}
+				e.urDeliverLocked(s, false)
+				progress = true
 			}
-			if !pm.committed && len(vs.ackSet(id)) < quorum {
-				continue
-			}
-			e.urDeliverLocked(pm)
-			progress = true
 		}
 	}
 }
 
-// urDeliverLocked finalizes the UR-delivery of one message.
-func (e *Endpoint) urDeliverLocked(pm *pendingMsg) {
+// urDeliverLocked finalizes the UR-delivery of the head of sender s's pending
+// queue. In a view change's final set (final), the install's order supersedes
+// order batches and TO-delivers the payloads.
+func (e *Endpoint) urDeliverLocked(s int, final bool) {
 	vs := e.vs
+	pm := vs.pending[s][0]
 	d := pm.data
 	if e.urbHook != nil {
-		e.urbHook(d, urbDelivered)
+		ev := urbDelivered
+		if final {
+			ev = urbFlushDelivered
+		}
+		e.urbHook(d, ev)
 	}
-	delete(vs.pending, d.ID)
-	vs.delivered[d.ID.Sender] = d.ID.Seq
-	if len(vs.ackSet(d.ID)) == len(vs.view.Members) && (d.Kind != kindOAB || pm.toDelivered) {
-		delete(vs.acks, d.ID)
-		delete(vs.ackBorn, d.ID)
-	} else {
-		vs.retained[d.ID] = pm
-	}
+	vs.pending[s] = slices.Delete(vs.pending[s], 0, 1)
+	vs.delivered[s] = d.ID.Seq
+	vs.retained[s] = append(vs.retained[s], pm)
+	vs.prune(s)
 
-	switch d.Kind {
-	case kindURB:
-		from, body := d.ID.Sender, d.Body
-		e.enqueueUpcall(func() { e.handler.OnURDeliver(from, body) })
-	case kindOAB:
+	switch {
+	case d.Kind == kindURB:
+		e.enqueueUpcall(Handler.OnURDeliver, d.ID.Sender, d.Body)
+	case d.Kind == kindOAB:
 		vs.urDone[d.ID] = true
-		e.tryTODeliverLocked()
-	case kindOrder:
+		if !final {
+			e.tryTODeliverLocked()
+		}
+	case d.Kind == kindOrder && !final:
 		batch, ok := d.Body.(*orderBatch)
 		if !ok {
 			e.logf("malformed order batch from %v", d.ID.Sender)
@@ -267,7 +359,6 @@ func (e *Endpoint) urDeliverLocked(pm *pendingMsg) {
 		}
 		for _, ent := range batch.Entries {
 			vs.orders[ent.GSeq] = ent.ID
-			vs.orderedAs[ent.ID] = ent.GSeq
 		}
 		e.tryTODeliverLocked()
 	}
@@ -282,48 +373,21 @@ func (e *Endpoint) tryTODeliverLocked() {
 		if !ok || !vs.urDone[id] {
 			return
 		}
-		e.toDeliverLocked(id)
+		delete(vs.orders, vs.nextGSeq)
+		delete(vs.urDone, id)
 		vs.nextGSeq++
+		s, pm := vs.find(id)
+		if pm == nil {
+			// Cannot happen: OAB payloads are retained until TO-delivered.
+			e.logf("TO-deliver %v: body missing", id)
+			continue
+		}
+		pm.toDelivered = true
+		e.enqueueUpcall(Handler.OnTODeliver, id.Sender, pm.data.Body)
+		// The body may have been withheld from stability pruning solely for
+		// this delivery; release it now if it is stable.
+		vs.prune(s)
 	}
-}
-
-// toDeliverLocked emits the TO-delivery upcall for one OAB payload and
-// prunes its order bookkeeping.
-func (e *Endpoint) toDeliverLocked(id msgID) {
-	vs := e.vs
-	pm := e.findMsgLocked(id)
-	if pm == nil {
-		// Cannot happen: OAB payloads are retained until TO-delivered.
-		e.logf("TO-deliver %v: body missing", id)
-		return
-	}
-	pm.toDelivered = true
-	delete(vs.urDone, id)
-	if g, ok := vs.orderedAs[id]; ok {
-		delete(vs.orders, g)
-		delete(vs.orderedAs, id)
-	}
-	// The body may have been withheld from stability pruning solely for
-	// this delivery; release it now if it is stable.
-	if _, ok := vs.retained[id]; ok && len(vs.ackSet(id)) == len(vs.view.Members) {
-		delete(vs.retained, id)
-		delete(vs.acks, id)
-		delete(vs.ackBorn, id)
-	}
-	from, body := pm.data.ID.Sender, pm.data.Body
-	e.enqueueUpcall(func() { e.handler.OnTODeliver(from, body) })
-}
-
-// findMsgLocked locates a message that has been received (pending or
-// retained).
-func (e *Endpoint) findMsgLocked(id msgID) *pendingMsg {
-	if pm, ok := e.vs.retained[id]; ok {
-		return pm
-	}
-	if pm, ok := e.vs.pending[id]; ok {
-		return pm
-	}
-	return nil
 }
 
 // sequencerAssignLocked assigns the next global sequence number to an OAB
@@ -372,25 +436,6 @@ func (e *Endpoint) flushSequencerLocked() {
 	e.broadcastDataLocked(kindOrder, batch)
 }
 
-// retained/pending garbage: drop ack entries that never saw data (lost or
-// stale) after a grace period.
-func (e *Endpoint) gcAcksLocked(now time.Time) {
-	vs := e.vs
-	for id, born := range vs.ackBorn {
-		if now.Sub(born) < 30*time.Second {
-			continue
-		}
-		if _, ok := vs.pending[id]; ok {
-			continue
-		}
-		if _, ok := vs.retained[id]; ok {
-			continue
-		}
-		delete(vs.acks, id)
-		delete(vs.ackBorn, id)
-	}
-}
-
 // retransmitLocked re-sends unstable messages to members that have not
 // acknowledged them. The original sender retransmits after RetransmitAfter;
 // any OTHER process holding a message stuck in pending waits twice as long
@@ -401,9 +446,10 @@ func (e *Endpoint) gcAcksLocked(now time.Time) {
 // acks (every process re-acks duplicates) that unstick the delivery.
 func (e *Endpoint) retransmitLocked(now time.Time) {
 	vs := e.vs
-	resend := func(pm *pendingMsg, delivered bool) {
+	n := len(vs.delivered)
+	resend := func(s int, pm *pendingMsg, delivered bool) {
 		patience := e.cfg.RetransmitAfter
-		if pm.data.ID.Sender != e.self {
+		if s != vs.self {
 			if delivered {
 				return // stability is the sender's business
 			}
@@ -417,7 +463,6 @@ func (e *Endpoint) retransmitLocked(now time.Time) {
 			return
 		}
 		pm.resentAt = now
-		set := vs.ackSet(pm.data.ID)
 		data := pm.data
 		if delivered {
 			// The sender has UR-delivered this message: the retransmission
@@ -427,37 +472,46 @@ func (e *Endpoint) retransmitLocked(now time.Time) {
 			copy.Committed = true
 			data = &copy
 		}
-		for _, m := range vs.view.Members {
-			if !set[m] {
+		var parts []any
+		if g := pm.group; g != nil {
+			// A group part travels with its siblings, or a peer could come to
+			// hold one part of a cross-channel broadcast and not the others.
+			parts = slices.Clone(g.payloads)
+			parts[slices.Index(parts, any(pm.data))] = data
+		}
+		for k, m := range vs.view.Members {
+			switch {
+			case k == vs.self || vs.ackedBy[k*n+s] >= data.ID.Seq:
+			case parts != nil:
+				_ = transport.SendGroup(m, pm.group.trs, parts)
+			default:
 				_ = e.tr.Send(m, data)
 			}
 		}
 	}
-	for _, pm := range vs.pending {
-		resend(pm, false)
-	}
-	for _, pm := range vs.retained {
-		resend(pm, true)
+	for s := range vs.pending {
+		for i := range vs.pending[s] {
+			resend(s, &vs.pending[s][i], false)
+		}
+		for i := range vs.retained[s] {
+			resend(s, &vs.retained[s][i], true)
+		}
 	}
 }
 
 // unstableMessagesLocked collects everything not known stable, for the flush
-// protocol. Sorted for determinism.
+// protocol, in (sender, seq) order.
 func (e *Endpoint) unstableMessagesLocked() []*urbData {
 	vs := e.vs
-	out := make([]*urbData, 0, len(vs.pending)+len(vs.retained))
-	for _, pm := range vs.pending {
-		out = append(out, pm.data)
-	}
-	for _, pm := range vs.retained {
-		out = append(out, pm.data)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Sender != out[j].ID.Sender {
-			return out[i].ID.Sender < out[j].ID.Sender
+	out := make([]*urbData, 0, 8)
+	for s := range vs.pending {
+		for _, pm := range vs.retained[s] {
+			out = append(out, pm.data)
 		}
-		return out[i].ID.Seq < out[j].ID.Seq
-	})
+		for _, pm := range vs.pending[s] {
+			out = append(out, pm.data)
+		}
+	}
 	return out
 }
 
@@ -468,6 +522,6 @@ func (e *Endpoint) pendingOrdersLocked() []orderEntry {
 	for g, id := range vs.orders {
 		out = append(out, orderEntry{ID: id, GSeq: g})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].GSeq < out[j].GSeq })
+	slices.SortFunc(out, func(a, b orderEntry) int { return cmp.Compare(a.GSeq, b.GSeq) })
 	return out
 }

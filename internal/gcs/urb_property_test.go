@@ -3,6 +3,7 @@ package gcs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,10 +17,11 @@ import (
 // TestURBPropertiesOnRandomSchedules is an executable specification of the
 // view-synchronous URB and OAB this package provides. It runs real Endpoints
 // over memnet on randomized schedules — latency and jitter, dropped data and
-// ack frames, duplicated and delayed frames, a crash and the victim's restart, a minority
-// partition and its heal, and a stray process outside the view relaying
-// copies of data frames — with every member broadcasting a mix of URB and OAB
-// messages, and checks the recorded history:
+// ack frames, duplicated and delayed frames, a crash and the victim's
+// restart, a minority partition and its heal, and a stray process outside
+// the view relaying copies of data frames and forging acknowledgements — with
+// every member broadcasting a mix of URB and OAB messages, and checks the
+// recorded history:
 //
 //   - at most one delivery per message per process, and each message is
 //     delivered in one view only;
@@ -45,6 +47,32 @@ func TestURBPropertiesOnRandomSchedules(t *testing.T) {
 	}
 }
 
+// TestURBLivenessWithDesignatedReceiverDown runs the same checks on a
+// loss-free schedule in a view of three — two broadcasters and a follower
+// that never broadcasts, as in the benchmark — in which the designated
+// receiver of one sender crashes and restarts as a joiner, or is cut off from
+// the other two until the partition heals, and adds a liveness check:
+//
+//   - in a view whose members are all correct, every broadcast is
+//     UR-delivered at its sender within 2 ticks;
+//   - while the designated receiver is down but still in the view, once it
+//     has been silent for longer than HeartbeatInterval, its sender's
+//     broadcasts no longer wait for the other receiver's tick: their median
+//     UR-delivery latency is under a quarter of a tick. Without the quiet
+//     fallback a deferred acknowledgement still leaves within a tick, so only
+//     this clause sees the fallback go.
+func TestURBLivenessWithDesignatedReceiverDown(t *testing.T) {
+	for _, isolate := range []bool{false, true} {
+		for seed := int64(1); seed <= 2; seed++ {
+			name := fmt.Sprintf("crash/seed%d", seed)
+			if isolate {
+				name = fmt.Sprintf("isolate/seed%d", seed)
+			}
+			t.Run(name, func(t *testing.T) { runDesignatedDown(t, seed, isolate) })
+		}
+	}
+}
+
 // propBody is an application message, unique per (Sender, N).
 type propBody struct {
 	Sender transport.ID
@@ -53,12 +81,21 @@ type propBody struct {
 
 // urbSpec collects one schedule's history and checks it.
 type urbSpec struct {
-	mu         sync.Mutex
-	holders    map[heldKey]map[transport.ID]bool // every process that staged a message
-	logs       []*procLog
+	mu      sync.Mutex
+	holders map[heldKey]map[transport.ID]bool // every process that staged a message
+	members map[uint64][]transport.ID         // each view's membership
+	rounds  map[heldKey]*round                // every broadcast, at its sender
+	logs    []*procLog
+	// relay, if set, may hand a message its sender just staged to the stray.
+	relay      func(from transport.ID, d *urbData, members []transport.ID)
 	violations []string
-	// relay, if set, may hand a staged message to the stray relayer.
-	relay func(from transport.ID, d *urbData)
+}
+
+// round is one broadcast's URB round at its sender: from staging to
+// UR-delivery.
+type round struct {
+	at   time.Time
+	took time.Duration // -1: never UR-delivered at its sender
 }
 
 type heldKey struct {
@@ -111,19 +148,26 @@ func (s *urbSpec) hook(l *procLog, ep *Endpoint) func(*urbData, urbEvent) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		k := heldKey{d.View, d.ID}
+		own := d.ID.Sender == l.id
+		if s.members[d.View] == nil {
+			s.members[d.View] = ep.view.Members
+		}
 		switch ev {
 		case urbStaged:
 			// A holder carries the message into the next view change: it
 			// staged it before its flush report, or it is the sender (whose
 			// own message absent from every report is resubmitted).
-			if !ep.blocked || d.ID.Sender == l.id {
+			if !ep.blocked || own {
 				if s.holders[k] == nil {
 					s.holders[k] = make(map[transport.ID]bool)
 				}
 				s.holders[k][l.id] = true
 			}
-			if s.relay != nil && d.ID.Sender == l.id {
-				s.relay(l.id, d)
+			if own {
+				s.rounds[k] = &round{at: time.Now(), took: -1}
+				if s.relay != nil {
+					s.relay(l.id, d, ep.view.Members)
+				}
 			}
 			return
 		case urbDelivered:
@@ -136,6 +180,9 @@ func (s *urbSpec) hook(l *procLog, ep *Endpoint) func(*urbData, urbEvent) {
 			if held < ep.view.Quorum() {
 				s.violatef("process %d UR-delivered %v in %v while %d members held it, quorum %d",
 					l.id, d.ID, ep.view, held, ep.view.Quorum())
+			}
+			if r := s.rounds[k]; own && r != nil {
+				r.took = time.Since(r.at)
 			}
 		}
 		l.urb = append(l.urb, d)
@@ -210,6 +257,201 @@ func (l *lossyURB) Send(to transport.ID, payload any) error {
 	return l.Transport.Send(to, payload)
 }
 
+// urbRun is one schedule's cluster: real Endpoints over memnet behind lossy
+// transports, the broadcasters started by broadcast, and the stray.
+type urbRun struct {
+	t    *testing.T
+	spec *urbSpec
+	net  *memnet.Network
+	cfg  Config
+	ids  []transport.ID
+	seed int64
+	drop float64
+	calm atomic.Bool // set: the lossy transports stop dropping
+
+	mu  sync.Mutex
+	eps []*Endpoint // each member's current incarnation
+	all []*Endpoint
+
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+// newURBRun starts n members with cfg (Members filled in). The stray is a
+// process outside the view: as a sender stages a message, it may send a
+// member a copy of the frame, as a member's relay would, and may send the
+// sender an acknowledgement claiming to hold the message.
+func newURBRun(t *testing.T, n int, seed int64, net *memnet.Network, cfg Config, drop float64) *urbRun {
+	r := &urbRun{
+		t:    t,
+		spec: &urbSpec{holders: make(map[heldKey]map[transport.ID]bool), members: make(map[uint64][]transport.ID), rounds: make(map[heldKey]*round)},
+		net:  net,
+		cfg:  cfg,
+		ids:  make([]transport.ID, n),
+		seed: seed,
+		drop: drop,
+		eps:  make([]*Endpoint, n),
+		stop: make(chan struct{}),
+	}
+	t.Cleanup(net.Close)
+	t.Cleanup(func() {
+		for _, ep := range r.all {
+			_ = ep.Close()
+		}
+	})
+	for i := range r.ids {
+		r.ids[i] = transport.ID(i)
+	}
+	r.cfg.Members = r.ids
+	stray, err := net.Endpoint(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayRNG := rand.New(rand.NewSource(seed))
+	r.spec.relay = func(from transport.ID, d *urbData, members []transport.ID) {
+		if relayRNG.Float64() < 0.1 {
+			if to := r.ids[relayRNG.Intn(n)]; to != from {
+				_ = stray.Send(to, d)
+			}
+		}
+		if relayRNG.Float64() < 0.1 {
+			held := make([]uint64, len(members))
+			held[slices.Index(members, from)] = d.ID.Seq
+			_ = stray.Send(from, &urbAck{View: d.View, From: stray.Self(), Held: held})
+		}
+	}
+	for _, id := range r.ids {
+		r.start(id, false)
+	}
+	return r
+}
+
+func (r *urbRun) start(id transport.ID, joining bool) {
+	tr, err := r.net.Endpoint(id)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	l := r.spec.newProc(id)
+	c := r.cfg
+	c.Joining = joining
+	lossy := &lossyURB{Transport: tr, rng: rand.New(rand.NewSource(r.seed + int64(id))), drop: r.drop, calm: &r.calm}
+	ep, err := NewEndpoint(lossy, l, c)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	ep.urbHook = r.spec.hook(l, ep)
+	ep.Start()
+	r.mu.Lock()
+	r.eps[id] = ep
+	r.all = append(r.all, ep)
+	r.mu.Unlock()
+}
+
+func (r *urbRun) endpoint(id transport.ID) *Endpoint {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.eps[id]
+}
+
+// broadcast makes each of ids broadcast until finish: an OAB message with
+// probability oab, else a URB one.
+func (r *urbRun) broadcast(oab float64, ids ...transport.ID) {
+	for _, id := range ids {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			rng := rand.New(rand.NewSource(r.seed*31 + int64(id)))
+			for k := 0; ; k++ {
+				select {
+				case <-r.stop:
+					return
+				default:
+				}
+				ep, body := r.endpoint(id), propBody{Sender: id, N: k}
+				if rng.Float64() < oab {
+					_ = ep.OABroadcast(body)
+				} else {
+					_ = ep.URBroadcast(body)
+				}
+				time.Sleep(time.Duration(200+rng.Intn(1500)) * time.Microsecond)
+			}
+		}()
+	}
+}
+
+// settled waits until every listed member is primary in one view with
+// exactly the listed membership.
+func (r *urbRun) settled(what string, members []transport.ID) {
+	r.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		ok := true
+		var first View
+		for i, id := range members {
+			ep := r.endpoint(id)
+			v := ep.CurrentView()
+			if i == 0 {
+				first = v
+			}
+			if !ep.InPrimary() || v.ID != first.ID || len(v.Members) != len(members) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	var state []string
+	for _, id := range r.ids {
+		ep := r.endpoint(id)
+		ep.mu.Lock()
+		state = append(state, fmt.Sprintf("%d: %v primary=%t joining=%t blocked=%t answered=%d proposing=%t",
+			id, ep.view, ep.inPrimary, ep.joining, ep.blocked, ep.answeredProposal, ep.prop != nil))
+		ep.mu.Unlock()
+	}
+	r.t.Fatalf("%s: members %v never settled in one view:\n%s", what, members, strings.Join(state, "\n"))
+}
+
+func (r *urbRun) without(out ...transport.ID) []transport.ID {
+	var rest []transport.ID
+	for _, id := range r.ids {
+		if !slices.Contains(out, id) {
+			rest = append(rest, id)
+		}
+	}
+	return rest
+}
+
+// finish stops the broadcasters and the faults, waits for quiet, closes every
+// endpoint and checks the history; check, if set, adds checks under the
+// spec's lock.
+func (r *urbRun) finish(check func()) {
+	close(r.stop)
+	r.wg.Wait()
+	r.net.SetFaults(memnet.Faults{})
+	r.calm.Store(true)
+	quiet := waitQuiet(r.endpoint, r.ids)
+	r.settled("at the end", r.ids)
+	for _, ep := range r.all {
+		_ = ep.Close()
+	}
+	s := r.spec
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if quiet != "" {
+		s.violatef("%s", quiet)
+	}
+	s.check(quiet == "")
+	if check != nil {
+		check()
+	}
+	for _, v := range s.violations {
+		r.t.Error(v)
+	}
+}
+
 // runURBSchedule drives one randomized schedule over n members and checks
 // its history.
 func runURBSchedule(t *testing.T, n int, seed int64) {
@@ -225,184 +467,124 @@ func runURBSchedule(t *testing.T, n int, seed int64) {
 			DelaySpike: 3 * time.Millisecond,
 		},
 	})
-	defer net.Close()
 	drop := []float64{0, 0.01, 0.03}[rng.Intn(3)]
-	var calm atomic.Bool // set: the lossy transports stop dropping
-
-	spec := &urbSpec{holders: make(map[heldKey]map[transport.ID]bool)}
-	ids := make([]transport.ID, n)
-	for i := range ids {
-		ids[i] = transport.ID(i)
-	}
-	// The stray relayer is a process outside the view that sends a member a
-	// copy of a data frame as its sender broadcasts it, as a member's relay
-	// would.
-	stray, err := net.Endpoint(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayRNG := rand.New(rand.NewSource(seed))
-	spec.relay = func(from transport.ID, d *urbData) {
-		if relayRNG.Float64() < 0.1 {
-			if to := ids[relayRNG.Intn(n)]; to != from {
-				_ = stray.Send(to, d)
-			}
-		}
-	}
-
-	cfg := Config{
-		Members:           ids,
+	r := newURBRun(t, n, seed, net, Config{
 		HeartbeatInterval: 10 * time.Millisecond,
 		SuspectAfter:      100 * time.Millisecond,
 		FlushTimeout:      250 * time.Millisecond,
 		RetransmitAfter:   30 * time.Millisecond,
 		Tick:              3 * time.Millisecond,
 		AutoRejoin:        true,
-	}
-	var (
-		epsMu sync.Mutex
-		eps   = make([]*Endpoint, n)
-		all   []*Endpoint
-	)
-	start := func(id transport.ID, joining bool) {
-		tr, err := net.Endpoint(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := spec.newProc(id)
-		c := cfg
-		c.Joining = joining
-		lossy := &lossyURB{Transport: tr, rng: rand.New(rand.NewSource(seed + int64(id))), drop: drop, calm: &calm}
-		ep, err := NewEndpoint(lossy, l, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.urbHook = spec.hook(l, ep)
-		ep.Start()
-		epsMu.Lock()
-		eps[id] = ep
-		all = append(all, ep)
-		epsMu.Unlock()
-	}
-	defer func() {
-		for _, ep := range all {
-			_ = ep.Close()
-		}
-	}()
-	for _, id := range ids {
-		start(id, false)
-	}
-	endpoint := func(id transport.ID) *Endpoint {
-		epsMu.Lock()
-		defer epsMu.Unlock()
-		return eps[id]
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id transport.ID) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed*31 + int64(id)))
-			for k := 0; ; k++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ep, body := endpoint(id), propBody{Sender: id, N: k}
-				if r.Intn(2) == 0 {
-					_ = ep.URBroadcast(body)
-				} else {
-					_ = ep.OABroadcast(body)
-				}
-				time.Sleep(time.Duration(200+r.Intn(1500)) * time.Microsecond)
-			}
-		}(id)
-	}
+	}, drop)
+	r.broadcast(0.5, r.ids...)
 	pause := func() { time.Sleep(time.Duration(30+rng.Intn(50)) * time.Millisecond) }
-	// settled waits until every listed member is primary in one view with
-	// exactly the listed membership.
-	settled := func(what string, members []transport.ID) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			ok := true
-			var first View
-			for i, id := range members {
-				ep := endpoint(id)
-				v := ep.CurrentView()
-				if i == 0 {
-					first = v
-				}
-				if !ep.InPrimary() || v.ID != first.ID || len(v.Members) != len(members) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		var state []string
-		for _, id := range ids {
-			ep := endpoint(id)
-			ep.mu.Lock()
-			state = append(state, fmt.Sprintf("%d: %v primary=%t joining=%t blocked=%t answered=%d proposing=%t",
-				id, ep.view, ep.inPrimary, ep.joining, ep.blocked, ep.answeredProposal, ep.prop != nil))
-			ep.mu.Unlock()
-		}
-		t.Fatalf("%s: members %v never settled in one view:\n%s", what, members, strings.Join(state, "\n"))
-	}
-	without := func(out ...transport.ID) []transport.ID {
-		var rest []transport.ID
-		for _, id := range ids {
-			if !containsID(out, id) {
-				rest = append(rest, id)
-			}
-		}
-		return rest
-	}
 
 	pause()
-	victim := ids[rng.Intn(n)]
+	victim := r.ids[rng.Intn(n)]
 	net.Crash(victim)
-	settled("after the crash", without(victim))
-	start(victim, true)
-	settled("after the restart", ids)
+	r.settled("after the crash", r.without(victim))
+	r.start(victim, true)
+	r.settled("after the restart", r.ids)
 
 	pause()
 	var minority []transport.ID
 	for _, i := range rng.Perm(n)[:1+rng.Intn((n-1)/2)] {
-		minority = append(minority, ids[i])
+		minority = append(minority, r.ids[i])
 	}
-	net.Partition(minority, without(minority...))
-	settled("after the partition", without(minority...))
+	net.Partition(minority, r.without(minority...))
+	r.settled("after the partition", r.without(minority...))
 	pause()
 	net.Heal()
-	settled("after the heal", ids)
+	r.settled("after the heal", r.ids)
 
 	pause()
-	close(stop)
-	wg.Wait()
-	net.SetFaults(memnet.Faults{})
-	calm.Store(true)
-	quiet := waitQuiet(endpoint, ids)
-	settled("at the end", ids)
-	for _, ep := range all {
-		_ = ep.Close()
+	r.finish(nil)
+}
+
+// runDesignatedDown drives the designated-receiver schedule: three members,
+// no loss; the member after one sender crashes (isolate: is partitioned from
+// the other two) and comes back.
+func runDesignatedDown(t *testing.T, seed int64, isolate bool) {
+	const n = 3
+	rng := rand.New(rand.NewSource(seed * 104729))
+	net := memnet.New(memnet.Config{Latency: time.Duration(100+rng.Intn(200)) * time.Microsecond, Seed: seed})
+	cfg := Config{
+		HeartbeatInterval: 80 * time.Millisecond,
+		SuspectAfter:      400 * time.Millisecond,
+		FlushTimeout:      800 * time.Millisecond,
+		RetransmitAfter:   320 * time.Millisecond,
+		Tick:              20 * time.Millisecond,
+		AutoRejoin:        true,
 	}
-	spec.mu.Lock()
-	defer spec.mu.Unlock()
-	if quiet != "" {
-		spec.violatef("%s", quiet)
+	r := newURBRun(t, n, seed, net, cfg, 0)
+	down := r.ids[rng.Intn(n)]
+	sender := r.ids[(int(down)+n-1)%n] // down is the member after sender
+	// The third member is a follower: it never broadcasts, so no data frame of
+	// its carries the acknowledgement sender needs while down is down (nor
+	// does an order batch, sender broadcasting URB only).
+	r.broadcast(0.5, down)
+	r.broadcast(0, sender)
+
+	// window is a stretch of one view: the broadcasts staged in it, by sender
+	// (Nobody: by anyone), are checked.
+	type window struct {
+		view     uint64
+		sender   transport.ID
+		from, to time.Time
 	}
-	spec.check(quiet == "")
-	for _, v := range spec.violations {
-		t.Error(v)
+	var healthy []window
+	from := time.Now()
+	time.Sleep(150 * time.Millisecond)
+	healthy = append(healthy, window{1, transport.Nobody, from, time.Now().Add(-2 * cfg.Tick)})
+	if isolate {
+		net.Partition([]transport.ID{down}, r.without(down))
+	} else {
+		net.Crash(down)
 	}
+	downAt := time.Now()
+	fallback := window{1, sender, downAt.Add(cfg.HeartbeatInterval + 2*cfg.Tick), downAt.Add(cfg.SuspectAfter - 2*cfg.Tick)}
+	r.settled("with the designated receiver down", r.without(down))
+	if isolate {
+		net.Heal()
+	} else {
+		r.start(down, true)
+	}
+	r.settled("after it is back", r.ids)
+	from = time.Now()
+	time.Sleep(150 * time.Millisecond)
+	healthy = append(healthy, window{r.endpoint(sender).CurrentView().ID, transport.Nobody, from, time.Now()})
+
+	r.finish(func() {
+		s := r.spec
+		in := func(w window, k heldKey, rd *round) bool {
+			return k.view == w.view && (w.sender == transport.Nobody || k.id.Sender == w.sender) &&
+				!rd.at.Before(w.from) && rd.at.Before(w.to)
+		}
+		var during []time.Duration
+		for k, rd := range s.rounds {
+			for _, w := range healthy {
+				if in(w, k, rd) && (rd.took < 0 || rd.took > 2*cfg.Tick) {
+					s.violatef("liveness: %v, broadcast in view %d with every member correct, took %v at its sender (never: -1), over 2 ticks",
+						k.id, k.view, rd.took)
+				}
+			}
+			if in(fallback, k, rd) {
+				took := rd.took
+				if took < 0 {
+					took = time.Hour
+				}
+				during = append(during, took)
+			}
+		}
+		slices.Sort(during)
+		switch {
+		case len(during) < 10:
+			s.violatef("liveness: only %d broadcasts from %d while %d was down", len(during), sender, down)
+		case during[len(during)/2] > cfg.Tick/4:
+			s.violatef("liveness: with %d's designated receiver %d down, its median URB round over %d broadcasts is %v, over a quarter tick",
+				sender, down, len(during), during[len(during)/2])
+		}
+	})
 }
 
 // waitQuiet waits until nothing is queued or pending anywhere and every
@@ -432,14 +614,17 @@ func busyAt(ep *Endpoint, id transport.ID) string {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	vs := ep.vs
-	for _, pm := range vs.pending {
+	for s, q := range vs.pending {
+		if len(q) == 0 {
+			continue
+		}
 		// A pending message waits for a predecessor nobody retransmits once
 		// every member is thought to hold it.
-		d := pm.data
-		need := msgID{Sender: d.ID.Sender, Seq: vs.delivered[d.ID.Sender] + 1}
+		d := q[0].data
+		need := msgID{Sender: d.ID.Sender, Seq: vs.delivered[s] + 1}
 		for p, c := range d.VC {
-			if p != d.ID.Sender && vs.delivered[p] < c {
-				need = msgID{Sender: p, Seq: vs.delivered[p] + 1}
+			if p != s && vs.delivered[p] < c {
+				need = msgID{Sender: vs.view.Members[p], Seq: vs.delivered[p] + 1}
 			}
 		}
 		return fmt.Sprintf("agreement: process %d never delivers %v, waiting for %v", id, d.ID, need)
@@ -447,10 +632,8 @@ func busyAt(ep *Endpoint, id transport.ID) string {
 	if len(ep.outbox)+len(vs.seqQueue) > 0 {
 		return fmt.Sprintf("process %d never drains its outbox", id)
 	}
-	for mid := range vs.retained {
-		if mid.Sender == id {
-			return fmt.Sprintf("stability: process %d never learns that every member holds %v", id, mid)
-		}
+	if vs.self >= 0 && len(vs.retained[vs.self]) > 0 {
+		return fmt.Sprintf("stability: process %d never learns that every member holds %v", id, vs.retained[vs.self][0].data.ID)
 	}
 	return ""
 }
@@ -493,8 +676,8 @@ func (s *urbSpec) check(quiet bool) {
 				s.violatef("process %d delivered %v in view %d after %d messages from its sender (FIFO)",
 					l.id, d.ID, d.View, c[d.ID.Sender])
 			}
-			for p, need := range d.VC {
-				if p != d.ID.Sender && c[p] < need {
+			for i, need := range d.VC {
+				if p := s.members[d.View][i]; p != d.ID.Sender && c[p] < need {
 					s.violatef("process %d delivered %v in view %d having delivered %d of the %d messages from %d it depends on",
 						l.id, d.ID, d.View, c[p], need, p)
 				}

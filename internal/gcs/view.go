@@ -1,7 +1,8 @@
 package gcs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -46,10 +47,10 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 		e.handleData(m, msg.From)
 		e.flushSequencerLocked()
 	case *urbAck:
-		if e.joining {
-			return
+		if !e.joining && m.View == e.view.ID {
+			e.noteHeldLocked(e.view.index(m.From), m.Held)
+			e.tryDeliverLocked()
 		}
-		e.handleAck(m)
 	case *heartbeat:
 		// Liveness already recorded. A beacon from a process stuck in an
 		// older view tells the coordinator to pull it back in through a
@@ -139,14 +140,11 @@ func (e *Endpoint) ejectLocked() {
 	e.blocked = false
 	e.ejectedAt = e.view.ID
 	e.outbox = nil
-	h := e.handler
-	e.enqueueUpcall(func() { h.OnEjected() })
+	e.enqueueUpcall(onEjected, 0, nil)
 	e.logf("ejected from primary component at view %d", e.view.ID)
 }
 
 // --- Failure detection and proposing (tick) ---------------------------------
-
-var _timeZero time.Time
 
 // tick runs periodic duties: heartbeats, retransmission, suspicion, and view
 // change proposing.
@@ -159,12 +157,11 @@ func (e *Endpoint) tick() {
 	now := time.Now()
 
 	e.maybeHeartbeatLocked(now)
-	for i := range e.acks {
-		e.acks[i].due = len(e.acks[i].ids) > 0
+	for k := range e.vs.owed {
+		e.vs.owed[k].due = e.vs.owed[k].n > 0
 	}
 	if !e.joining {
 		e.retransmitLocked(now)
-		e.gcAcksLocked(now)
 		e.flushSequencerLocked()
 	}
 
@@ -198,10 +195,10 @@ func (e *Endpoint) tick() {
 
 	// Unstick: if a flush stalled (proposer crashed before install), resume
 	// normal operation; the heartbeat view-lag mechanism repairs divergence.
-	if e.blocked && e.blockedSince != _timeZero && now.Sub(e.blockedSince) > 3*e.cfg.FlushTimeout {
+	if e.blocked && !e.blockedSince.IsZero() && now.Sub(e.blockedSince) > 3*e.cfg.FlushTimeout {
 		e.logf("flush stalled, unblocking")
 		e.blocked = false
-		e.blockedSince = _timeZero
+		e.blockedSince = time.Time{}
 	}
 
 	e.maybeProposeLocked(now, suspected)
@@ -315,14 +312,16 @@ func (e *Endpoint) maybeProposeLocked(now time.Time, suspected map[transport.ID]
 	for j := range joiners {
 		members = append(members, j)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
+	e.proposeLocked(0, members, joiners, now)
+}
 
-	id := e.view.ID + 1
-	if e.answeredProposal >= id {
-		id = e.answeredProposal + 1
-	}
-	if e.lastProposalID >= id {
-		id = e.lastProposalID + 1
+// proposeLocked starts a view change to members with proposal id (0: the
+// next unused one, past any proposal this process answered) and sends its
+// prepare to each of them.
+func (e *Endpoint) proposeLocked(id uint64, members []transport.ID, joiners map[transport.ID]bool, now time.Time) {
+	if id == 0 {
+		id = max(e.view.ID, e.answeredProposal, e.lastProposalID) + 1
 	}
 	e.lastProposalID = id
 	e.prop = &proposal{
@@ -408,28 +407,9 @@ func (e *Endpoint) maybeRecoverLocked(now time.Time) {
 	for j := range joiners {
 		members = append(members, j)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-
-	id := e.view.ID + 1
-	if e.answeredProposal >= id {
-		id = e.answeredProposal + 1
-	}
-	if e.lastProposalID >= id {
-		id = e.lastProposalID + 1
-	}
-	e.lastProposalID = id
-	e.prop = &proposal{
-		id:        id,
-		members:   members,
-		joiners:   joiners,
-		responses: make(map[transport.ID]*vcFlush),
-		startedAt: now,
-	}
-	e.logf("recovering dead primary: proposing view %d members %v (joiners %v)", id, members, joiners)
-	prep := &vcPrepare{ProposalID: id, Proposer: e.self, Members: members}
-	for _, m := range members {
-		_ = e.tr.Send(m, prep)
-	}
+	slices.Sort(members)
+	e.logf("recovering a dead primary component")
+	e.proposeLocked(0, members, joiners, now)
 }
 
 // maybeFinishProposalLocked handles flush timeouts: laggards are dropped and
@@ -452,13 +432,7 @@ func (e *Endpoint) maybeFinishProposalLocked(now time.Time) {
 	members := make([]transport.ID, 0, len(p.members))
 	oldSurvivors := 0
 	for _, m := range p.members {
-		skip := false
-		for _, x := range missing {
-			if m == x {
-				skip = true
-			}
-		}
-		if skip {
+		if slices.Contains(missing, m) {
 			continue
 		}
 		members = append(members, m)
@@ -477,40 +451,19 @@ func (e *Endpoint) maybeFinishProposalLocked(now time.Time) {
 		e.ejectLocked()
 		return
 	}
-	id := p.id + 1
-	e.lastProposalID = id
 	joiners := make(map[transport.ID]bool)
 	for j := range p.joiners {
-		if containsID(members, j) {
+		if slices.Contains(members, j) {
 			joiners[j] = true
 		}
 	}
-	e.prop = &proposal{
-		id:        id,
-		members:   members,
-		joiners:   joiners,
-		responses: make(map[transport.ID]*vcFlush),
-		startedAt: now,
-	}
-	prep := &vcPrepare{ProposalID: id, Proposer: e.self, Members: members}
-	for _, m := range members {
-		_ = e.tr.Send(m, prep)
-	}
-}
-
-func containsID(ids []transport.ID, id transport.ID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
+	e.proposeLocked(p.id+1, members, joiners, now)
 }
 
 // --- Member side of the flush ------------------------------------------------
 
 func (e *Endpoint) handlePrepare(p *vcPrepare) {
-	if !containsID(p.Members, e.self) {
+	if !slices.Contains(p.Members, e.self) {
 		return
 	}
 	if p.ProposalID <= e.view.ID {
@@ -522,7 +475,6 @@ func (e *Endpoint) handlePrepare(p *vcPrepare) {
 		return // already answered an equal or newer proposal
 	}
 	e.answeredProposal = p.ProposalID
-	e.preparedBy = p.Proposer
 	if !e.blocked {
 		e.blocked = true
 		e.blockedSince = time.Now()
@@ -535,8 +487,6 @@ func (e *Endpoint) handlePrepare(p *vcPrepare) {
 	}
 	if !e.joining {
 		resp.Unstable = e.unstableMessagesLocked()
-		resp.Delivered = e.vs.deliveredVector()
-		resp.NextGSeq = e.vs.nextGSeq
 		resp.Orders = e.pendingOrdersLocked()
 		resp.SeqNext = e.vs.seqNext
 	}
@@ -636,11 +586,8 @@ func (e *Endpoint) computeInstallLocked() {
 	for _, d := range union {
 		deliveries = append(deliveries, d)
 	}
-	sort.Slice(deliveries, func(i, j int) bool {
-		if deliveries[i].ID.Sender != deliveries[j].ID.Sender {
-			return deliveries[i].ID.Sender < deliveries[j].ID.Sender
-		}
-		return deliveries[i].ID.Seq < deliveries[j].ID.Seq
+	slices.SortFunc(deliveries, func(a, b *urbData) int {
+		return cmp.Or(cmp.Compare(a.ID.Sender, b.ID.Sender), cmp.Compare(a.ID.Seq, b.ID.Seq))
 	})
 
 	// Assign total-order slots to OAB payloads that were never ordered, in
@@ -660,13 +607,13 @@ func (e *Endpoint) computeInstallLocked() {
 		ordered[d.ID] = maxAssigned
 		maxAssigned++
 	}
-	sort.Slice(orderList, func(i, j int) bool { return orderList[i].GSeq < orderList[j].GSeq })
+	slices.SortFunc(orderList, func(a, b orderEntry) int { return cmp.Compare(a.GSeq, b.GSeq) })
 
 	rejoined := make([]transport.ID, 0, len(p.joiners))
 	for j := range p.joiners {
 		rejoined = append(rejoined, j)
 	}
-	sort.Slice(rejoined, func(i, j int) bool { return rejoined[i] < rejoined[j] })
+	slices.Sort(rejoined)
 	newView := View{ID: p.id, Members: p.members, Primary: true, Rejoined: rejoined}
 	install := &vcInstall{
 		ProposalID: p.id,
@@ -681,7 +628,7 @@ func (e *Endpoint) computeInstallLocked() {
 	// upcalls run) includes every old-view delivery.
 	ejected := make([]transport.ID, 0)
 	for _, m := range e.view.Members {
-		if !containsID(p.members, m) {
+		if !slices.Contains(p.members, m) {
 			ejected = append(ejected, m)
 		}
 	}
@@ -700,6 +647,11 @@ func (e *Endpoint) computeInstallLocked() {
 		}
 	}
 	e.applyInstallLocked(install, false)
+	// While pendingSend is set the outbox holds (drainOutbox, tryComplete), so
+	// nothing enters the new view before the install has left: links are
+	// FIFO, so members install before they see the frames rather than drop
+	// them as from a future view. The hold is not blocked: a later prepare in
+	// this round sets blocked, and that flush report must stay final.
 	e.pendingSend = &pendingInstall{
 		install:   install,
 		joiners:   p.joiners,
@@ -710,11 +662,11 @@ func (e *Endpoint) computeInstallLocked() {
 }
 
 // distributePendingInstall runs on the dispatcher after upcalls: it captures
-// the application state for joiners and ships the install.
+// the application state for joiners, ships the install and only then clears
+// pendingSend, which holds the outbox (against other dispatchers' groups too).
 func (e *Endpoint) distributePendingInstall() {
 	e.mu.Lock()
 	ps := e.pendingSend
-	e.pendingSend = nil
 	e.mu.Unlock()
 	if ps == nil {
 		return
@@ -754,6 +706,10 @@ func (e *Endpoint) distributePendingInstall() {
 	for _, m := range ps.ejected {
 		_ = e.tr.Send(m, &ejectNotice{ViewID: ps.install.View.ID})
 	}
+	e.mu.Lock()
+	e.pendingSend = nil
+	e.mu.Unlock()
+	e.kick() // release the outbox into the new view
 }
 
 // --- Installation -------------------------------------------------------------
@@ -762,7 +718,7 @@ func (e *Endpoint) handleInstall(in *vcInstall) {
 	if in.View.ID <= e.view.ID {
 		return
 	}
-	if !containsID(in.View.Members, e.self) {
+	if !slices.Contains(in.View.Members, e.self) {
 		e.ejectLocked()
 		return
 	}
@@ -780,13 +736,9 @@ func (e *Endpoint) handleInstall(in *vcInstall) {
 	pre := len(e.upcalls)
 	e.applyInstallLocked(in, in.HasState)
 	if in.HasState {
-		st := in.State
-		h := e.handler
 		// InstallState must run after the ejection upcall (if any) and before
 		// the view-change upcall applyInstallLocked just enqueued.
-		calls := append([]func(){}, e.upcalls[:pre]...)
-		calls = append(calls, func() { h.InstallState(st) })
-		e.upcalls = append(calls, e.upcalls[pre:]...)
+		e.upcalls = slices.Insert(e.upcalls, pre, upcall{call: installState, body: in.State})
 	}
 }
 
@@ -799,19 +751,18 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 
 	old := e.view.ID
 	e.view = in.View
-	e.vs = newViewState(in.View)
-	e.acks = make([]owedAcks, len(in.View.Members))
+	e.vs = newViewState(in.View, e.self)
 	e.inPrimary = true
 	e.ejectedAt = 0
 	e.joining = false
 	e.blocked = false
-	e.blockedSince = _timeZero
+	e.blockedSince = time.Time{}
 	e.wantJoin = false
 	e.prop = nil
 	e.joinReqs = make(map[transport.ID]bool)
 	e.joinFrontiers = make(map[transport.ID]map[transport.ID]uint64)
 	e.staleSince = make(map[transport.ID]time.Time)
-	e.behindSince = _timeZero
+	e.behindSince = time.Time{}
 	e.peerJoinViews = make(map[transport.ID]uint64)
 	now := time.Now()
 	for _, m := range in.View.Members {
@@ -828,10 +779,8 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 		e.outbox = append(resub, e.outbox...)
 	}
 
-	v := e.view
-	h := e.handler
-	e.enqueueUpcall(func() { h.OnViewChange(v) })
-	e.logf("installed view %d (from %d)", v.ID, old)
+	e.enqueueUpcall(onViewChange, 0, e.view)
+	e.logf("installed view %d (from %d)", e.view.ID, old)
 	e.kick() // release any queued outbox traffic into the new view
 }
 
@@ -854,21 +803,17 @@ func (e *Endpoint) deliverFlushSetLocked(in *vcInstall) []*urbData {
 
 	// Stage unseen messages of the final set as pending.
 	for _, d := range in.Deliveries {
-		if d.View != e.view.ID {
+		s := vs.view.index(d.ID.Sender)
+		if d.View != e.view.ID || s < 0 || len(d.VC) != len(vs.delivered) {
 			continue
 		}
 		inSet[d.ID] = true
-		if d.ID.Seq <= vs.delivered[d.ID.Sender] {
-			continue // already delivered
+		if d.ID.Seq <= vs.delivered[s] || lookup(vs.pending[s], d.ID.Seq) != nil {
+			continue // already delivered or received
 		}
-		if _, ok := vs.pending[d.ID]; ok {
-			continue // already received
-		}
-		pm := &pendingMsg{data: d, sentAt: time.Now()}
-		vs.pending[d.ID] = pm
+		vs.pending[s], _ = insert(vs.pending[s], pendingMsg{data: d, sentAt: time.Now()})
 		if d.Kind == kindOAB {
-			from, body := d.ID.Sender, d.Body
-			e.enqueueUpcall(func() { e.handler.OnOptDeliver(from, body) })
+			e.enqueueUpcall(Handler.OnOptDeliver, d.ID.Sender, d.Body)
 		}
 	}
 
@@ -878,50 +823,33 @@ func (e *Endpoint) deliverFlushSetLocked(in *vcInstall) []*urbData {
 	// deliver them.
 	for progress := true; progress; {
 		progress = false
-		for _, pm := range vs.pending {
-			if !inSet[pm.data.ID] || !vs.causallyReady(pm.data) {
-				continue
+		for s := range vs.pending {
+			for q := vs.pending[s]; len(q) > 0 && inSet[q[0].data.ID] && vs.causallyReady(s, q[0].data); q = vs.pending[s] {
+				e.urDeliverLocked(s, true)
+				progress = true
 			}
-			d := pm.data
-			if e.urbHook != nil {
-				e.urbHook(d, urbFlushDelivered)
-			}
-			delete(vs.pending, d.ID)
-			vs.delivered[d.ID.Sender] = d.ID.Seq
-			vs.retained[d.ID] = pm
-			switch d.Kind {
-			case kindURB:
-				from, body := d.ID.Sender, d.Body
-				e.enqueueUpcall(func() { e.handler.OnURDeliver(from, body) })
-			case kindOAB:
-				vs.urDone[d.ID] = true
-			case kindOrder:
-				// Order batches are superseded by in.Orders.
-			}
-			progress = true
 		}
 	}
 
 	// Final total order: TO-deliver everything not yet TO-delivered.
 	for _, ent := range in.Orders {
-		pm := e.findMsgLocked(ent.ID)
+		_, pm := vs.find(ent.ID)
 		if pm == nil || pm.toDelivered {
 			continue
 		}
 		pm.toDelivered = true
-		from, body := pm.data.ID.Sender, pm.data.Body
-		e.enqueueUpcall(func() { e.handler.OnTODeliver(from, body) })
+		e.enqueueUpcall(Handler.OnTODeliver, ent.ID.Sender, pm.data.Body)
 	}
 
 	// Collect own lost in-flight application messages for resubmission.
 	var lost []*urbData
-	for _, pm := range vs.pending {
-		d := pm.data
-		if d.ID.Sender == e.self && d.Kind != kindOrder && !inSet[d.ID] {
-			lost = append(lost, d)
+	if vs.self >= 0 {
+		for _, pm := range vs.pending[vs.self] {
+			if d := pm.data; d.Kind != kindOrder && !inSet[d.ID] {
+				lost = append(lost, d)
+			}
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID.Seq < lost[j].ID.Seq })
 	if len(lost) > 0 {
 		e.logf("install: resubmitting %d in-flight messages into the new view", len(lost))
 	}

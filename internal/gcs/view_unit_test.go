@@ -3,6 +3,7 @@ package gcs
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func TestConfigFillDefaults(t *testing.T) {
 }
 
 func TestCausallyReady(t *testing.T) {
-	vs := newViewState(View{ID: 1, Members: []transport.ID{0, 1, 2}})
+	vs := newViewState(View{ID: 1, Members: []transport.ID{0, 1, 2}}, 0)
 	vs.delivered[0] = 2
 	vs.delivered[1] = 1
 
@@ -80,25 +81,18 @@ func TestCausallyReady(t *testing.T) {
 		want bool
 	}{
 		{"next in FIFO, deps met",
-			&urbData{ID: msgID{Sender: 0, Seq: 3}, VC: map[transport.ID]uint64{1: 1}}, true},
+			&urbData{ID: msgID{Sender: 0, Seq: 3}, VC: []uint64{2, 1, 0}}, true},
 		{"FIFO gap",
-			&urbData{ID: msgID{Sender: 0, Seq: 5}, VC: nil}, false},
+			&urbData{ID: msgID{Sender: 0, Seq: 5}, VC: []uint64{4, 0, 0}}, false},
 		{"causal dep missing",
-			&urbData{ID: msgID{Sender: 0, Seq: 3}, VC: map[transport.ID]uint64{2: 1}}, false},
+			&urbData{ID: msgID{Sender: 0, Seq: 3}, VC: []uint64{2, 0, 1}}, false},
 		{"own VC entry ignored",
-			&urbData{ID: msgID{Sender: 1, Seq: 2}, VC: map[transport.ID]uint64{1: 99}}, true},
+			&urbData{ID: msgID{Sender: 1, Seq: 2}, VC: []uint64{0, 99, 0}}, true},
 	}
 	for _, tt := range tests {
-		if got := vs.causallyReady(tt.d); got != tt.want {
+		if got := vs.causallyReady(vs.view.index(tt.d.ID.Sender), tt.d); got != tt.want {
 			t.Errorf("%s: causallyReady = %t, want %t", tt.name, got, tt.want)
 		}
-	}
-}
-
-func TestContainsIDHelper(t *testing.T) {
-	ids := []transport.ID{1, 2, 3}
-	if !containsID(ids, 2) || containsID(ids, 9) {
-		t.Fatal("containsID misbehaves")
 	}
 }
 
@@ -128,12 +122,12 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 		e.handleNet(transport.Message{From: from, Payload: payload})
 	}
 	data := func(sender transport.ID, seq uint64, body string) *urbData {
-		return &urbData{View: 1, ID: msgID{Sender: sender, Seq: seq}, Kind: kindURB, Body: body}
+		return &urbData{View: 1, ID: msgID{Sender: sender, Seq: seq}, Kind: kindURB, VC: make([]uint64, 2), Body: body}
 	}
 
 	before := data(0, 1, "before-flush")
 	deliver(0, before)
-	if e.vs.delivered[0] != 1 || len(owed(e, 0)) != 1 {
+	if e.vs.delivered[0] != 1 || owed(e, 0).n != 1 {
 		t.Fatalf("ordinary data not delivered and acknowledged: delivered=%v owed=%v", e.vs.delivered, owed(e, 0))
 	}
 	e.flushAcks()
@@ -152,22 +146,23 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 
 	late := data(0, 2, "during-flush")
 	deliver(0, late)
-	if _, ok := e.vs.pending[late.ID]; ok || len(owed(e, 0)) != 0 {
-		t.Fatalf("peer data first seen during the flush was staged/acknowledged: pending=%t owed=%v",
-			ok, owed(e, 0))
+	if _, pm := e.vs.find(late.ID); pm != nil || owed(e, 0).n != 0 || e.vs.held[0] != 1 {
+		t.Fatalf("peer data first seen during the flush was staged/acknowledged: staged=%t owed=%v held=%v",
+			pm != nil, owed(e, 0), e.vs.held)
 	}
 	// A duplicate of what was reported is still re-acknowledged.
 	deliver(0, before)
-	if len(owed(e, 0)) != 1 {
+	if owed(e, 0).n != 1 {
 		t.Fatalf("reported duplicate not re-acknowledged: owed=%v", owed(e, 0))
 	}
 
 	// The install's final set carries the late message (its sender reported
 	// it): the member delivers it before switching views.
+	_, ownMsg := e.vs.find(own)
 	deliver(0, &vcInstall{
 		ProposalID: 2,
 		View:       View{ID: 2, Members: []transport.ID{0, 1, 2}, Primary: true},
-		Deliveries: []*urbData{before, late, e.vs.pending[own].data},
+		Deliveries: []*urbData{before, late, ownMsg.data},
 	})
 	e.runUpcalls()
 	got := rec.urSeq()
@@ -177,6 +172,73 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 	}
 	if e.blocked || e.view.ID != 2 {
 		t.Fatalf("install did not complete: blocked=%t view=%d", e.blocked, e.view.ID)
+	}
+}
+
+// TestPrepareAfterInstallInSameRoundStaysBlocked: the coordinator's outbox
+// holds while the install it computed has not left, and that hold is not the
+// flush block. A competing proposer's prepare answered later in the same
+// dispatch round blocks this process, and its flush report is final: shipping
+// the install must not unblock it, or it would stage and acknowledge peer data
+// it first sees after answering.
+func TestPrepareAfterInstallInSameRoundStaysBlocked(t *testing.T) {
+	e, sent, _ := unstarted(t, 0, 0, 1, 2)
+	deliver := func(from transport.ID, payload any) {
+		e.handleNet(transport.Message{From: from, Payload: payload})
+	}
+	dataSent := func() int {
+		n := 0
+		for _, p := range sent.payloads {
+			if _, ok := p.(*urbData); ok {
+				n++
+			}
+		}
+		return n
+	}
+	members := []transport.ID{0, 1, 2}
+	e.prop = &proposal{id: 2, members: members, joiners: map[transport.ID]bool{},
+		responses: make(map[transport.ID]*vcFlush), startedAt: time.Now()}
+	for _, m := range members {
+		deliver(m, &vcFlush{ProposalID: 2, From: m, ViewID: 1})
+	}
+	if e.view.ID != 2 || e.pendingSend == nil {
+		t.Fatalf("after the last flush: view=%d pendingSend=%t, want view 2 installed and not shipped",
+			e.view.ID, e.pendingSend != nil)
+	}
+	if err := e.URBroadcast("held"); err != nil {
+		t.Fatal(err)
+	}
+	e.drainOutbox()
+	if n := dataSent(); n != 0 || len(e.outbox) != 1 {
+		t.Fatalf("outbox released before the install left: %d data frames sent, outbox %d", n, len(e.outbox))
+	}
+
+	deliver(1, &vcPrepare{ProposalID: 3, Proposer: 1, Members: members})
+	if _, ok := sent.last().(*vcFlush); !ok || !e.blocked {
+		t.Fatalf("prepare 3 not answered (last sent %T) or not blocked=%t", sent.last(), e.blocked)
+	}
+	e.distributePendingInstall()
+	if e.pendingSend != nil || !e.blocked || e.blockedSince.IsZero() {
+		t.Fatalf("after shipping the install: pendingSend=%t blocked=%t blockedSince=%v, want shipped and still blocked",
+			e.pendingSend != nil, e.blocked, e.blockedSince)
+	}
+	installs := 0
+	for _, p := range sent.payloads {
+		if _, ok := p.(*vcInstall); ok {
+			installs++
+		}
+	}
+	if installs != 2 {
+		t.Fatalf("install sent %d times, want once to each peer", installs)
+	}
+	e.drainOutbox()
+	if n := dataSent(); n != 0 {
+		t.Fatalf("%d data frames sent while answering prepare 3", n)
+	}
+	late := &urbData{View: 2, ID: msgID{Sender: 1, Seq: 1}, Kind: kindURB, VC: make([]uint64, 3), Body: "late"}
+	deliver(1, late)
+	if _, pm := e.vs.find(late.ID); pm != nil || e.vs.held[1] != 0 {
+		t.Fatalf("peer data first seen after answering prepare 3 was staged: held=%v", e.vs.held)
 	}
 }
 
@@ -320,18 +382,17 @@ func (s *sentLog) acksTo(peer transport.ID) []*urbAck {
 	return out
 }
 
-// owed returns the acknowledgements e owes peer and has not sent yet.
-func owed(e *Endpoint, peer transport.ID) []msgID {
-	for i, m := range e.view.Members {
-		if m == peer {
-			return e.acks[i].ids
-		}
+// owed returns what e owes peer and has not sent yet.
+func owed(e *Endpoint, peer transport.ID) owedAck {
+	if k := e.view.index(peer); k >= 0 {
+		return e.vs.owed[k]
 	}
-	return nil
+	return owedAck{}
 }
 
 // unstarted returns endpoint self of a group over members with its sends
-// logged. It is not started: the test plays the dispatcher.
+// logged. It is not started: the test plays the dispatcher. Its heartbeat
+// interval is a minute, so no member looks quiet unless the test says so.
 func unstarted(t *testing.T, self transport.ID, members ...transport.ID) (*Endpoint, *sentLog, *recorder) {
 	t.Helper()
 	net := memnet.New(memnet.Config{})
@@ -342,98 +403,157 @@ func unstarted(t *testing.T, self transport.ID, members ...transport.ID) (*Endpo
 	}
 	sent := &sentLog{Transport: tr}
 	rec := &recorder{}
-	e, err := NewEndpoint(sent, rec, Config{Members: members})
+	e, err := NewEndpoint(sent, rec, Config{Members: members, HeartbeatInterval: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e, sent, rec
 }
 
-func urb(sender transport.ID, seq uint64) *urbData {
-	return &urbData{View: 1, ID: msgID{Sender: sender, Seq: seq}, Kind: kindURB, Body: fmt.Sprintf("%d:%d", sender, seq)}
+// urb is message seq from sender in view 1 of n members, with no causal
+// dependencies.
+func urb(n int, sender transport.ID, seq uint64) *urbData {
+	return &urbData{View: 1, ID: msgID{Sender: sender, Seq: seq}, Kind: kindURB, VC: make([]uint64, n),
+		Body: fmt.Sprintf("%d:%d", sender, seq)}
 }
 
-// TestLateOwnAckCreatesNoState pins the orphan-ack rule: an acknowledgement of
-// a message that is delivered and already pruned as stable must not create an
-// ack set again — nothing would ever complete it, and gcAcksLocked holds it
-// for 30 s (38 k sets, 9 MB, on a 20 s lease-local run). The case that
-// produced them was the endpoint's own ack batch, sent to self and handled
-// after the third member's ack; no ack is sent to self any more.
+// TestLateOwnAckCreatesNoState: an acknowledgement is a cumulative held
+// vector, so a late or repeated one — a copy of the process's own included,
+// which it never sends to itself — changes nothing, and a message pruned as
+// stable stays pruned.
 func TestLateOwnAckCreatesNoState(t *testing.T) {
 	e, sent, _ := unstarted(t, 0, 0, 1, 2)
 	deliver := func(from transport.ID, payload any) {
 		e.handleNet(transport.Message{From: from, Payload: payload})
 	}
 	id := msgID{Sender: 1, Seq: 1}
-	ack := func(from transport.ID) *urbAck { return &urbAck{View: 1, From: from, IDs: []msgID{id}} }
+	ack := func(from transport.ID) *urbAck { return &urbAck{View: 1, From: from, Held: []uint64{0, 1, 0}} }
 
-	deliver(1, urb(1, 1))
-	if _, ok := e.vs.retained[id]; !ok {
-		t.Fatalf("message not delivered on receipt (self + sender are a quorum): pending=%v", e.vs.pending)
+	deliver(1, urb(3, 1, 1))
+	if _, pm := e.vs.find(id); pm == nil || e.vs.delivered[1] != 1 {
+		t.Fatalf("message not delivered and retained on receipt (self + sender are a quorum): delivered=%v", e.vs.delivered)
 	}
 	deliver(2, ack(2))
-	if len(e.vs.retained) != 0 || len(e.vs.acks) != 0 {
-		t.Fatalf("message not pruned as stable: retained=%v acks=%v", e.vs.retained, e.vs.acks)
+	if _, pm := e.vs.find(id); pm != nil {
+		t.Fatalf("message not pruned as stable: retained=%v", e.vs.retained)
 	}
 
+	state := slices.Clone(e.vs.ackedBy)
 	deliver(0, ack(0)) // a copy of its own ack, late
 	deliver(2, ack(2)) // and a repeated one
-	if len(e.vs.acks) != 0 || len(e.vs.ackBorn) != 0 {
-		t.Fatalf("late acknowledgements recreated state: acks=%v ackBorn=%v", e.vs.acks, e.vs.ackBorn)
+	if !slices.Equal(e.vs.ackedBy, state) || e.vs.delivered[1] != 1 {
+		t.Fatalf("late acknowledgements changed state: ackedBy %v -> %v", state, e.vs.ackedBy)
 	}
 
 	e.flushAcks()
-	if want := []transport.ID{1}; !reflect.DeepEqual(sent.to, want) {
-		t.Fatalf("own acks sent to %v this round, want %v (the one to 2 is deferred)", sent.to, want)
+	if len(sent.to) != 0 {
+		t.Fatalf("own acks sent to %v this round, want none (2, not 0, is 1's designated receiver)", sent.to)
 	}
 }
 
 // TestReceiverAcksOnlySenderThisRound: in a view of three, a receiver's quorum
-// is itself plus the sender, so it delivers at receipt and one frame leaves
-// this round, an ack to the sender. The ack the other receiver needs for
-// stability rides the next data frame to it.
+// is itself plus the sender, so it delivers at receipt; the sender's
+// designated receiver sends one frame this round, its held vector to the
+// sender. What the other receiver is owed for stability rides this process's
+// next data frame, which settles everything owed.
 func TestReceiverAcksOnlySenderThisRound(t *testing.T) {
 	e, sent, rec := unstarted(t, 1, 0, 1, 2)
-	m := urb(0, 1)
-	e.handleNet(transport.Message{From: 0, Payload: m})
+	e.handleNet(transport.Message{From: 0, Payload: urb(3, 0, 1)})
 	e.flushAcks()
 	if !reflect.DeepEqual(sent.to, []transport.ID{0}) {
 		t.Fatalf("frames this round went to %v, want one to the sender", sent.to)
 	}
-	if a := sent.acksTo(0); len(a) != 1 || !reflect.DeepEqual(a[0].IDs, []msgID{m.ID}) {
+	if a := sent.acksTo(0); len(a) != 1 || !reflect.DeepEqual(a[0].Held, []uint64{1, 0, 0}) {
 		t.Fatalf("acks to the sender = %v", a)
 	}
 	e.runUpcalls()
 	if got := rec.urSeq(); !reflect.DeepEqual(got, []string{"0:1"}) {
 		t.Fatalf("UR deliveries = %v, want the message delivered at receipt", got)
 	}
+	if o := owed(e, 2); o.n != 1 || o.due {
+		t.Fatalf("owed to the other receiver = %+v, want one deferred ack", o)
+	}
 
 	e.mu.Lock()
 	e.broadcastDataLocked(kindURB, "reply")
 	e.mu.Unlock()
-	var to2 *urbData
 	for i, p := range sent.payloads {
-		if d, ok := p.(*urbData); ok {
-			switch sent.to[i] {
-			case 0:
-				if d.Acks != nil {
-					t.Fatalf("data frame to the sender carries acks %v already sent", d.Acks)
-				}
-			case 2:
-				to2 = d
-			}
+		if d, ok := p.(*urbData); ok && !reflect.DeepEqual(d.Acks, []uint64{1, 0, 0}) {
+			t.Fatalf("data frame to %d carries acks %v, want the held vector", sent.to[i], d.Acks)
 		}
-	}
-	if to2 == nil || !reflect.DeepEqual(to2.Acks, []msgID{m.ID}) {
-		t.Fatalf("data frame to the other receiver = %+v, want it to carry the deferred ack", to2)
-	}
-	if d := e.vs.pending[to2.ID].data; d.Acks != nil {
-		t.Fatalf("the staged copy carries acks %v: flush reports and retransmissions would too", d.Acks)
 	}
 	n := len(sent.to)
 	e.flushAcks()
-	if len(sent.to) != n || len(owed(e, 2)) != 0 {
-		t.Fatalf("acks left after the piggyback: sent %v, owed %v", sent.to[n:], owed(e, 2))
+	if len(sent.to) != n || owed(e, 0) != (owedAck{}) || owed(e, 2) != (owedAck{}) {
+		t.Fatalf("acks left after the piggyback: sent %v, owed %+v %+v", sent.to[n:], owed(e, 0), owed(e, 2))
+	}
+}
+
+// TestOnlyDesignatedReceiverAcksSenderThisRound: in a view of three the
+// sender needs one acknowledgement, so only its designated receiver — the
+// member after it in view order, wrapping around — sends one this round.
+func TestOnlyDesignatedReceiverAcksSenderThisRound(t *testing.T) {
+	tests := []struct {
+		self, sender transport.ID
+		want         []transport.ID
+	}{
+		{1, 0, []transport.ID{0}},
+		{2, 0, nil},
+		{0, 2, []transport.ID{2}},
+		{1, 2, nil},
+	}
+	for _, tt := range tests {
+		e, sent, _ := unstarted(t, tt.self, 0, 1, 2)
+		e.handleNet(transport.Message{From: tt.sender, Payload: urb(3, tt.sender, 1)})
+		e.flushAcks()
+		if !reflect.DeepEqual(sent.to, tt.want) {
+			t.Errorf("receiver %d of a message from %d sent acks to %v this round, want %v", tt.self, tt.sender, sent.to, tt.want)
+		}
+		if got := e.vs.delivered[e.view.index(tt.sender)]; got != 1 {
+			t.Errorf("receiver %d delivered %d messages from %d, want 1 at receipt", tt.self, got, tt.sender)
+		}
+	}
+}
+
+// TestNonDesignatedReceiverAcksAtOnceWhenDesignatedIsQuiet: once the sender's
+// designated receiver has been silent for longer than HeartbeatInterval + Tick
+// (it may have crashed), the other receiver acknowledges to the sender at once,
+// and stops again when the designated one is heard.
+func TestNonDesignatedReceiverAcksAtOnceWhenDesignatedIsQuiet(t *testing.T) {
+	e, sent, _ := unstarted(t, 2, 0, 1, 2)
+	e.lastHeard[1] = time.Now().Add(-2 * e.cfg.HeartbeatInterval)
+	e.handleNet(transport.Message{From: 0, Payload: urb(3, 0, 1)})
+	e.flushAcks()
+	if a := sent.acksTo(0); !reflect.DeepEqual(sent.to, []transport.ID{0}) || !reflect.DeepEqual(a[0].Held, []uint64{1, 0, 0}) {
+		t.Fatalf("frames this round went to %v (acks to the sender %v), want the held vector to the sender", sent.to, a)
+	}
+
+	e.handleNet(transport.Message{From: 1, Payload: &heartbeat{View: 1, From: 1}})
+	e.handleNet(transport.Message{From: 0, Payload: urb(3, 0, 2)})
+	e.flushAcks()
+	if len(sent.to) != 1 {
+		t.Fatalf("acks sent to %v after the designated receiver was heard again", sent.to[1:])
+	}
+}
+
+// TestAckFromOutsideTheViewChangesNoState: a held vector from a process
+// outside the view, of the wrong length or of another view counts for
+// nothing.
+func TestAckFromOutsideTheViewChangesNoState(t *testing.T) {
+	e, _, _ := unstarted(t, 0, 0, 1, 2)
+	e.mu.Lock()
+	e.broadcastDataLocked(kindURB, "x")
+	e.mu.Unlock()
+	state := slices.Clone(e.vs.ackedBy)
+	for _, a := range []*urbAck{
+		{View: 1, From: 9, Held: []uint64{1, 1, 1}},
+		{View: 1, From: 1, Held: []uint64{1, 1}},
+		{View: 2, From: 1, Held: []uint64{1, 1, 1}},
+	} {
+		e.handleNet(transport.Message{From: a.From, Payload: a})
+	}
+	if !slices.Equal(e.vs.ackedBy, state) || e.vs.delivered[0] != 0 {
+		t.Fatalf("foreign acks changed state: ackedBy %v -> %v, delivered %v", state, e.vs.ackedBy, e.vs.delivered)
 	}
 }
 
@@ -442,26 +562,26 @@ func TestReceiverAcksOnlySenderThisRound(t *testing.T) {
 // maxOwedAcks are owed to it.
 func TestDeferredAckLeavesAtTickOrWhenMany(t *testing.T) {
 	e, sent, _ := unstarted(t, 1, 0, 1, 2)
-	e.handleNet(transport.Message{From: 0, Payload: urb(0, 1)})
+	e.handleNet(transport.Message{From: 0, Payload: urb(3, 0, 1)})
 	e.flushAcks()
 	if a := sent.acksTo(2); len(a) != 0 {
 		t.Fatalf("deferred ack sent this round: %v", a)
 	}
 	e.tick()
 	e.flushAcks()
-	if a := sent.acksTo(2); len(a) != 1 || len(a[0].IDs) != 1 {
+	if a := sent.acksTo(2); len(a) != 1 || !reflect.DeepEqual(a[0].Held, []uint64{1, 0, 0}) {
 		t.Fatalf("acks to the other receiver after a tick = %v, want one", a)
 	}
 
 	e, sent, _ = unstarted(t, 1, 0, 1, 2)
 	for seq := uint64(1); seq <= maxOwedAcks; seq++ {
-		e.handleNet(transport.Message{From: 0, Payload: urb(0, seq)})
+		e.handleNet(transport.Message{From: 0, Payload: urb(3, 0, seq)})
 		e.flushAcks()
 		if a := sent.acksTo(2); seq < maxOwedAcks && len(a) != 0 {
 			t.Fatalf("%d owed acks sent early: %v", seq, a)
 		}
 	}
-	if a := sent.acksTo(2); len(a) != 1 || len(a[0].IDs) != maxOwedAcks {
+	if a := sent.acksTo(2); len(a) != 1 || a[0].Held[0] != maxOwedAcks {
 		t.Fatalf("acks to the other receiver at %d owed = %v", maxOwedAcks, a)
 	}
 }
@@ -470,8 +590,7 @@ func TestDeferredAckLeavesAtTickOrWhenMany(t *testing.T) {
 // third holder, so every member gets the ack this round.
 func TestAllAcksDueFromFourMembers(t *testing.T) {
 	e, sent, _ := unstarted(t, 1, 0, 1, 2, 3, 4)
-	m := urb(0, 1)
-	e.handleNet(transport.Message{From: 0, Payload: m})
+	e.handleNet(transport.Message{From: 0, Payload: urb(5, 0, 1)})
 	if e.vs.delivered[0] != 0 {
 		t.Fatal("delivered with two holders of five")
 	}
@@ -481,19 +600,23 @@ func TestAllAcksDueFromFourMembers(t *testing.T) {
 	}
 }
 
-// TestRelayerCountsOnlyInsideTheView: a copy relayed by a member counts the
-// relayer as a holder (and is acknowledged to it); a copy arriving from
-// outside the view counts only the sender.
+// TestRelayerCountsOnlyInsideTheView: a relayed copy proves only that its
+// sender holds the message. A relaying member is counted through its own held
+// vector (and acknowledged to at once); a relayer outside the view is never
+// counted nor acknowledged to.
 func TestRelayerCountsOnlyInsideTheView(t *testing.T) {
 	e, sent, _ := unstarted(t, 1, 0, 1, 2, 3, 4)
-	e.handleNet(transport.Message{From: 2, Payload: urb(0, 1)})
-	if e.vs.delivered[0] != 1 {
-		t.Fatalf("relayed copy did not make a quorum of sender, relayer and self: acks=%v", e.vs.acks)
+	e.handleNet(transport.Message{From: 2, Payload: urb(5, 0, 1)})
+	if e.vs.delivered[0] != 0 || e.vs.holders(0, 1) != 2 {
+		t.Fatalf("relayed copy counted its relayer: delivered=%d holders=%d", e.vs.delivered[0], e.vs.holders(0, 1))
 	}
-	e.handleNet(transport.Message{From: 9, Payload: urb(0, 2)})
-	id := msgID{Sender: 0, Seq: 2}
-	if set := e.vs.acks[id]; e.vs.delivered[0] != 1 || set[9] || len(set) != 2 {
-		t.Fatalf("copy from a non-member counted it: delivered=%d acks=%v", e.vs.delivered[0], set)
+	e.handleNet(transport.Message{From: 2, Payload: &urbAck{View: 1, From: 2, Held: []uint64{1, 0, 0, 0, 0}}})
+	if e.vs.delivered[0] != 1 {
+		t.Fatalf("the relayer's held vector did not complete the quorum: ackedBy=%v", e.vs.ackedBy)
+	}
+	e.handleNet(transport.Message{From: 9, Payload: urb(5, 0, 2)})
+	if e.vs.delivered[0] != 1 || e.vs.holders(0, 2) != 2 {
+		t.Fatalf("copy from a non-member counted it: delivered=%d holders=%d", e.vs.delivered[0], e.vs.holders(0, 2))
 	}
 	e.flushAcks()
 	for _, to := range sent.to {
@@ -513,7 +636,7 @@ func TestBroadcastStagesBeforeSendingNotToSelf(t *testing.T) {
 		if to == 0 {
 			t.Errorf("sent %T to self", payload)
 		}
-		if _, ok := e.vs.pending[id]; !ok {
+		if _, pm := e.vs.find(id); pm == nil {
 			t.Errorf("frame to %d left before the message was staged", to)
 		}
 	}
@@ -523,15 +646,15 @@ func TestBroadcastStagesBeforeSendingNotToSelf(t *testing.T) {
 	if !reflect.DeepEqual(sent.to, []transport.ID{1, 2}) {
 		t.Fatalf("broadcast sent to %v, want the two peers", sent.to)
 	}
-	if len(owed(e, 1))+len(owed(e, 2)) != 0 {
-		t.Fatalf("sender owes acks of its own message: %v %v", owed(e, 1), owed(e, 2))
+	if owed(e, 1).n+owed(e, 2).n != 0 {
+		t.Fatalf("sender owes acks of its own message: %+v %+v", owed(e, 1), owed(e, 2))
 	}
 	e.runUpcalls()
 	if got := rec.optSeq(); !reflect.DeepEqual(got, []string{"x"}) {
 		t.Fatalf("Opt-deliveries at the sender = %v, want the broadcast", got)
 	}
-	e.handleNet(transport.Message{From: 1, Payload: &urbAck{View: 1, From: 1, IDs: []msgID{id}}})
-	if _, ok := e.vs.pending[id]; ok {
+	e.handleNet(transport.Message{From: 1, Payload: &urbAck{View: 1, From: 1, Held: []uint64{1, 0, 0}}})
+	if len(e.vs.pending[0]) != 0 {
 		t.Fatal("not UR-delivered on the first receiver's ack")
 	}
 }

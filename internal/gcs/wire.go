@@ -32,10 +32,14 @@ func RegisterWire() {
 	wire.Register(tagURBAck, &urbAck{},
 		func(b []byte, v any) ([]byte, error) {
 			m := v.(*urbAck)
-			return appendMsgIDs(appendProcID(wire.AppendUvarint(b, m.View), m.From), m.IDs), nil
+			return appendCounters(appendProcID(wire.AppendUvarint(b, m.View), m.From), m.Held), nil
 		},
 		func(r *wire.Reader) (any, error) {
-			return &urbAck{View: r.Uvarint(), From: readProcID(r), IDs: readMsgIDs(r)}, r.Err()
+			m := &urbAck{View: r.Uvarint(), From: readProcID(r)}
+			if err := readCounters(r, &m.Held, nil); err != nil {
+				return nil, err
+			}
+			return m, nil
 		})
 	wire.Register(tagOrderBatch, &orderBatch{},
 		func(b []byte, v any) ([]byte, error) {
@@ -86,8 +90,6 @@ func RegisterWire() {
 			if err != nil {
 				return b, err
 			}
-			b = appendVector(b, m.Delivered)
-			b = wire.AppendUvarint(b, m.NextGSeq)
 			b = appendOrderEntries(b, m.Orders)
 			return wire.AppendUvarint(b, m.SeqNext), nil
 		},
@@ -97,8 +99,6 @@ func RegisterWire() {
 			if m.Unstable, err = readURBDataSlice(r); err != nil {
 				return nil, err
 			}
-			m.Delivered = readVector(r)
-			m.NextGSeq = r.Uvarint()
 			m.Orders = readOrderEntries(r)
 			m.SeqNext = r.Uvarint()
 			return m, r.Err()
@@ -114,10 +114,7 @@ func RegisterWire() {
 			}
 			b = appendOrderEntries(b, m.Orders)
 			b = wire.AppendBool(b, m.HasState)
-			if b, err = wire.AppendAny(b, m.State); err != nil {
-				return b, err
-			}
-			return appendVector(b, m.Clock), nil
+			return wire.AppendAny(b, m.State)
 		},
 		func(r *wire.Reader) (any, error) {
 			m := &vcInstall{ProposalID: r.Uvarint(), View: readView(r)}
@@ -130,7 +127,6 @@ func RegisterWire() {
 			if m.State, err = wire.ReadAny(r); err != nil {
 				return nil, err
 			}
-			m.Clock = readVector(r)
 			return m, r.Err()
 		})
 	wire.Register(tagVCStale, &vcStale{},
@@ -208,32 +204,61 @@ func readVector(r *wire.Reader) map[transport.ID]uint64 {
 	return m
 }
 
+// appendCounters encodes member-indexed vectors (vector clocks, held
+// vectors): every length first, then every entry, so that the decoder backs
+// them all with one allocation. An empty vector decodes as nil.
+func appendCounters(b []byte, vecs ...[]uint64) []byte {
+	for _, v := range vecs {
+		b = wire.AppendUvarint(b, uint64(len(v)))
+	}
+	for _, v := range vecs {
+		for _, x := range v {
+			b = wire.AppendUvarint(b, x)
+		}
+	}
+	return b
+}
+
+// readCounters decodes what appendCounters wrote: vector a and, unless b is
+// nil, vector b. A vector longer than a view can be (maxMembers) is refused
+// before anything is allocated.
+func readCounters(r *wire.Reader, a, b *[]uint64) error {
+	into := [2]*[]uint64{a, b}
+	var lens [2]int
+	total := 0
+	for i, p := range into {
+		if p == nil {
+			continue
+		}
+		if lens[i] = r.Count(); lens[i] > maxMembers {
+			return fmt.Errorf("gcs: %d-entry vector exceeds the %d-member bound", lens[i], maxMembers)
+		}
+		total += lens[i]
+	}
+	if r.Err() != nil || total == 0 {
+		return r.Err()
+	}
+	if total > r.Len() {
+		return wire.ErrOversize
+	}
+	buf := make([]uint64, total)
+	for i := range buf {
+		buf[i] = r.Uvarint()
+	}
+	for i, p := range into {
+		if lens[i] > 0 {
+			*p, buf = buf[:lens[i]:lens[i]], buf[lens[i]:]
+		}
+	}
+	return r.Err()
+}
+
 func appendMsgID(b []byte, id msgID) []byte {
 	return wire.AppendUvarint(appendProcID(b, id.Sender), id.Seq)
 }
 
 func readMsgID(r *wire.Reader) msgID {
 	return msgID{Sender: readProcID(r), Seq: r.Uvarint()}
-}
-
-func appendMsgIDs(b []byte, ids []msgID) []byte {
-	b = wire.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = appendMsgID(b, id)
-	}
-	return b
-}
-
-func readMsgIDs(r *wire.Reader) []msgID {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	ids := make([]msgID, n)
-	for i := range ids {
-		ids[i] = readMsgID(r)
-	}
-	return ids
 }
 
 func appendOrderEntries(b []byte, entries []orderEntry) []byte {
@@ -277,18 +302,17 @@ func appendURBData(b []byte, m *urbData) ([]byte, error) {
 	b = wire.AppendUvarint(b, m.View)
 	b = appendMsgID(b, m.ID)
 	b = append(b, m.Kind)
-	b = appendVector(b, m.VC)
 	b = wire.AppendBool(b, m.Committed)
-	b = appendMsgIDs(b, m.Acks)
+	b = appendCounters(b, m.VC, m.Acks)
 	return wire.AppendAny(b, m.Body)
 }
 
 func readURBData(r *wire.Reader) (*urbData, error) {
-	m := &urbData{View: r.Uvarint(), ID: readMsgID(r), Kind: r.Byte()}
-	m.VC = readVector(r)
-	m.Committed = r.Bool()
-	m.Acks = readMsgIDs(r)
-	var err error
+	m := &urbData{View: r.Uvarint(), ID: readMsgID(r), Kind: r.Byte(), Committed: r.Bool()}
+	err := readCounters(r, &m.VC, &m.Acks)
+	if err != nil {
+		return nil, err
+	}
 	if m.Body, err = wire.ReadAny(r); err != nil {
 		return nil, err
 	}

@@ -17,14 +17,15 @@ import (
 func TestBinaryRoundtrip(t *testing.T) {
 	RegisterWire()
 
-	vc := map[transport.ID]uint64{0: 3, 2: 9}
+	vc := []uint64{3, 0, 9}
 	msgs := []any{
 		&urbData{View: 4, ID: msgID{Sender: 1, Seq: 17}, Kind: 2, VC: vc,
 			Body: "payload", Committed: true},
 		&urbData{View: 4, ID: msgID{Sender: 2, Seq: 3}, Kind: 1, VC: vc, Body: "piggyback",
-			Acks: []msgID{{Sender: 0, Seq: 9}, {Sender: 1, Seq: 17}}},
+			Acks: []uint64{9, 17, 1 << 40}},
+		&urbData{View: 4, ID: msgID{Sender: 2, Seq: 3}, Kind: 1, Body: "acks only", Acks: []uint64{1}},
 		&urbData{View: 0, ID: msgID{}, Kind: 0, VC: nil, Body: nil},
-		&urbAck{View: 7, From: 2, IDs: []msgID{{Sender: 0, Seq: 1}, {Sender: 3, Seq: 44}}},
+		&urbAck{View: 7, From: 2, Held: []uint64{1, 0, 44, 1 << 63}},
 		&urbAck{View: 1, From: 0},
 		&orderBatch{Entries: []orderEntry{{ID: msgID{Sender: 1, Seq: 2}, GSeq: 10}}},
 		&orderBatch{},
@@ -37,12 +38,10 @@ func TestBinaryRoundtrip(t *testing.T) {
 			ProposalID: 9, From: 1, ViewID: 3,
 			Unstable: []*urbData{
 				{View: 3, ID: msgID{Sender: 1, Seq: 5}, Kind: 1,
-					VC: map[transport.ID]uint64{1: 4}, Body: int64(-12)},
+					VC: []uint64{0, 4}, Body: int64(-12), Acks: []uint64{6, 5}},
 			},
-			Delivered: map[transport.ID]uint64{0: 6, 1: 5},
-			NextGSeq:  42,
-			Orders:    []orderEntry{{ID: msgID{Sender: 0, Seq: 6}, GSeq: 41}},
-			SeqNext:   6,
+			Orders:  []orderEntry{{ID: msgID{Sender: 0, Seq: 6}, GSeq: 41}},
+			SeqNext: 6,
 		},
 		&vcFlush{ProposalID: 1, From: 0, ViewID: 1},
 		&vcInstall{
@@ -55,7 +54,6 @@ func TestBinaryRoundtrip(t *testing.T) {
 			Orders:   []orderEntry{{ID: msgID{Sender: 2, Seq: 8}, GSeq: 50}},
 			HasState: true,
 			State:    "opaque state blob",
-			Clock:    map[transport.ID]uint64{0: 9},
 		},
 		&vcInstall{ProposalID: 2, View: View{ID: 1, Members: []transport.ID{0}}},
 		&vcStale{ViewID: 99},
@@ -86,7 +84,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 func TestBinaryRoundtripThroughEnvelope(t *testing.T) {
 	RegisterWire()
 	want := &urbData{View: 2, ID: msgID{Sender: 0, Seq: 1}, Kind: 1,
-		VC: map[transport.ID]uint64{0: 1}, Body: "env"}
+		VC: []uint64{1, 0, 0}, Acks: []uint64{1, 2, 3}, Body: "env"}
 	frame, err := wire.AppendEnvelope(nil, 3, want)
 	if err != nil {
 		t.Fatal(err)
@@ -114,17 +112,16 @@ func TestBinaryRejectsTruncation(t *testing.T) {
 	RegisterWire()
 	for _, m := range []any{
 		&urbData{View: 3, ID: msgID{Sender: 1, Seq: 6}, Kind: 1,
-			VC: map[transport.ID]uint64{1: 5}, Body: "y", Acks: []msgID{{Sender: 2, Seq: 4}}},
+			VC: []uint64{0, 5, 300}, Body: "y", Acks: []uint64{2, 4, 1 << 20}},
+		&urbAck{View: 3, From: 1, Held: []uint64{7, 1 << 33, 0}},
 		&vcFlush{
 			ProposalID: 9, From: 1, ViewID: 3,
 			Unstable: []*urbData{
 				{View: 3, ID: msgID{Sender: 1, Seq: 5}, Kind: 1,
-					VC: map[transport.ID]uint64{1: 4}, Body: "x"},
+					VC: []uint64{0, 4}, Body: "x", Acks: []uint64{1, 4}},
 			},
-			Delivered: map[transport.ID]uint64{0: 6},
-			NextGSeq:  42,
-			Orders:    []orderEntry{{ID: msgID{Sender: 0, Seq: 6}, GSeq: 41}},
-			SeqNext:   6,
+			Orders:  []orderEntry{{ID: msgID{Sender: 0, Seq: 6}, GSeq: 41}},
+			SeqNext: 6,
 		},
 	} {
 		full, err := wire.AppendAny(nil, m)
@@ -138,5 +135,34 @@ func TestBinaryRejectsTruncation(t *testing.T) {
 				t.Fatalf("%T: prefix of %d/%d bytes decoded to %#v without error", m, cut, len(full), v)
 			}
 		}
+	}
+}
+
+// TestBinaryRejectsOverlongVectors: a member-indexed vector longer than a
+// view can be is refused at its length, before the decoder allocates it, even
+// when the frame does hold that many entries.
+func TestBinaryRejectsOverlongVectors(t *testing.T) {
+	RegisterWire()
+	long := make([]uint64, maxMembers+1)
+	for _, m := range []any{
+		&urbData{View: 1, ID: msgID{Sender: 0, Seq: 1}, Kind: 1, VC: long, Body: "x"},
+		&urbData{View: 1, ID: msgID{Sender: 0, Seq: 1}, Kind: 1, VC: []uint64{0}, Acks: long, Body: "x"},
+		&urbAck{View: 1, From: 0, Held: long},
+	} {
+		b, err := wire.AppendAny(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := wire.ReadAny(wire.NewReader(b)); err == nil {
+			t.Fatalf("%T with a %d-entry vector decoded to %#v", m, len(long), v)
+		}
+	}
+	at := make([]uint64, maxMembers)
+	b, err := wire.AppendAny(nil, &urbAck{View: 1, From: 0, Held: at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadAny(wire.NewReader(b)); err != nil {
+		t.Fatalf("a %d-entry vector was refused: %v", maxMembers, err)
 	}
 }

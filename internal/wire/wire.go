@@ -49,8 +49,10 @@ import (
 // Version is the wire format version carried by the handshake and every
 // frame. Bump it for any incompatible layout change: mixed-version clusters
 // must fail at handshake, not corrupt. Version 2: gcs data frames carry
-// piggybacked acknowledgements.
-const Version = 2
+// piggybacked acknowledgements. Version 3: gcs vector clocks and
+// acknowledgements are member-indexed vectors (cumulative held vectors, not
+// message-ID lists), and flush reports and installs lose two unused fields.
+const Version = 3
 
 // Errors returned by decode paths.
 var (
