@@ -104,12 +104,6 @@ type Config struct {
 	// item, the paper's evaluation setting. Smaller values trade message
 	// size for false sharing. Ignored by CERT.
 	ConflictClasses int
-	// Shards partitions the conflict classes across this many independent
-	// lease/broadcast groups, each with its own sequencer and lease manager.
-	// Transactions whose data-set spans groups commit through the cross-shard
-	// certification path. ALC only: NewCluster refuses CERT with more than one
-	// shard. Zero or one runs the classic single-group protocol.
-	Shards int
 	// DisableOptimisticFree turns off the §4.5(b) optimization (freeing
 	// leases at optimistic delivery). On by default.
 	DisableOptimisticFree bool
@@ -161,7 +155,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		N: cfg.Replicas,
 		Core: core.Config{
 			Protocol: proto,
-			Shards:   cfg.Shards,
 			Lease: lease.Config{
 				Mapper:            lease.Mapper{NumClasses: cfg.ConflictClasses},
 				OptimisticFree:    !cfg.DisableOptimisticFree,

@@ -115,27 +115,6 @@ var experiments = []experiment{
 		return fmt.Sprintf("Ablation — group-commit batching + parallel apply on sharded bank (n=%d, %d threads/replica)",
 			n, o.batchThreads), bench.BatchRows{AblationRows: rows}, err
 	}},
-	{"ablation-shard", "horizontal sharding, S in {1,2,4}; both sequencer regimes unless -ab-ceiling picks one", func(o options) (string, table, error) {
-		// ROADMAP item 1's decision table: the calibrated rows are where
-		// sharding's recorded gain comes from, the native rows are what this
-		// repository's own sequencer gives.
-		const n = 4
-		ceilings := []time.Duration{o.base.ABCeiling}
-		if o.base.ABCeiling == 0 {
-			ceilings = []time.Duration{0, -1}
-		}
-		var rows bench.AblationRows
-		for _, ceiling := range ceilings {
-			base := o.at(n)
-			base.ABCeiling = ceiling
-			part, err := bench.RunAblationShard(base, []int{1, 2, 4}, o.duration)
-			if err != nil {
-				return "", nil, err
-			}
-			rows = append(rows, part...)
-		}
-		return fmt.Sprintf("Ablation — horizontal sharding: S lease/broadcast groups under lease rotation (n=%d, disjoint + 10%% cross-shard mixes)", n), rows, nil
-	}},
 }
 
 func names() []string {

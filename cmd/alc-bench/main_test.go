@@ -52,8 +52,13 @@ func TestAllVisitsTheTableInOrder(t *testing.T) {
 			t.Fatalf("args %v visited %v, table is %v", args, ran, want)
 		}
 	}
-	ran, _, _, err := visits(t, "-experiment", "ablation-shard")
-	if err != nil || !reflect.DeepEqual(ran, []string{"ablation-shard"}) {
+	want := []string{"fig3a", "fig3b", "fig4", "latency", "ablation-opt", "ablation-cc",
+		"ablation-bloom", "ablation-locality", "ablation-routing", "ablation-batch"}
+	if got := names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("experiment table %v, want the %d entries %v", got, len(want), want)
+	}
+	ran, _, _, err := visits(t, "-experiment", "ablation-batch")
+	if err != nil || !reflect.DeepEqual(ran, []string{"ablation-batch"}) {
 		t.Fatalf("single experiment visited %v, err %v", ran, err)
 	}
 }

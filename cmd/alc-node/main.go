@@ -9,9 +9,7 @@
 // group's state transfer.
 //
 // Replica links speak the binary wire codec; a peer from the retired
-// gob-framing release is refused at handshake. -shards splits the conflict
-// classes across that many independent lease/broadcast groups (see README
-// "Horizontal sharding"; every node must agree). -client opens the wire client
+// gob-framing release is refused at handshake. -client opens the wire client
 // protocol front door with admission control (-max-inflight, -max-pending);
 // drive it with the clientsrv package (clientsrv.Dial), as benchmark/ does.
 //
@@ -57,7 +55,6 @@ func run() error {
 		id        = flag.Int("id", -1, "this replica's ID")
 		peers     = flag.String("peers", "", "comma-separated id=host:port list for every replica")
 		protocol  = flag.String("protocol", "alc", "alc or cert")
-		shards    = flag.Int("shards", 1, "independent lease/broadcast shard groups (alc only; must match on every node)")
 		join      = flag.Bool("join", false, "rejoin a running group via state transfer")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/alc and /debug/pprof on this address (e.g. :8080)")
 		dataDir   = flag.String("data-dir", "", "directory for the write-ahead log and store snapshots (empty = no durability)")
@@ -95,7 +92,6 @@ func run() error {
 	}
 	replica, err := core.NewReplica(tr, core.Config{
 		Protocol: proto,
-		Shards:   *shards,
 		Lease:    lease.Config{OptimisticFree: true, DeadlockDetection: true},
 		Durability: core.DurabilityConfig{
 			Dir:           *dataDir,

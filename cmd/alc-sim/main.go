@@ -42,7 +42,6 @@ func run() error {
 		quiet   = flag.Bool("q", false, "suppress event tracing, print only summaries")
 		traceOn = flag.Bool("trace", false, "dump the protocol event trace for failing runs")
 		durable = flag.Bool("durable", false, "run with the durability tier: WAL + snapshots, crash-restart recovery from disk")
-		shards  = flag.Int("shards", 0, "shard groups per replica (0 = harness default of 1)")
 	)
 	flag.Parse()
 	if *seed == 0 && flag.Lookup("seed").Value.String() == "0" {
@@ -56,7 +55,7 @@ func run() error {
 
 	failures := 0
 	for i := 0; i < *n; i++ {
-		cfg := sim.Config{Seed: *seed, Threads: *threads, Load: *load, Durable: *durable, Shards: *shards}
+		cfg := sim.Config{Seed: *seed, Threads: *threads, Load: *load, Durable: *durable}
 		if !*quiet {
 			cfg.Logf = func(format string, args ...any) {
 				fmt.Printf("  "+format+"\n", args...)

@@ -73,9 +73,6 @@ type Params struct {
 	// over the cluster: the affinity variant of ablation-routing submits
 	// through Cluster.Submit instead of calling a replica directly.
 	Route bool
-	// Shards partitions the conflict classes across this many independent
-	// lease/broadcast groups per replica (core.Config.Shards). 0 = 1.
-	Shards int
 }
 
 func (p Params) String() string {
@@ -119,7 +116,6 @@ func NewCluster(p Params, seed map[string]stm.Value) (*Cluster, error) {
 			PiggybackCert: p.PiggybackCert,
 			BloomFPRate:   p.BloomFPRate,
 			Batch:         p.Batch,
-			Shards:        p.Shards,
 		},
 		Net: memnet.Config{Latency: latency, PerMessageCost: DefaultPerMessageCost},
 		GCS: gcs.Config{
@@ -184,7 +180,7 @@ type BatchSummary struct {
 	// SizePairs is the merged (size, count) distribution, sorted by size.
 	SizePairs [][2]int64
 	// Flush reason counters (why each batch was sealed).
-	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain, FlushCross int64
+	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain int64
 	// ApplyTasks / ApplyMaxParallel describe the parallel apply stage.
 	ApplyTasks       int64
 	ApplyMaxParallel int64
@@ -194,9 +190,9 @@ func (b BatchSummary) String() string {
 	if b.Batches == 0 {
 		return "no batches"
 	}
-	return fmt.Sprintf("batches=%d txns=%d mean=%.2f max=%d flushes[idle=%d size=%d bytes=%d window=%d drain=%d cross=%d] apply[tasks=%d maxpar=%d]",
+	return fmt.Sprintf("batches=%d txns=%d mean=%.2f max=%d flushes[idle=%d size=%d bytes=%d window=%d drain=%d] apply[tasks=%d maxpar=%d]",
 		b.Batches, b.Txns, b.MeanSize, b.MaxSize,
-		b.FlushIdle, b.FlushSize, b.FlushBytes, b.FlushWindow, b.FlushDrain, b.FlushCross,
+		b.FlushIdle, b.FlushSize, b.FlushBytes, b.FlushWindow, b.FlushDrain,
 		b.ApplyTasks, b.ApplyMaxParallel)
 }
 
@@ -249,7 +245,6 @@ func summarize(c *Cluster, elapsed time.Duration, before counts) Throughput {
 		batch.FlushBytes += s.Batch.FlushBytes
 		batch.FlushWindow += s.Batch.FlushWindow
 		batch.FlushDrain += s.Batch.FlushDrain
-		batch.FlushCross += s.Batch.FlushCross
 		batch.ApplyTasks += s.Batch.ApplyTasks
 		if int(s.Batch.ApplyMaxParallel) > int(batch.ApplyMaxParallel) {
 			batch.ApplyMaxParallel = s.Batch.ApplyMaxParallel

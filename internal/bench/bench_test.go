@@ -157,7 +157,7 @@ func TestRunAblationCCFalseSharing(t *testing.T) {
 	}
 }
 
-// TestABCeilingReachesEveryCell runs the three cheapest experiments that
+// TestABCeilingReachesEveryCell runs the two cheapest experiments that
 // ignored -ab-ceiling before Params.ABCeiling existed and checks, from the
 // rows themselves, that every cell's cluster ran on the sequencer the base
 // Params asked for.
@@ -169,9 +169,6 @@ func TestABCeilingReachesEveryCell(t *testing.T) {
 	}{
 		{"ablation-opt", func(base Params) (AblationRows, error) { return RunAblationOpt(base, cell) }},
 		{"ablation-cc", func(base Params) (AblationRows, error) { return RunAblationCC(base, []int{1, 0}, cell) }},
-		{"ablation-shard", func(base Params) (AblationRows, error) {
-			return RunAblationShard(base, []int{1, 2}, cell.Duration)
-		}},
 	}
 	regimes := []struct {
 		ceiling time.Duration

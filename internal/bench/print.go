@@ -88,8 +88,7 @@ func (rows LatencyRows) Print(w io.Writer, title string) {
 	_ = tw.Flush()
 }
 
-// Print renders an ablation sweep; the sequencer column is per row because
-// one table may hold both regimes (ablation-shard's decision table).
+// Print renders an ablation sweep, naming each row's sequencer regime.
 func (rows AblationRows) Print(w io.Writer, title string) {
 	var ivs []time.Duration
 	for _, r := range rows {

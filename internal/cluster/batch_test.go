@@ -75,9 +75,7 @@ func TestBatchSharedLeaseNoLostUpdate(t *testing.T) {
 // frontier filter silently drops the lower one (a counter ends at each-1).
 // The committer and commit counts are sized so that a driver without that
 // atomicity loses a commit in every run at GOMAXPROCS=2 (10 of 10 on commit
-// 187822f, whose single-shard driver lacked it). Both shard
-// counts go through the same driver; Shards=2 additionally spreads the
-// committers over two coalescers and two URB channels.
+// 187822f, whose commit driver lacked it).
 func TestBatchingCoalescesDisjointCommitters(t *testing.T) {
 	const (
 		committers = 64
@@ -94,74 +92,70 @@ func TestBatchingCoalescesDisjointCommitters(t *testing.T) {
 	// heartbeats past testGCS's 120ms suspicion timeout.
 	gcsCfg := testGCS()
 	gcsCfg.SuspectAfter = 10 * time.Second
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c, err := New(Config{
-				N:    3,
-				Core: core.Config{Protocol: core.ProtocolALC, Shards: shards},
-				Net:  memnet.Config{Latency: 500 * time.Microsecond},
-				GCS:  gcsCfg,
-				Seed: seed,
-			})
-			if err != nil {
-				t.Fatalf("cluster.New: %v", err)
-			}
-			defer c.Close()
+	c, err := New(Config{
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC},
+		Net:  memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:  gcsCfg,
+		Seed: seed,
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	defer c.Close()
 
-			r := c.Replica(0)
-			var wg sync.WaitGroup
-			for _, box := range boxes {
-				wg.Add(1)
-				go func(box string) {
-					defer wg.Done()
-					for i := 0; i < each; i++ {
-						if err := r.Atomic(increment(box)); err != nil {
-							t.Errorf("increment %s: %v", box, err)
-							return
-						}
-					}
-				}(box)
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.FailNow()
-			}
-
-			if err := c.WaitConverged(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			for _, rep := range c.Replicas() {
-				for _, box := range boxes {
-					if got := readBox(t, rep, box); got != each {
-						t.Errorf("replica %d: %s = %v, want %d (acknowledged commit lost)", rep.ID(), box, got, each)
-					}
-				}
-				// The same bug as a gauge: the frontier filter dropping an
-				// entry it never absorbed (alc_wal_filtered_total{seen="never"}).
-				if n := rep.Stats().WAL.FilteredNeverSeen; n != 0 {
-					t.Errorf("replica %d: frontier filter dropped %d never-seen entries", rep.ID(), n)
+	r := c.Replica(0)
+	var wg sync.WaitGroup
+	for _, box := range boxes {
+		wg.Add(1)
+		go func(box string) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := r.Atomic(increment(box)); err != nil {
+					t.Errorf("increment %s: %v", box, err)
+					return
 				}
 			}
+		}(box)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 
-			s := r.Stats()
-			if s.Commits != committers*each {
-				t.Fatalf("commits = %d, want %d", s.Commits, committers*each)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range c.Replicas() {
+		for _, box := range boxes {
+			if got := readBox(t, rep, box); got != each {
+				t.Errorf("replica %d: %s = %v, want %d (acknowledged commit lost)", rep.ID(), box, got, each)
 			}
-			if s.Batch.BatchedTxns != s.Commits {
-				t.Fatalf("batched txns (%d) != commits (%d)", s.Batch.BatchedTxns, s.Commits)
-			}
-			if s.Batch.BatchedTxns == s.Batch.Batches {
-				t.Fatal("every batch carried exactly one transaction: coalescing never happened")
-			}
-			flushes := s.Batch.FlushIdle + s.Batch.FlushSize + s.Batch.FlushBytes +
-				s.Batch.FlushWindow + s.Batch.FlushDrain
-			if flushes != s.Batch.Batches {
-				t.Fatalf("flush reasons sum to %d, want %d", flushes, s.Batch.Batches)
-			}
-			if s.Batch.ApplyTasks == 0 {
-				t.Fatal("apply scheduler processed no tasks")
-			}
-		})
+		}
+		// The same bug as a gauge: the frontier filter dropping an
+		// entry it never absorbed (alc_wal_filtered_total{seen="never"}).
+		if n := rep.Stats().WAL.FilteredNeverSeen; n != 0 {
+			t.Errorf("replica %d: frontier filter dropped %d never-seen entries", rep.ID(), n)
+		}
+	}
+
+	s := r.Stats()
+	if s.Commits != committers*each {
+		t.Fatalf("commits = %d, want %d", s.Commits, committers*each)
+	}
+	if s.Batch.BatchedTxns != s.Commits {
+		t.Fatalf("batched txns (%d) != commits (%d)", s.Batch.BatchedTxns, s.Commits)
+	}
+	if s.Batch.BatchedTxns == s.Batch.Batches {
+		t.Fatal("every batch carried exactly one transaction: coalescing never happened")
+	}
+	flushes := s.Batch.FlushIdle + s.Batch.FlushSize + s.Batch.FlushBytes +
+		s.Batch.FlushWindow + s.Batch.FlushDrain
+	if flushes != s.Batch.Batches {
+		t.Fatalf("flush reasons sum to %d, want %d", flushes, s.Batch.Batches)
+	}
+	if s.Batch.ApplyTasks == 0 {
+		t.Fatal("apply scheduler processed no tasks")
 	}
 }
 

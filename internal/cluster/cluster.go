@@ -95,7 +95,6 @@ func New(cfg Config) (*Cluster, error) {
 			c.cfg.Core.Tracer = trace.New(0)
 		}
 		c.router = route.New(c.cfg.Core.Lease.Mapper)
-		c.router.SetShards(c.cfg.Core.Shards)
 		c.router.SetLive(c.ids)
 		c.cfg.Core.Tracer.Attach(c.router)
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/wal"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 func init() {
@@ -300,42 +301,97 @@ func TestDurableRestartWithoutSnapshotReplaysLog(t *testing.T) {
 // discards it whole — never a partially applied log — and the replica
 // rejoins stateless, by full transfer.
 func TestDurableGobEraDirectoryRejoinsByFullTransfer(t *testing.T) {
-	c, root := newDurableCluster(t, 3, core.DurabilityConfig{})
-	commitN(t, c, "counter", 20)
-	if err := c.WaitConverged(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c.Crash(2)
+	rejoinsByFullTransfer(t, func(dir string) {
+		// The old build's file shapes: one gob stream per CRC frame.
+		type gobSnapshot struct {
+			Boxes    map[string]int
+			Frontier map[int32]uint64
+		}
+		type gobRecord struct {
+			Shard int
+			Boxes map[string]int
+		}
+		gobFrame := func(v any) []byte {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			return wal.EncodeRecord(buf.Bytes())
+		}
+		snap := gobFrame(&gobSnapshot{Boxes: map[string]int{"counter": 7}, Frontier: map[int32]uint64{0: 99}})
+		log := append(gobFrame(&gobRecord{Boxes: map[string]int{"counter": 8}}), gobFrame(&gobRecord{Boxes: map[string]int{"counter": 9}})...)
+		writeDir(t, dir, snap, log)
+	})
+}
 
-	// The old build's file shapes: one gob stream per CRC frame.
-	type gobSnapshot struct {
-		Boxes    map[string]int
-		Frontier map[int32]uint64
-	}
-	type gobRecord struct {
-		Shard int
-		Boxes map[string]int
-	}
-	gobFrame := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// TestDurableShardGroupFormatDirectoryRejoinsByFullTransfer: the same for a
+// directory in WAL format 0xA1, written by the build that ran shard groups
+// (a shard number on every record, one frontier per group in the snapshot).
+func TestDurableShardGroupFormatDirectoryRejoinsByFullTransfer(t *testing.T) {
+	rejoinsByFullTransfer(t, func(dir string) {
+		var err error
+		snap := []byte{0xA1}
+		snap = wire.AppendVarint(snap, 3) // store clock
+		snap = wire.AppendUvarint(snap, 1)
+		snap = wire.AppendString(snap, "counter")
+		snap = wire.AppendVarint(snap, 0) // writer
+		snap = wire.AppendUvarint(snap, 99)
+		if snap, err = wire.AppendAny(snap, 7); err != nil {
 			t.Fatal(err)
 		}
-		return wal.EncodeRecord(buf.Bytes())
-	}
-	dir := filepath.Join(root, "r2")
-	snap := gobFrame(&gobSnapshot{Boxes: map[string]int{"counter": 7}, Frontier: map[int32]uint64{0: 99}})
-	log := append(gobFrame(&gobRecord{Boxes: map[string]int{"counter": 8}}), gobFrame(&gobRecord{Boxes: map[string]int{"counter": 9}})...)
+		snap = wire.AppendUvarint(snap, 1) // one frontier per shard group
+		snap = append(snap, 1)             // present
+		snap = wire.AppendUvarint(snap, 1)
+		snap = wire.AppendVarint(snap, 0)
+		snap = wire.AppendUvarint(snap, 99)
+		record := func(seq uint64, v int) []byte {
+			b := []byte{0xA1}
+			b = wire.AppendUvarint(b, 0) // shard group
+			b = wire.AppendUvarint(b, 1) // entries
+			b = wire.AppendVarint(b, 0)  // txn
+			b = wire.AppendUvarint(b, seq)
+			b = wire.AppendVarint(b, 0) // lease
+			b = wire.AppendUvarint(b, 1)
+			b = wire.AppendVarint(b, 0)  // TO ordinal
+			b = wire.AppendUvarint(b, 1) // writes
+			b = wire.AppendString(b, "counter")
+			if b, err = wire.AppendAny(b, v); err != nil {
+				t.Fatal(err)
+			}
+			return wal.EncodeRecord(b)
+		}
+		writeDir(t, dir, wal.EncodeRecord(snap), append(record(100, 8), record(101, 9)...))
+	})
+}
+
+// writeDir replaces a crashed replica's durability directory content.
+func writeDir(t *testing.T, dir string, snap, log []byte) {
+	t.Helper()
 	if err := os.WriteFile(wal.SnapshotPath(dir), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(wal.LogPath(dir), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rejoinsByFullTransfer crashes replica 2 of a durable cluster, overwrites
+// its directory with write, and checks that the restarted replica counts one
+// fault, recovers nothing and rejoins by full transfer to the cluster's
+// state.
+func rejoinsByFullTransfer(t *testing.T, write func(dir string)) {
+	t.Helper()
+	c, root := newDurableCluster(t, 3, core.DurabilityConfig{})
+	commitN(t, c, "counter", 20)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(2)
+	write(filepath.Join(root, "r2"))
 
 	commitN(t, c, "counter", 10)
 	if err := c.Restart(2); err != nil {
-		t.Fatalf("restart over a gob-era directory: %v", err)
+		t.Fatalf("restart over a foreign directory: %v", err)
 	}
 	waitRejoined(t, c, 2)
 	if err := c.WaitConverged(10 * time.Second); err != nil {
@@ -343,7 +399,7 @@ func TestDurableGobEraDirectoryRejoinsByFullTransfer(t *testing.T) {
 	}
 	s2 := c.Replica(2).Stats().WAL
 	if s2.Errors != 1 || s2.RecoveredFromSnapshot || s2.ReplayedEntries != 0 {
-		t.Errorf("gob-era directory was not discarded and counted once (stats: %+v)", s2)
+		t.Errorf("foreign directory was not discarded and counted once (stats: %+v)", s2)
 	}
 	if s2.FullInstalled == 0 || s2.DeltaInstalled != 0 {
 		t.Errorf("rejoin after the discard was not a full transfer (stats: %+v)", s2)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/stm"
 )
@@ -47,56 +46,35 @@ func (r *Replica) AtomicRO(fn func(*stm.Txn) error) error {
 	return nil
 }
 
-// atomicALC is the paper's Algorithm 1 commit path plus the retry driver, for
-// any number of shard groups: the transaction's conflict classes map onto one
-// or more groups, and a single group is simply the one-element case of every
-// per-shard loop below (one involved shard, nothing above it to release, a
-// counting waiter of 1).
+// atomicALC is the paper's Algorithm 1 commit path plus the retry driver:
 //
 //	run fn; read-only commits locally
 //	early validation (cheap local pre-abort)
-//	prepare — establish a lease on every involved shard, in ascending shard
-//	  order: reuse a held one (zero messages), replace it if the re-execution
-//	  changed its data-set (§4.4 piggybacked release), or acquire it (one
-//	  OAB; with PiggybackCert a single-shard read/write-set rides along and
-//	  certification completes at lease establishment — §4.5(c)). Before
-//	  blocking on shard k every held lease on a shard > k is released, which
-//	  keeps the cross-group wait-graph acyclic (each group's own manager
-//	  still detects its in-group deadlocks)
-//	certify — the per-shard lease grants are the certification votes: once
-//	  all involved groups granted, the origin validates the full read-set
-//	  against the shared store under the union of the leases; failure
-//	  re-executes WHILE HOLDING the leases, which shelters the transaction
-//	  from further remote conflicts
-//	decide — the write-set splits into per-shard portions (classes partition
-//	  exactly by shard) UR-broadcast under ONE TxnID, each portion WAL-logged
-//	  and frontier-tracked on its home shard. The commit is acknowledged
-//	  only when the LAST portion self-delivers (counting waiter): an
-//	  acknowledged commit is therefore complete on every shard at every
-//	  replica — URB uniformity per portion. If the origin fails mid-decide,
-//	  unacknowledged portions may surface as unrecorded writers (the
-//	  standing indeterminacy of a crashed committer, which the history
-//	  checker admits); they can never be acknowledged.
-//
-// A lease-free read-only transaction on a remote replica can transiently
-// observe a cross-shard commit non-atomically (portion A applied, portion B
-// in flight); update transactions cannot — validation runs under leases on
-// every involved shard. See DESIGN.md decision 17.
+//	prepare — establish a lease on the transaction's conflict classes: reuse
+//	  a held one (zero messages), replace it if the re-execution changed its
+//	  data-set (§4.4 piggybacked release), or acquire it (one OAB; with
+//	  PiggybackCert the read/write-set rides along and certification
+//	  completes at lease establishment — §4.5(c))
+//	certify — validate the full read-set under the lease; failure re-executes
+//	  WHILE HOLDING the lease, which shelters the transaction from further
+//	  remote conflicts
+//	decide — UR-broadcast the write-set; the commit is acknowledged when it
+//	  self-delivers, so an acknowledged commit is held by a quorum (URB
+//	  uniformity)
 func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 	// escalateAfter is the §4.4 fallback threshold: a transaction whose
-	// data-set keeps drifting across this many re-executions acquires
-	// wildcard leases (the whole set of conflict classes of every involved
-	// shard), which deterministically bounds its aborts.
+	// data-set keeps drifting across this many re-executions acquires a
+	// wildcard lease (the whole set of conflict classes), which
+	// deterministically bounds its aborts.
 	const escalateAfter = 3
 
 	var (
-		held      = make(map[int]lease.RequestID) // shard → lease held there
-		wildcard  bool
-		fence     bool // re-execute under all-shard wildcards (torn read view)
-		fenceHeld bool
-		aborts    int
+		none     lease.RequestID
+		held     lease.RequestID // the lease this transaction holds, or none
+		wildcard bool
+		aborts   int
 		// remoteSheltered counts final-validation failures attributable to a
-		// REMOTE writer while the transaction held covering leases that were
+		// REMOTE writer while the transaction held a covering lease that was
 		// already established before the attempt began — aborts §4's lease
 		// retention promises cannot happen. Reported to the observer; the
 		// history checker asserts it stays 0.
@@ -107,19 +85,13 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// lease replacement instead of chasing its own read-set forever.
 		accum map[string]struct{}
 	)
-	// releaseAbove drops held leases on shards above limit: called before any
-	// blocking acquisition on shard `limit`, it enforces the ascending-order
-	// invariant of the prepare phase.
-	releaseAbove := func(limit int) {
-		for sh, id := range held {
-			if sh > limit {
-				r.shards[sh].lm.Finished(id)
-				delete(held, sh)
-			}
+	release := func() {
+		if held != none {
+			r.lm.Finished(held)
+			held = none
 		}
 	}
-	releaseAll := func() { releaseAbove(-1) }
-	defer releaseAll()
+	defer release()
 
 	// End-to-end latency is timed from the first attempt: restarting the
 	// clock on re-execution would report only the final attempt's cost for
@@ -136,67 +108,16 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			return ErrTooManyRetries
 		}
 
-		// Torn-read-view fence: acquire wildcard leases on EVERY shard before
-		// taking the snapshot. Acquiring a shard's wildcard drains that
-		// shard's group and is causally ordered after every acknowledged
-		// commit's portion on it, so the snapshot taken under all of them
-		// observes each cross-shard commit entirely or not at all.
-		if fence && !fenceHeld {
-			releaseAll()
-			var zero lease.RequestID
-			ok := true
-			for sh := range r.shards {
-				id, err := r.shards[sh].lm.GetLeaseEverything(zero)
-				switch {
-				case err == nil:
-					held[sh] = id
-				case errors.Is(err, lease.ErrDeadlock):
-					r.nAborts[abortDeadlock].Inc()
-					aborts++
-					releaseAll()
-					ok = false
-				case errors.Is(err, lease.ErrNotPrimary):
-					return ErrEjected
-				default:
-					return ErrStopped
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			fenceHeld = true
-			wildcard = true // establishment below reuses the fence leases
-		}
-
-		// Snapshot the lease state at the top of the attempt: a validation
-		// failure is only "sheltered" (and so checkable against the §4
-		// at-most-one-remote-abort promise) when the SAME leases covered
-		// every involved shard for the whole attempt, execution included.
-		heldAtBegin := make(map[int]lease.RequestID, len(held))
-		for sh, id := range held {
-			heldAtBegin[sh] = id
-		}
+		// Snapshot the lease at the top of the attempt: a validation failure
+		// is only "sheltered" (and so checkable against the §4
+		// at-most-one-remote-abort promise) when the SAME lease covered the
+		// whole attempt, execution included.
+		heldAtBegin := held
 
 		execStart := time.Now()
 		txn := r.store.Begin(false)
 		if err := fn(txn); err != nil {
 			txn.Abort()
-			// A missing box during optimistic execution can be a transiently
-			// torn READ view of a cross-shard commit: the portion creating
-			// the box applied here while a sibling portion this execution
-			// also depends on has not (lease-free reads take no locks; see
-			// DESIGN.md decision 17). Indistinguishable, locally, from a box
-			// that genuinely never existed — so retry once under the fence
-			// above, whose snapshot cannot be torn. Only then is the error
-			// the user's. A single group has no sibling portions to tear.
-			if errors.Is(err, stm.ErrNoSuchBox) && len(r.shards) > 1 && !fenceHeld {
-				fence = true
-				aborts++
-				continue
-			}
 			return err
 		}
 		r.stageExec.Observe(time.Since(execStart))
@@ -220,8 +141,6 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 				}
 			}
 		}
-		byShard := r.itemsByShard(items)
-		involved := involvedShards(byShard)
 
 		// Early validation (first attempt only): a transaction already
 		// known stale needs no broadcast before retrying. It must NOT be
@@ -230,7 +149,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// shelters it; acquiring the lease despite known-stale reads is
 		// exactly how ALC bounds re-executions (§4: the transaction is
 		// "re-executed without releasing the lease").
-		if aborts == 0 && len(held) == 0 && !txn.Validate() {
+		if aborts == 0 && held == none && !txn.Validate() {
 			txn.Abort()
 			r.nAborts[abortEarly].Inc()
 			aborts++
@@ -243,48 +162,42 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// validation is the lease-wait stage.
 		leaseStart := time.Now()
 
-		// §4.4 escalation: wildcard leases on every involved shard. Existing
-		// holds are released first; the establishment loop below acquires the
-		// wildcards in ascending order like any other lease.
+		// §4.4 escalation: a wildcard lease. The held lease is released first;
+		// establishLease below acquires the wildcard like any other lease.
 		if aborts >= escalateAfter && !wildcard {
-			releaseAll()
+			release()
 			wildcard = true
 		}
 
-		// §4.5(c) piggyback: single-shard transactions only (the payload
-		// certifies in ONE group's order; a cross-shard payload would need
-		// the very cross-group coordination the portion commit provides).
-		if r.cfg.PiggybackCert && !wildcard && len(involved) == 1 {
-			s := r.shards[involved[0]]
-			if _, ok := held[s.idx]; !ok {
-				// Lease retention fast path first: an enabled request from an
-				// earlier transaction serves this one with zero communication.
-				if id, ok := s.lm.TryReuse(items); ok {
-					held[s.idx] = id
-				} else if !s.lm.HasCoverage(items) {
-					done, err := r.commitPiggybacked(s, txn, rs, ws, items, held, &aborts, remoteSheltered, txnStart, leaseStart)
-					if done {
-						return err
-					}
-					continue
+		// §4.5(c) piggyback, tried only when no lease is held.
+		if r.cfg.PiggybackCert && !wildcard && held == none {
+			// Lease retention fast path first: an enabled request from an
+			// earlier transaction serves this one with zero communication.
+			if id, ok := r.lm.TryReuse(items); ok {
+				held = id
+			} else if !r.lm.HasCoverage(items) {
+				done, err := r.commitPiggybacked(txn, rs, ws, items, &held, &aborts, remoteSheltered, txnStart, leaseStart)
+				if done {
+					return err
 				}
+				continue
 			}
 		}
 
-		// Prepare: per-shard lease establishment, ascending.
-		if lerr, retry := r.establishShardLeases(txn, held, byShard, involved, wildcard, &aborts, releaseAbove); lerr != nil {
+		// Prepare: lease establishment.
+		if lerr, retry := r.establishLease(txn, &held, items, wildcard, &aborts); lerr != nil {
 			return lerr
 		} else if retry {
-			continue // deadlock victim somewhere: re-execute from scratch
+			continue // deadlock victim: re-execute from scratch
 		}
 		r.stageLeaseWait.Observe(time.Since(leaseStart))
 
-		// Certify: full-read-set validation under the union of the leases.
-		// The reservation in the striped in-flight table serializes
-		// intersecting local committers — two transactions sharing a lease
-		// must not both validate against the pre-apply state — while disjoint
-		// committers proceed concurrently on separate stripes. It is held
-		// from before validation until the last portion's self-delivery.
+		// Certify: full-read-set validation under the lease. The reservation
+		// in the striped in-flight table serializes intersecting local
+		// committers — two transactions sharing a lease must not both
+		// validate against the pre-apply state — while disjoint committers
+		// proceed concurrently on separate stripes. It is held from before
+		// validation until the write-set's self-delivery.
 		wsCls := r.wsClasses(ws)
 		certStart := time.Now()
 		if !r.inflight.reserve(r.classes(items), wsCls, r.alive) {
@@ -301,16 +214,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			r.inflight.release(wsCls)
 			txn.Abort()
 			r.nAborts[abortFinal].Inc()
-			unchanged := len(involved) > 0
-			for _, sh := range involved {
-				idB, okB := heldAtBegin[sh]
-				idN, okN := held[sh]
-				if !okB || !okN || idB != idN {
-					unchanged = false
-					break
-				}
-			}
-			if unchanged {
+			if held != none && held == heldAtBegin {
 				for _, c := range conflicts {
 					if !c.Writer.IsZero() && c.Writer.Replica != r.id {
 						remoteSheltered++
@@ -320,66 +224,26 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			}
 			aborts++
 			accum = accumulate(accum, items)
-			continue // re-execute holding the leases: no further remote aborts
+			continue // re-execute holding the lease: no further remote aborts
 		}
 
-		// Decide: broadcast the per-shard portions under one TxnID. seqMu
-		// makes {ID allocation; enqueue of every portion} atomic so no later
-		// local committer can interleave a lower/higher seq out of order on
-		// any channel (the receivers' per-writer frontier filter would
-		// silently drop the inversion).
-		//
-		// A multi-shard write-set travels as ONE gcs.Group: the portions
-		// hold their per-shard outbox positions until all are ready, then
-		// leave the origin in a single transport frame per peer. Without
-		// that, each portion departs on its own dispatcher goroutine and a
-		// crash between two drains tears the commit — one portion achieves
-		// uniform delivery while its sibling was never transmitted.
-		portions := r.wsByShard(ws)
-		var wsShards []int // ascending: the group's lock order
-		for sh, p := range portions {
-			if len(p) > 0 {
-				wsShards = append(wsShards, sh)
-			}
-		}
+		// Decide: broadcast the write-set. seqMu makes {ID allocation;
+		// enqueue} atomic so no later local committer can enqueue a lower seq
+		// behind a higher one (the receivers' per-writer frontier filter would
+		// silently drop the inversion). The coalescer owns the reservation and
+		// the waiter from here: resolved at self-delivery, failed on ejection.
 		r.seqMu.Lock()
 		tid := r.nextTxnID()
-		ch := r.registerWaiterN(tid, len(wsShards))
-		var grp *gcs.Group
-		if len(wsShards) > 1 {
-			eps := make([]*gcs.Endpoint, len(wsShards))
-			for i, sh := range wsShards {
-				eps[i] = r.shards[sh].ep
-			}
-			grp = gcs.NewGroup(eps...)
-			r.registerGroup(grp)
-		}
-		// Each shard's coalescer owns its portion's share of the reservation
-		// and the counting waiter: resolved at self-delivery, failed (whole
-		// waiter, first error wins) on ejection.
-		for _, sh := range wsShards {
-			cls := wsCls // a lone portion is the whole write-set
-			if grp != nil {
-				cls = r.wsClasses(portions[sh])
-			}
-			e := applyWSEntry{TxnID: tid, LeaseID: held[sh], WS: portions[sh]}
-			r.shards[sh].coal.enqueue(e, cls, grp)
-		}
+		ch := r.registerWaiter(tid)
+		r.coal.enqueue(applyWSEntry{TxnID: tid, LeaseID: held, WS: ws}, wsCls)
 		r.seqMu.Unlock()
 
-		err := <-ch
-		if grp != nil {
-			r.unregisterGroup(grp)
-		}
-		if err != nil {
+		if err := <-ch; err != nil {
 			txn.Abort()
 			return err
 		}
 		txn.Finish()
 		r.nCommits.Inc()
-		if grp != nil {
-			r.nCross.Inc()
-		}
 		r.retries.Observe(aborts)
 		r.latency.Observe(time.Since(txnStart))
 		r.observeCommitted(TxnReport{
@@ -390,96 +254,76 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			Retries:               aborts,
 			RemoteShelteredAborts: remoteSheltered,
 			Protocol:              ProtocolALC,
-			Lease:                 held[wsShards[0]],
+			Lease:                 held,
 		})
 		return nil
 	}
 }
 
-// establishShardLeases brings held up to covering every involved shard's
-// items, acquiring in ascending shard order with the release-above-before-
-// blocking discipline. Returns a terminal error, or retry=true when some
-// group made the transaction a deadlock victim (aborts already counted).
-func (r *Replica) establishShardLeases(
-	txn *stm.Txn,
-	held map[int]lease.RequestID,
-	byShard [][]string,
-	involved []int,
-	wildcard bool,
-	aborts *int,
-	releaseAbove func(int),
-) (error, bool) {
-	var zero lease.RequestID
-	for _, sh := range involved {
-		s := r.shards[sh]
-		if wildcard {
-			if _, ok := held[sh]; ok {
-				continue // a wildcard lease covers any class of its group
-			}
-			releaseAbove(sh)
-			id, err := s.lm.GetLeaseEverything(zero)
-			if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
-				return lerr, false
-			}
-			if err != nil {
-				return nil, true
-			}
-			held[sh] = id
-			continue
+// establishLease brings *held up to covering items (any class, when
+// wildcard). Returns a terminal error, or retry=true when the transaction
+// was made a deadlock victim (aborts already counted).
+func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, items []string, wildcard bool, aborts *int) (error, bool) {
+	var none lease.RequestID
+	if wildcard {
+		if *held != none {
+			return nil, false // a wildcard lease covers any class
 		}
-		items := byShard[sh]
-		if id, ok := held[sh]; ok {
-			if s.lm.Covers(id, items) {
-				continue
-			}
-			// The re-execution changed this shard's conflict classes (§4.4).
-			if s.lm.ActiveCount(id) == 1 {
-				releaseAbove(sh)
-				nid, err := s.lm.GetLeaseReplacing(items, id)
-				delete(held, sh)
-				if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
-					return lerr, false
-				}
-				if err != nil {
-					return nil, true
-				}
-				held[sh] = nid
-				continue
-			}
-			// Other transactions share the lease: release our association
-			// and acquire separately.
-			s.lm.Finished(id)
-			delete(held, sh)
-		}
-		if id, ok := s.lm.TryReuse(items); ok {
-			held[sh] = id
-			continue
-		}
-		releaseAbove(sh)
-		id, err := s.lm.GetLease(items)
+		id, err := r.lm.GetLeaseEverything(none)
 		if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
 			return lerr, false
 		}
 		if err != nil {
 			return nil, true
 		}
-		held[sh] = id
+		*held = id
+		return nil, false
 	}
+	if *held != none {
+		if r.lm.Covers(*held, items) {
+			return nil, false
+		}
+		// The re-execution changed the transaction's conflict classes (§4.4).
+		if r.lm.ActiveCount(*held) == 1 {
+			id, err := r.lm.GetLeaseReplacing(items, *held)
+			*held = none
+			if lerr := r.leaseErr(txn, err, aborts); lerr != nil || err != nil {
+				return lerr, lerr == nil
+			}
+			*held = id
+			return nil, false
+		}
+		// Other transactions share the lease: release our association and
+		// acquire separately.
+		r.lm.Finished(*held)
+		*held = none
+	}
+	if id, ok := r.lm.TryReuse(items); ok {
+		*held = id
+		return nil, false
+	}
+	id, err := r.lm.GetLease(items)
+	if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
+		return lerr, false
+	}
+	if err != nil {
+		return nil, true
+	}
+	*held = id
 	return nil, false
 }
 
-// commitPiggybacked runs the §4.5(c) flow on the transaction's single home
-// shard s: the read/write-set travel on the lease request and every replica
-// certifies at lease establishment. The acquired lease is recorded in held.
-// Returns done=true when the transaction committed or failed terminally;
-// done=false when it must re-execute (now holding the lease).
+// commitPiggybacked runs the §4.5(c) flow: the read/write-set travel on the
+// lease request and every replica certifies at lease establishment. The
+// acquired lease is recorded in *held. Returns done=true when the
+// transaction committed or failed terminally; done=false when it must
+// re-execute (now holding the lease).
 func (r *Replica) commitPiggybacked(
-	s *shardState,
 	txn *stm.Txn,
 	rs stm.ReadSet,
 	ws stm.WriteSet,
 	items []string,
-	held map[int]lease.RequestID,
+	held *lease.RequestID,
 	aborts *int,
 	sheltered int,
 	txnStart time.Time,
@@ -487,7 +331,7 @@ func (r *Replica) commitPiggybacked(
 ) (bool, error) {
 	tid := r.nextTxnID()
 	ch := r.registerWaiter(tid)
-	id, err := s.lm.GetLeaseWithPayload(items, &certPayload{TxnID: tid, RS: rs, WS: ws})
+	id, err := r.lm.GetLeaseWithPayload(items, &certPayload{TxnID: tid, RS: rs, WS: ws})
 	if err != nil {
 		r.dropWaiter(tid)
 		if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
@@ -495,7 +339,7 @@ func (r *Replica) commitPiggybacked(
 		}
 		return false, nil // deadlock victim: retry
 	}
-	held[s.idx] = id
+	*held = id
 	certStart := time.Now()
 	r.stageLeaseWait.Observe(certStart.Sub(leaseStart))
 

@@ -196,10 +196,6 @@ const (
 	flushWindow
 	// flushDrain: the previous batch self-delivered with entries pending.
 	flushDrain
-	// flushCross: a cross-shard portion was enqueued — it never waits for
-	// co-travelers, because its sibling portions head-of-line-block their
-	// shards' outboxes until every part is submitted.
-	flushCross
 	numFlushReasons
 )
 
@@ -211,18 +207,11 @@ const (
 // batches in enqueue order on the causal URB channel.
 type coalescer struct {
 	r   *Replica
-	s   *shardState // the shard group whose URB channel this coalescer feeds
 	cfg BatchConfig
 
 	mu         sync.Mutex
 	pending    []applyWSEntry
 	pendingCls [][]lease.ConflictClass
-	// pendingGroups marks cross-shard portions (parallel to pending; nil for
-	// ordinary entries): such an entry is submitted to the shard's endpoint
-	// individually via its gcs.Group rather than folded into a batch, and it
-	// splits the batches around it so the channel's sender order equals the
-	// enqueue order.
-	pendingGroups []*gcs.Group
 	// pendingAt records each entry's enqueue time (parallel to pending) for
 	// the coalescer-residency histogram. It lives here, not on the wire
 	// entry: applyWSEntry is what travels and is WAL-logged, and local
@@ -235,37 +224,27 @@ type coalescer struct {
 	stopped      bool
 }
 
-func newCoalescer(r *Replica, s *shardState, cfg BatchConfig) *coalescer {
-	return &coalescer{r: r, s: s, cfg: cfg}
+func newCoalescer(r *Replica, cfg BatchConfig) *coalescer {
+	return &coalescer{r: r, cfg: cfg}
 }
 
 // enqueue hands over a validated write-set. The caller must already hold the
 // in-flight reservation for cls and have registered a waiter for e.TxnID;
 // the coalescer owns both from here — they are released/resolved at
 // self-delivery of the batch, or failed if the batch cannot be broadcast.
-//
-// A non-nil g marks one per-shard portion of a cross-shard commit: the entry
-// travels as this shard's part of group g (see gcs.Group) instead of inside a
-// batch, but it occupies an ordinary queue position so the per-(writer,
-// shard) sequence numbers stay monotone with the batches around it.
-func (c *coalescer) enqueue(e applyWSEntry, cls []lease.ConflictClass, g *gcs.Group) {
+func (c *coalescer) enqueue(e applyWSEntry, cls []lease.ConflictClass) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped || !c.r.primary.Load() {
-		c.failLocked([]applyWSEntry{e}, [][]lease.ConflictClass{cls}, []*gcs.Group{g}, c.entryErr())
+		c.failLocked([]applyWSEntry{e}, [][]lease.ConflictClass{cls}, c.entryErr())
 		return
 	}
 	c.pending = append(c.pending, e)
 	c.pendingCls = append(c.pendingCls, cls)
-	c.pendingGroups = append(c.pendingGroups, g)
 	c.pendingAt = append(c.pendingAt, time.Now())
 	c.pendingBytes += approxWSBytes(e.WS)
 	c.r.qCoalescer.Set(int64(len(c.pending)))
 	switch {
-	case g != nil:
-		// Sibling portions are (or are about to be) head-of-line-blocking
-		// their shards' outboxes: submit without coalescing delay.
-		c.flushLocked(flushCross)
 	case c.outstanding == 0:
 		c.flushLocked(flushIdle)
 	case len(c.pending) >= c.cfg.MaxTxns:
@@ -302,74 +281,38 @@ func (c *coalescer) batchDelivered() {
 	}
 }
 
-// flushLocked drains the pending queue in order: runs of ordinary entries
-// broadcast as batches, cross-shard portions submit individually to their
-// groups at their queue positions. On a broadcast error the affected entries
-// are failed.
+// flushLocked broadcasts the pending queue as one batch. On a broadcast
+// error its entries are failed.
 func (c *coalescer) flushLocked(reason flushReason) {
 	if c.timer != nil {
 		c.timer.Stop()
 		c.timer = nil
 	}
 	c.timerGen++
-	for len(c.pending) > 0 {
-		if g := c.pendingGroups[0]; g != nil {
-			c.submitGroupHeadLocked(g)
-			continue
-		}
-		n := 0
-		for n < len(c.pending) && c.pendingGroups[n] == nil {
-			n++
-		}
-		entries := append([]applyWSEntry(nil), c.pending[:n]...)
-		cls := append([][]lease.ConflictClass(nil), c.pendingCls[:n]...)
-		now := time.Now()
-		for _, at := range c.pendingAt[:n] {
-			c.r.stageCoalescer.Observe(now.Sub(at))
-		}
-		c.popLocked(n)
-		c.r.batchSizes.Observe(len(entries))
-		c.r.flushCount[reason].Inc()
-		c.r.batchedTxns.Add(int64(len(entries)))
-		c.outstanding++
-		if err := c.s.ep.URBroadcast(&applyWSBatchMsg{Entries: entries}); err != nil {
-			c.outstanding--
-			c.failLocked(entries, cls, nil, c.broadcastErr(err))
-			continue
-		}
-		ids := make([]stm.TxnID, len(entries))
-		for i, e := range entries {
-			ids[i] = e.TxnID
-		}
-		c.r.markSent(ids, now)
+	n := len(c.pending)
+	entries := append([]applyWSEntry(nil), c.pending...)
+	cls := append([][]lease.ConflictClass(nil), c.pendingCls...)
+	now := time.Now()
+	for _, at := range c.pendingAt {
+		c.r.stageCoalescer.Observe(now.Sub(at))
 	}
+	c.pending, c.pendingCls, c.pendingAt = c.pending[n:], c.pendingCls[n:], c.pendingAt[n:]
 	c.pendingBytes = 0
 	c.r.qCoalescer.Set(0)
-}
-
-// submitGroupHeadLocked pops the cross-shard portion at the queue head and
-// submits it as this shard's part of its group. A submission error fails the
-// whole group: parts already queued on sibling shards are dropped before
-// anything is transmitted (all-or-nothing), and the sibling coalescers or
-// the ejection path release their reservations.
-func (c *coalescer) submitGroupHeadLocked(g *gcs.Group) {
-	e, cls, at := c.pending[0], c.pendingCls[0], c.pendingAt[0]
-	c.popLocked(1)
-	c.r.stageCoalescer.Observe(time.Since(at))
-	c.r.flushCount[flushCross].Inc()
-	msg := &applyWSMsg{TxnID: e.TxnID, LeaseID: e.LeaseID, WS: e.WS}
-	if err := c.s.ep.URBroadcastGroup(g, msg); err != nil {
-		c.failLocked([]applyWSEntry{e}, [][]lease.ConflictClass{cls}, []*gcs.Group{g}, c.broadcastErr(err))
+	c.r.batchSizes.Observe(n)
+	c.r.flushCount[reason].Inc()
+	c.r.batchedTxns.Add(int64(n))
+	c.outstanding++
+	if err := c.r.ep.URBroadcast(&applyWSBatchMsg{Entries: entries}); err != nil {
+		c.outstanding--
+		c.failLocked(entries, cls, c.broadcastErr(err))
 		return
 	}
-	c.r.markSent([]stm.TxnID{e.TxnID}, time.Now())
-}
-
-func (c *coalescer) popLocked(n int) {
-	c.pending = c.pending[n:]
-	c.pendingCls = c.pendingCls[n:]
-	c.pendingGroups = c.pendingGroups[n:]
-	c.pendingAt = c.pendingAt[n:]
+	ids := make([]stm.TxnID, n)
+	for i, e := range entries {
+		ids[i] = e.TxnID
+	}
+	c.r.markSent(ids, now)
 }
 
 func (c *coalescer) broadcastErr(err error) error {
@@ -385,8 +328,8 @@ func (c *coalescer) broadcastErr(err error) error {
 func (c *coalescer) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries, cls, groups := c.pending, c.pendingCls, c.pendingGroups
-	c.pending, c.pendingCls, c.pendingGroups, c.pendingAt, c.pendingBytes = nil, nil, nil, nil, 0
+	entries, cls := c.pending, c.pendingCls
+	c.pending, c.pendingCls, c.pendingAt, c.pendingBytes = nil, nil, nil, 0
 	c.r.qCoalescer.Set(0)
 	c.outstanding = 0
 	c.timerGen++
@@ -394,7 +337,7 @@ func (c *coalescer) fail(err error) {
 		c.timer.Stop()
 		c.timer = nil
 	}
-	c.failLocked(entries, cls, groups, err)
+	c.failLocked(entries, cls, err)
 }
 
 // stop fails pending entries and rejects all future enqueues (Close).
@@ -405,16 +348,9 @@ func (c *coalescer) stop() {
 	c.fail(ErrStopped)
 }
 
-// failLocked drops entries with err. groups is parallel to entries (or nil):
-// a cross-shard portion's group is failed so its sibling parts — possibly
-// already head-of-line-blocking other shards' outboxes — are dropped too;
-// their reservations are released by their own coalescers or by the
-// ejection's inflight.reset.
-func (c *coalescer) failLocked(entries []applyWSEntry, cls [][]lease.ConflictClass, groups []*gcs.Group, err error) {
+// failLocked drops entries with err, releasing their reservations.
+func (c *coalescer) failLocked(entries []applyWSEntry, cls [][]lease.ConflictClass, err error) {
 	for i, e := range entries {
-		if groups != nil && groups[i] != nil {
-			groups[i].Fail()
-		}
 		c.r.inflight.release(cls[i])
 		c.r.resolveWaiter(e.TxnID, err)
 	}
@@ -448,13 +384,11 @@ func approxWSBytes(ws stm.WriteSet) int {
 
 // --- Parallel apply stage -------------------------------------------------------
 
-// applyTask is one unit of the apply stage: a UR-delivered batch (or a
-// single cross-shard portion), tagged with the shard group channel it was
-// delivered on.
+// applyTask is one unit of the apply stage: a UR-delivered batch from one
+// sender.
 type applyTask struct {
 	classes []lease.ConflictClass // union over the batch, deduplicated
 	sender  transport.ID
-	shard   int
 	run     func()
 
 	pending    int // unfinished predecessors
@@ -462,43 +396,32 @@ type applyTask struct {
 	done       bool
 }
 
-// senderChannel identifies one causal delivery channel: with sharding, each
-// (sender, shard group) pair is an independent FIFO/causal channel, so only
-// tasks of the SAME pair must preserve submission order.
-type senderChannel struct {
-	sender transport.ID
-	shard  int
-}
-
 // applyScheduler executes write-set applications on a small worker pool, off
-// the GCS dispatcher goroutines. Tasks whose conflict classes intersect —
-// and tasks from the same (sender, shard) channel (per-channel causal order)
-// — execute in submission (delivery) order; disjoint tasks run concurrently.
-// A dispatcher calls drain(shard) to restore fully synchronous delivery
-// semantics for its own group before handling anything that reads or
-// replaces the shard's slice of the store: lease transfers, view changes,
-// state snapshots and installs.
+// the GCS dispatcher goroutine. Tasks whose conflict classes intersect — and
+// tasks from the same sender (per-sender causal order) — execute in
+// submission (delivery) order; disjoint tasks run concurrently. The
+// dispatcher calls drain to restore fully synchronous delivery semantics
+// before handling anything that reads or replaces the store: lease
+// transfers, view changes, state snapshots and installs.
 type applyScheduler struct {
-	mu          sync.Mutex
-	work        *sync.Cond // a parked worker: one per task that becomes ready
-	idle        *sync.Cond // drainers: a shard's last task finished
-	byClass     map[lease.ConflictClass]*applyTask
-	bySender    map[senderChannel]*applyTask
-	ready       []*applyTask
-	inFlight    []int // submitted but not finished, per shard
-	inFlightAll int
-	running     int
-	maxRunning  int
-	tasksDone   int64
-	closed      bool
-	workers     sync.WaitGroup // close waits for every worker to exit
+	mu         sync.Mutex
+	work       *sync.Cond // a parked worker: one per task that becomes ready
+	idle       *sync.Cond // drainers: the last task finished
+	byClass    map[lease.ConflictClass]*applyTask
+	bySender   map[transport.ID]*applyTask
+	ready      []*applyTask
+	inFlight   int // submitted but not finished
+	running    int
+	maxRunning int
+	tasksDone  int64
+	closed     bool
+	workers    sync.WaitGroup // close waits for every worker to exit
 }
 
-func newApplyScheduler(workers, shards int) *applyScheduler {
+func newApplyScheduler(workers int) *applyScheduler {
 	s := &applyScheduler{
 		byClass:  make(map[lease.ConflictClass]*applyTask),
-		bySender: make(map[senderChannel]*applyTask),
-		inFlight: make([]int, shards),
+		bySender: make(map[transport.ID]*applyTask),
 	}
 	s.work = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
@@ -510,8 +433,8 @@ func newApplyScheduler(workers, shards int) *applyScheduler {
 }
 
 // submit queues a task behind the most recent unfinished task of each of its
-// conflict classes and of its delivery channel. Called from the task's own
-// shard dispatcher only, so per-channel submission order is delivery order.
+// conflict classes and of its sender. Called from the dispatcher only, so
+// per-sender submission order is delivery order.
 func (s *applyScheduler) submit(t *applyTask) {
 	s.mu.Lock()
 	depend := func(prev *applyTask) {
@@ -530,11 +453,9 @@ func (s *applyScheduler) submit(t *applyTask) {
 		depend(s.byClass[c])
 		s.byClass[c] = t
 	}
-	ch := senderChannel{sender: t.sender, shard: t.shard}
-	depend(s.bySender[ch])
-	s.bySender[ch] = t
-	s.inFlight[t.shard]++
-	s.inFlightAll++
+	depend(s.bySender[t.sender])
+	s.bySender[t.sender] = t
+	s.inFlight++
 	if t.pending == 0 {
 		s.ready = append(s.ready, t)
 		s.work.Signal()
@@ -547,7 +468,7 @@ func (s *applyScheduler) worker() {
 	s.mu.Lock()
 	for {
 		for len(s.ready) == 0 {
-			if s.closed && s.inFlightAll == 0 {
+			if s.closed && s.inFlight == 0 {
 				s.mu.Unlock()
 				return
 			}
@@ -572,9 +493,8 @@ func (s *applyScheduler) worker() {
 				delete(s.byClass, c)
 			}
 		}
-		ch := senderChannel{sender: t.sender, shard: t.shard}
-		if s.bySender[ch] == t {
-			delete(s.bySender, ch)
+		if s.bySender[t.sender] == t {
+			delete(s.bySender, t.sender)
 		}
 		for _, d := range t.dependents {
 			d.pending--
@@ -584,25 +504,22 @@ func (s *applyScheduler) worker() {
 			}
 		}
 		t.dependents = nil
-		if s.inFlight[t.shard]--; s.inFlight[t.shard] == 0 {
+		if s.inFlight--; s.inFlight == 0 {
 			s.idle.Broadcast()
-		}
-		if s.inFlightAll--; s.closed && s.inFlightAll == 0 {
-			s.work.Broadcast() // the queue ran dry: parked workers exit
+			if s.closed {
+				s.work.Broadcast() // the queue ran dry: parked workers exit
+			}
 		}
 	}
 }
 
-// drain blocks until every task submitted for the shard has finished. This
-// is the barrier a dispatcher uses before store-reading upcalls: with it,
-// everything delivered before the barrier on the shard's channel is fully
-// applied — exactly the semantics of applying inline on the dispatcher.
-// Draining one shard only is deliberate: a cross-shard drain from inside a
-// dispatcher upcall could wait on tasks queued behind the very message that
-// dispatcher is blocked in.
-func (s *applyScheduler) drain(shard int) {
+// drain blocks until every submitted task has finished. This is the barrier
+// the dispatcher uses before store-reading upcalls: with it, everything
+// delivered before the barrier is fully applied — exactly the semantics of
+// applying inline on the dispatcher.
+func (s *applyScheduler) drain() {
 	s.mu.Lock()
-	for s.inFlight[shard] > 0 {
+	for s.inFlight > 0 {
 		s.idle.Wait()
 	}
 	s.mu.Unlock()
@@ -611,7 +528,7 @@ func (s *applyScheduler) drain(shard int) {
 // close lets the workers run the queue dry and returns once every one of
 // them has exited: after it, no task is running and none ever will. The
 // caller must have stopped all submitters first (Close shuts the GCS
-// dispatchers down before calling this).
+// dispatcher down before calling this).
 func (s *applyScheduler) close() {
 	s.mu.Lock()
 	s.closed = true
@@ -632,5 +549,5 @@ func (s *applyScheduler) stats() (int64, int) {
 func (s *applyScheduler) backlog() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inFlightAll
+	return s.inFlight
 }

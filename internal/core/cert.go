@@ -12,11 +12,8 @@ import (
 // one atomic broadcast of ⟨Bloom(read-set), write-set⟩ and a deterministic
 // validation at every replica in the total order. Unlike ALC, nothing
 // shelters a re-execution: the transaction can be aborted again and again by
-// remote conflicts (the behaviour Figure 3(b)/4(b) quantifies). CERT is
-// single-group (NewReplica refuses it with Shards > 1): every transaction
-// certifies in shard 0's total order.
+// remote conflicts (the behaviour Figure 3(b)/4(b) quantifies).
 func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
-	s := r.shards[0]
 	aborts := 0
 	// End-to-end latency runs from the first attempt; the per-attempt AB
 	// certification round is timed separately into stageCert.
@@ -37,7 +34,7 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 		// a pre-Begin sample can only under-state the transaction's snapshot
 		// position — widening the validation window (possible extra
 		// conservative aborts), never narrowing it.
-		snapOrd := s.toOrd.Load()
+		snapOrd := r.toOrd.Load()
 
 		execStart := time.Now()
 		txn := r.store.Begin(false)
@@ -76,7 +73,7 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 
 		ch := r.registerWaiter(msg.TxnID)
 		certStart := time.Now()
-		if err := s.ep.OABroadcast(msg); err != nil {
+		if err := r.ep.OABroadcast(msg); err != nil {
 			r.dropWaiter(msg.TxnID)
 			txn.Abort()
 			return ErrEjected
@@ -112,24 +109,23 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 }
 
 // certApply is the deterministic certification step, executed at every
-// replica in the shard group's TO-delivery order. Valid transactions take
-// the next ordinal on the shard's TO commit clock — validity is itself a
-// deterministic function of the preceding TO history, so ordinals (and the
-// certLog they key) are identical cluster-wide, unlike the local store's
-// commit timestamp, which with several shards interleaves all groups'
-// applies in a replica-local order.
-func (r *Replica) certApply(s *shardState, m *certMsg) {
-	valid := r.certValidate(s, m)
+// replica in the TO-delivery order. Valid transactions take the next ordinal
+// on the TO commit clock — validity is itself a deterministic function of the
+// preceding TO history, so ordinals (and the certLog they key) are identical
+// cluster-wide, unlike the local store's commit timestamp, which also counts
+// URB-lane applies in a replica-local order.
+func (r *Replica) certApply(m *certMsg) {
+	valid := r.certValidate(m)
 	if valid {
 		// Durability filter first (log-before-install); a CERT commit the
 		// store already absorbed (delta install overlap) is skipped whole —
 		// its certLog digest arrived with the transferred window.
 		r.dur.applyMu.RLock()
-		ord := s.toOrd.Load() + 1
-		if fresh := r.dur.append(s.idx, []applyWSEntry{{TxnID: m.TxnID, Ord: ord, WS: m.WS}}); len(fresh) > 0 {
+		ord := r.toOrd.Load() + 1
+		if fresh := r.dur.append([]applyWSEntry{{TxnID: m.TxnID, Ord: ord, WS: m.WS}}); len(fresh) > 0 {
 			r.store.ApplyWriteSet(m.TxnID, m.WS)
-			s.certLog.append(ord, m.WS.BoxIDs())
-			s.advanceTO(ord)
+			r.certLog.append(ord, m.WS.BoxIDs())
+			r.advanceTO(ord)
 			r.dur.applyMu.RUnlock()
 			r.maybeGC()
 		} else {
@@ -146,23 +142,23 @@ func (r *Replica) certApply(s *shardState, m *certMsg) {
 }
 
 // certValidate checks the transaction's read-set against every write-set
-// committed on its home shard after its snapshot. A snapshot older than the
+// committed in the total order after its snapshot. A snapshot older than the
 // retained window aborts conservatively (deterministically: the window is a
 // shared configuration and the TO clock is identical at every replica).
-func (r *Replica) certValidate(s *shardState, m *certMsg) bool {
-	clock := s.toOrd.Load()
+func (r *Replica) certValidate(m *certMsg) bool {
+	clock := r.toOrd.Load()
 	if m.SnapshotOrd > clock {
 		// A snapshot from the future would mean clock divergence.
 		return false
 	}
-	if clock-m.SnapshotOrd > int64(s.certLog.capacity()) {
+	if clock-m.SnapshotOrd > int64(r.certLog.capacity()) {
 		return false
 	}
 	checker, err := m.checker()
 	if err != nil {
 		return false
 	}
-	return s.certLog.scan(m.SnapshotOrd+1, clock, func(box string) bool {
+	return r.certLog.scan(m.SnapshotOrd+1, clock, func(box string) bool {
 		return !checker.contains(box)
 	})
 }
@@ -176,9 +172,9 @@ type certLogEntry struct {
 
 // certLog is a ring of recent write-set digests indexed by TO ordinal
 // (ordinals start at 1, so the zero TS doubles as the empty-slot sentinel).
-// Only CERT ever appends to it, so the ring — 2 MB at certLogSize, per shard,
-// all of it counted into the collector's heap goal — is allocated by the
-// first append or non-empty restore, not with the replica.
+// Only CERT ever appends to it, so the ring — 2 MB at certLogSize, all of it
+// counted into the collector's heap goal — is allocated by the first append
+// or non-empty restore, not with the replica.
 type certLog struct {
 	size int
 	ring []certLogEntry

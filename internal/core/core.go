@@ -99,15 +99,10 @@ type Config struct {
 	// Batch tunes the group-commit coalescer and the parallel apply stage
 	// (ALC only; CERT applies in the total order, on the dispatcher).
 	Batch BatchConfig
-	// Shards partitions the conflict classes across this many independent
-	// lease/broadcast groups, each with its own sequencer, OAB/URB instance
-	// and lease manager, multiplexed over the replica's single transport
-	// (shard ID in the envelope). Transactions whose data-set maps to one
-	// shard commit through that group exactly as an unsharded replica would;
-	// transactions spanning shards commit through the cross-shard
-	// certification path (per-shard write-set portions under per-shard
-	// leases, acquired in ascending shard order). Default 1: a single group,
-	// the one-shard case of the same driver, on the raw transport (no mux).
+	// Shards is ignored: a replica always runs one lease/broadcast group.
+	//
+	// Deprecated: kept only so benchmark/ compiles until its follow-up change
+	// stops setting it.
 	Shards int
 	// Durability configures the write-ahead log + snapshot tier and the
 	// delta state-transfer window (see DurabilityConfig). The zero value
@@ -127,9 +122,6 @@ func (c *Config) fillDefaults() {
 	if c.GCEvery == 0 {
 		c.GCEvery = 4096
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.Lease.Tracer == nil {
 		c.Lease.Tracer = c.Tracer
 	}
@@ -147,11 +139,12 @@ type Stats struct {
 	AbortCauses AbortCauses
 	ReadOnly    int64
 	MigratedIn  int64 // transactions shipped here by a remote router (SubmitMigrated)
-	// Shards is the number of shard groups; CrossCommits counts committed
-	// transactions whose data-set spanned more than one of them.
-	Shards        int
+	// CrossCommits is always 0.
+	//
+	// Deprecated: kept only so benchmark/ compiles until its follow-up change
+	// drops the metric that reads it.
 	CrossCommits  int64
-	Lease         lease.Stats             // summed across shard groups
+	Lease         lease.Stats
 	RetriesPerTxn metrics.IntDistSnapshot // aborts suffered per committed txn
 	// CommitLatency is the end-to-end update-transaction latency: from the
 	// start of the FIRST execution attempt to the durable commit, re-executions
@@ -254,9 +247,9 @@ type BatchStats struct {
 	BatchSize metrics.IntDistSnapshot
 	// Flush counters, by trigger: idle pipe (no batch in flight — broadcast
 	// immediately, zero added latency), the MaxTxns/maxBatchBytes caps, the
-	// MaxDelay window, drain (previous batch self-delivered with entries
-	// pending), and cross (a cross-shard portion forced the queue out).
-	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain, FlushCross int64
+	// MaxDelay window, and drain (previous batch self-delivered with entries
+	// pending).
+	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain int64
 	// ApplyTasks counts apply-stage executions (batches, not transactions);
 	// ApplyMaxParallel is the high-watermark of concurrently running apply
 	// workers.
@@ -273,100 +266,63 @@ func (s Stats) AbortRate() float64 {
 	return float64(s.Aborts) / float64(total)
 }
 
-// shardState is one shard group's slice of the replica: its own GCS endpoint
-// (its own sequencer/OAB/URB instance), lease manager, group-commit
-// coalescer, CERT validation log and TO-lane commit clock. The store, the
-// in-flight table, the waiter map and the durability tier stay replica-wide:
-// a box belongs to exactly one shard (by its conflict class), so per-box
-// apply order is still owned by a single group channel.
-type shardState struct {
-	r       *Replica
-	idx     int
-	ep      *gcs.Endpoint
-	lm      *lease.Manager
-	coal    *coalescer
-	certLog *certLog
-	// toOrd is the shard's totally-ordered commit clock: the count of valid
-	// TO-delivered write-sets (CERT certifications and §4.5(c) piggybacked
-	// payloads) applied on this shard. Validation is deterministic, so the
-	// count is identical at every replica — unlike the store's commit
-	// timestamp, which with several shards interleaves all groups' applies
-	// in a replica-local order.
-	toOrd   atomic.Int64
-	primary atomic.Bool
-	view    gcs.View // guarded by r.viewMu
-}
-
-// advanceTO lifts the TO clock to at least ord (delta installs replay TO
-// entries with their original ordinals).
-func (s *shardState) advanceTO(ord int64) {
-	for {
-		cur := s.toOrd.Load()
-		if ord <= cur || s.toOrd.CompareAndSwap(cur, ord) {
-			return
-		}
-	}
-}
-
 // Replica is one process of the replicated STM: the composition of the local
-// multi-version STM, one GCS endpoint + lease manager per shard group, and
-// the replication manager (this package).
+// multi-version STM, one GCS endpoint + lease manager, and the replication
+// manager (this package).
 type Replica struct {
 	id    transport.ID
 	cfg   Config
 	store *stm.Store
 
-	// shards holds one group slice per shard; shard 0 is the only one when
-	// sharding is disabled. mux is nil for a single shard (the raw transport
-	// is used directly, envelope-free).
-	shards []*shardState
-	mux    *transport.Mux
+	// The replica's one group: its GCS endpoint (sequencer, OAB and URB), its
+	// lease manager, the coalescer that feeds the URB and the CERT validation
+	// log.
+	ep      *gcs.Endpoint
+	lm      *lease.Manager
+	coal    *coalescer
+	certLog *certLog
+	// toOrd is the totally-ordered commit clock: the count of valid
+	// TO-delivered write-sets (CERT certifications and §4.5(c) piggybacked
+	// payloads) applied. Validation is deterministic, so the count is
+	// identical at every replica — unlike the store's commit timestamp, which
+	// also counts URB-lane applies in a replica-local order.
+	toOrd atomic.Int64
 
 	// Commit pipeline: the striped in-flight table serializes intersecting
 	// local committers (see inflightTable for the lost-update invariant),
-	// the per-shard coalescers batch their write-set broadcasts, and the
-	// scheduler applies delivered write-sets on a worker pool.
+	// the coalescer batches their write-set broadcasts, and the scheduler
+	// applies delivered write-sets on a worker pool.
 	inflight *inflightTable
 	sched    *applyScheduler
 
 	// seqMu makes {TxnID allocation; write-set enqueue} atomic per replica,
-	// so every shard channel carries this replica's write-sets in ascending
-	// Seq order: without it two concurrent local committers can allocate
-	// seqs 6 and 7 but enqueue 7 first, and the per-writer frontier filter at
-	// the receivers silently drops 6. For a cross-shard commit it
-	// additionally keeps all of one transaction's per-shard portions adjacent
-	// in every channel's sender order.
+	// so the URB channel carries this replica's write-sets in ascending Seq
+	// order: without it two concurrent local committers can allocate seqs 6
+	// and 7 but enqueue 7 first, and the per-writer frontier filter at the
+	// receivers silently drops 6.
 	seqMu sync.Mutex
 
 	// Waiters for commit outcomes, keyed by transaction ID.
 	waitMu  sync.Mutex
 	waiters map[stm.TxnID]*commitWaiter
 
-	// In-flight cross-shard broadcast groups. An ejection must Fail them:
-	// a group with a part dropped by the ejected endpoint can never
-	// complete, and its sibling parts would head-of-line-block the healthy
-	// shards' outboxes forever.
-	groupMu sync.Mutex
-	groups  map[*gcs.Group]struct{}
-
-	// Durability tier: per-shard applied-frontier tracking + delta window
-	// (always), WAL + snapshots (when configured with a directory).
+	// Durability tier: applied-frontier tracking + delta window (always),
+	// WAL + snapshots (when configured with a directory).
 	dur *durable
 
 	txnSeq  atomic.Uint64
 	applies atomic.Int64 // applied write-sets since the last automatic GC
 	gcMu    sync.Mutex   // keeps version-history collections serial
-	primary atomic.Bool  // conjunction over the shard groups
+	primary atomic.Bool
 	stopped atomic.Bool
 
-	viewMu   sync.Mutex
-	viewCond *sync.Cond
+	viewMu sync.Mutex
+	view   gcs.View // the last view the handler installed
 
 	nCommits    metrics.Counter
 	nAborts     [numAbortCauses]metrics.Counter
 	nReadOnly   metrics.Counter
 	nMigratedIn metrics.Counter
-	nCross      metrics.Counter // committed cross-shard transactions
 	retries     *metrics.IntDist
 	latency     metrics.Histogram // end-to-end, first attempt to commit
 	batchSizes  *metrics.IntDist
@@ -387,20 +343,13 @@ type Replica struct {
 // created internally; gcsCfg.Members defines the group.
 func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica, error) {
 	cfg.fillDefaults()
-	if cfg.Protocol == ProtocolCert && cfg.Shards > 1 {
-		// CERT validates every transaction against ONE total order of
-		// certification messages; its Bloom read-set check does not decompose
-		// into per-shard votes. Refuse the configuration instead of silently
-		// running a protocol whose correctness argument no longer holds.
-		return nil, fmt.Errorf("core: ProtocolCert is single-shard (Shards=%d); sharding requires ProtocolALC", cfg.Shards)
-	}
 	r := &Replica{
 		id:         tr.Self(),
 		cfg:        cfg,
 		store:      stm.NewStore(),
+		certLog:    newCertLog(certLogSize),
 		inflight:   newInflightTable(),
 		waiters:    make(map[stm.TxnID]*commitWaiter),
-		groups:     make(map[*gcs.Group]struct{}),
 		retries:    metrics.NewIntDist(),
 		batchSizes: metrics.NewIntDist(),
 	}
@@ -410,70 +359,40 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	// checker both rely on ID uniqueness). Starting the sequence at the
 	// wall clock makes every incarnation's range disjoint.
 	r.txnSeq.Store(uint64(time.Now().UnixNano()))
-	r.viewCond = sync.NewCond(&r.viewMu)
 	r.primary.Store(!gcsCfg.Joining)
 
 	// Durability: recover the store from snapshot + WAL (if a directory is
-	// configured and holds state) before any endpoint exists — the recovered
-	// per-shard frontiers are what the joinReqs will advertise for delta
-	// transfers.
-	dur, err := newDurable(cfg.Durability, r.store, cfg.Shards)
+	// configured and holds state) before the endpoint exists — the recovered
+	// frontier is what the joinReq will advertise for a delta transfer.
+	dur, err := newDurable(cfg.Durability, r.store)
 	if err != nil {
 		return nil, err
 	}
 	r.dur = dur
-	r.sched = newApplyScheduler(cfg.Batch.ApplyWorkers, cfg.Shards)
+	r.sched = newApplyScheduler(cfg.Batch.ApplyWorkers)
 	if !gcsCfg.Joining {
 		// An initial member's store is complete by definition (empty or
 		// seeded, never behind the group), so its frontier is advertisable.
 		r.dur.markComplete()
 	}
+	r.toOrd.Store(toFrontierOf(r.dur.advertise())) // the recovered TO commit clock
+	r.coal = newCoalescer(r, cfg.Batch)
 
-	// One GCS endpoint per shard group. A single shard uses the raw transport
-	// directly — no envelope, and no mux pump-goroutine hop on every message;
-	// several shards each get a muxed sub-transport, with the shard ID
-	// carried in a transport.ShardEnvelope.
-	if cfg.Shards > 1 {
-		r.mux = transport.NewMux(tr, cfg.Shards)
+	gcsCfg.JoinFrontier = r.dur.advertise
+	ep, err := gcs.NewEndpoint(tr, &gcsHandler{r}, gcsCfg)
+	if err != nil {
+		r.sched.close()
+		r.dur.close()
+		return nil, fmt.Errorf("core: gcs endpoint: %w", err)
 	}
-	r.shards = make([]*shardState, cfg.Shards)
-	for i := range r.shards {
-		s := &shardState{r: r, idx: i, certLog: newCertLog(certLogSize)}
-		s.primary.Store(!gcsCfg.Joining)
-		s.toOrd.Store(toFrontierOf(r.dur.advertise(i))) // the recovered TO commit clock
-		s.coal = newCoalescer(r, s, cfg.Batch)
-		shardTr := tr
-		if r.mux != nil {
-			shardTr = r.mux.Sub(i)
-		}
-		shardCfg := gcsCfg
-		idx := i
-		shardCfg.JoinFrontier = func() map[transport.ID]uint64 { return r.dur.advertise(idx) }
-		ep, err := gcs.NewEndpoint(shardTr, &shardHandler{r: r, s: s}, shardCfg)
-		if err != nil {
-			for _, prev := range r.shards[:i] {
-				prev.ep.Close()
-			}
-			if r.mux != nil {
-				r.mux.Close()
-			}
-			r.sched.close()
-			r.dur.close()
-			return nil, fmt.Errorf("core: gcs endpoint (shard %d): %w", i, err)
-		}
-		s.ep = ep
-		s.lm = lease.NewManager(r.id, ep, cfg.Lease)
-		if cfg.PiggybackCert {
-			shard := s
-			s.lm.SetPayloadHandler(func(req *lease.Request) { r.onEnabledPayload(shard, req) })
-		}
-		r.shards[i] = s
+	r.ep = ep
+	r.lm = lease.NewManager(r.id, ep, cfg.Lease)
+	if cfg.PiggybackCert {
+		r.lm.SetPayloadHandler(r.onEnabledPayload)
 	}
-	// Start the dispatchers only after the replica is fully wired: upcalls
-	// may fire immediately.
-	for _, s := range r.shards {
-		s.ep.Start()
-	}
+	// Start the dispatcher only after the replica is fully wired: upcalls may
+	// fire immediately.
+	ep.Start()
 	return r, nil
 }
 
@@ -483,29 +402,15 @@ func (r *Replica) ID() transport.ID { return r.id }
 // Store exposes the local STM (for seeding and read-only access).
 func (r *Replica) Store() *stm.Store { return r.store }
 
-// LeaseManager exposes shard group 0's lease manager (diagnostics; with a
-// single shard, the replica's only one).
-func (r *Replica) LeaseManager() *lease.Manager { return r.shards[0].lm }
+// LeaseManager exposes the lease manager (diagnostics).
+func (r *Replica) LeaseManager() *lease.Manager { return r.lm }
 
-// GCS exposes shard group 0's communication endpoint (diagnostics).
-func (r *Replica) GCS() *gcs.Endpoint { return r.shards[0].ep }
-
-// Shards returns the number of shard groups.
-func (r *Replica) Shards() int { return len(r.shards) }
+// GCS exposes the group communication endpoint (diagnostics).
+func (r *Replica) GCS() *gcs.Endpoint { return r.ep }
 
 // HoldsLease reports whether every conflict class of the data-set is covered
-// by an established lease on its home shard group (routing diagnostics).
-func (r *Replica) HoldsLease(dataSet []string) bool {
-	if len(r.shards) == 1 {
-		return r.shards[0].lm.HoldsLease(dataSet)
-	}
-	for sh, items := range r.itemsByShard(dataSet) {
-		if len(items) > 0 && !r.shards[sh].lm.HoldsLease(items) {
-			return false
-		}
-	}
-	return true
-}
+// by an established lease (routing diagnostics).
+func (r *Replica) HoldsLease(dataSet []string) bool { return r.lm.HoldsLease(dataSet) }
 
 // InPrimary reports whether the replica is in the primary component.
 func (r *Replica) InPrimary() bool { return r.primary.Load() }
@@ -522,8 +427,7 @@ func (r *Replica) Stats() Stats {
 		},
 		ReadOnly:      r.nReadOnly.Value(),
 		MigratedIn:    r.nMigratedIn.Value(),
-		Shards:        len(r.shards),
-		CrossCommits:  r.nCross.Value(),
+		Lease:         r.lm.Stats(),
 		RetriesPerTxn: r.retries.Freeze(),
 		CommitLatency: r.latency.Snapshot(),
 		Batch: BatchStats{
@@ -534,7 +438,6 @@ func (r *Replica) Stats() Stats {
 			FlushBytes:  r.flushCount[flushBytes].Value(),
 			FlushWindow: r.flushCount[flushWindow].Value(),
 			FlushDrain:  r.flushCount[flushDrain].Value(),
-			FlushCross:  r.flushCount[flushCross].Value(),
 		},
 	}
 	s.Aborts = s.AbortCauses.Early + s.AbortCauses.Final + s.AbortCauses.Payload + s.AbortCauses.Deadlock
@@ -551,22 +454,7 @@ func (r *Replica) Stats() Stats {
 		URB:           r.stageURB.Snapshot(),
 		Apply:         r.stageApply.Snapshot(),
 	}
-	for _, sh := range r.shards {
-		ls := sh.lm.Stats()
-		s.Lease.Requested += ls.Requested
-		s.Lease.Reused += ls.Reused
-		s.Lease.Acquired += ls.Acquired
-		s.Lease.Stolen += ls.Stolen
-		s.Lease.Freed += ls.Freed
-		s.Lease.Deadlocks += ls.Deadlocks
-		s.Lease.Waiting += ls.Waiting
-		qs := sh.ep.QueueStats()
-		s.Queues.GCS.Outbox += qs.Outbox
-		s.Queues.GCS.URBPending += qs.URBPending
-		s.Queues.GCS.URBRetained += qs.URBRetained
-		s.Queues.GCS.SeqQueue += qs.SeqQueue
-		s.Queues.GCS.Dispatch += qs.Dispatch
-	}
+	s.Queues.GCS = r.ep.QueueStats()
 	s.Queues.CoalescerPending = r.qCoalescer.Value()
 	s.Queues.LeaseWaiters = s.Lease.Waiting
 	s.STM = r.store.Stats()
@@ -574,30 +462,22 @@ func (r *Replica) Stats() Stats {
 	return s
 }
 
-// WaitForView blocks until every shard group has installed a view with at
-// least n members (startup synchronization for tests and benchmarks).
+// WaitForView blocks until the replica has installed a view with at least n
+// members (startup synchronization for tests and benchmarks).
 func (r *Replica) WaitForView(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	r.viewMu.Lock()
 	defer r.viewMu.Unlock()
-	for {
-		min := len(r.shards[0].view.Members)
-		for _, s := range r.shards[1:] {
-			if len(s.view.Members) < min {
-				min = len(s.view.Members)
-			}
-		}
-		if min >= n {
-			return nil
-		}
+	for len(r.view.Members) < n {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("core: view with %d members not installed on every shard within %v (have %v)",
-				n, timeout, r.shards[0].view)
+			return fmt.Errorf("core: view with %d members not installed within %v (have %v)",
+				n, timeout, r.view)
 		}
 		r.viewMu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 		r.viewMu.Lock()
 	}
+	return nil
 }
 
 // Close shuts the replica down.
@@ -605,28 +485,15 @@ func (r *Replica) Close() error {
 	if r.stopped.Swap(true) {
 		return nil
 	}
-	for _, s := range r.shards {
-		s.coal.stop()
-	}
-	r.failGroups()
+	r.coal.stop()
 	r.failAllWaiters(ErrStopped)
 	r.inflight.reset()
-	for _, s := range r.shards {
-		s.lm.Close()
-	}
-	var err error
-	for _, s := range r.shards {
-		if e := s.ep.Close(); e != nil && err == nil {
-			err = e
-		}
-	}
-	if r.mux != nil {
-		r.mux.Close()
-	}
-	// The dispatchers have exited: no further submissions. Wait for the
+	r.lm.Close()
+	err := r.ep.Close()
+	// The dispatcher has exited: no further submissions. Wait for the
 	// workers to finish the queue and terminate.
 	r.sched.close()
-	// After dispatchers and workers are gone nothing appends: final fsync.
+	// After dispatcher and workers are gone nothing appends: final fsync.
 	r.dur.close()
 	return err
 }
@@ -653,6 +520,17 @@ func (r *Replica) nextTxnID() stm.TxnID {
 	return stm.TxnID{Replica: r.id, Seq: r.txnSeq.Add(1)}
 }
 
+// advanceTO lifts the TO clock to at least ord (delta installs replay TO
+// entries with their original ordinals).
+func (r *Replica) advanceTO(ord int64) {
+	for {
+		cur := r.toOrd.Load()
+		if ord <= cur || r.toOrd.CompareAndSwap(cur, ord) {
+			return
+		}
+	}
+}
+
 // maybeGC prunes version histories after every cfg.GCEvery applied
 // write-sets. With the parallel apply stage this can run concurrently with
 // other applies: that is safe — applies only prepend versions newer than the
@@ -676,21 +554,14 @@ func (r *Replica) maybeGC() {
 // sentAt is stamped when the write-set leaves on the URB (markSent), which
 // lets resolveWaiter attribute the broadcast→self-delivery window to the URB
 // stage histogram; it stays zero for outcomes that involve no URB of their
-// own (CERT, §4.5(c) piggyback). A cross-shard commit registers with
-// remaining = number of per-shard write-set portions: the outcome fires when
-// the last portion self-delivers (or on the first error).
+// own (CERT, §4.5(c) piggyback).
 type commitWaiter struct {
-	ch        chan error
-	sentAt    time.Time
-	remaining int
+	ch     chan error
+	sentAt time.Time
 }
 
 func (r *Replica) registerWaiter(id stm.TxnID) chan error {
-	return r.registerWaiterN(id, 1)
-}
-
-func (r *Replica) registerWaiterN(id stm.TxnID, n int) chan error {
-	w := &commitWaiter{ch: make(chan error, 1), remaining: n}
+	w := &commitWaiter{ch: make(chan error, 1)}
 	r.waitMu.Lock()
 	r.waiters[id] = w
 	r.waitMu.Unlock()
@@ -711,17 +582,7 @@ func (r *Replica) markSent(ids []stm.TxnID, at time.Time) {
 func (r *Replica) resolveWaiter(id stm.TxnID, err error) {
 	r.waitMu.Lock()
 	w, ok := r.waiters[id]
-	if ok {
-		if err == nil {
-			w.remaining--
-			if w.remaining > 0 {
-				// More per-shard portions outstanding: not resolved yet.
-				r.waitMu.Unlock()
-				return
-			}
-		}
-		delete(r.waiters, id)
-	}
+	delete(r.waiters, id)
 	r.waitMu.Unlock()
 	if ok {
 		if err == nil && !w.sentAt.IsZero() {
@@ -735,35 +596,6 @@ func (r *Replica) dropWaiter(id stm.TxnID) {
 	r.waitMu.Lock()
 	delete(r.waiters, id)
 	r.waitMu.Unlock()
-}
-
-// registerGroup tracks an in-flight cross-shard broadcast group so an
-// ejection can Fail it (see the groups field).
-func (r *Replica) registerGroup(g *gcs.Group) {
-	r.groupMu.Lock()
-	r.groups[g] = struct{}{}
-	r.groupMu.Unlock()
-}
-
-func (r *Replica) unregisterGroup(g *gcs.Group) {
-	r.groupMu.Lock()
-	delete(r.groups, g)
-	r.groupMu.Unlock()
-}
-
-// failGroups cancels every in-flight cross-shard group. Idempotent per
-// group, and a no-op on groups that already transmitted (their portions are
-// in the URB pending sets and resolve through delivery or view change).
-func (r *Replica) failGroups() {
-	r.groupMu.Lock()
-	gs := make([]*gcs.Group, 0, len(r.groups))
-	for g := range r.groups {
-		gs = append(gs, g)
-	}
-	r.groupMu.Unlock()
-	for _, g := range gs {
-		g.Fail()
-	}
 }
 
 func (r *Replica) failAllWaiters(err error) {
@@ -795,62 +627,4 @@ func (r *Replica) wsClasses(ws stm.WriteSet) []lease.ConflictClass {
 // alive reports whether the replica can still commit update transactions.
 func (r *Replica) alive() bool {
 	return r.primary.Load() && !r.stopped.Load()
-}
-
-// recomputePrimary refreshes the replica-wide primary flag: updates can
-// commit only while every shard group keeps the replica in its primary
-// component.
-func (r *Replica) recomputePrimary() {
-	p := true
-	for _, s := range r.shards {
-		if !s.primary.Load() {
-			p = false
-			break
-		}
-	}
-	r.primary.Store(p)
-}
-
-// --- Shard partitioning ---------------------------------------------------------
-
-// shardOf maps a box ID to its home shard group, through its conflict class
-// (the same pure class→shard function every replica and the offline checker
-// use; see lease.ShardOf).
-func (r *Replica) shardOf(id string) int {
-	return lease.ShardOf(r.cfg.Lease.Mapper.ClassOf(id), len(r.shards))
-}
-
-// itemsByShard partitions item IDs by home shard: index = shard, nil slices
-// for untouched shards.
-func (r *Replica) itemsByShard(ids []string) [][]string {
-	out := make([][]string, len(r.shards))
-	for _, id := range ids {
-		sh := r.shardOf(id)
-		out[sh] = append(out[sh], id)
-	}
-	return out
-}
-
-// involvedShards lists, ascending, the shards with a non-empty partition.
-func involvedShards(byShard [][]string) []int {
-	var out []int
-	for sh, items := range byShard {
-		if len(items) > 0 {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
-// wsByShard splits a write-set into per-shard portions. Conflict classes
-// partition exactly by shard, so the split is lossless and the portions are
-// disjoint in classes — each can travel on its own group channel without any
-// cross-group ordering constraint.
-func (r *Replica) wsByShard(ws stm.WriteSet) []stm.WriteSet {
-	out := make([]stm.WriteSet, len(r.shards))
-	for _, e := range ws {
-		sh := r.shardOf(e.Box)
-		out[sh] = append(out[sh], e)
-	}
-	return out
 }

@@ -18,7 +18,7 @@ import (
 // Integration coverage for the replication managers lives in
 // internal/cluster; this file unit-tests the package's pure pieces and the
 // commit pipeline's building blocks (apply scheduler, in-flight table,
-// counting waiter) in isolation.
+// commit waiter) in isolation.
 
 func TestProtocolString(t *testing.T) {
 	if ProtocolALC.String() != "ALC" || ProtocolCert.String() != "CERT" {
@@ -199,10 +199,10 @@ func stillBlocked(t *testing.T, ch <-chan struct{}, what string) {
 
 // gatedTask returns a task that signals started, then blocks until release is
 // closed, then appends name to order.
-func gatedTask(name string, classes []lease.ConflictClass, sender transport.ID, shard int,
+func gatedTask(name string, classes []lease.ConflictClass, sender transport.ID,
 	release <-chan struct{}, mu *sync.Mutex, order *[]string) (*applyTask, <-chan struct{}) {
 	started := make(chan struct{})
-	return &applyTask{classes: classes, sender: sender, shard: shard, run: func() {
+	return &applyTask{classes: classes, sender: sender, run: func() {
 		close(started)
 		<-release
 		mu.Lock()
@@ -218,26 +218,24 @@ func TestApplySchedulerOrdersDependentTasks(t *testing.T) {
 		name                string
 		secondCls           []lease.ConflictClass
 		secondSender        transport.ID
-		secondShard         int
 		wantDependsOnFirst  bool
 		wantConcurrentStart bool
 	}{
-		{"intersecting classes", []lease.ConflictClass{1, 7}, 2, 0, true, false},
-		{"same sender and shard", []lease.ConflictClass{9}, 1, 0, true, false},
-		{"disjoint classes, other sender", []lease.ConflictClass{9}, 2, 0, false, true},
-		{"disjoint classes, same sender, other shard", []lease.ConflictClass{9}, 1, 1, false, true},
+		{"intersecting classes", []lease.ConflictClass{1, 7}, 2, true, false},
+		{"same sender", []lease.ConflictClass{9}, 1, true, false},
+		{"disjoint classes, other sender", []lease.ConflictClass{9}, 2, false, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s := newApplyScheduler(4, 2)
+			s := newApplyScheduler(4)
 			defer s.close()
 			var (
 				mu      sync.Mutex
 				order   []string
 				release = make(chan struct{})
 			)
-			first, firstStarted := gatedTask("first", []lease.ConflictClass{1}, 1, 0, release, &mu, &order)
-			second, secondStarted := gatedTask("second", tt.secondCls, tt.secondSender, tt.secondShard, open, &mu, &order)
+			first, firstStarted := gatedTask("first", []lease.ConflictClass{1}, 1, release, &mu, &order)
+			second, secondStarted := gatedTask("second", tt.secondCls, tt.secondSender, open, &mu, &order)
 			s.submit(first)
 			within(t, firstStarted, "first task to start")
 			s.submit(second)
@@ -249,8 +247,7 @@ func TestApplySchedulerOrdersDependentTasks(t *testing.T) {
 				within(t, secondStarted, "independent task to start beside the running one")
 			}
 			close(release)
-			s.drain(0)
-			s.drain(1)
+			s.drain()
 
 			mu.Lock()
 			defer mu.Unlock()
@@ -267,30 +264,26 @@ func TestApplySchedulerOrdersDependentTasks(t *testing.T) {
 	}
 }
 
-func TestApplySchedulerDrainWaitsForItsShardOnly(t *testing.T) {
-	s := newApplyScheduler(2, 2)
+func TestApplySchedulerDrainWaitsForRunningTask(t *testing.T) {
+	s := newApplyScheduler(2)
 	defer s.close()
 	var (
 		mu      sync.Mutex
 		order   []string
 		release = make(chan struct{})
 	)
-	task, started := gatedTask("shard1", []lease.ConflictClass{1}, 1, 1, release, &mu, &order)
+	task, started := gatedTask("task", []lease.ConflictClass{1}, 1, release, &mu, &order)
 	s.submit(task)
 	within(t, started, "task to start")
 
-	drained0 := make(chan struct{})
-	go func() { s.drain(0); close(drained0) }()
-	within(t, drained0, "drain(0) with only shard 1 busy")
-
-	drained1 := make(chan struct{})
-	go func() { s.drain(1); close(drained1) }()
-	stillBlocked(t, drained1, "drain(1) returned while shard 1's task was running")
+	drained := make(chan struct{})
+	go func() { s.drain(); close(drained) }()
+	stillBlocked(t, drained, "drain returned while a task was running")
 	if got := s.backlog(); got != 1 {
 		t.Fatalf("backlog = %d, want 1", got)
 	}
 	close(release)
-	within(t, drained1, "drain(1) after the task finished")
+	within(t, drained, "drain after the task finished")
 	if got := s.backlog(); got != 0 {
 		t.Fatalf("backlog after drain = %d, want 0", got)
 	}
@@ -303,7 +296,7 @@ func TestApplySchedulerDrainWaitsForItsShardOnly(t *testing.T) {
 // nothing wakes either in between, so on a cond shared by both the drainer
 // would be first in line for the next task's wake-up.
 func TestApplySchedulerDrainDoesNotTakeWorkerWakeups(t *testing.T) {
-	s := newApplyScheduler(2, 2)
+	s := newApplyScheduler(2)
 	defer s.close()
 	var (
 		mu                 sync.Mutex
@@ -315,18 +308,18 @@ func TestApplySchedulerDrainDoesNotTakeWorkerWakeups(t *testing.T) {
 	defer free0.Do(func() { close(release0) })
 	defer free1.Do(func() { close(release1) })
 	close(open)
-	long, longStarted := gatedTask("long", []lease.ConflictClass{1}, 1, 0, release0, &mu, &order)
-	short, shortStarted := gatedTask("short", []lease.ConflictClass{2}, 2, 1, release1, &mu, &order)
-	behind, _ := gatedTask("behind-long", []lease.ConflictClass{1}, 3, 1, open, &mu, &order)
+	long, longStarted := gatedTask("long", []lease.ConflictClass{1}, 1, release0, &mu, &order)
+	short, shortStarted := gatedTask("short", []lease.ConflictClass{2}, 2, release1, &mu, &order)
+	behind, _ := gatedTask("behind-long", []lease.ConflictClass{1}, 3, open, &mu, &order)
 	s.submit(long)
 	s.submit(short)
-	s.submit(behind) // keeps shard 1 busy until long finishes
+	s.submit(behind) // queued until long finishes
 	within(t, longStarted, "first task to start")
 	within(t, shortStarted, "second task to start")
 
 	drained := make(chan struct{})
-	go func() { s.drain(0); close(drained) }()
-	stillBlocked(t, drained, "drain(0) returned while shard 0's task was running")
+	go func() { s.drain(); close(drained) }()
+	stillBlocked(t, drained, "drain returned while a task was running")
 	free1.Do(func() { close(release1) })
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		s.mu.Lock()
@@ -340,14 +333,13 @@ func TestApplySchedulerDrainDoesNotTakeWorkerWakeups(t *testing.T) {
 		}
 	}
 
-	late, lateStarted := gatedTask("late", []lease.ConflictClass{3}, 4, 1, open, &mu, &order)
+	late, lateStarted := gatedTask("late", []lease.ConflictClass{3}, 4, open, &mu, &order)
 	s.submit(late)
 	within(t, lateStarted, "a task submitted while a drainer waits to start")
-	stillBlocked(t, drained, "drain(0) returned while shard 0's task was running")
+	stillBlocked(t, drained, "drain returned while a task was running")
 
 	free0.Do(func() { close(release0) })
-	within(t, drained, "drain(0) after its task finished")
-	s.drain(1)
+	within(t, drained, "drain after every task finished")
 	s.mu.Lock()
 	running, ready := s.running, len(s.ready)
 	s.mu.Unlock()
@@ -365,7 +357,7 @@ func TestApplySchedulerDrainDoesNotTakeWorkerWakeups(t *testing.T) {
 // is running or queued — Replica.Close relies on it to close the WAL only
 // after the last applyEntries returned.
 func TestApplySchedulerCloseWaitsForWorkers(t *testing.T) {
-	s := newApplyScheduler(2, 1)
+	s := newApplyScheduler(2)
 	var (
 		release  = make(chan struct{})
 		finished atomic.Int32
@@ -472,7 +464,7 @@ func newTestReplica(t *testing.T) *Replica {
 	return r
 }
 
-func TestCountingWaiter(t *testing.T) {
+func TestCommitWaiter(t *testing.T) {
 	r := newTestReplica(t)
 	fired := func(ch chan error) (error, bool) {
 		select {
@@ -483,24 +475,9 @@ func TestCountingWaiter(t *testing.T) {
 		}
 	}
 
-	// n portions: the outcome fires on the n-th success, not before.
+	// The outcome fires once; a later resolution finds no waiter.
 	id := r.nextTxnID()
-	ch := r.registerWaiterN(id, 3)
-	for i := 1; i <= 2; i++ {
-		r.resolveWaiter(id, nil)
-		if _, ok := fired(ch); ok {
-			t.Fatalf("waiter fired after %d of 3 portions", i)
-		}
-	}
-	r.resolveWaiter(id, nil)
-	if err, ok := fired(ch); !ok || err != nil {
-		t.Fatalf("after the last portion: fired=%t err=%v, want true/nil", ok, err)
-	}
-
-	// The first error fires at once; later portions find no waiter.
-	id = r.nextTxnID()
-	ch = r.registerWaiterN(id, 3)
-	r.resolveWaiter(id, nil)
+	ch := r.registerWaiter(id)
 	r.resolveWaiter(id, ErrEjected)
 	if err, ok := fired(ch); !ok || !errors.Is(err, ErrEjected) {
 		t.Fatalf("after an error: fired=%t err=%v, want true/ErrEjected", ok, err)
@@ -510,18 +487,16 @@ func TestCountingWaiter(t *testing.T) {
 		t.Fatal("waiter fired twice")
 	}
 
-	// registerWaiter is the count-1 case.
 	id = r.nextTxnID()
 	ch = r.registerWaiter(id)
 	r.resolveWaiter(id, nil)
 	if err, ok := fired(ch); !ok || err != nil {
-		t.Fatalf("single waiter: fired=%t err=%v, want true/nil", ok, err)
+		t.Fatalf("success: fired=%t err=%v, want true/nil", ok, err)
 	}
 
 	// Close fails whatever is still registered.
 	id = r.nextTxnID()
-	ch = r.registerWaiterN(id, 2)
-	r.resolveWaiter(id, nil)
+	ch = r.registerWaiter(id)
 	_ = r.Close()
 	if err, ok := fired(ch); !ok || !errors.Is(err, ErrStopped) {
 		t.Fatalf("after Close: fired=%t err=%v, want true/ErrStopped", ok, err)

@@ -84,7 +84,7 @@ type WALStats struct {
 	RetainedEntries int64
 	// FilteredSeen / FilteredNeverSeen count entries the apply path's
 	// frontier filter dropped as already absorbed. Seen: the entry is still
-	// in the shard's retained window or at/below its eviction watermark — a
+	// in the retained window or at/below its eviction watermark — a
 	// genuine duplicate (a delta install over a stale advertised frontier, a
 	// replayed log record the snapshot covers). NeverSeen: at/below the
 	// frontier yet in neither — an entry overtaken by a later one from its
@@ -101,51 +101,43 @@ type WALStats struct {
 // of fields in the wire codec (the same helpers that put write-sets and store
 // snapshots on the network, so one fuzzed decoder guards disk and network):
 //
-//	record:   walFormat · shard (uvarint) · appendWSEntries — one applied
-//	          batch in apply order, tagged with the shard group that delivered
-//	          it (replay filters each lane against its own shard's frontiers)
-//	snapshot: walFormat · appendStoreSnapshot · shard count (uvarint) · one
-//	          appendFrontier per shard, in advertised() form
+//	record:   walFormat · appendWSEntries — one applied batch in apply order
+//	snapshot: walFormat · appendStoreSnapshot · appendFrontier, in
+//	          advertised() form
 //
 // The value is one no encoding/gob stream can begin with (its leading length
 // byte is 0x00-0x7F or 0xF8-0xFF), so a directory written by the gob-era
 // build fails decoding at byte 0; bump it for any incompatible layout change.
-const walFormat byte = 0xA1
+// 0xA1 was the layout with a shard-group number on every record and a
+// frontier per shard group in the snapshot.
+const walFormat byte = 0xA2
 
-func appendWALRecord(b []byte, shard int, entries []applyWSEntry) ([]byte, error) {
-	return appendWSEntries(wire.AppendUvarint(append(b, walFormat), uint64(shard)), entries)
+func appendWALRecord(b []byte, entries []applyWSEntry) ([]byte, error) {
+	return appendWSEntries(append(b, walFormat), entries)
 }
 
-func readWALRecord(payload []byte) (shard int, entries []applyWSEntry, err error) {
+func readWALRecord(payload []byte) ([]applyWSEntry, error) {
 	r := walReader(payload)
-	shard = int(r.Uvarint())
-	entries, err = readWSEntries(r)
-	return shard, entries, walPayloadEnd(r, err)
+	entries, err := readWSEntries(r)
+	return entries, walPayloadEnd(r, err)
 }
 
-func appendWALSnapshot(b []byte, store stm.StoreSnapshot, fronts []map[transport.ID]uint64) ([]byte, error) {
+func appendWALSnapshot(b []byte, store stm.StoreSnapshot, front map[transport.ID]uint64) ([]byte, error) {
 	b, err := appendStoreSnapshot(append(b, walFormat), store)
 	if err != nil {
 		return b, err
 	}
-	b = wire.AppendUvarint(b, uint64(len(fronts)))
-	for _, f := range fronts {
-		b = appendFrontier(b, f)
-	}
-	return b, nil
+	return appendFrontier(b, front), nil
 }
 
-func readWALSnapshot(payload []byte) (stm.StoreSnapshot, []map[transport.ID]uint64, error) {
+func readWALSnapshot(payload []byte) (stm.StoreSnapshot, map[transport.ID]uint64, error) {
 	r := walReader(payload)
 	store, err := readStoreSnapshot(r)
 	if err != nil {
 		return store, nil, err
 	}
-	fronts := make([]map[transport.ID]uint64, r.Count())
-	for i := range fronts {
-		fronts[i] = readFrontier(r)
-	}
-	return store, fronts, walPayloadEnd(r, nil)
+	front := readFrontier(r)
+	return store, front, walPayloadEnd(r, nil)
 }
 
 // walReader returns a copying reader (decoded values outlive the replay
@@ -171,21 +163,20 @@ func walPayloadEnd(r *wire.Reader, err error) error {
 	return err
 }
 
-// durShard is one shard group's slice of the durability + delta-transfer
-// bookkeeping.
+// appliedState is the durability + delta-transfer bookkeeping of what the
+// store has absorbed.
 //
 // frontier[w] is the highest Seq of an applied URB-lane write-set written by
-// replica w on this shard's channel. It is the replica-independent progress
-// marker deltas are keyed on: commit timestamps diverge across replicas
-// (each store assigns its own tickets), but writer sequence numbers are
-// assigned once, by the writer, and per-(writer, shard) application order is
-// FIFO (causal URB + the apply scheduler's per-channel ordering), so the
-// frontier is monotone and exactly characterizes "which URB transactions has
-// this store absorbed". toFrontier is the TO lane's marker: the shard's
-// commit clock ordinal of the latest absorbed TO-applied entry (CERT and
-// piggybacked commits), identical cluster-wide because ordinals are assigned
-// in TO-delivery order.
-type durShard struct {
+// replica w. It is the replica-independent progress marker deltas are keyed
+// on: commit timestamps diverge across replicas (each store assigns its own
+// tickets), but writer sequence numbers are assigned once, by the writer,
+// and per-writer application order is FIFO (causal URB + the apply
+// scheduler's per-sender ordering), so the frontier is monotone and exactly
+// characterizes "which URB transactions has this store absorbed". toFrontier
+// is the TO lane's marker: the commit clock ordinal of the latest absorbed
+// TO-applied entry (CERT and piggybacked commits), identical cluster-wide
+// because ordinals are assigned in TO-delivery order.
+type appliedState struct {
 	frontier   map[transport.ID]uint64
 	toFrontier int64
 	// ring is the retained suffix of applied entries, capped at cfg.Retain:
@@ -206,12 +197,12 @@ type durShard struct {
 	hasState bool
 }
 
-// resetTo restarts the shard's bookkeeping at advertised frontier f (see
+// resetTo restarts the bookkeeping at advertised frontier f (see
 // advertised): the delta window is empty and its eviction watermarks sit at
 // f, because nothing at or below f can be served from the ring. A nil f is
-// the stateless shard: zero frontiers, nothing to advertise.
-func (sh *durShard) resetTo(f map[transport.ID]uint64) {
-	*sh = durShard{
+// the stateless store: zero frontiers, nothing to advertise.
+func (sh *appliedState) resetTo(f map[transport.ID]uint64) {
+	*sh = appliedState{
 		frontier:   make(map[transport.ID]uint64, len(f)),
 		evicted:    make(map[transport.ID]uint64, len(f)),
 		toFrontier: toFrontierOf(f),
@@ -225,13 +216,13 @@ func (sh *durShard) resetTo(f map[transport.ID]uint64) {
 	}
 }
 
-// advertised returns a copy of the shard's applied frontier — the per-writer
-// URB frontier plus, keyed under transport.Nobody (no writer ever has that
-// ID, and it keeps the wire format a plain ID→seq map), the TO commit clock —
-// or nil when the local store is not a complete frontier-consistent state.
-// It is what a joinReq carries (nil makes the coordinator ship a full
-// transfer) and what the snapshot file records per shard.
-func (sh *durShard) advertised() map[transport.ID]uint64 {
+// advertised returns a copy of the applied frontier — the per-writer URB
+// frontier plus, keyed under transport.Nobody (no writer ever has that ID,
+// and it keeps the wire format a plain ID→seq map), the TO commit clock — or
+// nil when the local store is not a complete frontier-consistent state. It
+// is what a joinReq carries (nil makes the coordinator ship a full transfer)
+// and what the snapshot file records.
+func (sh *appliedState) advertised() map[transport.ID]uint64 {
 	if !sh.hasState {
 		return nil
 	}
@@ -244,14 +235,14 @@ func (sh *durShard) advertised() map[transport.ID]uint64 {
 }
 
 // at returns the i-th oldest retained entry, 0 <= i < len(sh.ring).
-func (sh *durShard) at(i int) *applyWSEntry {
+func (sh *appliedState) at(i int) *applyWSEntry {
 	return &sh.ring[(sh.head+i)%len(sh.ring)]
 }
 
 // seen reports whether a stale entry (at or below its lane's frontier) is one
-// this shard demonstrably absorbed: at or below the eviction watermark, or
+// the store demonstrably absorbed: at or below the eviction watermark, or
 // still in the retained window. Newest first: duplicates are recent.
-func (sh *durShard) seen(e applyWSEntry) bool {
+func (sh *appliedState) seen(e applyWSEntry) bool {
 	if e.Ord > 0 {
 		if e.Ord <= sh.evictedTO {
 			return true
@@ -267,10 +258,9 @@ func (sh *durShard) seen(e applyWSEntry) bool {
 	return false
 }
 
-// durable is the replica's durability + delta-transfer state, one durShard
-// per shard group over a single WAL and snapshot file (the store is shared,
-// so its durable image is too). The in-memory part is always active; the
-// log/snapshot part only when a directory is configured.
+// durable is the replica's durability + delta-transfer state over one WAL
+// and snapshot file. The in-memory part is always active; the log/snapshot
+// part only when a directory is configured.
 type durable struct {
 	cfg DurabilityConfig
 
@@ -282,8 +272,8 @@ type durable struct {
 	// applyMu before mu.
 	applyMu sync.RWMutex
 
-	mu     sync.Mutex
-	shards []durShard
+	mu      sync.Mutex
+	applied appliedState
 
 	log       *wal.Log
 	sinceSnap int
@@ -314,15 +304,10 @@ type durable struct {
 // configured, recovers the store from snapshot + log before returning. The
 // caller (NewReplica) runs this before the GCS endpoint exists, so recovery
 // has the store to itself.
-func newDurable(cfg DurabilityConfig, store *stm.Store, shards int) (*durable, error) {
+func newDurable(cfg DurabilityConfig, store *stm.Store) (*durable, error) {
 	cfg.fillDefaults()
-	d := &durable{
-		cfg:    cfg,
-		shards: make([]durShard, shards),
-	}
-	for i := range d.shards {
-		d.shards[i].resetTo(nil)
-	}
+	d := &durable{cfg: cfg}
+	d.applied.resetTo(nil)
 	if cfg.Dir == "" {
 		return d, nil
 	}
@@ -363,25 +348,19 @@ func (d *durable) recover(store *stm.Store) (int64, error) {
 		return 0, d.discardState(store) // the frame does not verify: corrupt
 	}
 	if snapPayload != nil {
-		snap, fronts, derr := readWALSnapshot(snapPayload)
+		snap, front, derr := readWALSnapshot(snapPayload)
 		// An intact frame around a payload that does not decode was written
-		// by an incompatible build (the gob-era format included). One from a
-		// different shard-group count is as useless: the class→shard mapping
-		// changed, so its per-shard frontiers describe lanes that no longer
-		// exist.
-		if derr != nil || len(fronts) != len(d.shards) {
+		// by an incompatible build (the gob-era and 0xA1 formats included).
+		if derr != nil {
 			return 0, d.discardState(store)
 		}
 		store.Restore(snap)
-		for i, f := range fronts {
-			d.shards[i].resetTo(f)
-		}
+		d.applied.resetTo(front)
 		d.recoveredSnap = true
 	}
 
-	missharded := false
 	records, validSize, err := wal.Replay(wal.LogPath(d.cfg.Dir), func(payload []byte) error {
-		shard, entries, derr := readWALRecord(payload)
+		entries, derr := readWALRecord(payload)
 		if derr != nil {
 			// An undecodable record despite an intact CRC is a codec/schema
 			// problem, not tail damage. Treat conservatively as end-of-log:
@@ -389,14 +368,10 @@ func (d *durable) recover(store *stm.Store) (int64, error) {
 			d.errors.Inc()
 			return errStopReplay
 		}
-		if shard < 0 || shard >= len(d.shards) {
-			missharded = true
-			return errStopReplay
-		}
 		// The apply path's own filter (no log is open yet, so append only
 		// filters, advances the frontiers and refills the delta window) drops
 		// what the snapshot covers.
-		for _, e := range d.append(shard, entries) {
+		for _, e := range d.append(entries) {
 			store.ApplyWriteSet(e.TxnID, e.WS)
 			d.replayEntries++
 		}
@@ -405,17 +380,11 @@ func (d *durable) recover(store *stm.Store) (int64, error) {
 	if err != nil && err != errStopReplay {
 		return 0, err
 	}
-	if missharded {
-		// The shard-group count changed across the restart with no snapshot
-		// to catch it: everything replayed so far was partitioned under
-		// another class→shard mapping.
-		return 0, d.discardState(store)
-	}
 	if snapPayload == nil && records > 0 {
-		// With a snapshot, it says which shards hold a complete state.
-		// Without one the log was never truncated (that only happens right
-		// after a snapshot is durably in place), so it is an initial member's
-		// complete history on every shard: safe to advertise.
+		// With a snapshot, it says whether the store is complete. Without
+		// one the log was never truncated (that only happens right after a
+		// snapshot is durably in place), so it is an initial member's
+		// complete history: safe to advertise.
 		d.markComplete()
 	}
 	d.replayRecords = int64(records)
@@ -424,8 +393,7 @@ func (d *durable) recover(store *stm.Store) (int64, error) {
 }
 
 // discardState is recovery's one answer to a durability directory it cannot
-// build on — corrupt or undecodable snapshot, snapshot or log from another
-// shard-group count: count the fault, wipe snapshot and log, drop whatever
+// build on — a corrupt or undecodable snapshot: count the fault, wipe snapshot and log, drop whatever
 // was recovered so far, and start stateless (nothing advertised, so the
 // replica takes a full transfer on join).
 func (d *durable) discardState(store *stm.Store) error {
@@ -437,29 +405,26 @@ func (d *durable) discardState(store *stm.Store) error {
 		return fmt.Errorf("core: discard orphaned wal: %w", err)
 	}
 	store.Restore(stm.StoreSnapshot{})
-	for i := range d.shards {
-		d.shards[i].resetTo(nil)
-	}
+	d.applied.resetTo(nil)
 	d.recoveredSnap, d.replayEntries = false, 0
 	return nil
 }
 
 var errStopReplay = fmt.Errorf("core: stop wal replay")
 
-// markComplete records that the store content is complete and matches every
-// shard's frontier (initial member at birth, or full install).
+// markComplete records that the store content is complete and matches the
+// frontier (initial member at birth, or full install).
 func (d *durable) markComplete() {
 	d.mu.Lock()
-	for i := range d.shards {
-		d.shards[i].hasState = true
-	}
+	d.applied.hasState = true
 	d.mu.Unlock()
 }
 
-// pushRetainedLocked adds one applied entry to the shard's delta window; a
-// full window gives up its oldest entry to the eviction watermarks and takes
-// the new one in its slot. Caller holds d.mu.
-func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
+// pushRetainedLocked adds one applied entry to the delta window; a full
+// window gives up its oldest entry to the eviction watermarks and takes the
+// new one in its slot. Caller holds d.mu.
+func (d *durable) pushRetainedLocked(e applyWSEntry) {
+	sh := &d.applied
 	if len(sh.ring) < d.cfg.Retain {
 		sh.ring = append(sh.ring, e)
 		return
@@ -479,7 +444,7 @@ func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
 // append is the durability tier's entry on the apply path, called BEFORE the
 // write-sets are installed in the store, under applyMu (shared); recovery
 // replays the log through it too, before any log is open. It filters out
-// entries the shard already absorbed — URB-lane entries (Ord == 0) at or
+// entries the store already absorbed — URB-lane entries (Ord == 0) at or
 // below the writer's frontier, TO-lane entries (Ord > 0) at or below the TO
 // frontier — the idempotence point that makes delta installs safe when the
 // advertised frontier went stale. Survivors advance their lane's frontier,
@@ -493,9 +458,9 @@ func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
 // across conflicting batches is inherited from the apply scheduler (a
 // conflicting batch's append+apply fully precedes the next one's), so log
 // order is conflict-consistent with store order.
-func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
+func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
 	d.mu.Lock()
-	sh := &d.shards[shard]
+	sh := &d.applied
 	fresh := entries
 	for i, e := range entries {
 		var stale bool
@@ -525,7 +490,7 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 		} else {
 			sh.frontier[e.TxnID.Replica] = e.TxnID.Seq
 		}
-		d.pushRetainedLocked(sh, e)
+		d.pushRetainedLocked(e)
 	}
 	// The handle is captured under mu: disableLog (another appender's write
 	// failure) nils d.log concurrently, and a degraded log must cost this
@@ -543,7 +508,7 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 	d.mu.Unlock()
 
 	if log != nil {
-		payload, err := appendWALRecord(make([]byte, 0, 256), shard, fresh) // one allocation for the usual small batch
+		payload, err := appendWALRecord(make([]byte, 0, 256), fresh) // one allocation for the usual small batch
 		n := 0
 		if err == nil {
 			n, err = log.Append(payload)
@@ -575,10 +540,9 @@ func (d *durable) disableLog() {
 }
 
 // maybeSnapshot takes the periodic durable snapshot when the log has grown
-// past the configured threshold. Any dispatcher may call it; the exclusive
-// applyMu acquisition inside snapshot excludes every shard's appliers, so
-// the store cut and the per-shard frontier copies describe exactly the same
-// state.
+// past the configured threshold. The exclusive applyMu acquisition inside
+// snapshot excludes every applier, so the store cut and the frontier copy
+// describe exactly the same state.
 func (d *durable) maybeSnapshot(store *stm.Store) {
 	if !d.wantSnap.CompareAndSwap(true, false) {
 		return
@@ -586,7 +550,7 @@ func (d *durable) maybeSnapshot(store *stm.Store) {
 	d.snapshot(store)
 }
 
-// snapshot durably writes the store image + per-shard frontiers, then
+// snapshot durably writes the store image + applied frontier, then
 // truncates the log. The whole {cut; write; reset} runs under applyMu held
 // exclusively: appenders write the log inside their shared acquisition, so
 // nothing can slip a record between the frontier copy and the truncation
@@ -597,16 +561,13 @@ func (d *durable) snapshot(store *stm.Store) {
 	d.applyMu.Lock()
 	d.mu.Lock()
 	log := d.log
-	fronts := make([]map[transport.ID]uint64, len(d.shards))
-	for i := range d.shards {
-		fronts[i] = d.shards[i].advertised()
-	}
+	front := d.applied.advertised()
 	d.mu.Unlock()
 	if log == nil {
 		d.applyMu.Unlock()
 		return
 	}
-	payload, err := appendWALSnapshot(nil, store.Snapshot(), fronts)
+	payload, err := appendWALSnapshot(nil, store.Snapshot(), front)
 	if err == nil {
 		err = wal.WriteSnapshot(d.cfg.Dir, payload)
 	}
@@ -629,22 +590,22 @@ func (d *durable) snapshot(store *stm.Store) {
 	d.lastSnapNanos.Store(time.Now().UnixNano())
 }
 
-// advertise returns the shard's advertised frontier for the next joinReq.
-func (d *durable) advertise(shard int) map[transport.ID]uint64 {
+// advertise returns the advertised frontier for the next joinReq.
+func (d *durable) advertise() map[transport.ID]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.shards[shard].advertised()
+	return d.applied.advertised()
 }
 
-// delta computes the entry suffix a joiner at frontier f is missing on this
-// shard, oldest first. ok=false demands a full transfer: the joiner claims
+// delta computes the entry suffix a joiner at frontier f is missing, oldest
+// first. ok=false demands a full transfer: the joiner claims
 // progress this replica cannot verify (f ahead of our frontiers —
 // incomparable histories), or the gap reaches entries already evicted from
 // the retained window.
-func (d *durable) delta(shard int, f map[transport.ID]uint64) ([]applyWSEntry, bool) {
+func (d *durable) delta(f map[transport.ID]uint64) ([]applyWSEntry, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sh := &d.shards[shard]
+	sh := &d.applied
 	fTO := int64(f[transport.Nobody])
 	if fTO > sh.toFrontier {
 		return nil, false
@@ -678,16 +639,16 @@ func (d *durable) delta(shard int, f map[transport.ID]uint64) ([]applyWSEntry, b
 	return out, true
 }
 
-// installFull resets the shard's durability state around a full state
-// transfer: the transferred slice IS the shard's new baseline, so its delta
-// window restarts empty at the transferred frontier and, when persistence is
-// on, a fresh durable snapshot replaces whatever the directory held (without
-// it, a crash would recover pre-transfer state and replay post-transfer
-// records on top of it). Runs on the shard's dispatcher with its applies
-// drained (InstallState), after the store install.
-func (d *durable) installFull(shard int, f map[transport.ID]uint64, store *stm.Store) {
+// installFull resets the durability state around a full state transfer:
+// the transferred state IS the new baseline, so the delta window restarts
+// empty at the transferred frontier and, when persistence is on, a fresh
+// durable snapshot replaces whatever the directory held (without it, a crash
+// would recover pre-transfer state and replay post-transfer records on top
+// of it). Runs on the dispatcher with applies drained (InstallState), after
+// the store install.
+func (d *durable) installFull(f map[transport.ID]uint64, store *stm.Store) {
 	d.mu.Lock()
-	d.shards[shard].resetTo(f)
+	d.applied.resetTo(f)
 	d.sinceSnap = 0
 	hasLog := d.log != nil
 	d.mu.Unlock()
@@ -715,10 +676,7 @@ func (d *durable) close() {
 func (d *durable) stats() WALStats {
 	d.mu.Lock()
 	enabled := d.cfg.Dir != ""
-	var retained int64
-	for i := range d.shards {
-		retained += int64(len(d.shards[i].ring))
-	}
+	retained := int64(len(d.applied.ring))
 	d.mu.Unlock()
 	return WALStats{
 		Enabled:               enabled,

@@ -27,10 +27,10 @@ type walBox struct {
 
 func init() { RegisterValue(walBox{}) }
 
-func openDurable(t *testing.T, dir string, shards int) (*durable, *stm.Store) {
+func openDurable(t *testing.T, dir string) (*durable, *stm.Store) {
 	t.Helper()
 	store := stm.NewStore()
-	d, err := newDurable(DurabilityConfig{Dir: dir, Fsync: "off", SnapshotEvery: -1}, store, shards)
+	d, err := newDurable(DurabilityConfig{Dir: dir, Fsync: "off", SnapshotEvery: -1}, store)
 	if err != nil {
 		t.Fatalf("newDurable: %v", err)
 	}
@@ -40,10 +40,10 @@ func openDurable(t *testing.T, dir string, shards int) (*durable, *stm.Store) {
 
 // applyTo mirrors Replica.applyEntries: durability filter, then store install,
 // under the shared apply barrier.
-func applyTo(d *durable, store *stm.Store, shard int, entries ...applyWSEntry) []applyWSEntry {
+func applyTo(d *durable, store *stm.Store, entries ...applyWSEntry) []applyWSEntry {
 	d.applyMu.RLock()
 	defer d.applyMu.RUnlock()
-	fresh := d.append(shard, entries)
+	fresh := d.append(entries)
 	for _, e := range fresh {
 		store.ApplyWriteSet(e.TxnID, e.WS)
 	}
@@ -58,92 +58,77 @@ func image(store *stm.Store) map[string]stm.Value {
 	return m
 }
 
-func advertiseAll(d *durable) []map[transport.ID]uint64 {
-	out := make([]map[transport.ID]uint64, len(d.shards))
-	for i := range out {
-		out[i] = d.advertise(i)
-	}
-	return out
-}
-
 // urb builds a URB-lane entry from writer 1 writing box k.
 func urb(seq uint64, v stm.Value) applyWSEntry {
 	return applyWSEntry{TxnID: stm.TxnID{Replica: 1, Seq: seq}, WS: stm.WriteSet{{Box: "k", Value: v}}}
 }
 
-// roundTripShards is the round-trip fixture, one entry list per shard of an
-// S=2 replica: every primitive value tag, a RegisterValue'd struct, an empty
-// write-set and a TO-lane entry.
-func roundTripShards() [2][]applyWSEntry {
-	return [2][]applyWSEntry{
-		{
-			{TxnID: stm.TxnID{Replica: 0, Seq: 1}, LeaseID: lease.RequestID{Proc: 0, Seq: 4}, WS: stm.WriteSet{
-				{Box: "nil", Value: nil},
-				{Box: "true", Value: true},
-				{Box: "false", Value: false},
-				{Box: "int", Value: 7},
-				{Box: "int-neg", Value: -300},
-				{Box: "int-big", Value: 1 << 40},
-				{Box: "int64", Value: int64(-9)},
-				{Box: "uint64", Value: uint64(1) << 63},
-				{Box: "float64", Value: 2.5},
-				{Box: "string", Value: "s"},
-				{Box: "bytes", Value: []byte{1, 2, 3}},
-				{Box: "struct", Value: walBox{Name: "flight", Seats: 3}},
-			}},
-			{TxnID: stm.TxnID{Replica: 1, Seq: 5}},
-			{TxnID: stm.TxnID{Replica: 1, Seq: 9}, Ord: 1, WS: stm.WriteSet{{Box: "to", Value: "certified"}}},
-		},
-		{
-			{TxnID: stm.TxnID{Replica: 0, Seq: 2}, WS: stm.WriteSet{{Box: "other", Value: 1}}},
-		},
+// roundTripEntries is the round-trip fixture: every primitive value tag, a
+// RegisterValue'd struct, an empty write-set and a TO-lane entry.
+func roundTripEntries() []applyWSEntry {
+	return []applyWSEntry{
+		{TxnID: stm.TxnID{Replica: 0, Seq: 1}, LeaseID: lease.RequestID{Proc: 0, Seq: 4}, WS: stm.WriteSet{
+			{Box: "nil", Value: nil},
+			{Box: "true", Value: true},
+			{Box: "false", Value: false},
+			{Box: "int", Value: 7},
+			{Box: "int-neg", Value: -300},
+			{Box: "int-big", Value: 1 << 40},
+			{Box: "int64", Value: int64(-9)},
+			{Box: "uint64", Value: uint64(1) << 63},
+			{Box: "float64", Value: 2.5},
+			{Box: "string", Value: "s"},
+			{Box: "bytes", Value: []byte{1, 2, 3}},
+			{Box: "struct", Value: walBox{Name: "flight", Seats: 3}},
+		}},
+		{TxnID: stm.TxnID{Replica: 1, Seq: 5}},
+		{TxnID: stm.TxnID{Replica: 1, Seq: 9}, Ord: 1, WS: stm.WriteSet{{Box: "to", Value: "certified"}}},
+		{TxnID: stm.TxnID{Replica: 0, Seq: 2}, WS: stm.WriteSet{{Box: "other", Value: 1}}},
 	}
 }
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	shards := roundTripShards()
+	entries := roundTripEntries()
 
-	// Life 1: an initial member logs the fixture, one record per shard.
-	d, store := openDurable(t, dir, 2)
+	// Life 1: an initial member logs the fixture as one record.
+	d, store := openDurable(t, dir)
 	d.markComplete()
-	for shard, entries := range shards {
-		if fresh := applyTo(d, store, shard, entries...); len(fresh) != len(entries) {
-			t.Fatalf("shard %d: %d of %d entries survived the filter", shard, len(fresh), len(entries))
-		}
+	if fresh := applyTo(d, store, entries...); len(fresh) != len(entries) {
+		t.Fatalf("%d of %d entries survived the filter", len(fresh), len(entries))
 	}
-	wantImage, wantAdv := image(store), advertiseAll(d)
-	if want := map[transport.ID]uint64{0: 1, 1: 5, transport.Nobody: 1}; !reflect.DeepEqual(wantAdv[0], want) {
-		t.Fatalf("shard 0 advertises %v, want %v", wantAdv[0], want)
+	wantImage, wantAdv := image(store), d.advertise()
+	if want := map[transport.ID]uint64{0: 2, 1: 5, transport.Nobody: 1}; !reflect.DeepEqual(wantAdv, want) {
+		t.Fatalf("advertises %v, want %v", wantAdv, want)
 	}
 	d.close()
 
 	// Life 2: log-only recovery.
-	d, store = openDurable(t, dir, 2)
-	if s := d.stats(); s.RecoveredFromSnapshot || s.ReplayedRecords != 2 || s.ReplayedEntries != 4 || s.Errors != 0 {
+	d, store = openDurable(t, dir)
+	if s := d.stats(); s.RecoveredFromSnapshot || s.ReplayedRecords != 1 || s.ReplayedEntries != 4 || s.Errors != 0 {
 		t.Fatalf("log-only recovery: %+v", s)
 	}
 	if got := image(store); !reflect.DeepEqual(got, wantImage) {
 		t.Fatalf("log-only recovery: store\n got  %#v\n want %#v", got, wantImage)
 	}
-	if got := advertiseAll(d); !reflect.DeepEqual(got, wantAdv) {
-		t.Fatalf("log-only recovery: frontiers %v, want %v", got, wantAdv)
+	if got := d.advertise(); !reflect.DeepEqual(got, wantAdv) {
+		t.Fatalf("log-only recovery: frontier %v, want %v", got, wantAdv)
 	}
 	d.snapshot(store)
-	applyTo(d, store, 1, applyWSEntry{TxnID: stm.TxnID{Replica: 0, Seq: 3}, WS: stm.WriteSet{{Box: "other", Value: 2}}})
-	wantImage, wantAdv = image(store), advertiseAll(d)
+	applyTo(d, store, applyWSEntry{TxnID: stm.TxnID{Replica: 0, Seq: 3}, WS: stm.WriteSet{{Box: "other", Value: 2}}})
+	wantImage, wantAdv = image(store), d.advertise()
 	d.close()
 
 	// Life 3: snapshot + log suffix.
-	d, store = openDurable(t, dir, 2)
+	d, store = openDurable(t, dir)
 	if s := d.stats(); !s.RecoveredFromSnapshot || s.ReplayedRecords != 1 || s.ReplayedEntries != 1 || s.Errors != 0 {
 		t.Fatalf("snapshot recovery: %+v", s)
 	}
 	if got := image(store); !reflect.DeepEqual(got, wantImage) {
 		t.Fatalf("snapshot recovery: store\n got  %#v\n want %#v", got, wantImage)
 	}
-	if got := advertiseAll(d); !reflect.DeepEqual(got, wantAdv) {
-		t.Fatalf("snapshot recovery: frontiers %v, want %v", got, wantAdv)
+	if got := d.advertise(); !reflect.DeepEqual(got, wantAdv) {
+		t.Fatalf("snapshot recovery: frontier %v, want %v", got, wantAdv)
 	}
 	d.close()
 
@@ -157,7 +142,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := wal.WriteSnapshot(dir, payload); err != nil {
 		t.Fatal(err)
 	}
-	d, store = openDurable(t, dir, 2)
+	d, store = openDurable(t, dir)
 	if s := d.stats(); s.ReplayedRecords != 1 || s.ReplayedEntries != 0 || s.Errors != 0 ||
 		s.FilteredSeen != 1 || s.FilteredNeverSeen != 0 {
 		t.Fatalf("covered-record recovery: %+v", s)
@@ -167,22 +152,30 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurableSnapshotKeepsStatelessShard: a snapshot taken while one shard
-// group has not installed its state yet (a joiner between two shards' full
-// transfers) must not turn that shard advertisable across a restart.
-func TestDurableSnapshotKeepsStatelessShard(t *testing.T) {
+// TestDurableStatelessSnapshotStaysStateless: a snapshot taken before the
+// store holds a complete state (a joiner before its transfer) must not turn
+// the frontier advertisable across a restart; one taken by a full install
+// advertises the installed frontier.
+func TestDurableStatelessSnapshotStaysStateless(t *testing.T) {
 	dir := t.TempDir()
-	d, store := openDurable(t, dir, 2)
-	f := map[transport.ID]uint64{0: 12, 2: 31, transport.Nobody: 4}
-	d.installFull(0, f, store)
+	d, store := openDurable(t, dir)
+	d.snapshot(store)
 	d.close()
 
-	d, _ = openDurable(t, dir, 2)
-	if got := d.advertise(0); !reflect.DeepEqual(got, f) {
-		t.Fatalf("installed shard advertises %v, want %v", got, f)
+	d, store = openDurable(t, dir)
+	if s := d.stats(); !s.RecoveredFromSnapshot || s.Errors != 0 {
+		t.Fatalf("stateless snapshot not recovered: %+v", s)
 	}
-	if got := d.advertise(1); got != nil {
-		t.Fatalf("stateless shard advertises %v, want nil", got)
+	if got := d.advertise(); got != nil {
+		t.Fatalf("stateless snapshot advertises %v, want nil", got)
+	}
+	f := map[transport.ID]uint64{0: 12, 2: 31, transport.Nobody: 4}
+	d.installFull(f, store)
+	d.close()
+
+	d, _ = openDurable(t, dir)
+	if got := d.advertise(); !reflect.DeepEqual(got, f) {
+		t.Fatalf("installed state advertises %v, want %v", got, f)
 	}
 }
 
@@ -203,34 +196,43 @@ func gobStream(t testing.TB) []byte {
 // stateless (directory wiped, store empty, nothing advertised) or on the
 // intact log prefix with the tail truncated — and be counted in Errors.
 func TestDurableRecoveryDiscards(t *testing.T) {
-	record := func(shard int, entries ...applyWSEntry) []byte {
-		p, err := appendWALRecord(nil, shard, entries)
+	record := func(entries ...applyWSEntry) []byte {
+		p, err := appendWALRecord(nil, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	// snapshot is {k: 100} at writer 1's Seq 10 on every one of n shards.
-	snapshot := func(n int) []byte {
-		fronts := make([]map[transport.ID]uint64, n)
-		for i := range fronts {
-			fronts[i] = map[transport.ID]uint64{1: 10, transport.Nobody: 0}
-		}
-		p, err := appendWALSnapshot(nil, stm.StoreSnapshot{Clock: 3, Boxes: []stm.BoxState{
-			{Box: "k", Writer: stm.TxnID{Replica: 1, Seq: 10}, Value: 100},
-		}}, fronts)
+	// snapshot is {k: 100} at writer 1's Seq 10.
+	store := stm.StoreSnapshot{Clock: 3, Boxes: []stm.BoxState{
+		{Box: "k", Writer: stm.TxnID{Replica: 1, Seq: 10}, Value: 100},
+	}}
+	front := map[transport.ID]uint64{1: 10, transport.Nobody: 0}
+	snapshot, err := appendWALSnapshot(nil, store, front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 0xA1 layout, written by the build with shard groups: a shard number
+	// on every record, a frontier count and one frontier per group in the
+	// snapshot.
+	recordA1 := func(entries ...applyWSEntry) []byte {
+		p, err := appendWSEntries([]byte{0xA1, 0}, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	corruptFrame := wal.EncodeRecord(snapshot(1))
+	snapshotA1, err := appendStoreSnapshot([]byte{0xA1}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotA1 = appendFrontier(append(snapshotA1, 1), front)
+	corruptFrame := wal.EncodeRecord(snapshot)
 	corruptFrame[len(corruptFrame)-1] ^= 0xFF
 	gobPayload := gobStream(t) // under the same CRC framing, as the parent build wrote it
 
 	tests := []struct {
 		name     string
-		shards   int
 		snapFile []byte   // raw snapshot file content; nil: none
 		log      [][]byte // record payloads, framed by the test
 		// keep < 0: stateless. Otherwise recovery stands on the snapshot plus
@@ -239,27 +241,27 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 		wantK     stm.Value
 		wantFront map[transport.ID]uint64
 	}{
-		{name: "corrupt snapshot frame", shards: 1, snapFile: corruptFrame,
-			log: [][]byte{record(0, urb(11, 1))}, keep: -1},
-		{name: "undecodable snapshot", shards: 1, snapFile: wal.EncodeRecord([]byte{walFormat, 0xFF, 0xFF}),
-			log: [][]byte{record(0, urb(11, 1))}, keep: -1},
-		{name: "gob-era snapshot and log", shards: 1, snapFile: wal.EncodeRecord(gobPayload),
+		{name: "corrupt snapshot frame", snapFile: corruptFrame,
+			log: [][]byte{record(urb(11, 1))}, keep: -1},
+		{name: "undecodable snapshot", snapFile: wal.EncodeRecord([]byte{walFormat, 0xFF, 0xFF}),
+			log: [][]byte{record(urb(11, 1))}, keep: -1},
+		{name: "gob-era snapshot and log", snapFile: wal.EncodeRecord(gobPayload),
 			log: [][]byte{gobPayload, gobPayload}, keep: -1},
-		{name: "snapshot from another shard count", shards: 2, snapFile: wal.EncodeRecord(snapshot(1)),
-			log: [][]byte{record(0, urb(11, 1))}, keep: -1},
-		{name: "snapshot with trailing bytes", shards: 1, snapFile: wal.EncodeRecord(append(snapshot(1), 0)),
+		{name: "0xA1 snapshot and log", snapFile: wal.EncodeRecord(snapshotA1),
+			log: [][]byte{recordA1(urb(11, 1))}, keep: -1},
+		{name: "snapshot with trailing bytes", snapFile: wal.EncodeRecord(append(snapshot, 0)),
 			keep: -1},
-		{name: "gob-era log, no snapshot", shards: 1,
+		{name: "gob-era log, no snapshot",
 			log: [][]byte{gobPayload, gobPayload}, keep: -1},
-		{name: "record for a shard that does not exist", shards: 1,
-			log: [][]byte{record(0, urb(1, 1)), record(1, urb(2, 2))}, keep: -1},
-		{name: "undecodable record mid-log", shards: 1, snapFile: wal.EncodeRecord(snapshot(1)),
-			log:  [][]byte{record(0, urb(11, 1)), record(0, urb(12, 2)), {walFormat, 0, 0xFF}, record(0, urb(13, 3))},
+		{name: "0xA1 log, no snapshot",
+			log: [][]byte{recordA1(urb(1, 1)), recordA1(urb(2, 2))}, keep: -1},
+		{name: "undecodable record mid-log", snapFile: wal.EncodeRecord(snapshot),
+			log:  [][]byte{record(urb(11, 1)), record(urb(12, 2)), {walFormat, 0xFF}, record(urb(13, 3))},
 			keep: 2, wantK: 2, wantFront: map[transport.ID]uint64{1: 12, transport.Nobody: 0}},
-		{name: "record with trailing bytes", shards: 1,
-			log:  [][]byte{record(0, urb(1, 1)), append(record(0, urb(2, 2)), 0)},
+		{name: "record with trailing bytes",
+			log:  [][]byte{record(urb(1, 1)), append(record(urb(2, 2)), 0)},
 			keep: 1, wantK: 1, wantFront: map[transport.ID]uint64{1: 1, transport.Nobody: 0}},
-		{name: "gob-era record after a snapshot", shards: 1, snapFile: wal.EncodeRecord(snapshot(1)),
+		{name: "gob-era record after a snapshot", snapFile: wal.EncodeRecord(snapshot),
 			log:  [][]byte{gobPayload},
 			keep: 0, wantK: 100, wantFront: map[transport.ID]uint64{1: 10, transport.Nobody: 0}},
 	}
@@ -283,7 +285,7 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			d, store := openDurable(t, dir, tt.shards)
+			d, store := openDurable(t, dir)
 			if got := d.stats().Errors; got != 1 {
 				t.Errorf("Errors = %d, want 1", got)
 			}
@@ -299,10 +301,8 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 				if got := image(store); len(got) != 0 {
 					t.Errorf("store after discard = %v, want empty", got)
 				}
-				for i, f := range advertiseAll(d) {
-					if f != nil {
-						t.Errorf("shard %d advertises %v after a discard, want nil", i, f)
-					}
+				if f := d.advertise(); f != nil {
+					t.Errorf("advertises %v after a discard, want nil", f)
 				}
 				if s := d.stats(); s.RecoveredFromSnapshot || s.ReplayedEntries != 0 {
 					t.Errorf("discarded state still reported as recovered: %+v", s)
@@ -312,14 +312,14 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 			if got := image(store)["k"]; got != tt.wantK {
 				t.Errorf("k = %v, want %v", got, tt.wantK)
 			}
-			if got := d.advertise(0); !reflect.DeepEqual(got, tt.wantFront) {
+			if got := d.advertise(); !reflect.DeepEqual(got, tt.wantFront) {
 				t.Errorf("advertise = %v, want %v", got, tt.wantFront)
 			}
 			// The tail is really gone: a record appended now is the next one
 			// replayed, not hidden behind the one that stopped this replay.
-			applyTo(d, store, 0, urb(99, 99))
+			applyTo(d, store, urb(99, 99))
 			d.close()
-			d, store = openDurable(t, dir, tt.shards)
+			d, store = openDurable(t, dir)
 			if got := image(store)["k"]; got != 99 || d.stats().Errors != 0 {
 				t.Errorf("after append + restart: k = %v, Errors = %d; want 99, 0", got, d.stats().Errors)
 			}
@@ -331,7 +331,7 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 func TestDurableFilterCounters(t *testing.T) {
 	newMem := func(retain int) (*durable, *stm.Store) {
 		store := stm.NewStore()
-		d, err := newDurable(DurabilityConfig{Retain: retain}, store, 1)
+		d, err := newDurable(DurabilityConfig{Retain: retain}, store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,18 +349,18 @@ func TestDurableFilterCounters(t *testing.T) {
 	coord, coordStore := newMem(0)
 	joiner, joinerStore := newMem(0)
 	for seq := uint64(1); seq <= 8; seq++ {
-		applyTo(coord, coordStore, 0, urb(seq, int(seq)))
+		applyTo(coord, coordStore, urb(seq, int(seq)))
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		applyTo(joiner, joinerStore, 0, urb(seq, int(seq)))
+		applyTo(joiner, joinerStore, urb(seq, int(seq)))
 	}
-	stale := joiner.advertise(0)
-	applyTo(joiner, joinerStore, 0, urb(4, 4), urb(5, 5))
-	delta, ok := coord.delta(0, stale)
+	stale := joiner.advertise()
+	applyTo(joiner, joinerStore, urb(4, 4), urb(5, 5))
+	delta, ok := coord.delta(stale)
 	if !ok || len(delta) != 5 {
 		t.Fatalf("delta past %v = %d entries, ok=%v; want 5", stale, len(delta), ok)
 	}
-	if fresh := applyTo(joiner, joinerStore, 0, delta...); len(fresh) != 3 {
+	if fresh := applyTo(joiner, joinerStore, delta...); len(fresh) != 3 {
 		t.Fatalf("delta install applied %d entries, want 3 (6..8)", len(fresh))
 	}
 	if got := filtered(joiner); got != [2]int64{2, 0} {
@@ -371,8 +371,8 @@ func TestDurableFilterCounters(t *testing.T) {
 	}
 
 	// The lost-commit signature (ROADMAP P0(1)): Seq 9 overtaken by Seq 10.
-	applyTo(joiner, joinerStore, 0, urb(10, 10))
-	if fresh := applyTo(joiner, joinerStore, 0, urb(9, 9)); len(fresh) != 0 {
+	applyTo(joiner, joinerStore, urb(10, 10))
+	if fresh := applyTo(joiner, joinerStore, urb(9, 9)); len(fresh) != 0 {
 		t.Fatalf("overtaken entry was applied")
 	}
 	if got := filtered(joiner); got != [2]int64{2, 1} {
@@ -387,8 +387,8 @@ func TestDurableFilterCounters(t *testing.T) {
 		e.Ord = ord
 		return e
 	}
-	applyTo(small, smallStore, 0, urb(1, 1), urb(2, 2), to(1), to(2), urb(3, 3))
-	applyTo(small, smallStore, 0, urb(1, 1), to(1), to(2), urb(3, 3))
+	applyTo(small, smallStore, urb(1, 1), urb(2, 2), to(1), to(2), urb(3, 3))
+	applyTo(small, smallStore, urb(1, 1), to(1), to(2), urb(3, 3))
 	if got := filtered(small); got != [2]int64{4, 0} {
 		t.Fatalf("evicted duplicates: filtered seen/never = %v, want [4 0]", got)
 	}
@@ -403,12 +403,12 @@ func TestDurableFilterCounters(t *testing.T) {
 func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 	const retain = 4
 	store := stm.NewStore()
-	d, err := newDurable(DurabilityConfig{Retain: retain}, store, 1)
+	d, err := newDurable(DurabilityConfig{Retain: retain}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.markComplete()
-	sh := &d.shards[0]
+	sh := &d.applied
 
 	entry := func(w transport.ID, seq uint64, ord int64) applyWSEntry {
 		e := applyWSEntry{TxnID: stm.TxnID{Replica: w, Seq: seq}, Ord: ord}
@@ -424,7 +424,7 @@ func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 	evicted, evictedTO := map[transport.ID]uint64{}, int64(0)
 	front, frontTO := map[transport.ID]uint64{}, int64(0)
 	for n, e := range schedule {
-		if fresh := applyTo(d, store, 0, e); len(fresh) != 1 {
+		if fresh := applyTo(d, store, e); len(fresh) != 1 {
 			t.Fatalf("entry %d filtered", n)
 		}
 		if window = append(window, e); len(window) > retain {
@@ -471,7 +471,7 @@ func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 							want = append(want, x)
 						}
 					}
-					got, ok := d.delta(0, f)
+					got, ok := d.delta(f)
 					if ok != wantOK || !reflect.DeepEqual(got, want) {
 						t.Fatalf("after entry %d: delta(%v) = %+v, %t; want %+v, %t", n, f, got, ok, want, wantOK)
 					}
@@ -490,21 +490,30 @@ func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 // wire.Reader.Count bound), and whatever decodes must re-encode to a payload
 // that decodes to the same value.
 func FuzzWALPayload(f *testing.F) {
-	for shard, entries := range roundTripShards() {
-		p, err := appendWALRecord(nil, shard, entries)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(p)
+	p, err := appendWALRecord(nil, roundTripEntries())
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(p)
 	snap, err := appendWALSnapshot(nil, stm.StoreSnapshot{Clock: 88, Boxes: []stm.BoxState{
 		{Box: "acct:1", Writer: stm.TxnID{Replica: 2, Seq: 31}, Value: 100},
 		{Box: "struct", Value: walBox{Name: "car", Seats: 4}},
-	}}, []map[transport.ID]uint64{{0: 12, 2: 31, transport.Nobody: 4}, nil})
+	}}, map[transport.ID]uint64{0: 12, 2: 31, transport.Nobody: 4})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(snap)
+	// A 0xA1 record and snapshot, as the build with shard groups wrote them.
+	recordA1, err := appendWSEntries([]byte{0xA1, 0}, roundTripEntries())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recordA1)
+	snapA1, err := appendStoreSnapshot([]byte{0xA1}, stm.StoreSnapshot{Clock: 88})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(appendFrontier(append(snapA1, 1), map[transport.ID]uint64{0: 12, transport.Nobody: 4}))
 	f.Add(gobStream(f))
 	f.Add([]byte{walFormat})
 	f.Add([]byte{})
@@ -514,7 +523,7 @@ func FuzzWALPayload(f *testing.F) {
 		return ok && x != x // NaN != NaN would fail DeepEqual on a faithful round trip
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if shard, entries, err := readWALRecord(data); err == nil {
+		if entries, err := readWALRecord(data); err == nil {
 			writes := 0
 			for _, e := range entries {
 				writes += len(e.WS)
@@ -527,35 +536,31 @@ func FuzzWALPayload(f *testing.F) {
 			if len(entries) > len(data) || writes > len(data) {
 				t.Fatalf("%d entries / %d writes decoded from %d bytes", len(entries), writes, len(data))
 			}
-			again, err := appendWALRecord(nil, shard, entries)
+			again, err := appendWALRecord(nil, entries)
 			if err != nil {
 				t.Fatalf("re-encode record: %v", err)
 			}
-			shard2, entries2, err := readWALRecord(again)
-			if err != nil || shard2 != shard || !reflect.DeepEqual(entries2, entries) {
-				t.Fatalf("record round trip: shard %d→%d, err %v\n got  %#v\n want %#v", shard, shard2, err, entries2, entries)
+			entries2, err := readWALRecord(again)
+			if err != nil || !reflect.DeepEqual(entries2, entries) {
+				t.Fatalf("record round trip: err %v\n got  %#v\n want %#v", err, entries2, entries)
 			}
 		}
-		if store, fronts, err := readWALSnapshot(data); err == nil {
-			sized := len(store.Boxes) + len(fronts)
-			for _, fr := range fronts {
-				sized += len(fr)
-			}
-			if sized > len(data) {
-				t.Fatalf("%d boxes, %d frontiers decoded from %d bytes", len(store.Boxes), len(fronts), len(data))
+		if store, front, err := readWALSnapshot(data); err == nil {
+			if sized := len(store.Boxes) + len(front); sized > len(data) {
+				t.Fatalf("%d boxes, %d frontier entries decoded from %d bytes", len(store.Boxes), len(front), len(data))
 			}
 			for _, b := range store.Boxes {
 				if isNaN(b.Value) {
 					t.Skip()
 				}
 			}
-			again, err := appendWALSnapshot(nil, store, fronts)
+			again, err := appendWALSnapshot(nil, store, front)
 			if err != nil {
 				t.Fatalf("re-encode snapshot: %v", err)
 			}
-			store2, fronts2, err := readWALSnapshot(again)
-			if err != nil || !reflect.DeepEqual(store2, store) || !reflect.DeepEqual(fronts2, fronts) {
-				t.Fatalf("snapshot round trip: err %v\n got  %#v %v\n want %#v %v", err, store2, fronts2, store, fronts)
+			store2, front2, err := readWALSnapshot(again)
+			if err != nil || !reflect.DeepEqual(store2, store) || !reflect.DeepEqual(front2, front) {
+				t.Fatalf("snapshot round trip: err %v\n got  %#v %v\n want %#v %v", err, store2, front2, store, front)
 			}
 		}
 	})

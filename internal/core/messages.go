@@ -14,21 +14,14 @@ import (
 // certification detected stale reads: the transaction must re-execute.
 var errValidationFailed = errors.New("core: certification failed, stale reads")
 
-// applyWSMsg disseminates a lease-certified transaction's write-set (ALC,
-// Algorithm 1's [ApplyWS, T, leaseID, writeset] message). It travels on the
-// causally ordered URB channel: two communication steps, no total ordering.
-type applyWSMsg struct {
-	TxnID   stm.TxnID
-	LeaseID lease.RequestID
-	WS      stm.WriteSet
-}
-
-// applyWSEntry is one transaction's write-set inside an applyWSBatchMsg. It
-// is also the durability tier's retained-entry unit, so it carries the lane
-// the entry was delivered on: Ord == 0 means the causally ordered URB lane
-// (filtered and replayed by the writer's per-replica sequence number), Ord > 0
-// means the totally ordered lane (CERT certification or a lease-piggybacked
-// write-set) where it is the entry's position in the shard's TO-applied log —
+// applyWSEntry is one lease-certified transaction's write-set (ALC,
+// Algorithm 1's [ApplyWS, T, leaseID, writeset] message) inside an
+// applyWSBatchMsg. It is also the durability tier's retained-entry unit, so
+// it carries the lane the entry was delivered on: Ord == 0 means the causally
+// ordered URB lane (filtered and replayed by the writer's per-replica
+// sequence number), Ord > 0 means the totally ordered lane (CERT
+// certification or a lease-piggybacked write-set) where it is the entry's
+// position in the TO-applied log —
 // identical at every replica, unlike the writer's URB sequence, which the TO
 // lane does not respect.
 type applyWSEntry struct {
@@ -38,11 +31,11 @@ type applyWSEntry struct {
 	WS      stm.WriteSet
 }
 
-// applyWSBatchMsg is the group-commit form of applyWSMsg: every write-set
-// the sender's commit coalescer accumulated while its previous batch was in
-// flight, disseminated as a single causally ordered URB message. Entries are
-// in the sender's commit order and are applied in that order wherever they
-// intersect.
+// applyWSBatchMsg is the group-commit message: every write-set the sender's
+// commit coalescer accumulated while its previous batch was in flight,
+// disseminated as a single causally ordered URB message — two communication
+// steps, no total ordering. Entries are in the sender's commit order and are
+// applied in that order wherever they intersect.
 type applyWSBatchMsg struct {
 	Entries []applyWSEntry
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // Binary wire tags for the replication-layer message types (range 0x20-0x2F;
-// gcs owns 0x10-0x1F). Tags are wire format: never renumber.
+// gcs owns 0x10-0x1F). Tags are wire format: never renumber. Retired, never
+// to be reused: 0x20 (the single write-set message), 0x29 and 0x2A (the
+// shard-group envelopes).
 const (
-	tagApplyWS      byte = 0x20
 	tagApplyWSBatch byte = 0x21
 	tagCertMsg      byte = 0x22
 	tagCertPayload  byte = 0x23
@@ -21,8 +22,6 @@ const (
 	tagLeaseState   byte = 0x26
 	tagXferState    byte = 0x27
 	tagXferDelta    byte = 0x28
-	tagShardEnv     byte = 0x29
-	tagGroupEnv     byte = 0x2A
 )
 
 // RegisterWire installs the binary codecs for every replication-layer wire
@@ -31,21 +30,6 @@ const (
 // tags; application types beyond those must additionally be registered
 // through RegisterValue.
 func RegisterWire() {
-	wire.Register(tagApplyWS, &applyWSMsg{},
-		func(b []byte, v any) ([]byte, error) {
-			m := v.(*applyWSMsg)
-			b = appendTxnID(b, m.TxnID)
-			b = appendLeaseReqID(b, m.LeaseID)
-			return appendWriteSet(b, m.WS)
-		},
-		func(r *wire.Reader) (any, error) {
-			m := &applyWSMsg{TxnID: readTxnID(r), LeaseID: readLeaseReqID(r)}
-			var err error
-			if m.WS, err = readWriteSet(r); err != nil {
-				return nil, err
-			}
-			return m, r.Err()
-		})
 	wire.Register(tagApplyWSBatch, &applyWSBatchMsg{},
 		func(b []byte, v any) ([]byte, error) {
 			return appendWSEntries(b, v.(*applyWSBatchMsg).Entries)
@@ -180,51 +164,6 @@ func RegisterWire() {
 				return nil, err
 			}
 			m.CertLog = readCertLog(r)
-			return m, r.Err()
-		})
-	wire.Register(tagShardEnv, &transport.ShardEnvelope{},
-		func(b []byte, v any) ([]byte, error) {
-			m := v.(*transport.ShardEnvelope)
-			b = append(b, m.Shard)
-			return wire.AppendAny(b, m.Body)
-		},
-		func(r *wire.Reader) (any, error) {
-			m := &transport.ShardEnvelope{Shard: r.Byte()}
-			var err error
-			if m.Body, err = wire.ReadAny(r); err != nil {
-				return nil, err
-			}
-			return m, r.Err()
-		})
-	wire.Register(tagGroupEnv, &transport.GroupEnvelope{},
-		func(b []byte, v any) ([]byte, error) {
-			m := v.(*transport.GroupEnvelope)
-			b = wire.AppendUvarint(b, uint64(len(m.Envs)))
-			var err error
-			for _, env := range m.Envs {
-				if b, err = wire.AppendAny(b, env); err != nil {
-					return nil, err
-				}
-			}
-			return b, nil
-		},
-		func(r *wire.Reader) (any, error) {
-			n := int(r.Uvarint())
-			if n < 0 || n > 1<<16 {
-				return nil, fmt.Errorf("core: group envelope count %d", n)
-			}
-			m := &transport.GroupEnvelope{Envs: make([]*transport.ShardEnvelope, 0, n)}
-			for i := 0; i < n; i++ {
-				v, err := wire.ReadAny(r)
-				if err != nil {
-					return nil, err
-				}
-				env, ok := v.(*transport.ShardEnvelope)
-				if !ok {
-					return nil, fmt.Errorf("core: group envelope part %T", v)
-				}
-				m.Envs = append(m.Envs, env)
-			}
 			return m, r.Err()
 		})
 }

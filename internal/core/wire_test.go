@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -27,11 +28,10 @@ func TestBinaryRoundtrip(t *testing.T) {
 	}
 
 	msgs := []any{
-		&applyWSMsg{TxnID: txn, LeaseID: lid, WS: ws},
-		&applyWSMsg{TxnID: stm.TxnID{}, LeaseID: lease.RequestID{}, WS: nil},
 		&applyWSBatchMsg{Entries: []applyWSEntry{
 			{TxnID: txn, LeaseID: lid, WS: ws},
 			{TxnID: stm.TxnID{Replica: 0, Seq: 32}, LeaseID: lid, WS: stm.WriteSet{{Box: "b", Value: int64(-9)}}},
+			{TxnID: stm.TxnID{}, LeaseID: lease.RequestID{}, WS: nil},
 		}},
 		&applyWSBatchMsg{},
 		&certMsg{TxnID: txn, SnapshotOrd: -1, WS: ws,
@@ -91,6 +91,36 @@ func TestBinaryRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("roundtrip %T:\n got  %#v\n want %#v", want, got, want)
 		}
+	}
+}
+
+// TestBinaryRejectsRetiredTags: the tags of the retired single write-set
+// message and of the shard-group envelopes stay unregistered, so a payload a
+// pre-change peer tagged with one of them is refused as an unknown tag
+// rather than decoded as something else.
+func TestBinaryRejectsRetiredTags(t *testing.T) {
+	RegisterWire()
+	body, err := wire.AppendAny(nil, &applyWSBatchMsg{Entries: []applyWSEntry{
+		{TxnID: stm.TxnID{Replica: 2, Seq: 31}, WS: stm.WriteSet{{Box: "acct:1", Value: 100}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tag  byte
+	}{
+		{"single write-set", 0x20},
+		{"shard envelope", 0x29},
+		{"group envelope", 0x2A},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte{tc.tag}, body[1:]...)
+			v, err := wire.ReadAny(wire.NewReader(b))
+			if !errors.Is(err, wire.ErrUnknownTag) {
+				t.Fatalf("tag 0x%02x decoded to %#v, err %v; want ErrUnknownTag", tc.tag, v, err)
+			}
+		})
 	}
 }
 

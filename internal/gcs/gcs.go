@@ -264,11 +264,6 @@ type Endpoint struct {
 type outMsg struct {
 	kind byte
 	body any
-	// group, when non-nil, marks this entry as one part of a cross-channel
-	// atomic broadcast: it holds its outbox position (head-of-line) until
-	// every sibling part is at its own head, then the group transmits all
-	// parts in one frame per peer. See group.go.
-	group *Group
 }
 
 // upcall is one queued handler invocation: call(handler, from, body), call
@@ -536,40 +531,20 @@ func (e *Endpoint) runUpcalls() {
 }
 
 // drainOutbox transmits queued application broadcasts unless a flush is in
-// progress or this process's install has not left yet. A group part at the
-// head is not popped: it holds the outbox until the group completes (all
-// sibling parts at their heads) or fails.
+// progress or this process's install has not left yet.
 func (e *Endpoint) drainOutbox() {
-	var attempt *Group
 	for {
 		e.mu.Lock()
 		if e.blocked || e.pendingSend != nil || e.joining || len(e.outbox) == 0 || e.stopped {
 			e.mu.Unlock()
-			break
+			return
 		}
 		m := e.outbox[0]
-		if g := m.group; g != nil {
-			if g.canceled() {
-				e.outbox = slices.Delete(e.outbox, 0, 1)
-				e.mu.Unlock()
-				continue
-			}
-			e.mu.Unlock()
-			attempt = g
-			break
-		}
 		e.outbox = slices.Delete(e.outbox, 0, 1)
-		if !e.inPrimary {
-			e.mu.Unlock()
-			continue
+		if e.inPrimary {
+			e.broadcastDataLocked(m.kind, m.body)
 		}
-		e.broadcastDataLocked(m.kind, m.body)
 		e.mu.Unlock()
-	}
-	if attempt != nil {
-		// Outside our own lock: completion multi-locks every involved
-		// endpoint in group order.
-		attempt.tryComplete()
 	}
 }
 
@@ -587,7 +562,10 @@ func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
 	for _, o := range vs.owed {
 		owes = owes || o.n > 0
 	}
-	d := e.stageOwnLocked(kind, body, owes)
+	vs.mySeq++
+	d := &urbData{View: e.view.ID, ID: msgID{Sender: e.self, Seq: vs.mySeq}, Kind: kind, Body: body}
+	d.VC, d.Acks = vs.vectors(owes)
+	e.stageLocked(vs.self, d)
 	if owes {
 		clear(vs.owed)
 	}
@@ -597,17 +575,6 @@ func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
 		}
 	}
 	e.tryDeliverLocked()
-}
-
-// stageOwnLocked assigns identity and vector clock (and, withHeld, the held
-// vector) to a broadcast of this process and stages it.
-func (e *Endpoint) stageOwnLocked(kind byte, body any, withHeld bool) *urbData {
-	vs := e.vs
-	vs.mySeq++
-	d := &urbData{View: e.view.ID, ID: msgID{Sender: e.self, Seq: vs.mySeq}, Kind: kind, Body: body}
-	d.VC, d.Acks = vs.vectors(withHeld)
-	e.stageLocked(vs.self, d)
-	return d
 }
 
 // flushAcks sends this process's held vector to every peer it is due to.

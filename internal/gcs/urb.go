@@ -44,9 +44,8 @@ type pendingMsg struct {
 	data        *urbData
 	sentAt      time.Time // local receipt/send time, drives retransmission
 	resentAt    time.Time
-	toDelivered bool        // OAB payloads: body must be retained until TO-delivered
-	committed   bool        // a Committed retransmission waives the quorum check
-	group       *groupFrame // own group part: retransmitted with its siblings
+	toDelivered bool // OAB payloads: body must be retained until TO-delivered
+	committed   bool // a Committed retransmission waives the quorum check
 }
 
 // owedAck is this process's acknowledgement backlog towards one peer: n
@@ -113,21 +112,6 @@ func (vs *viewState) stable(s int) uint64 {
 		m = min(m, vs.ackedBy[k*n+s])
 	}
 	return m
-}
-
-// unheardOwn reports whether a broadcast of this process has gone longer than
-// d without any other member known to hold it: acks come back within a round
-// trip, so it may be lost, and its successors would wait for it everywhere.
-func (vs *viewState) unheardOwn(d time.Duration) bool {
-	n, held := len(vs.delivered), uint64(0)
-	for k := 0; k < n; k++ {
-		if k != vs.self {
-			held = max(held, vs.ackedBy[k*n+vs.self])
-		}
-	}
-	q := vs.pending[vs.self]
-	i, _ := slices.BinarySearchFunc(q, held+1, bySeq)
-	return i < len(q) && time.Since(q[i].sentAt) > d
 }
 
 // credit records that member k holds every message from sender s up to seq.
@@ -472,19 +456,8 @@ func (e *Endpoint) retransmitLocked(now time.Time) {
 			copy.Committed = true
 			data = &copy
 		}
-		var parts []any
-		if g := pm.group; g != nil {
-			// A group part travels with its siblings, or a peer could come to
-			// hold one part of a cross-channel broadcast and not the others.
-			parts = slices.Clone(g.payloads)
-			parts[slices.Index(parts, any(pm.data))] = data
-		}
 		for k, m := range vs.view.Members {
-			switch {
-			case k == vs.self || vs.ackedBy[k*n+s] >= data.ID.Seq:
-			case parts != nil:
-				_ = transport.SendGroup(m, pm.group.trs, parts)
-			default:
+			if k != vs.self && vs.ackedBy[k*n+s] < data.ID.Seq {
 				_ = e.tr.Send(m, data)
 			}
 		}

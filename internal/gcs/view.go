@@ -647,7 +647,7 @@ func (e *Endpoint) computeInstallLocked() {
 		}
 	}
 	e.applyInstallLocked(install, false)
-	// While pendingSend is set the outbox holds (drainOutbox, tryComplete), so
+	// While pendingSend is set the outbox holds (drainOutbox), so
 	// nothing enters the new view before the install has left: links are
 	// FIFO, so members install before they see the frames rather than drop
 	// them as from a future view. The hold is not blocked: a later prepare in
@@ -663,7 +663,7 @@ func (e *Endpoint) computeInstallLocked() {
 
 // distributePendingInstall runs on the dispatcher after upcalls: it captures
 // the application state for joiners, ships the install and only then clears
-// pendingSend, which holds the outbox (against other dispatchers' groups too).
+// pendingSend, which holds the outbox.
 func (e *Endpoint) distributePendingInstall() {
 	e.mu.Lock()
 	ps := e.pendingSend

@@ -25,17 +25,6 @@ type Input struct {
 	// serialization-graph checks exact; with none they degrade to
 	// suffix-consistency and the Verdict notes it.
 	FullHistory []transport.ID
-	// ShardOf, when non-nil, is the cluster's box→shard-group mapping. It
-	// adds cross-shard accounting to the verdict; no check is weakened or
-	// special-cased by sharding. An acknowledged cross-shard commit was
-	// acknowledged only after every per-shard portion self-delivered, so its
-	// writes must appear exactly once on every involved group's version
-	// orders — a portion lost on one group surfaces through the ordinary
-	// committed-write-lost check, and a cross-group serialization anomaly
-	// through the ordinary cycle check (the graph spans all groups' boxes).
-	// Unacknowledged partial commits are legal unrecorded writers, exactly
-	// like a single-group committer that crashed before its acknowledgment.
-	ShardOf func(box string) int
 }
 
 // Verdict is the checker's result. Violations are correctness failures;
@@ -54,11 +43,6 @@ type Verdict struct {
 	Commits           int
 	Boxes             int
 	UnrecordedWriters int
-	// CrossShardCommits is the number of acknowledged commits whose
-	// write-set spans more than one shard group (counted only when
-	// Input.ShardOf is set). A multi-group run that never produced one
-	// checked nothing the single-group runs did not.
-	CrossShardCommits int
 }
 
 // OK reports whether the history passed every check.
@@ -69,9 +53,6 @@ func (v Verdict) String() string {
 	if v.OK() {
 		fmt.Fprintf(&b, "history OK: %d commits, %d boxes, %d unrecorded writers",
 			v.Commits, v.Boxes, v.UnrecordedWriters)
-		if v.CrossShardCommits > 0 {
-			fmt.Fprintf(&b, ", %d cross-shard", v.CrossShardCommits)
-		}
 	} else {
 		fmt.Fprintf(&b, "history VIOLATED (%d commits, %d boxes):", v.Commits, v.Boxes)
 		for _, viol := range v.Violations {
@@ -112,32 +93,7 @@ func Check(in Input) Verdict {
 	v.Boxes = len(ref)
 	checkCompleteness(in, ref, &v)
 	checkSerializability(in, ref, &v)
-	countCrossShard(in, &v)
 	return v
-}
-
-// countCrossShard tallies acknowledged commits whose write-set spans shard
-// groups. Pure accounting: the correctness of those commits is established
-// by the completeness and serializability checks, which are shard-agnostic.
-func countCrossShard(in Input, v *Verdict) {
-	if in.ShardOf == nil {
-		return
-	}
-	for _, c := range in.Commits {
-		first, spans := 0, false
-		for i, w := range c.WS {
-			sh := in.ShardOf(w.Box)
-			if i == 0 {
-				first = sh
-			} else if sh != first {
-				spans = true
-				break
-			}
-		}
-		if spans {
-			v.CrossShardCommits++
-		}
-	}
 }
 
 func checkShelter(in Input, v *Verdict) {

@@ -32,11 +32,6 @@ func (m Mapper) Classes(ids []string) []ConflictClass {
 	return slices.Compact(out)
 }
 
-// ClassOf maps a single data item ID to its conflict class (the scalar form
-// of Classes; shard routing and the offline history checker use it to derive
-// an item's home shard via ShardOf).
-func (m Mapper) ClassOf(id string) ConflictClass { return m.classOf(id) }
-
 // classOf is FNV-1a (64-bit) over the item ID, the hash/fnv function inlined.
 func (m Mapper) classOf(id string) ConflictClass {
 	const offset64, prime64 = 14695981039346656037, 1099511628211

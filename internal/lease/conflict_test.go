@@ -89,8 +89,8 @@ func TestQuickClassesSortedDeterministic(t *testing.T) {
 	}
 }
 
-// Property: the inlined hash is hash/fnv's FNV-1a, so classes (and the shards
-// derived from them) are what they always were.
+// Property: the inlined hash is hash/fnv's FNV-1a, so classes are what they
+// always were.
 func TestQuickClassOfIsFNV1a(t *testing.T) {
 	f := func(id string, n uint8) bool {
 		h := fnv.New64a()
@@ -99,7 +99,7 @@ func TestQuickClassOfIsFNV1a(t *testing.T) {
 		if n%16 > 0 {
 			want %= uint64(n % 16)
 		}
-		return Mapper{NumClasses: int(n % 16)}.ClassOf(id) == ConflictClass(want)
+		return Mapper{NumClasses: int(n % 16)}.classOf(id) == ConflictClass(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

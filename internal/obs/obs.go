@@ -291,10 +291,6 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.STM.GCPruned })
 	counter("alc_migrated_in_total", "Transactions shipped here by a remote router.",
 		func(s repSample) int64 { return s.stats.MigratedIn })
-	counter("alc_cross_shard_commits_total", "Committed transactions that spanned shard groups.",
-		func(s repSample) int64 { return s.stats.CrossCommits })
-	counter("alc_batch_flush_cross_total", "Coalescer flushes forced by a cross-shard group submission.",
-		func(s repSample) int64 { return s.stats.Batch.FlushCross })
 	counter("alc_wal_records_total", "Write-set records appended to the write-ahead log.",
 		func(s repSample) int64 { return s.stats.WAL.Records })
 	counter("alc_wal_appended_bytes_total", "Bytes appended to the write-ahead log (frames included).",
@@ -607,8 +603,6 @@ type Counters struct {
 	LeaseDeadlocks int64   `json:"lease_deadlocks"`
 	Batches        int64   `json:"batches"`
 	BatchedTxns    int64   `json:"batched_txns"`
-	Shards         int     `json:"shards,omitempty"`
-	CrossCommits   int64   `json:"cross_shard_commits,omitempty"`
 }
 
 // StoreInfo summarizes the local multi-version store and its commit
@@ -667,8 +661,6 @@ func debugView(reg *Registry) DebugView {
 			},
 			Counters: Counters{
 				Commits:        s.Commits,
-				Shards:         s.Shards,
-				CrossCommits:   s.CrossCommits,
 				Aborts:         s.Aborts,
 				ReadOnly:       s.ReadOnly,
 				MigratedIn:     s.MigratedIn,

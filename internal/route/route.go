@@ -96,7 +96,6 @@ type Router struct {
 	mapper lease.Mapper
 
 	mu      sync.Mutex
-	shards  int
 	classes map[lease.ConflictClass]entry
 	live    map[transport.ID]bool
 	viewID  uint64
@@ -116,46 +115,9 @@ var _ trace.Sink = (*Router)(nil)
 func New(mapper lease.Mapper) *Router {
 	return &Router{
 		mapper:  mapper,
-		shards:  1,
 		classes: make(map[lease.ConflictClass]entry),
 		live:    make(map[transport.ID]bool),
 	}
-}
-
-// SetShards records the cluster's shard-group count. Affinity evidence is
-// per conflict class, and positions are only ever compared within one class
-// — each class lives on exactly one group's total order — so the map needs
-// no per-shard structure. What a count CHANGE breaks is position identity:
-// a class reassigned to a different group restarts under that group's
-// sequencer, making its old positions incomparable with new evidence, so
-// every reassigned class's entry is evicted.
-func (r *Router) SetShards(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n == r.shards {
-		return
-	}
-	old := r.shards
-	r.shards = n
-	for cc := range r.classes {
-		if lease.ShardOf(cc, old) != lease.ShardOf(cc, n) {
-			delete(r.classes, cc)
-			r.nEvictions.Add(1)
-		}
-	}
-}
-
-// Shard returns the shard group an item's conflict class maps to under the
-// router's current shard count (mirrors the replicas' class→group mapping;
-// diagnostics).
-func (r *Router) Shard(item string) int {
-	r.mu.Lock()
-	n := r.shards
-	r.mu.Unlock()
-	return lease.ShardOf(r.mapper.ClassOf(item), n)
 }
 
 // SetLive seeds the live-replica set before the first view change arrives

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/alcstm/alc/internal/lease"
@@ -248,64 +247,6 @@ func TestStatsDecisionMix(t *testing.T) {
 	}
 	if s.Tracked != 2 {
 		t.Fatalf("Tracked = %d, want 2", s.Tracked)
-	}
-}
-
-// TestReshardEvictsReassignedClasses changes the shard-group count under a
-// populated affinity map. Classes whose class→group assignment changes
-// restart under a different sequencer, so their old total-order positions are
-// incomparable with future evidence: those entries must be evicted (and
-// counted), while classes that keep their group keep their affinity.
-func TestReshardEvictsReassignedClasses(t *testing.T) {
-	r := newRouter(4)
-
-	// Populate enough classes that both fates occur under S=1→S=4 (the
-	// splitmix64 mapping spreads ~1/4 of them back onto group 0).
-	const items = 64
-	names := make([]string, items)
-	for i := range names {
-		names[i] = fmt.Sprintf("box:%02d", i)
-		r.TraceEvent(leaseEvent(lease.OpGrant, transport.ID(i%4), uint64(i+1), names[i]))
-	}
-
-	var stay, move []string
-	for _, it := range names {
-		if lease.ShardOf(mapper.ClassOf(it), 4) == lease.ShardOf(mapper.ClassOf(it), 1) {
-			stay = append(stay, it)
-		} else {
-			move = append(move, it)
-		}
-	}
-	if len(stay) == 0 || len(move) == 0 {
-		t.Fatalf("degenerate split: stay=%d move=%d", len(stay), len(move))
-	}
-
-	before := r.Stats()
-	r.SetShards(4)
-	r.SetShards(4) // same count: no-op, no double eviction
-	s := r.Stats()
-
-	if got, want := s.Evictions-before.Evictions, int64(len(move)); got != want {
-		t.Fatalf("evictions = %d, want %d (one per reassigned class)", got, want)
-	}
-	if got, want := s.Tracked, len(stay); got != want {
-		t.Fatalf("tracked = %d, want %d (unmoved classes keep affinity)", got, want)
-	}
-	for _, it := range stay {
-		if _, d := r.Target(0, []string{it}); d != DecisionAffinity {
-			t.Fatalf("unmoved class %q lost affinity (decision %v)", it, d)
-		}
-	}
-	for _, it := range move {
-		if _, d := r.Target(0, []string{it}); d == DecisionAffinity {
-			t.Fatalf("reassigned class %q kept stale affinity", it)
-		}
-	}
-
-	// Fresh evidence under the new partition repopulates a moved class.
-	r.TraceEvent(leaseEvent(lease.OpGrant, 2, 1, move[0]))
-	if target, d := r.Target(0, []string{move[0]}); d != DecisionAffinity || target != 2 {
-		t.Fatalf("Target = (%v, %v), want (2, affinity)", target, d)
 	}
 }
 

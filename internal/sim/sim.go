@@ -50,13 +50,6 @@ type Config struct {
 	// MaxRetries bounds re-executions per transaction so a run cannot hang
 	// on livelock. Default 64.
 	MaxRetries int
-	// Shards partitions the conflict classes across this many independent
-	// lease/broadcast groups (core.Config.Shards). The bank workloads
-	// naturally produce cross-shard transfers, so a multi-group run
-	// exercises the cross-shard certification commit under the same fault
-	// schedules; the checker's verdict counts the cross-shard commits it
-	// certified. Zero or one runs the classic single-group protocol.
-	Shards int
 	// Durable runs every replica with the durability tier enabled: each gets
 	// a write-ahead log + snapshot directory under a run-private temp root,
 	// and EventRestart recovers the victim from its own disk state before it
@@ -196,7 +189,6 @@ func Run(cfg Config) *Result {
 		Route: cfg.Routed,
 		Core: core.Config{
 			Protocol: core.ProtocolALC,
-			Shards:   cfg.Shards,
 			// Automatic GC off: the checker needs full version histories at
 			// the witness.
 			GCEvery:    -1,
@@ -376,11 +368,6 @@ func Run(cfg Config) *Result {
 		Commits:     recorder.Commits(),
 		Orders:      c.VersionOrders(),
 		FullHistory: c.FullHistoryReplicas(),
-	}
-	if cfg.Shards > 1 {
-		mapper := lease.Mapper{} // sim runs use the default per-item mapper
-		shards := cfg.Shards
-		in.ShardOf = func(box string) int { return lease.ShardOf(mapper.ClassOf(box), shards) }
 	}
 	res.checkerInput = in
 	res.Verdict = history.Check(in)

@@ -77,60 +77,73 @@ func recordFailingSeed(t *testing.T, seed int64) {
 }
 
 // Replay safety: the same seed must expand to the identical schedule, and
-// distinct seeds must not collapse onto one schedule.
+// distinct seeds must not collapse onto one schedule, at every cluster size a
+// seed matrix runs (the four- and five-replica matrices replay through their
+// subtests, so they rely on this too).
 func TestScheduleDeterministic(t *testing.T) {
-	for seed := int64(1); seed < 50; seed++ {
-		a := Generate(seed, 3, 200*time.Millisecond)
-		b := Generate(seed, 3, 200*time.Millisecond)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: schedules differ:\n%s\n%s", seed, a, b)
-		}
-	}
-	distinct := make(map[string]bool)
-	for seed := int64(1); seed < 50; seed++ {
-		distinct[Generate(seed, 3, 200*time.Millisecond).String()] = true
-	}
-	if len(distinct) < 25 {
-		t.Fatalf("only %d distinct schedules from 49 seeds", len(distinct))
+	for _, n := range []int{3, 4, 5} {
+		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
+			for seed := int64(1); seed < 50; seed++ {
+				a := Generate(seed, n, 200*time.Millisecond)
+				b := Generate(seed, n, 200*time.Millisecond)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("seed %d: schedules differ:\n%s\n%s", seed, a, b)
+				}
+			}
+			distinct := make(map[string]bool)
+			for seed := int64(1); seed < 50; seed++ {
+				distinct[Generate(seed, n, 200*time.Millisecond).String()] = true
+			}
+			if len(distinct) < 25 {
+				t.Fatalf("only %d distinct schedules from 49 seeds", len(distinct))
+			}
+		})
 	}
 }
 
 // Schedules must never harm the witness replica and never take the cluster
-// below a majority.
+// below a majority, at every cluster size a seed matrix runs.
 func TestScheduleFeasible(t *testing.T) {
-	for seed := int64(1); seed < 500; seed++ {
-		s := Generate(seed, 3, 200*time.Millisecond)
-		crashed, partitioned := -1, false
-		for _, e := range s.Events {
-			switch e.Kind {
-			case EventCrash:
-				if e.Victim == s.Witness() {
-					t.Fatalf("seed %d: schedule crashes the witness: %s", seed, s)
+	for _, n := range []int{3, 4, 5} {
+		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
+			for seed := int64(1); seed < 500; seed++ {
+				s := Generate(seed, n, 200*time.Millisecond)
+				crashed, partitioned := -1, false
+				for _, e := range s.Events {
+					if e.Kind != EventHeal && (e.Victim < 0 || e.Victim >= n) {
+						t.Fatalf("seed %d: victim outside the cluster: %s", seed, s)
+					}
+					switch e.Kind {
+					case EventCrash:
+						if e.Victim == s.Witness() {
+							t.Fatalf("seed %d: schedule crashes the witness: %s", seed, s)
+						}
+						if crashed >= 0 || partitioned {
+							t.Fatalf("seed %d: infeasible crash: %s", seed, s)
+						}
+						crashed = e.Victim
+					case EventRestart:
+						if e.Victim != crashed {
+							t.Fatalf("seed %d: restart of a running replica: %s", seed, s)
+						}
+						crashed = -1
+					case EventPartition:
+						if e.Victim == s.Witness() {
+							t.Fatalf("seed %d: schedule isolates the witness: %s", seed, s)
+						}
+						if partitioned || crashed >= 0 {
+							t.Fatalf("seed %d: infeasible partition: %s", seed, s)
+						}
+						partitioned = true
+					case EventHeal:
+						if !partitioned {
+							t.Fatalf("seed %d: heal without partition: %s", seed, s)
+						}
+						partitioned = false
+					}
 				}
-				if crashed >= 0 || partitioned {
-					t.Fatalf("seed %d: infeasible crash: %s", seed, s)
-				}
-				crashed = e.Victim
-			case EventRestart:
-				if e.Victim != crashed {
-					t.Fatalf("seed %d: restart of a running replica: %s", seed, s)
-				}
-				crashed = -1
-			case EventPartition:
-				if e.Victim == s.Witness() {
-					t.Fatalf("seed %d: schedule isolates the witness: %s", seed, s)
-				}
-				if partitioned || crashed >= 0 {
-					t.Fatalf("seed %d: infeasible partition: %s", seed, s)
-				}
-				partitioned = true
-			case EventHeal:
-				if !partitioned {
-					t.Fatalf("seed %d: heal without partition: %s", seed, s)
-				}
-				partitioned = false
 			}
-		}
+		})
 	}
 }
 

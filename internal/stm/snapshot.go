@@ -72,28 +72,6 @@ func (s *Store) Restore(snap StoreSnapshot) {
 	s.clock.Store(snap.Clock)
 }
 
-// RestorePartial upserts the snapshot's boxes into the store without
-// clearing boxes outside it: with several shard groups a state transfer
-// carries only one group's slice of the heap, and the other groups' slices
-// (installed by their own transfers) must survive. Clock and ticket advance
-// to at least the snapshot's clock, never backwards — other groups' applies
-// may already have moved them further. Counts as a Restore for history
-// completeness: the transferred boxes' version prefixes are truncated.
-func (s *Store) RestorePartial(snap StoreSnapshot) {
-	s.restores.Add(1)
-	s.barrier()
-	defer s.releaseBarrier()
-
-	for _, bs := range snap.Boxes {
-		b := s.ensureBox(bs.Box)
-		b.head.Store(&version{ts: snap.Clock, writer: bs.Writer, value: bs.Value})
-	}
-	if snap.Clock > s.clock.Load() {
-		s.ticket.Store(snap.Clock)
-		s.clock.Store(snap.Clock)
-	}
-}
-
 // VersionWriters returns the writer IDs of the box's retained versions,
 // oldest first. Together with the fact that every committed write creates a
 // version, per-box writer sequences are a serializability witness: 1-copy

@@ -54,3 +54,20 @@ type Transport interface {
 	// Close shuts the endpoint down and releases its resources.
 	Close() error
 }
+
+// ShardEnvelope has no producer, no consumer and no wire codec.
+//
+// Deprecated: kept only so benchmark/ compiles until its follow-up change
+// drops the envelope cases from its transport decorator.
+type ShardEnvelope struct {
+	Shard uint8
+	Body  any
+}
+
+// GroupEnvelope has no producer, no consumer and no wire codec.
+//
+// Deprecated: kept only so benchmark/ compiles until its follow-up change
+// drops the envelope cases from its transport decorator.
+type GroupEnvelope struct {
+	Envs []*ShardEnvelope
+}

@@ -52,7 +52,10 @@ import (
 // piggybacked acknowledgements. Version 3: gcs vector clocks and
 // acknowledgements are member-indexed vectors (cumulative held vectors, not
 // message-ID lists), and flush reports and installs lose two unused fields.
-const Version = 3
+// Version 4: one group per replica — the shard-group envelopes (tags 0x29,
+// 0x2A) and the single write-set message (0x20) are gone, so a peer that
+// still runs shard groups is refused at the handshake.
+const Version = 4
 
 // Errors returned by decode paths.
 var (

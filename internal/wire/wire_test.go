@@ -122,6 +122,7 @@ func TestHandshake(t *testing.T) {
 		{"client on replica port", AppendHandshake(nil, CodecClient), CodecWire},
 		{"bad magic", []byte("HTTP/1.1"), CodecWire},
 		{"future version", []byte{'A', 'L', 'C', Version + 1, CodecWire, 0, 0, 0}, CodecWire},
+		{"previous version", []byte{'A', 'L', 'C', Version - 1, CodecWire, 0, 0, 0}, CodecWire},
 		{"short preamble", []byte{'A', 'L'}, CodecWire},
 	}
 	for _, tc := range cases {

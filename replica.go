@@ -73,7 +73,7 @@ func (r *Replica) Stats() Stats {
 }
 
 // HoldsLease reports whether the replica currently holds the leases covering
-// the given data items, on every shard group they map to (ALC diagnostics).
+// the given data items (ALC diagnostics).
 func (r *Replica) HoldsLease(items ...string) bool {
 	rep := r.rep()
 	return rep != nil && rep.HoldsLease(items)
