@@ -107,10 +107,6 @@ type Config struct {
 	// DisableOptimisticFree turns off the §4.5(b) optimization (freeing
 	// leases at optimistic delivery). On by default.
 	DisableOptimisticFree bool
-	// PiggybackCertification enables the §4.5(c) optimization: read/write
-	// sets travel on the lease request and commit completes in 3
-	// communication steps even on lease misses.
-	PiggybackCertification bool
 	// DeadlockDetection enables the §4.4 wait-for-graph detector in
 	// addition to the always-on piggybacked deadlock avoidance.
 	DeadlockDetection bool
@@ -160,10 +156,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				OptimisticFree:    !cfg.DisableOptimisticFree,
 				DeadlockDetection: cfg.DeadlockDetection,
 			},
-			PiggybackCert: cfg.PiggybackCertification,
-			BloomFPRate:   cfg.BloomFPRate,
-			MaxRetries:    cfg.MaxRetries,
-			Batch:         cfg.Batch,
+			BloomFPRate: cfg.BloomFPRate,
+			MaxRetries:  cfg.MaxRetries,
+			Batch:       cfg.Batch,
 		},
 		Net: memnet.Config{Latency: latency, Jitter: cfg.NetworkJitter},
 		GCS: gcs.Config{

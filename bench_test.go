@@ -44,7 +44,7 @@ func runBankCell(b *testing.B, p bench.Params, mode bank.Mode) {
 // Figure 3(a): the Bank benchmark with disjoint per-replica fragments.
 func BenchmarkFig3aBankNoConflictALC(b *testing.B) {
 	runBankCell(b, bench.Params{
-		Protocol: core.ProtocolALC, Replicas: benchReplicas, PiggybackCert: true,
+		Protocol: core.ProtocolALC, Replicas: benchReplicas,
 	}, bank.NoConflict)
 }
 
@@ -58,7 +58,7 @@ func BenchmarkFig3aBankNoConflictCert(b *testing.B) {
 // Figure 3(b): every replica updates the same accounts.
 func BenchmarkFig3bBankHighConflictALC(b *testing.B) {
 	runBankCell(b, bench.Params{
-		Protocol: core.ProtocolALC, Replicas: benchReplicas, PiggybackCert: true,
+		Protocol: core.ProtocolALC, Replicas: benchReplicas,
 	}, bank.HighConflict)
 }
 
@@ -80,7 +80,7 @@ func BenchmarkFig4LeeSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		alcRes, err := bench.RunLee(bench.Params{
 			Protocol: core.ProtocolALC, Replicas: benchReplicas,
-			PiggybackCert: true, DeadlockDetection: true,
+			DeadlockDetection: true,
 		}, cfg)
 		if err != nil {
 			b.Fatal(err)

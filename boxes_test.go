@@ -91,7 +91,7 @@ func TestTypedBoxTypeErrors(t *testing.T) {
 }
 
 func TestPreferredReplicaStableAndEffective(t *testing.T) {
-	c := newTestCluster(t, alc.Config{Replicas: 3, PiggybackCertification: true})
+	c := newTestCluster(t, alc.Config{Replicas: 3})
 	if err := c.Seed(map[string]alc.Value{"hot": 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,8 @@ func run() error {
 	board := lee.Generate(lee.GenConfig{W: *grid, H: *grid, Nets: *nets, Seed: *seed})
 
 	cluster, err := alc.NewCluster(alc.Config{
-		Replicas:               *replicas,
-		PiggybackCertification: true,
-		DeadlockDetection:      true,
+		Replicas:          *replicas,
+		DeadlockDetection: true,
 	})
 	if err != nil {
 		return err

@@ -28,9 +28,8 @@ func main() {
 		proto = alc.CERT
 	}
 	cluster, err := alc.NewCluster(alc.Config{
-		Replicas:               *replicas,
-		Protocol:               proto,
-		PiggybackCertification: true,
+		Replicas: *replicas,
+		Protocol: proto,
 	})
 	if err != nil {
 		log.Fatal(err)

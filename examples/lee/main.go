@@ -35,10 +35,9 @@ func main() {
 	board := lee.Generate(lee.GenConfig{W: *size, H: *size, Nets: *nets, Seed: *seed})
 
 	cluster, err := alc.NewCluster(alc.Config{
-		Replicas:               *replicas,
-		Protocol:               proto,
-		PiggybackCertification: true,
-		DeadlockDetection:      true,
+		Replicas:          *replicas,
+		Protocol:          proto,
+		DeadlockDetection: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,7 @@ func main() {
 	flag.Parse()
 
 	db := vacation.New(vacation.Config{Resources: 16, Customers: 24, Seed: 4})
-	cluster, err := alc.NewCluster(alc.Config{Replicas: *replicas, PiggybackCertification: true})
+	cluster, err := alc.NewCluster(alc.Config{Replicas: *replicas})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func RunAblationOpt(base Params, cfg BankConfig) (AblationRows, error) {
 	rows := make(AblationRows, 0, len(variants))
 	for _, v := range variants {
 		p := base
-		p.DisableOptimisticFree, p.PiggybackCert = v.noOptFree, v.piggyback
+		p.DisableOptimisticFree, p.DisablePiggybackCert = v.noOptFree, !v.piggyback
 		res, err := RunBank(p, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation-opt %q: %w", v.name, err)
@@ -53,7 +53,7 @@ func RunAblationOpt(base Params, cfg BankConfig) (AblationRows, error) {
 // never truly conflict.
 func RunAblationCC(base Params, classes []int, cfg BankConfig) (AblationRows, error) {
 	cfg.Mode = bank.NoConflict
-	base.Protocol, base.PiggybackCert = core.ProtocolALC, true
+	base.Protocol = core.ProtocolALC
 	rows := make(AblationRows, 0, len(classes))
 	for _, cc := range classes {
 		name := fmt.Sprintf("%d classes", cc)
@@ -180,7 +180,7 @@ func RunAblationLocality(base Params, duration time.Duration) (AblationRows, err
 		duration = time.Second
 	}
 	replicas := base.Replicas
-	base.Protocol, base.PiggybackCert = core.ProtocolALC, true
+	base.Protocol = core.ProtocolALC
 	run := func(routed bool) (Throughput, error) {
 		w := bank.New(replicas, bank.HighConflict)
 		c, err := NewCluster(base, w.Seed())

@@ -105,7 +105,7 @@ func RunFig3(base Params, replicaCounts []int, mode bank.Mode, cfg BankConfig) (
 	rows := make(Fig3Rows, 0, len(replicaCounts))
 	for _, n := range replicaCounts {
 		alcParams, certParams := base, base
-		alcParams.Protocol, alcParams.Replicas, alcParams.PiggybackCert = core.ProtocolALC, n, true
+		alcParams.Protocol, alcParams.Replicas = core.ProtocolALC, n
 		certParams.Protocol, certParams.Replicas = core.ProtocolCert, n
 		alc, err := RunBank(alcParams, cfg)
 		if err != nil {

@@ -53,10 +53,11 @@ type Params struct {
 	Replicas int
 	// Latency is the one-way network latency (DefaultLatency if zero).
 	Latency time.Duration
-	// OptimisticFree / PiggybackCert toggle the §4.5 optimizations
-	// (both on by default for ALC unless DisableOpts is set).
+	// DisableOptimisticFree / DisablePiggybackCert turn off the §4.5
+	// optimizations (b) and (c), both on by default for ALC: the A/B
+	// controls of the latency table and ablation-opt.
 	DisableOptimisticFree bool
-	PiggybackCert         bool
+	DisablePiggybackCert  bool
 	// ConflictClasses: 0 = one class per data item (paper's setting).
 	ConflictClasses int
 	// BloomFPRate configures CERT's read-set encoding (0 = exact).
@@ -113,9 +114,9 @@ func NewCluster(p Params, seed map[string]stm.Value) (*Cluster, error) {
 				OptimisticFree:    !p.DisableOptimisticFree,
 				DeadlockDetection: p.DeadlockDetection,
 			},
-			PiggybackCert: p.PiggybackCert,
-			BloomFPRate:   p.BloomFPRate,
-			Batch:         p.Batch,
+			DisablePiggybackCert: p.DisablePiggybackCert,
+			BloomFPRate:          p.BloomFPRate,
+			Batch:                p.Batch,
 		},
 		Net: memnet.Config{Latency: latency, PerMessageCost: DefaultPerMessageCost},
 		GCS: gcs.Config{

@@ -19,7 +19,7 @@ func quickBank() BankConfig {
 }
 
 func TestRunBankNoConflictALCBeatsCert(t *testing.T) {
-	alc, err := RunBank(Params{Protocol: core.ProtocolALC, Replicas: 3, PiggybackCert: true},
+	alc, err := RunBank(Params{Protocol: core.ProtocolALC, Replicas: 3},
 		BankConfig{Mode: bank.NoConflict, Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("ALC: %v", err)
@@ -48,7 +48,7 @@ func TestRunBankNoConflictALCBeatsCert(t *testing.T) {
 }
 
 func TestRunBankHighConflictShapes(t *testing.T) {
-	alc, err := RunBank(Params{Protocol: core.ProtocolALC, Replicas: 3, PiggybackCert: true},
+	alc, err := RunBank(Params{Protocol: core.ProtocolALC, Replicas: 3},
 		BankConfig{Mode: bank.HighConflict, Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("ALC: %v", err)
@@ -80,7 +80,7 @@ func TestRunFig3SmallSweep(t *testing.T) {
 
 func TestRunLeeSmallBoard(t *testing.T) {
 	cfg := LeeConfig{Board: lee.GenConfig{W: 24, H: 24, Nets: 12, Seed: 5}}
-	res, err := RunLee(Params{Protocol: core.ProtocolALC, Replicas: 2, PiggybackCert: true, DeadlockDetection: true}, cfg)
+	res, err := RunLee(Params{Protocol: core.ProtocolALC, Replicas: 2, DeadlockDetection: true}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func RunLatency(base Params, commitsPerCell int) (LatencyRows, error) {
 	rows := make(LatencyRows, 0, len(cells))
 	for _, cl := range cells {
 		p := base
-		p.Protocol, p.DisableOptimisticFree, p.PiggybackCert = cl.protocol, cl.noOptFree, cl.piggyback
+		p.Protocol, p.DisableOptimisticFree, p.DisablePiggybackCert = cl.protocol, cl.noOptFree, !cl.piggyback
 		row, err := runLatencyCell(p, cl.pingPong, commitsPerCell)
 		if err != nil {
 			return nil, fmt.Errorf("bench: latency %q: %w", cl.name, err)

@@ -72,7 +72,7 @@ func RunAblationRouting(base Params, duration time.Duration) (AblationRows, erro
 }
 
 func runRoutingVariant(mode string, p Params, duration time.Duration, root int64) (Throughput, string, error) {
-	p.Protocol, p.PiggybackCert, p.Route = core.ProtocolALC, true, mode == "affinity"
+	p.Protocol, p.Route = core.ProtocolALC, mode == "affinity"
 	seed := make(map[string]stm.Value, 2*RoutingPairs)
 	for i := 0; i < 2*RoutingPairs; i++ {
 		seed[bank.AccountID(i)] = bank.InitialBalance

@@ -143,8 +143,17 @@ func TestBatchingCoalescesDisjointCommitters(t *testing.T) {
 	if s.Commits != committers*each {
 		t.Fatalf("commits = %d, want %d", s.Commits, committers*each)
 	}
-	if s.Batch.BatchedTxns != s.Commits {
-		t.Fatalf("batched txns (%d) != commits (%d)", s.Batch.BatchedTxns, s.Commits)
+	// A commit either rode the coalescer or, on a lease miss, its lease
+	// request (§4.5(c)): every committer's first increment misses.
+	for _, rep := range c.Replicas() {
+		rs := rep.Stats()
+		if rs.Batch.BatchedTxns+rs.Piggybacked != rs.Commits {
+			t.Errorf("replica %d: batched txns (%d) + piggybacked (%d) != commits (%d)",
+				rep.ID(), rs.Batch.BatchedTxns, rs.Piggybacked, rs.Commits)
+		}
+	}
+	if s.Piggybacked == 0 {
+		t.Fatal("no commit took the lease-miss path")
 	}
 	if s.Batch.BatchedTxns == s.Batch.Batches {
 		t.Fatal("every batch carried exactly one transaction: coalescing never happened")

@@ -104,9 +104,8 @@ func TestALCCounterSerializable(t *testing.T) {
 
 func TestALCWithAllOptimizations(t *testing.T) {
 	c := newCluster(t, 3, core.Config{
-		Protocol:      core.ProtocolALC,
-		PiggybackCert: true,
-		Lease:         lease.Config{OptimisticFree: true, DeadlockDetection: true},
+		Protocol: core.ProtocolALC,
+		Lease:    lease.Config{OptimisticFree: true, DeadlockDetection: true},
 	})
 	runCounterWorkload(t, c, 20)
 }

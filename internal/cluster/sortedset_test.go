@@ -163,7 +163,7 @@ func New3ReplicaSet(t *testing.T, proto core.Protocol) *replicatedSet {
 	}
 	c, err := New(Config{
 		N:    3,
-		Core: core.Config{Protocol: proto, PiggybackCert: proto == core.ProtocolALC},
+		Core: core.Config{Protocol: proto},
 		Net:  memnet.Config{Latency: 300 * time.Microsecond},
 		GCS:  testGCS(),
 		Seed: seed,

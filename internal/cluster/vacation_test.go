@@ -21,7 +21,7 @@ func TestReplicatedVacation(t *testing.T) {
 			db := vacation.New(vacation.Config{Resources: 12, Customers: 12, Seed: 7})
 			c, err := New(Config{
 				N:    3,
-				Core: core.Config{Protocol: proto, PiggybackCert: proto == core.ProtocolALC},
+				Core: core.Config{Protocol: proto},
 				Net:  memnet.Config{Latency: 300 * time.Microsecond},
 				GCS:  testGCS(),
 				Seed: db.Seed(),

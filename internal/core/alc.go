@@ -51,10 +51,11 @@ func (r *Replica) AtomicRO(fn func(*stm.Txn) error) error {
 //	run fn; read-only commits locally
 //	early validation (cheap local pre-abort)
 //	prepare — establish a lease on the transaction's conflict classes: reuse
-//	  a held one (zero messages), replace it if the re-execution changed its
-//	  data-set (§4.4 piggybacked release), or acquire it (one OAB; with
-//	  PiggybackCert the read/write-set rides along and certification
-//	  completes at lease establishment — §4.5(c))
+//	  a held one (zero messages), join a local request still in flight,
+//	  replace it if the re-execution changed its data-set (§4.4 piggybacked
+//	  release), or acquire it (one OAB; on a lease miss the read/write-set
+//	  rides along and the transaction commits at lease establishment —
+//	  §4.5(c), see commitPiggybacked)
 //	certify — validate the full read-set under the lease; failure re-executes
 //	  WHILE HOLDING the lease, which shelters the transaction from further
 //	  remote conflicts
@@ -169,10 +170,14 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			wildcard = true
 		}
 
-		// §4.5(c) piggyback, tried only when no lease is held.
-		if r.cfg.PiggybackCert && !wildcard && held == none {
+		// §4.5(c) piggyback: the lease-miss path, tried only when no lease
+		// is held.
+		if !r.cfg.DisablePiggybackCert && !wildcard && held == none {
 			// Lease retention fast path first: an enabled request from an
-			// earlier transaction serves this one with zero communication.
+			// earlier transaction serves this one with zero communication. A
+			// covering local request still in flight is joined below
+			// (establishLease); the join returns only once that request's own
+			// payload, if it has one, is resolved here.
 			if id, ok := r.lm.TryReuse(items); ok {
 				held = id
 			} else if !r.lm.HasCoverage(items) {
@@ -318,6 +323,12 @@ func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, items []st
 // acquired lease is recorded in *held. Returns done=true when the
 // transaction committed or failed terminally; done=false when it must
 // re-execute (now holding the lease).
+//
+// Once broadcast, the payload may commit at every replica whatever happens
+// here: a payload request is never a deadlock victim, and its owner never
+// releases it before it fired. So an acquisition that fails anyway leaves
+// the outcome unknown and is reported as ErrEjected, never retried — a retry
+// could commit the transaction twice.
 func (r *Replica) commitPiggybacked(
 	txn *stm.Txn,
 	rs stm.ReadSet,
@@ -334,10 +345,11 @@ func (r *Replica) commitPiggybacked(
 	id, err := r.lm.GetLeaseWithPayload(items, &certPayload{TxnID: tid, RS: rs, WS: ws})
 	if err != nil {
 		r.dropWaiter(tid)
-		if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
-			return true, lerr
+		txn.Abort()
+		if errors.Is(err, lease.ErrStopped) {
+			return true, ErrStopped
 		}
-		return false, nil // deadlock victim: retry
+		return true, ErrEjected
 	}
 	*held = id
 	certStart := time.Now()
@@ -349,6 +361,7 @@ func (r *Replica) commitPiggybacked(
 	case err == nil:
 		txn.Finish()
 		r.nCommits.Inc()
+		r.nPiggyback.Inc()
 		r.retries.Observe(*aborts)
 		r.latency.Observe(time.Since(txnStart))
 		r.observeCommitted(TxnReport{

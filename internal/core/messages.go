@@ -19,11 +19,11 @@ var errValidationFailed = errors.New("core: certification failed, stale reads")
 // applyWSBatchMsg. It is also the durability tier's retained-entry unit, so
 // it carries the lane the entry was delivered on: Ord == 0 means the causally
 // ordered URB lane (filtered and replayed by the writer's per-replica
-// sequence number), Ord > 0 means the totally ordered lane (CERT
-// certification or a lease-piggybacked write-set) where it is the entry's
-// position in the TO-applied log —
-// identical at every replica, unlike the writer's URB sequence, which the TO
-// lane does not respect.
+// sequence number), Ord > 0 means the totally ordered lane, where it is an
+// ordinal every replica gives the same entry, unlike the writer's URB
+// sequence, which the TO lane does not respect: for a CERT certification its
+// position on the TO commit clock, for a §4.5(c) piggybacked write-set the TO
+// position of the lease request that carried it.
 type applyWSEntry struct {
 	TxnID   stm.TxnID
 	LeaseID lease.RequestID
@@ -87,11 +87,12 @@ func (c *rsChecker) contains(box string) bool {
 	return c.exact[box]
 }
 
-// certPayload is the §4.5 optimization (c) attachment to a lease request:
-// the transaction's read-set (with the replica-independent writer identities
-// of the versions observed) and write-set. Every replica certifies and, on
-// success, applies the transaction at the moment the lease is established —
-// three communication steps total, with no separate write-set broadcast.
+// certPayload is the §4.5 optimization (c) attachment to a lease request,
+// ALC's lease-miss path: the transaction's read-set (with the
+// replica-independent writer identities of the versions observed) and
+// write-set. Every replica certifies and, on success, applies the transaction
+// at the moment the lease is established — three communication steps total,
+// with no separate write-set broadcast.
 type certPayload struct {
 	TxnID stm.TxnID
 	RS    stm.ReadSet
@@ -107,8 +108,10 @@ type xferState struct {
 	Leases  *lease.State
 	CertLog []certLogEntry
 	// Frontier is the coordinator's per-writer applied frontier at snapshot
-	// time (see durable.frontier).
+	// time (see durable.frontier); TOAbove the TO-lane entries it applied
+	// past the frontier's TO ordinal.
 	Frontier map[transport.ID]uint64
+	TOAbove  []int64
 }
 
 // xferDelta is the incremental alternative to xferState for a joiner that

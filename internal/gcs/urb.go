@@ -309,8 +309,13 @@ func (e *Endpoint) tryDeliverLocked() {
 }
 
 // urDeliverLocked finalizes the UR-delivery of the head of sender s's pending
-// queue. In a view change's final set (final), the install's order supersedes
-// order batches and TO-delivers the payloads.
+// queue. A view change's final set (final) is delivered through here too, in
+// causal order, and its order batches take effect as they are delivered: a
+// message sent after its sender TO-delivered a payload must not reach the
+// application before that payload's TO-delivery here, in the flush as
+// anywhere else (a §4.5(c) write-set committed under a piggybacked lease
+// request must find the request's payload applied). The install's order then
+// TO-delivers whatever the final set left unordered.
 func (e *Endpoint) urDeliverLocked(s int, final bool) {
 	vs := e.vs
 	pm := vs.pending[s][0]
@@ -332,10 +337,8 @@ func (e *Endpoint) urDeliverLocked(s int, final bool) {
 		e.enqueueUpcall(Handler.OnURDeliver, d.ID.Sender, d.Body)
 	case d.Kind == kindOAB:
 		vs.urDone[d.ID] = true
-		if !final {
-			e.tryTODeliverLocked()
-		}
-	case d.Kind == kindOrder && !final:
+		e.tryTODeliverLocked()
+	case d.Kind == kindOrder:
 		batch, ok := d.Body.(*orderBatch)
 		if !ok {
 			e.logf("malformed order batch from %v", d.ID.Sender)

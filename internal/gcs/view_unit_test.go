@@ -658,3 +658,48 @@ func TestBroadcastStagesBeforeSendingNotToSelf(t *testing.T) {
 		t.Fatal("not UR-delivered on the first receiver's ack")
 	}
 }
+
+// TestFlushDeliversOrdersCausally: in a view change's final set, an order
+// batch takes effect where it falls in causal order. A message its sender
+// broadcast after TO-delivering a payload — a write-set committed under a
+// lease request that carried its transaction's write-set — reaches the
+// application after that payload's TO-delivery here too, not after every
+// other message of the final set.
+func TestFlushDeliversOrdersCausally(t *testing.T) {
+	e, _, rec := unstarted(t, 2, 0, 1, 2)
+	request := &urbData{View: 1, ID: msgID{Sender: 1, Seq: 1}, Kind: kindOAB, VC: []uint64{0, 0, 0}, Body: "request"}
+	order := &urbData{View: 1, ID: msgID{Sender: 0, Seq: 1}, Kind: kindOrder, VC: []uint64{0, 1, 0},
+		Body: &orderBatch{Entries: []orderEntry{{ID: request.ID, GSeq: 0}}}}
+	// Sender 1 TO-delivered the request (it delivered the order), then sent.
+	after := &urbData{View: 1, ID: msgID{Sender: 1, Seq: 2}, Kind: kindURB, VC: []uint64{1, 1, 0}, Body: "after"}
+
+	var toBefore []string
+	rec.onURD = func(_ transport.ID, body any) {
+		if body == "after" {
+			rec.mu.Lock()
+			toBefore = slices.Clone(rec.to)
+			rec.mu.Unlock()
+		}
+	}
+	e.mu.Lock()
+	e.deliverFlushSetLocked(&vcInstall{
+		ProposalID: 2,
+		View:       View{ID: 2, Members: []transport.ID{0, 1, 2}, Primary: true},
+		Deliveries: []*urbData{request, order, after},
+		Orders:     []orderEntry{{ID: request.ID, GSeq: 0}},
+	})
+	calls := e.upcalls
+	e.upcalls = nil
+	e.mu.Unlock()
+	for _, u := range calls {
+		u.call(rec, u.from, u.body)
+	}
+	if !slices.Equal(toBefore, []string{"request"}) {
+		t.Fatalf("TO-delivered before the later message: %v, want [request]", toBefore)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if !slices.Equal(rec.to, []string{"request"}) {
+		t.Fatalf("TO-delivered %v, want [request] once", rec.to)
+	}
+}

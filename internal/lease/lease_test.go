@@ -627,17 +627,20 @@ func TestPayloadHandlerFiresOncePerRequest(t *testing.T) {
 	var mu sync.Mutex
 	fired := make(map[RequestID]int)
 	for _, m := range ms {
-		m.SetPayloadHandler(func(req *Request) {
+		m.SetPayloadHandler(func(req *Request, _ uint64) {
 			mu.Lock()
 			fired[req.ID]++
 			mu.Unlock()
 		})
 	}
 
-	id0 := getLeaseT(t, ms[0], []string{"x"})
+	id0, err := ms[0].GetLeaseWithPayload([]string{"x"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id1ch := make(chan RequestID, 1)
 	go func() {
-		id, err := ms[1].GetLease([]string{"x"})
+		id, err := ms[1].GetLeaseWithPayload([]string{"x"}, 2)
 		if err == nil {
 			id1ch <- id
 		}

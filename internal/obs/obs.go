@@ -291,6 +291,8 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.STM.GCPruned })
 	counter("alc_migrated_in_total", "Transactions shipped here by a remote router.",
 		func(s repSample) int64 { return s.stats.MigratedIn })
+	counter("alc_piggybacked_commits_total", "Commits whose write-set rode on their lease request (§4.5(c), the lease-miss path).",
+		func(s repSample) int64 { return s.stats.Piggybacked })
 	counter("alc_wal_records_total", "Write-set records appended to the write-ahead log.",
 		func(s repSample) int64 { return s.stats.WAL.Records })
 	counter("alc_wal_appended_bytes_total", "Bytes appended to the write-ahead log (frames included).",
@@ -594,6 +596,7 @@ type Counters struct {
 	Aborts         int64   `json:"aborts"`
 	ReadOnly       int64   `json:"read_only"`
 	MigratedIn     int64   `json:"migrated_in"`
+	Piggybacked    int64   `json:"piggybacked"`
 	LeaseRequests  int64   `json:"lease_requests"`
 	LeaseReuses    int64   `json:"lease_reuses"`
 	LeaseAcquired  int64   `json:"lease_acquired"`
@@ -664,6 +667,7 @@ func debugView(reg *Registry) DebugView {
 				Aborts:         s.Aborts,
 				ReadOnly:       s.ReadOnly,
 				MigratedIn:     s.MigratedIn,
+				Piggybacked:    s.Piggybacked,
 				LeaseRequests:  s.Lease.Requested,
 				LeaseReuses:    s.Lease.Reused,
 				LeaseAcquired:  s.Lease.Acquired,

@@ -496,14 +496,15 @@ func TestRoutingMetrics(t *testing.T) {
 	}
 	types, samples := parseProm(t, body)
 	for fam, typ := range map[string]string{
-		"alc_lease_acquired_total":  "counter",
-		"alc_lease_stolen_total":    "counter",
-		"alc_migrated_in_total":     "counter",
-		"alc_lease_reuse_ratio":     "gauge",
-		"alc_route_decisions_total": "counter",
-		"alc_route_updates_total":   "counter",
-		"alc_route_evictions_total": "counter",
-		"alc_route_tracked_classes": "gauge",
+		"alc_lease_acquired_total":      "counter",
+		"alc_lease_stolen_total":        "counter",
+		"alc_migrated_in_total":         "counter",
+		"alc_piggybacked_commits_total": "counter",
+		"alc_lease_reuse_ratio":         "gauge",
+		"alc_route_decisions_total":     "counter",
+		"alc_route_updates_total":       "counter",
+		"alc_route_evictions_total":     "counter",
+		"alc_route_tracked_classes":     "gauge",
 	} {
 		if types[fam] != typ {
 			t.Fatalf("family %s: type %q, want %q (families: %v)", fam, types[fam], typ, types)
@@ -531,6 +532,11 @@ func TestRoutingMetrics(t *testing.T) {
 	}
 	if v, ok := sum("alc_migrated_in_total", nil); !ok || v == 0 {
 		t.Fatalf("alc_migrated_in_total = %v (found %v), want > 0", v, ok)
+	}
+	// The hot class's first commit anywhere is a lease miss: its write-set
+	// rides on the lease request.
+	if v, ok := sum("alc_piggybacked_commits_total", nil); !ok || v == 0 {
+		t.Fatalf("alc_piggybacked_commits_total = %v (found %v), want > 0", v, ok)
 	}
 	if v, ok := sum("alc_route_decisions_total", map[string]string{"router": "c", "decision": "affinity"}); !ok || v == 0 {
 		t.Fatalf("affinity decisions = %v (found %v), want > 0", v, ok)
