@@ -471,3 +471,50 @@ func TestDurableCloseUnderApplyLoad(t *testing.T) {
 		t.Fatalf("closed replica counted %d durability faults (an apply outlived the WAL handle): %+v", s.Errors, s)
 	}
 }
+
+// TestDurableWholeClusterRestart: every replica stops and starts again as an
+// initial member from its own directory, as a cluster restart does. The new
+// group numbers its lease requests from 1 again, and its lease-miss commits
+// (§4.5(c) payloads, keyed in the TO lane on those numbers) are acknowledged
+// after they are applied: none may be filtered as already absorbed by a
+// recovered frontier of the previous run.
+func TestDurableWholeClusterRestart(t *testing.T) {
+	cfg := Config{
+		N:          3,
+		Core:       core.Config{Protocol: core.ProtocolALC, GCEvery: -1},
+		Net:        memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:        testGCS(),
+		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"},
+	}
+	run := func(first bool) {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("cluster.New: %v", err)
+		}
+		defer c.Close()
+		if first {
+			if err := c.Replica(0).Atomic(func(tx *stm.Txn) error { return tx.Write("counter", 0) }); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+		}
+		commitN(t, c, "counter", 30) // rotates the lease: every commit is a lease miss
+		if err := c.WaitConverged(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		want := 30
+		if !first {
+			want = 60
+		}
+		for _, r := range c.Replicas() {
+			if got := readBox(t, r, "counter"); got != want {
+				t.Fatalf("replica %d: counter = %v, want %d", r.ID(), got, want)
+			}
+			if s := r.Stats(); s.Piggybacked == 0 || s.WAL.FilteredNeverSeen != 0 {
+				t.Fatalf("replica %d: %d lease-miss commits, %d entries lost to the filter",
+					r.ID(), s.Piggybacked, s.WAL.FilteredNeverSeen)
+			}
+		}
+	}
+	run(true)
+	run(false)
+}

@@ -49,6 +49,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 		&lease.Request{ID: lid, Wildcard: true},
 		&lease.Freed{IDs: []lease.RequestID{{Proc: 2, Seq: 9}, {Proc: 0, Seq: 3}}},
 		&lease.Freed{},
+		&lease.Freed{IDs: []lease.RequestID{{Proc: 1, Seq: 4}}, Resent: true},
 		&lease.State{
 			Requests: []*lease.Request{
 				{ID: lid, Classes: []lease.ConflictClass{7}, Payload: int64(5)},
