@@ -17,9 +17,8 @@ import (
 // lease but landing in different batches must serialize their
 // validate-then-apply windows. If the second transaction validated against
 // the pre-apply snapshot while the first's write-set was still in flight in a
-// batch, one increment would be silently lost. The striped in-flight table
-// must force the second committer to wait for the first batch's
-// self-delivery.
+// batch, one increment would be silently lost. The in-flight table must
+// force the second committer to wait for the first batch's self-delivery.
 func TestBatchSharedLeaseNoLostUpdate(t *testing.T) {
 	c := newCluster(t, 3, core.Config{
 		Protocol: core.ProtocolALC,

@@ -198,11 +198,11 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		r.stageLeaseWait.Observe(time.Since(leaseStart))
 
 		// Certify: full-read-set validation under the lease. The reservation
-		// in the striped in-flight table serializes intersecting local
-		// committers — two transactions sharing a lease must not both
-		// validate against the pre-apply state — while disjoint committers
-		// proceed concurrently on separate stripes. It is held from before
-		// validation until the write-set's self-delivery.
+		// in the in-flight table serializes intersecting local committers —
+		// two transactions sharing a lease must not both validate against
+		// the pre-apply state — while disjoint committers never wait for
+		// each other. It is held from before validation until the
+		// write-set's self-delivery.
 		wsCls := r.wsClasses(ws)
 		certStart := time.Now()
 		if !r.inflight.reserve(r.classes(items), wsCls, r.alive) {

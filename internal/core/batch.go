@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,12 +12,13 @@ import (
 )
 
 // This file implements the group-commit pipeline: local committers reserve
-// their conflict classes in a striped in-flight table (so only intersecting
-// committers serialize), hand their validated write-sets to a per-replica
-// coalescer that URB-broadcasts them in batches (one message, one wire frame
-// and one ack round amortized over many transactions), and UR-delivered
-// batches are applied by a small worker pool that runs disjoint write-sets
-// concurrently while preserving delivery order for intersecting ones.
+// their conflict classes in an in-flight table (so only intersecting
+// committers wait for each other), hand their validated write-sets to a
+// per-replica coalescer that URB-broadcasts them in batches (one message,
+// one wire frame and one ack round amortized over many transactions), and
+// UR-delivered batches are applied by a small worker pool that runs disjoint
+// write-sets concurrently while preserving delivery order for intersecting
+// ones.
 
 // maxBatchBytes caps the approximate payload bytes coalesced into one batch.
 const maxBatchBytes = 1 << 20
@@ -48,135 +48,81 @@ func (c *BatchConfig) fillDefaults() {
 	}
 }
 
-// --- Striped in-flight tracking -----------------------------------------------
-
-const inflightStripes = 64
+// --- In-flight tracking -------------------------------------------------------
 
 // inflightTable tracks, per conflict class, how many local write-sets are
 // past validation but not yet applied (queued in the coalescer, in flight on
 // the URB, or waiting in the apply stage). Local validation must not run
 // while an intersecting write-set is in that window, or two transactions
 // sharing a lease could both validate against the pre-apply state (lost
-// update). The table is striped by conflict class so that disjoint local
-// committers synchronize on different locks (DESIGN.md decision #4,
-// relaxed): reserve atomically checks the caller's classes and marks its
+// update). reserve atomically checks the caller's classes and marks its
 // write-set in flight, so no intersecting committer can slip between the
-// check and the reservation.
+// check and the reservation; disjoint committers never wait on each other
+// (DESIGN.md decision 4).
 type inflightTable struct {
-	stripes [inflightStripes]inflightStripe
-}
-
-type inflightStripe struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	count map[lease.ConflictClass]int
 }
 
 func newInflightTable() *inflightTable {
-	t := &inflightTable{}
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.cond = sync.NewCond(&s.mu)
-		s.count = make(map[lease.ConflictClass]int)
-	}
+	t := &inflightTable{count: make(map[lease.ConflictClass]int)}
+	t.cond = sync.NewCond(&t.mu)
 	return t
 }
 
-func stripeOf(c lease.ConflictClass) int { return int(uint64(c) % inflightStripes) }
-
-// stripeSet returns the sorted, deduplicated stripe indices touched by the
-// given class sets. Sorting gives a global lock order across stripes.
-func stripeSet(sets ...[]lease.ConflictClass) []int {
-	var mask [inflightStripes]bool
-	out := make([]int, 0, 8)
-	for _, set := range sets {
-		for _, c := range set {
-			if i := stripeOf(c); !mask[i] {
-				mask[i] = true
-				out = append(out, i)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // reserve blocks until no in-flight write-set intersects wait, then marks
-// add as in flight. The check and the reservation are atomic across every
-// involved stripe. It returns false — reserving nothing — when alive reports
-// the replica ejected or stopped.
+// add as in flight. It returns false — reserving nothing — when alive
+// reports the replica ejected or stopped.
 func (t *inflightTable) reserve(wait, add []lease.ConflictClass, alive func() bool) bool {
-	involved := stripeSet(wait, add)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for {
-		for _, i := range involved {
-			t.stripes[i].mu.Lock()
-		}
 		if !alive() {
-			for _, i := range involved {
-				t.stripes[i].mu.Unlock()
-			}
 			return false
 		}
-		blocked := -1
-		for _, c := range wait {
-			if t.stripes[stripeOf(c)].count[c] > 0 {
-				blocked = stripeOf(c)
-				break
-			}
-		}
-		if blocked < 0 {
+		if !t.intersects(wait) {
 			for _, c := range add {
-				t.stripes[stripeOf(c)].count[c]++
-			}
-			for _, i := range involved {
-				t.stripes[i].mu.Unlock()
+				t.count[c]++
 			}
 			return true
 		}
-		// Wait on the blocking stripe only; holding the other stripe locks
-		// while waiting would stall their releases.
-		for _, i := range involved {
-			if i != blocked {
-				t.stripes[i].mu.Unlock()
-			}
-		}
-		t.stripes[blocked].cond.Wait()
-		t.stripes[blocked].mu.Unlock()
+		t.cond.Wait()
 	}
+}
+
+func (t *inflightTable) intersects(classes []lease.ConflictClass) bool {
+	for _, c := range classes {
+		if t.count[c] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // release drops a reservation taken by reserve. It tolerates classes already
 // absent (the table may have been reset by an ejection in between).
 func (t *inflightTable) release(classes []lease.ConflictClass) {
-	for _, i := range stripeSet(classes) {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		for _, c := range classes {
-			if stripeOf(c) != i {
-				continue
-			}
-			if s.count[c] <= 1 {
-				delete(s.count, c)
-			} else {
-				s.count[c]--
-			}
+	t.mu.Lock()
+	for _, c := range classes {
+		if t.count[c] <= 1 {
+			delete(t.count, c)
+		} else {
+			t.count[c]--
 		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
 	}
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // reset clears every reservation and wakes all waiters (ejection, state
 // install): pending write-sets have been failed and waiting committers must
 // re-check alive.
 func (t *inflightTable) reset() {
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		s.count = make(map[lease.ConflictClass]int)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
+	t.mu.Lock()
+	t.count = make(map[lease.ConflictClass]int)
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // --- Commit coalescer ----------------------------------------------------------

@@ -160,8 +160,8 @@ type Stats struct {
 	Batch         BatchStats
 	Stages        StageStats
 	Queues        QueueStats
-	// STM is the local store's commit-pipeline counters: applied write-sets,
-	// commit-stripe contention, clock-publication waits, GC work.
+	// STM is the local store's commit counters: applied write-sets,
+	// commit-lock contention, GC work.
 	STM stm.Stats
 	// WAL is the durability tier: log appends, fsyncs, snapshots, recovery
 	// replay, and delta/full state transfers in both directions.
@@ -222,7 +222,7 @@ type StageStats struct {
 	// the paper's single URB commit step, as locally observable.
 	URB metrics.HistogramSnapshot
 	// Apply is the write-set application: one observation per delivered
-	// batch (local and remote), through the store's striped commit pipeline.
+	// batch (local and remote), under the store's commit lock.
 	Apply metrics.HistogramSnapshot
 }
 
@@ -296,8 +296,8 @@ type Replica struct {
 	// everywhere.)
 	toOrd atomic.Int64
 
-	// Commit pipeline: the striped in-flight table serializes intersecting
-	// local committers (see inflightTable for the lost-update invariant),
+	// Commit pipeline: the in-flight table serializes intersecting local
+	// committers (see inflightTable for the lost-update invariant),
 	// the coalescer batches their write-set broadcasts, and the scheduler
 	// applies delivered write-sets on a worker pool.
 	inflight *inflightTable

@@ -390,8 +390,8 @@ func TestInflightReserveBlocksOnIntersection(t *testing.T) {
 	if !tbl.reserve(nil, held, alive) {
 		t.Fatal("first reservation refused")
 	}
-	// A disjoint committer (even one on the same stripe) is not held up.
-	other := []lease.ConflictClass{3 + inflightStripes}
+	// A disjoint committer is not held up.
+	other := []lease.ConflictClass{4}
 	if !tbl.reserve(other, other, alive) {
 		t.Fatal("disjoint reservation refused")
 	}

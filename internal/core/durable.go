@@ -172,8 +172,8 @@ func walPayloadEnd(r *wire.Reader, err error) error {
 //
 // frontier[w] is the highest Seq of an applied URB-lane write-set written by
 // replica w. It is the replica-independent progress marker deltas are keyed
-// on: commit timestamps diverge across replicas (each store assigns its own
-// tickets), but writer sequence numbers are assigned once, by the writer,
+// on: commit timestamps diverge across replicas (each store numbers its own
+// commits), but writer sequence numbers are assigned once, by the writer,
 // and per-writer application order is FIFO (causal URB + the apply
 // scheduler's per-sender ordering), so the frontier is monotone and exactly
 // characterizes "which URB transactions has this store absorbed".

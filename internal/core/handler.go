@@ -263,7 +263,7 @@ func (r *Replica) enqueueApply(from transport.ID, entries []applyWSEntry) {
 }
 
 // applyEntries installs a delivered batch under one acquisition of the
-// union of its commit stripes and resolves the local waiters it carries.
+// store's commit lock and resolves the local waiters it carries.
 // The durability tier sees the batch FIRST: it filters out entries the store
 // already absorbed (idempotence across delta installs and stale-frontier
 // overlaps), logs the survivors, and only those reach the store — but local

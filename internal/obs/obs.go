@@ -281,10 +281,8 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.Batch.ApplyTasks })
 	counter("alc_stm_applied_total", "Write-sets committed into the local store (local + remote).",
 		func(s repSample) int64 { return s.stats.STM.Applied })
-	counter("alc_stm_stripe_contention_total", "Commit-stripe lock acquisitions that had to block.",
+	counter("alc_stm_stripe_contention_total", "Store commit-lock acquisitions that had to block.",
 		func(s repSample) int64 { return s.stats.STM.StripeContention })
-	counter("alc_stm_clock_waits_total", "Commits that waited their turn to publish the commit clock.",
-		func(s repSample) int64 { return s.stats.STM.ClockWaits })
 	counter("alc_stm_gc_runs_total", "Store GC invocations.",
 		func(s repSample) int64 { return s.stats.STM.GCRuns })
 	counter("alc_stm_gc_pruned_total", "Versions discarded by store GC.",
@@ -616,7 +614,6 @@ type StoreInfo struct {
 	ActiveTxns       int   `json:"active_txns"`
 	Applied          int64 `json:"applied"`
 	StripeContention int64 `json:"stripe_contention"`
-	ClockWaits       int64 `json:"clock_waits"`
 	GCRuns           int64 `json:"gc_runs"`
 	GCPruned         int64 `json:"gc_pruned"`
 }
@@ -690,15 +687,14 @@ func debugView(reg *Registry) DebugView {
 			Commit: summarize(s.CommitLatency),
 			Lease:  r.LeaseManager().Debug(),
 			// STM counters come from the Stats() snapshot: a scrape costs
-			// a few atomic loads, never the store-wide snapshot barrier the
-			// old len(Snapshot().Boxes) took.
+			// a few atomic loads, never the store's commit lock the old
+			// len(Snapshot().Boxes) took.
 			Store: StoreInfo{
 				Boxes:            s.STM.Boxes,
 				Restores:         r.Store().Restores(),
 				ActiveTxns:       s.STM.ActiveTxns,
 				Applied:          s.STM.Applied,
 				StripeContention: s.STM.StripeContention,
-				ClockWaits:       s.STM.ClockWaits,
 				GCRuns:           s.STM.GCRuns,
 				GCPruned:         s.STM.GCPruned,
 			},

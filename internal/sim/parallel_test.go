@@ -7,13 +7,13 @@ import (
 	"github.com/alcstm/alc/internal/randseed"
 )
 
-// TestSimHighParallelism drives the fine-grained commit pipeline with 16
-// committer threads per replica — eight times the default — over both
-// conflict regimes: schedules with HighContention=false use the sharded bank
-// (disjoint conflict classes, so commits of different threads hit disjoint
-// commit stripes and genuinely overlap inside the store), and schedules with
-// HighContention=true overlap constantly (commits serialize on shared
-// stripes and the validation path must keep refusing stale read-sets). The
+// TestSimHighParallelism drives the commit path with 16 committer threads
+// per replica — eight times the default — over both conflict regimes:
+// schedules with HighContention=false use the sharded bank (disjoint
+// conflict classes, so commits of different threads never wait for each
+// other in the in-flight table and queue only on the store's commit lock),
+// and schedules with HighContention=true overlap constantly (the validation
+// path must keep refusing stale read-sets). The
 // history checker certifies every run: no lost commits, identical
 // serialization of conflicting pairs at every replica, under fault injection.
 func TestSimHighParallelism(t *testing.T) {

@@ -127,8 +127,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // BenchmarkStoreCommitDisjoint measures the store's commit scalability in
 // the regime the ALC fast path produces: many committers, disjoint
 // write-sets. Each parallel worker read-modify-writes its own private box, so
-// no transaction ever conflicts; with a fine-grained commit pipeline the
-// throughput should scale with GOMAXPROCS (sweep with -cpu=1,2,4,8).
+// no transaction ever conflicts; every commit still takes the store's one
+// commit lock, so this measures that lock's cost (sweep with -cpu=1,2,4).
 func BenchmarkStoreCommitDisjoint(b *testing.B) {
 	s := NewStore()
 	const maxWorkers = 128
@@ -159,9 +159,9 @@ func BenchmarkStoreCommitDisjoint(b *testing.B) {
 }
 
 // BenchmarkStoreCommitContended is the guard-rail companion: every worker
-// read-modify-writes the SAME box, so all commits conflict and serialize on
-// one lock stripe. Conflicted attempts retry; the metric of interest is that
-// per-commit cost does not regress versus the global-commit-lock store.
+// read-modify-writes the SAME box, so all commits conflict. Conflicted
+// attempts retry; the metric of interest is the per-commit cost including
+// those retries.
 func BenchmarkStoreCommitContended(b *testing.B) {
 	s := NewStore()
 	if _, err := s.CreateBox("hot", 0); err != nil {

@@ -11,10 +11,10 @@ import (
 	"github.com/alcstm/alc/internal/transport"
 )
 
-// Tests for the fine-grained commit pipeline: these run many committers
-// concurrently and check the invariants the old global commit lock gave for
-// free — no lost updates, monotone per-box histories, snapshot consistency,
-// and a commit clock that counts exactly the committed write-sets.
+// Concurrency tests for the commit path: these run many committers at once
+// and check what the commit lock must give — no lost updates, monotone
+// per-box histories, snapshot consistency, batches that become visible all
+// at once, and a commit clock that counts exactly the committed write-sets.
 
 // TestParallelDisjointCommits runs committers over disjoint boxes and checks
 // every commit landed: each box ends at its committer's increment count and
@@ -362,6 +362,25 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
+// TestCommitLockContentionCounted holds the commit lock while an
+// ApplyWriteSet starts and checks the blocked acquisition is counted.
+func TestCommitLockContentionCounted(t *testing.T) {
+	s := NewStore()
+	s.commitMu.Lock()
+	done := make(chan int64)
+	go func() { done <- s.ApplyWriteSet(TxnID{Replica: 1, Seq: 1}, WriteSet{{Box: "x", Value: 1}}) }()
+	for s.lockContention.Load() == 0 {
+		runtime.Gosched()
+	}
+	s.commitMu.Unlock()
+	if ts := <-done; ts != 1 {
+		t.Fatalf("ApplyWriteSet ts = %d, want 1", ts)
+	}
+	if got := s.Stats().StripeContention; got < 1 {
+		t.Fatalf("StripeContention = %d, want >= 1", got)
+	}
+}
+
 // TestParallelCommitStress is the CI stress companion (run with -race under
 // the stm-stress job's GOMAXPROCS matrix): a mixed workload of disjoint
 // committers, overlapping committers, batch appliers, readers, snapshots and
@@ -431,11 +450,21 @@ func TestParallelCommitStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Batch applier: the remote-apply path, disjoint from everything above.
-	wg.Add(1)
+	// Background churn: batch applies, readers, snapshots, GC.
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	// Batch applier: the remote-apply path, disjoint from the committers.
+	// It runs until they finish, so the batch reader below gets many
+	// batches to watch.
+	churn.Add(1)
 	go func() {
-		defer wg.Done()
-		for i := 0; i < perWorker; i++ {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			batch := []TxnWriteSet{
 				{Writer: TxnID{Replica: 99, Seq: uint64(2*i + 1)}, WS: WriteSet{{Box: "remote0", Value: i}}},
 				{Writer: TxnID{Replica: 99, Seq: uint64(2*i + 2)}, WS: WriteSet{{Box: "remote1", Value: i}}},
@@ -444,9 +473,6 @@ func TestParallelCommitStress(t *testing.T) {
 			committed.Add(2)
 		}
 	}()
-	// Background churn: readers, snapshots, GC.
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
@@ -465,6 +491,27 @@ func TestParallelCommitStress(t *testing.T) {
 			tx.Abort()
 			s.GC()
 			_ = s.Snapshot()
+		}
+	}()
+	// Batch reader: each batch writes the same value to remote0 and remote1,
+	// so a snapshot that sees them differ saw half a batch.
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx := s.Begin(true)
+			r0, err0 := tx.Read("remote0")
+			r1, err1 := tx.Read("remote1")
+			tx.Abort()
+			if err0 == nil && err1 == nil && r0 != r1 {
+				t.Errorf("torn batch: remote0=%v remote1=%v", r0, r1)
+				return
+			}
 		}
 	}()
 

@@ -18,12 +18,11 @@ type StoreSnapshot struct {
 }
 
 // Snapshot captures the latest committed value of every box together with
-// the commit clock. The capture is atomic with respect to commits: it takes
-// the store-wide barrier (all commit stripes, drained clock) so no
-// half-installed or unpublished commit can appear in the copy.
+// the commit clock. The capture is atomic with respect to commits: it holds
+// the commit lock, so no half-installed commit can appear in the copy.
 func (s *Store) Snapshot() StoreSnapshot {
-	s.barrier()
-	defer s.releaseBarrier()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 
 	boxes := make([]BoxState, 0, s.NumBoxes())
 	for i := range s.shards {
@@ -53,8 +52,8 @@ func (s *Store) Snapshot() StoreSnapshot {
 // are no longer complete.
 func (s *Store) Restore(snap StoreSnapshot) {
 	s.restores.Add(1)
-	s.barrier()
-	defer s.releaseBarrier()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -66,9 +65,6 @@ func (s *Store) Restore(snap StoreSnapshot) {
 		b := s.ensureBox(bs.Box)
 		b.head.Store(&version{ts: snap.Clock, writer: bs.Writer, value: bs.Value})
 	}
-	// The barrier guarantees clock == ticket; reset both so post-restore
-	// commits draw tickets continuing from the snapshot's clock.
-	s.ticket.Store(snap.Clock)
 	s.clock.Store(snap.Clock)
 }
 

@@ -8,13 +8,13 @@ type Stats struct {
 	// plus remotely applied write-sets (ApplyWriteSet/ApplyWriteSets
 	// entries).
 	Applied int64
-	// StripeContention counts commit-stripe lock acquisitions that found the
-	// stripe already held and had to block. Zero under perfectly disjoint
-	// write-sets; rises with conflict-class overlap or stripe hash
-	// collisions.
+	// StripeContention counts commit-lock acquisitions that found the lock
+	// held and had to block. The name predates the single commit lock.
 	StripeContention int64
-	// ClockWaits counts commits whose first clock-publish CAS failed, i.e.
-	// that finished installing before an earlier-ticketed commit published.
+	// ClockWaits is always 0.
+	//
+	// Deprecated: the commit clock no longer has waiters; the field stays
+	// only until the benchmark stops reading it.
 	ClockWaits int64
 	// GCRuns and GCPruned count GC invocations and the total versions they
 	// discarded.
@@ -32,8 +32,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	return Stats{
 		Applied:          s.applied.Load(),
-		StripeContention: s.stripeContention.Load(),
-		ClockWaits:       s.clockWaits.Load(),
+		StripeContention: s.lockContention.Load(),
 		GCRuns:           s.gcRuns.Load(),
 		GCPruned:         s.gcPruned.Load(),
 		Boxes:            s.NumBoxes(),

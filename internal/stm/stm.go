@@ -28,39 +28,19 @@
 //
 // # Commit concurrency
 //
-// Early versions of this store mirrored JVSTM's global commit lock: one
-// mutex serialized every ValidateAndApply and ApplyWriteSet(s), which made
-// the replica-local store the throughput ceiling of the whole replicated
-// system (with good lease affinity, almost every commit runs the local-STM
-// path). The lock is gone; commits now coordinate through three mechanisms
-// (DESIGN.md decision 12):
-//
-//   - Striped commit locks. Box IDs hash onto a fixed array of lock stripes.
-//     A commit acquires the stripes of its write-set exclusively and the
-//     stripes of its read-set shared, all in ascending index order (so any
-//     mix of committers is deadlock-free), validates, and installs its
-//     versions. Disjoint write-sets touch disjoint stripes and truly commit
-//     in parallel; conflicting write-sets serialize on their shared stripe
-//     exactly as they did on the global lock.
-//
-//   - A ticketed commit clock. A committer draws a unique commit timestamp
-//     (ticket) while holding its stripes, installs its versions tagged with
-//     it, and then publishes the clock in ticket order (CAS from ts-1 to
-//     ts). Readers take snapshots from the published clock only, so a
-//     snapshot S is never visible until every commit with timestamp <= S has
-//     fully installed its versions — the same snapshot-consistency guarantee
-//     the global lock provided, without serializing installation.
-//
-//   - A striped box index and a sharded active-snapshot tracker, so the
-//     per-read box lookup and the per-transaction begin/finish accounting
-//     scale with committers instead of funnelling through one RWMutex and
-//     one mutex.
+// Commits serialize on one commit lock per store, as they do on JVSTM's
+// global lock. ValidateAndApply, ApplyWriteSet and ApplyWriteSets take it,
+// install their versions at clock+1, clock+2, ..., store the clock once and
+// release it; Snapshot and Restore take it as their barrier. Readers never
+// take it: a transaction reads at the clock it saw at Begin, and the clock
+// only moves after a commit (or a whole batch) is fully installed, so no
+// snapshot shows half a commit or half a batch. DESIGN.md decision 12
+// records why one lock, not striped locks.
 package stm
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,17 +123,10 @@ func (b *VBox) newerThan(snapshot int64) bool {
 	return v != nil && v.ts > snapshot
 }
 
-// Sizing of the store's striped structures. Both are powers of two; the box
-// index and the commit locks deliberately use different bits of the same
-// hash so stripe collisions and shard collisions are uncorrelated.
-const (
-	boxShardCount = 64
-	numStripes    = 256
-	stripeWords   = numStripes / 64
-)
+// boxShardCount sizes the striped box index (a power of two).
+const boxShardCount = 64
 
-// hashID is FNV-1a over the box ID: the one hash every commit-path lookup
-// shares (box shard, commit stripe).
+// hashID is FNV-1a over the box ID; its low bits pick the box shard.
 func hashID(id string) uint32 {
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
@@ -164,54 +137,37 @@ func hashID(id string) uint32 {
 	return h
 }
 
-func stripeIndex(h uint32) int { return int((h >> 8) & (numStripes - 1)) }
-
 // boxShard is one slice of the striped box index.
 type boxShard struct {
 	mu    sync.RWMutex
 	boxes map[string]*VBox
 }
 
-// stripe is one commit lock, padded so neighbouring stripes do not share a
-// cache line (they are, by construction, taken by unrelated committers).
-type stripe struct {
-	sync.RWMutex
-	_ [40]byte
-}
-
 // Store is one replica's transactional heap: the set of versioned boxes plus
 // the commit clock. The zero value is not usable; call NewStore.
 type Store struct {
-	shards  [boxShardCount]boxShard
-	stripes [numStripes]stripe
+	shards [boxShardCount]boxShard
 
-	// clock is the published commit timestamp: the newest timestamp whose
-	// commit (and every earlier one) is fully installed. ticket is the
-	// allocator commits draw their timestamps from; clock chases ticket.
-	clock  atomic.Int64
-	ticket atomic.Int64
+	// commitMu is the store's one commit lock: every commit holds it from
+	// validation to the clock store, and Snapshot and Restore hold it as
+	// their barrier.
+	commitMu sync.Mutex
+	// clock is the commit timestamp: the newest fully installed commit. It
+	// is stored only under commitMu and read lock-free.
+	clock atomic.Int64
 
 	// restores counts Restore calls (state transfers). A restored store's
 	// version histories are truncated to the snapshot heads, which
 	// disqualifies it as a full-history witness for the offline checker.
 	restores atomic.Int64
 
-	snapshots *snapshotTracker
-
-	// Publication wait state: committers that finished installing but cannot
-	// yet publish (an earlier ticket is still installing) park here instead
-	// of spinning. pubWaiters counts parked-or-parking committers so the
-	// uncontended publish path pays one atomic load, no lock.
-	pubMu      sync.Mutex
-	pubCond    *sync.Cond
-	pubWaiters atomic.Int32
+	snapshots snapshotTracker
 
 	// Contention/throughput counters (see Stats).
-	applied          atomic.Int64
-	stripeContention atomic.Int64
-	clockWaits       atomic.Int64
-	gcRuns           atomic.Int64
-	gcPruned         atomic.Int64
+	applied        atomic.Int64
+	lockContention atomic.Int64
+	gcRuns         atomic.Int64
+	gcPruned       atomic.Int64
 }
 
 // Restores returns how many times the store's content was replaced by a
@@ -221,8 +177,7 @@ func (s *Store) Restores() int64 { return s.restores.Load() }
 
 // NewStore creates an empty store with commitTimestamp 0.
 func NewStore() *Store {
-	s := &Store{snapshots: newSnapshotTracker()}
-	s.pubCond = sync.NewCond(&s.pubMu)
+	s := &Store{snapshots: snapshotTracker{counts: make(map[int64]int)}}
 	for i := range s.shards {
 		s.shards[i].boxes = make(map[string]*VBox)
 	}
@@ -293,7 +248,7 @@ func (s *Store) NumBoxes() int {
 // Begin starts a transaction against the current snapshot.
 func (s *Store) Begin(readOnly bool) *Txn {
 	t := &Txn{store: s, readOnly: readOnly}
-	t.snapshot, t.snapShard = s.snapshots.acquire(&s.clock)
+	t.snapshot = s.snapshots.acquire(&s.clock)
 	if !readOnly {
 		t.reads = make(map[string]TxnID)
 		t.writes = make(map[string]Value)
@@ -301,95 +256,16 @@ func (s *Store) Begin(readOnly bool) *Txn {
 	return t
 }
 
-// --- Fine-grained commit pipeline ---------------------------------------------
-
-// lockSet is the set of commit-lock stripes one commit must hold: a bitmap
-// over the stripe array, with a parallel bitmap marking which stripes are
-// taken exclusively (write-set) rather than shared (read-set validation).
-// Acquisition walks the bitmap in ascending stripe order, which gives every
-// committer the same global lock order — the structure is deadlock-free by
-// construction. The zero value is an empty set; it lives on the caller's
-// stack.
-type lockSet struct {
-	mem  [stripeWords]uint64
-	excl [stripeWords]uint64
-}
-
-func (ls *lockSet) add(i int, exclusive bool) {
-	w, b := i>>6, uint(i&63)
-	ls.mem[w] |= 1 << b
-	if exclusive {
-		ls.excl[w] |= 1 << b
-	}
-}
-
-// addWS marks every write-set stripe exclusive. A commit with an empty
-// write-set still advances the clock, so it takes stripe 0: every ticket
-// draw then happens under at least one stripe lock, which is what lets
-// barrier() (Snapshot, Restore) stop the world by locking all stripes.
-func (ls *lockSet) addWS(ws WriteSet) {
-	if len(ws) == 0 {
-		ls.add(0, true)
-		return
-	}
-	for i := range ws {
-		ls.add(stripeIndex(hashID(ws[i].Box)), true)
-	}
-}
-
-// addRS marks read-set stripes shared; stripes already exclusive stay
-// exclusive.
-func (ls *lockSet) addRS(rs ReadSet) {
-	for i := range rs {
-		ls.add(stripeIndex(hashID(rs[i].Box)), false)
-	}
-}
-
-// lock acquires every stripe in the set in ascending index order. Shared
-// members use RLock, exclusive members Lock; acquisitions that find the
-// stripe held are counted as contention.
-func (s *Store) lock(ls *lockSet) {
-	for w := 0; w < stripeWords; w++ {
-		rem := ls.mem[w]
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			rem &^= 1 << uint(b)
-			mu := &s.stripes[w<<6|b]
-			if ls.excl[w]&(1<<uint(b)) != 0 {
-				if !mu.TryLock() {
-					s.stripeContention.Add(1)
-					mu.Lock()
-				}
-			} else {
-				if !mu.TryRLock() {
-					s.stripeContention.Add(1)
-					mu.RLock()
-				}
-			}
-		}
-	}
-}
-
-func (s *Store) unlock(ls *lockSet) {
-	for w := 0; w < stripeWords; w++ {
-		rem := ls.mem[w]
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			rem &^= 1 << uint(b)
-			mu := &s.stripes[w<<6|b]
-			if ls.excl[w]&(1<<uint(b)) != 0 {
-				mu.Unlock()
-			} else {
-				mu.RUnlock()
-			}
-		}
+// lockCommit takes the commit lock, counting acquisitions that find it held.
+func (s *Store) lockCommit() {
+	if !s.commitMu.TryLock() {
+		s.lockContention.Add(1)
+		s.commitMu.Lock()
 	}
 }
 
 // install prepends one version per write-set entry, all tagged ts. The
-// caller holds every write-set stripe exclusively, so per-box histories stay
-// newest-first: any two commits writing the same box serialize on its
-// stripe, and tickets are drawn under the stripes, in lock order.
+// caller holds the commit lock.
 func (s *Store) install(writer TxnID, ws WriteSet, ts int64) {
 	for _, e := range ws {
 		b := s.ensureBox(e.Box)
@@ -399,103 +275,13 @@ func (s *Store) install(writer TxnID, ws WriteSet, ts int64) {
 	}
 }
 
-// publishSpin bounds the optimistic retry loop before a blocked publisher
-// parks on the condvar: on a multicore machine the predecessor is typically
-// between releasing its stripes and its own CAS — nanoseconds away — so a
-// short spin catches it; parking immediately would pay a futex round-trip
-// per out-of-order arrival.
-const publishSpin = 128
-
-// publish advances the published clock from `from` to `to`, waiting its turn
-// in ticket order. Tickets are unique, so exactly one committer can perform
-// each transition; a failed CAS only ever means earlier tickets are still
-// installing. Callers publish after releasing their stripes — a predecessor
-// never needs a successor's locks, so the wait cannot deadlock. Blocked
-// publishers park on pubCond rather than spinning: when GOMAXPROCS exceeds
-// the core count, a spinning successor steals exactly the CPU its
-// predecessor needs to finish installing (a convoy that turns microsecond
-// commits into scheduler-quantum commits).
-func (s *Store) publish(from, to int64) {
-	if !s.clock.CompareAndSwap(from, to) {
-		s.clockWaits.Add(1)
-		for i := 0; ; i++ {
-			if s.clock.CompareAndSwap(from, to) {
-				break
-			}
-			if i >= publishSpin {
-				s.publishSlow(from, to)
-				break
-			}
-		}
-	}
-	// Wake parked successors. The load is racy against a successor that is
-	// between its failed CAS and its waiter registration, but registration
-	// happens under pubMu before re-checking the CAS: such a successor will
-	// observe the already-advanced clock and never sleep.
-	if s.pubWaiters.Load() != 0 {
-		s.pubMu.Lock()
-		s.pubMu.Unlock() //nolint:staticcheck // empty section pairs with Wait
-		s.pubCond.Broadcast()
-	}
-}
-
-// publishSlow parks until the predecessor ticket is published, then performs
-// this ticket's transition. The waiter count is incremented under pubMu
-// before the final CAS re-check, so a predecessor that publishes
-// concurrently either sees the waiter (and broadcasts after acquiring pubMu,
-// i.e. after this goroutine is in Wait) or the re-check succeeds and we
-// never sleep.
-func (s *Store) publishSlow(from, to int64) {
-	s.pubMu.Lock()
-	s.pubWaiters.Add(1)
-	for !s.clock.CompareAndSwap(from, to) {
-		s.pubCond.Wait()
-	}
-	s.pubWaiters.Add(-1)
-	s.pubMu.Unlock()
-	s.pubCond.Broadcast()
-}
-
-// barrier locks every commit stripe (ascending, exclusive) and waits out
-// in-flight clock publications, so the caller observes a store with no
-// half-installed or unpublished commit. With all stripes held no new ticket
-// can be drawn (every draw happens under at least one stripe — see addWS);
-// committers that drew a ticket before the barrier hold no stripes while
-// publishing, so waiting for clock to catch up to ticket cannot deadlock.
-func (s *Store) barrier() {
-	for i := range s.stripes {
-		s.stripes[i].Lock()
-	}
-	s.pubMu.Lock()
-	s.pubWaiters.Add(1)
-	for s.clock.Load() != s.ticket.Load() {
-		s.pubCond.Wait()
-	}
-	s.pubWaiters.Add(-1)
-	s.pubMu.Unlock()
-}
-
-func (s *Store) releaseBarrier() {
-	for i := range s.stripes {
-		s.stripes[i].Unlock()
-	}
-}
-
 // ApplyWriteSet atomically installs ws as a new committed version of every
 // box it touches, tagged with the given writer ID, and advances the commit
 // clock by one. It is used both to commit local transactions and to apply
 // the write-sets of remotely executed transactions (§3, extension iii).
 // It returns the new commit timestamp.
 func (s *Store) ApplyWriteSet(writer TxnID, ws WriteSet) int64 {
-	var ls lockSet
-	ls.addWS(ws)
-	s.lock(&ls)
-	ts := s.ticket.Add(1)
-	s.install(writer, ws, ts)
-	s.unlock(&ls)
-	s.publish(ts-1, ts)
-	s.applied.Add(1)
-	return ts
+	return s.ApplyWriteSets([]TxnWriteSet{{Writer: writer, WS: ws}})
 }
 
 // TxnWriteSet pairs a write-set with the transaction that produced it, for
@@ -505,70 +291,50 @@ type TxnWriteSet struct {
 	WS     WriteSet
 }
 
-// ApplyWriteSets installs a batch of write-sets under a single acquisition
-// of the union of their commit stripes, in order; each write-set still gets
-// its own commit timestamp, and the whole batch becomes visible atomically
-// (the clock jumps over the batch's ticket range in one publication). It
-// returns the timestamp of the last write-set applied (the new commit
-// clock), or the current clock when the batch is empty.
+// ApplyWriteSets installs a batch of write-sets under one acquisition of
+// the commit lock, in order; each write-set still gets its own commit
+// timestamp, and the whole batch becomes visible atomically (the clock is
+// stored once, after the last write-set). It returns the timestamp of the
+// last write-set applied (the new commit clock), or the current clock when
+// the batch is empty.
 func (s *Store) ApplyWriteSets(batch []TxnWriteSet) int64 {
 	if len(batch) == 0 {
 		return s.clock.Load()
 	}
-	var ls lockSet
-	empty := true
-	for i := range batch {
-		for j := range batch[i].WS {
-			ls.add(stripeIndex(hashID(batch[i].WS[j].Box)), true)
-			empty = false
-		}
-	}
-	if empty {
-		ls.add(0, true)
-	}
-	s.lock(&ls)
-	last := s.ticket.Add(int64(len(batch)))
-	ts := last - int64(len(batch))
-	first := ts
+	s.lockCommit()
+	ts := s.clock.Load()
 	for i := range batch {
 		ts++
 		s.install(batch[i].Writer, batch[i].WS, ts)
 	}
-	s.unlock(&ls)
-	// Intermediate tickets belong to this batch alone, so no other committer
-	// waits on them: publishing first -> last in one step is safe and makes
-	// the batch visible atomically.
-	s.publish(first, last)
+	s.clock.Store(ts)
+	s.commitMu.Unlock()
 	s.applied.Add(int64(len(batch)))
-	return last
+	return ts
 }
 
 // ValidateAndApply validates rs against the current store state and, if
-// valid, applies ws in the same critical section: the write-set stripes are
-// held exclusively and the read-set stripes shared from before validation
-// until the versions are installed, so no conflicting commit can interleave.
-// It returns ErrConflict without applying anything when validation fails.
-// This is the linearization point of a locally certified commit.
+// valid, applies ws in the same critical section: the commit lock is held
+// from before validation until the clock is stored, so no other commit can
+// interleave. It returns ErrConflict without applying anything when
+// validation fails. This is the linearization point of a locally certified
+// commit.
 func (s *Store) ValidateAndApply(writer TxnID, snapshot int64, rs ReadSet, ws WriteSet) (int64, error) {
-	var ls lockSet
-	ls.addWS(ws)
-	ls.addRS(rs)
-	s.lock(&ls)
+	s.lockCommit()
+	defer s.commitMu.Unlock()
 	if !s.validate(snapshot, rs) {
-		s.unlock(&ls)
 		return 0, ErrConflict
 	}
-	ts := s.ticket.Add(1)
+	ts := s.clock.Load() + 1
 	s.install(writer, ws, ts)
-	s.unlock(&ls)
-	s.publish(ts-1, ts)
+	s.clock.Store(ts)
 	s.applied.Add(1)
 	return ts, nil
 }
 
 // validate reports whether no read-set entry has a version newer than
 // snapshot. It takes no locks itself; callers needing atomicity with an
-// installation hold the appropriate stripes (ValidateAndApply).
+// installation hold the commit lock (ValidateAndApply).
 func (s *Store) validate(snapshot int64, rs ReadSet) bool {
 	for _, r := range rs {
 		b, ok := s.Box(r.Box)
@@ -682,11 +448,10 @@ func (s *Store) ActiveTxns() int { return s.snapshots.count() }
 // Txn is a transaction. A Txn must be used by a single goroutine; the store
 // itself is safe for any number of concurrent transactions.
 type Txn struct {
-	store     *Store
-	snapshot  int64
-	snapShard int
-	readOnly  bool
-	done      bool
+	store    *Store
+	snapshot int64
+	readOnly bool
+	done     bool
 
 	// reads maps box ID -> writer of the version observed. writes buffers
 	// the transaction's updates (redo log).
@@ -813,91 +578,60 @@ func (t *Txn) Finish() { t.Abort() }
 
 func (t *Txn) finish() {
 	t.done = true
-	t.store.snapshots.release(t.snapshot, t.snapShard)
+	t.store.snapshots.release(t.snapshot)
 }
 
 // snapshotTracker tracks the multiset of active snapshots so GC knows the
-// oldest snapshot any live transaction can read. It is sharded: Begin spreads
-// registrations over the shards round-robin (the Txn remembers which shard it
-// landed in), so the begin/finish accounting of concurrent committers does
-// not funnel through one mutex. min and count scan all shards — they run at
-// GC frequency, not commit frequency.
+// oldest snapshot any live transaction can read.
 type snapshotTracker struct {
-	next   atomic.Uint32
-	shards [snapTrackerShards]snapCountShard
-}
-
-const snapTrackerShards = 32
-
-type snapCountShard struct {
 	mu     sync.Mutex
 	counts map[int64]int
-	_      [40]byte // keep neighbouring shards off one cache line
 }
 
-func newSnapshotTracker() *snapshotTracker {
-	st := &snapshotTracker{}
-	for i := range st.shards {
-		st.shards[i].counts = make(map[int64]int)
-	}
-	return st
+// acquire reads the clock and registers it as an active snapshot. The clock
+// is read under the tracker lock: a snapshot taken from a clock read before
+// the registration could be older than the fallback of a concurrent min,
+// and GC would prune the versions it needs.
+func (st *snapshotTracker) acquire(clock *atomic.Int64) int64 {
+	st.mu.Lock()
+	snap := clock.Load()
+	st.counts[snap]++
+	st.mu.Unlock()
+	return snap
 }
 
-// acquire reads the clock and registers it as an active snapshot, returning
-// the snapshot and the shard index the registration landed in; release must
-// be given both back. The clock is read under the shard lock: a snapshot
-// taken from a clock read before the registration could be older than the
-// fallback of a concurrent min, and GC would prune the versions it needs.
-func (st *snapshotTracker) acquire(clock *atomic.Int64) (snap int64, shard int) {
-	shard = int(st.next.Add(1) % snapTrackerShards)
-	sh := &st.shards[shard]
-	sh.mu.Lock()
-	snap = clock.Load()
-	sh.counts[snap]++
-	sh.mu.Unlock()
-	return snap, shard
-}
-
-func (st *snapshotTracker) release(snap int64, shard int) {
-	sh := &st.shards[shard]
-	sh.mu.Lock()
-	if sh.counts[snap] <= 1 {
-		delete(sh.counts, snap)
+func (st *snapshotTracker) release(snap int64) {
+	st.mu.Lock()
+	if st.counts[snap] <= 1 {
+		delete(st.counts, snap)
 	} else {
-		sh.counts[snap]--
+		st.counts[snap]--
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 }
 
-// min returns the oldest active snapshot, or fallback if none are active.
-// The scan is per-shard, not globally atomic: a transaction registering in a
-// shard after the scan passed it read the clock under that shard's lock, so
-// after the caller read fallback — its snapshot is no older than fallback
-// (the clock never retreats), and the result is always a safe GC watermark.
+// min returns the oldest active snapshot, or fallback if none are active. A
+// transaction registering after the scan read the clock after the caller
+// read fallback, so its snapshot is no older than fallback (the clock never
+// retreats) and the result is always a safe GC watermark.
 func (st *snapshotTracker) min(fallback int64) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	m := fallback
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for snap := range sh.counts {
-			if snap < m {
-				m = snap
-			}
+	for snap := range st.counts {
+		if snap < m {
+			m = snap
 		}
-		sh.mu.Unlock()
 	}
 	return m
 }
 
 func (st *snapshotTracker) count() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.counts {
-			n += c
-		}
-		sh.mu.Unlock()
+	for _, c := range st.counts {
+		n += c
 	}
 	return n
 }
