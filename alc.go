@@ -94,6 +94,12 @@ var (
 // Config parametrizes an in-process cluster (the simulated-network
 // deployment used for development, testing and the paper's experiments; see
 // cmd/alc-node for the TCP deployment).
+//
+// ALC's group commit has no settings: a write-set broadcast while the pipe is
+// idle leaves at once, so an uncontended commit is still the paper's single
+// URB, and later ones coalesce behind it under a fixed window and size caps.
+// Every replica applies a delivered write-set before it handles the next
+// delivery.
 type Config struct {
 	// Replicas is the cluster size. Required.
 	Replicas int
@@ -120,11 +126,6 @@ type Config struct {
 	NetworkLatency time.Duration
 	// NetworkJitter adds uniform extra delay in [0, Jitter).
 	NetworkJitter time.Duration
-	// Batch tunes ALC's group-commit coalescer and parallel apply stage
-	// (batch caps, flush window, worker count). The zero value selects the
-	// defaults; batching itself is not optional — an idle pipe flushes at
-	// once, so an uncontended commit is still the paper's single URB.
-	Batch core.BatchConfig
 }
 
 // Cluster is an in-process replicated STM deployment.
@@ -158,7 +159,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			},
 			BloomFPRate: cfg.BloomFPRate,
 			MaxRetries:  cfg.MaxRetries,
-			Batch:       cfg.Batch,
 		},
 		Net: memnet.Config{Latency: latency, Jitter: cfg.NetworkJitter},
 		GCS: gcs.Config{

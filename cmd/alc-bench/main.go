@@ -107,12 +107,12 @@ var experiments = []experiment{
 		return fmt.Sprintf("Ablation — locality-aware routing: live affinity map vs oblivious placement (n=%d, zipfian s=%.1f over %d pairs)",
 			n, bench.RoutingSkew, bench.RoutingPairs), rows, err
 	}},
-	{"ablation-batch", "group-commit batching + parallel apply (-batch-threads)", func(o options) (string, table, error) {
+	{"ablation-batch", "group-commit batching: commits/s and batch shapes (-batch-threads)", func(o options) (string, table, error) {
 		const n = 4
 		cfg := o.bank
 		cfg.Threads = o.batchThreads
 		rows, err := bench.RunAblationBatch(o.at(n), cfg)
-		return fmt.Sprintf("Ablation — group-commit batching + parallel apply on sharded bank (n=%d, %d threads/replica)",
+		return fmt.Sprintf("Ablation — group-commit batching on sharded bank (n=%d, %d threads/replica)",
 			n, o.batchThreads), bench.BatchRows{AblationRows: rows}, err
 	}},
 }

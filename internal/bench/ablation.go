@@ -139,36 +139,23 @@ func RunAblationBloom(base Params, fpRates []float64, duration time.Duration) (A
 	return rows, nil
 }
 
-// RunAblationBatch characterizes group-commit batching and the parallel apply
-// stage on the sharded high-throughput bank: every replica hosts many
-// concurrent committers on disjoint conflict classes, the regime where the
-// coalescer amortizes one URB message (and its receiver-side admission cost)
-// over many commits. The second variant pins the apply pool to one worker to
-// isolate the parallel-apply share.
+// RunAblationBatch characterizes group-commit batching on the sharded
+// high-throughput bank: every replica hosts many concurrent committers on
+// disjoint conflict classes, the regime where the coalescer amortizes one URB
+// message (and its receiver-side admission cost) over many commits. Its one
+// row reports commits/s and the batch shapes that produced them.
 func RunAblationBatch(base Params, cfg BankConfig) (AblationRows, error) {
 	cfg.Sharded = true
 	if cfg.Threads <= 0 {
 		cfg.Threads = 32
 	}
 	base.Protocol = core.ProtocolALC
-	variants := []struct {
-		name         string
-		applyWorkers int
-	}{
-		{"batched (group commit + parallel apply)", 0},
-		{"batched, single apply worker", 1},
+	const name = "batched (group commit)"
+	res, err := RunBank(base, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bench: ablation-batch %q: %w", name, err)
 	}
-	rows := make(AblationRows, 0, len(variants))
-	for _, v := range variants {
-		p := base
-		p.Batch.ApplyWorkers = v.applyWorkers
-		res, err := RunBank(p, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ablation-batch %q: %w", v.name, err)
-		}
-		rows = append(rows, AblationRow{Variant: v.name, Result: res, Extra: res.Batch.String()})
-	}
-	return rows, nil
+	return AblationRows{{Variant: name, Result: res, Extra: res.Batch.String()}}, nil
 }
 
 // RunAblationLocality quantifies the paper's §6 locality-aware routing idea

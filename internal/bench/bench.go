@@ -68,8 +68,6 @@ type Params struct {
 	// DefaultOrderInterval calibration, negative runs the native (much
 	// faster than the paper's) atomic broadcast, positive overrides.
 	ABCeiling time.Duration
-	// Batch overrides individual group-commit knobs (zero value = defaults).
-	Batch core.BatchConfig
 	// Route wires the locality-aware transaction router (internal/route)
 	// over the cluster: the affinity variant of ablation-routing submits
 	// through Cluster.Submit instead of calling a replica directly.
@@ -116,7 +114,6 @@ func NewCluster(p Params, seed map[string]stm.Value) (*Cluster, error) {
 			},
 			DisablePiggybackCert: p.DisablePiggybackCert,
 			BloomFPRate:          p.BloomFPRate,
-			Batch:                p.Batch,
 		},
 		Net: memnet.Config{Latency: latency, PerMessageCost: DefaultPerMessageCost},
 		GCS: gcs.Config{
@@ -182,19 +179,15 @@ type BatchSummary struct {
 	SizePairs [][2]int64
 	// Flush reason counters (why each batch was sealed).
 	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain int64
-	// ApplyTasks / ApplyMaxParallel describe the parallel apply stage.
-	ApplyTasks       int64
-	ApplyMaxParallel int64
 }
 
 func (b BatchSummary) String() string {
 	if b.Batches == 0 {
 		return "no batches"
 	}
-	return fmt.Sprintf("batches=%d txns=%d mean=%.2f max=%d flushes[idle=%d size=%d bytes=%d window=%d drain=%d] apply[tasks=%d maxpar=%d]",
+	return fmt.Sprintf("batches=%d txns=%d mean=%.2f max=%d flushes[idle=%d size=%d bytes=%d window=%d drain=%d]",
 		b.Batches, b.Txns, b.MeanSize, b.MaxSize,
-		b.FlushIdle, b.FlushSize, b.FlushBytes, b.FlushWindow, b.FlushDrain,
-		b.ApplyTasks, b.ApplyMaxParallel)
+		b.FlushIdle, b.FlushSize, b.FlushBytes, b.FlushWindow, b.FlushDrain)
 }
 
 // counts is a cluster-wide commit/abort total, snapshotted at the start of a
@@ -246,10 +239,6 @@ func summarize(c *Cluster, elapsed time.Duration, before counts) Throughput {
 		batch.FlushBytes += s.Batch.FlushBytes
 		batch.FlushWindow += s.Batch.FlushWindow
 		batch.FlushDrain += s.Batch.FlushDrain
-		batch.ApplyTasks += s.Batch.ApplyTasks
-		if int(s.Batch.ApplyMaxParallel) > int(batch.ApplyMaxParallel) {
-			batch.ApplyMaxParallel = s.Batch.ApplyMaxParallel
-		}
 		for _, pc := range s.Batch.BatchSize.Pairs() {
 			sizeCounts[pc[0]] += pc[1]
 			if int(pc[0]) > batch.MaxSize {

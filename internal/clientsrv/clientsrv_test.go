@@ -58,6 +58,18 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// settledStats returns s's stats once settled reports true for them, or the
+// last sample after a deadline. A worker counts its request completed and
+// out of flight just after writing the response, so a client can read its
+// last reply before the counters move.
+func settledStats(s *Server, settled func(Stats) bool) Stats {
+	st := s.Stats()
+	for deadline := time.Now().Add(5 * time.Second); !settled(st) && time.Now().Before(deadline); st = s.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	return st
+}
+
 func TestClientServerRoundtrip(t *testing.T) {
 	s := newTestServer(t, Config{Backend: newMapBackend()})
 	c := Dial(ClientConfig{Addr: s.Addr(), Conns: 2})
@@ -79,7 +91,7 @@ func TestClientServerRoundtrip(t *testing.T) {
 		t.Fatalf("Get = (%d, %v), want (42, nil)", v, err)
 	}
 
-	st := s.Stats()
+	st := settledStats(s, func(st Stats) bool { return st.Completed >= 5 })
 	if st.Conns == 0 || st.Admitted < 5 || st.Completed < 5 || st.Shed != 0 {
 		t.Fatalf("stats after happy path: %+v", st)
 	}
@@ -205,14 +217,9 @@ func TestShedDeterministic(t *testing.T) {
 	if err := c.Set("after-drain", 1); err != nil {
 		t.Fatalf("Set after drain: %v", err)
 	}
-	st := s.Stats()
+	st := settledStats(s, func(st Stats) bool { return st.Inflight == 0 })
 	if st.Shed == 0 {
 		t.Fatalf("stats recorded no shed: %+v", st)
-	}
-	// A request leaves inflight just after its response is written, so the
-	// client can read the last response first.
-	for deadline := time.Now().Add(5 * time.Second); st.Inflight != 0 && time.Now().Before(deadline); st = s.Stats() {
-		time.Sleep(time.Millisecond)
 	}
 	if st.Inflight != 0 {
 		t.Fatalf("inflight = %d after drain, want 0", st.Inflight)
@@ -321,7 +328,7 @@ func TestOverloadSoak(t *testing.T) {
 	t.Logf("baseline %.0f/s (shed %d), overload %.0f/s (shed %d)",
 		baseRate, baseShed, overRate, overShed)
 
-	st := s.Stats()
+	st := settledStats(s, func(st Stats) bool { return st.Inflight == 0 })
 	if st.Inflight != 0 {
 		t.Fatalf("inflight = %d after soak, want 0", st.Inflight)
 	}

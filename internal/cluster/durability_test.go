@@ -413,10 +413,10 @@ func rejoinsByFullTransfer(t *testing.T, write func(dir string)) {
 }
 
 // TestDurableCloseUnderApplyLoad closes a durable replica while remote
-// write-sets are still flowing into its apply stage. Close must wait the
-// apply workers out before it closes the WAL: a worker that outlives the log
-// handle either dereferences it after it is gone or counts a spurious
-// durability fault appending to the closed log.
+// write-sets are still being delivered and applied. Close must stop the
+// dispatcher, which applies them, before it closes the WAL: an apply that
+// outlives the log handle either dereferences it after it is gone or counts
+// a spurious durability fault appending to the closed log.
 func TestDurableCloseUnderApplyLoad(t *testing.T) {
 	const committersPerReplica = 8
 	seed := make(map[string]stm.Value)

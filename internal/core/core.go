@@ -98,9 +98,6 @@ type Config struct {
 	// discarded). Zero selects the default of 4096; negative disables
 	// automatic GC (Store.GC can still be called manually).
 	GCEvery int
-	// Batch tunes the group-commit coalescer and the parallel apply stage
-	// (ALC only; CERT applies in the total order, on the dispatcher).
-	Batch BatchConfig
 	// Shards is ignored: a replica always runs one lease/broadcast group.
 	//
 	// Deprecated: kept only so benchmark/ compiles until its follow-up change
@@ -127,7 +124,6 @@ func (c *Config) fillDefaults() {
 	if c.Lease.Tracer == nil {
 		c.Lease.Tracer = c.Tracer
 	}
-	c.Batch.fillDefaults()
 }
 
 // Stats is a point-in-time snapshot of a replica's protocol counters. All
@@ -235,15 +231,11 @@ type QueueStats struct {
 	// LeaseWaiters is the number of lease acquisitions currently blocked
 	// waiting for enablement.
 	LeaseWaiters int64
-	// ApplyBacklog is the number of delivered apply tasks (batches) not yet
-	// fully applied.
-	ApplyBacklog int64
 	// GCS is the group-communication endpoint's queue depths.
 	GCS gcs.QueueStats
 }
 
-// BatchStats describes the group-commit coalescer and the parallel apply
-// stage.
+// BatchStats describes the group-commit coalescer.
 type BatchStats struct {
 	// Batches is the number of write-set batches URB-broadcast; BatchedTxns
 	// is the number of transactions they carried.
@@ -252,15 +244,10 @@ type BatchStats struct {
 	// BatchSize is the distribution of transactions per batch.
 	BatchSize metrics.IntDistSnapshot
 	// Flush counters, by trigger: idle pipe (no batch in flight — broadcast
-	// immediately, zero added latency), the MaxTxns/maxBatchBytes caps, the
-	// MaxDelay window, and drain (previous batch self-delivered with entries
+	// immediately, zero added latency), the transaction and byte caps, the
+	// 200µs window, and drain (previous batch self-delivered with entries
 	// pending).
 	FlushIdle, FlushSize, FlushBytes, FlushWindow, FlushDrain int64
-	// ApplyTasks counts apply-stage executions (batches, not transactions);
-	// ApplyMaxParallel is the high-watermark of concurrently running apply
-	// workers.
-	ApplyTasks       int64
-	ApplyMaxParallel int64
 }
 
 // AbortRate returns aborts / (aborts + commits).
@@ -297,11 +284,9 @@ type Replica struct {
 	toOrd atomic.Int64
 
 	// Commit pipeline: the in-flight table serializes intersecting local
-	// committers (see inflightTable for the lost-update invariant),
-	// the coalescer batches their write-set broadcasts, and the scheduler
-	// applies delivered write-sets on a worker pool.
+	// committers (see inflightTable for the lost-update invariant) and the
+	// coalescer batches their write-set broadcasts.
 	inflight *inflightTable
-	sched    *applyScheduler
 
 	// seqMu makes {TxnID allocation; write-set enqueue} atomic per replica,
 	// so the URB channel carries this replica's write-sets in ascending Seq
@@ -320,7 +305,6 @@ type Replica struct {
 
 	txnSeq  atomic.Uint64
 	applies atomic.Int64 // applied write-sets since the last automatic GC
-	gcMu    sync.Mutex   // keeps version-history collections serial
 	primary atomic.Bool
 	stopped atomic.Bool
 
@@ -381,7 +365,6 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 		return nil, err
 	}
 	r.dur = dur
-	r.sched = newApplyScheduler(cfg.Batch.ApplyWorkers)
 	if !gcsCfg.Joining {
 		// An initial member's store is complete by definition (empty or
 		// seeded, never behind the group), so its frontier is advertisable.
@@ -392,12 +375,11 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 		}
 	}
 	r.toOrd.Store(toFrontierOf(r.dur.advertise())) // the recovered TO commit clock
-	r.coal = newCoalescer(r, cfg.Batch)
+	r.coal = newCoalescer(r)
 
 	gcsCfg.JoinFrontier = r.dur.advertise
 	ep, err := gcs.NewEndpoint(tr, &gcsHandler{r}, gcsCfg)
 	if err != nil {
-		r.sched.close()
 		r.dur.close()
 		return nil, fmt.Errorf("core: gcs endpoint: %w", err)
 	}
@@ -457,10 +439,6 @@ func (r *Replica) Stats() Stats {
 	}
 	s.Aborts = s.AbortCauses.Early + s.AbortCauses.Final + s.AbortCauses.Payload + s.AbortCauses.Deadlock
 	s.Batch.Batches = s.Batch.BatchSize.Count()
-	tasks, maxPar := r.sched.stats()
-	s.Batch.ApplyTasks = tasks
-	s.Batch.ApplyMaxParallel = int64(maxPar)
-	s.Queues.ApplyBacklog = int64(r.sched.backlog())
 	s.Stages = StageStats{
 		Execution:     r.stageExec.Snapshot(),
 		LeaseWait:     r.stageLeaseWait.Snapshot(),
@@ -505,10 +483,7 @@ func (r *Replica) Close() error {
 	r.inflight.reset()
 	r.lm.Close()
 	err := r.ep.Close()
-	// The dispatcher has exited: no further submissions. Wait for the
-	// workers to finish the queue and terminate.
-	r.sched.close()
-	// After dispatcher and workers are gone nothing appends: final fsync.
+	// After the dispatcher is gone nothing appends: final fsync.
 	r.dur.close()
 	return err
 }
@@ -547,19 +522,14 @@ func (r *Replica) advanceTO(ord int64) {
 }
 
 // maybeGC prunes version histories after every cfg.GCEvery applied
-// write-sets. With the parallel apply stage this can run concurrently with
-// other applies: that is safe — applies only prepend versions newer than the
-// GC watermark, and gcMu keeps collections themselves serial — but only one
-// collection runs at a time (TryLock) so workers never queue up on GC.
+// write-sets. Every apply, and so every caller, runs on the dispatcher:
+// collections are serial by construction.
 func (r *Replica) maybeGC() {
 	if r.cfg.GCEvery <= 0 {
 		return
 	}
 	if r.applies.Add(1)%int64(r.cfg.GCEvery) == 0 {
-		if r.gcMu.TryLock() {
-			r.store.GC()
-			r.gcMu.Unlock()
-		}
+		r.store.GC()
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,8 +17,8 @@ import (
 
 // Integration coverage for the replication managers lives in
 // internal/cluster; this file unit-tests the package's pure pieces and the
-// commit pipeline's building blocks (apply scheduler, in-flight table,
-// commit waiter) in isolation.
+// commit pipeline's building blocks (in-flight table, commit waiter, the
+// delivery-time apply) in isolation.
 
 func TestProtocolString(t *testing.T) {
 	if ProtocolALC.String() != "ALC" || ProtocolCert.String() != "CERT" {
@@ -197,192 +197,6 @@ func stillBlocked(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// gatedTask returns a task that signals started, then blocks until release is
-// closed, then appends name to order.
-func gatedTask(name string, classes []lease.ConflictClass, sender transport.ID,
-	release <-chan struct{}, mu *sync.Mutex, order *[]string) (*applyTask, <-chan struct{}) {
-	started := make(chan struct{})
-	return &applyTask{classes: classes, sender: sender, run: func() {
-		close(started)
-		<-release
-		mu.Lock()
-		*order = append(*order, name)
-		mu.Unlock()
-	}}, started
-}
-
-func TestApplySchedulerOrdersDependentTasks(t *testing.T) {
-	open := make(chan struct{})
-	close(open)
-	tests := []struct {
-		name                string
-		secondCls           []lease.ConflictClass
-		secondSender        transport.ID
-		wantDependsOnFirst  bool
-		wantConcurrentStart bool
-	}{
-		{"intersecting classes", []lease.ConflictClass{1, 7}, 2, true, false},
-		{"same sender", []lease.ConflictClass{9}, 1, true, false},
-		{"disjoint classes, other sender", []lease.ConflictClass{9}, 2, false, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			s := newApplyScheduler(4)
-			defer s.close()
-			var (
-				mu      sync.Mutex
-				order   []string
-				release = make(chan struct{})
-			)
-			first, firstStarted := gatedTask("first", []lease.ConflictClass{1}, 1, release, &mu, &order)
-			second, secondStarted := gatedTask("second", tt.secondCls, tt.secondSender, open, &mu, &order)
-			s.submit(first)
-			within(t, firstStarted, "first task to start")
-			s.submit(second)
-
-			if tt.wantDependsOnFirst {
-				stillBlocked(t, secondStarted, "dependent task started while its predecessor was still running")
-			}
-			if tt.wantConcurrentStart {
-				within(t, secondStarted, "independent task to start beside the running one")
-			}
-			close(release)
-			s.drain()
-
-			mu.Lock()
-			defer mu.Unlock()
-			if len(order) != 2 {
-				t.Fatalf("completed %v, want both tasks", order)
-			}
-			if tt.wantDependsOnFirst && order[0] != "first" {
-				t.Fatalf("completion order = %v, want submission order", order)
-			}
-			if tasks, maxPar := s.stats(); tasks != 2 || (tt.wantConcurrentStart && maxPar < 2) {
-				t.Fatalf("stats = (%d tasks, %d max parallel)", tasks, maxPar)
-			}
-		})
-	}
-}
-
-func TestApplySchedulerDrainWaitsForRunningTask(t *testing.T) {
-	s := newApplyScheduler(2)
-	defer s.close()
-	var (
-		mu      sync.Mutex
-		order   []string
-		release = make(chan struct{})
-	)
-	task, started := gatedTask("task", []lease.ConflictClass{1}, 1, release, &mu, &order)
-	s.submit(task)
-	within(t, started, "task to start")
-
-	drained := make(chan struct{})
-	go func() { s.drain(); close(drained) }()
-	stillBlocked(t, drained, "drain returned while a task was running")
-	if got := s.backlog(); got != 1 {
-		t.Fatalf("backlog = %d, want 1", got)
-	}
-	close(release)
-	within(t, drained, "drain after the task finished")
-	if got := s.backlog(); got != 0 {
-		t.Fatalf("backlog after drain = %d, want 0", got)
-	}
-}
-
-// TestApplySchedulerDrainDoesNotTakeWorkerWakeups: a task that becomes ready
-// wakes one parked worker, never a drainer in its place, and a drain blocked
-// behind a running task returns once it finishes while the other workers stay
-// parked. The drainer starts waiting before the second worker parks, and
-// nothing wakes either in between, so on a cond shared by both the drainer
-// would be first in line for the next task's wake-up.
-func TestApplySchedulerDrainDoesNotTakeWorkerWakeups(t *testing.T) {
-	s := newApplyScheduler(2)
-	defer s.close()
-	var (
-		mu                 sync.Mutex
-		order              []string
-		release0, release1 = make(chan struct{}), make(chan struct{})
-		free0, free1       sync.Once // a failing test still lets close return
-		open               = make(chan struct{})
-	)
-	defer free0.Do(func() { close(release0) })
-	defer free1.Do(func() { close(release1) })
-	close(open)
-	long, longStarted := gatedTask("long", []lease.ConflictClass{1}, 1, release0, &mu, &order)
-	short, shortStarted := gatedTask("short", []lease.ConflictClass{2}, 2, release1, &mu, &order)
-	behind, _ := gatedTask("behind-long", []lease.ConflictClass{1}, 3, open, &mu, &order)
-	s.submit(long)
-	s.submit(short)
-	s.submit(behind) // queued until long finishes
-	within(t, longStarted, "first task to start")
-	within(t, shortStarted, "second task to start")
-
-	drained := make(chan struct{})
-	go func() { s.drain(); close(drained) }()
-	stillBlocked(t, drained, "drain returned while a task was running")
-	free1.Do(func() { close(release1) })
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		running := s.running
-		s.mu.Unlock()
-		if running == 1 {
-			break // the second worker has parked again
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the second task never finished")
-		}
-	}
-
-	late, lateStarted := gatedTask("late", []lease.ConflictClass{3}, 4, open, &mu, &order)
-	s.submit(late)
-	within(t, lateStarted, "a task submitted while a drainer waits to start")
-	stillBlocked(t, drained, "drain returned while a task was running")
-
-	free0.Do(func() { close(release0) })
-	within(t, drained, "drain after every task finished")
-	s.mu.Lock()
-	running, ready := s.running, len(s.ready)
-	s.mu.Unlock()
-	if running != 0 || ready != 0 {
-		t.Fatalf("after the drains: %d running, %d ready, want every worker parked", running, ready)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 4 {
-		t.Fatalf("completed %v, want all four tasks", order)
-	}
-}
-
-// TestApplySchedulerCloseWaitsForWorkers: close must not return while a task
-// is running or queued — Replica.Close relies on it to close the WAL only
-// after the last applyEntries returned.
-func TestApplySchedulerCloseWaitsForWorkers(t *testing.T) {
-	s := newApplyScheduler(2)
-	var (
-		release  = make(chan struct{})
-		finished atomic.Int32
-	)
-	started := make(chan struct{})
-	s.submit(&applyTask{classes: []lease.ConflictClass{1}, sender: 1, run: func() {
-		close(started)
-		<-release
-		finished.Add(1)
-	}})
-	// Queued behind the running task (same class): must still run before
-	// close returns.
-	s.submit(&applyTask{classes: []lease.ConflictClass{1}, sender: 2, run: func() { finished.Add(1) }})
-	within(t, started, "task to start")
-
-	closed := make(chan struct{})
-	go func() { s.close(); close(closed) }()
-	stillBlocked(t, closed, "close returned while a task was still running")
-	close(release)
-	within(t, closed, "close after the queue ran dry")
-	if got := finished.Load(); got != 2 {
-		t.Fatalf("%d tasks finished before close returned, want 2", got)
-	}
-}
-
 func TestInflightReserveBlocksOnIntersection(t *testing.T) {
 	tbl := newInflightTable()
 	alive := func() bool { return true }
@@ -500,5 +314,63 @@ func TestCommitWaiter(t *testing.T) {
 	_ = r.Close()
 	if err, ok := fired(ch); !ok || !errors.Is(err, ErrStopped) {
 		t.Fatalf("after Close: fired=%t err=%v, want true/ErrStopped", ok, err)
+	}
+}
+
+// TestURDeliverAppliesBeforeReturning pins the apply contract: when
+// OnURDeliver returns from a write-set batch, every write-set is in the
+// store, the local committer's waiter has its outcome and its in-flight
+// reservation is released. Whatever the dispatcher handles next — a lease
+// release, a view change, a state snapshot — sees everything delivered
+// before it.
+func TestURDeliverAppliesBeforeReturning(t *testing.T) {
+	r := newTestReplica(t)
+	if err := r.WaitForView(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Stop the dispatcher: the test goroutine takes its place.
+	if err := r.ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A batch large enough that an apply handed to another goroutine could
+	// not finish before the checks below run.
+	var entries []applyWSEntry
+	for i := 1; i <= 256; i++ {
+		entries = append(entries, applyWSEntry{
+			TxnID: stm.TxnID{Replica: 1, Seq: uint64(i)},
+			WS:    stm.WriteSet{{Box: fmt.Sprintf("remote-%d", i), Value: i}},
+		})
+	}
+	own := r.nextTxnID()
+	ownWS := stm.WriteSet{{Box: "own", Value: "mine"}}
+	cls := r.wsClasses(ownWS)
+	if !r.inflight.reserve(nil, cls, r.alive) {
+		t.Fatal("reservation refused")
+	}
+	outcome := r.registerWaiter(own)
+	entries = append(entries, applyWSEntry{TxnID: own, WS: ownWS})
+
+	(&gcsHandler{r}).OnURDeliver(1, &applyWSBatchMsg{Entries: entries})
+
+	for _, e := range entries {
+		if w, ok := r.store.HeadWriter(e.WS[0].Box); !ok || w != e.TxnID {
+			t.Fatalf("box %s: head writer %v (exists %t) when OnURDeliver returned, want %v",
+				e.WS[0].Box, w, ok, e.TxnID)
+		}
+	}
+	select {
+	case err := <-outcome:
+		if err != nil {
+			t.Fatalf("local commit outcome = %v, want nil", err)
+		}
+	default:
+		t.Fatal("local waiter unresolved when OnURDeliver returned")
+	}
+	r.inflight.mu.Lock()
+	held := r.inflight.intersects(cls)
+	r.inflight.mu.Unlock()
+	if held {
+		t.Fatal("in-flight reservation still held when OnURDeliver returned")
 	}
 }

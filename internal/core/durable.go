@@ -174,8 +174,8 @@ func walPayloadEnd(r *wire.Reader, err error) error {
 // replica w. It is the replica-independent progress marker deltas are keyed
 // on: commit timestamps diverge across replicas (each store numbers its own
 // commits), but writer sequence numbers are assigned once, by the writer,
-// and per-writer application order is FIFO (causal URB + the apply
-// scheduler's per-sender ordering), so the frontier is monotone and exactly
+// and per-writer application order is FIFO (causal URB, applied in delivery
+// order on the dispatcher), so the frontier is monotone and exactly
 // characterizes "which URB transactions has this store absorbed".
 //
 // The TO lane is keyed on an ordinal every replica agrees on: CERT's commit
@@ -547,10 +547,9 @@ func (d *durable) pushRetainedLocked(e applyWSEntry) {
 // order, so advancing it would make receivers drop the writer's own earlier
 // URB messages still in flight.
 //
-// Filtering and frontier advance happen under one lock acquisition; ordering
-// across conflicting batches is inherited from the apply scheduler (a
-// conflicting batch's append+apply fully precedes the next one's), so log
-// order is conflict-consistent with store order.
+// Filtering and frontier advance happen under one lock acquisition; every
+// append+apply runs on the dispatcher, one after another in delivery order,
+// so log order is store order.
 func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
 	d.mu.Lock()
 	sh := &d.applied
@@ -789,8 +788,7 @@ func (d *durable) installFull(f map[transport.ID]uint64, toAbove []int64, store 
 
 // close flushes and closes the log (final fsync under always/interval). The
 // caller guarantees no applier is running or can start (Replica.Close stops
-// the dispatchers and waits out the apply workers first), so nothing appends
-// to the closed handle.
+// the dispatcher first), so nothing appends to the closed handle.
 func (d *durable) close() {
 	d.mu.Lock()
 	log := d.log

@@ -30,15 +30,12 @@ func (h *gcsHandler) OnOptDeliver(from transport.ID, body any) {
 }
 
 // OnTODeliver routes totally ordered messages: lease requests to the lease
-// manager, certification messages to the CERT validator. Lease handling reads
-// the store (piggybacked certification, lease handover), so the apply stage
-// is drained first: everything delivered earlier is fully applied.
+// manager, certification messages to the CERT validator.
 func (h *gcsHandler) OnTODeliver(from transport.ID, body any) {
 	r := h.r
 	r.confirmView()
 	switch m := body.(type) {
 	case *lease.Request:
-		r.sched.drain()
 		r.lm.HandleRequestTO(m)
 		r.resolvePayloads()
 	case *certMsg:
@@ -47,18 +44,18 @@ func (h *gcsHandler) OnTODeliver(from transport.ID, body any) {
 	r.maybeDurableSnapshot()
 }
 
-// OnURDeliver routes causally ordered messages: write-set applications and
-// lease releases.
+// OnURDeliver routes causally ordered messages: write-set applications (the
+// paper's commitRemoteXact; for the replica's own transactions, the commit
+// confirmation) and lease releases. A batch is applied here, before the next
+// delivery, so every write-set a released lease covered is in the store when
+// the lease moves on.
 func (h *gcsHandler) OnURDeliver(from transport.ID, body any) {
 	r := h.r
 	r.confirmView()
 	switch m := body.(type) {
 	case *applyWSBatchMsg:
-		r.enqueueApply(from, m.Entries)
+		r.applyEntries(m.Entries, true)
 	case *lease.Freed:
-		// A lease may only move to its next holder after every write-set
-		// it covered is applied: drain before the release.
-		r.sched.drain()
 		r.lm.HandleFreed(m)
 		r.resolvePayloads()
 	}
@@ -101,7 +98,6 @@ func (r *Replica) maybeDurableSnapshot() {
 // OnViewChange installs the group's new membership.
 func (h *gcsHandler) OnViewChange(v gcs.View) {
 	r := h.r
-	r.sched.drain()
 	r.viewMu.Lock()
 	r.view = v
 	r.viewMu.Unlock()
@@ -126,7 +122,6 @@ func (h *gcsHandler) OnViewChange(v gcs.View) {
 func (h *gcsHandler) OnEjected() {
 	r := h.r
 	r.primary.Store(false)
-	r.sched.drain()
 	r.lm.HandleEjected()
 	// Order matters: with primary already false, a committer that enqueues
 	// after this fail is rejected by the coalescer itself, so no stale
@@ -143,7 +138,6 @@ func (h *gcsHandler) OnEjected() {
 // is taken under the apply barrier, so it matches the frontier exactly.
 func (h *gcsHandler) StateSnapshot() any {
 	r := h.r
-	r.sched.drain()
 	r.dur.applyMu.Lock()
 	snap := r.store.Snapshot()
 	frontier, toAbove := r.dur.cut()
@@ -179,7 +173,6 @@ func wireSize(st any) int64 {
 // (gcs.DeltaProvider).
 func (h *gcsHandler) StateDelta(f map[transport.ID]uint64) (any, bool) {
 	r := h.r
-	r.sched.drain()
 	entries, ok := r.dur.delta(f)
 	if !ok {
 		return nil, false
@@ -204,7 +197,6 @@ func (h *gcsHandler) InstallState(state any) {
 	r := h.r
 	switch st := state.(type) {
 	case *xferState:
-		r.sched.drain()
 		// Anything still queued locally predates the transferred state and is
 		// void (the joiner's waiters were already failed at ejection).
 		r.coal.fail(ErrEjected)
@@ -217,7 +209,6 @@ func (h *gcsHandler) InstallState(state any) {
 		r.dur.installFull(st.Frontier, st.TOAbove, r.store)
 		r.lm.InstallState(st.Leases)
 	case *xferDelta:
-		r.sched.drain()
 		r.coal.fail(ErrEjected)
 		r.inflight.reset()
 		// applyEntries runs the normal apply path: the durability filter
@@ -241,25 +232,6 @@ func (h *gcsHandler) InstallState(state any) {
 // is unchanged).
 func toFrontierOf(f map[transport.ID]uint64) int64 {
 	return int64(f[transport.Nobody])
-}
-
-// enqueueApply hands UR-delivered write-sets (the paper's commitRemoteXact;
-// for the replica's own transactions, the commit confirmation) to the
-// parallel apply stage. Entries of one message apply in order; messages of
-// one sender or with intersecting conflict classes apply in delivery order;
-// everything else runs concurrently on the worker pool.
-func (r *Replica) enqueueApply(from transport.ID, entries []applyWSEntry) {
-	boxes := make([]string, 0, len(entries)*2)
-	for _, e := range entries {
-		for _, w := range e.WS {
-			boxes = append(boxes, w.Box)
-		}
-	}
-	r.sched.submit(&applyTask{
-		classes: r.classes(boxes),
-		sender:  from,
-		run:     func() { r.applyEntries(entries, true) },
-	})
 }
 
 // applyEntries installs a delivered batch under one acquisition of the

@@ -277,8 +277,6 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.Batch.Batches })
 	counter("alc_batched_txns_total", "Transactions carried by write-set batches.",
 		func(s repSample) int64 { return s.stats.Batch.BatchedTxns })
-	counter("alc_apply_tasks_total", "Apply-stage executions (batches).",
-		func(s repSample) int64 { return s.stats.Batch.ApplyTasks })
 	counter("alc_stm_applied_total", "Write-sets committed into the local store (local + remote).",
 		func(s repSample) int64 { return s.stats.STM.Applied })
 	counter("alc_stm_stripe_contention_total", "Store commit-lock acquisitions that had to block.",
@@ -434,7 +432,6 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		}{
 			{"coalescer", q.CoalescerPending},
 			{"lease_waiters", q.LeaseWaiters},
-			{"apply_backlog", q.ApplyBacklog},
 			{"gcs_outbox", int64(q.GCS.Outbox)},
 			{"gcs_urb_pending", int64(q.GCS.URBPending)},
 			{"gcs_urb_retained", int64(q.GCS.URBRetained)},

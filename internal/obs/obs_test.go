@@ -295,8 +295,8 @@ func TestObsEndpointMetrics(t *testing.T) {
 		}
 	}
 
-	// Every replica exposes all eight queue-depth gauges.
-	queues := []string{"coalescer", "lease_waiters", "apply_backlog", "gcs_outbox",
+	// Every replica exposes these seven queue-depth gauges.
+	queues := []string{"coalescer", "lease_waiters", "gcs_outbox",
 		"gcs_urb_pending", "gcs_urb_retained", "gcs_seq_queue", "gcs_dispatch"}
 	for _, r := range []string{"r0", "r1", "r2"} {
 		for _, q := range queues {

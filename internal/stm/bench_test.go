@@ -199,8 +199,7 @@ func BenchmarkStoreCommitContended(b *testing.B) {
 }
 
 // BenchmarkStoreApplyDisjointBatches measures the remote-apply path under
-// parallelism: concurrent ApplyWriteSets calls over disjoint key ranges, the
-// store-side shape of PR1's parallel apply stage.
+// parallelism: concurrent ApplyWriteSets calls over disjoint key ranges.
 func BenchmarkStoreApplyDisjointBatches(b *testing.B) {
 	s := NewStore()
 	const perBatch = 8

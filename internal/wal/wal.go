@@ -193,15 +193,30 @@ type Options struct {
 // Log is an append-only record log. Appends issue one write syscall per
 // record (no user-space buffering, so a killed process loses nothing that
 // was appended) and are forced to stable storage per the configured policy.
+//
+// At most one fsync runs at a time. A Sync that finds one in flight waits
+// for it and then fsyncs only if its own writes are still not covered, so
+// concurrent appenders share fsyncs and none returns before its record is
+// durable. A failed fsync's error is sticky: the kernel may have dropped the
+// dirty pages, so no later Sync can prove anything durable again.
 type Log struct {
-	mu     sync.Mutex
-	f      *os.File
-	opts   Options
-	dirty  bool
-	size   int64
-	closed bool
-	stop   chan struct{}
-	done   chan struct{}
+	mu   sync.Mutex
+	cond *sync.Cond // signalled when an fsync finishes
+	f    *os.File
+	opts Options
+	// written and synced are logical log positions: written grows by one at
+	// every append and truncation (it never moves back, Reset included);
+	// synced is the value written had when the last successful fsync began.
+	written, synced int64
+	syncing         bool  // an fsync is in flight
+	err             error // the first failed fsync's error
+	size            int64
+	closed          bool
+	stop            chan struct{}
+	done            chan struct{}
+	// fsync forces f to stable storage; tests substitute it to hold or fail
+	// an fsync.
+	fsync func(*os.File) error
 }
 
 // OpenLog opens (creating if needed) the log at path for appending,
@@ -230,7 +245,8 @@ func OpenLog(path string, validSize int64, opts Options) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
 	}
-	l := &Log{f: f, opts: opts, size: validSize}
+	l := &Log{f: f, opts: opts, size: validSize, fsync: (*os.File).Sync}
+	l.cond = sync.NewCond(&l.mu)
 	if opts.Policy == PolicyInterval {
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
@@ -250,7 +266,7 @@ func (l *Log) syncLoop() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			dirty := l.dirty && !l.closed
+			dirty := l.written > l.synced && !l.closed && l.err == nil
 			l.mu.Unlock()
 			if dirty {
 				_ = l.Sync()
@@ -273,34 +289,53 @@ func (l *Log) Append(payload []byte) (int, error) {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.size += int64(len(frame))
-	l.dirty = true
+	l.written++
+	pos := l.written
 	l.mu.Unlock()
 	if l.opts.Policy == PolicyAlways {
-		if err := l.Sync(); err != nil {
+		if err := l.syncTo(pos); err != nil {
 			return 0, err
 		}
 	}
 	return len(frame), nil
 }
 
-// Sync forces appended records to stable storage.
+// Sync forces every record appended so far to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	if l.closed || !l.dirty {
-		l.mu.Unlock()
-		return nil
+	pos := l.written
+	l.mu.Unlock()
+	return l.syncTo(pos)
+}
+
+// syncTo returns once log position pos is durable, or with the sticky fsync
+// error. It waits out an fsync in flight (whose outcome it must see) and
+// issues one of its own only if that fsync did not cover pos.
+func (l *Log) syncTo(pos int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.syncing {
+		l.cond.Wait()
 	}
-	l.dirty = false
-	f := l.f
+	if l.err != nil || l.closed || l.synced >= pos {
+		return l.err
+	}
+	l.syncing = true
+	upTo, f := l.written, l.f
 	l.mu.Unlock()
 	start := time.Now()
-	err := f.Sync()
+	err := l.fsync(f)
 	if l.opts.OnFsync != nil {
 		l.opts.OnFsync(time.Since(start))
 	}
+	l.mu.Lock()
+	l.syncing = false
+	l.cond.Broadcast()
 	if err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		l.err = fmt.Errorf("wal: fsync: %w", err)
+		return l.err
 	}
+	l.synced = upTo
 	return nil
 }
 
@@ -327,7 +362,7 @@ func (l *Log) Reset() error {
 		return fmt.Errorf("wal: reset seek: %w", err)
 	}
 	l.size = 0
-	l.dirty = true
+	l.written++
 	return nil
 }
 
@@ -345,10 +380,12 @@ func (l *Log) Close() error {
 	}
 	_ = l.Sync()
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.syncing {
+		l.cond.Wait()
+	}
 	l.closed = true
-	err := l.f.Close()
-	l.mu.Unlock()
-	return err
+	return l.f.Close()
 }
 
 // WriteSnapshot durably replaces the snapshot file in dir with the framed

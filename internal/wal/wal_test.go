@@ -3,9 +3,11 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -351,5 +353,52 @@ func TestDecodeRecordTrailing(t *testing.T) {
 	payload, n, ok := DecodeRecord(append(frame, 0xEE))
 	if !ok || n != len(frame) || !bytes.Equal(payload, []byte("abc")) {
 		t.Fatalf("DecodeRecord = (%q, %d, %v)", payload, n, ok)
+	}
+}
+
+// TestConcurrentSyncWaitsForFsyncInFlight holds one fsync and appends beside
+// it under PolicyAlways: the second Append must not return while the first
+// fsync is running, and when that fsync fails, both appenders and every later
+// Sync must see its error.
+func TestConcurrentSyncWaitsForFsyncInFlight(t *testing.T) {
+	l := openTestLog(t, t.TempDir(), 0, Options{Policy: PolicyAlways})
+	injected := errors.New("injected fsync failure")
+	held, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	l.fsync = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			close(held)
+			<-release
+			return injected
+		}
+		return f.Sync()
+	}
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := l.Append([]byte("first")); first <- err }()
+	<-held
+	go func() { _, err := l.Append([]byte("second")); second <- err }()
+	select {
+	case err := <-second:
+		t.Fatalf("second Append returned %v while the first fsync was still running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	for name, ch := range map[string]chan error{"first": first, "second": second} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, injected) {
+				t.Fatalf("%s Append = %v, want the failed fsync's error", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s Append never returned", name)
+		}
+	}
+	if err := l.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("Sync after a failed fsync = %v, want the sticky error", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d fsyncs issued, want 1: nothing can be made durable after a failure", n)
 	}
 }

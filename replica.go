@@ -152,16 +152,15 @@ type Stats struct {
 	RetriesPerTxn metrics.IntDistSnapshot
 	// CommitLatency is the distribution of commit-phase durations.
 	CommitLatency metrics.HistogramSnapshot
-	// Batch describes the group-commit coalescer and the parallel apply
-	// stage (ALC).
+	// Batch describes the group-commit coalescer (ALC).
 	Batch core.BatchStats
 	// Stages decomposes the update-commit path into per-stage latency
 	// histograms: execution, lease wait, certification, coalescer residency,
 	// URB broadcast-to-delivery, and apply.
 	Stages core.StageStats
 	// Queues samples the instantaneous depths of the commit pipeline's
-	// queues (coalescer backlog, blocked lease waiters, apply backlog, and
-	// the group-communication endpoint's internal queues).
+	// queues (coalescer backlog, blocked lease waiters, and the
+	// group-communication endpoint's internal queues).
 	Queues core.QueueStats
 }
 
