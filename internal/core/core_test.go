@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
+	"github.com/alcstm/alc/internal/wal"
 )
 
 // Integration coverage for the replication managers lives in
@@ -262,12 +264,17 @@ func TestInflightResetWakesWaitersDead(t *testing.T) {
 // newTestReplica starts a single-member replica over an in-memory network.
 func newTestReplica(t *testing.T) *Replica {
 	t.Helper()
+	return newTestReplicaWith(t, Config{})
+}
+
+func newTestReplicaWith(t *testing.T, cfg Config) *Replica {
+	t.Helper()
 	net := memnet.New(memnet.Config{})
 	tr, err := net.Endpoint(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReplica(tr, Config{}, gcs.Config{Members: []transport.ID{0}})
+	r, err := NewReplica(tr, cfg, gcs.Config{Members: []transport.ID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,15 +330,33 @@ func TestCommitWaiter(t *testing.T) {
 // reservation is released. Whatever the dispatcher handles next — a lease
 // release, a view change, a state snapshot — sees everything delivered
 // before it.
-func TestURDeliverAppliesBeforeReturning(t *testing.T) {
-	r := newTestReplica(t)
+// takeDispatcher waits for r's first view and stops its GCS dispatcher, so
+// the calling goroutine can drive the upcalls in its place.
+func takeDispatcher(t *testing.T, r *Replica) {
+	t.Helper()
 	if err := r.WaitForView(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Stop the dispatcher: the test goroutine takes its place.
 	if err := r.ep.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wsBatch is a delivered batch of single-box write-sets, one per id.
+func wsBatch(box string, ids ...stm.TxnID) *applyWSBatchMsg {
+	m := &applyWSBatchMsg{}
+	for _, id := range ids {
+		m.Entries = append(m.Entries, applyWSEntry{
+			TxnID: id,
+			WS:    stm.WriteSet{{Box: box, Value: fmt.Sprintf("%d/%d", id.Replica, id.Seq)}},
+		})
+	}
+	return m
+}
+
+func TestURDeliverAppliesBeforeReturning(t *testing.T) {
+	r := newTestReplica(t)
+	takeDispatcher(t, r)
 
 	// A batch large enough that an apply handed to another goroutine could
 	// not finish before the checks below run.
@@ -372,5 +397,70 @@ func TestURDeliverAppliesBeforeReturning(t *testing.T) {
 	r.inflight.mu.Unlock()
 	if held {
 		t.Fatal("in-flight reservation still held when OnURDeliver returned")
+	}
+}
+
+// TestURDeliverAppliesInDeliveryOrder: batches that write the same box, from
+// different senders, leave the store as the delivery order says, one
+// OnURDeliver at a time.
+func TestURDeliverAppliesInDeliveryOrder(t *testing.T) {
+	r := newTestReplica(t)
+	takeDispatcher(t, r)
+	h := &gcsHandler{r}
+	for _, id := range []stm.TxnID{{Replica: 2, Seq: 1}, {Replica: 1, Seq: 1}, {Replica: 2, Seq: 2}, {Replica: 1, Seq: 2}} {
+		h.OnURDeliver(id.Replica, wsBatch("shared", id))
+		if w, ok := r.store.HeadWriter("shared"); !ok || w != id {
+			t.Fatalf("after delivering %v: head writer %v (exists %t), want the last delivered", id, w, ok)
+		}
+	}
+	// Within one batch, the later entry wins as well.
+	first, second := stm.TxnID{Replica: 3, Seq: 1}, stm.TxnID{Replica: 3, Seq: 2}
+	h.OnURDeliver(3, wsBatch("shared", first, second))
+	if w, _ := r.store.HeadWriter("shared"); w != second {
+		t.Fatalf("head writer %v after a two-entry batch, want its last entry %v", w, second)
+	}
+}
+
+// TestURDeliverSkipsRedeliveredEntries: a write-set delivered again (a resend
+// after a view change) is not applied twice, so it cannot overwrite a later
+// write-set from the same sender.
+func TestURDeliverSkipsRedeliveredEntries(t *testing.T) {
+	r := newTestReplica(t)
+	takeDispatcher(t, r)
+	h := &gcsHandler{r}
+	old, newer := stm.TxnID{Replica: 1, Seq: 1}, stm.TxnID{Replica: 1, Seq: 2}
+	h.OnURDeliver(1, wsBatch("k", old))
+	h.OnURDeliver(1, wsBatch("k", newer))
+	h.OnURDeliver(1, wsBatch("k", old))
+	if w, _ := r.store.HeadWriter("k"); w != newer {
+		t.Fatalf("head writer %v after a redelivery of %v, want %v", w, old, newer)
+	}
+	if got := r.dur.filteredSeen.Value() + r.dur.filteredNever.Value(); got != 1 {
+		t.Fatalf("durability filter dropped %d entries, want the one redelivered", got)
+	}
+}
+
+// TestURDeliverLogsBeforeReturning: on a durable replica with the "always"
+// fsync policy, a delivered batch is in the write-ahead log when OnURDeliver
+// returns.
+func TestURDeliverLogsBeforeReturning(t *testing.T) {
+	dir := t.TempDir()
+	r := newTestReplicaWith(t, Config{Durability: DurabilityConfig{Dir: dir, Fsync: "always", SnapshotEvery: -1}})
+	takeDispatcher(t, r)
+	ids := []stm.TxnID{{Replica: 1, Seq: 1}, {Replica: 1, Seq: 2}, {Replica: 2, Seq: 1}}
+	(&gcsHandler{r}).OnURDeliver(1, wsBatch("logged", ids...))
+
+	var logged []stm.TxnID
+	if _, _, err := wal.Replay(wal.LogPath(dir), func(payload []byte) error {
+		entries, err := readWALRecord(payload)
+		for _, e := range entries {
+			logged = append(logged, e.TxnID)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(logged, ids) {
+		t.Fatalf("log holds %v when OnURDeliver returned, want %v", logged, ids)
 	}
 }

@@ -402,3 +402,133 @@ func TestConcurrentSyncWaitsForFsyncInFlight(t *testing.T) {
 		t.Fatalf("%d fsyncs issued, want 1: nothing can be made durable after a failure", n)
 	}
 }
+
+// TestAppendDuringFsyncGetsItsOwnFsync: a record written while another
+// record's fsync is running is not covered by that fsync. Its Append waits
+// for it and then issues a second one; only then does it return.
+func TestAppendDuringFsyncGetsItsOwnFsync(t *testing.T) {
+	l := openTestLog(t, t.TempDir(), 0, Options{Policy: PolicyAlways})
+	held, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	l.fsync = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return f.Sync()
+	}
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := l.Append([]byte("first")); first <- err }()
+	<-held
+	go func() { _, err := l.Append([]byte("second")); second <- err }()
+	select {
+	case err := <-second:
+		t.Fatalf("second Append returned %v while the first fsync was still running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	for name, ch := range map[string]chan error{"first": first, "second": second} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s Append = %v", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s Append never returned", name)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d fsyncs issued, want 2: the second record was written after the first fsync began", n)
+	}
+}
+
+// TestSyncSkipsCoveredRecords: Sync fsyncs only when something was written
+// since the last successful fsync began; a Reset counts as a write, since the
+// truncation must reach the disk too.
+func TestSyncSkipsCoveredRecords(t *testing.T) {
+	l := openTestLog(t, t.TempDir(), 0, Options{Policy: PolicyOff})
+	var calls int
+	l.fsync = func(f *os.File) error { calls++; return f.Sync() }
+	steps := []struct {
+		name  string
+		write func() error
+		want  int
+	}{
+		{"empty log", func() error { return nil }, 0},
+		{"two appends", func() error {
+			for _, p := range []string{"a", "b"} {
+				if _, err := l.Append([]byte(p)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 1},
+		{"nothing new", func() error { return nil }, 1},
+		{"one more append", func() error { _, err := l.Append([]byte("c")); return err }, 2},
+		{"reset", l.Reset, 3},
+	}
+	for _, s := range steps {
+		if err := s.write(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := l.Sync(); err != nil {
+				t.Fatalf("%s: Sync: %v", s.name, err)
+			}
+		}
+		if calls != s.want {
+			t.Fatalf("%s: %d fsyncs issued in all, want %d", s.name, calls, s.want)
+		}
+	}
+}
+
+// TestCloseWaitsForFsyncInFlight: Close does not close the file under an
+// fsync that is still running, and the records it covered replay afterwards.
+func TestCloseWaitsForFsyncInFlight(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(LogPath(dir), 0, Options{Policy: PolicyOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	l.fsync = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return f.Sync()
+	}
+	if _, err := l.Append([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	synced, closed := make(chan error, 1), make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	<-held
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v while an fsync was still running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	for name, ch := range map[string]chan error{"Sync": synced, "Close": closed} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s = %v", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never returned", name)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d fsyncs issued, want 1: Close found the record already covered", n)
+	}
+	if payloads, _ := replayAll(t, dir); len(payloads) != 1 || string(payloads[0]) != "record" {
+		t.Fatalf("replayed %q, want the one record", payloads)
+	}
+}
