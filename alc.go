@@ -224,9 +224,10 @@ func (c *Cluster) Close() { c.inner.Close() }
 // load-balancing strategy sketched in the paper's future work, §6): routing
 // every transaction on a data set to its deterministic owner keeps the lease
 // resident, so commits take the zero-communication reuse path instead of
-// rotating the lease. The mapping is rendezvous-hashed over live replicas,
-// so it remains stable across crashes and rejoins. Returns nil when no
-// replica is alive.
+// rotating the lease. The mapping is rendezvous-hashed over the live
+// replicas in the primary component (over every live replica when none is),
+// so it remains stable across crashes and rejoins and never names a replica
+// that cannot commit. Returns nil when no replica is alive.
 func (c *Cluster) PreferredReplica(items ...string) *Replica {
 	rep := c.inner.Preferred(items)
 	if rep == nil {

@@ -101,10 +101,10 @@ var experiments = []experiment{
 		rows, err := bench.RunAblationLocality(o.at(n), o.duration)
 		return fmt.Sprintf("Ablation — §6 locality-aware routing on high-conflict bank (n=%d)", n), rows, err
 	}},
-	{"ablation-routing", "live affinity routing vs oblivious placement (n = first of -replicas)", func(o options) (string, table, error) {
+	{"ablation-routing", "rendezvous vs random placement on a zipfian bank (n = first of -replicas)", func(o options) (string, table, error) {
 		n := o.replicas[0]
 		rows, err := bench.RunAblationRouting(o.at(n), o.duration)
-		return fmt.Sprintf("Ablation — locality-aware routing: live affinity map vs oblivious placement (n=%d, zipfian s=%.1f over %d pairs)",
+		return fmt.Sprintf("Ablation — locality-aware placement: rendezvous owner vs random replica (n=%d, zipfian s=%.1f over %d pairs)",
 			n, bench.RoutingSkew, bench.RoutingPairs), rows, err
 	}},
 	{"ablation-batch", "group-commit batching: commits/s and batch shapes (-batch-threads)", func(o options) (string, table, error) {

@@ -101,7 +101,7 @@ func (w *Workload) accounts(replica, thread int) (string, string) {
 }
 
 // Items returns the data items the (replica, thread) pair's transfers touch
-// — the declared item set a locality-aware router routes on.
+// — the declared item set locality-aware placement (Cluster.Preferred) hashes.
 func (w *Workload) Items(replica, thread int) []string {
 	a, b := w.accounts(replica, thread)
 	return []string{a, b}

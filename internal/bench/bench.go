@@ -68,10 +68,6 @@ type Params struct {
 	// DefaultOrderInterval calibration, negative runs the native (much
 	// faster than the paper's) atomic broadcast, positive overrides.
 	ABCeiling time.Duration
-	// Route wires the locality-aware transaction router (internal/route)
-	// over the cluster: the affinity variant of ablation-routing submits
-	// through Cluster.Submit instead of calling a replica directly.
-	Route bool
 }
 
 func (p Params) String() string {
@@ -103,8 +99,7 @@ func NewCluster(p Params, seed map[string]stm.Value) (*Cluster, error) {
 		orderInterval = p.ABCeiling
 	}
 	c, err := cluster.New(cluster.Config{
-		N:     p.Replicas,
-		Route: p.Route,
+		N: p.Replicas,
 		Core: core.Config{
 			Protocol: p.Protocol,
 			Lease: lease.Config{

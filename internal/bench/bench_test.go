@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,33 +19,50 @@ func quickBank() BankConfig {
 	return BankConfig{Duration: 300 * time.Millisecond, Warmup: 50 * time.Millisecond}
 }
 
+// TestRunBankNoConflictALCBeatsCert alternates short ALC and CERT windows
+// and compares their medians: a scheduler hiccup on a shared host then skews
+// one window, not the verdict. The five pairs measure as long as one 400 ms
+// window per protocol did.
 func TestRunBankNoConflictALCBeatsCert(t *testing.T) {
-	alc, err := RunBank(Params{Protocol: core.ProtocolALC, Replicas: 3},
-		BankConfig{Mode: bank.NoConflict, Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("ALC: %v", err)
-	}
-	cert, err := RunBank(Params{Protocol: core.ProtocolCert, Replicas: 3},
-		BankConfig{Mode: bank.NoConflict, Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("CERT: %v", err)
-	}
-
-	if alc.Commits == 0 || cert.Commits == 0 {
-		t.Fatalf("no commits measured: ALC=%d CERT=%d", alc.Commits, cert.Commits)
-	}
-	if alc.AbortRate != 0 {
-		t.Fatalf("ALC abort rate = %v on a no-conflict workload", alc.AbortRate)
+	const pairs = 5
+	cfg := BankConfig{Mode: bank.NoConflict, Duration: 80 * time.Millisecond, Warmup: 20 * time.Millisecond}
+	var alcRates, certRates []float64
+	for i := 0; i < pairs; i++ {
+		alc, err := RunBank(Params{Protocol: core.ProtocolALC, Replicas: 3}, cfg)
+		if err != nil {
+			t.Fatalf("ALC: %v", err)
+		}
+		cert, err := RunBank(Params{Protocol: core.ProtocolCert, Replicas: 3}, cfg)
+		if err != nil {
+			t.Fatalf("CERT: %v", err)
+		}
+		if alc.Commits == 0 || cert.Commits == 0 {
+			t.Fatalf("window %d: no commits measured: ALC=%d CERT=%d", i, alc.Commits, cert.Commits)
+		}
+		if alc.AbortRate != 0 {
+			t.Fatalf("window %d: ALC abort rate = %v on a no-conflict workload", i, alc.AbortRate)
+		}
+		// After warmup every ALC commit reuses the held lease.
+		if alc.LeaseReuseRate < 0.9 {
+			t.Errorf("window %d: ALC lease reuse rate %.2f, want ~1.0 in no-conflict mode", i, alc.LeaseReuseRate)
+		}
+		alcRates = append(alcRates, alc.CommitsPerSec)
+		certRates = append(certRates, cert.CommitsPerSec)
 	}
 	// The headline direction: ALC outperforms CERT without conflicts.
-	if alc.CommitsPerSec <= cert.CommitsPerSec {
-		t.Errorf("ALC %.0f/s <= CERT %.0f/s on no-conflict bank (paper: 3-10x faster)",
-			alc.CommitsPerSec, cert.CommitsPerSec)
+	alc, cert := median(alcRates), median(certRates)
+	if alc <= cert {
+		t.Errorf("median ALC %.0f/s <= CERT %.0f/s on no-conflict bank (paper: 3-10x faster; ALC %.0f, CERT %.0f)",
+			alc, cert, alcRates, certRates)
 	}
-	// After warmup every ALC commit reuses the held lease.
-	if alc.LeaseReuseRate < 0.9 {
-		t.Errorf("ALC lease reuse rate %.2f, want ~1.0 in no-conflict mode", alc.LeaseReuseRate)
-	}
+	t.Logf("median ALC %.0f/s, CERT %.0f/s (ALC %.0f, CERT %.0f)", alc, cert, alcRates, certRates)
+}
+
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 func TestRunBankHighConflictShapes(t *testing.T) {

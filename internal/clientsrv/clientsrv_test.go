@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,8 +231,10 @@ func TestShedDeterministic(t *testing.T) {
 // the soak contract: shed requests get the retryable overloaded response
 // (never a hang or disconnect), the server's goroutine count stays bounded by
 // the admission limits rather than the offered load, and admitted traffic
-// keeps its throughput. Run under -race in CI; -short shrinks the windows and
-// widens the throughput tolerance.
+// keeps its throughput. Baseline and overload windows alternate and their
+// median rates are compared, so a scheduler hiccup on a shared host skews one
+// window, not the verdict. Run under -race in CI; -short shrinks the windows
+// and widens the throughput tolerance.
 func TestOverloadSoak(t *testing.T) {
 	// Service time dominates per-request CPU cost so the measured rates are
 	// admission-bound, not scheduler-bound (CI boxes can be single-core).
@@ -240,10 +243,12 @@ func TestOverloadSoak(t *testing.T) {
 		maxPending  = 8
 		execDelay   = 5 * time.Millisecond
 	)
-	window := 2 * time.Second
+	// Five pairs of windows measure as long as one window of each kind did.
+	const pairs = 5
+	window := 2 * time.Second / pairs
 	tolerance := 0.10
 	if testing.Short() {
-		window = 400 * time.Millisecond
+		window = 400 * time.Millisecond / pairs
 		tolerance = 0.35 // scheduler noise dominates short windows
 	}
 
@@ -290,21 +295,29 @@ func TestOverloadSoak(t *testing.T) {
 		return nOK.Load(), nShed.Load()
 	}
 
-	// Baseline: exactly the server's concurrency capacity (same pool shape as
-	// the overload run, so only the offered load differs).
-	baseOK, baseShed := run(maxPending, 8, window)
-	if baseOK == 0 {
-		t.Fatal("baseline made no progress")
-	}
-
-	// Overload: 4x the capacity. The excess must shed, not queue. (The
-	// multiplier is modest because shed responses still cost read-loop CPU:
-	// on small CI boxes a huge spin would measure CPU contention, not
-	// admission control.)
 	goroutinesBefore := runtime.NumGoroutine()
-	overOK, overShed := run(4*maxPending, 8, window)
+	var baseRates, overRates []float64
+	var baseShed, overShed int64
+	for i := 0; i < pairs; i++ {
+		// Baseline: exactly the server's concurrency capacity (same pool
+		// shape as the overload run, so only the offered load differs).
+		ok, shed := run(maxPending, 8, window)
+		if ok == 0 {
+			t.Fatalf("baseline window %d made no progress", i)
+		}
+		baseRates = append(baseRates, float64(ok)/window.Seconds())
+		baseShed += shed
+
+		// Overload: 4x the capacity. The excess must shed, not queue. (The
+		// multiplier is modest because shed responses still cost read-loop
+		// CPU: on small CI boxes a huge spin would measure CPU contention,
+		// not admission control.)
+		ok, shed = run(4*maxPending, 8, window)
+		overRates = append(overRates, float64(ok)/window.Seconds())
+		overShed += shed
+	}
 	if overShed == 0 {
-		t.Fatalf("overload run shed nothing (ok=%d): admission control inactive", overOK)
+		t.Fatalf("overload windows shed nothing (ok %.0f/s): admission control inactive", overRates)
 	}
 	// Goroutines during the run are bounded by workers + admission limits,
 	// not by offered load; after the run they drain back.
@@ -319,14 +332,13 @@ func TestOverloadSoak(t *testing.T) {
 
 	// Admitted throughput under overload stays within tolerance of baseline:
 	// shedding is answered from the read loop and costs no execution slot.
-	baseRate := float64(baseOK) / window.Seconds()
-	overRate := float64(overOK) / window.Seconds()
+	baseRate, overRate := median(baseRates), median(overRates)
 	if overRate < baseRate*(1-tolerance) {
-		t.Fatalf("admitted throughput collapsed under overload: %.0f/s vs baseline %.0f/s (tolerance %.0f%%)",
-			overRate, baseRate, tolerance*100)
+		t.Fatalf("admitted throughput collapsed under overload: median %.0f/s vs baseline %.0f/s (tolerance %.0f%%; overload %.0f, baseline %.0f)",
+			overRate, baseRate, tolerance*100, overRates, baseRates)
 	}
-	t.Logf("baseline %.0f/s (shed %d), overload %.0f/s (shed %d)",
-		baseRate, baseShed, overRate, overShed)
+	t.Logf("median baseline %.0f/s (shed %d), overload %.0f/s (shed %d); baseline %.0f, overload %.0f",
+		baseRate, baseShed, overRate, overShed, baseRates, overRates)
 
 	st := settledStats(s, func(st Stats) bool { return st.Inflight == 0 })
 	if st.Inflight != 0 {
@@ -335,6 +347,13 @@ func TestOverloadSoak(t *testing.T) {
 	if st.Shed < overShed {
 		t.Fatalf("server shed counter %d < client-observed %d", st.Shed, overShed)
 	}
+}
+
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // TestWorkersBoundedPerConnection: a connection executes its requests on at

@@ -17,9 +17,7 @@ import (
 	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/obs"
-	"github.com/alcstm/alc/internal/route"
 	"github.com/alcstm/alc/internal/stm"
-	"github.com/alcstm/alc/internal/trace"
 	"github.com/alcstm/alc/internal/transport"
 )
 
@@ -41,11 +39,6 @@ type Config struct {
 	Seed map[string]stm.Value
 	// StartTimeout bounds waiting for the initial view. Default 10s.
 	StartTimeout time.Duration
-	// Route wires a locality-aware transaction router (internal/route) over
-	// the cluster: Submit forwards each transaction to the replica the live
-	// lease-affinity map says already holds its leases. Requires a tracer to
-	// feed the map; when Core.Tracer is nil one is created internally.
-	Route bool
 	// Durability enables the WAL + snapshot tier. Dir is a cluster root:
 	// replica i persists under Dir/r<i>, so a Restart recovers locally and
 	// rejoins via a delta state transfer instead of the full snapshot. The
@@ -63,8 +56,6 @@ type Cluster struct {
 
 	mu       sync.RWMutex
 	replicas []*core.Replica
-
-	router *route.Router
 
 	obsCancels []func()
 }
@@ -87,18 +78,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.ids = append(c.ids, transport.ID(i))
 	}
 
-	// The router must be attached to the tracer BEFORE any replica starts:
-	// its affinity map is fed by the lease grant events and primary view
-	// changes the replicas emit from their first delivery on.
-	if cfg.Route {
-		if c.cfg.Core.Tracer == nil {
-			c.cfg.Core.Tracer = trace.New(0)
-		}
-		c.router = route.New(c.cfg.Core.Lease.Mapper)
-		c.router.SetLive(c.ids)
-		c.cfg.Core.Tracer.Attach(c.router)
-	}
-
 	// Register every replica slot with the process-wide obs registry so an
 	// obs server started with -http sees each cluster member as c<n>-r<i>.
 	// Getters resolve lazily through Replica(i): crash/restart cycles swap
@@ -110,12 +89,6 @@ func New(cfg Config) (*Cluster, error) {
 			obs.Default.Register(fmt.Sprintf("c%d-r%d", cn, i),
 				func() *core.Replica { return c.Replica(i) }))
 	}
-	if c.router != nil {
-		c.obsCancels = append(c.obsCancels,
-			obs.Default.RegisterRouter(fmt.Sprintf("c%d", cn),
-				func() *route.Router { return c.router }))
-	}
-
 	for i := 0; i < cfg.N; i++ {
 		r, err := c.startReplica(i, false)
 		if err != nil {
@@ -196,11 +169,6 @@ func (c *Cluster) Crash(i int) {
 	if r != nil {
 		c.net.Crash(transport.ID(i))
 		_ = r.Close()
-	}
-	// The router learns of the crash from the next view change too, but the
-	// immediate eviction keeps Submit from even trying the dead handle.
-	if c.router != nil {
-		c.router.Evict(transport.ID(i))
 	}
 }
 
@@ -340,7 +308,6 @@ func (c *Cluster) TotalStats() core.Stats {
 		out.Commits += s.Commits
 		out.Aborts += s.Aborts
 		out.ReadOnly += s.ReadOnly
-		out.MigratedIn += s.MigratedIn
 		out.Lease.Requested += s.Lease.Requested
 		out.Lease.Reused += s.Lease.Reused
 		out.Lease.Acquired += s.Lease.Acquired
@@ -386,80 +353,91 @@ func (c *Cluster) CheckHistories() string {
 	return ""
 }
 
-// Preferred returns the live replica that should execute a transaction over
-// the given data items for maximal lease locality. It implements the
+// Preferred returns the replica that should execute a transaction over the
+// given data items for maximal lease locality. It implements the
 // locality-aware load-balancing direction of the paper's §6 (future work):
 // routing every transaction on a data set to a deterministic owner replica
 // keeps the corresponding leases resident there, turning lease rotation
 // (one atomic broadcast + release per commit) into lease reuse (zero
 // communication until the write-set broadcast).
 //
-// The static owner assignment is route.Rendezvous over the live replicas;
-// the dynamic alternative — the live affinity map — is what Submit uses when
-// the cluster was built with Config.Route.
+// The owner is the rendezvous hash of the items over the running replicas in
+// the primary component: a replica ejected from it cannot commit updates
+// (ErrEjected), so it owns nothing until it is readmitted. When no running
+// replica is in the primary, every running replica is a candidate. nil when
+// none is running.
 func (c *Cluster) Preferred(items []string) *core.Replica {
 	live := c.Replicas()
-	ids := make([]transport.ID, len(live))
-	for i, r := range live {
+	cands := make([]*core.Replica, 0, len(live))
+	for _, r := range live {
+		if r.InPrimary() {
+			cands = append(cands, r)
+		}
+	}
+	if len(cands) == 0 {
+		cands = live
+	}
+	ids := make([]transport.ID, len(cands))
+	for i, r := range cands {
 		ids[i] = r.ID()
 	}
-	id, ok := route.Rendezvous(items, ids)
+	i, ok := rendezvous(items, ids)
 	if !ok {
 		return nil
 	}
-	for _, r := range live {
-		if r.ID() == id {
-			return r
-		}
-	}
-	return nil
+	return cands[i]
 }
 
-// Router exposes the cluster's transaction router (nil unless Config.Route).
-func (c *Cluster) Router() *route.Router { return c.router }
+// rendezvous picks a stable owner for an item set among candidates using
+// highest-random-weight hashing keyed by the smallest item hash: any
+// overlap-heavy family of item sets sharing its hottest item maps to one
+// owner, the assignment survives membership changes for unaffected keys,
+// and unrelated item sets spread evenly. It returns the owner's index in
+// candidates; ok is false when candidates is empty.
+func rendezvous(items []string, candidates []transport.ID) (_ int, ok bool) {
+	if len(candidates) == 0 {
+		return 0, false
+	}
+	var key uint64
+	for i, it := range items {
+		h := fnv64(it)
+		if i == 0 || h < key {
+			key = h
+		}
+	}
+	var (
+		best  int
+		bestW uint64
+	)
+	for i, id := range candidates {
+		w := mix64(key ^ (uint64(id) + 0x9e3779b97f4a7c15))
+		if i == 0 || w > bestW {
+			best, bestW = i, w
+		}
+	}
+	return best, true
+}
 
-// Submit executes a transaction over the declared item set, routed to the
-// replica the affinity map says already holds the covering leases. origin is
-// the replica index the transaction logically arrives at (its client's home
-// replica): low-confidence decisions execute there, and it is the fallback
-// when a routed target turns out to be dead before the view change that
-// would evict it lands. Without Config.Route, Submit degenerates to local
-// execution at origin.
-//
-// fn may run on a different replica's store than origin's: like any Atomic
-// body it must be self-contained (no captured state from another replica's
-// reads).
-func (c *Cluster) Submit(origin int, items []string, fn func(*stm.Txn) error) error {
-	if c.router == nil {
-		if r := c.Replica(origin); r != nil {
-			return r.Atomic(fn)
-		}
-		return core.ErrStopped
+// fnv64 hashes a string (FNV-1a).
+func fnv64(s string) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
 	}
-	target, _ := c.router.Target(transport.ID(origin), items)
-	r := c.Replica(int(target))
-	if r == nil {
-		// Stale affinity: the owner died and the view change is still in
-		// flight. Evict it now and re-route — the second pick cannot choose
-		// it again.
-		c.router.Evict(target)
-		target, _ = c.router.Target(transport.ID(origin), items)
-		r = c.Replica(int(target))
-	}
-	if r == nil {
-		r = c.Replica(origin)
-	}
-	if r == nil {
-		// Origin itself is down (its client threads outlive it in the chaos
-		// harness): any live replica serves.
-		live := c.Replicas()
-		if len(live) == 0 {
-			return core.ErrStopped
-		}
-		r = live[0]
-	}
-	if r.ID() == transport.ID(origin) {
-		return r.Atomic(fn)
-	}
-	return r.SubmitMigrated(transport.ID(origin), fn)
+	return h
+}
+
+// mix64 is a 64-bit finalizer (splitmix64) giving rendezvous weights.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

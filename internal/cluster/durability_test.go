@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -517,4 +518,85 @@ func TestDurableWholeClusterRestart(t *testing.T) {
 	}
 	run(true)
 	run(false)
+}
+
+// gcsLog collects the group layer's debug lines.
+type gcsLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *gcsLog) logf(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
+	l.mu.Lock()
+	l.lines = append(l.lines, line)
+	l.mu.Unlock()
+}
+
+func (l *gcsLog) has(sub string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range l.lines {
+		if strings.Contains(line, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFullTransferLogsReason: the coordinator says why a joiner got a full
+// transfer. A memory-only replica restarts with no state and advertises no
+// frontier; a durable one whose gap outruns the retained window advertises
+// one that the delta declines, and the decline is counted by reason.
+func TestFullTransferLogsReason(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		durable bool
+		want    string
+	}{
+		{"no frontier", false, "full state transfer to 2 (no frontier advertised)"},
+		{"delta declined", true, "full state transfer to 2 (delta declined)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &gcsLog{}
+			gcsCfg := testGCS()
+			gcsCfg.Logf = log.logf
+			var dur core.DurabilityConfig
+			if tc.durable {
+				dur = core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8}
+			}
+			c, err := New(Config{
+				N:          3,
+				Core:       core.Config{Protocol: core.ProtocolALC},
+				Net:        memnet.Config{Latency: 500 * time.Microsecond},
+				GCS:        gcsCfg,
+				Seed:       map[string]stm.Value{"counter": 0},
+				Durability: dur,
+			})
+			if err != nil {
+				t.Fatalf("cluster.New: %v", err)
+			}
+			t.Cleanup(c.Close)
+
+			c.Crash(2)
+			commitN(t, c, "counter", 40) // wider than an 8-entry window
+			if err := c.Restart(2); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			waitRejoined(t, c, 2)
+			if !log.has(tc.want) {
+				t.Fatalf("no %q in the gcs log", tc.want)
+			}
+			var declined core.DeltaDeclines
+			for _, r := range c.Replicas() {
+				d := r.Stats().WAL.DeltaDeclined
+				declined.Ahead += d.Ahead
+				declined.Epoch += d.Epoch
+				declined.Evicted += d.Evicted
+			}
+			if declined.Ahead != 0 || declined.Epoch != 0 || (declined.Evicted > 0) != tc.durable {
+				t.Fatalf("DeltaDeclined across replicas = %+v, want evicted only, and only for the durable joiner", declined)
+			}
+		})
+	}
 }

@@ -136,7 +136,6 @@ type Stats struct {
 	// causes sum to Aborts.
 	AbortCauses AbortCauses
 	ReadOnly    int64
-	MigratedIn  int64 // transactions shipped here by a remote router (SubmitMigrated)
 	// Piggybacked counts the commits whose write-set rode on their lease
 	// request (§4.5(c), the lease-miss path); every other ALC commit went
 	// through the coalescer, so Batch.BatchedTxns + Piggybacked == Commits.
@@ -317,7 +316,6 @@ type Replica struct {
 	nCommits    metrics.Counter
 	nAborts     [numAbortCauses]metrics.Counter
 	nReadOnly   metrics.Counter
-	nMigratedIn metrics.Counter
 	nPiggyback  metrics.Counter
 	retries     *metrics.IntDist
 	latency     metrics.Histogram // end-to-end, first attempt to commit
@@ -422,7 +420,6 @@ func (r *Replica) Stats() Stats {
 			Deadlock: r.nAborts[abortDeadlock].Value(),
 		},
 		ReadOnly:      r.nReadOnly.Value(),
-		MigratedIn:    r.nMigratedIn.Value(),
 		Piggybacked:   r.nPiggyback.Value(),
 		Lease:         r.lm.Stats(),
 		RetriesPerTxn: r.retries.Freeze(),

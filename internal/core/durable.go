@@ -76,6 +76,10 @@ type WALStats struct {
 	FullsServed    int64
 	DeltaInstalled int64
 	FullInstalled  int64
+	// DeltaDeclined counts the joiners this replica's delta declined, by
+	// reason; each was then sent a full transfer (FullsServed also counts
+	// joiners that advertised no frontier at all).
+	DeltaDeclined DeltaDeclines
 	// LastDeltaBytes / LastFullBytes are the wire-encoded sizes of the most
 	// recent transfer served (best-effort: 0 when RegisterWire was never
 	// called, as over in-memory transports, or a box value has no codec).
@@ -97,6 +101,32 @@ type WALStats struct {
 	// recovery discarding a snapshot, log or log suffix it cannot use.
 	Errors int64
 }
+
+// DeltaDeclines breaks WALStats.DeltaDeclined down by the rule that sent a
+// joiner with an advertised frontier a full transfer instead of a delta.
+type DeltaDeclines struct {
+	// Ahead: the joiner claimed progress past this replica's frontier, so
+	// their histories are incomparable.
+	Ahead int64
+	// Epoch: the joiner's TO lane is from another epoch, so its payload
+	// ordinals name other transactions.
+	Epoch int64
+	// Evicted: the gap reaches entries already evicted from the retained
+	// window, so the suffix would be incomplete.
+	Evicted int64
+}
+
+// declineReason is why durable.delta demanded a full transfer; deltaServed
+// (the zero value) means it did not.
+type declineReason uint8
+
+const (
+	deltaServed declineReason = iota
+	declineAhead
+	declineEpoch
+	declineEvicted
+	numDeclineReasons
+)
 
 // walFormat is the first byte of every WAL record and snapshot payload, ahead
 // of fields in the wire codec (the same helpers that put write-sets and store
@@ -384,6 +414,7 @@ type durable struct {
 	fullsServed    metrics.Counter
 	deltaInstalled metrics.Counter
 	fullInstalled  metrics.Counter
+	declined       [numDeclineReasons]metrics.Counter
 	lastDeltaBytes atomic.Int64
 	lastFullBytes  atomic.Int64
 	filteredSeen   metrics.Counter
@@ -724,32 +755,43 @@ func (d *durable) resolvePayloads(pos uint64) {
 }
 
 // delta computes the entry suffix a joiner at frontier f is missing, oldest
-// first. ok=false demands a full transfer: the joiner claims
-// progress this replica cannot verify (f ahead of our frontiers —
-// incomparable histories), its TO lane is from another epoch (its payload
-// ordinals name other transactions), or the gap reaches entries already
-// evicted from the retained window.
-func (d *durable) delta(f map[transport.ID]uint64) ([]applyWSEntry, bool) {
+// first. Any reason other than deltaServed demands a full transfer, and is
+// counted: the joiner's TO lane is from another epoch (its payload ordinals
+// name other transactions), it claims progress this replica cannot verify (f
+// ahead of our frontiers — incomparable histories), or the gap reaches
+// entries already evicted from the retained window.
+func (d *durable) delta(f map[transport.ID]uint64) ([]applyWSEntry, declineReason) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	out, why := d.deltaLocked(f)
+	if why != deltaServed {
+		d.declined[why].Inc()
+	}
+	return out, why
+}
+
+func (d *durable) deltaLocked(f map[transport.ID]uint64) ([]applyWSEntry, declineReason) {
 	sh := &d.applied
 	fTO := int64(f[transport.Nobody])
-	if fTO > sh.toFrontier || toEpochBase(fTO) != toEpochBase(sh.toFrontier) {
-		return nil, false
+	if toEpochBase(fTO) != toEpochBase(sh.toFrontier) {
+		return nil, declineEpoch
+	}
+	if fTO > sh.toFrontier {
+		return nil, declineAhead
 	}
 	for w, seq := range f {
 		if w != transport.Nobody && seq > sh.frontier[w] {
-			return nil, false
+			return nil, declineAhead
 		}
 	}
 	if sh.evictedTO > fTO {
-		return nil, false
+		return nil, declineEvicted
 	}
 	for w, ev := range sh.evicted {
 		if ev > f[w] {
 			// Entries from w beyond the joiner's frontier were dropped from
 			// the window: the suffix is incomplete.
-			return nil, false
+			return nil, declineEvicted
 		}
 	}
 	var out []applyWSEntry
@@ -763,7 +805,7 @@ func (d *durable) delta(f map[transport.ID]uint64) ([]applyWSEntry, bool) {
 			out = append(out, *e)
 		}
 	}
-	return out, true
+	return out, deltaServed
 }
 
 // installFull resets the durability state around a full state transfer:
@@ -820,11 +862,16 @@ func (d *durable) stats() WALStats {
 		FullsServed:           d.fullsServed.Value(),
 		DeltaInstalled:        d.deltaInstalled.Value(),
 		FullInstalled:         d.fullInstalled.Value(),
-		LastDeltaBytes:        d.lastDeltaBytes.Load(),
-		LastFullBytes:         d.lastFullBytes.Load(),
-		RetainedEntries:       retained,
-		FilteredSeen:          d.filteredSeen.Value(),
-		FilteredNeverSeen:     d.filteredNever.Value(),
-		Errors:                d.errors.Value(),
+		DeltaDeclined: DeltaDeclines{
+			Ahead:   d.declined[declineAhead].Value(),
+			Epoch:   d.declined[declineEpoch].Value(),
+			Evicted: d.declined[declineEvicted].Value(),
+		},
+		LastDeltaBytes:    d.lastDeltaBytes.Load(),
+		LastFullBytes:     d.lastFullBytes.Load(),
+		RetainedEntries:   retained,
+		FilteredSeen:      d.filteredSeen.Value(),
+		FilteredNeverSeen: d.filteredNever.Value(),
+		Errors:            d.errors.Value(),
 	}
 }

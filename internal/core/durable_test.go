@@ -356,9 +356,9 @@ func TestDurableFilterCounters(t *testing.T) {
 	}
 	stale := joiner.advertise()
 	applyTo(joiner, joinerStore, urb(4, 4), urb(5, 5))
-	delta, ok := coord.delta(stale)
-	if !ok || len(delta) != 5 {
-		t.Fatalf("delta past %v = %d entries, ok=%v; want 5", stale, len(delta), ok)
+	delta, why := coord.delta(stale)
+	if why != deltaServed || len(delta) != 5 {
+		t.Fatalf("delta past %v = %d entries, declined %d; want 5", stale, len(delta), why)
 	}
 	if fresh := applyTo(joiner, joinerStore, delta...); len(fresh) != 3 {
 		t.Fatalf("delta install applied %d entries, want 3 (6..8)", len(fresh))
@@ -471,9 +471,9 @@ func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 							want = append(want, x)
 						}
 					}
-					got, ok := d.delta(f)
-					if ok != wantOK || !reflect.DeepEqual(got, want) {
-						t.Fatalf("after entry %d: delta(%v) = %+v, %t; want %+v, %t", n, f, got, ok, want, wantOK)
+					got, why := d.delta(f)
+					if ok := why == deltaServed; ok != wantOK || !reflect.DeepEqual(got, want) {
+						t.Fatalf("after entry %d: delta(%v) = %+v, declined %d; want %+v, %t", n, f, got, why, want, wantOK)
 					}
 				}
 			}
@@ -569,6 +569,78 @@ func FuzzWALPayload(f *testing.F) {
 	})
 }
 
+// TestDurableDeltaDeclineReasons drives each rule that makes delta demand a
+// full transfer, and checks that exactly that reason is counted in WALStats
+// (alc_wal_delta_declined_total) while a served delta counts none.
+func TestDurableDeltaDeclineReasons(t *testing.T) {
+	// A 4-entry window over URB entries 1-9 from writer 1 and TO-lane
+	// payloads at positions 1-2, pushed 1-6, p1, p2, 7-9: the window keeps
+	// p2 and 7-9, so writer 1 is evicted through 6 and the TO lane through p1.
+	build := func(t *testing.T) (*durable, int64) {
+		store := stm.NewStore()
+		d, err := newDurable(DurabilityConfig{Retain: 4}, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.markComplete()
+		d.openTOEpoch()
+		base := d.payloadOrd(0)
+		payload := func(pos uint64) applyWSEntry {
+			return applyWSEntry{TxnID: stm.TxnID{Replica: 2, Seq: pos}, Ord: d.payloadOrd(pos),
+				WS: stm.WriteSet{{Box: "p", Value: int(pos)}}}
+		}
+		for seq := uint64(1); seq <= 6; seq++ {
+			applyTo(d, store, urb(seq, int(seq)))
+		}
+		applyTo(d, store, payload(1), payload(2))
+		for seq := uint64(7); seq <= 9; seq++ {
+			applyTo(d, store, urb(seq, int(seq)))
+		}
+		return d, base
+	}
+	for _, tc := range []struct {
+		name   string
+		w1, to int64 // the joiner's frontier: writer 1, and TO relative to the epoch base
+		epoch0 bool  // TO ordinal in epoch 0 instead of the current one
+		want   declineReason
+	}{
+		{name: "served", w1: 6, to: 1, want: deltaServed},
+		{name: "ahead/writer", w1: 10, to: 2, want: declineAhead},
+		{name: "ahead/to", w1: 9, to: 3, want: declineAhead},
+		{name: "epoch", w1: 9, to: 2, epoch0: true, want: declineEpoch},
+		{name: "evicted/writer", w1: 5, to: 2, want: declineEvicted},
+		{name: "evicted/to", w1: 9, to: 0, want: declineEvicted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, base := build(t)
+			fTO := base + tc.to
+			if tc.epoch0 {
+				fTO = tc.to
+			}
+			f := map[transport.ID]uint64{1: uint64(tc.w1), transport.Nobody: uint64(fTO)}
+			got, why := d.delta(f)
+			if why != tc.want {
+				t.Fatalf("delta(%v) declined %d, want %d", f, why, tc.want)
+			}
+			if why == deltaServed && len(got) != 4 {
+				t.Fatalf("delta(%v) = %d entries, want 4 (p2, 7-9)", f, len(got))
+			}
+			var want DeltaDeclines
+			switch tc.want {
+			case declineAhead:
+				want.Ahead = 1
+			case declineEpoch:
+				want.Epoch = 1
+			case declineEvicted:
+				want.Evicted = 1
+			}
+			if s := d.stats().DeltaDeclined; s != want {
+				t.Fatalf("DeltaDeclined = %+v, want %+v", s, want)
+			}
+		})
+	}
+}
+
 // TestDurableDeltaRefusesAdoptedTOEntries: a full transfer (or a WAL
 // snapshot) brings in TO-lane entries applied past its TO frontier — §4.5(c)
 // payloads enabled out of position order — without putting them in the delta
@@ -577,16 +649,16 @@ func FuzzWALPayload(f *testing.F) {
 func TestDurableDeltaRefusesAdoptedTOEntries(t *testing.T) {
 	d, store := openDurable(t, "")
 	d.installFull(map[transport.ID]uint64{transport.Nobody: 58}, []int64{60, 74}, store)
-	if _, ok := d.delta(map[transport.ID]uint64{transport.Nobody: 62}); ok {
+	if _, why := d.delta(map[transport.ID]uint64{transport.Nobody: 62}); why == deltaServed {
 		t.Fatal("delta served to a joiner at TO 62 although entry 74 is absorbed but not retained")
 	}
 	// Entries applied after the install are retained and served as usual.
 	d.resolvePayloads(74)
 	applyTo(d, store, applyWSEntry{TxnID: stm.TxnID{Replica: 1, Seq: 9}, Ord: 75,
 		WS: stm.WriteSet{{Box: "k", Value: 1}}})
-	got, ok := d.delta(map[transport.ID]uint64{transport.Nobody: 74})
-	if !ok || len(got) != 1 || got[0].Ord != 75 {
-		t.Fatalf("delta for a joiner at TO 74 = %v, %t; want entry 75", got, ok)
+	got, why := d.delta(map[transport.ID]uint64{transport.Nobody: 74})
+	if why != deltaServed || len(got) != 1 || got[0].Ord != 75 {
+		t.Fatalf("delta for a joiner at TO 74 = %v, declined %d; want entry 75", got, why)
 	}
 }
 
@@ -626,7 +698,7 @@ func TestDurableTOEpochs(t *testing.T) {
 	if got := image(store)["p"]; got != 10 {
 		t.Fatalf("p = %v, want 10", got)
 	}
-	if _, ok := d.delta(old); ok {
+	if _, why := d.delta(old); why != declineEpoch {
 		t.Fatal("delta served to a joiner whose TO lane is from the previous epoch")
 	}
 	cur := d.advertise()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/alcstm/alc/internal/gcs"
@@ -108,12 +107,8 @@ func (h *gcsHandler) OnViewChange(v gcs.View) {
 	// proves a quorum installed it (confirmView).
 	r.viewUnconfirmed = r.cfg.Protocol == ProtocolALC
 	if t := r.cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Replica: r.id, Kind: trace.KindView,
-			Msg: fmt.Sprintf("view %d members=%v rejoined=%v primary=%t",
-				v.ID, v.Members, v.Rejoined, v.Primary),
-			Payload: trace.ViewChange{
-				ID: v.ID, Members: v.Members, Rejoined: v.Rejoined, Primary: v.Primary,
-			}})
+		t.Emitf(r.id, trace.KindView, 0, "view %d members=%v rejoined=%v primary=%t",
+			v.ID, v.Members, v.Rejoined, v.Primary)
 	}
 }
 
@@ -173,8 +168,8 @@ func wireSize(st any) int64 {
 // (gcs.DeltaProvider).
 func (h *gcsHandler) StateDelta(f map[transport.ID]uint64) (any, bool) {
 	r := h.r
-	entries, ok := r.dur.delta(f)
-	if !ok {
+	entries, why := r.dur.delta(f)
+	if why != deltaServed {
 		return nil, false
 	}
 	st := &xferDelta{

@@ -47,17 +47,19 @@ type TxnReport struct {
 
 // The nil guards keep the unobserved path to one predictable branch and
 // avoid boxing event payloads nobody will read (Tracer.Emit itself is also
-// nil-safe).
+// nil-safe). The lifecycle messages are constants, so a traced commit
+// formats nothing.
 
 func (r *Replica) observeInvoked() {
 	if t := r.cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Replica: r.id, Kind: trace.KindTxnInvoked})
+		t.Emit(trace.Event{Replica: r.id, Kind: trace.KindTxnInvoked, Msg: "atomic"})
 	}
 }
 
 func (r *Replica) observeCommitted(rep TxnReport) {
 	if t := r.cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Replica: r.id, Kind: trace.KindTxnCommitted, Txn: rep.ID.Seq, Payload: rep})
+		t.Emit(trace.Event{Replica: r.id, Kind: trace.KindTxnCommitted, Txn: rep.ID.Seq,
+			Msg: rep.Protocol.String(), Payload: rep})
 	}
 }
 

@@ -168,8 +168,13 @@ func spawnChild(t *testing.T, peers, dir string, join bool) *exec.Cmd {
 // with replicas 0 and 1 in this process and replica 2 in a child process
 // with a durable data directory. The child is SIGKILLed mid-benchmark,
 // restarted against the same directory, and must catch up through a delta
-// state transfer — the coordinator must never capture a full StateSnapshot
-// for it.
+// state transfer — the coordinator must not capture a full StateSnapshot for
+// the restart, whose advertised frontier is inside the retained window.
+//
+// A full transfer at the child's first boot is legitimate and not counted:
+// on a loaded host the two in-process replicas can install a two-member view
+// before the child process is up, and it then joins with no state to
+// advertise ("full state transfer to 2 (no frontier advertised)").
 func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kill -9s a real process")
@@ -234,6 +239,12 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	if err := local[0].WaitForView(3, 30*time.Second); err != nil {
 		t.Fatalf("initial view: %v", err)
 	}
+	// The child is READY only inside a view, so a boot-time transfer to it
+	// has already been served.
+	fullsAtBoot := local[0].Stats().WAL.FullsServed
+	if fullsAtBoot > 0 {
+		t.Logf("the child joined a view formed without it: %d full transfer(s) at boot", fullsAtBoot)
+	}
 
 	// Benchmark load on replica 0, running across the kill and the restart.
 	stop := make(chan struct{})
@@ -281,8 +292,9 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	for {
 		s0 := local[0].Stats().WAL
 		if s0.DeltasServed >= 1 {
-			if s0.FullsServed != 0 {
-				t.Fatalf("coordinator captured a full StateSnapshot for the durable joiner (stats: %+v)", s0)
+			if s0.FullsServed != fullsAtBoot {
+				t.Fatalf("coordinator captured a full StateSnapshot for the restarted durable joiner (%d at boot; stats: %+v)",
+					fullsAtBoot, s0)
 			}
 			break
 		}

@@ -684,8 +684,10 @@ func (e *Endpoint) distributePendingInstall() {
 		if ps.joiners[m] {
 			msg.HasState = true
 			served := false
-			if dp != nil {
-				if f, ok := ps.frontiers[m]; ok {
+			why := "no frontier advertised"
+			if f, ok := ps.frontiers[m]; ok {
+				why = "delta declined"
+				if dp != nil {
 					if delta, dok := dp.StateDelta(f); dok {
 						msg.State = delta
 						served = true
@@ -694,6 +696,7 @@ func (e *Endpoint) distributePendingInstall() {
 				}
 			}
 			if !served {
+				e.logf("full state transfer to %d (%s)", m, why)
 				if !fullCaptured {
 					fullState = e.handler.StateSnapshot()
 					fullCaptured = true

@@ -57,7 +57,6 @@ func (m *Manager) HandleRequestTO(req *Request) {
 			}
 		}
 		m.live++
-		m.emitTransition(OpGrant, st, 0)
 		if req.Payload != nil {
 			m.unresolved = append(m.unresolved, st)
 		}
@@ -265,14 +264,13 @@ func (m *Manager) blockLocalLocked(req *Request, except *reqState) {
 
 // noteBlockedLocked records the first blocking of a local request: when a
 // REMOTE request blocks a lease this replica actually held (enabled), the
-// lease was stolen — the routing-relevant outcome next to reuse and fresh
+// lease was stolen — the placement-relevant outcome next to reuse and fresh
 // acquisition.
 func (m *Manager) noteBlockedLocked(st *reqState, by transport.ID) {
 	if by == m.self || !m.enabledLocked(st) {
 		return
 	}
 	m.nStolen.Inc()
-	m.emitTransition(OpSteal, st, by)
 }
 
 // applyFreedLocked dequeues one released request, buffering early releases.
@@ -293,7 +291,6 @@ func (m *Manager) applyFreedLocked(id RequestID) {
 		return
 	}
 	m.tracef("freed %v applied", id)
-	m.emitTransition(OpFree, st, 0)
 	m.ownerFreedLocked(st)
 	m.dequeueLocked(st)
 	if !st.local {
@@ -448,7 +445,6 @@ func (m *Manager) maybeFreeAllLocked() {
 			// A payload request is released only once it fired here: once
 			// broadcast it may fire anywhere, so its owner must not take it
 			// back before it is certain to fire everywhere.
-			m.emitTransition(OpFree, st, 0)
 			m.dequeueLocked(st)
 			m.gcLocked(st)
 			m.ghostLocked(st)

@@ -128,71 +128,15 @@ type Stats struct {
 }
 
 // ReuseRate is the fraction of lease establishments served without
-// communication: reuses / (reuses + fresh acquisitions). This is the routing
-// win metric — affinity routing drives it toward 1 on hot conflict classes.
+// communication: reuses / (reuses + fresh acquisitions). This is the placement
+// win metric: sending each item set to one replica drives it toward 1 on hot
+// conflict classes.
 func (s Stats) ReuseRate() float64 {
 	total := s.Reused + s.Acquired
 	if total == 0 {
 		return 0
 	}
 	return float64(s.Reused) / float64(total)
-}
-
-// TransitionOp classifies a lease-table transition for the structured
-// KindLease trace payload (Transition). The transaction router's affinity
-// map is built exclusively from these events.
-type TransitionOp uint8
-
-const (
-	// OpGrant: a request was TO-enqueued — its owner holds (or will hold,
-	// once older requests drain) the lease on its classes. Every replica
-	// delivers the same request at the same Pos, so grants are a
-	// replica-independent ownership signal.
-	OpGrant TransitionOp = iota + 1
-	// OpReuse: the owner served a transaction from an already-held lease
-	// (zero communication). Emitted only at the owner.
-	OpReuse
-	// OpFree: a release was applied — the owner let the classes go.
-	OpFree
-	// OpSteal: an enabled local lease became blocked by a remote conflicting
-	// request (By): its classes are migrating away. Emitted only at the
-	// victim.
-	OpSteal
-	// OpPurge: a view change purged a departed (or reborn) owner's request.
-	OpPurge
-)
-
-var transitionNames = [...]string{
-	OpGrant: "grant",
-	OpReuse: "reuse",
-	OpFree:  "free",
-	OpSteal: "steal",
-	OpPurge: "purge",
-}
-
-func (op TransitionOp) String() string {
-	if int(op) < len(transitionNames) && transitionNames[op] != "" {
-		return transitionNames[op]
-	}
-	return fmt.Sprintf("op(%d)", uint8(op))
-}
-
-// Transition is the structured payload of affinity-relevant KindLease trace
-// events. Consumers (the transaction router) must treat Classes as
-// immutable.
-type Transition struct {
-	Op    TransitionOp
-	ID    RequestID
-	Owner transport.ID // the request's issuing process — the lease's owner
-	// By is the remote process whose request caused an OpSteal (zero
-	// otherwise).
-	By      transport.ID
-	Classes []ConflictClass
-	// Pos is the request's TO-delivery position, identical at every replica
-	// (0 when the request has not been TO-delivered yet, e.g. a reuse join
-	// of an in-flight request).
-	Pos      uint64
-	Wildcard bool
 }
 
 // reqState is a lease request's replicated queue state plus (for local
@@ -325,28 +269,6 @@ func (m *Manager) tracef(format string, args ...any) {
 	m.cfg.Tracer.Emitf(m.self, trace.KindLease, 0, format, args...)
 }
 
-// emitTransition publishes a structured lease transition into the trace
-// stream (the transaction router's affinity feed). Callers hold the manager
-// lock; sinks run inline and must not call back in.
-func (m *Manager) emitTransition(op TransitionOp, st *reqState, by transport.ID) {
-	if m.cfg.Tracer == nil {
-		return
-	}
-	m.cfg.Tracer.Emit(trace.Event{
-		Replica: m.self,
-		Kind:    trace.KindLease,
-		Payload: Transition{
-			Op:       op,
-			ID:       st.req.ID,
-			Owner:    st.req.ID.Proc,
-			By:       by,
-			Classes:  st.req.Classes,
-			Pos:      st.pos,
-			Wildcard: st.req.Wildcard,
-		},
-	})
-}
-
 // SetPayloadHandler installs the enabled-request payload callback. Install it
 // before the first delivery: a request is reported when it becomes enabled,
 // not for having been enabled earlier.
@@ -426,7 +348,6 @@ func (m *Manager) acquire(req *Request, old RequestID, reuse bool) (RequestID, e
 			defer m.mu.Unlock()
 			st.active++
 			m.nReused.Inc()
-			m.emitTransition(OpReuse, st, 0)
 			m.tracef("join %v active=%d", st.req.ID, st.active)
 			return m.awaitLocked(st)
 		}
@@ -670,7 +591,6 @@ func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
 	}
 	st.active++
 	m.nReused.Inc()
-	m.emitTransition(OpReuse, st, 0)
 	m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
 	return st.req.ID, true
 }

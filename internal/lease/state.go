@@ -164,7 +164,6 @@ func (m *Manager) purgeLocked(gone func(transport.ID) bool) {
 		if gone(id.Proc) {
 			m.tracef("view purge %v", id)
 			m.dequeueLocked(st)
-			m.emitTransition(OpPurge, st, 0)
 			delete(m.reqs, id)
 		}
 	}

@@ -29,7 +29,6 @@ import (
 	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/metrics"
-	"github.com/alcstm/alc/internal/route"
 	"github.com/alcstm/alc/internal/transport"
 )
 
@@ -40,18 +39,12 @@ import (
 type Registry struct {
 	mu        sync.Mutex
 	entries   map[string]*entry
-	routers   map[string]*routerEntry
 	admission map[string]*admissionEntry
 }
 
 type entry struct {
 	name string
 	get  func() *core.Replica
-}
-
-type routerEntry struct {
-	name string
-	get  func() *route.Router
 }
 
 type admissionEntry struct {
@@ -63,7 +56,6 @@ type admissionEntry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		entries:   make(map[string]*entry),
-		routers:   make(map[string]*routerEntry),
 		admission: make(map[string]*admissionEntry),
 	}
 }
@@ -85,22 +77,6 @@ func (g *Registry) Register(name string, get func() *core.Replica) (cancel func(
 		g.mu.Lock()
 		if g.entries[name] == e {
 			delete(g.entries, name)
-		}
-		g.mu.Unlock()
-	}
-}
-
-// RegisterRouter adds a named transaction-router getter (one per routed
-// cluster, not per replica) and returns a cancel function that removes it.
-func (g *Registry) RegisterRouter(name string, get func() *route.Router) (cancel func()) {
-	e := &routerEntry{name: name, get: get}
-	g.mu.Lock()
-	g.routers[name] = e
-	g.mu.Unlock()
-	return func() {
-		g.mu.Lock()
-		if g.routers[name] == e {
-			delete(g.routers, name)
 		}
 		g.mu.Unlock()
 	}
@@ -128,18 +104,6 @@ func (g *Registry) snapshot() []*entry {
 	g.mu.Lock()
 	out := make([]*entry, 0, len(g.entries))
 	for _, e := range g.entries {
-		out = append(out, e)
-	}
-	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// routerSnapshot returns the live router entries sorted by name.
-func (g *Registry) routerSnapshot() []*routerEntry {
-	g.mu.Lock()
-	out := make([]*routerEntry, 0, len(g.routers))
-	for _, e := range g.routers {
 		out = append(out, e)
 	}
 	g.mu.Unlock()
@@ -285,8 +249,6 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.STM.GCRuns })
 	counter("alc_stm_gc_pruned_total", "Versions discarded by store GC.",
 		func(s repSample) int64 { return s.stats.STM.GCPruned })
-	counter("alc_migrated_in_total", "Transactions shipped here by a remote router.",
-		func(s repSample) int64 { return s.stats.MigratedIn })
 	counter("alc_piggybacked_commits_total", "Commits whose write-set rode on their lease request (§4.5(c), the lease-miss path).",
 		func(s repSample) int64 { return s.stats.Piggybacked })
 	counter("alc_wal_records_total", "Write-set records appended to the write-ahead log.",
@@ -299,7 +261,7 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.WAL.ReplayedRecords })
 	counter("alc_wal_deltas_served_total", "Delta state transfers served to rejoining replicas.",
 		func(s repSample) int64 { return s.stats.WAL.DeltasServed })
-	counter("alc_wal_fulls_served_total", "Full state transfers served (joiner had no usable frontier).",
+	counter("alc_wal_fulls_served_total", "Full state transfers served (joiner advertised no frontier, or its delta was declined).",
 		func(s repSample) int64 { return s.stats.WAL.FullsServed })
 	counter("alc_wal_errors_total", "Durability faults (write failures degrade the replica to memory-only; recovery discards count too).",
 		func(s repSample) int64 { return s.stats.WAL.Errors })
@@ -308,43 +270,18 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		fmt.Fprintf(w, "alc_wal_filtered_total{replica=%q,seen=\"before\"} %d\n", s.name, s.stats.WAL.FilteredSeen)
 		fmt.Fprintf(w, "alc_wal_filtered_total{replica=%q,seen=\"never\"} %d\n", s.name, s.stats.WAL.FilteredNeverSeen)
 	}
+	fmt.Fprintf(w, "# HELP alc_wal_delta_declined_total Joiners that advertised a frontier but were sent a full transfer, by why the delta was declined: frontier ahead of ours, TO lane of another epoch, or gap reaching evicted entries.\n# TYPE alc_wal_delta_declined_total counter\n")
+	for _, s := range samples {
+		d := s.stats.WAL.DeltaDeclined
+		fmt.Fprintf(w, "alc_wal_delta_declined_total{replica=%q,reason=\"ahead\"} %d\n", s.name, d.Ahead)
+		fmt.Fprintf(w, "alc_wal_delta_declined_total{replica=%q,reason=\"epoch\"} %d\n", s.name, d.Epoch)
+		fmt.Fprintf(w, "alc_wal_delta_declined_total{replica=%q,reason=\"evicted\"} %d\n", s.name, d.Evicted)
+	}
 
-	fmt.Fprintf(w, "# HELP alc_lease_reuse_ratio Fraction of lease establishments served by a retained lease (the routing win metric).\n# TYPE alc_lease_reuse_ratio gauge\n")
+	fmt.Fprintf(w, "# HELP alc_lease_reuse_ratio Fraction of lease establishments served by a retained lease (the placement win metric).\n# TYPE alc_lease_reuse_ratio gauge\n")
 	for _, s := range samples {
 		fmt.Fprintf(w, "alc_lease_reuse_ratio{replica=%q} %s\n", s.name,
 			strconv.FormatFloat(s.stats.Lease.ReuseRate(), 'g', -1, 64))
-	}
-
-	routers := reg.routerSnapshot()
-	if len(routers) > 0 {
-		type routerSample struct {
-			name  string
-			stats route.Stats
-		}
-		var rs []routerSample
-		for _, e := range routers {
-			if r := e.get(); r != nil {
-				rs = append(rs, routerSample{name: e.name, stats: r.Stats()})
-			}
-		}
-		fmt.Fprintf(w, "# HELP alc_route_decisions_total Routing decisions by kind.\n# TYPE alc_route_decisions_total counter\n")
-		for _, s := range rs {
-			fmt.Fprintf(w, "alc_route_decisions_total{router=%q,decision=\"affinity\"} %d\n", s.name, s.stats.Affinity)
-			fmt.Fprintf(w, "alc_route_decisions_total{router=%q,decision=\"rendezvous\"} %d\n", s.name, s.stats.Rendezvous)
-			fmt.Fprintf(w, "alc_route_decisions_total{router=%q,decision=\"local\"} %d\n", s.name, s.stats.Local)
-		}
-		fmt.Fprintf(w, "# HELP alc_route_updates_total Affinity-map entry writes applied from the trace stream.\n# TYPE alc_route_updates_total counter\n")
-		for _, s := range rs {
-			fmt.Fprintf(w, "alc_route_updates_total{router=%q} %d\n", s.name, s.stats.Updates)
-		}
-		fmt.Fprintf(w, "# HELP alc_route_evictions_total Affinity entries dropped for dead or reborn owners.\n# TYPE alc_route_evictions_total counter\n")
-		for _, s := range rs {
-			fmt.Fprintf(w, "alc_route_evictions_total{router=%q} %d\n", s.name, s.stats.Evictions)
-		}
-		fmt.Fprintf(w, "# HELP alc_route_tracked_classes Conflict classes with a live affinity owner.\n# TYPE alc_route_tracked_classes gauge\n")
-		for _, s := range rs {
-			fmt.Fprintf(w, "alc_route_tracked_classes{router=%q} %d\n", s.name, s.stats.Tracked)
-		}
 	}
 
 	admission := reg.admissionSnapshot()
@@ -530,16 +467,9 @@ func summarize(s metrics.HistogramSnapshot) HistSummary {
 }
 
 // DebugView is the /debug/alc document: one DebugReplica per registered,
-// live replica, plus one DebugRouter per routed cluster.
+// live replica.
 type DebugView struct {
 	Replicas []DebugReplica `json:"replicas"`
-	Routers  []DebugRouter  `json:"routers,omitempty"`
-}
-
-// DebugRouter is one transaction router's snapshot.
-type DebugRouter struct {
-	Name  string      `json:"name"`
-	Stats route.Stats `json:"stats"`
 }
 
 // DebugReplica is one replica's introspection snapshot.
@@ -590,7 +520,6 @@ type Counters struct {
 	Commits        int64   `json:"commits"`
 	Aborts         int64   `json:"aborts"`
 	ReadOnly       int64   `json:"read_only"`
-	MigratedIn     int64   `json:"migrated_in"`
 	Piggybacked    int64   `json:"piggybacked"`
 	LeaseRequests  int64   `json:"lease_requests"`
 	LeaseReuses    int64   `json:"lease_reuses"`
@@ -660,7 +589,6 @@ func debugView(reg *Registry) DebugView {
 				Commits:        s.Commits,
 				Aborts:         s.Aborts,
 				ReadOnly:       s.ReadOnly,
-				MigratedIn:     s.MigratedIn,
 				Piggybacked:    s.Piggybacked,
 				LeaseRequests:  s.Lease.Requested,
 				LeaseReuses:    s.Lease.Reused,
@@ -697,13 +625,6 @@ func debugView(reg *Registry) DebugView {
 			},
 			WAL: walInfo,
 		})
-	}
-	for _, e := range reg.routerSnapshot() {
-		r := e.get()
-		if r == nil {
-			continue
-		}
-		v.Routers = append(v.Routers, DebugRouter{Name: e.name, Stats: r.Stats()})
 	}
 	return v
 }

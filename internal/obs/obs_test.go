@@ -447,17 +447,17 @@ func TestStageCoherence(t *testing.T) {
 	}
 }
 
-// TestRoutingMetrics drives a routed cluster and asserts the lease-outcome
-// and router families appear in the exposition: the lease reuse rate — the
-// routing win metric — must be observable without the bench harness.
+// TestRoutingMetrics drives a cluster with every transaction placed at its
+// rendezvous owner (Cluster.Preferred) and asserts the lease-outcome families
+// appear in the exposition: the lease reuse rate — the placement win metric —
+// must be observable without the bench harness.
 func TestRoutingMetrics(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		N:     3,
-		Core:  core.Config{Protocol: core.ProtocolALC},
-		Net:   memnet.Config{Latency: 300 * time.Microsecond},
-		GCS:   testGCS(),
-		Seed:  map[string]stm.Value{"hot": 0},
-		Route: true,
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC},
+		Net:  memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: map[string]stm.Value{"hot": 0},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -469,7 +469,6 @@ func TestRoutingMetrics(t *testing.T) {
 		i := i
 		reg.Register(fmt.Sprintf("r%d", i), func() *core.Replica { return c.Replica(i) })
 	}
-	reg.RegisterRouter("c", c.Router)
 	srv, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatalf("obs.Serve: %v", err)
@@ -478,14 +477,14 @@ func TestRoutingMetrics(t *testing.T) {
 
 	for i := 0; i < 30; i++ {
 		for origin := 0; origin < c.N(); origin++ {
-			if err := c.Submit(origin, []string{"hot"}, func(tx *stm.Txn) error {
+			if err := c.Preferred([]string{"hot"}).Atomic(func(tx *stm.Txn) error {
 				v, err := tx.Read("hot")
 				if err != nil {
 					return err
 				}
 				return tx.Write("hot", v.(int)+1)
 			}); err != nil {
-				t.Fatalf("Submit: %v", err)
+				t.Fatalf("Atomic at the preferred replica: %v", err)
 			}
 		}
 	}
@@ -498,13 +497,8 @@ func TestRoutingMetrics(t *testing.T) {
 	for fam, typ := range map[string]string{
 		"alc_lease_acquired_total":      "counter",
 		"alc_lease_stolen_total":        "counter",
-		"alc_migrated_in_total":         "counter",
 		"alc_piggybacked_commits_total": "counter",
 		"alc_lease_reuse_ratio":         "gauge",
-		"alc_route_decisions_total":     "counter",
-		"alc_route_updates_total":       "counter",
-		"alc_route_evictions_total":     "counter",
-		"alc_route_tracked_classes":     "gauge",
 	} {
 		if types[fam] != typ {
 			t.Fatalf("family %s: type %q, want %q (families: %v)", fam, types[fam], typ, types)
@@ -530,16 +524,10 @@ func TestRoutingMetrics(t *testing.T) {
 		}
 		return total, found
 	}
-	if v, ok := sum("alc_migrated_in_total", nil); !ok || v == 0 {
-		t.Fatalf("alc_migrated_in_total = %v (found %v), want > 0", v, ok)
-	}
 	// The hot class's first commit anywhere is a lease miss: its write-set
 	// rides on the lease request.
 	if v, ok := sum("alc_piggybacked_commits_total", nil); !ok || v == 0 {
 		t.Fatalf("alc_piggybacked_commits_total = %v (found %v), want > 0", v, ok)
-	}
-	if v, ok := sum("alc_route_decisions_total", map[string]string{"router": "c", "decision": "affinity"}); !ok || v == 0 {
-		t.Fatalf("affinity decisions = %v (found %v), want > 0", v, ok)
 	}
 	// The hot class settled on one owner: that replica's scrape-time reuse
 	// ratio must be high.
@@ -551,6 +539,65 @@ func TestRoutingMetrics(t *testing.T) {
 	}
 	if best < 0.5 {
 		t.Fatalf("max alc_lease_reuse_ratio = %v, want >= 0.5", best)
+	}
+}
+
+// TestWALDeltaDeclinedMetric restarts a durable replica after a gap wider
+// than the coordinator's retained window: the delta is declined for evicted
+// entries, and alc_wal_delta_declined_total says so with reason="evicted".
+func TestWALDeltaDeclinedMetric(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		N:          3,
+		Core:       core.Config{Protocol: core.ProtocolALC},
+		Net:        memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:        testGCS(),
+		Seed:       map[string]stm.Value{"k": 0},
+		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(c.Close)
+	reg := obs.NewRegistry()
+	for i := 0; i < c.N(); i++ {
+		i := i
+		reg.Register(fmt.Sprintf("r%d", i), func() *core.Replica { return c.Replica(i) })
+	}
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatalf("obs.Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	c.Crash(2)
+	commitN(t, c, 40) // a gap of 40 outruns the 8-entry window
+	if err := c.Restart(2); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for r := c.Replica(2); !r.InPrimary(); {
+		if time.Now().After(deadline) {
+			t.Fatal("replica 2 never rejoined the primary component")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	code, body := get(t, "http://"+srv.Addr()+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	types, samples := parseProm(t, body)
+	if types["alc_wal_delta_declined_total"] != "counter" {
+		t.Fatalf("alc_wal_delta_declined_total type %q, want counter", types["alc_wal_delta_declined_total"])
+	}
+	byReason := make(map[string]float64)
+	for _, s := range samples {
+		if s.name == "alc_wal_delta_declined_total" {
+			byReason[s.labels["reason"]] += s.value
+		}
+	}
+	if len(byReason) != 3 || byReason["ahead"] != 0 || byReason["epoch"] != 0 || byReason["evicted"] < 1 {
+		t.Fatalf("alc_wal_delta_declined_total by reason = %v, want evicted >= 1 and ahead, epoch 0", byReason)
 	}
 }
 

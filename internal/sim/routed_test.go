@@ -8,11 +8,12 @@ import (
 	"github.com/alcstm/alc/internal/randseed"
 )
 
-// TestRoutedSimSeeds is the routed counterpart of TestSimSeeds: the same
-// seed-expanded fault schedules, but all load flows through the
-// locality-aware router (Cluster.Submit + transaction migration). The
-// history checker must certify every routed history — migration must not
-// cost 1-copy serializability under crashes, partitions and message faults.
+// TestRoutedSimSeeds is the placed counterpart of TestSimSeeds: the same
+// seed-expanded fault schedules, but every transaction runs at the
+// rendezvous owner of its item set (Cluster.Preferred). The history checker
+// must certify every such history — placement moving between replicas must
+// not cost 1-copy serializability under crashes, partitions and message
+// faults.
 func TestRoutedSimSeeds(t *testing.T) {
 	n := 16
 	if testing.Short() {
@@ -39,12 +40,12 @@ func TestRoutedSimSeeds(t *testing.T) {
 	}
 }
 
-// TestRoutedOwnerCrashSchedule pins the scenario the affinity map must
-// survive: high-contention bank load routed through the router while the
-// schedule crashes a replica (if it owned the hot lease, every other
-// replica's affinity entry just went stale), restarts it, then partitions
-// another replica and heals. The run must not wedge, the invariant must
-// hold, and the checker must certify the history.
+// TestRoutedOwnerCrashSchedule pins the scenario placement must survive:
+// high-contention bank load placed by Cluster.Preferred while the schedule
+// crashes a replica (if it owned the hot items, their placement moves to a
+// survivor and back after the restart), then partitions another replica and
+// heals. The run must not wedge, the invariant must hold, and the checker
+// must certify the history.
 func TestRoutedOwnerCrashSchedule(t *testing.T) {
 	seed := randseed.Derive(randseed.Root(), "routed-owner-crash")
 	sched := &Schedule{
@@ -66,10 +67,5 @@ func TestRoutedOwnerCrashSchedule(t *testing.T) {
 	if res.Commits == 0 {
 		t.Fatal("no commits under routed crash schedule")
 	}
-	// High-contention bank concentrates all load on one lease owner, so a
-	// majority of the other replicas' submissions must have migrated.
-	if res.Migrated == 0 {
-		t.Fatal("routed run migrated no transactions")
-	}
-	t.Logf("%s (migrated=%d)", res.Summary(), res.Migrated)
+	t.Logf("%s", res.Summary())
 }

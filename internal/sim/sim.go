@@ -56,17 +56,17 @@ type Config struct {
 	// rejoins via delta state transfer. The history checker then certifies
 	// the recorded commits ACROSS restarts, machine-checking recovery.
 	Durable bool
-	// Routed submits load through the locality-aware router (Cluster.Submit
-	// with each transaction's declared item set) instead of pinning every
-	// thread to its own replica, so the run exercises transaction migration,
-	// affinity-map staleness, and re-routing across crashes and partitions.
-	// Workloads that cannot declare item sets up front (sortedset, vacation)
-	// fall back to origin execution even when Routed is set.
+	// Routed sends each transaction to the rendezvous owner of its declared
+	// item set (Cluster.Preferred) instead of pinning every thread to its
+	// own replica, so the run exercises placement moving across crashes,
+	// partitions and rejoins. Workloads that cannot declare item sets up
+	// front (sortedset, vacation) fall back to origin execution even when
+	// Routed is set.
 	Routed bool
 	// Schedule, when non-nil, overrides the seed expansion: the run executes
 	// exactly this fault timeline (Replicas is taken from the schedule). Used
 	// by tests that need a specific scenario — e.g. an owner crash under
-	// routed traffic — still certified by the history checker.
+	// placed traffic — still certified by the history checker.
 	Schedule *Schedule
 	// Logf, when non-nil, receives verbose event tracing (schedule, failure
 	// events, phase transitions) — the cmd/alc-sim replay surface.
@@ -103,10 +103,6 @@ type Result struct {
 	Commits  int
 	Failures int
 	Invoked  int64
-	// Migrated counts transactions that executed on a replica other than
-	// their origin (nonzero only in Routed runs; counted across surviving
-	// replicas at quiesce).
-	Migrated int64
 	// Verdict is the offline checker's judgement of the recorded history.
 	Verdict history.Verdict
 	// InvariantErr is a workload invariant violation observed at the witness
@@ -185,8 +181,7 @@ func Run(cfg Config) *Result {
 	}
 
 	c, err := cluster.New(cluster.Config{
-		N:     cfg.Replicas,
-		Route: cfg.Routed,
+		N: cfg.Replicas,
 		Core: core.Config{
 			Protocol: core.ProtocolALC,
 			// Automatic GC off: the checker needs full version histories at
@@ -245,20 +240,21 @@ func Run(cfg Config) *Result {
 						return
 					default:
 					}
-					var err error
+					var r *core.Replica
 					if items := w.items(ri, ti); cfg.Routed && items != nil {
-						// Routed: Submit migrates the transaction wherever the
-						// affinity map points; a crashed origin's threads keep
-						// flowing through the surviving replicas.
-						err = c.Submit(ri, items, w.op(rng, ri, ti, round))
-					} else {
-						r := c.Replica(ri)
-						if r == nil {
-							time.Sleep(5 * time.Millisecond) // crashed: wait for restart
-							continue
-						}
-						err = r.Atomic(w.op(rng, ri, ti, round))
+						// Routed: the item set's rendezvous owner executes it;
+						// a crashed origin's threads keep flowing through the
+						// surviving replicas.
+						r = c.Preferred(items)
 					}
+					if r == nil {
+						r = c.Replica(ri)
+					}
+					if r == nil {
+						time.Sleep(5 * time.Millisecond) // crashed: wait for restart
+						continue
+					}
+					err := r.Atomic(w.op(rng, ri, ti, round))
 					switch {
 					case err == nil:
 					case errors.Is(err, core.ErrEjected),
@@ -360,7 +356,6 @@ func Run(cfg Config) *Result {
 	}
 
 	// Collect and check.
-	res.Migrated = c.TotalStats().MigratedIn
 	res.Commits = len(recorder.Commits())
 	res.Failures = len(recorder.Failures())
 	res.Invoked = recorder.Invoked()

@@ -45,12 +45,8 @@ const (
 	KindLease
 	// KindBatch marks a coalescer flush or batch delivery.
 	KindBatch
-	// KindView marks a group-membership change. Primary-component changes
-	// carry a ViewChange payload.
+	// KindView marks a group-membership change.
 	KindView
-	// KindRoute marks a transaction-routing event: a migrated transaction
-	// accepted by a replica on behalf of an origin.
-	KindRoute
 )
 
 var kindNames = [...]string{
@@ -60,19 +56,6 @@ var kindNames = [...]string{
 	KindLease:        "lease",
 	KindBatch:        "batch",
 	KindView:         "view",
-	KindRoute:        "route",
-}
-
-// ViewChange is the payload of a KindView event for a primary-component
-// view: the surviving membership, the members readmitted by state transfer
-// this view (their previous incarnation's leases were purged), and the view's
-// monotonically increasing identifier. Routing consumers use it to evict
-// affinity entries whose owner left or was reborn.
-type ViewChange struct {
-	ID       uint64
-	Members  []transport.ID
-	Rejoined []transport.ID
-	Primary  bool
 }
 
 // String returns the kind's stable lowercase name.
