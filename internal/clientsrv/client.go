@@ -1,6 +1,7 @@
 package clientsrv
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -48,7 +49,7 @@ func Dial(cfg ClientConfig) *Client {
 	}
 	c := &Client{cfg: cfg, conns: make([]*clientConn, cfg.Conns)}
 	for i := range c.conns {
-		c.conns[i] = &clientConn{cfg: cfg}
+		c.conns[i] = &clientConn{cfg: cfg, dial: net.DialTimeout}
 	}
 	return c
 }
@@ -114,6 +115,9 @@ func (c *Client) Close() error {
 // goroutine delivering responses to the waiter registered under their Seq.
 type clientConn struct {
 	cfg ClientConfig
+	// dial opens the connection: net.DialTimeout, or a test's wrapper that
+	// watches the connection's reads.
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -133,7 +137,7 @@ func (c *clientConn) ensureConn() error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	conn, err := c.dial("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("clientsrv: dial %s: %w", c.cfg.Addr, err)
 	}
@@ -182,11 +186,14 @@ func (c *clientConn) do(op wire.Op, key string, arg int64) (wire.Response, error
 }
 
 // readLoop delivers responses until the connection dies, then fails every
-// waiter by closing its channel.
+// waiter by closing its channel. It reads through a buffer as large as the
+// server's: pipelined responses arrive together, and one read takes them all
+// instead of two per response (header, body).
 func (c *clientConn) readLoop(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, 32<<10)
 	var buf []byte
 	for {
-		body, nbuf, err := wire.ReadFrame(conn, buf, wire.MaxClientFrame)
+		body, nbuf, err := wire.ReadFrame(br, buf, wire.MaxClientFrame)
 		buf = nbuf
 		if err != nil {
 			break

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"time"
 
 	"github.com/alcstm/alc/internal/lease"
@@ -80,11 +82,12 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// retention promises cannot happen. Reported to the observer; the
 		// history checker asserts it stays 0.
 		remoteSheltered int
-		// accum accumulates every data item accessed across re-executions:
-		// leases are taken over the union, so a transaction whose data-set
-		// drifts between attempts (§4.4) regains full shelter after one
-		// lease replacement instead of chasing its own read-set forever.
-		accum map[string]struct{}
+		// accum accumulates the conflict classes of every data item accessed
+		// across re-executions: leases are taken over the union, so a
+		// transaction whose data-set drifts between attempts (§4.4) regains
+		// full shelter after one lease replacement instead of chasing its own
+		// read-set forever.
+		accum map[lease.ConflictClass]struct{}
 	)
 	release := func() {
 		if held != none {
@@ -128,18 +131,18 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			return nil
 		}
 
+		// The attempt's conflict classes are computed once: the lease calls,
+		// the in-flight reservation and a lease request all take this slice
+		// (a request keeps it, so every attempt computes a fresh one).
 		rs, ws := txn.ReadSet(), txn.WriteSet()
-		items := dataSet(rs, ws)
+		cls := r.dataClasses(rs, ws)
 		if accum != nil {
-			// A re-execution: extend the accumulated access set.
-			for _, it := range items {
-				accum[it] = struct{}{}
+			// A re-execution: extend the accumulated class set.
+			for _, c := range cls {
+				accum[c] = struct{}{}
 			}
-			if len(accum) > len(items) {
-				items = make([]string, 0, len(accum))
-				for it := range accum {
-					items = append(items, it)
-				}
+			if len(accum) > len(cls) {
+				cls = slices.Sorted(maps.Keys(accum))
 			}
 		}
 
@@ -150,11 +153,11 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// shelters it; acquiring the lease despite known-stale reads is
 		// exactly how ALC bounds re-executions (§4: the transaction is
 		// "re-executed without releasing the lease").
-		if aborts == 0 && held == none && !txn.Validate() {
+		if aborts == 0 && held == none && !r.store.Validate(txn.Snapshot(), rs) {
 			txn.Abort()
 			r.nAborts[abortEarly].Inc()
 			aborts++
-			accum = accumulate(accum, items)
+			accum = accumulate(accum, cls)
 			continue
 		}
 
@@ -178,10 +181,10 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			// covering local request still in flight is joined below
 			// (establishLease); the join returns only once that request's own
 			// payload, if it has one, is resolved here.
-			if id, ok := r.lm.TryReuse(items); ok {
+			if id, ok := r.lm.TryReuseClasses(cls); ok {
 				held = id
-			} else if !r.lm.HasCoverage(items) {
-				done, err := r.commitPiggybacked(txn, rs, ws, items, &held, &aborts, remoteSheltered, txnStart, leaseStart)
+			} else if !r.lm.HasCoverage(cls) {
+				done, err := r.commitPiggybacked(txn, rs, ws, cls, &held, &aborts, remoteSheltered, txnStart, leaseStart)
 				if done {
 					return err
 				}
@@ -190,7 +193,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		}
 
 		// Prepare: lease establishment.
-		if lerr, retry := r.establishLease(txn, &held, items, wildcard, &aborts); lerr != nil {
+		if lerr, retry := r.establishLease(txn, &held, cls, wildcard, &aborts); lerr != nil {
 			return lerr
 		} else if retry {
 			continue // deadlock victim: re-execute from scratch
@@ -205,7 +208,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// write-set's self-delivery.
 		wsCls := r.wsClasses(ws)
 		certStart := time.Now()
-		if !r.inflight.reserve(r.classes(items), wsCls, r.alive) {
+		if !r.inflight.reserve(cls, wsCls, r.alive) {
 			txn.Abort()
 			return ErrEjected
 		}
@@ -228,22 +231,23 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 				}
 			}
 			aborts++
-			accum = accumulate(accum, items)
+			accum = accumulate(accum, cls)
 			continue // re-execute holding the lease: no further remote aborts
 		}
 
 		// Decide: broadcast the write-set. seqMu makes {ID allocation;
 		// enqueue} atomic so no later local committer can enqueue a lower seq
 		// behind a higher one (the receivers' per-writer frontier filter would
-		// silently drop the inversion). The coalescer owns the reservation and
-		// the waiter from here: resolved at self-delivery, failed on ejection.
+		// silently drop the inversion). The waiter owns the reservation from
+		// here: it is released when the waiter resolves — at self-delivery, or
+		// failed on ejection.
 		r.seqMu.Lock()
 		tid := r.nextTxnID()
-		ch := r.registerWaiter(tid)
-		r.coal.enqueue(applyWSEntry{TxnID: tid, LeaseID: held, WS: ws}, wsCls)
+		ch := r.registerWaiter(tid, wsCls)
+		r.coal.enqueue(applyWSEntry{TxnID: tid, LeaseID: held, WS: ws})
 		r.seqMu.Unlock()
 
-		if err := <-ch; err != nil {
+		if err := awaitOutcome(ch); err != nil {
 			txn.Abort()
 			return err
 		}
@@ -265,10 +269,10 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 	}
 }
 
-// establishLease brings *held up to covering items (any class, when
+// establishLease brings *held up to covering classes (any class, when
 // wildcard). Returns a terminal error, or retry=true when the transaction
 // was made a deadlock victim (aborts already counted).
-func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, items []string, wildcard bool, aborts *int) (error, bool) {
+func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, classes []lease.ConflictClass, wildcard bool, aborts *int) (error, bool) {
 	var none lease.RequestID
 	if wildcard {
 		if *held != none {
@@ -285,12 +289,12 @@ func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, items []st
 		return nil, false
 	}
 	if *held != none {
-		if r.lm.Covers(*held, items) {
+		if r.lm.Covers(*held, classes) {
 			return nil, false
 		}
 		// The re-execution changed the transaction's conflict classes (§4.4).
 		if r.lm.ActiveCount(*held) == 1 {
-			id, err := r.lm.GetLeaseReplacing(items, *held)
+			id, err := r.lm.GetLeaseReplacing(classes, *held)
 			*held = none
 			if lerr := r.leaseErr(txn, err, aborts); lerr != nil || err != nil {
 				return lerr, lerr == nil
@@ -303,11 +307,11 @@ func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, items []st
 		r.lm.Finished(*held)
 		*held = none
 	}
-	if id, ok := r.lm.TryReuse(items); ok {
+	if id, ok := r.lm.TryReuseClasses(classes); ok {
 		*held = id
 		return nil, false
 	}
-	id, err := r.lm.GetLease(items)
+	id, err := r.lm.GetLeaseClasses(classes)
 	if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
 		return lerr, false
 	}
@@ -333,7 +337,7 @@ func (r *Replica) commitPiggybacked(
 	txn *stm.Txn,
 	rs stm.ReadSet,
 	ws stm.WriteSet,
-	items []string,
+	classes []lease.ConflictClass,
 	held *lease.RequestID,
 	aborts *int,
 	sheltered int,
@@ -341,8 +345,8 @@ func (r *Replica) commitPiggybacked(
 	leaseStart time.Time,
 ) (bool, error) {
 	tid := r.nextTxnID()
-	ch := r.registerWaiter(tid)
-	id, err := r.lm.GetLeaseWithPayload(items, &certPayload{TxnID: tid, RS: rs, WS: ws})
+	ch := r.registerWaiter(tid, nil)
+	id, err := r.lm.GetLeaseWithPayload(classes, &certPayload{TxnID: tid, RS: rs, WS: ws})
 	if err != nil {
 		r.dropWaiter(tid)
 		txn.Abort()
@@ -355,7 +359,7 @@ func (r *Replica) commitPiggybacked(
 	certStart := time.Now()
 	r.stageLeaseWait.Observe(certStart.Sub(leaseStart))
 
-	outcome := <-ch
+	outcome := awaitOutcome(ch)
 	r.stageCert.Observe(time.Since(certStart))
 	switch err := outcome; {
 	case err == nil:
@@ -409,32 +413,13 @@ func (r *Replica) leaseErr(txn *stm.Txn, err error, aborts *int) error {
 	}
 }
 
-// accumulate records items into the cross-attempt access set.
-func accumulate(accum map[string]struct{}, items []string) map[string]struct{} {
+// accumulate records classes into the cross-attempt class set.
+func accumulate(accum map[lease.ConflictClass]struct{}, classes []lease.ConflictClass) map[lease.ConflictClass]struct{} {
 	if accum == nil {
-		accum = make(map[string]struct{}, 2*len(items))
+		accum = make(map[lease.ConflictClass]struct{}, 2*len(classes))
 	}
-	for _, it := range items {
-		accum[it] = struct{}{}
+	for _, c := range classes {
+		accum[c] = struct{}{}
 	}
 	return accum
-}
-
-// dataSet returns the union of the read- and write-set box IDs.
-func dataSet(rs stm.ReadSet, ws stm.WriteSet) []string {
-	seen := make(map[string]struct{}, len(rs)+len(ws))
-	out := make([]string, 0, len(rs)+len(ws))
-	for _, e := range rs {
-		if _, ok := seen[e.Box]; !ok {
-			seen[e.Box] = struct{}{}
-			out = append(out, e.Box)
-		}
-	}
-	for _, e := range ws {
-		if _, ok := seen[e.Box]; !ok {
-			seen[e.Box] = struct{}{}
-			out = append(out, e.Box)
-		}
-	}
-	return out
 }

@@ -137,13 +137,15 @@ const (
 type coalescer struct {
 	r *Replica
 
-	mu         sync.Mutex
-	pending    []applyWSEntry
-	pendingCls [][]lease.ConflictClass
+	mu sync.Mutex
+	// pending becomes the next batch message's entries, which the URB keeps:
+	// a flush hands it over and starts a new one.
+	pending []applyWSEntry
 	// pendingAt records each entry's enqueue time (parallel to pending) for
 	// the coalescer-residency histogram. It lives here, not on the wire
 	// entry: applyWSEntry is what travels and is WAL-logged, and local
-	// timestamps must do neither.
+	// timestamps must do neither. Nothing outside the coalescer sees it, so
+	// it is reused across batches.
 	pendingAt    []time.Time
 	pendingBytes int
 	outstanding  int
@@ -156,19 +158,18 @@ func newCoalescer(r *Replica) *coalescer {
 	return &coalescer{r: r}
 }
 
-// enqueue hands over a validated write-set. The caller must already hold the
-// in-flight reservation for cls and have registered a waiter for e.TxnID;
-// the coalescer owns both from here — they are released/resolved at
-// self-delivery of the batch, or failed if the batch cannot be broadcast.
-func (c *coalescer) enqueue(e applyWSEntry, cls []lease.ConflictClass) {
+// enqueue hands over a validated write-set. The caller must have registered
+// a waiter for e.TxnID that owns the write-set's in-flight reservation; it is
+// resolved at self-delivery of the batch, or failed if the batch cannot be
+// broadcast.
+func (c *coalescer) enqueue(e applyWSEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped || !c.r.primary.Load() {
-		c.failLocked([]applyWSEntry{e}, [][]lease.ConflictClass{cls}, c.entryErr())
+		c.r.resolveWaiter(e.TxnID, c.entryErr())
 		return
 	}
 	c.pending = append(c.pending, e)
-	c.pendingCls = append(c.pendingCls, cls)
 	c.pendingAt = append(c.pendingAt, time.Now())
 	c.pendingBytes += approxWSBytes(e.WS)
 	c.r.qCoalescer.Set(int64(len(c.pending)))
@@ -217,14 +218,12 @@ func (c *coalescer) flushLocked(reason flushReason) {
 		c.timer = nil
 	}
 	c.timerGen++
-	n := len(c.pending)
-	entries := append([]applyWSEntry(nil), c.pending...)
-	cls := append([][]lease.ConflictClass(nil), c.pendingCls...)
+	entries, n := c.pending, len(c.pending)
 	now := time.Now()
 	for _, at := range c.pendingAt {
 		c.r.stageCoalescer.Observe(now.Sub(at))
 	}
-	c.pending, c.pendingCls, c.pendingAt = c.pending[n:], c.pendingCls[n:], c.pendingAt[n:]
+	c.pending, c.pendingAt = nil, c.pendingAt[:0]
 	c.pendingBytes = 0
 	c.r.qCoalescer.Set(0)
 	c.r.batchSizes.Observe(n)
@@ -233,14 +232,10 @@ func (c *coalescer) flushLocked(reason flushReason) {
 	c.outstanding++
 	if err := c.r.ep.URBroadcast(&applyWSBatchMsg{Entries: entries}); err != nil {
 		c.outstanding--
-		c.failLocked(entries, cls, c.broadcastErr(err))
+		c.failLocked(entries, c.broadcastErr(err))
 		return
 	}
-	ids := make([]stm.TxnID, n)
-	for i, e := range entries {
-		ids[i] = e.TxnID
-	}
-	c.r.markSent(ids, now)
+	c.r.markSent(entries, now)
 }
 
 func (c *coalescer) broadcastErr(err error) error {
@@ -256,8 +251,8 @@ func (c *coalescer) broadcastErr(err error) error {
 func (c *coalescer) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries, cls := c.pending, c.pendingCls
-	c.pending, c.pendingCls, c.pendingAt, c.pendingBytes = nil, nil, nil, 0
+	entries := c.pending
+	c.pending, c.pendingAt, c.pendingBytes = nil, c.pendingAt[:0], 0
 	c.r.qCoalescer.Set(0)
 	c.outstanding = 0
 	c.timerGen++
@@ -265,7 +260,7 @@ func (c *coalescer) fail(err error) {
 		c.timer.Stop()
 		c.timer = nil
 	}
-	c.failLocked(entries, cls, err)
+	c.failLocked(entries, err)
 }
 
 // stop fails pending entries and rejects all future enqueues (Close).
@@ -276,10 +271,10 @@ func (c *coalescer) stop() {
 	c.fail(ErrStopped)
 }
 
-// failLocked drops entries with err, releasing their reservations.
-func (c *coalescer) failLocked(entries []applyWSEntry, cls [][]lease.ConflictClass, err error) {
-	for i, e := range entries {
-		c.r.inflight.release(cls[i])
+// failLocked fails the waiters of entries with err, which releases their
+// reservations.
+func (c *coalescer) failLocked(entries []applyWSEntry, err error) {
+	for _, e := range entries {
 		c.r.resolveWaiter(e.TxnID, err)
 	}
 }

@@ -71,7 +71,7 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			msg.RSExact = rs.BoxIDs()
 		}
 
-		ch := r.registerWaiter(msg.TxnID)
+		ch := r.registerWaiter(msg.TxnID, nil)
 		certStart := time.Now()
 		if err := r.ep.OABroadcast(msg); err != nil {
 			r.dropWaiter(msg.TxnID)
@@ -79,7 +79,7 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			return ErrEjected
 		}
 
-		outcome := <-ch
+		outcome := awaitOutcome(ch)
 		r.stageCert.Observe(time.Since(certStart))
 		switch err := outcome; {
 		case err == nil:

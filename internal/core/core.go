@@ -25,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -296,11 +297,14 @@ type Replica struct {
 
 	// Waiters for commit outcomes, keyed by transaction ID.
 	waitMu  sync.Mutex
-	waiters map[stm.TxnID]*commitWaiter
+	waiters map[stm.TxnID]commitWaiter
 
 	// Durability tier: applied-frontier tracking + delta window (always),
 	// WAL + snapshots (when configured with a directory).
 	dur *durable
+	// applyBatch is applyEntries' scratch batch, reused: every apply runs on
+	// the dispatcher.
+	applyBatch []stm.TxnWriteSet
 
 	txnSeq  atomic.Uint64
 	applies atomic.Int64 // applied write-sets since the last automatic GC
@@ -343,7 +347,7 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 		store:      stm.NewStore(),
 		certLog:    newCertLog(certLogSize),
 		inflight:   newInflightTable(),
-		waiters:    make(map[stm.TxnID]*commitWaiter),
+		waiters:    make(map[stm.TxnID]commitWaiter),
 		retries:    metrics.NewIntDist(),
 		batchSizes: metrics.NewIntDist(),
 	}
@@ -536,26 +540,46 @@ func (r *Replica) maybeGC() {
 // sentAt is stamped when the write-set leaves on the URB (markSent), which
 // lets resolveWaiter attribute the broadcast→self-delivery window to the URB
 // stage histogram; it stays zero for outcomes that involve no URB of their
-// own (CERT, §4.5(c) piggyback).
+// own (CERT, §4.5(c) piggyback). cls is the write-set's in-flight
+// reservation, which the waiter owns: whatever resolves the waiter
+// (self-delivery, a failed broadcast, an ejection, Close) releases it, once.
 type commitWaiter struct {
 	ch     chan error
 	sentAt time.Time
+	cls    []lease.ConflictClass
 }
 
-func (r *Replica) registerWaiter(id stm.TxnID) chan error {
-	w := &commitWaiter{ch: make(chan error, 1)}
+// outcomeChans recycles waiter channels. A channel goes back only once its
+// one outcome has been received (awaitOutcome): it is empty, and the
+// resolver that sent on it no longer holds it.
+var outcomeChans = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// registerWaiter registers the outcome waiter of transaction id, owning the
+// in-flight reservation cls (nil when it holds none).
+func (r *Replica) registerWaiter(id stm.TxnID, cls []lease.ConflictClass) chan error {
+	ch := outcomeChans.Get().(chan error)
 	r.waitMu.Lock()
-	r.waiters[id] = w
+	r.waiters[id] = commitWaiter{ch: ch, cls: cls}
 	r.waitMu.Unlock()
-	return w.ch
+	return ch
 }
 
-// markSent stamps the URB departure time on the given waiters.
-func (r *Replica) markSent(ids []stm.TxnID, at time.Time) {
+// awaitOutcome receives a registered waiter's outcome and recycles its
+// channel. The channel of a dropped waiter (dropWaiter) may still be sent on,
+// so it is left to the collector.
+func awaitOutcome(ch chan error) error {
+	err := <-ch
+	outcomeChans.Put(ch)
+	return err
+}
+
+// markSent stamps the URB departure time on the waiters of entries.
+func (r *Replica) markSent(entries []applyWSEntry, at time.Time) {
 	r.waitMu.Lock()
-	for _, id := range ids {
-		if w, ok := r.waiters[id]; ok {
+	for _, e := range entries {
+		if w, ok := r.waiters[e.TxnID]; ok {
 			w.sentAt = at
+			r.waiters[e.TxnID] = w
 		}
 	}
 	r.waitMu.Unlock()
@@ -567,11 +591,19 @@ func (r *Replica) resolveWaiter(id stm.TxnID, err error) {
 	delete(r.waiters, id)
 	r.waitMu.Unlock()
 	if ok {
-		if err == nil && !w.sentAt.IsZero() {
-			r.stageURB.Observe(time.Since(w.sentAt))
-		}
-		w.ch <- err
+		r.settle(w, err)
 	}
+}
+
+// settle releases a removed waiter's reservation and hands it its outcome.
+func (r *Replica) settle(w commitWaiter, err error) {
+	if w.cls != nil {
+		r.inflight.release(w.cls)
+	}
+	if err == nil && !w.sentAt.IsZero() {
+		r.stageURB.Observe(time.Since(w.sentAt))
+	}
+	w.ch <- err
 }
 
 func (r *Replica) dropWaiter(id stm.TxnID) {
@@ -584,26 +616,32 @@ func (r *Replica) failAllWaiters(err error) {
 	r.waitMu.Lock()
 	for id, w := range r.waiters {
 		delete(r.waiters, id)
-		w.ch <- err
+		r.settle(w, err)
 	}
 	r.waitMu.Unlock()
 }
 
 // --- In-flight write-set tracking ----------------------------------------------
 
-// classes maps box IDs to their conflict classes via the lease
-// configuration's mapper (the same classes leases are taken over).
-func (r *Replica) classes(ids []string) []lease.ConflictClass {
-	return r.cfg.Lease.Mapper.Classes(ids)
+// dataClasses returns the conflict classes of a transaction's data set —
+// every box it read or wrote — via the lease configuration's mapper (the
+// classes leases are taken over), sorted and deduplicated.
+func (r *Replica) dataClasses(rs stm.ReadSet, ws stm.WriteSet) []lease.ConflictClass {
+	m := r.cfg.Lease.Mapper
+	out := make([]lease.ConflictClass, 0, len(rs)+len(ws))
+	for _, e := range rs {
+		out = append(out, m.Class(e.Box))
+	}
+	for _, e := range ws {
+		out = append(out, m.Class(e.Box))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // wsClasses returns the conflict classes of a write-set.
 func (r *Replica) wsClasses(ws stm.WriteSet) []lease.ConflictClass {
-	boxes := make([]string, len(ws))
-	for i, e := range ws {
-		boxes[i] = e.Box
-	}
-	return r.classes(boxes)
+	return r.dataClasses(nil, ws)
 }
 
 // alive reports whether the replica can still commit update transactions.

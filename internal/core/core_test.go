@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,28 +55,20 @@ func TestStatsAbortRate(t *testing.T) {
 }
 
 func TestDataSetUnion(t *testing.T) {
+	r := &Replica{}
 	rs := stm.ReadSet{{Box: "a"}, {Box: "b"}}
 	ws := stm.WriteSet{{Box: "b", Value: 1}, {Box: "c", Value: 2}}
-	got := dataSet(rs, ws)
-	if len(got) != 3 {
-		t.Fatalf("dataSet = %v, want 3 distinct items", got)
-	}
-	seen := map[string]bool{}
-	for _, it := range got {
-		seen[it] = true
-	}
-	for _, want := range []string{"a", "b", "c"} {
-		if !seen[want] {
-			t.Fatalf("dataSet missing %q: %v", want, got)
-		}
+	got := r.dataClasses(rs, ws)
+	if want := (lease.Mapper{}).Classes([]string{"a", "b", "c"}); !slices.Equal(got, want) {
+		t.Fatalf("dataClasses = %v, want the classes of {a,b,c} %v", got, want)
 	}
 }
 
 func TestAccumulate(t *testing.T) {
-	acc := accumulate(nil, []string{"a", "b"})
-	acc = accumulate(acc, []string{"b", "c"})
+	acc := accumulate(nil, []lease.ConflictClass{1, 2})
+	acc = accumulate(acc, []lease.ConflictClass{2, 3})
 	if len(acc) != 3 {
-		t.Fatalf("accumulate = %v, want {a,b,c}", acc)
+		t.Fatalf("accumulate = %v, want {1,2,3}", acc)
 	}
 }
 
@@ -298,7 +291,7 @@ func TestCommitWaiter(t *testing.T) {
 
 	// The outcome fires once; a later resolution finds no waiter.
 	id := r.nextTxnID()
-	ch := r.registerWaiter(id)
+	ch := r.registerWaiter(id, nil)
 	r.resolveWaiter(id, ErrEjected)
 	if err, ok := fired(ch); !ok || !errors.Is(err, ErrEjected) {
 		t.Fatalf("after an error: fired=%t err=%v, want true/ErrEjected", ok, err)
@@ -309,7 +302,7 @@ func TestCommitWaiter(t *testing.T) {
 	}
 
 	id = r.nextTxnID()
-	ch = r.registerWaiter(id)
+	ch = r.registerWaiter(id, nil)
 	r.resolveWaiter(id, nil)
 	if err, ok := fired(ch); !ok || err != nil {
 		t.Fatalf("success: fired=%t err=%v, want true/nil", ok, err)
@@ -317,7 +310,7 @@ func TestCommitWaiter(t *testing.T) {
 
 	// Close fails whatever is still registered.
 	id = r.nextTxnID()
-	ch = r.registerWaiter(id)
+	ch = r.registerWaiter(id, nil)
 	_ = r.Close()
 	if err, ok := fired(ch); !ok || !errors.Is(err, ErrStopped) {
 		t.Fatalf("after Close: fired=%t err=%v, want true/ErrStopped", ok, err)
@@ -373,7 +366,7 @@ func TestURDeliverAppliesBeforeReturning(t *testing.T) {
 	if !r.inflight.reserve(nil, cls, r.alive) {
 		t.Fatal("reservation refused")
 	}
-	outcome := r.registerWaiter(own)
+	outcome := r.registerWaiter(own, cls)
 	entries = append(entries, applyWSEntry{TxnID: own, WS: ownWS})
 
 	(&gcsHandler{r}).OnURDeliver(1, &applyWSBatchMsg{Entries: entries})

@@ -631,11 +631,9 @@ func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
 	d.mu.Unlock()
 
 	if log != nil {
-		payload, err := appendWALRecord(make([]byte, 0, 256), fresh) // one allocation for the usual small batch
-		n := 0
-		if err == nil {
-			n, err = log.Append(payload)
-		}
+		// Encoded straight into the log's reused frame: one copy, no
+		// allocation.
+		n, err := log.AppendEncoded(func(b []byte) ([]byte, error) { return appendWALRecord(b, fresh) })
 		if err != nil {
 			// Unencodable values (box types never passed to RegisterValue)
 			// or a failed write: degrade to memory-only rather than blocking

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -84,6 +85,52 @@ func roundTripEntries() []applyWSEntry {
 		{TxnID: stm.TxnID{Replica: 1, Seq: 5}},
 		{TxnID: stm.TxnID{Replica: 1, Seq: 9}, Ord: 1, WS: stm.WriteSet{{Box: "to", Value: "certified"}}},
 		{TxnID: stm.TxnID{Replica: 0, Seq: 2}, WS: stm.WriteSet{{Box: "other", Value: 1}}},
+	}
+}
+
+// TestDurableWALFrameMatchesEncodeRecord: records encoded straight into the
+// log's reused frame — a large one, then a smaller one over its leftovers —
+// are byte for byte what framing a separately encoded payload gives, and
+// decode back to the entries logged.
+func TestDurableWALFrameMatchesEncodeRecord(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := openDurable(t, dir)
+	batches := [][]applyWSEntry{
+		roundTripEntries(),
+		{{TxnID: stm.TxnID{Replica: 0, Seq: 3}, WS: stm.WriteSet{{Box: "x", Value: 1}}}},
+	}
+	var want []byte
+	for _, b := range batches {
+		if fresh := d.append(b); len(fresh) != len(b) {
+			t.Fatalf("%d of %d entries survived the filter", len(fresh), len(b))
+		}
+		payload, err := appendWALRecord(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, wal.EncodeRecord(payload)...)
+	}
+	d.close()
+	got, err := os.ReadFile(wal.LogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log holds\n %x\nwant\n %x", got, want)
+	}
+	for i, b := range batches {
+		payload, n, ok := wal.DecodeRecord(got)
+		if !ok {
+			t.Fatalf("record %d does not decode", i)
+		}
+		entries, err := readWALRecord(payload)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(entries, b) {
+			t.Fatalf("record %d decodes to\n %#v\nwant\n %#v", i, entries, b)
+		}
+		got = got[n:]
 	}
 }
 

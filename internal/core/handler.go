@@ -243,11 +243,16 @@ func (r *Replica) applyEntries(entries []applyWSEntry, fromBatch bool) {
 	defer func() { r.stageApply.Observe(time.Since(applyStart)) }()
 	r.dur.applyMu.RLock()
 	fresh := r.dur.append(entries)
-	batch := make([]stm.TxnWriteSet, len(fresh))
-	for i, e := range fresh {
-		batch[i] = stm.TxnWriteSet{Writer: e.TxnID, WS: e.WS}
+	// The store does not keep the batch: its slice is dispatcher scratch.
+	batch := r.applyBatch[:0]
+	for _, e := range fresh {
+		batch = append(batch, stm.TxnWriteSet{Writer: e.TxnID, WS: e.WS})
 	}
 	r.store.ApplyWriteSets(batch)
+	clear(batch)
+	if cap(batch) <= maxBatchTxns {
+		r.applyBatch = batch
+	}
 	if r.cfg.Protocol == ProtocolCert {
 		for _, e := range fresh {
 			r.advanceTO(e.Ord)
@@ -258,8 +263,7 @@ func (r *Replica) applyEntries(entries []applyWSEntry, fromBatch bool) {
 	for _, e := range entries {
 		if e.TxnID.Replica == r.id {
 			mine = true
-			r.inflight.release(r.wsClasses(e.WS))
-			r.resolveWaiter(e.TxnID, nil)
+			r.resolveWaiter(e.TxnID, nil) // releases its reservation
 		}
 	}
 	for range fresh {

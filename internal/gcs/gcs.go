@@ -532,21 +532,31 @@ func (e *Endpoint) runUpcalls() {
 
 // drainOutbox transmits queued application broadcasts unless a flush is in
 // progress or this process's install has not left yet.
+//
+// The whole queue goes out in one critical section, in order: each send
+// costs O(1) however long the queue is. The emptied slice is kept for the
+// next submissions unless a backlog grew it past outboxClamp.
 func (e *Endpoint) drainOutbox() {
-	for {
-		e.mu.Lock()
-		if e.blocked || e.pendingSend != nil || e.joining || len(e.outbox) == 0 || e.stopped {
-			e.mu.Unlock()
-			return
-		}
-		m := e.outbox[0]
-		e.outbox = slices.Delete(e.outbox, 0, 1)
-		if e.inPrimary {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.blocked || e.pendingSend != nil || e.joining || len(e.outbox) == 0 || e.stopped {
+		return
+	}
+	msgs := e.outbox
+	if e.inPrimary {
+		for _, m := range msgs {
 			e.broadcastDataLocked(m.kind, m.body)
 		}
-		e.mu.Unlock()
 	}
+	clear(msgs)
+	if cap(msgs) > outboxClamp {
+		msgs = nil
+	}
+	e.outbox = msgs[:0]
 }
+
+// outboxClamp is the largest outbox capacity drainOutbox keeps.
+const outboxClamp = 1024
 
 // broadcastDataLocked assigns identity and vector clock to a message, stages
 // it (the sender holds it from here on) and sends it to the other members.

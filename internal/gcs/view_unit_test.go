@@ -393,7 +393,7 @@ func owed(e *Endpoint, peer transport.ID) owedAck {
 // unstarted returns endpoint self of a group over members with its sends
 // logged. It is not started: the test plays the dispatcher. Its heartbeat
 // interval is a minute, so no member looks quiet unless the test says so.
-func unstarted(t *testing.T, self transport.ID, members ...transport.ID) (*Endpoint, *sentLog, *recorder) {
+func unstarted(t testing.TB, self transport.ID, members ...transport.ID) (*Endpoint, *sentLog, *recorder) {
 	t.Helper()
 	net := memnet.New(memnet.Config{})
 	t.Cleanup(net.Close)

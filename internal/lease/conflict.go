@@ -26,14 +26,15 @@ type Mapper struct {
 func (m Mapper) Classes(ids []string) []ConflictClass {
 	out := make([]ConflictClass, len(ids))
 	for i, id := range ids {
-		out[i] = m.classOf(id)
+		out[i] = m.Class(id)
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }
 
-// classOf is FNV-1a (64-bit) over the item ID, the hash/fnv function inlined.
-func (m Mapper) classOf(id string) ConflictClass {
+// Class maps one data item ID to its conflict class: FNV-1a (64-bit) over
+// the ID, the hash/fnv function inlined.
+func (m Mapper) Class(id string) ConflictClass {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	v := uint64(offset64)
 	for i := 0; i < len(id); i++ {

@@ -99,7 +99,7 @@ func TestQuickClassOfIsFNV1a(t *testing.T) {
 		if n%16 > 0 {
 			want %= uint64(n % 16)
 		}
-		return Mapper{NumClasses: int(n % 16)}.classOf(id) == ConflictClass(want)
+		return Mapper{NumClasses: int(n % 16)}.Class(id) == ConflictClass(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package lease
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -458,7 +458,7 @@ func (m *Manager) maybeFreeAllLocked() {
 	if len(batch) == 0 {
 		return
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Seq < batch[j].Seq })
+	slices.SortFunc(batch, func(a, b RequestID) int { return cmp.Compare(a.Seq, b.Seq) })
 	m.tracef("free %v", batch)
 	m.nFreed.Add(int64(len(batch)))
 	// The release is broadcast with the lock held to keep it ordered before
@@ -492,7 +492,7 @@ func (m *Manager) enabledPayloadsLocked() []*reqState {
 	}
 	clear(m.ripe)
 	m.ripe = m.ripe[:0]
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	slices.SortFunc(out, func(a, b *reqState) int { return cmp.Compare(a.pos, b.pos) })
 	return out
 }
 

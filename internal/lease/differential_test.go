@@ -457,15 +457,15 @@ func (d *diffDriver) step() {
 			d.issue(classes, false, false, RequestID{}, func() (RequestID, error) { return m.GetLease(set) })
 		}
 	case k < 20 && len(d.calls) < 4:
-		set, payload := d.randomSet(), d.rng.Int()
-		d.issue(m.cfg.Mapper.Classes(set), false, true, RequestID{}, func() (RequestID, error) {
-			return m.GetLeaseWithPayload(set, payload)
+		classes, payload := m.cfg.Mapper.Classes(d.randomSet()), d.rng.Int()
+		d.issue(classes, false, true, RequestID{}, func() (RequestID, error) {
+			return m.GetLeaseWithPayload(classes, payload)
 		})
 	case k < 25 && len(d.calls) < 4:
 		if old := d.soleHeld(); old != (RequestID{}) {
-			set := d.randomSet()
-			d.issue(m.cfg.Mapper.Classes(set), false, false, old, func() (RequestID, error) {
-				return m.GetLeaseReplacing(set, old)
+			classes := m.cfg.Mapper.Classes(d.randomSet())
+			d.issue(classes, false, false, old, func() (RequestID, error) {
+				return m.GetLeaseReplacing(classes, old)
 			})
 		}
 	case k < 28 && len(d.calls) < 4:
@@ -680,7 +680,7 @@ func (d *diffDriver) check(event string) {
 	if got, want := m.HoldsLease(set), md.holder(classes) != nil; got != want {
 		d.failf("after %s: HoldsLease(%v) = %t, model %t", event, set, got, want)
 	}
-	if got, want := m.HasCoverage(set), md.joinable(classes) != nil; got != want {
+	if got, want := m.HasCoverage(classes), md.joinable(classes) != nil; got != want {
 		d.failf("after %s: HasCoverage(%v) = %t, model %t", event, set, got, want)
 	}
 }

@@ -305,23 +305,37 @@ func (m *Manager) Close() {
 
 // --- Acquisition (application side) ------------------------------------------
 
+// The acquisition and reuse calls below take a transaction's conflict
+// classes, computed once per attempt by the caller with the manager's Mapper
+// (sorted and deduplicated, as Mapper.Classes returns them). A request keeps
+// the slice it was acquired with: the caller must not modify it afterwards.
+// GetLease and TryReuse also take a data set, for callers without classes at
+// hand (the lease-layer probes of benchmark/, tests).
+
 // GetLease establishes a lease on the conflict classes of the given data
-// items, blocking until the lease is held. It implements the paper's
-// getLease: an existing unblocked local request covering the classes is
-// reused without any communication (lease retention); otherwise a new
-// request is OA-broadcast and the call waits for it to reach the head of
-// every class queue. Returns the request ID to pass to Finished, or
-// ErrNotPrimary (the paper's ⊥), ErrDeadlock, or ErrStopped.
+// items, blocking until the lease is held. It is GetLeaseClasses over the
+// data set's classes.
 func (m *Manager) GetLease(dataSet []string) (RequestID, error) {
-	return m.acquire(&Request{Classes: m.cfg.Mapper.Classes(dataSet)}, RequestID{}, true)
+	return m.GetLeaseClasses(m.cfg.Mapper.Classes(dataSet))
 }
 
-// GetLeaseReplacing is GetLease with the §4.4 deadlock-avoidance piggyback:
-// the previously held request old is released atomically (in the total
-// order) right before the new request is enqueued. The caller must be the
-// only transaction associated with old.
-func (m *Manager) GetLeaseReplacing(dataSet []string, old RequestID) (RequestID, error) {
-	return m.acquire(&Request{Classes: m.cfg.Mapper.Classes(dataSet)}, old, false)
+// GetLeaseClasses establishes a lease on the given conflict classes,
+// blocking until the lease is held. It implements the paper's getLease: an
+// existing unblocked local request covering the classes is reused without
+// any communication (lease retention); otherwise a new request is
+// OA-broadcast and the call waits for it to reach the head of every class
+// queue. Returns the request ID to pass to Finished, or ErrNotPrimary (the
+// paper's ⊥), ErrDeadlock, or ErrStopped.
+func (m *Manager) GetLeaseClasses(classes []ConflictClass) (RequestID, error) {
+	return m.acquire(&Request{Classes: classes}, RequestID{}, true)
+}
+
+// GetLeaseReplacing is GetLeaseClasses with the §4.4 deadlock-avoidance
+// piggyback: the previously held request old is released atomically (in the
+// total order) right before the new request is enqueued. The caller must be
+// the only transaction associated with old.
+func (m *Manager) GetLeaseReplacing(classes []ConflictClass, old RequestID) (RequestID, error) {
+	return m.acquire(&Request{Classes: classes}, old, false)
 }
 
 // GetLeaseWithPayload acquires a fresh lease request carrying an opaque
@@ -329,8 +343,8 @@ func (m *Manager) GetLeaseReplacing(dataSet []string, old RequestID) (RequestID,
 // read- and write-set ride on the lease request, and every replica certifies
 // the transaction the moment the lease is established). Payload requests are
 // never satisfied by reuse: the payload must travel.
-func (m *Manager) GetLeaseWithPayload(dataSet []string, payload any) (RequestID, error) {
-	return m.acquire(&Request{Classes: m.cfg.Mapper.Classes(dataSet), Payload: payload}, RequestID{}, false)
+func (m *Manager) GetLeaseWithPayload(classes []ConflictClass, payload any) (RequestID, error) {
+	return m.acquire(&Request{Classes: classes, Payload: payload}, RequestID{}, false)
 }
 
 // acquire is the one acquisition path behind the GetLease forms: with reuse,
@@ -348,7 +362,9 @@ func (m *Manager) acquire(req *Request, old RequestID, reuse bool) (RequestID, e
 			defer m.mu.Unlock()
 			st.active++
 			m.nReused.Inc()
-			m.tracef("join %v active=%d", st.req.ID, st.active)
+			if m.cfg.Tracer != nil {
+				m.tracef("join %v active=%d", st.req.ID, st.active)
+			}
 			return m.awaitLocked(st)
 		}
 	}
@@ -574,12 +590,16 @@ func (m *Manager) holderLocked(classes []ConflictClass) *reqState {
 	return nil
 }
 
-// TryReuse attempts a zero-communication acquisition: if this replica holds
-// an enabled, unblocked, unreleased request covering the data set, the
+// TryReuse is TryReuseClasses over the data set's conflict classes.
+func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
+	return m.TryReuseClasses(m.cfg.Mapper.Classes(dataSet))
+}
+
+// TryReuseClasses attempts a zero-communication acquisition: if this replica
+// holds an enabled, unblocked, unreleased request covering the classes, the
 // transaction is associated with it immediately (the lease-retention fast
 // path). Non-blocking: returns false when no such request exists.
-func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
-	classes := m.cfg.Mapper.Classes(dataSet)
+func (m *Manager) TryReuseClasses(classes []ConflictClass) (RequestID, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.usableLocked() != nil {
@@ -591,30 +611,30 @@ func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
 	}
 	st.active++
 	m.nReused.Inc()
-	m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
+	if m.cfg.Tracer != nil {
+		m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
+	}
 	return st.req.ID, true
 }
 
 // HasCoverage reports whether any local request — enabled, queued, or still
-// in flight — could serve the data set (unblocked, unreleased, covering).
+// in flight — could serve the classes (unblocked, unreleased, covering).
 // The Replication Manager uses it to decide between joining an existing
-// acquisition (GetLease's reuse path, which waits for enablement) and
+// acquisition (GetLeaseClasses' reuse path, which waits for enablement) and
 // issuing a fresh §4.5(c) payload request: issuing a new request while a
 // covering one is pending would block the older one (the fairness rule) and
 // defeat lease retention under concurrent local threads.
-func (m *Manager) HasCoverage(dataSet []string) bool {
-	classes := m.cfg.Mapper.Classes(dataSet)
+func (m *Manager) HasCoverage(classes []ConflictClass) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.joinableLocked(classes) != nil
 }
 
-// Covers reports whether the given held lease request still covers the data
-// set: used by the Replication Manager when a transaction re-executes, to
+// Covers reports whether the given held lease request still covers the
+// classes: used by the Replication Manager when a transaction re-executes, to
 // decide between retaining the lease (same classes, §4's at-most-one-abort
 // guarantee) and replacing it (§4.4).
-func (m *Manager) Covers(id RequestID, dataSet []string) bool {
-	classes := m.cfg.Mapper.Classes(dataSet)
+func (m *Manager) Covers(id RequestID, classes []ConflictClass) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.reqs[id]
@@ -645,7 +665,9 @@ func (m *Manager) Finished(id RequestID) {
 	if st.active > 0 {
 		st.active--
 	}
-	m.tracef("finished %v active=%d blocked=%t", id, st.active, st.blocked)
+	if m.cfg.Tracer != nil {
+		m.tracef("finished %v active=%d blocked=%t", id, st.active, st.blocked)
+	}
 	m.maybeFreeAllLocked()
 	m.gcLocked(st)
 }

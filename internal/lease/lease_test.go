@@ -469,7 +469,7 @@ func TestReplacementAtomicSwap(t *testing.T) {
 		t.Fatalf("ActiveCount = %d, want 1", ms[0].ActiveCount(idX))
 	}
 
-	idY, err := ms[0].GetLeaseReplacing([]string{"y"}, idX)
+	idY, err := ms[0].GetLeaseReplacing(ms[0].cfg.Mapper.Classes([]string{"y"}), idX)
 	if err != nil {
 		t.Fatalf("GetLeaseReplacing: %v", err)
 	}
@@ -503,7 +503,7 @@ func TestCrossReplacementNoDeadlock(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		id, err := ms[0].GetLeaseReplacing([]string{"y"}, idX)
+		id, err := ms[0].GetLeaseReplacing(ms[0].cfg.Mapper.Classes([]string{"y"}), idX)
 		if err != nil {
 			errs <- err
 			return
@@ -512,7 +512,7 @@ func TestCrossReplacementNoDeadlock(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		id, err := ms[1].GetLeaseReplacing([]string{"x"}, idY)
+		id, err := ms[1].GetLeaseReplacing(ms[1].cfg.Mapper.Classes([]string{"x"}), idY)
 		if err != nil {
 			errs <- err
 			return
@@ -634,13 +634,13 @@ func TestPayloadHandlerFiresOncePerRequest(t *testing.T) {
 		})
 	}
 
-	id0, err := ms[0].GetLeaseWithPayload([]string{"x"}, 1)
+	id0, err := ms[0].GetLeaseWithPayload(ms[0].cfg.Mapper.Classes([]string{"x"}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id1ch := make(chan RequestID, 1)
 	go func() {
-		id, err := ms[1].GetLeaseWithPayload([]string{"x"}, 2)
+		id, err := ms[1].GetLeaseWithPayload(ms[1].cfg.Mapper.Classes([]string{"x"}), 2)
 		if err == nil {
 			id1ch <- id
 		}

@@ -89,7 +89,7 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 					id, err = m.GetLeaseEverything(held)
 					held = RequestID{}
 				case held != (RequestID{}) && rng.Intn(3) == 0 && m.ActiveCount(held) == 1:
-					id, err = m.GetLeaseReplacing(set, held)
+					id, err = m.GetLeaseReplacing(m.cfg.Mapper.Classes(set), held)
 					held = RequestID{}
 				default:
 					if held != (RequestID{}) {

@@ -132,7 +132,7 @@ func TestOwnerKeepsUnfiredPayloadRequest(t *testing.T) {
 	m.HandleRequestTO(&Request{ID: RequestID{Proc: 1, Seq: 1}, Classes: x}) // holds x
 	errc := make(chan error, 1)
 	go func() {
-		_, err := m.GetLeaseWithPayload([]string{"x"}, "p")
+		_, err := m.GetLeaseWithPayload(m.cfg.Mapper.Classes([]string{"x"}), "p")
 		errc <- err
 	}()
 	p := takeOAB(t, b)
@@ -195,7 +195,7 @@ func TestPayloadRequestNeverDeadlockVictim(t *testing.T) {
 		plain <- err
 	}()
 	go func() {
-		id, err := ms[1].GetLeaseWithPayload([]string{"x"}, "p")
+		id, err := ms[1].GetLeaseWithPayload(ms[1].cfg.Mapper.Classes([]string{"x"}), "p")
 		if err == nil {
 			ms[1].Finished(id)
 		}
@@ -231,13 +231,13 @@ func TestInstallStateFiresUnresolvedPayloads(t *testing.T) {
 		m.SetPayloadHandler(fired[i].handler)
 	}
 
-	id0, err := ms[0].GetLeaseWithPayload([]string{"x"}, "first")
+	id0, err := ms[0].GetLeaseWithPayload(ms[0].cfg.Mapper.Classes([]string{"x"}), "first")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan RequestID, 1)
 	go func() {
-		id, err := ms[1].GetLeaseWithPayload([]string{"x"}, "second")
+		id, err := ms[1].GetLeaseWithPayload(ms[1].cfg.Mapper.Classes([]string{"x"}), "second")
 		if err != nil {
 			t.Errorf("second acquisition: %v", err)
 		}
@@ -297,8 +297,8 @@ func TestViewChangePurgeFiresPayloadsAlike(t *testing.T) {
 	// Replica 0 holds x and y; replica 1 queues a payload request on x and
 	// replica 2 one on y, both behind replica 0.
 	getLeaseT(t, ms[0], []string{"x", "y"})
-	go func() { _, _ = ms[1].GetLeaseWithPayload([]string{"x"}, "survives") }()
-	go func() { _, _ = ms[2].GetLeaseWithPayload([]string{"y"}, "departs") }()
+	go func() { _, _ = ms[1].GetLeaseWithPayload(ms[1].cfg.Mapper.Classes([]string{"x"}), "survives") }()
+	go func() { _, _ = ms[2].GetLeaseWithPayload(ms[2].cfg.Mapper.Classes([]string{"y"}), "departs") }()
 	waitUntil(t, func() bool {
 		b.sync()
 		return ms[3].QueueDepth([]string{"x"}) == 2 && ms[3].QueueDepth([]string{"y"}) == 2

@@ -113,7 +113,7 @@ func TestWildcardReplacesHeldLease(t *testing.T) {
 		t.Fatal("wildcard replacement does not cover")
 	}
 	// Covers treats the wildcard as a universal superset.
-	if !ms[0].Covers(wid, []string{"a", "b", "c"}) {
+	if !ms[0].Covers(wid, ms[0].cfg.Mapper.Classes([]string{"a", "b", "c"})) {
 		t.Fatal("Covers(wildcard) = false")
 	}
 	ms[0].Finished(wid)

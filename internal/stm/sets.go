@@ -43,3 +43,47 @@ func (ws WriteSet) BoxIDs() []string {
 	}
 	return ids
 }
+
+func (e ReadEntry) boxID() string  { return e.Box }
+func (e WriteEntry) boxID() string { return e.Box }
+
+// smallSet is the size up to which an entrySet is searched by a scan; a
+// larger one builds a map index.
+const smallSet = 16
+
+// entrySet is a transaction's read- or write-set in first-access order, at
+// most one entry per box.
+type entrySet[E interface{ boxID() string }] struct {
+	list  []E
+	index map[string]int // box ID -> position in list, once len(list) > smallSet
+}
+
+// find returns the position of the box's entry, or -1.
+func (s *entrySet[E]) find(id string) int {
+	if s.index != nil {
+		if i, ok := s.index[id]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range s.list {
+		if s.list[i].boxID() == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends the entry of a box not in the set yet.
+func (s *entrySet[E]) add(e E) {
+	s.list = append(s.list, e)
+	switch {
+	case s.index != nil:
+		s.index[e.boxID()] = len(s.list) - 1
+	case len(s.list) > smallSet:
+		s.index = make(map[string]int, 2*len(s.list))
+		for i := range s.list {
+			s.index[s.list[i].boxID()] = i
+		}
+	}
+}

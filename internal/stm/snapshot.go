@@ -1,6 +1,9 @@
 package stm
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // BoxState is the latest committed state of one box, as captured by Snapshot.
 type BoxState struct {
@@ -38,7 +41,7 @@ func (s *Store) Snapshot() StoreSnapshot {
 		sh.mu.RUnlock()
 	}
 
-	sort.Slice(boxes, func(i, j int) bool { return boxes[i].Box < boxes[j].Box })
+	slices.SortFunc(boxes, func(a, b BoxState) int { return strings.Compare(a.Box, b.Box) })
 	return StoreSnapshot{Clock: s.clock.Load(), Boxes: boxes}
 }
 

@@ -41,7 +41,8 @@ package stm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -249,10 +250,8 @@ func (s *Store) NumBoxes() int {
 func (s *Store) Begin(readOnly bool) *Txn {
 	t := &Txn{store: s, readOnly: readOnly}
 	t.snapshot = s.snapshots.acquire(&s.clock)
-	if !readOnly {
-		t.reads = make(map[string]TxnID)
-		t.writes = make(map[string]Value)
-	}
+	t.reads.list = t.readBuf[:0]
+	t.writes.list = t.writeBuf[:0]
 	return t
 }
 
@@ -453,11 +452,18 @@ type Txn struct {
 	readOnly bool
 	done     bool
 
-	// reads maps box ID -> writer of the version observed. writes buffers
-	// the transaction's updates (redo log).
-	reads  map[string]TxnID
-	writes map[string]Value
+	// reads records each box read with the writer of the version observed;
+	// writes buffers the transaction's updates (redo log). Both start in the
+	// inline arrays, so a small update transaction is one allocation.
+	reads    entrySet[ReadEntry]
+	writes   entrySet[WriteEntry]
+	readBuf  [inlineEntries]ReadEntry
+	writeBuf [inlineEntries]WriteEntry
 }
+
+// inlineEntries is how many reads and writes a transaction holds before its
+// sets move out of the Txn itself.
+const inlineEntries = 2
 
 // Snapshot returns the commit timestamp the transaction is reading at
 // (JVSTM's snapshotID).
@@ -473,24 +479,22 @@ func (t *Txn) Read(id string) (Value, error) {
 		return nil, ErrTxnDone
 	}
 	if !t.readOnly {
-		if v, ok := t.writes[id]; ok {
-			return v, nil
+		if i := t.writes.find(id); i >= 0 {
+			return t.writes.list[i].Value, nil
 		}
 	}
 	var v *version
 	if b, ok := t.store.Box(id); ok {
 		v = b.read(t.snapshot) // nil: box created after our snapshot
 	}
-	if !t.readOnly {
-		if _, seen := t.reads[id]; !seen {
-			// An absent box is read as its initial version (the zero writer),
-			// so validation sees a concurrent creation as a conflict.
-			var w TxnID
-			if v != nil {
-				w = v.writer
-			}
-			t.reads[id] = w
+	if !t.readOnly && t.reads.find(id) < 0 {
+		// An absent box is read as its initial version (the zero writer),
+		// so validation sees a concurrent creation as a conflict.
+		var w TxnID
+		if v != nil {
+			w = v.writer
 		}
+		t.reads.add(ReadEntry{Box: id, Writer: w})
 	}
 	if v == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchBox, id)
@@ -507,31 +511,31 @@ func (t *Txn) Write(id string, v Value) error {
 	case t.readOnly:
 		return ErrReadOnly
 	}
-	t.writes[id] = v
+	if i := t.writes.find(id); i >= 0 {
+		t.writes.list[i].Value = v
+	} else {
+		t.writes.add(WriteEntry{Box: id, Value: v})
+	}
 	return nil
 }
 
 // IsUpdate reports whether the transaction has buffered any writes.
-func (t *Txn) IsUpdate() bool { return len(t.writes) > 0 }
+func (t *Txn) IsUpdate() bool { return len(t.writes.list) > 0 }
 
 // ReadSet returns the transaction's read-set: every box it read together
-// with the writer ID of the version it observed, sorted by box ID.
+// with the writer ID of the version it observed, sorted by box ID. The
+// result is the only allocation, and the caller's to keep.
 func (t *Txn) ReadSet() ReadSet {
-	rs := make(ReadSet, 0, len(t.reads))
-	for id, w := range t.reads {
-		rs = append(rs, ReadEntry{Box: id, Writer: w})
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Box < rs[j].Box })
+	rs := ReadSet(slices.Clone(t.reads.list))
+	slices.SortFunc(rs, func(a, b ReadEntry) int { return strings.Compare(a.Box, b.Box) })
 	return rs
 }
 
-// WriteSet returns the transaction's buffered writes, sorted by box ID.
+// WriteSet returns the transaction's buffered writes, sorted by box ID. The
+// result is the only allocation, and the caller's to keep.
 func (t *Txn) WriteSet() WriteSet {
-	ws := make(WriteSet, 0, len(t.writes))
-	for id, v := range t.writes {
-		ws = append(ws, WriteEntry{Box: id, Value: v})
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].Box < ws[j].Box })
+	ws := WriteSet(slices.Clone(t.writes.list))
+	slices.SortFunc(ws, func(a, b WriteEntry) int { return strings.Compare(a.Box, b.Box) })
 	return ws
 }
 
@@ -555,7 +559,7 @@ func (t *Txn) Commit(writer TxnID) error {
 		return ErrTxnDone
 	}
 	defer t.finish()
-	if t.readOnly || len(t.writes) == 0 {
+	if t.readOnly || len(t.writes.list) == 0 {
 		// Multi-version snapshots make read-only transactions trivially
 		// serializable: nothing to validate or write.
 		return nil

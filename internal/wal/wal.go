@@ -66,11 +66,22 @@ func SnapshotPath(dir string) string { return filepath.Join(dir, snapshotName) }
 // EncodeRecord frames one payload: length prefix, CRC-32C, payload.
 func EncodeRecord(payload []byte) []byte {
 	out := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
 	copy(out[headerSize:], payload)
+	sealRecord(out)
 	return out
 }
+
+// sealRecord fills in the header of a frame whose first headerSize bytes
+// were reserved ahead of its payload: the payload's length and CRC-32C.
+func sealRecord(frame []byte) {
+	payload := frame[headerSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// frameClamp is the largest frame capacity a Log retains between appends:
+// one oversized record must not pin its buffer for the log's lifetime.
+const frameClamp = 256 << 10
 
 // DecodeRecord reads one framed record from b. It returns the payload, the
 // total frame size consumed, and ok=false when the prefix of b is not a
@@ -214,6 +225,10 @@ type Log struct {
 	closed          bool
 	stop            chan struct{}
 	done            chan struct{}
+	// frame is the record frame appends encode into (AppendEncoded). It is
+	// written synchronously, so nothing references it once its append
+	// returns.
+	frame []byte
 	// fsync forces f to stable storage; tests substitute it to hold or fail
 	// an fsync.
 	fsync func(*os.File) error
@@ -278,7 +293,25 @@ func (l *Log) syncLoop() {
 // Append frames payload and writes it to the log, returning the frame size.
 // Under PolicyAlways the record is fsynced before Append returns.
 func (l *Log) Append(payload []byte) (int, error) {
-	frame := EncodeRecord(payload)
+	return l.AppendEncoded(func(b []byte) ([]byte, error) { return append(b, payload...), nil })
+}
+
+// AppendEncoded is Append for a payload that encode appends to the log's
+// reused frame, behind a reserved header: no copy of the payload and, once
+// the frame has grown to the usual record size, no allocation. encode must
+// not retain its argument; its error is returned and nothing is written.
+func (l *Log) AppendEncoded(encode func([]byte) ([]byte, error)) (int, error) {
+	// The frame leaves the log while encode runs, outside the lock; a
+	// concurrent append finds none and allocates its own.
+	l.mu.Lock()
+	frame := l.frame
+	l.frame = nil
+	l.mu.Unlock()
+	frame, err := encode(append(frame[:0], make([]byte, headerSize)...))
+	if err != nil {
+		return 0, err
+	}
+	sealRecord(frame)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -287,6 +320,9 @@ func (l *Log) Append(payload []byte) (int, error) {
 	if _, err := l.f.Write(frame); err != nil {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: append: %w", err)
+	}
+	if cap(frame) <= frameClamp {
+		l.frame = frame // written: nothing references it any more
 	}
 	l.size += int64(len(frame))
 	l.written++

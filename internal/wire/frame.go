@@ -113,8 +113,13 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, []byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf itself: a local array would escape
+	// through the io.Reader interface and cost one allocation per frame.
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, buf, io.EOF
 		}
