@@ -258,20 +258,44 @@ func (c *Cluster) Close() {
 	c.net.Close()
 }
 
-// WaitConverged blocks until every live replica's store snapshot is
+// WaitConverged blocks until the cluster is quiescent — every live replica
+// reports an empty commit pipeline: nothing in its coalescer, nothing queued
+// or pending in its GCS endpoint — and every live replica's store snapshot is
 // identical (same boxes, same latest values and writers), or the timeout
-// expires. Stores converge once the cluster is quiescent: every committed
-// write-set is uniformly delivered.
+// expires. Equal stores alone do not show convergence: a write-set still in
+// flight, even one of an operation that already failed, leaves them equal
+// until it lands.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if diff := c.divergence(); diff == "" {
+		diff := c.inFlight()
+		if diff == "" {
+			diff = c.divergence()
+		}
+		if diff == "" {
 			return nil
 		} else if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: stores did not converge within %v: %s", timeout, diff)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// inFlight describes the first live replica whose commit pipeline still
+// holds a message, or returns "". A message delivered nowhere yet is pending
+// at its sender at least; one delivered somewhere but not everywhere shows as
+// a store divergence. Retained messages are not in flight: they were
+// delivered here and wait only for news of their stability, which a quiet
+// group may never send.
+func (c *Cluster) inFlight() string {
+	for _, r := range c.Replicas() {
+		q := r.Stats().Queues
+		q.GCS.URBRetained = 0
+		if q.CoalescerPending != 0 || q.GCS != (gcs.QueueStats{}) {
+			return fmt.Sprintf("replica %d has messages in flight: %+v", r.ID(), q)
+		}
+	}
+	return ""
 }
 
 // divergence returns a description of the first store mismatch, or "".

@@ -97,6 +97,47 @@ func runCounterWorkload(t *testing.T, c *Cluster, perReplica int) {
 	}
 }
 
+// TestWaitConvergedWaitsForInFlightWriteSet: with one increment in flight on
+// a slow network, every store still holds the old value, so equal stores
+// alone would pass for convergence. WaitConverged must wait until the
+// increment has landed everywhere.
+func TestWaitConvergedWaitsForInFlightWriteSet(t *testing.T) {
+	gcsCfg := testGCS()
+	gcsCfg.SuspectAfter, gcsCfg.FlushTimeout, gcsCfg.RetransmitAfter = 5*time.Second, 5*time.Second, time.Second
+	c, err := New(Config{
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC},
+		Net:  memnet.Config{Latency: 40 * time.Millisecond},
+		GCS:  gcsCfg,
+		Seed: map[string]stm.Value{"x": 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	r0 := c.Replica(0)
+	done := make(chan error, 1)
+	go func() { done <- r0.Atomic(increment("x")) }()
+	for deadline := time.Now().Add(5 * time.Second); r0.Stats().Queues.GCS == (gcs.QueueStats{}); {
+		if time.Now().After(deadline) {
+			t.Fatal("the increment never reached the GCS")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.Replicas() {
+		if got := readBox(t, r, "x"); got != 1 {
+			t.Errorf("replica %d: x = %v when WaitConverged returned, want 1", r.ID(), got)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("increment: %v", err)
+	}
+}
+
 func TestALCCounterSerializable(t *testing.T) {
 	c := newCluster(t, 3, core.Config{Protocol: core.ProtocolALC})
 	runCounterWorkload(t, c, 20)

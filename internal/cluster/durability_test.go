@@ -544,6 +544,65 @@ func (l *gcsLog) has(sub string) bool {
 	return false
 }
 
+// TestDurableCertRestartDeltaThenFull runs CERT across a restart and a full
+// transfer. Its commit clock is the durability tier's TO frontier, so a
+// rejoined replica must certify in step with the group after a delta install
+// (the suffix re-advances the clock through its original ordinals) and after
+// a full one (the clock jumps to the transferred frontier).
+func TestDurableCertRestartDeltaThenFull(t *testing.T) {
+	c, err := New(Config{
+		N:          3,
+		Core:       core.Config{Protocol: core.ProtocolCert, GCEvery: -1, MaxRetries: 50},
+		Net:        memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:        testGCS(),
+		Seed:       map[string]stm.Value{"counter": 0},
+		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(c.Close)
+	// rejoin crashes replica 2, commits through the others, restarts it and
+	// then commits on all three: the rejoined replica must certify in step,
+	// its commits and the others' interleaving on one clock.
+	rejoin := func(commits int) core.WALStats {
+		t.Helper()
+		c.Crash(2)
+		commitN(t, c, "counter", commits)
+		if err := c.Restart(2); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		waitRejoined(t, c, 2)
+		commitN(t, c, "counter", 3)
+		if err := c.WaitConverged(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return c.Replica(2).Stats().WAL
+	}
+
+	if s := rejoin(4); s.DeltaInstalled == 0 || s.FullInstalled != 0 {
+		t.Fatalf("a 4-commit gap inside the 8-entry window: want a delta, got %+v", s)
+	}
+	if s := rejoin(40); s.FullInstalled == 0 {
+		t.Fatalf("a 40-commit gap past the 8-entry window: want a full transfer, got %+v", s)
+	}
+	var evicted int64
+	for _, r := range c.Replicas() {
+		evicted += r.Stats().WAL.DeltaDeclined.Evicted
+	}
+	if evicted == 0 {
+		t.Fatal("no delta declined as evicted for the 40-commit gap")
+	}
+	for _, r := range c.Replicas() {
+		if got := readBox(t, r, "counter"); got != 50 {
+			t.Fatalf("replica %d: counter = %v, want 50", r.ID(), got)
+		}
+	}
+	if diff := c.CheckHistories(); diff != "" {
+		t.Fatalf("history divergence: %s", diff)
+	}
+}
+
 // TestFullTransferLogsReason: the coordinator says why a joiner got a full
 // transfer. A memory-only replica restarts with no state and advertises no
 // frontier; a durable one whose gap outruns the retained window advertises

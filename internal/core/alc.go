@@ -153,7 +153,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// shelters it; acquiring the lease despite known-stale reads is
 		// exactly how ALC bounds re-executions (§4: the transaction is
 		// "re-executed without releasing the lease").
-		if aborts == 0 && held == none && !r.store.Validate(txn.Snapshot(), rs) {
+		if aborts == 0 && held == none && r.store.Stale(rs) != nil {
 			txn.Abort()
 			r.nAborts[abortEarly].Inc()
 			aborts++
@@ -212,13 +212,11 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			txn.Abort()
 			return ErrEjected
 		}
-		// ValidateConflicts is Validate plus attribution in one scan:
-		// invalid means the read-set is stale (abort), and the conflicting
-		// head writers say whether a remote transaction snuck past a held
-		// lease.
-		valid, conflicts := r.store.ValidateConflicts(txn.Snapshot(), rs)
+		// A stale read-set aborts, and the conflicting head writers say
+		// whether a remote transaction snuck past a held lease.
+		conflicts := r.store.Stale(rs)
 		r.stageCert.Observe(time.Since(certStart))
-		if !valid {
+		if conflicts != nil {
 			r.inflight.release(wsCls)
 			txn.Abort()
 			r.nAborts[abortFinal].Inc()
@@ -235,29 +233,16 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			continue // re-execute holding the lease: no further remote aborts
 		}
 
-		// Decide: broadcast the write-set. seqMu makes {ID allocation;
-		// enqueue} atomic so no later local committer can enqueue a lower seq
-		// behind a higher one (the receivers' per-writer frontier filter would
-		// silently drop the inversion). The waiter owns the reservation from
-		// here: it is released when the waiter resolves — at self-delivery, or
-		// failed on ejection.
-		r.seqMu.Lock()
-		tid := r.nextTxnID()
-		ch := r.registerWaiter(tid, wsCls)
-		r.coal.enqueue(applyWSEntry{TxnID: tid, LeaseID: held, WS: ws})
-		r.seqMu.Unlock()
-
+		// Decide: broadcast the write-set. The waiter owns the reservation
+		// from here: it is released when the waiter resolves — at
+		// self-delivery, or failed on ejection.
+		tid, ch := r.coal.enqueue(held, ws, wsCls)
 		if err := awaitOutcome(ch); err != nil {
 			txn.Abort()
 			return err
 		}
-		txn.Finish()
-		r.nCommits.Inc()
-		r.retries.Observe(aborts)
-		r.latency.Observe(time.Since(txnStart))
-		r.observeCommitted(TxnReport{
+		r.committed(txn, txnStart, TxnReport{
 			ID:                    tid,
-			Snapshot:              txn.Snapshot(),
 			RS:                    rs,
 			WS:                    ws,
 			Retries:               aborts,
@@ -363,14 +348,9 @@ func (r *Replica) commitPiggybacked(
 	r.stageCert.Observe(time.Since(certStart))
 	switch err := outcome; {
 	case err == nil:
-		txn.Finish()
-		r.nCommits.Inc()
 		r.nPiggyback.Inc()
-		r.retries.Observe(*aborts)
-		r.latency.Observe(time.Since(txnStart))
-		r.observeCommitted(TxnReport{
+		r.committed(txn, txnStart, TxnReport{
 			ID:                    tid,
-			Snapshot:              txn.Snapshot(),
 			RS:                    rs,
 			WS:                    ws,
 			Retries:               *aborts,

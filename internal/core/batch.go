@@ -16,7 +16,7 @@ import (
 // per-replica coalescer that URB-broadcasts them in batches (one message,
 // one wire frame and one ack round amortized over many transactions).
 // UR-delivered batches are applied on the GCS dispatcher, in delivery order
-// (applyEntries).
+// (applyEntries, through install).
 
 const (
 	// maxBatchTxns caps the write-sets coalesced into one batch.
@@ -158,16 +158,24 @@ func newCoalescer(r *Replica) *coalescer {
 	return &coalescer{r: r}
 }
 
-// enqueue hands over a validated write-set. The caller must have registered
-// a waiter for e.TxnID that owns the write-set's in-flight reservation; it is
-// resolved at self-delivery of the batch, or failed if the batch cannot be
-// broadcast.
-func (c *coalescer) enqueue(e applyWSEntry) {
+// enqueue hands over a validated write-set committed under lease held: it
+// draws the transaction's ID and registers its outcome waiter, which owns the
+// write-set's in-flight reservation cls. The waiter is resolved at
+// self-delivery of the batch, or failed if the batch cannot be broadcast.
+//
+// The ID is drawn under c.mu, which also orders the queue and the broadcasts,
+// so this replica's write-sets travel the URB channel in ascending Seq order.
+// The receivers' per-writer frontier filter relies on it: were Seqs 6 and 7
+// drawn by two committers and 7 queued first, every receiver would drop 6 as
+// already absorbed.
+func (c *coalescer) enqueue(held lease.RequestID, ws stm.WriteSet, cls []lease.ConflictClass) (stm.TxnID, chan error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := applyWSEntry{TxnID: c.r.nextTxnID(), LeaseID: held, WS: ws}
+	ch := c.r.registerWaiter(e.TxnID, cls)
 	if c.stopped || !c.r.primary.Load() {
 		c.r.resolveWaiter(e.TxnID, c.entryErr())
-		return
+		return e.TxnID, ch
 	}
 	c.pending = append(c.pending, e)
 	c.pendingAt = append(c.pendingAt, time.Now())
@@ -184,6 +192,7 @@ func (c *coalescer) enqueue(e applyWSEntry) {
 		gen := c.timerGen
 		c.timer = time.AfterFunc(maxBatchDelay, func() { c.window(gen) })
 	}
+	return e.TxnID, ch
 }
 
 // window is the maxBatchDelay timer callback.

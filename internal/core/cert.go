@@ -29,12 +29,16 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			return ErrTooManyRetries
 		}
 
-		// Sample the TO commit clock BEFORE the snapshot is taken: the clock
-		// advances synchronously with the store apply (on the dispatcher), so
-		// a pre-Begin sample can only under-state the transaction's snapshot
-		// position — widening the validation window (possible extra
-		// conservative aborts), never narrowing it.
-		snapOrd := r.toOrd.Load()
+		// Sample the TO commit clock BEFORE the snapshot is taken, between
+		// installs: install moves the clock before the store (log before
+		// install), so the sample is taken under the apply barrier held
+		// exclusively. Every commit it counts is then in the store, and the
+		// sample can only under-state the transaction's snapshot position —
+		// widening the validation window (possible extra conservative
+		// aborts), never narrowing it.
+		r.dur.applyMu.Lock()
+		snapOrd := r.dur.toClock()
+		r.dur.applyMu.Unlock()
 
 		execStart := time.Now()
 		txn := r.store.Begin(false)
@@ -50,14 +54,14 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 		}
 
 		// Early validation: cheap local pre-abort before paying for the AB.
-		if !txn.Validate() {
+		rs, ws := txn.ReadSet(), txn.WriteSet()
+		if r.store.Stale(rs) != nil {
 			txn.Abort()
 			r.nAborts[abortEarly].Inc()
 			aborts++
 			continue
 		}
 
-		rs, ws := txn.ReadSet(), txn.WriteSet()
 		msg := &certMsg{
 			TxnID:       r.nextTxnID(),
 			SnapshotOrd: snapOrd,
@@ -83,13 +87,8 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 		r.stageCert.Observe(time.Since(certStart))
 		switch err := outcome; {
 		case err == nil:
-			txn.Finish()
-			r.nCommits.Inc()
-			r.retries.Observe(aborts)
-			r.latency.Observe(time.Since(txnStart))
-			r.observeCommitted(TxnReport{
+			r.committed(txn, txnStart, TxnReport{
 				ID:       msg.TxnID,
-				Snapshot: txn.Snapshot(),
 				RS:       rs,
 				WS:       ws,
 				Retries:  aborts,
@@ -117,28 +116,26 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 func (r *Replica) certApply(m *certMsg) {
 	valid := r.certValidate(m)
 	if valid {
-		// Durability filter first (log-before-install); a CERT commit the
-		// store already absorbed (delta install overlap) is skipped whole —
-		// its certLog digest arrived with the transferred window.
-		r.dur.applyMu.RLock()
-		ord := r.toOrd.Load() + 1
-		if fresh := r.dur.append([]applyWSEntry{{TxnID: m.TxnID, Ord: ord, WS: m.WS}}); len(fresh) > 0 {
-			r.store.ApplyWriteSet(m.TxnID, m.WS)
+		// A CERT commit the store already absorbed (delta install overlap) is
+		// skipped whole: its certLog digest arrived with the transferred
+		// window.
+		ord := r.dur.toClock() + 1
+		if len(r.install([]applyWSEntry{{TxnID: m.TxnID, Ord: ord, WS: m.WS}})) > 0 {
 			r.certLog.append(ord, m.WS.BoxIDs())
-			r.advanceTO(ord)
-			r.dur.applyMu.RUnlock()
-			r.maybeGC()
-		} else {
-			r.dur.applyMu.RUnlock()
 		}
 	}
 	if m.TxnID.Replica == r.id {
-		if valid {
-			r.resolveWaiter(m.TxnID, nil)
-		} else {
-			r.resolveWaiter(m.TxnID, errValidationFailed)
-		}
+		r.resolveWaiter(m.TxnID, verdict(valid))
 	}
+}
+
+// verdict is a certification outcome, as its transaction's waiter receives
+// it.
+func verdict(valid bool) error {
+	if valid {
+		return nil
+	}
+	return errValidationFailed
 }
 
 // certValidate checks the transaction's read-set against every write-set
@@ -146,7 +143,7 @@ func (r *Replica) certApply(m *certMsg) {
 // retained window aborts conservatively (deterministically: the window is a
 // shared configuration and the TO clock is identical at every replica).
 func (r *Replica) certValidate(m *certMsg) bool {
-	clock := r.toOrd.Load()
+	clock := r.dur.toClock()
 	if m.SnapshotOrd > clock {
 		// A snapshot from the future would mean clock divergence.
 		return false

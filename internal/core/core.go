@@ -194,10 +194,10 @@ const (
 // StageStats decomposes the update-commit path into its pipeline stages, one
 // latency histogram per stage. Execution, LeaseWait and Certification are
 // per-attempt (a transaction retried N times contributes N+1 observations);
-// Coalescer and URB are per committed write-set; Apply is per delivered
-// batch. For an uncontended single-attempt workload the stage means sum to
-// roughly the end-to-end CommitLatency mean (Apply overlaps the URB window
-// and is excluded from that identity).
+// Coalescer and URB are per committed write-set; Apply is per install. For
+// an uncontended single-attempt workload the stage means sum to roughly the
+// end-to-end CommitLatency mean (Apply overlaps the URB window and is
+// excluded from that identity).
 type StageStats struct {
 	// Execution is the transactional run of fn: store.Begin through fn's
 	// return, per attempt.
@@ -217,8 +217,9 @@ type StageStats struct {
 	// URB is the broadcast-to-self-delivery time of the write-set (batch):
 	// the paper's single URB commit step, as locally observable.
 	URB metrics.HistogramSnapshot
-	// Apply is the write-set application: one observation per delivered
-	// batch (local and remote), under the store's commit lock.
+	// Apply is the store install (durability filter, log, store): one
+	// observation per delivered URB batch, delta transfer, CERT commit and
+	// §4.5(c) payload commit, local and remote.
 	Apply metrics.HistogramSnapshot
 }
 
@@ -274,26 +275,11 @@ type Replica struct {
 	lm      *lease.Manager
 	coal    *coalescer
 	certLog *certLog
-	// toOrd is CERT's totally-ordered commit clock: the count of valid
-	// certifications applied. Validation is deterministic, so the count is
-	// identical at every replica — unlike the store's commit timestamp, which
-	// also counts URB-lane applies in a replica-local order. (ALC's
-	// piggybacked commits are keyed on their lease request's TO position
-	// instead: they apply in enablement order, which is not the same
-	// everywhere.)
-	toOrd atomic.Int64
 
 	// Commit pipeline: the in-flight table serializes intersecting local
 	// committers (see inflightTable for the lost-update invariant) and the
 	// coalescer batches their write-set broadcasts.
 	inflight *inflightTable
-
-	// seqMu makes {TxnID allocation; write-set enqueue} atomic per replica,
-	// so the URB channel carries this replica's write-sets in ascending Seq
-	// order: without it two concurrent local committers can allocate seqs 6
-	// and 7 but enqueue 7 first, and the per-writer frontier filter at the
-	// receivers silently drops 6.
-	seqMu sync.Mutex
 
 	// Waiters for commit outcomes, keyed by transaction ID.
 	waitMu  sync.Mutex
@@ -302,8 +288,8 @@ type Replica struct {
 	// Durability tier: applied-frontier tracking + delta window (always),
 	// WAL + snapshots (when configured with a directory).
 	dur *durable
-	// applyBatch is applyEntries' scratch batch, reused: every apply runs on
-	// the dispatcher.
+	// applyBatch is install's scratch batch, reused: every apply runs on the
+	// dispatcher.
 	applyBatch []stm.TxnWriteSet
 
 	txnSeq  atomic.Uint64
@@ -376,7 +362,6 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 			r.dur.openTOEpoch()
 		}
 	}
-	r.toOrd.Store(toFrontierOf(r.dur.advertise())) // the recovered TO commit clock
 	r.coal = newCoalescer(r)
 
 	gcsCfg.JoinFrontier = r.dur.advertise
@@ -511,17 +496,6 @@ func (r *Replica) nextTxnID() stm.TxnID {
 	return stm.TxnID{Replica: r.id, Seq: r.txnSeq.Add(1)}
 }
 
-// advanceTO lifts the TO clock to at least ord (delta installs replay TO
-// entries with their original ordinals).
-func (r *Replica) advanceTO(ord int64) {
-	for {
-		cur := r.toOrd.Load()
-		if ord <= cur || r.toOrd.CompareAndSwap(cur, ord) {
-			return
-		}
-	}
-}
-
 // maybeGC prunes version histories after every cfg.GCEvery applied
 // write-sets. Every apply, and so every caller, runs on the dispatcher:
 // collections are serial by construction.
@@ -532,6 +506,19 @@ func (r *Replica) maybeGC() {
 	if r.applies.Add(1)%int64(r.cfg.GCEvery) == 0 {
 		r.store.GC()
 	}
+}
+
+// committed is the one record of a commit, whichever exit it took (URB,
+// §4.5(c) payload, CERT): it finishes the transaction, counts the commit and
+// its retries, times it from the first attempt and reports it to the
+// observer.
+func (r *Replica) committed(txn *stm.Txn, txnStart time.Time, rep TxnReport) {
+	txn.Finish()
+	r.nCommits.Inc()
+	r.retries.Observe(rep.Retries)
+	r.latency.Observe(time.Since(txnStart))
+	rep.Snapshot = txn.Snapshot()
+	r.observeCommitted(rep)
 }
 
 // --- Commit outcome plumbing --------------------------------------------------

@@ -457,3 +457,76 @@ func TestURDeliverLogsBeforeReturning(t *testing.T) {
 		t.Fatalf("log holds %v when OnURDeliver returned, want %v", logged, ids)
 	}
 }
+
+// TestFullInstallAbortsStraddlingTransaction: a full state install may set
+// the store's commit clock back (here from 5 to 1). A transaction that read x
+// before the install and commits after it read a version the install
+// replaced; no version is newer than its snapshot, so only a validation by
+// writer identity sees it. It must re-execute against the installed x = 100,
+// not commit x = 6 over it.
+func TestFullInstallAbortsStraddlingTransaction(t *testing.T) {
+	r := newTestReplica(t)
+	if err := r.WaitForView(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Seed(map[string]stm.Value{"x": 0}); err != nil {
+		t.Fatal(err)
+	}
+	inc := func(tx *stm.Txn) error {
+		v, err := tx.Read("x")
+		if err != nil {
+			return err
+		}
+		return tx.Write("x", v.(int)+1)
+	}
+	for range 5 {
+		if err := r.Atomic(inc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ts := r.store.CommitTimestamp(); ts != 5 {
+		t.Fatalf("clock %d after 5 increments, want 5", ts)
+	}
+
+	read, resume := make(chan struct{}), make(chan struct{})
+	var attempts atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- r.Atomic(func(tx *stm.Txn) error {
+			v, err := tx.Read("x")
+			if err != nil {
+				return err
+			}
+			if attempts.Add(1) == 1 {
+				close(read)
+				<-resume
+			}
+			return tx.Write("x", v.(int)+1)
+		})
+	}()
+	within(t, read, "the increment's read")
+
+	frontier, toAbove := r.dur.cut()
+	(&gcsHandler{r}).InstallState(&xferState{
+		Store: stm.StoreSnapshot{Clock: 1, Boxes: []stm.BoxState{
+			{Box: "x", Writer: stm.TxnID{Replica: 9, Seq: 1}, Value: 100},
+		}},
+		Leases:   r.lm.SnapshotState(),
+		Frontier: frontier,
+		TOAbove:  toAbove,
+	})
+	if ts := r.store.CommitTimestamp(); ts != 1 {
+		t.Fatalf("clock %d after the install, want 1", ts)
+	}
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	var x any
+	if err := r.AtomicRO(func(tx *stm.Txn) (err error) { x, err = tx.Read("x"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if x != 101 || attempts.Load() != 2 {
+		t.Fatalf("x = %v after %d attempts, want 101 after 2 (the read of x = 5 is stale)", x, attempts.Load())
+	}
+}

@@ -261,8 +261,8 @@ func (sh *appliedState) resetTo(f map[transport.ID]uint64) {
 	*sh = appliedState{
 		frontier:   make(map[transport.ID]uint64, len(f)),
 		evicted:    make(map[transport.ID]uint64, len(f)),
-		toFrontier: toFrontierOf(f),
-		evictedTO:  toFrontierOf(f),
+		toFrontier: int64(f[transport.Nobody]),
+		evictedTO:  int64(f[transport.Nobody]),
 		hasState:   f != nil,
 	}
 	for w, seq := range f {
@@ -733,6 +733,15 @@ func (d *durable) openTOEpoch() {
 	d.mu.Lock()
 	d.applied.openTOEpoch()
 	d.mu.Unlock()
+}
+
+// toClock is CERT's totally ordered commit clock: the TO frontier. CERT's TO
+// lane has no gaps, so the frontier is the ordinal of the last valid
+// certification applied.
+func (d *durable) toClock() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.applied.toFrontier
 }
 
 // payloadOrd is the TO-lane ordinal of the §4.5(c) payload whose lease

@@ -53,7 +53,7 @@ func (h *gcsHandler) OnURDeliver(from transport.ID, body any) {
 	r.confirmView()
 	switch m := body.(type) {
 	case *applyWSBatchMsg:
-		r.applyEntries(m.Entries, true)
+		r.applyEntries(m.Entries)
 	case *lease.Freed:
 		r.lm.HandleFreed(m)
 		r.resolvePayloads()
@@ -200,21 +200,20 @@ func (h *gcsHandler) InstallState(state any) {
 		r.store.Restore(st.Store)
 		r.dur.applyMu.Unlock()
 		r.certLog.restore(st.CertLog)
-		r.toOrd.Store(toFrontierOf(st.Frontier))
 		r.dur.installFull(st.Frontier, st.TOAbove, r.store)
 		r.lm.InstallState(st.Leases)
 	case *xferDelta:
 		r.coal.fail(ErrEjected)
 		r.inflight.reset()
-		// applyEntries runs the normal apply path: the durability filter
-		// drops entries this store already absorbed (the advertised frontier
-		// can be stale — an ejected replica keeps applying URB deliveries
-		// after its joinReq went out), the survivors are WAL-logged, applied,
-		// and retained for onward deltas. CERT's TO-lane entries re-advance
-		// the commit clock through their original ordinals.
-		if len(st.Entries) > 0 {
-			r.applyEntries(st.Entries, false)
-		}
+		// The suffix takes the one install step: the durability filter drops
+		// entries this store already absorbed (the advertised frontier can be
+		// stale — an ejected replica keeps applying URB deliveries after its
+		// joinReq went out), the survivors are WAL-logged, applied, and
+		// retained for onward deltas. CERT's TO-lane entries re-advance the
+		// commit clock through their original ordinals. Its own entries
+		// resolve any waiter left; the coalescer, just failed, has no batch
+		// outstanding to settle.
+		r.applyEntries(st.Entries)
 		r.certLog.restore(st.CertLog)
 		r.lm.InstallState(st.Leases)
 		r.dur.deltaInstalled.Inc()
@@ -222,25 +221,18 @@ func (h *gcsHandler) InstallState(state any) {
 	r.resolvePayloads()
 }
 
-// toFrontierOf extracts the TO-lane clock from an advertised frontier map
-// (carried under transport.Nobody so the wire format of the per-writer map
-// is unchanged).
-func toFrontierOf(f map[transport.ID]uint64) int64 {
-	return int64(f[transport.Nobody])
-}
-
-// applyEntries installs a delivered batch under one acquisition of the
-// store's commit lock and resolves the local waiters it carries.
-// The durability tier sees the batch FIRST: it filters out entries the store
+// install is the one step every delivered write-set takes into the store: a
+// URB batch, a delta transfer's suffix, a CERT commit and a §4.5(c) payload.
+// The durability tier sees the entries FIRST: it filters out those the store
 // already absorbed (idempotence across delta installs and stale-frontier
-// overlaps), logs the survivors, and only those reach the store — but local
-// waiters are resolved for every entry addressed to us, filtered or not
-// (a filtered own entry means the commit is already durable here). The whole
-// append+apply runs under the durability tier's shared apply barrier so a
-// concurrent snapshot never observes a frontier without its store effect.
-func (r *Replica) applyEntries(entries []applyWSEntry, fromBatch bool) {
-	applyStart := time.Now()
-	defer func() { r.stageApply.Observe(time.Since(applyStart)) }()
+// overlaps), logs the survivors and advances their lanes' frontiers — CERT's
+// commit clock included — and only those reach the store, under one
+// acquisition of its commit lock. The whole append+apply runs under the
+// durability tier's shared apply barrier so a concurrent snapshot never
+// observes a frontier without its store effect. It returns the entries
+// installed.
+func (r *Replica) install(entries []applyWSEntry) []applyWSEntry {
+	start := time.Now()
 	r.dur.applyMu.RLock()
 	fresh := r.dur.append(entries)
 	// The store does not keep the batch: its slice is dispatcher scratch.
@@ -249,16 +241,23 @@ func (r *Replica) applyEntries(entries []applyWSEntry, fromBatch bool) {
 		batch = append(batch, stm.TxnWriteSet{Writer: e.TxnID, WS: e.WS})
 	}
 	r.store.ApplyWriteSets(batch)
+	r.dur.applyMu.RUnlock()
 	clear(batch)
 	if cap(batch) <= maxBatchTxns {
 		r.applyBatch = batch
 	}
-	if r.cfg.Protocol == ProtocolCert {
-		for _, e := range fresh {
-			r.advanceTO(e.Ord)
-		}
+	for range fresh {
+		r.maybeGC()
 	}
-	r.dur.applyMu.RUnlock()
+	r.stageApply.Observe(time.Since(start))
+	return fresh
+}
+
+// applyEntries installs a delivered batch and resolves the local waiters it
+// carries: every entry addressed to us, installed or filtered (a filtered
+// own entry means the commit is already durable here).
+func (r *Replica) applyEntries(entries []applyWSEntry) {
+	r.install(entries)
 	mine := false
 	for _, e := range entries {
 		if e.TxnID.Replica == r.id {
@@ -266,10 +265,7 @@ func (r *Replica) applyEntries(entries []applyWSEntry, fromBatch bool) {
 			r.resolveWaiter(e.TxnID, nil) // releases its reservation
 		}
 	}
-	for range fresh {
-		r.maybeGC()
-	}
-	if mine && fromBatch {
+	if mine {
 		r.coal.batchDelivered()
 	}
 }
@@ -277,12 +273,12 @@ func (r *Replica) applyEntries(entries []applyWSEntry, fromBatch bool) {
 // onEnabledPayload certifies a §4.5(c) piggybacked transaction — ALC's
 // lease-miss commit — the moment its lease request is enabled on delivered
 // events (lease.PayloadHandler). Every replica enables the request after the
-// same conflicting history and performs the same writer-identity validation,
-// so the outcome is the same cluster-wide; on success the write-set is
-// applied at once, with no broadcast of its own. It is a TO-lane entry keyed
-// on pos, the request's TO position, in the lease table's epoch: applies
-// happen in enablement order, which differs across replicas for unrelated
-// requests, but the ordinal does not.
+// same conflicting history and validates the read-set by writer identity
+// (Store.Stale), so the outcome is the same cluster-wide; on success the
+// write-set is installed at once, with no broadcast of its own. It is a
+// TO-lane entry keyed on pos, the request's TO position, in the lease table's
+// epoch: applies happen in enablement order, which differs across replicas
+// for unrelated requests, but the ordinal does not.
 func (r *Replica) onEnabledPayload(req *lease.Request, pos uint64) {
 	p, ok := req.Payload.(*certPayload)
 	if !ok || p == nil {
@@ -291,40 +287,12 @@ func (r *Replica) onEnabledPayload(req *lease.Request, pos uint64) {
 	if payloadHook != nil {
 		payloadHook(r.id)
 	}
-	valid := true
-	for _, e := range p.RS {
-		w, exists := r.store.HeadWriter(e.Box)
-		if !exists {
-			if !e.Writer.IsZero() {
-				valid = false
-				break
-			}
-			continue
-		}
-		if w != e.Writer {
-			valid = false
-			break
-		}
-	}
+	valid := r.store.Stale(p.RS) == nil
 	if valid {
-		// Through the durability filter like every applied write-set: logged
-		// before installed, skipped entirely if already absorbed.
-		r.dur.applyMu.RLock()
-		entry := applyWSEntry{TxnID: p.TxnID, LeaseID: req.ID, Ord: r.dur.payloadOrd(pos), WS: p.WS}
-		if fresh := r.dur.append([]applyWSEntry{entry}); len(fresh) > 0 {
-			r.store.ApplyWriteSet(p.TxnID, p.WS)
-			r.dur.applyMu.RUnlock()
-			r.maybeGC()
-		} else {
-			r.dur.applyMu.RUnlock()
-		}
+		r.install([]applyWSEntry{{TxnID: p.TxnID, LeaseID: req.ID, Ord: r.dur.payloadOrd(pos), WS: p.WS}})
 	}
 	if p.TxnID.Replica == r.id {
-		if valid {
-			r.resolveWaiter(p.TxnID, nil)
-		} else {
-			r.resolveWaiter(p.TxnID, errValidationFailed)
-		}
+		r.resolveWaiter(p.TxnID, verdict(valid))
 	}
 }
 

@@ -431,14 +431,6 @@ func (e *Endpoint) submit(kind byte, body any) error {
 	return nil
 }
 
-// RequestJoin asks the primary component to admit this process (used after
-// an ejection, or when Config.Joining was set the request is automatic).
-func (e *Endpoint) RequestJoin() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sendJoinReq()
-}
-
 // Close stops the endpoint.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()

@@ -101,7 +101,7 @@ func BenchmarkValidate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Validate(0, rs) {
+		if s.Stale(rs) != nil {
 			b.Fatal("unexpected invalidation")
 		}
 	}

@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -278,49 +279,65 @@ func TestSnapshotDuringParallelCommits(t *testing.T) {
 	}
 }
 
-// TestValidateConflicts checks the merged validate+diagnose call: valid
-// read-sets return (true, nil); invalidated ones return every stale entry
-// with the writer that overwrote it.
-func TestValidateConflicts(t *testing.T) {
+// TestStale checks the one read-set validation: a fresh read-set returns
+// nil; a stale one returns every stale entry with the writer that overwrote
+// it, a box created since a read found it absent included.
+func TestStale(t *testing.T) {
 	s := NewStore()
 	for _, id := range []string{"a", "b", "c"} {
 		if _, err := s.CreateBox(id, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := s.CommitTimestamp()
-	rs := ReadSet{{Box: "a"}, {Box: "b"}, {Box: "c"}, {Box: "missing"}}
-
-	ok, conflicts := s.ValidateConflicts(snap, rs)
-	if !ok || conflicts != nil {
-		t.Fatalf("fresh read-set: got ok=%v conflicts=%v", ok, conflicts)
+	rs := ReadSet{{Box: "a"}, {Box: "b"}, {Box: "c"}, {Box: "missing"}, {Box: "born"}}
+	if conflicts := s.Stale(rs); conflicts != nil {
+		t.Fatalf("fresh read-set: got conflicts %v", conflicts)
 	}
 
 	w1 := TxnID{Replica: 1, Seq: 1}
 	w2 := TxnID{Replica: 2, Seq: 7}
+	w3 := TxnID{Replica: 3, Seq: 2}
 	s.ApplyWriteSet(w1, WriteSet{{Box: "a", Value: 1}})
 	s.ApplyWriteSet(w2, WriteSet{{Box: "c", Value: 2}})
+	s.ApplyWriteSet(w3, WriteSet{{Box: "born", Value: 3}})
 
-	ok, conflicts = s.ValidateConflicts(snap, rs)
-	if ok {
-		t.Fatal("stale read-set validated")
-	}
-	if len(conflicts) != 2 {
-		t.Fatalf("conflicts = %v, want entries for a and c", conflicts)
-	}
+	conflicts := s.Stale(rs)
 	got := map[string]TxnID{}
 	for _, c := range conflicts {
 		got[c.Box] = c.Writer
 	}
-	if got["a"] != w1 || got["c"] != w2 {
-		t.Fatalf("conflict writers = %v, want a->%v c->%v", got, w1, w2)
+	want := map[string]TxnID{"a": w1, "c": w2, "born": w3}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("conflicts = %v, want %v", got, want)
 	}
-	// Must agree with the separate calls it replaces.
-	if s.Validate(snap, rs) {
-		t.Fatal("Validate disagrees with ValidateConflicts")
+	// A read of the head writer's version is fresh again.
+	if c := s.Stale(ReadSet{{Box: "a", Writer: w1}, {Box: "born", Writer: w3}}); c != nil {
+		t.Fatalf("reads of the head versions: got conflicts %v", c)
 	}
-	if lc := s.Conflicts(snap, rs); len(lc) != 2 {
-		t.Fatalf("Conflicts() = %v, want 2 entries", lc)
+}
+
+// TestStaleAfterRestoreSetsClockBack: Restore may move the commit clock
+// backwards (a state transfer from a replica that counted fewer local
+// commits). A read taken before it must still be stale when its box's
+// content was replaced, even though no version is newer than its snapshot.
+func TestStaleAfterRestoreSetsClockBack(t *testing.T) {
+	s := NewStore()
+	mustCreate(t, s, "x", 0)
+	for i := 1; i <= 5; i++ {
+		s.ApplyWriteSet(txnID(uint64(i)), WriteSet{{Box: "x", Value: i}})
+	}
+	tx := s.Begin(false)
+	mustRead(t, tx, "x")
+	s.Restore(StoreSnapshot{Clock: 1, Boxes: []BoxState{{Box: "x", Writer: TxnID{Replica: 9, Seq: 1}, Value: 100}}})
+	if s.CommitTimestamp() >= tx.Snapshot() {
+		t.Fatalf("clock %d after Restore, want it behind the snapshot %d", s.CommitTimestamp(), tx.Snapshot())
+	}
+	if s.Stale(tx.ReadSet()) == nil {
+		t.Fatal("read of x not stale after Restore replaced it")
+	}
+	_ = tx.Write("x", 6)
+	if err := tx.Commit(txnID(6)); !errors.Is(err, ErrConflict) {
+		t.Fatalf("Commit = %v, want ErrConflict", err)
 	}
 }
 

@@ -168,7 +168,7 @@ func TestQuickValidationPrecision(t *testing.T) {
 		s.ApplyWriteSet(TxnID{Replica: 2, Seq: 1}, WriteSet{{Box: wID, Value: 1}})
 
 		wantValid := rID != wID
-		return tx.Validate() == wantValid
+		return (s.Stale(tx.ReadSet()) == nil) == wantValid
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ package stm
 // All counters are cumulative since store creation; gauges (Boxes,
 // ActiveTxns) are instantaneous.
 type Stats struct {
-	// Applied counts committed write-sets: local commits (ValidateAndApply)
+	// Applied counts committed write-sets: local commits (Txn.Commit)
 	// plus remotely applied write-sets (ApplyWriteSet/ApplyWriteSets
 	// entries).
 	Applied int64

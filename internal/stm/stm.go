@@ -15,7 +15,8 @@
 // paper's Replication Manager needs (§3):
 //
 //  1. extraction of a transaction's read-set, write-set and snapshot,
-//  2. explicit validation against transactions committed after the snapshot,
+//  2. explicit validation of a read-set against the latest committed state
+//     (Stale),
 //  3. atomic application of a remotely executed transaction's write-set
 //     (ApplyWriteSet), which also advances commitTimestamp.
 //
@@ -29,7 +30,7 @@
 // # Commit concurrency
 //
 // Commits serialize on one commit lock per store, as they do on JVSTM's
-// global lock. ValidateAndApply, ApplyWriteSet and ApplyWriteSets take it,
+// global lock. Txn.Commit, ApplyWriteSet and ApplyWriteSets take it,
 // install their versions at clock+1, clock+2, ..., store the clock once and
 // release it; Snapshot and Restore take it as their barrier. Readers never
 // take it: a transaction reads at the clock it saw at Begin, and the clock
@@ -116,12 +117,6 @@ func (b *VBox) read(snapshot int64) *version {
 		}
 	}
 	return nil
-}
-
-// newerThan reports whether the box has any version newer than snapshot.
-func (b *VBox) newerThan(snapshot int64) bool {
-	v := b.head.Load()
-	return v != nil && v.ts > snapshot
 }
 
 // boxShardCount sizes the striped box index (a power of two).
@@ -312,55 +307,8 @@ func (s *Store) ApplyWriteSets(batch []TxnWriteSet) int64 {
 	return ts
 }
 
-// ValidateAndApply validates rs against the current store state and, if
-// valid, applies ws in the same critical section: the commit lock is held
-// from before validation until the clock is stored, so no other commit can
-// interleave. It returns ErrConflict without applying anything when
-// validation fails. This is the linearization point of a locally certified
-// commit.
-func (s *Store) ValidateAndApply(writer TxnID, snapshot int64, rs ReadSet, ws WriteSet) (int64, error) {
-	s.lockCommit()
-	defer s.commitMu.Unlock()
-	if !s.validate(snapshot, rs) {
-		return 0, ErrConflict
-	}
-	ts := s.clock.Load() + 1
-	s.install(writer, ws, ts)
-	s.clock.Store(ts)
-	s.applied.Add(1)
-	return ts, nil
-}
-
-// validate reports whether no read-set entry has a version newer than
-// snapshot. It takes no locks itself; callers needing atomicity with an
-// installation hold the commit lock (ValidateAndApply).
-func (s *Store) validate(snapshot int64, rs ReadSet) bool {
-	for _, r := range rs {
-		b, ok := s.Box(r.Box)
-		if !ok {
-			// Read of a then-missing box: still missing means still valid.
-			continue
-		}
-		if b.newerThan(snapshot) {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate reports whether a transaction with the given snapshot and read-set
-// would commit successfully right now. The scan is lock-free: the answer may
-// be invalidated by a concurrent commit the instant it is produced. Use
-// ValidateAndApply for the authoritative local check; the replication
-// manager's final validation relies on its in-flight table and leases to
-// keep conflicting committers out of this window.
-func (s *Store) Validate(snapshot int64, rs ReadSet) bool {
-	return s.validate(snapshot, rs)
-}
-
-// ReadConflict describes one invalidated read-set entry: the box whose
-// version history advanced past the reader's snapshot, and the writer of its
-// current head version. The writer identity lets the replication layer
+// ReadConflict describes one stale read-set entry: the box and the writer of
+// its current head version. The writer identity lets the replication layer
 // attribute a validation failure to a local or a remote transaction (the
 // history checker's ≤1-remote-abort invariant).
 type ReadConflict struct {
@@ -368,33 +316,22 @@ type ReadConflict struct {
 	Writer TxnID
 }
 
-// ValidateConflicts is Validate plus attribution in one scan: it reports
-// whether the read-set is still valid at the snapshot and, when it is not,
-// returns one ReadConflict per invalidated entry. It replaces the
-// Validate-then-Conflicts sequence that used to serialize on the commit lock
-// twice per abort; like Validate, it is lock-free and relies on the caller
-// (in-flight table + leases) to exclude conflicting commits for
-// authoritative use.
-func (s *Store) ValidateConflicts(snapshot int64, rs ReadSet) (bool, []ReadConflict) {
+// Stale is the store's one read-set validation: it returns, for every read
+// whose recorded writer is no longer the writer of the box's head version,
+// the box and that head writer, and nil when the read-set is still valid. A
+// read of an absent box recorded the zero writer, so a box created since is
+// stale. Writer identities, not commit timestamps, are compared: they mean
+// the same at every replica and survive Restore, which may set the clock
+// back. The scan is lock-free; Txn.Commit holds the commit lock around it,
+// and the replication manager relies on its in-flight table and leases to
+// keep conflicting committers out of the window.
+func (s *Store) Stale(rs ReadSet) []ReadConflict {
 	var out []ReadConflict
 	for _, r := range rs {
-		b, ok := s.Box(r.Box)
-		if !ok {
-			continue
-		}
-		if b.newerThan(snapshot) {
-			out = append(out, ReadConflict{Box: r.Box, Writer: b.head.Load().writer})
+		if head, _ := s.HeadWriter(r.Box); head != r.Writer {
+			out = append(out, ReadConflict{Box: r.Box, Writer: head})
 		}
 	}
-	return len(out) == 0, out
-}
-
-// Conflicts returns, for every read-set entry invalidated by a commit after
-// the snapshot, the box and the writer of the box's current head version. It
-// is a diagnostic companion to Validate: Validate answers "would this
-// transaction commit", Conflicts answers "who aborted it".
-func (s *Store) Conflicts(snapshot int64, rs ReadSet) []ReadConflict {
-	_, out := s.ValidateConflicts(snapshot, rs)
 	return out
 }
 
@@ -539,21 +476,14 @@ func (t *Txn) WriteSet() WriteSet {
 	return ws
 }
 
-// Validate re-checks the transaction's read-set against the store: it fails
-// if any box read was meanwhile updated by a transaction (local or remote)
-// that committed after this transaction's snapshot.
-func (t *Txn) Validate() bool {
-	if t.done {
-		return false
-	}
-	return t.store.Validate(t.snapshot, t.ReadSet())
-}
-
 // Commit certifies the transaction against the local store only and, on
-// success, applies its writes with the given writer ID. Replicated
-// deployments do not call Commit: the Replication Manager certifies through
-// the cluster-wide protocol and calls Store.ApplyWriteSet. Commit is the
-// standalone (single-process) usage of the STM.
+// success, applies its writes with the given writer ID, which must be unique
+// to this commit: validation compares writer identities. The commit lock is
+// held from validation until the clock is stored, so no other commit can
+// interleave; this is the linearization point of a locally certified commit.
+// Replicated deployments do not call Commit: the Replication Manager
+// certifies through the cluster-wide protocol and calls Store.ApplyWriteSet.
+// Commit is the standalone (single-process) usage of the STM.
 func (t *Txn) Commit(writer TxnID) error {
 	if t.done {
 		return ErrTxnDone
@@ -564,8 +494,17 @@ func (t *Txn) Commit(writer TxnID) error {
 		// serializable: nothing to validate or write.
 		return nil
 	}
-	_, err := t.store.ValidateAndApply(writer, t.snapshot, t.ReadSet(), t.WriteSet())
-	return err
+	s := t.store
+	s.lockCommit()
+	defer s.commitMu.Unlock()
+	if s.Stale(t.reads.list) != nil {
+		return ErrConflict
+	}
+	ts := s.clock.Load() + 1
+	s.install(writer, t.writes.list, ts)
+	s.clock.Store(ts)
+	s.applied.Add(1)
+	return nil
 }
 
 // Abort discards the transaction. Aborting an already finished transaction
@@ -643,7 +582,7 @@ func (st *snapshotTracker) count() int {
 // HeadWriter returns the writer ID of the box's latest committed version.
 // The second result is false if the box does not exist (or has no version).
 // Writer identities are replica-independent, which makes them the unit of
-// cross-replica read-set validation (§4.5 optimization (c)).
+// read-set validation (Stale).
 func (s *Store) HeadWriter(id string) (TxnID, bool) {
 	b, ok := s.Box(id)
 	if !ok {

@@ -256,8 +256,8 @@ func TestRemoteWriteSetInvalidatesLocalReader(t *testing.T) {
 
 	s.ApplyWriteSet(TxnID{Replica: 2, Seq: 1}, WriteSet{{Box: "x", Value: 1}})
 
-	if tx.Validate() {
-		t.Fatal("Validate succeeded after remote update of read box")
+	if s.Stale(tx.ReadSet()) == nil {
+		t.Fatal("read-set not stale after remote update of read box")
 	}
 	_ = tx.Write("x", 5)
 	if err := tx.Commit(txnID(1)); !errors.Is(err, ErrConflict) {
@@ -277,8 +277,8 @@ func TestValidateMissingBoxStillValid(t *testing.T) {
 	if rs := tx.ReadSet(); len(rs) != 1 || rs[0] != (ReadEntry{Box: "ghost"}) {
 		t.Fatalf("ReadSet = %+v, want a read of ghost's initial version", rs)
 	}
-	if !tx.Validate() {
-		t.Fatal("Validate failed while the box is still missing")
+	if c := s.Stale(tx.ReadSet()); c != nil {
+		t.Fatalf("read-set stale (%v) while the box is still missing", c)
 	}
 }
 
