@@ -113,9 +113,6 @@ type Config struct {
 	// DisableOptimisticFree turns off the §4.5(b) optimization (freeing
 	// leases at optimistic delivery). On by default.
 	DisableOptimisticFree bool
-	// DeadlockDetection enables the §4.4 wait-for-graph detector in
-	// addition to the always-on piggybacked deadlock avoidance.
-	DeadlockDetection bool
 	// BloomFPRate sets CERT's read-set Bloom filter false-positive target
 	// (D2STM's tunable extra abort rate). Zero sends exact read-sets.
 	BloomFPRate float64
@@ -153,9 +150,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Core: core.Config{
 			Protocol: proto,
 			Lease: lease.Config{
-				Mapper:            lease.Mapper{NumClasses: cfg.ConflictClasses},
-				OptimisticFree:    !cfg.DisableOptimisticFree,
-				DeadlockDetection: cfg.DeadlockDetection,
+				Mapper:         lease.Mapper{NumClasses: cfg.ConflictClasses},
+				OptimisticFree: !cfg.DisableOptimisticFree,
 			},
 			BloomFPRate: cfg.BloomFPRate,
 			MaxRetries:  cfg.MaxRetries,

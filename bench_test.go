@@ -80,7 +80,6 @@ func BenchmarkFig4LeeSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		alcRes, err := bench.RunLee(bench.Params{
 			Protocol: core.ProtocolALC, Replicas: benchReplicas,
-			DeadlockDetection: true,
 		}, cfg)
 		if err != nil {
 			b.Fatal(err)

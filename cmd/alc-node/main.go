@@ -92,7 +92,7 @@ func run() error {
 	}
 	replica, err := core.NewReplica(tr, core.Config{
 		Protocol: proto,
-		Lease:    lease.Config{OptimisticFree: true, DeadlockDetection: true},
+		Lease:    lease.Config{OptimisticFree: true},
 		Durability: core.DurabilityConfig{
 			Dir:           *dataDir,
 			Fsync:         *fsync,

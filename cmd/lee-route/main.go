@@ -35,10 +35,7 @@ func run() error {
 
 	board := lee.Generate(lee.GenConfig{W: *grid, H: *grid, Nets: *nets, Seed: *seed})
 
-	cluster, err := alc.NewCluster(alc.Config{
-		Replicas:          *replicas,
-		DeadlockDetection: true,
-	})
+	cluster, err := alc.NewCluster(alc.Config{Replicas: *replicas})
 	if err != nil {
 		return err
 	}

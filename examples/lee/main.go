@@ -35,9 +35,8 @@ func main() {
 	board := lee.Generate(lee.GenConfig{W: *size, H: *size, Nets: *nets, Seed: *seed})
 
 	cluster, err := alc.NewCluster(alc.Config{
-		Replicas:          *replicas,
-		Protocol:          proto,
-		DeadlockDetection: true,
+		Replicas: *replicas,
+		Protocol: proto,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -62,8 +62,6 @@ type Params struct {
 	ConflictClasses int
 	// BloomFPRate configures CERT's read-set encoding (0 = exact).
 	BloomFPRate float64
-	// DeadlockDetection enables the §4.4 wait-for-graph detector.
-	DeadlockDetection bool
 	// ABCeiling is the sequencer pacing per ordered message: 0 keeps the
 	// DefaultOrderInterval calibration, negative runs the native (much
 	// faster than the paper's) atomic broadcast, positive overrides.
@@ -103,9 +101,8 @@ func NewCluster(p Params, seed map[string]stm.Value) (*Cluster, error) {
 		Core: core.Config{
 			Protocol: p.Protocol,
 			Lease: lease.Config{
-				Mapper:            lease.Mapper{NumClasses: p.ConflictClasses},
-				OptimisticFree:    !p.DisableOptimisticFree,
-				DeadlockDetection: p.DeadlockDetection,
+				Mapper:         lease.Mapper{NumClasses: p.ConflictClasses},
+				OptimisticFree: !p.DisableOptimisticFree,
 			},
 			DisablePiggybackCert: p.DisablePiggybackCert,
 			BloomFPRate:          p.BloomFPRate,

@@ -98,7 +98,7 @@ func TestRunFig3SmallSweep(t *testing.T) {
 
 func TestRunLeeSmallBoard(t *testing.T) {
 	cfg := LeeConfig{Board: lee.GenConfig{W: 24, H: 24, Nets: 12, Seed: 5}}
-	res, err := RunLee(Params{Protocol: core.ProtocolALC, Replicas: 2, DeadlockDetection: true}, cfg)
+	res, err := RunLee(Params{Protocol: core.ProtocolALC, Replicas: 2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,6 @@ func RunFig4(base Params, replicaCounts []int, cfg LeeConfig) (Fig4Rows, error) 
 	for _, n := range replicaCounts {
 		alcParams, certParams := base, base
 		alcParams.Protocol, alcParams.Replicas = core.ProtocolALC, n
-		alcParams.DeadlockDetection = true
 		certParams.Protocol, certParams.Replicas = core.ProtocolCert, n
 		alc, err := RunLee(alcParams, cfg)
 		if err != nil {

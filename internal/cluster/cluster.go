@@ -337,7 +337,6 @@ func (c *Cluster) TotalStats() core.Stats {
 		out.Lease.Acquired += s.Lease.Acquired
 		out.Lease.Stolen += s.Lease.Stolen
 		out.Lease.Freed += s.Lease.Freed
-		out.Lease.Deadlocks += s.Lease.Deadlocks
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/alcstm/alc/internal/core"
 	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/lease"
+	"github.com/alcstm/alc/internal/lee"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/stm"
 )
@@ -146,7 +147,7 @@ func TestALCCounterSerializable(t *testing.T) {
 func TestALCWithAllOptimizations(t *testing.T) {
 	c := newCluster(t, 3, core.Config{
 		Protocol: core.ProtocolALC,
-		Lease:    lease.Config{OptimisticFree: true, DeadlockDetection: true},
+		Lease:    lease.Config{OptimisticFree: true},
 	})
 	runCounterWorkload(t, c, 20)
 }
@@ -410,20 +411,19 @@ func TestRestartRejoinsWithStateTransfer(t *testing.T) {
 	}
 }
 
+// TestALCChangingDataSetAcrossRetries runs transactions whose data-set
+// depends on what they read (§4.4), so a re-execution may need other conflict
+// classes than the lease it holds. The replacement piggyback and the wildcard
+// escalation are the only deadlock rule: every transaction must finish before
+// the deadline, and no attempt may abort with lease.ErrDeadlock — nothing here
+// installs state, the one event that can orphan an acquisition.
 func TestALCChangingDataSetAcrossRetries(t *testing.T) {
-	// A transaction whose data-set depends on the data it reads (§4.4):
-	// exercised by hopping between boxes based on the counter parity.
-	c := newCluster(t, 3, core.Config{
-		Protocol: core.ProtocolALC,
-		Lease:    lease.Config{DeadlockDetection: true},
-	})
+	t.Run("parity-hop", func(t *testing.T) {
+		// Hop between two boxes on the counter's parity.
+		c := newCluster(t, 3, core.Config{Protocol: core.ProtocolALC})
 
-	var wg sync.WaitGroup
-	const perReplica = 15
-	for _, r := range c.Replicas() {
-		wg.Add(1)
-		go func(r *core.Replica) {
-			defer wg.Done()
+		const perReplica = 15
+		runUntil(t, 60*time.Second, c.Replicas(), 1, func(r *core.Replica, _ int) error {
 			for i := 0; i < perReplica; i++ {
 				err := r.Atomic(func(tx *stm.Txn) error {
 					v, err := tx.Read("counter")
@@ -445,27 +445,156 @@ func TestALCChangingDataSetAcrossRetries(t *testing.T) {
 					return tx.Write("counter", n+1)
 				})
 				if err != nil {
-					t.Errorf("replica %d: %v", r.ID(), err)
-					return
+					return err
 				}
 			}
-		}(r)
+			return nil
+		})
+		if err := c.WaitConverged(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		requireNoDeadlockAborts(t, c)
+
+		total := perReplica * 3
+		r := c.Replica(0)
+		a := readBox(t, r, "a").(int)
+		b := readBox(t, r, "b").(int)
+		n := readBox(t, r, "counter").(int)
+		if n != total || a+b != total {
+			t.Fatalf("counter=%d a=%d b=%d, want counter=%d and a+b=%d", n, a, b, total, total)
+		}
+	})
+
+	t.Run("lee", func(t *testing.T) {
+		// Lee routing: a route's read-set is the expansion over the
+		// snapshot, so it drifts whenever another route lands in its box.
+		// Six replicas, four routing threads each and 64 conflict classes:
+		// the shape where a wait-for-graph detector picked victims.
+		const replicas, workers = 6, 4
+		nets := 96
+		if testing.Short() {
+			nets = 48
+		}
+		board := lee.Generate(lee.GenConfig{W: 32, H: 32, Nets: nets, Seed: 11})
+		// Figure 4's per-cell expansion cost: long routes run for
+		// milliseconds, so drifting re-executions overlap.
+		board.WorkPerRead = 100 * time.Microsecond
+		gcsCfg := testGCS()
+		// Generous failure detection: a suspicion under a loaded host would
+		// bring a view change and state transfer, which is not the subject.
+		gcsCfg.SuspectAfter, gcsCfg.FlushTimeout = 2*time.Second, 2*time.Second
+		c, err := New(Config{
+			N: replicas,
+			Core: core.Config{
+				Protocol: core.ProtocolALC,
+				Lease:    lease.Config{Mapper: lease.Mapper{NumClasses: 64}, OptimisticFree: true},
+			},
+			Net:  memnet.Config{Latency: 500 * time.Microsecond},
+			GCS:  gcsCfg,
+			Seed: board.Seed(),
+		})
+		if err != nil {
+			t.Fatalf("cluster.New: %v", err)
+		}
+		t.Cleanup(c.Close)
+
+		var (
+			mu     sync.Mutex
+			routes = map[int]lee.RouteResult{}
+		)
+		runUntil(t, 120*time.Second, c.Replicas(), workers, func(r *core.Replica, w int) error {
+			// Net j goes to replica j mod n, thread (j / n) mod workers.
+			for j := int(r.ID()) + w*replicas; j < len(board.Nets); j += replicas * workers {
+				net := board.Nets[j]
+				var res lee.RouteResult
+				route := board.RouteTxn(net, &res)
+				err := r.Atomic(func(tx *stm.Txn) error { return route(tx) })
+				switch {
+				case err == nil:
+					mu.Lock()
+					routes[net.ID] = res
+					mu.Unlock()
+				case !errors.Is(err, lee.ErrUnroutable):
+					return fmt.Errorf("net %d: %w", net.ID, err)
+				}
+			}
+			return nil
+		})
+		if err := c.WaitConverged(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		requireNoDeadlockAborts(t, c)
+		if len(routes) == 0 {
+			t.Fatal("no net routed")
+		}
+		// Serializability, read off the board: every committed route still
+		// owns each of its cells.
+		err = c.Replica(0).AtomicRO(func(tx *stm.Txn) error {
+			for id, res := range routes {
+				for _, p := range res.Path {
+					cell := lee.CellID(p.Z, p.Y, p.X)
+					v, err := tx.Read(cell)
+					if err != nil {
+						return err
+					}
+					if v != id {
+						return fmt.Errorf("net %d's cell %s holds %v", id, cell, v)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// runUntil runs body on workers goroutines per replica and fails the test on
+// the first error, or when they have not all returned by the deadline (a
+// lease deadlock hangs them).
+func runUntil(t *testing.T, deadline time.Duration, reps []*core.Replica, workers int, body func(r *core.Replica, w int) error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(reps)*workers)
+	for _, r := range reps {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := body(r, w); err != nil {
+					errs <- fmt.Errorf("replica %d worker %d: %w", r.ID(), w, err)
+				}
+			}()
+		}
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(deadline):
+		for _, r := range reps {
+			t.Logf("%s", r.LeaseManager().DumpState())
+		}
+		t.Fatalf("workers still running after %v", deadline)
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 	if t.Failed() {
 		t.FailNow()
 	}
-	if err := c.WaitConverged(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	total := perReplica * 3
-	r := c.Replica(0)
-	a := readBox(t, r, "a").(int)
-	b := readBox(t, r, "b").(int)
-	n := readBox(t, r, "counter").(int)
-	if n != total || a+b != total {
-		t.Fatalf("counter=%d a=%d b=%d, want counter=%d and a+b=%d", n, a, b, total, total)
+// requireNoDeadlockAborts fails the test if any replica counted an attempt
+// aborted by an orphaned lease acquisition.
+func requireNoDeadlockAborts(t *testing.T, c *Cluster) {
+	t.Helper()
+	for _, r := range c.Replicas() {
+		if n := r.Stats().AbortCauses.Deadlock; n != 0 {
+			t.Errorf("replica %d: %d attempts aborted by lease.ErrDeadlock", r.ID(), n)
+		}
 	}
 }
 

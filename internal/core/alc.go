@@ -196,7 +196,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		if lerr, retry := r.establishLease(txn, &held, cls, wildcard, &aborts); lerr != nil {
 			return lerr
 		} else if retry {
-			continue // deadlock victim: re-execute from scratch
+			continue // acquisition orphaned by a state transfer: re-execute from scratch
 		}
 		r.stageLeaseWait.Observe(time.Since(leaseStart))
 
@@ -255,8 +255,14 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 }
 
 // establishLease brings *held up to covering classes (any class, when
-// wildcard). Returns a terminal error, or retry=true when the transaction
-// was made a deadlock victim (aborts already counted).
+// wildcard). Returns a terminal error, or retry=true when a state transfer
+// orphaned the acquisition (lease.ErrDeadlock; aborts already counted).
+//
+// It never waits for a lease while the transaction is associated with
+// another one, which is what keeps lease deadlocks out by construction
+// (§4.4): a replacement releases the held request in the same totally
+// ordered step, a shared lease is left (Finished) before acquiring, and the
+// caller releases before it escalates to a wildcard.
 func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, classes []lease.ConflictClass, wildcard bool, aborts *int) (error, bool) {
 	var none lease.RequestID
 	if wildcard {
@@ -314,8 +320,8 @@ func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, classes []
 // re-execute (now holding the lease).
 //
 // Once broadcast, the payload may commit at every replica whatever happens
-// here: a payload request is never a deadlock victim, and its owner never
-// releases it before it fired. So an acquisition that fails anyway leaves
+// here: its owner never releases a payload request before it fired. So an
+// acquisition that fails anyway (an ejection, a state transfer) leaves
 // the outcome unknown and is reported as ErrEjected, never retried — a retry
 // could commit the transaction twice.
 func (r *Replica) commitPiggybacked(
@@ -373,8 +379,8 @@ func (r *Replica) commitPiggybacked(
 }
 
 // leaseErr classifies a lease acquisition error: terminal errors are
-// returned, deadlock victims retry (nil result with err != nil at the call
-// site).
+// returned, an acquisition orphaned by a state transfer (ErrDeadlock) retries
+// (nil result with err != nil at the call site).
 func (r *Replica) leaseErr(txn *stm.Txn, err error, aborts *int) error {
 	switch {
 	case err == nil:

@@ -78,7 +78,7 @@ type Config struct {
 	// Protocol selects ALC or CERT. Default: ALC.
 	Protocol Protocol
 	// Lease configures the lease manager (conflict-class granularity and
-	// the §4.5(b) optimistic-free / §4.4 deadlock-detection switches).
+	// the §4.5(b) optimistic-free switch).
 	Lease lease.Config
 	// DisablePiggybackCert turns off the §4.5 optimization (c), ALC's
 	// lease-miss path: when no held lease covers a transaction, its read-
@@ -175,7 +175,10 @@ type AbortCauses struct {
 	// Payload: a §4.5(c) piggybacked read/write-set failed certification at
 	// lease establishment.
 	Payload int64
-	// Deadlock: a lease acquisition made the transaction a deadlock victim.
+	// Deadlock: a state transfer (lease.Manager.InstallState) orphaned the
+	// lease acquisition the transaction waited on (lease.ErrDeadlock); the
+	// transaction retries under a fresh request. The name is historical:
+	// lease deadlocks are prevented by construction (§4.4).
 	Deadlock int64
 }
 

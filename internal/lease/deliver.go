@@ -3,7 +3,6 @@ package lease
 import (
 	"cmp"
 	"slices"
-	"time"
 
 	"github.com/alcstm/alc/internal/transport"
 )
@@ -61,9 +60,6 @@ func (m *Manager) HandleRequestTO(req *Request) {
 			m.unresolved = append(m.unresolved, st)
 		}
 		m.ripenLocked(st)
-		if m.cfg.DeadlockDetection && st.local && !m.enabledLocked(st) {
-			m.addWaitingLocked(st)
-		}
 	}
 
 	// Fairness and liveness: ANY conflicting request — remote (the paper's
@@ -353,14 +349,11 @@ func (m *Manager) ripenLocked(st *reqState) {
 }
 
 // settleAndUnlock runs the reactions to any queue change — releasing drained
-// blocked leases, checking for deadlocks, waking waiters — then, with the lock
-// released, the §4.5(c) payload callbacks of the requests it enabled, and
-// last wakes the transactions held back by those payloads.
+// blocked leases, waking waiters — then, with the lock released, the §4.5(c)
+// payload callbacks of the requests it enabled, and last wakes the
+// transactions held back by those payloads.
 func (m *Manager) settleAndUnlock() {
 	m.maybeFreeAllLocked()
-	if m.cfg.DeadlockDetection {
-		m.maybeDetectDeadlockLocked()
-	}
 	m.cond.Broadcast()
 	fire := m.enabledPayloadsLocked()
 	h := m.handler
@@ -399,29 +392,6 @@ func (m *Manager) behindGhostLocked(st *reqState) bool {
 	return false
 }
 
-// maybeDetectDeadlockLocked gates the wait-for-graph scan: it is pointless
-// without a local waiting request, and a full scan per delivery would burn
-// CPU quadratically under load, so scans are paced.
-func (m *Manager) maybeDetectDeadlockLocked() {
-	if m.pruneWaitingLocked(); len(m.waiting) == 0 {
-		return
-	}
-	now := time.Now()
-	if now.Sub(m.lastDeadlockScan) < 10*time.Millisecond {
-		return
-	}
-	m.lastDeadlockScan = now
-	m.detectDeadlockLocked()
-}
-
-// pruneWaitingLocked drops the requests that no longer wait. Enablement is
-// final until release, so a request leaves the set once.
-func (m *Manager) pruneWaitingLocked() {
-	m.waiting = slices.DeleteFunc(m.waiting, func(st *reqState) bool {
-		return st.freed || st.aborted || m.enabledLocked(st)
-	})
-}
-
 // maybeFreeAllLocked releases every local request that is blocked and has
 // drained (Algorithm 2's freeLocalLeases completion, generalized: a blocked
 // request is released as soon as it is enqueued with no associated
@@ -439,7 +409,7 @@ func (m *Manager) maybeFreeAllLocked() {
 	keep := m.draining[:0]
 	for _, st := range m.draining {
 		switch {
-		case st.freed: // released through a piggyback, a purge or as a victim
+		case st.freed: // released through a piggyback or a purge
 		case st.enqueued && !st.aborted && !st.replacePending && st.active == 0 &&
 			!m.payloadPendingLocked(st):
 			// A payload request is released only once it fired here: once
@@ -494,146 +464,4 @@ func (m *Manager) enabledPayloadsLocked() []*reqState {
 	m.ripe = m.ripe[:0]
 	slices.SortFunc(out, func(a, b *reqState) int { return cmp.Compare(a.pos, b.pos) })
 	return out
-}
-
-// --- Deadlock detection (§4.4, the wait-for-graph alternative) ---------------
-
-// detectDeadlockLocked looks for cycles in the wait-for graph of the
-// enqueued requests. The §4.4 deadlock is a hold-and-wait cycle across
-// replicas: a request R waits (a) for every request ahead of it in its class
-// queues, and (b) — conservatively — an enabled request is treated as held
-// until its owner's other, waiting requests are served (the owner may be
-// holding it on behalf of a transaction that is re-executing under a new
-// request). If a cycle's deterministic victim is a local waiting request, it
-// is voluntarily released — an owner may always free its own requests, so no
-// cross-replica agreement on the detection is needed.
-func (m *Manager) detectDeadlockLocked() {
-	// Queue edges: a request waits for every request ahead of it. The same
-	// walk sorts the live requests into enabled and waiting, each counted in
-	// the queue of its first class only.
-	waitsFor := make(map[*reqState][]*reqState)
-	var enabled, waiting []*reqState
-	sortOut := func(st *reqState) {
-		if m.enabledLocked(st) {
-			enabled = append(enabled, st)
-		} else {
-			waiting = append(waiting, st)
-		}
-	}
-	for cc, q := range m.queues {
-		for i, st := range q {
-			if i > 0 {
-				waitsFor[st] = append(waitsFor[st], q[:i]...)
-			}
-			if st.req.Classes[0] == cc {
-				sortOut(st)
-			}
-		}
-	}
-	for _, st := range m.wild {
-		sortOut(st)
-	}
-	// Owner-coupling edges: an enabled request held by active transactions
-	// is released only after its owner's waiting requests make progress.
-	// Local holds are gated precisely on active>0; for remote enabled
-	// requests the hold state is unknown, so the edge is conservative —
-	// which is why a cycle must PERSIST before it is trusted (transient
-	// lease-rotation queues form phantom cycles that dissolve within
-	// milliseconds, a genuine hold-and-wait does not).
-	for _, e := range enabled {
-		if e.local && e.active == 0 {
-			continue // a drained local hold releases on its own
-		}
-		for _, w := range waiting {
-			if e != w && e.req.ID.Proc == w.req.ID.Proc {
-				waitsFor[e] = append(waitsFor[e], w)
-			}
-		}
-	}
-
-	now := time.Now()
-	for _, st := range waiting {
-		if !st.local {
-			continue
-		}
-		cycle := findCycle(st, waitsFor)
-		if cycle == nil {
-			st.cycleSince = time.Time{}
-			continue
-		}
-		// Deterministic victim: the waiting request with the largest
-		// (Proc, Seq). Enabled requests cannot be victims — they may have
-		// transactions committing under them.
-		// Nor can payload requests: once broadcast, a payload may fire at
-		// another replica before a victim's release reaches it.
-		var victim *reqState
-		for _, c := range cycle {
-			if m.enabledLocked(c) || c.req.Payload != nil {
-				continue
-			}
-			if victim == nil ||
-				c.req.ID.Proc > victim.req.ID.Proc ||
-				(c.req.ID.Proc == victim.req.ID.Proc && c.req.ID.Seq > victim.req.ID.Seq) {
-				victim = c
-			}
-		}
-		if victim != st {
-			continue // the victim's owner will yield
-		}
-		if st.cycleSince.IsZero() {
-			st.cycleSince = now
-			continue
-		}
-		if now.Sub(st.cycleSince) < _deadlockPatience {
-			continue
-		}
-		st.aborted = true
-		m.dequeueLocked(st)
-		m.ghostLocked(st)
-		m.nDeadlocks.Inc()
-		_ = m.bcast.URBroadcast(&Freed{IDs: []RequestID{st.req.ID}})
-	}
-}
-
-// _deadlockPatience is how long a cycle must persist before its victim
-// yields. Genuine deadlocks are permanent; rotation artifacts dissolve as
-// releases arrive.
-const _deadlockPatience = 100 * time.Millisecond
-
-// findCycle returns a cycle through start in the wait-for graph, or nil.
-func findCycle(start *reqState, waitsFor map[*reqState][]*reqState) []*reqState {
-	var (
-		stack   []*reqState
-		onPath  = make(map[*reqState]bool)
-		visited = make(map[*reqState]bool)
-		found   []*reqState
-	)
-	var dfs func(n *reqState) bool
-	dfs = func(n *reqState) bool {
-		if onPath[n] {
-			if n == start {
-				found = append([]*reqState(nil), stack...)
-				return true
-			}
-			return false
-		}
-		if visited[n] {
-			return false
-		}
-		visited[n] = true
-		onPath[n] = true
-		stack = append(stack, n)
-		for _, next := range waitsFor[n] {
-			if dfs(next) {
-				return true
-			}
-		}
-		stack = stack[:len(stack)-1]
-		onPath[n] = false
-		return false
-	}
-	if dfs(start) {
-		return found
-	}
-	return nil
 }

@@ -26,11 +26,12 @@
 // lease transfer with the request's total-ordering.
 //
 // Deadlocks from transactions that change their data-set across re-executions
-// (§4.4) are handled two ways: a deadlock-avoidance piggyback (the
-// replacement request atomically frees the previously held lease in the same
-// totally ordered step), and an optional conservative local wait-for-graph
-// detector whose victims voluntarily release their own requests — always
-// safe, since an owner may free its own lease at any time.
+// (§4.4) are prevented by construction, not detected: a replacement request
+// atomically frees the previously held lease in the same totally ordered step
+// (the FreeFirst piggyback), a transaction that keeps drifting falls back to a
+// wildcard lease on every class, and the replication manager never waits for
+// a lease while its transaction is associated with another one. The manager is
+// event-driven: it runs no goroutine of its own and reads no clock.
 package lease
 
 import (
@@ -38,7 +39,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/alcstm/alc/internal/metrics"
 	"github.com/alcstm/alc/internal/trace"
@@ -50,8 +50,9 @@ var (
 	// ErrNotPrimary is returned when the replica has been ejected from the
 	// primary component: no new leases can be established (the paper's ⊥).
 	ErrNotPrimary = errors.New("lease: not in primary component")
-	// ErrDeadlock is returned when the local request was chosen as a
-	// deadlock victim and must be retried.
+	// ErrDeadlock is returned when a state transfer (InstallState) orphaned
+	// the local request the call waited on: the caller retries under a fresh
+	// request against the installed table. The name is historical.
 	ErrDeadlock = errors.New("lease: deadlock victim, retry")
 	// ErrStopped is returned after Close.
 	ErrStopped = errors.New("lease: manager stopped")
@@ -106,8 +107,9 @@ type Config struct {
 	// leases are released already at the Opt-delivery of a remote request,
 	// overlapping the release with the request's final ordering.
 	OptimisticFree bool
-	// DeadlockDetection enables the conservative local wait-for-graph
-	// detector (§4.4). Victims release their own requests and retry.
+	// Deprecated: DeadlockDetection is ignored. §4.4's replacement piggyback
+	// and wildcard escalation prevent lease deadlocks by construction; the
+	// field survives only so benchmark/ compiles until its follow-up change.
 	DeadlockDetection bool
 	// Tracer, when non-nil, receives a KindLease event per lease-table state
 	// transition (enqueue, block, free, purge, association changes).
@@ -123,7 +125,6 @@ type Stats struct {
 	Acquired  int64 // fresh lease requests that reached enablement (one OAB each)
 	Stolen    int64 // enabled local leases blocked (and so lost) to a remote request
 	Freed     int64 // lease requests released by this replica
-	Deadlocks int64 // local deadlock victims
 	Waiting   int64 // acquisitions currently blocked in waitEnabled (gauge)
 }
 
@@ -147,7 +148,7 @@ type reqState struct {
 	enqueued bool // TO-delivered and present in the class queues
 	blocked  bool // no new transactions may join (fairness, §4.2)
 	freed    bool // released (dequeued) or release broadcast pending
-	aborted  bool // deadlock victim
+	aborted  bool // orphaned by a state transfer (InstallState)
 	active   int  // owner-side: transactions currently associated
 	// replacePending marks a local request whose release is piggybacked on
 	// an in-flight replacement request (§4.4): the ordinary drain-release
@@ -159,9 +160,6 @@ type reqState struct {
 	// before it fired here: the owner fires before it releases, so it is due
 	// here too (see enabledPayloadsLocked).
 	fired, payloadDone, ownerFreed bool
-	// cycleSince is when this waiting request was first observed inside a
-	// wait-for cycle (deadlock detection's persistence gate).
-	cycleSince time.Time
 	// pos is the request's position in the enqueue (TO-delivery) order —
 	// identical at every replica — used to order wildcard requests against
 	// everything else.
@@ -197,14 +195,13 @@ type Manager struct {
 	live     int         // live (enqueued, unreleased) requests, wildcards included
 	inflight []*reqState // local requests not yet TO-delivered
 	draining []*reqState // local blocked requests not yet released
-	waiting  []*reqState // local enqueued requests not yet seen enabled
 	// ripe holds the requests that may have become enabled since the payload
 	// callbacks were last collected.
 	ripe []*reqState
 	// ghosts are local requests released here before their release was
-	// delivered (maybeFreeAllLocked, deadlock victims): no payload behind one
-	// fires until the release self-delivers, so a payload is only ever
-	// certified on delivered events — the same ones at every replica.
+	// delivered (maybeFreeAllLocked): no payload behind one fires until the
+	// release self-delivers, so a payload is only ever certified on delivered
+	// events — the same ones at every replica.
 	ghosts []*reqState
 	// unresolved holds the TO-delivered payload requests not yet resolved
 	// here: neither handed to the handler and returned, nor dropped by a
@@ -215,25 +212,18 @@ type Manager struct {
 	// included, before its members do, and a view no quorum installs is
 	// abandoned — a payload its purge enabled would be applied here alone.
 	viewPending bool
-	// poking is set while the deadlock poke goroutine runs (at most one);
-	// closed stops it and pokes lets Close wait for it.
-	poking bool
-	closed chan struct{}
-	pokes  sync.WaitGroup
 
-	earlyFreed       map[RequestID]bool // releases delivered before their request
-	nextSeq          uint64
-	enqueueSeq       uint64 // TO-delivery order counter (replica-consistent)
-	inPrimary        bool
-	stopped          bool
-	lastDeadlockScan time.Time
+	earlyFreed map[RequestID]bool // releases delivered before their request
+	nextSeq    uint64
+	enqueueSeq uint64 // TO-delivery order counter (replica-consistent)
+	inPrimary  bool
+	stopped    bool
 
 	nRequested metrics.Counter
 	nReused    metrics.Counter
 	nAcquired  metrics.Counter
 	nStolen    metrics.Counter
 	nFreed     metrics.Counter
-	nDeadlocks metrics.Counter
 	nWaiting   metrics.Gauge
 }
 
@@ -257,7 +247,6 @@ func NewManager(self transport.ID, bcast Broadcaster, cfg Config) *Manager {
 		handler:    func(*Request, uint64) {},
 		earlyFreed: make(map[RequestID]bool),
 		inPrimary:  true,
-		closed:     make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -286,21 +275,16 @@ func (m *Manager) Stats() Stats {
 		Acquired:  m.nAcquired.Value(),
 		Stolen:    m.nStolen.Value(),
 		Freed:     m.nFreed.Value(),
-		Deadlocks: m.nDeadlocks.Value(),
 		Waiting:   m.nWaiting.Value(),
 	}
 }
 
-// Close releases every waiter with ErrStopped and stops the deadlock poke.
+// Close releases every waiter with ErrStopped.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if !m.stopped {
-		m.stopped = true
-		close(m.closed)
-	}
+	defer m.mu.Unlock()
+	m.stopped = true
 	m.cond.Broadcast()
-	m.mu.Unlock()
-	m.pokes.Wait()
 }
 
 // --- Acquisition (application side) ------------------------------------------
@@ -325,7 +309,8 @@ func (m *Manager) GetLease(dataSet []string) (RequestID, error) {
 // any communication (lease retention); otherwise a new request is
 // OA-broadcast and the call waits for it to reach the head of every class
 // queue. Returns the request ID to pass to Finished, or ErrNotPrimary (the
-// paper's ⊥), ErrDeadlock, or ErrStopped.
+// paper's ⊥), ErrDeadlock (a state transfer orphaned the request), or
+// ErrStopped.
 func (m *Manager) GetLeaseClasses(classes []ConflictClass) (RequestID, error) {
 	return m.acquire(&Request{Classes: classes}, RequestID{}, true)
 }
@@ -451,8 +436,8 @@ func without(set []*reqState, st *reqState) []*reqState {
 }
 
 // waitEnabledLocked blocks until st is held (enabled, and its payload, if
-// any, resolved here), the replica leaves the primary component, or st is
-// aborted as a deadlock victim.
+// any, resolved here), the replica leaves the primary component, or a state
+// transfer orphans st.
 func (m *Manager) waitEnabledLocked(st *reqState) error {
 	m.nWaiting.Inc()
 	defer m.nWaiting.Dec()
@@ -473,44 +458,6 @@ func (m *Manager) waitEnabledLocked(st *reqState) error {
 		m.cond.Wait()
 	}
 }
-
-// addWaitingLocked records a local request that waits for enablement and, the
-// first time the set fills, starts the manager's one deadlock poke: scans are
-// event-gated, so a cycle completed during a quiet period would otherwise go
-// unnoticed. The poke stops when the set drains or the manager closes.
-func (m *Manager) addWaitingLocked(st *reqState) {
-	m.waiting = append(m.waiting, st)
-	if !m.poking && !m.stopped {
-		m.poking = true
-		m.pokes.Add(1)
-		go m.poke()
-	}
-}
-
-func (m *Manager) poke() {
-	defer m.pokes.Done()
-	t := time.NewTicker(_deadlockPoke)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.closed:
-			return
-		case <-t.C:
-		}
-		m.mu.Lock()
-		if m.pruneWaitingLocked(); len(m.waiting) == 0 {
-			m.poking = false
-			m.mu.Unlock()
-			return
-		}
-		m.detectDeadlockLocked()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-}
-
-// _deadlockPoke is the poke's period.
-const _deadlockPoke = 25 * time.Millisecond
 
 // payloadPendingLocked reports whether st carries a payload this replica has
 // not resolved yet: no transaction may run under it until it is, or a joined

@@ -533,57 +533,6 @@ func TestCrossReplacementNoDeadlock(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetectionBreaksHoldAndWait(t *testing.T) {
-	b := newBus()
-	defer b.close()
-	ms := newManagers(t, b, 2, Config{DeadlockDetection: true})
-
-	// Without piggybacked replacement: replica 0 holds X and requests Y
-	// anew (keeping X active), replica 1 holds Y and requests X anew. The
-	// wait-for-graph detector must pick a victim and release it.
-	idX := getLeaseT(t, ms[0], []string{"x"})
-	idY := getLeaseT(t, ms[1], []string{"y"})
-	b.sync()
-
-	results := make(chan error, 2)
-	go func() {
-		id, err := ms[0].GetLease([]string{"y"})
-		if err == nil {
-			ms[0].Finished(id)
-		}
-		results <- err
-	}()
-	go func() {
-		id, err := ms[1].GetLease([]string{"x"})
-		if err == nil {
-			ms[1].Finished(id)
-		}
-		results <- err
-	}()
-
-	deadline := time.After(10 * time.Second)
-	sawDeadlock := false
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-results:
-			if errors.Is(err, ErrDeadlock) {
-				sawDeadlock = true
-				// The victim retries the whole transaction: release the
-				// lease it was holding, as its replication manager would.
-				ms[0].Finished(idX)
-				ms[1].Finished(idY)
-			} else if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-		case <-deadline:
-			t.Fatal("deadlock not broken")
-		}
-	}
-	if !sawDeadlock {
-		t.Fatal("no ErrDeadlock surfaced despite circular wait")
-	}
-}
-
 func TestStateSnapshotInstallRoundTrip(t *testing.T) {
 	b := newBus()
 	defer b.close()

@@ -16,6 +16,13 @@ import (
 // serialization point: no two replicas may simultaneously hold enabled,
 // unreleased leases on intersecting conflict classes, and a wildcard holder
 // excludes everyone.
+//
+// The workers follow the replication manager's rule — never wait for a lease
+// while associated with another one: a replacement or a wildcard releases the
+// held request in the same totally ordered step, and a plain acquisition
+// finishes the held one first. With that rule §4.4 admits no lease deadlock,
+// so no acquisition may fail with ErrDeadlock (nothing here installs state)
+// and the run must not hang.
 func TestModelCheckMutualExclusion(t *testing.T) {
 	const (
 		managers  = 4
@@ -24,7 +31,7 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 	)
 	b := newBus()
 	defer b.close()
-	ms := newManagers(t, b, managers, Config{DeadlockDetection: true})
+	ms := newManagers(t, b, managers, Config{})
 
 	// The invariant checker runs inside the bus dispatcher: between events
 	// the replicated state is quiescent, so enabled-lease sets are
@@ -98,17 +105,13 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 					}
 					id, err = m.GetLease(set)
 				}
-				switch err {
-				case nil:
-					held = id
-					// Hold briefly so overlapping acquisitions pile up.
-					time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
-				case ErrDeadlock:
-					// Victim: retry with a fresh acquisition next round.
-				default:
-					t.Errorf("worker %d: %v", i, err)
+				if err != nil {
+					t.Errorf("worker %d op %d: %v", i, op, err)
 					return
 				}
+				held = id
+				// Hold briefly so overlapping acquisitions pile up.
+				time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
 			}
 			if held != (RequestID{}) {
 				m.Finished(held)

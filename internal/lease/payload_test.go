@@ -169,55 +169,6 @@ func TestEarlyReleasedPayloadFires(t *testing.T) {
 	}
 }
 
-// TestPayloadRequestNeverDeadlockVictim: a deadlock victim releases its own
-// request while waiting, so another replica may already have enabled it. For
-// a payload request that would apply the payload there and not here; the
-// detector picks the cycle's largest non-payload waiting request instead.
-func TestPayloadRequestNeverDeadlockVictim(t *testing.T) {
-	b := newBus()
-	defer b.close()
-	ms := newManagers(t, b, 2, Config{DeadlockDetection: true})
-
-	// Replica 0 holds x and requests y; replica 1 holds y and requests x
-	// with a payload. By (Proc, Seq) replica 1's request would be the victim.
-	idX := getLeaseT(t, ms[0], []string{"x"})
-	idY := getLeaseT(t, ms[1], []string{"y"})
-	b.sync()
-
-	plain, payload := make(chan error, 1), make(chan error, 1)
-	go func() {
-		id, err := ms[0].GetLease([]string{"y"})
-		if err == nil {
-			ms[0].Finished(id)
-		} else {
-			ms[0].Finished(idX) // the victim's transaction lets go of what it held
-		}
-		plain <- err
-	}()
-	go func() {
-		id, err := ms[1].GetLeaseWithPayload(ms[1].cfg.Mapper.Classes([]string{"x"}), "p")
-		if err == nil {
-			ms[1].Finished(id)
-		}
-		ms[1].Finished(idY)
-		payload <- err
-	}()
-	for _, c := range []struct {
-		name string
-		ch   chan error
-		want error
-	}{{"payload request", payload, nil}, {"plain request", plain, ErrDeadlock}} {
-		select {
-		case err := <-c.ch:
-			if !errors.Is(err, c.want) {
-				t.Fatalf("%s returned %v, want %v", c.name, err, c.want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: deadlock not broken", c.name)
-		}
-	}
-}
-
 // TestInstallStateFiresUnresolvedPayloads: a state transfer carries, per
 // request, whether its payload was resolved at the sender. A request enabled
 // there is in the transferred store and must not fire again; one still queued

@@ -43,7 +43,7 @@ func TestRotationCostIndependentOfTableSize(t *testing.T) {
 	type cost struct{ reuse, rotate time.Duration }
 	measure := func(live int) cost {
 		lb := &syncLoop{}
-		cfg := Config{OptimisticFree: true, DeadlockDetection: true}
+		cfg := Config{OptimisticFree: true}
 		lb.m = NewManager(0, lb, cfg)
 		defer lb.m.Close()
 		keys := make([][]string, live)

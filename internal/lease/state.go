@@ -85,7 +85,8 @@ func (m *Manager) InstallState(st *State) {
 	// need). The table rebuild below would orphan their reqState objects —
 	// waiters blocked on them would never be woken again — so abort them
 	// first: the callers observe ErrDeadlock and retry under a fresh
-	// request against the installed table.
+	// request against the installed table. This is the only source of
+	// ErrDeadlock.
 	for _, rs := range m.reqs {
 		if rs.local && !rs.freed {
 			rs.aborted = true
@@ -96,7 +97,7 @@ func (m *Manager) InstallState(st *State) {
 	m.reqs = make(map[RequestID]*reqState, len(st.Requests))
 	m.earlyFreed = make(map[RequestID]bool)
 	m.enqueueSeq = st.NextPos
-	m.wild, m.inflight, m.draining, m.waiting, m.ripe = nil, nil, nil, nil, nil
+	m.wild, m.inflight, m.draining, m.ripe = nil, nil, nil, nil
 	m.ghosts, m.unresolved = nil, nil
 	// The transfer belongs to the view being installed.
 	m.viewPending = true
@@ -113,9 +114,6 @@ func (m *Manager) InstallState(st *State) {
 		m.reqs[req.ID] = rs
 		if rs.req.Wildcard {
 			m.wild = append(m.wild, rs)
-		}
-		if rs.local && m.cfg.DeadlockDetection {
-			m.addWaitingLocked(rs) // pruned once seen enabled
 		}
 	}
 	m.live = len(m.reqs)

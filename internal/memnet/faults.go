@@ -1,8 +1,6 @@
 package memnet
 
 import (
-	crand "crypto/rand"
-	"encoding/binary"
 	"math/rand"
 	"time"
 )
@@ -40,24 +38,6 @@ type Faults struct {
 // Active reports whether the configuration injects any fault.
 func (f Faults) Active() bool {
 	return f.Drop > 0 || f.Duplicate > 0 || f.Delay > 0
-}
-
-// RandomSeed returns a cryptographically drawn, nonzero seed for callers
-// that want a different schedule on every run. Use it explicitly: a zero
-// Config.Seed or Faults.Seed selects a fixed deterministic default, never a
-// random one, so that tests reproduce by default.
-func RandomSeed() int64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back to a
-		// time-derived seed rather than panicking in a test helper.
-		return time.Now().UnixNano() | 1
-	}
-	s := int64(binary.LittleEndian.Uint64(b[:]))
-	if s == 0 {
-		s = 1
-	}
-	return s
 }
 
 // SetFaults installs (or, with the zero Faults, clears) fault injection on

@@ -115,20 +115,6 @@ func TestSetFaultsRuntimeToggle(t *testing.T) {
 	}
 }
 
-func TestRandomSeedNonZeroAndVarying(t *testing.T) {
-	seen := make(map[int64]bool)
-	for i := 0; i < 8; i++ {
-		s := RandomSeed()
-		if s == 0 {
-			t.Fatal("RandomSeed returned 0")
-		}
-		seen[s] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("RandomSeed returned the same value %d times", 8)
-	}
-}
-
 // Faults must not affect self-sends (a process does not lose messages to
 // itself) and must respect partitions layered on top.
 func TestFaultsSelfSendUnaffected(t *testing.T) {

@@ -41,8 +41,9 @@ type Config struct {
 	// Seed seeds the jitter generator. Zero is NOT a random seed: it
 	// explicitly selects a fixed deterministic default (equivalent to
 	// Seed: 1), so that tests reproduce run-to-run by default. Callers that
-	// want a fresh schedule every run must pass RandomSeed() explicitly and
-	// log the value for reproduction.
+	// want a fresh schedule every run pass a seed explicitly (the test
+	// suites derive theirs from internal/randseed, which reads $ALC_SEED)
+	// and log the value for reproduction.
 	Seed int64
 	// Faults configures seeded fault injection (drop/duplicate/delay-spike
 	// per link); see Faults. The zero value disables injection. Faults can

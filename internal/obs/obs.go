@@ -235,8 +235,6 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.Lease.Stolen })
 	counter("alc_lease_frees_total", "Lease requests released by this replica.",
 		func(s repSample) int64 { return s.stats.Lease.Freed })
-	counter("alc_lease_deadlocks_total", "Local deadlock victims.",
-		func(s repSample) int64 { return s.stats.Lease.Deadlocks })
 	counter("alc_batches_total", "Write-set batches URB-broadcast.",
 		func(s repSample) int64 { return s.stats.Batch.Batches })
 	counter("alc_batched_txns_total", "Transactions carried by write-set batches.",
@@ -527,7 +525,6 @@ type Counters struct {
 	LeaseStolen    int64   `json:"lease_stolen"`
 	LeaseReuseRate float64 `json:"lease_reuse_rate"`
 	LeaseFrees     int64   `json:"lease_frees"`
-	LeaseDeadlocks int64   `json:"lease_deadlocks"`
 	Batches        int64   `json:"batches"`
 	BatchedTxns    int64   `json:"batched_txns"`
 }
@@ -596,7 +593,6 @@ func debugView(reg *Registry) DebugView {
 				LeaseStolen:    s.Lease.Stolen,
 				LeaseReuseRate: s.Lease.ReuseRate(),
 				LeaseFrees:     s.Lease.Freed,
-				LeaseDeadlocks: s.Lease.Deadlocks,
 				Batches:        s.Batch.Batches,
 				BatchedTxns:    s.Batch.BatchedTxns,
 			},

@@ -12,7 +12,6 @@ import (
 	"github.com/alcstm/alc/internal/core"
 	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/history"
-	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/randseed"
 	"github.com/alcstm/alc/internal/sortedset"
@@ -189,7 +188,6 @@ func Run(cfg Config) *Result {
 			GCEvery:    -1,
 			MaxRetries: cfg.MaxRetries,
 			Tracer:     tracer,
-			Lease:      lease.Config{Tracer: tracer},
 		},
 		Net: memnet.Config{
 			Latency: 200 * time.Microsecond,

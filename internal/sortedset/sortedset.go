@@ -49,22 +49,12 @@ func New(name string) *Set {
 }
 
 // Seed returns the boxes that must exist before the set is used: the root
-// pointer and the size counter. Seed it on every replica (or create it with
-// Init inside a transaction).
+// pointer and the size counter. Seed it on every replica.
 func (s *Set) Seed() map[string]any {
 	return map[string]any{
 		s.rootBox(): "",
 		s.sizeBox(): 0,
 	}
-}
-
-// Init creates the set's metadata inside a transaction (an alternative to
-// Seed for dynamically created sets).
-func (s *Set) Init(tx Txn) error {
-	if err := tx.Write(s.rootBox(), ""); err != nil {
-		return err
-	}
-	return tx.Write(s.sizeBox(), 0)
 }
 
 func (s *Set) rootBox() string        { return s.prefix + ":root" }

@@ -145,8 +145,6 @@ type Stats struct {
 	LeaseReuses int64
 	// LeaseHandoffs counts leases released to other replicas (ALC).
 	LeaseHandoffs int64
-	// Deadlocks counts local deadlock victims (ALC, detection enabled).
-	Deadlocks int64
 	// RetriesPerTxn is the distribution of aborts suffered per committed
 	// transaction.
 	RetriesPerTxn metrics.IntDistSnapshot
@@ -181,7 +179,6 @@ func statsFrom(s core.Stats) Stats {
 		LeaseRequests: s.Lease.Requested,
 		LeaseReuses:   s.Lease.Reused,
 		LeaseHandoffs: s.Lease.Freed,
-		Deadlocks:     s.Lease.Deadlocks,
 		RetriesPerTxn: s.RetriesPerTxn,
 		CommitLatency: s.CommitLatency,
 		Batch:         s.Batch,
