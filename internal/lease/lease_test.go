@@ -568,6 +568,83 @@ func TestStateSnapshotInstallRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInstallStateOrphansLocalAcquisitions pins down the one remaining cause
+// of ErrDeadlock: a state transfer installed while a local acquisition waits
+// rebuilds the table under it. The waiter must return ErrDeadlock rather than
+// park on a request the table no longer knows, and a retry must succeed
+// against the installed table.
+func TestInstallStateOrphansLocalAcquisitions(t *testing.T) {
+	acquire := func(m *Manager) chan diffResult {
+		ch := make(chan diffResult, 1)
+		go func() {
+			id, err := m.GetLease([]string{"x"})
+			ch <- diffResult{id, err}
+		}()
+		return ch
+	}
+	await := func(t *testing.T, ch chan diffResult) diffResult {
+		t.Helper()
+		select {
+		case r := <-ch:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatal("GetLease did not return")
+			return diffResult{}
+		}
+	}
+
+	t.Run("in-flight", func(t *testing.T) {
+		b := &diffBus{}
+		m := NewManager(0, b, Config{})
+		defer m.Close()
+
+		// The request is broadcast but never delivered before the transfer,
+		// which carries an empty table.
+		call := acquire(m)
+		takeOAB(t, b)
+		m.InstallState(NewManager(1, &diffBus{}, Config{}).SnapshotState())
+		if r := await(t, call); !errors.Is(r.err, ErrDeadlock) {
+			t.Fatalf("orphaned in-flight GetLease = %v, %v; want ErrDeadlock", r.id, r.err)
+		}
+
+		id := acquireLocal(t, m, b, []string{"x"})
+		if !m.HoldsLease([]string{"x"}) {
+			t.Fatalf("retry %v does not hold the lease", id)
+		}
+	})
+
+	t.Run("queued", func(t *testing.T) {
+		b := &diffBus{}
+		m := NewManager(0, b, Config{})
+		defer m.Close()
+
+		// A remote request holds x; the local one is TO-delivered behind it
+		// and its caller parks.
+		remote := &Request{ID: RequestID{Proc: 1, Seq: 1}, Classes: m.cfg.Mapper.Classes([]string{"x"})}
+		m.HandleRequestTO(remote)
+		call := acquire(m)
+		local := takeOAB(t, b)
+		m.HandleRequestTO(local)
+		waitUntil(t, func() bool { return m.Stats().Waiting == 1 })
+
+		// The transfer carries the same table, so it installs a new reqState
+		// for the local request and orphans the one the caller waits on.
+		m.InstallState(m.SnapshotState())
+		if r := await(t, call); !errors.Is(r.err, ErrDeadlock) {
+			t.Fatalf("orphaned queued GetLease = %v, %v; want ErrDeadlock", r.id, r.err)
+		}
+
+		// The retry joins the installed local request and holds the lease
+		// once the remote one is released.
+		retry := acquire(m)
+		waitUntil(t, func() bool { return m.Stats().Waiting == 1 })
+		m.HandleFreed(&Freed{IDs: []RequestID{remote.ID}})
+		if r := await(t, retry); r.err != nil || r.id != local.ID {
+			t.Fatalf("retry = %v, %v; want %v", r.id, r.err, local.ID)
+		}
+	})
+}
+
 func TestPayloadHandlerFiresOncePerRequest(t *testing.T) {
 	b := newBus()
 	defer b.close()

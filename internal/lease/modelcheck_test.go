@@ -11,19 +11,30 @@ import (
 )
 
 // TestModelCheckMutualExclusion drives several lease managers with a
-// randomized workload (plain acquisitions, replacements, wildcards) and
-// checks the protocol's core safety invariant at every step of the bus's
-// serialization point: no two replicas may simultaneously hold enabled,
-// unreleased leases on intersecting conflict classes, and a wildcard holder
-// excludes everyone.
+// randomized workload (plain acquisitions, shared joins, replacements,
+// wildcards and §4.5(c) payload requests) and checks the protocol's core
+// safety invariant at every step of the bus's serialization point: no two
+// replicas may simultaneously hold enabled, unreleased leases on intersecting
+// conflict classes, and a wildcard holder excludes everyone. It runs each seed
+// with and without the §4.5(b) optimistic release, which the replication
+// manager enables by default.
 //
 // The workers follow the replication manager's rule — never wait for a lease
 // while associated with another one: a replacement or a wildcard releases the
-// held request in the same totally ordered step, and a plain acquisition
-// finishes the held one first. With that rule §4.4 admits no lease deadlock,
-// so no acquisition may fail with ErrDeadlock (nothing here installs state)
-// and the run must not hang.
+// held request in the same totally ordered step, a plain acquisition finishes
+// the held one first, and a payload request is issued only with nothing held.
+// With that rule §4.4 admits no lease deadlock, so no acquisition may fail
+// with ErrDeadlock (nothing here installs state) and the run must not hang.
 func TestModelCheckMutualExclusion(t *testing.T) {
+	for _, cfg := range []Config{{}, {OptimisticFree: true}} {
+		for seed := int64(1); seed <= 12; seed++ {
+			name := fmt.Sprintf("opt=%t/seed=%d", cfg.OptimisticFree, seed)
+			t.Run(name, func(t *testing.T) { runModelCheck(t, cfg, seed) })
+		}
+	}
+}
+
+func runModelCheck(t *testing.T, cfg Config, seed int64) {
 	const (
 		managers  = 4
 		perWorker = 30
@@ -31,7 +42,7 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 	)
 	b := newBus()
 	defer b.close()
-	ms := newManagers(t, b, managers, Config{})
+	ms := newManagers(t, b, managers, cfg)
 
 	// The invariant checker runs inside the bus dispatcher: between events
 	// the replicated state is quiescent, so enabled-lease sets are
@@ -79,7 +90,7 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 		wg.Add(1)
 		go func(i int, m *Manager) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i + 7)))
+			rng := rand.New(rand.NewSource(seed*managers + int64(i)))
 			var held RequestID
 			for op := 0; op < perWorker; op++ {
 				// Random item subset.
@@ -92,6 +103,8 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 					err error
 				)
 				switch {
+				case held == (RequestID{}) && rng.Intn(8) == 0:
+					id, err = m.GetLeaseWithPayload(m.cfg.Mapper.Classes(set), op)
 				case rng.Intn(10) == 0:
 					id, err = m.GetLeaseEverything(held)
 					held = RequestID{}
@@ -118,7 +131,18 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 			}
 		}(i, m)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		// Release the parked workers before failing, so none outlives the test.
+		for _, m := range ms {
+			m.Close()
+		}
+		<-done
+		t.Fatal("workers still waiting for leases after 10s: lease deadlock")
+	}
 	// Two syncs: the first flushes outstanding events, the second orders
 	// this goroutine after the first sentinel's own afterEvent hook.
 	b.sync()
