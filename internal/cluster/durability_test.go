@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,16 +54,52 @@ func newDurableCluster(t *testing.T, n int, dur core.DurabilityConfig) (*Cluster
 }
 
 // commitN applies n serial increments spread across the live replicas.
+//
+// On a starved host a replica can be suspected, ejected and readmitted
+// (AutoRejoin) under any test; an increment it had in flight then fails with
+// ErrEjected and may or may not have been applied (at most once). commitN
+// resolves that instead of guessing: every increment also writes its own
+// number to box+"#op", so once the replica is back and the group has
+// converged, that box says whether the increment took effect, and only one
+// that did not is retried.
 func commitN(t *testing.T, c *Cluster, box string, n int) {
 	t.Helper()
 	live := c.Replicas()
 	for i := 0; i < n; i++ {
 		r := live[i%len(live)]
-		if err := r.Atomic(increment(box)); err != nil {
-			t.Fatalf("increment %d on replica %d: %v", i, r.ID(), err)
+		op := int(commitOps.Add(1))
+		for {
+			err := r.Atomic(func(tx *stm.Txn) error {
+				if err := increment(box)(tx); err != nil {
+					return err
+				}
+				return tx.Write(box+"#op", op)
+			})
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, core.ErrEjected) {
+				t.Fatalf("increment %d on replica %d: %v", i, r.ID(), err)
+			}
+			waitRejoined(t, c, int(r.ID()))
+			if err := c.WaitConverged(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			var last any
+			_ = r.AtomicRO(func(tx *stm.Txn) error {
+				last, _ = tx.Read(box + "#op")
+				return nil
+			})
+			t.Logf("increment %d on replica %d failed with %v; applied: %t", i, r.ID(), err, last == op)
+			if last == op {
+				break
+			}
 		}
 	}
 }
+
+// commitOps numbers commitN's increments.
+var commitOps atomic.Int64
 
 // waitRejoined blocks until replica i is back in the primary component.
 func waitRejoined(t *testing.T, c *Cluster, i int) {
@@ -76,6 +114,47 @@ func waitRejoined(t *testing.T, c *Cluster, i int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// joinAnswer returns the transfer that answered replica i's join since its
+// last restart — the first one it installed — with the coordinator's record
+// of that decision, and holds the one contract every restart test shares: a
+// later join (the replica ejected and readmitted, as on a starved host) is
+// legitimate only when it advertised a frontier the coordinator found
+// inside its retained window, that is, when it was served a delta.
+func joinAnswer(t *testing.T, c *Cluster, i int) (installed, served core.Transfer) {
+	t.Helper()
+	var joins []core.Transfer
+	for _, x := range c.Replica(i).Stats().WAL.Transfers {
+		if !x.Served {
+			joins = append(joins, x)
+		}
+	}
+	if len(joins) == 0 {
+		t.Fatalf("replica %d installed no state transfer since its restart", i)
+	}
+	for _, later := range joins[1:] {
+		if s := servedTo(t, c, i, later.View); later.Kind != core.TransferDelta || s.Kind != core.TransferDelta || s.Frontier == nil {
+			t.Fatalf("replica %d joined again, into view %d, by a %s transfer (coordinator's record %+v): "+
+				"a later join must advertise a frontier inside the retained window", i, later.View, later.Kind, s)
+		}
+	}
+	return joins[0], servedTo(t, c, i, joins[0].View)
+}
+
+// servedTo returns the coordinator's record of the transfer that admitted
+// replica i to view.
+func servedTo(t *testing.T, c *Cluster, i int, view uint64) core.Transfer {
+	t.Helper()
+	for _, r := range c.Replicas() {
+		for _, x := range r.Stats().WAL.Transfers {
+			if x.Served && x.Joiner == c.Replica(i).ID() && x.View == view {
+				return x
+			}
+		}
+	}
+	t.Fatalf("no coordinator recorded the transfer that admitted replica %d to view %d", i, view)
+	return core.Transfer{}
 }
 
 // TestDurableRestartDeltaTransfer is the tentpole scenario: a crashed
@@ -108,19 +187,14 @@ func TestDurableRestartDeltaTransfer(t *testing.T) {
 	if s2.ReplayedEntries == 0 {
 		t.Errorf("restarted replica replayed no WAL entries")
 	}
-	if s2.DeltaInstalled == 0 {
-		t.Errorf("restarted replica installed no delta (stats: %+v)", s2)
+	answer, served := joinAnswer(t, c, 2)
+	if answer.Kind != core.TransferDelta {
+		t.Errorf("restarted replica took a %s transfer despite local recovery (record: %+v)", answer.Kind, answer)
 	}
-	if s2.FullInstalled != 0 {
-		t.Errorf("restarted replica took a full state transfer despite local recovery (stats: %+v)", s2)
+	if served.Kind != core.TransferDelta || served.Frontier == nil {
+		t.Errorf("coordinator did not serve the delta-eligible joiner a delta (record: %+v)", served)
 	}
 	s0 := c.Replica(0).Stats().WAL
-	if s0.DeltasServed == 0 {
-		t.Errorf("coordinator served no delta (stats: %+v)", s0)
-	}
-	if s0.FullsServed != 0 {
-		t.Errorf("coordinator captured a full StateSnapshot for a delta-eligible joiner (stats: %+v)", s0)
-	}
 
 	if got := readBox(t, r2, "counter"); got != 80 {
 		t.Fatalf("recovered replica: counter = %v, want 80", got)
@@ -224,22 +298,123 @@ func TestDurableFallbackWhenGapOutrunsRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s0 := c.Replica(0).Stats().WAL
-	if s0.FullsServed == 0 {
-		t.Errorf("coordinator never fell back to a full transfer (stats: %+v)", s0)
+	answer, served := joinAnswer(t, c, 2)
+	if served.Kind != core.TransferFull || served.Declined != "evicted" {
+		t.Errorf("coordinator did not fall back to a full transfer for the evicted gap (record: %+v)", served)
 	}
-	s2 := c.Replica(2).Stats().WAL
-	if s2.FullInstalled == 0 {
-		t.Errorf("joiner did not install the full snapshot (stats: %+v)", s2)
-	}
-	if s2.DeltaInstalled != 0 {
-		t.Errorf("joiner installed a delta across a gap wider than retention (stats: %+v)", s2)
+	if answer.Kind != core.TransferFull {
+		t.Errorf("joiner installed a %s transfer across a gap wider than retention (record: %+v)", answer.Kind, answer)
 	}
 	if got := readBox(t, c.Replica(2), "counter"); got != 60 {
 		t.Fatalf("counter = %v, want 60", got)
 	}
 	if diff := c.CheckHistories(); diff != "" {
 		t.Fatalf("history divergence after fallback: %s", diff)
+	}
+}
+
+// TestDurableSecondRejoinAfterFullTakesADelta pins the legitimate second
+// rejoin: a joiner answered by a full transfer (its gap outran retention)
+// that is then ejected and readmitted joins again from its post-install
+// frontier, inside the window, and takes a delta. A test that counts
+// transfers installed since the restart sees one full and one delta; the
+// restart's join is still answered by the full.
+func TestDurableSecondRejoinAfterFullTakesADelta(t *testing.T) {
+	c, _ := newDurableCluster(t, 3, core.DurabilityConfig{Retain: 8})
+	commitN(t, c, "counter", 20)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(2)
+	commitN(t, c, "counter", 40) // gap of 40 > retention of 8
+	if err := c.Restart(2); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	waitRejoined(t, c, 2)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// Eject the joiner and readmit it, two commits behind.
+	c.Partition([]int{0, 1}, []int{2})
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Replica(2).InPrimary() {
+		if time.Now().After(deadline) {
+			t.Fatal("the isolated replica was never ejected")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for range 2 {
+		if err := c.Replica(0).Atomic(increment("counter")); err != nil {
+			t.Fatalf("commit during the partition: %v", err)
+		}
+	}
+	c.Heal()
+	waitRejoined(t, c, 2)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := c.Replica(2).Stats().WAL
+	if s2.FullInstalled != 1 || s2.DeltaInstalled != 1 {
+		t.Fatalf("installed %d full and %d delta transfers, want one of each (records: %+v)",
+			s2.FullInstalled, s2.DeltaInstalled, s2.Transfers)
+	}
+	answer, served := joinAnswer(t, c, 2)
+	if answer.Kind != core.TransferFull || served.Declined != "evicted" {
+		t.Errorf("the restart's join was not answered by a full transfer declined as evicted (records: %+v, %+v)", answer, served)
+	}
+	if got := readBox(t, c.Replica(2), "counter"); got != 62 {
+		t.Fatalf("counter = %v, want 62", got)
+	}
+	if diff := c.CheckHistories(); diff != "" {
+		t.Fatalf("history divergence after the second rejoin: %s", diff)
+	}
+}
+
+// unregistered is a box value type never passed to RegisterValue: no codec
+// can encode it.
+type unregistered struct{ N int }
+
+// TestDurableUnencodableEntryForcesFullTransfer: the delta window keeps wire
+// encodings, so it cannot keep an entry whose value has no codec. It counts
+// the entry and raises its writer's eviction watermark past it, so a durable
+// joiner that lacks the entry gets a full transfer, never a delta with a
+// hole.
+func TestDurableUnencodableEntryForcesFullTransfer(t *testing.T) {
+	c, _ := newDurableCluster(t, 3, core.DurabilityConfig{})
+	commitN(t, c, "counter", 10)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(2)
+	if err := c.Replica(0).Atomic(func(tx *stm.Txn) error {
+		return tx.Write("opaque", unregistered{N: 1})
+	}); err != nil {
+		t.Fatalf("write an unregistered value: %v", err)
+	}
+	commitN(t, c, "counter", 5)
+	if err := c.Restart(2); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	waitRejoined(t, c, 2)
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	var unencodable int64
+	for _, r := range c.Replicas() {
+		unencodable += r.Stats().WAL.RetainUnencodable
+	}
+	if unencodable == 0 {
+		t.Error("no replica counted the entry its window could not keep")
+	}
+	answer, served := joinAnswer(t, c, 2)
+	if answer.Kind != core.TransferFull || served.Declined != "evicted" {
+		t.Errorf("the joiner lacking the unencodable entry was not sent a full transfer (records: %+v, %+v)", answer, served)
+	}
+	if diff := c.CheckHistories(); diff != "" {
+		t.Fatalf("history divergence: %s", diff)
 	}
 }
 
@@ -288,8 +463,8 @@ func TestDurableRestartWithoutSnapshotReplaysLog(t *testing.T) {
 	if s2.ReplayedEntries == 0 {
 		t.Errorf("no WAL entries replayed (stats: %+v)", s2)
 	}
-	if s2.DeltaInstalled == 0 || s2.FullInstalled != 0 {
-		t.Errorf("log-only recovery should still rejoin via delta (stats: %+v)", s2)
+	if answer, _ := joinAnswer(t, c, 2); answer.Kind != core.TransferDelta {
+		t.Errorf("log-only recovery should still rejoin via delta (record: %+v)", answer)
 	}
 	if got := readBox(t, c.Replica(2), "made"); got != 31 {
 		t.Fatalf("made = %v, want 31", got)
@@ -402,8 +577,8 @@ func rejoinsByFullTransfer(t *testing.T, write func(dir string)) {
 	if s2.Errors != 1 || s2.RecoveredFromSnapshot || s2.ReplayedEntries != 0 {
 		t.Errorf("foreign directory was not discarded and counted once (stats: %+v)", s2)
 	}
-	if s2.FullInstalled == 0 || s2.DeltaInstalled != 0 {
-		t.Errorf("rejoin after the discard was not a full transfer (stats: %+v)", s2)
+	if answer, served := joinAnswer(t, c, 2); answer.Kind != core.TransferFull || served.Frontier != nil {
+		t.Errorf("rejoin after the discard was not a full transfer to a joiner with no frontier (records: %+v, %+v)", answer, served)
 	}
 	if got := readBox(t, c.Replica(2), "counter"); got != 30 {
 		t.Fatalf("counter = %v, want 30", got)
@@ -565,7 +740,7 @@ func TestDurableCertRestartDeltaThenFull(t *testing.T) {
 	// rejoin crashes replica 2, commits through the others, restarts it and
 	// then commits on all three: the rejoined replica must certify in step,
 	// its commits and the others' interleaving on one clock.
-	rejoin := func(commits int) core.WALStats {
+	rejoin := func(commits int) (answer, served core.Transfer) {
 		t.Helper()
 		c.Crash(2)
 		commitN(t, c, "counter", commits)
@@ -577,14 +752,14 @@ func TestDurableCertRestartDeltaThenFull(t *testing.T) {
 		if err := c.WaitConverged(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return c.Replica(2).Stats().WAL
+		return joinAnswer(t, c, 2)
 	}
 
-	if s := rejoin(4); s.DeltaInstalled == 0 || s.FullInstalled != 0 {
-		t.Fatalf("a 4-commit gap inside the 8-entry window: want a delta, got %+v", s)
+	if answer, _ := rejoin(4); answer.Kind != core.TransferDelta {
+		t.Fatalf("a 4-commit gap inside the 8-entry window: want a delta, got %+v", answer)
 	}
-	if s := rejoin(40); s.FullInstalled == 0 {
-		t.Fatalf("a 40-commit gap past the 8-entry window: want a full transfer, got %+v", s)
+	if answer, served := rejoin(40); answer.Kind != core.TransferFull || served.Declined != "evicted" {
+		t.Fatalf("a 40-commit gap past the 8-entry window: want a full transfer declined as evicted, got %+v (coordinator %+v)", answer, served)
 	}
 	var evicted int64
 	for _, r := range c.Replicas() {

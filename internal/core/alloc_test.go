@@ -3,6 +3,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,6 +36,43 @@ func TestAllocBudgetDurableAppend(t *testing.T) {
 	}
 	if s := d.stats(); s.Errors != 0 {
 		t.Fatalf("%d durability errors", s.Errors)
+	}
+}
+
+// TestAllocBudgetDeltaWindowFull: once the delta window is full and has
+// cycled through its segments, retaining an entry allocates nothing: the
+// encoding goes through the reused scratch buffer into a recycled segment.
+func TestAllocBudgetDeltaWindowFull(t *testing.T) {
+	d, err := newDurable(DurabilityConfig{Retain: 64}, stm.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fixed-shape entries: the sequence numbers keep one varint length, so
+	// the scratch buffer never has to grow.
+	e := applyWSEntry{TxnID: stm.TxnID{Replica: 1, Seq: 1 << 21}, WS: stm.WriteSet{{Box: "acct:1", Value: 7}}}
+	push := func() {
+		e.TxnID.Seq++
+		d.mu.Lock()
+		d.pushRetainedLocked(e)
+		d.mu.Unlock()
+	}
+	// Enough pushes to fill several segments, so the window has given one
+	// back for reuse.
+	const segmentful = windowSegment / 8
+	for range 4 * segmentful {
+		push()
+	}
+	// testing.AllocsPerRun rounds down, and a segment allocation comes once
+	// per few hundred pushes: count every allocation of ten segments' worth.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 * segmentful {
+		push()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Fatalf("%d pushes into a full delta window allocated %d times, want 0", 10*segmentful, got)
 	}
 }
 

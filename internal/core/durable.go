@@ -87,6 +87,14 @@ type WALStats struct {
 	LastFullBytes  int64
 	// RetainedEntries is the current delta-window length (gauge).
 	RetainedEntries int64
+	// RetainedBytes is the delta window's footprint: the byte segments that
+	// hold its entries' wire encodings (gauge).
+	RetainedBytes int64
+	// RetainUnencodable counts applied entries the delta window could not
+	// keep because a value has no codec (a type never passed to
+	// RegisterValue). Each counted as evicted at once: a joiner that lacks
+	// one takes a full transfer.
+	RetainUnencodable int64
 	// FilteredSeen / FilteredNeverSeen count entries the apply path's
 	// frontier filter dropped as already absorbed. Seen: the entry is still
 	// in the retained window or at/below its eviction watermark — a
@@ -96,6 +104,10 @@ type WALStats struct {
 	// writer, i.e. an acknowledged commit being lost; must stay 0.
 	FilteredSeen      int64
 	FilteredNeverSeen int64
+	// Transfers is the bounded record of this replica's state-transfer
+	// decisions, oldest first: the last maxTransfers it served as view-change
+	// coordinator or installed as a joiner.
+	Transfers []Transfer
 	// Errors counts durability faults: encode/write/snapshot failures (the
 	// replica degrades to memory-only operation rather than stopping) and
 	// recovery discarding a snapshot, log or log suffix it cannot use.
@@ -127,6 +139,42 @@ const (
 	declineEvicted
 	numDeclineReasons
 )
+
+func (r declineReason) String() string {
+	return [numDeclineReasons]string{"", "ahead", "epoch", "evicted"}[r]
+}
+
+// Kinds of state transfer (Transfer.Kind).
+const (
+	TransferDelta = "delta"
+	TransferFull  = "full"
+)
+
+// maxTransfers bounds WALStats.Transfers.
+const maxTransfers = 32
+
+// Transfer is one state-transfer decision: one this replica served, as the
+// coordinator of the view that admitted a joiner, or one it installed as
+// that joiner.
+type Transfer struct {
+	// View is the view the joiner entered with the transfer.
+	View uint64 `json:"view"`
+	// Joiner is the replica the transfer was for: this one when installed.
+	Joiner transport.ID `json:"joiner"`
+	// Served says this replica coordinated the transfer; false, that it
+	// installed it.
+	Served bool `json:"served"`
+	// Kind is TransferDelta or TransferFull.
+	Kind string `json:"kind"`
+	// Frontier is the applied frontier the joiner advertised, nil for none.
+	// On the joiner it is the frontier of its latest join request. A delta
+	// means the coordinator found it inside its retained window.
+	Frontier map[transport.ID]uint64 `json:"frontier"`
+	// Declined names the rule that refused a delta for an advertised
+	// frontier ("ahead", "epoch" or "evicted"; see DeltaDeclines). Only the
+	// coordinator knows it; empty otherwise.
+	Declined string `json:"declined,omitempty"`
+}
 
 // walFormat is the first byte of every WAL record and snapshot payload, ahead
 // of fields in the wire codec (the same helpers that put write-sets and store
@@ -221,14 +269,12 @@ type appliedState struct {
 	frontier   map[transport.ID]uint64
 	toFrontier int64
 	toAbove    []int64
-	// ring is the retained suffix of applied entries, capped at cfg.Retain:
-	// a circular buffer that grows by append until full and then overwrites
-	// its oldest entry, ring[head] (read it through at, oldest first).
-	// evicted[w] / evictedTO are the highest URB Seq per writer / TO ordinal
-	// dropped from the ring (a joiner needing anything at or below them that
-	// it does not already have must take a full transfer).
-	ring      []applyWSEntry
-	head      int
+	// win is the retained suffix of applied entries, capped at cfg.Retain,
+	// in wire encoding. evicted[w] / evictedTO are the highest URB Seq per
+	// writer / TO ordinal dropped from the window, or never let into it for a
+	// value with no codec (a joiner needing anything at or below them that it
+	// does not already have must take a full transfer).
+	win       deltaWindow
 	evicted   map[transport.ID]uint64
 	evictedTO int64
 	// hasState means the store content exactly equals the frontier-implied
@@ -290,9 +336,13 @@ func (sh *appliedState) advertised() map[transport.ID]uint64 {
 	return f
 }
 
-// at returns the i-th oldest retained entry, 0 <= i < len(sh.ring).
-func (sh *appliedState) at(i int) *applyWSEntry {
-	return &sh.ring[(sh.head+i)%len(sh.ring)]
+// evict raises the eviction watermark of the entry's lane past it.
+func (sh *appliedState) evict(id stm.TxnID, ord int64) {
+	if ord > 0 {
+		sh.evictedTO = max(sh.evictedTO, ord)
+	} else if id.Seq > sh.evicted[id.Replica] {
+		sh.evicted[id.Replica] = id.Seq
+	}
 }
 
 // adoptTOAbove takes the TO lane's applied entries past the frontier from a
@@ -371,8 +421,8 @@ func (sh *appliedState) seen(e applyWSEntry) bool {
 	} else if e.TxnID.Seq <= sh.evicted[e.TxnID.Replica] {
 		return true
 	}
-	for i := len(sh.ring) - 1; i >= 0; i-- {
-		if sh.at(i).TxnID == e.TxnID {
+	for i := sh.win.len() - 1; i >= 0; i-- {
+		if id, _ := sh.win.header(i); id == e.TxnID {
 			return true
 		}
 	}
@@ -419,7 +469,13 @@ type durable struct {
 	lastFullBytes  atomic.Int64
 	filteredSeen   metrics.Counter
 	filteredNever  metrics.Counter
+	unencodable    metrics.Counter
 	errors         metrics.Counter
+
+	// transfers is WALStats.Transfers; joinFrontier the frontier of this
+	// replica's latest join request. Both under mu.
+	transfers    []Transfer
+	joinFrontier map[transport.ID]uint64
 }
 
 // newDurable builds the durability state and, when a directory is
@@ -545,24 +601,22 @@ func (d *durable) markComplete() {
 }
 
 // pushRetainedLocked adds one applied entry to the delta window; a full
-// window gives up its oldest entry to the eviction watermarks and takes the
-// new one in its slot. Caller holds d.mu.
+// window gives up its oldest entry to the eviction watermarks. An entry with
+// a value that has no codec cannot be retained: it counts as evicted at
+// once, so a joiner that lacks it takes a full transfer, never a delta with a
+// hole. Caller holds d.mu.
 func (d *durable) pushRetainedLocked(e applyWSEntry) {
 	sh := &d.applied
-	if len(sh.ring) < d.cfg.Retain {
-		sh.ring = append(sh.ring, e)
+	enc, err := sh.win.encode(e)
+	if err != nil {
+		d.unencodable.Inc()
+		sh.evict(e.TxnID, e.Ord)
 		return
 	}
-	old := sh.at(0)
-	if old.Ord > 0 {
-		if old.Ord > sh.evictedTO {
-			sh.evictedTO = old.Ord
-		}
-	} else if old.TxnID.Seq > sh.evicted[old.TxnID.Replica] {
-		sh.evicted[old.TxnID.Replica] = old.TxnID.Seq
+	if sh.win.len() == d.cfg.Retain {
+		sh.evict(sh.win.header(0))
 	}
-	*old = e
-	sh.head = (sh.head + 1) % len(sh.ring)
+	sh.win.push(enc, d.cfg.Retain)
 }
 
 // append is the durability tier's entry on the apply path, called BEFORE the
@@ -711,11 +765,39 @@ func (d *durable) snapshot(store *stm.Store) {
 	d.lastSnapNanos.Store(time.Now().UnixNano())
 }
 
-// advertise returns the advertised frontier for the next joinReq.
+// advertise returns the advertised frontier for the next joinReq, and keeps
+// it for the record of the transfer that answers the request. Nobody writes
+// the map.
 func (d *durable) advertise() map[transport.ID]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.applied.advertised()
+	d.joinFrontier = d.applied.advertised()
+	return d.joinFrontier
+}
+
+// recordTransfer appends a decision to the bounded transfer record. An
+// installed transfer takes the frontier of the latest join request; its view
+// is stamped by the view change that follows the install (stampInstall).
+func (d *durable) recordTransfer(t Transfer) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !t.Served {
+		t.Frontier = d.joinFrontier
+	}
+	if len(d.transfers) == maxTransfers {
+		d.transfers = slices.Delete(d.transfers, 0, 1)
+	}
+	d.transfers = append(d.transfers, t)
+}
+
+// stampInstall gives the latest installed transfer, if it has no view yet,
+// the view it admitted this replica to.
+func (d *durable) stampInstall(view uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.transfers); n > 0 && !d.transfers[n-1].Served && d.transfers[n-1].View == 0 {
+		d.transfers[n-1].View = view
+	}
 }
 
 // cut returns the advertised frontier with the TO lane's applied entries past
@@ -802,15 +884,17 @@ func (d *durable) deltaLocked(f map[transport.ID]uint64) ([]applyWSEntry, declin
 		}
 	}
 	var out []applyWSEntry
-	for i := range sh.ring {
-		e := sh.at(i)
-		if e.Ord > 0 {
-			if e.Ord > fTO {
-				out = append(out, *e)
-			}
-		} else if e.TxnID.Seq > f[e.TxnID.Replica] {
-			out = append(out, *e)
+	for i := range sh.win.len() {
+		if id, ord := sh.win.header(i); ord > 0 && ord <= fTO || ord == 0 && id.Seq <= f[id.Replica] {
+			continue
 		}
+		e, err := sh.win.entry(i)
+		if err != nil {
+			// The window encoded it; a decode failure leaves a hole, which
+			// only a full transfer can cover.
+			return nil, declineEvicted
+		}
+		out = append(out, e)
 	}
 	return out, deltaServed
 }
@@ -852,7 +936,8 @@ func (d *durable) close() {
 func (d *durable) stats() WALStats {
 	d.mu.Lock()
 	enabled := d.cfg.Dir != ""
-	retained := int64(len(d.applied.ring))
+	retained, retainedBytes := int64(d.applied.win.len()), d.applied.win.bytes()
+	transfers := slices.Clone(d.transfers)
 	d.mu.Unlock()
 	return WALStats{
 		Enabled:               enabled,
@@ -877,8 +962,11 @@ func (d *durable) stats() WALStats {
 		LastDeltaBytes:    d.lastDeltaBytes.Load(),
 		LastFullBytes:     d.lastFullBytes.Load(),
 		RetainedEntries:   retained,
+		RetainedBytes:     retainedBytes,
+		RetainUnencodable: d.unencodable.Value(),
 		FilteredSeen:      d.filteredSeen.Value(),
 		FilteredNeverSeen: d.filteredNever.Value(),
+		Transfers:         transfers,
 		Errors:            d.errors.Value(),
 	}
 }

@@ -496,7 +496,7 @@ func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 			t.Fatalf("after entry %d: watermarks %v / %d, want %v / %d", n, sh.evicted, sh.evictedTO, evicted, evictedTO)
 		}
 		for i := range window {
-			if got := *sh.at(i); !reflect.DeepEqual(got, window[i]) {
+			if got, err := sh.win.entry(i); err != nil || !reflect.DeepEqual(got, window[i]) {
 				t.Fatalf("after entry %d: at(%d) = %+v, want %+v", n, i, got, window[i])
 			}
 		}
@@ -526,8 +526,55 @@ func TestDurableRetainedWindowWrapsAround(t *testing.T) {
 			}
 		}
 	}
-	if sh.head == 0 || len(sh.ring) != retain {
-		t.Fatalf("the window did not wrap: head %d, len %d", sh.head, len(sh.ring))
+	if sh.win.head == 0 || sh.win.len() != retain {
+		t.Fatalf("the window did not wrap: head %d, len %d", sh.win.head, sh.win.len())
+	}
+}
+
+// TestDurableRetainedBytesBounded: the RetainedBytes gauge is the window's
+// footprint. Filled with fixed-shape entries, a 64-entry window holds 64
+// encodings and never more than two segments beside them, however long it
+// runs; and a large entry takes a segment of its own that goes with it.
+func TestDurableRetainedBytesBounded(t *testing.T) {
+	const retain = 64
+	store := stm.NewStore()
+	d, err := newDurable(DurabilityConfig{Retain: retain}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fixed shape: the sequence numbers keep one varint length.
+	entry := func(seq uint64, value []byte) applyWSEntry {
+		return applyWSEntry{TxnID: stm.TxnID{Replica: 1, Seq: 1<<21 + seq}, WS: stm.WriteSet{{Box: "acct:1", Value: value}}}
+	}
+	small := make([]byte, 100)
+	enc, err := appendWSEntry(nil, entry(0, small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(enc))
+	for seq := uint64(1); seq <= 20*windowSegment/uint64(size); seq++ {
+		applyTo(d, store, entry(seq, small))
+		s := d.stats()
+		if s.RetainedEntries != min(int64(seq), retain) {
+			t.Fatalf("after %d entries: RetainedEntries = %d", seq, s.RetainedEntries)
+		}
+		if lo, hi := s.RetainedEntries*size, retain*size+2*windowSegment; s.RetainedBytes < lo || s.RetainedBytes > hi {
+			t.Fatalf("after %d entries: RetainedBytes = %d, want %d to %d", seq, s.RetainedBytes, lo, hi)
+		}
+	}
+
+	// An entry past the segment size gets a segment of its own, given up
+	// once the entry is evicted.
+	next := 1 + 20*windowSegment/uint64(size)
+	applyTo(d, store, entry(next, make([]byte, 3*windowSegment)))
+	if got := d.stats().RetainedBytes; got < 3*windowSegment {
+		t.Fatalf("with a %d-byte entry retained: RetainedBytes = %d", 3*windowSegment, got)
+	}
+	for i := range uint64(retain) {
+		applyTo(d, store, entry(next+1+i, small))
+	}
+	if got, hi := d.stats().RetainedBytes, retain*size+2*windowSegment; got > hi {
+		t.Fatalf("after the large entry was evicted: RetainedBytes = %d, want at most %d", got, hi)
 	}
 }
 

@@ -100,6 +100,7 @@ func (h *gcsHandler) OnViewChange(v gcs.View) {
 	r.viewMu.Lock()
 	r.view = v
 	r.viewMu.Unlock()
+	r.dur.stampInstall(v.ID)
 	r.primary.Store(v.Primary)
 	r.lm.HandleViewChange(v.Members, v.Rejoined)
 	r.resolvePayloads()
@@ -162,16 +163,26 @@ func wireSize(st any) int64 {
 
 // StateDelta serves an incremental state transfer for a joiner that
 // advertised applied frontier f: only the write-set entries past f, plus the
-// (small) lease table and CERT window. ok=false when the joiner's gap outruns
-// the retained delta window or its frontier is incomparable — the caller
-// then falls back to StateSnapshot. Runs on the GCS dispatcher
+// (small) lease table and CERT window. ok=false when the joiner advertised no
+// frontier, its gap outruns the retained delta window or its frontier is
+// incomparable — the caller then falls back to StateSnapshot. Either way the
+// decision goes on the transfer record. Runs on the GCS dispatcher
 // (gcs.DeltaProvider).
-func (h *gcsHandler) StateDelta(f map[transport.ID]uint64) (any, bool) {
+func (h *gcsHandler) StateDelta(joiner transport.ID, view uint64, f map[transport.ID]uint64) (any, bool) {
 	r := h.r
-	entries, why := r.dur.delta(f)
-	if why != deltaServed {
+	rec := Transfer{View: view, Joiner: joiner, Served: true, Kind: TransferFull, Frontier: f}
+	if f == nil {
+		r.dur.recordTransfer(rec)
 		return nil, false
 	}
+	entries, why := r.dur.delta(f)
+	if why != deltaServed {
+		rec.Declined = why.String()
+		r.dur.recordTransfer(rec)
+		return nil, false
+	}
+	rec.Kind = TransferDelta
+	r.dur.recordTransfer(rec)
 	st := &xferDelta{
 		Entries: entries,
 		Leases:  r.lm.SnapshotState(),
@@ -202,6 +213,7 @@ func (h *gcsHandler) InstallState(state any) {
 		r.certLog.restore(st.CertLog)
 		r.dur.installFull(st.Frontier, st.TOAbove, r.store)
 		r.lm.InstallState(st.Leases)
+		r.dur.recordTransfer(Transfer{Joiner: r.id, Kind: TransferFull})
 	case *xferDelta:
 		r.coal.fail(ErrEjected)
 		r.inflight.reset()
@@ -217,6 +229,7 @@ func (h *gcsHandler) InstallState(state any) {
 		r.certLog.restore(st.CertLog)
 		r.lm.InstallState(st.Leases)
 		r.dur.deltaInstalled.Inc()
+		r.dur.recordTransfer(Transfer{Joiner: r.id, Kind: TransferDelta})
 	}
 	r.resolvePayloads()
 }

@@ -93,12 +93,17 @@ func waitSameStores(t *testing.T, rs []*Replica) {
 }
 
 // toLane returns a replica's retained TO-lane entries: ordinal → transaction.
-func toLane(r *Replica) map[int64]stm.TxnID {
+func toLane(t *testing.T, r *Replica) map[int64]stm.TxnID {
+	t.Helper()
 	r.dur.mu.Lock()
 	defer r.dur.mu.Unlock()
 	out := make(map[int64]stm.TxnID)
-	for i := range r.dur.applied.ring {
-		if e := r.dur.applied.at(i); e.Ord > 0 {
+	for i := range r.dur.applied.win.len() {
+		e, err := r.dur.applied.win.entry(i)
+		if err != nil {
+			t.Fatalf("replica %d: retained entry %d: %v", r.ID(), i, err)
+		}
+		if e.Ord > 0 {
 			out[e.Ord] = e.TxnID
 		}
 	}
@@ -144,12 +149,12 @@ func TestPayloadOrdinalsAgreeAcrossReplicas(t *testing.T) {
 	}
 	waitSameStores(t, rs)
 
-	want := toLane(rs[0])
+	want := toLane(t, rs[0])
 	if len(want) == 0 {
 		t.Fatal("no commit took the lease-miss path")
 	}
 	for _, r := range rs[1:] {
-		got := toLane(r)
+		got := toLane(t, r)
 		bad := 0
 		for ord, id := range want {
 			if got[ord] != id {

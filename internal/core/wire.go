@@ -285,15 +285,37 @@ func readReadSet(r *wire.Reader) stm.ReadSet {
 func appendWSEntries(b []byte, entries []applyWSEntry) ([]byte, error) {
 	b = wire.AppendUvarint(b, uint64(len(entries)))
 	for _, e := range entries {
-		b = appendTxnID(b, e.TxnID)
-		b = appendLeaseReqID(b, e.LeaseID)
-		b = wire.AppendVarint(b, e.Ord)
 		var err error
-		if b, err = appendWriteSet(b, e.WS); err != nil {
+		if b, err = appendWSEntry(b, e); err != nil {
 			return b, err
 		}
 	}
 	return b, nil
+}
+
+// appendWSEntry appends one entry of appendWSEntries: its header (TxnID,
+// LeaseID, Ord, read back alone by readWSEntryHeader), then its write-set.
+func appendWSEntry(b []byte, e applyWSEntry) ([]byte, error) {
+	b = appendTxnID(b, e.TxnID)
+	b = appendLeaseReqID(b, e.LeaseID)
+	b = wire.AppendVarint(b, e.Ord)
+	return appendWriteSet(b, e.WS)
+}
+
+// readWSEntryHeader reads an appendWSEntry header and leaves r at the
+// write-set.
+func readWSEntryHeader(r *wire.Reader) (stm.TxnID, lease.RequestID, int64) {
+	id := readTxnID(r)
+	lid := readLeaseReqID(r)
+	return id, lid, r.Varint()
+}
+
+func readWSEntry(r *wire.Reader) (applyWSEntry, error) {
+	var e applyWSEntry
+	e.TxnID, e.LeaseID, e.Ord = readWSEntryHeader(r)
+	var err error
+	e.WS, err = readWriteSet(r)
+	return e, err
 }
 
 func readWSEntries(r *wire.Reader) ([]applyWSEntry, error) {
@@ -309,9 +331,7 @@ func readWSEntries(r *wire.Reader) ([]applyWSEntry, error) {
 	offs := make([]int, n+1)
 	var flat stm.WriteSet
 	for i := range entries {
-		entries[i].TxnID = readTxnID(r)
-		entries[i].LeaseID = readLeaseReqID(r)
-		entries[i].Ord = r.Varint()
+		entries[i].TxnID, entries[i].LeaseID, entries[i].Ord = readWSEntryHeader(r)
 		wn := r.Count()
 		for j := 0; j < wn; j++ {
 			box := r.String()

@@ -5,10 +5,12 @@ package e2e
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -171,10 +173,14 @@ func spawnChild(t *testing.T, peers, dir string, join bool) *exec.Cmd {
 // state transfer — the coordinator must not capture a full StateSnapshot for
 // the restart, whose advertised frontier is inside the retained window.
 //
-// A full transfer at the child's first boot is legitimate and not counted:
-// on a loaded host the two in-process replicas can install a two-member view
-// before the child process is up, and it then joins with no state to
-// advertise ("full state transfer to 2 (no frontier advertised)").
+// Only the transfers that admitted the child after the kill count, read from
+// the coordinators' transfer records. A full transfer at the child's first
+// boot is legitimate: on a loaded host the two in-process replicas can
+// install a two-member view before the child process is up, and it then
+// joins with no state to advertise ("full state transfer to 2 (no frontier
+// advertised)"). So is a later join after the restart's, when the child is
+// ejected and readmitted from a frontier inside the window: it takes a
+// delta too.
 func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kill -9s a real process")
@@ -241,9 +247,8 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	}
 	// The child is READY only inside a view, so a boot-time transfer to it
 	// has already been served.
-	fullsAtBoot := local[0].Stats().WAL.FullsServed
-	if fullsAtBoot > 0 {
-		t.Logf("the child joined a view formed without it: %d full transfer(s) at boot", fullsAtBoot)
+	if boot := transfersTo(local, 2, 0); len(boot) > 0 {
+		t.Logf("the child joined a view formed without it: %+v at boot", boot)
 	}
 
 	// Benchmark load on replica 0, running across the kill and the restart.
@@ -274,6 +279,7 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 	_, _ = child.Process.Wait()
 	child.Process = nil
 	killedAt := commits.Load()
+	killView := local[0].GCS().CurrentView().ID
 
 	// Keep committing while the child is down: this is the gap the delta
 	// must cover.
@@ -290,16 +296,16 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		s0 := local[0].Stats().WAL
-		if s0.DeltasServed >= 1 {
-			if s0.FullsServed != fullsAtBoot {
-				t.Fatalf("coordinator captured a full StateSnapshot for the restarted durable joiner (%d at boot; stats: %+v)",
-					fullsAtBoot, s0)
+		if joins := transfersTo(local, 2, killView); len(joins) > 0 {
+			for _, x := range joins {
+				if x.Kind != core.TransferDelta {
+					t.Fatalf("the restarted durable joiner was admitted by a %s transfer (records since the kill: %+v)", x.Kind, joins)
+				}
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never served a delta (stats: %+v)", s0)
+			t.Fatalf("no coordinator admitted the restarted child (stats: %+v)", local[0].Stats().WAL)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -324,4 +330,19 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// transfersTo returns the replicas' records of the state transfers they
+// served to joiner after view after, in view order.
+func transfersTo(rs []*core.Replica, joiner transport.ID, after uint64) []core.Transfer {
+	var out []core.Transfer
+	for _, r := range rs {
+		for _, x := range r.Stats().WAL.Transfers {
+			if x.Served && x.Joiner == joiner && x.View > after {
+				out = append(out, x)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b core.Transfer) int { return cmp.Compare(a.View, b.View) })
+	return out
 }

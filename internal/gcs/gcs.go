@@ -122,12 +122,13 @@ type Handler interface {
 }
 
 // DeltaProvider is optionally implemented by Handlers that can serve
-// incremental state transfers. When a joiner's joinReq advertised an applied
-// frontier, the coordinator asks StateDelta for just the missing suffix;
-// ok=false (frontier too old or incomparable) falls back to StateSnapshot.
-// Called on the dispatcher, like every Handler method.
+// incremental state transfers. The coordinator asks StateDelta, for every
+// joiner of the view it installs, for just the suffix missing past the
+// applied frontier the joiner's joinReq advertised (nil: none was);
+// ok=false (no frontier, or one too old or incomparable) falls back to
+// StateSnapshot. Called on the dispatcher, like every Handler method.
 type DeltaProvider interface {
-	StateDelta(frontier map[transport.ID]uint64) (state any, ok bool)
+	StateDelta(joiner transport.ID, view uint64, frontier map[transport.ID]uint64) (state any, ok bool)
 }
 
 // Config parametrizes an endpoint.

@@ -684,15 +684,16 @@ func (e *Endpoint) distributePendingInstall() {
 		if ps.joiners[m] {
 			msg.HasState = true
 			served := false
+			f, advertised := ps.frontiers[m]
 			why := "no frontier advertised"
-			if f, ok := ps.frontiers[m]; ok {
+			if advertised {
 				why = "delta declined"
-				if dp != nil {
-					if delta, dok := dp.StateDelta(f); dok {
-						msg.State = delta
-						served = true
-						e.logf("delta state transfer to %d", m)
-					}
+			}
+			if dp != nil {
+				if delta, dok := dp.StateDelta(m, ps.install.View.ID, f); dok {
+					msg.State = delta
+					served = true
+					e.logf("delta state transfer to %d", m)
 				}
 			}
 			if !served {

@@ -261,6 +261,8 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.WAL.DeltasServed })
 	counter("alc_wal_fulls_served_total", "Full state transfers served (joiner advertised no frontier, or its delta was declined).",
 		func(s repSample) int64 { return s.stats.WAL.FullsServed })
+	counter("alc_wal_retain_unencodable_total", "Applied entries the delta window could not keep because a value has no codec; each counts as evicted at once.",
+		func(s repSample) int64 { return s.stats.WAL.RetainUnencodable })
 	counter("alc_wal_errors_total", "Durability faults (write failures degrade the replica to memory-only; recovery discards count too).",
 		func(s repSample) int64 { return s.stats.WAL.Errors })
 	fmt.Fprintf(w, "# HELP alc_wal_filtered_total Entries dropped by the apply path's frontier filter: seen before (a duplicate, e.g. a delta install over a stale frontier) or never (an acknowledged commit being lost; must stay 0).\n# TYPE alc_wal_filtered_total counter\n")
@@ -332,6 +334,10 @@ func writeMetrics(w io.Writer, reg *Registry) {
 	fmt.Fprintf(w, "# HELP alc_wal_retained_entries Applied write-set entries retained for serving delta transfers.\n# TYPE alc_wal_retained_entries gauge\n")
 	for _, s := range samples {
 		fmt.Fprintf(w, "alc_wal_retained_entries{replica=%q} %d\n", s.name, s.stats.WAL.RetainedEntries)
+	}
+	fmt.Fprintf(w, "# HELP alc_wal_retained_bytes Bytes of the segments that hold the delta window's entries in wire encoding.\n# TYPE alc_wal_retained_bytes gauge\n")
+	for _, s := range samples {
+		fmt.Fprintf(w, "alc_wal_retained_bytes{replica=%q} %d\n", s.name, s.stats.WAL.RetainedBytes)
 	}
 	fmt.Fprintf(w, "# HELP alc_wal_replay_duration_seconds WAL replay time of the last recovery.\n# TYPE alc_wal_replay_duration_seconds gauge\n")
 	for _, s := range samples {
@@ -502,7 +508,12 @@ type WALInfo struct {
 	DeltaInstalled        int64       `json:"delta_installed"`
 	FullInstalled         int64       `json:"full_installed"`
 	RetainedEntries       int64       `json:"retained_entries"`
-	Errors                int64       `json:"errors"`
+	RetainedBytes         int64       `json:"retained_bytes"`
+	RetainUnencodable     int64       `json:"retain_unencodable"`
+	// Transfers is the replica's record of state-transfer decisions, oldest
+	// first (core.Transfer).
+	Transfers []core.Transfer `json:"transfers"`
+	Errors    int64           `json:"errors"`
 }
 
 // ViewInfo is the current group-communication view.
@@ -566,6 +577,9 @@ func debugView(reg *Registry) DebugView {
 				DeltaInstalled:        s.WAL.DeltaInstalled,
 				FullInstalled:         s.WAL.FullInstalled,
 				RetainedEntries:       s.WAL.RetainedEntries,
+				RetainedBytes:         s.WAL.RetainedBytes,
+				RetainUnencodable:     s.WAL.RetainUnencodable,
+				Transfers:             s.WAL.Transfers,
 				Errors:                s.WAL.Errors,
 			}
 			if ns := s.WAL.LastSnapshotUnixNano; ns > 0 {

@@ -601,6 +601,98 @@ func TestWALDeltaDeclinedMetric(t *testing.T) {
 	}
 }
 
+// opaque is a box value type with no codec.
+type opaque struct{ N int }
+
+// TestWALRetainAndTransferMetrics drives the delta window's gauges and the
+// transfer record to non-zero values and reads them where an operator does:
+// alc_wal_retained_bytes, alc_wal_retain_unencodable_total, and the
+// retained_bytes and transfers fields of /debug/alc. A value with no codec
+// cannot enter the window, and the joiner that lacks it is sent a full
+// transfer, recorded by the coordinator with the reason it declined a delta.
+func TestWALRetainAndTransferMetrics(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		N:          3,
+		Core:       core.Config{Protocol: core.ProtocolALC},
+		Net:        memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:        testGCS(),
+		Seed:       map[string]stm.Value{"k": 0},
+		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(c.Close)
+	reg := obs.NewRegistry()
+	for i := 0; i < c.N(); i++ {
+		i := i
+		reg.Register(fmt.Sprintf("r%d", i), func() *core.Replica { return c.Replica(i) })
+	}
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatalf("obs.Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	c.Crash(2)
+	commitN(t, c, 5)
+	if err := c.Replica(0).Atomic(func(tx *stm.Txn) error { return tx.Write("opaque", opaque{N: 1}) }); err != nil {
+		t.Fatalf("write a value with no codec: %v", err)
+	}
+	if err := c.Restart(2); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for r := c.Replica(2); !r.InPrimary(); {
+		if time.Now().After(deadline) {
+			t.Fatal("replica 2 never rejoined the primary component")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	code, body := get(t, "http://"+srv.Addr()+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	types, samples := parseProm(t, body)
+	if types["alc_wal_retained_bytes"] != "gauge" || types["alc_wal_retain_unencodable_total"] != "counter" {
+		t.Fatalf("types: retained_bytes %q, retain_unencodable_total %q", types["alc_wal_retained_bytes"], types["alc_wal_retain_unencodable_total"])
+	}
+	sums := make(map[string]float64)
+	for _, s := range samples {
+		if s.labels["replica"] == "r0" {
+			sums[s.name] += s.value
+		}
+	}
+	if sums["alc_wal_retained_bytes"] <= 0 || sums["alc_wal_retain_unencodable_total"] != 1 {
+		t.Fatalf("r0: alc_wal_retained_bytes %v, alc_wal_retain_unencodable_total %v; want > 0 and 1",
+			sums["alc_wal_retained_bytes"], sums["alc_wal_retain_unencodable_total"])
+	}
+
+	code, body = get(t, "http://"+srv.Addr()+"/debug/alc")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/alc status %d", code)
+	}
+	var view obs.DebugView
+	if err := json.Unmarshal([]byte(body), &view); err != nil {
+		t.Fatalf("/debug/alc did not decode: %v\n%s", err, body)
+	}
+	var served []core.Transfer
+	if w := view.Replicas[0].WAL; w == nil || w.RetainedBytes <= 0 || w.RetainUnencodable != 1 {
+		t.Fatalf("r0: wal %+v, want retained_bytes > 0 and retain_unencodable 1", w)
+	}
+	for _, r := range view.Replicas {
+		for _, x := range r.WAL.Transfers {
+			if x.Served && x.Joiner == 2 {
+				served = append(served, x)
+			}
+		}
+	}
+	if len(served) == 0 || served[0].Kind != core.TransferFull || served[0].Declined != "evicted" || served[0].Frontier == nil {
+		t.Fatalf("transfers served to replica 2 = %+v, want first a full one declined as evicted for an advertised frontier", served)
+	}
+}
+
 // TestRegistryCancel verifies cancel removes exactly the registered entry
 // and that re-registering a name supersedes the old getter.
 func TestRegistryCancel(t *testing.T) {

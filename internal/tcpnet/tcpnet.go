@@ -44,7 +44,11 @@ type Config struct {
 	DialTimeout time.Duration
 	// RedialInterval spaces reconnection attempts. Default 500ms.
 	RedialInterval time.Duration
-	// QueueSize bounds per-peer send queues and the inbox. Default 8192.
+	// QueueSize bounds each peer's send queue and the inbox. Default 8192.
+	// A send queue is a bound, not an allocation: it holds only what is
+	// waiting, a burst longer than a few messages gets an array allocated
+	// on demand and released when the queue drains, and a send beyond the
+	// bound is dropped. The inbox is a channel of this capacity.
 	QueueSize int
 	// MaxFrame caps inbound wire-codec frame bodies (hostile or corrupt
 	// length prefixes are rejected before allocation). Default 64 MiB —
@@ -191,12 +195,13 @@ func (t *Transport) peerFor(id transport.ID) (*peer, error) {
 		return nil, fmt.Errorf("tcpnet: unknown peer %d", id)
 	}
 	p := &peer{
-		t:     t,
-		id:    id,
-		addr:  addr,
-		queue: make(chan any, t.cfg.QueueSize),
-		stop:  make(chan struct{}),
+		t:    t,
+		id:   id,
+		addr: addr,
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
 	}
+	p.queue = p.inline[:0]
 	t.peers[id] = p
 	t.wg.Add(1)
 	go p.run()
@@ -231,7 +236,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		<-t.done
 		_ = conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, readBufSize)
 
 	// Every connection opens with the codec handshake. A mismatch is a
 	// deployment error (a node from the retired gob-framing release, or a
@@ -280,23 +285,83 @@ func (t *Transport) readLoopWire(br *bufio.Reader) {
 	}
 }
 
+// readBufSize is the read buffer of each inbound connection. Frames larger
+// than it are read through it, not into it.
+const readBufSize = 16 << 10
+
 // peer manages the outgoing connection to one process.
 type peer struct {
-	t     *Transport
-	id    transport.ID
-	addr  string
-	queue chan any
+	t    *Transport
+	id   transport.ID
+	addr string
+
+	// queue[head:] holds the payloads waiting to be sent, oldest first, at
+	// most cfg.QueueSize of them. A few fit in inline, so the common short
+	// burst allocates nothing; a longer one spills into an array allocated
+	// for it, which the queue drops when it drains. wake (one slot) tells
+	// run that something was queued.
+	mu     sync.Mutex
+	queue  []any
+	head   int
+	inline [8]any
+	wake   chan struct{}
 
 	once sync.Once
 	stop chan struct{}
 }
 
 func (p *peer) enqueue(payload any) {
-	select {
-	case p.queue <- payload:
-	default:
+	p.mu.Lock()
+	n := len(p.queue) - p.head
+	if n >= p.t.cfg.QueueSize {
 		// Backpressure: drop the message; the GCS retransmits unstable
 		// traffic and treats prolonged loss as a failure.
+		p.mu.Unlock()
+		return
+	}
+	if len(p.queue) == cap(p.queue) && p.head > 0 {
+		// No room at the end but some at the front: slide down.
+		copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
+	p.queue = append(p.queue, payload)
+	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// next blocks until a payload is queued and takes the oldest; false when
+// the peer or the transport stops.
+func (p *peer) next() (any, bool) {
+	for {
+		select {
+		case <-p.stop:
+			return nil, false
+		case <-p.t.done:
+			return nil, false
+		default:
+		}
+		p.mu.Lock()
+		if p.head < len(p.queue) {
+			payload := p.queue[p.head]
+			p.queue[p.head] = nil
+			if p.head++; p.head == len(p.queue) {
+				p.queue, p.head = p.inline[:0], 0
+			}
+			p.mu.Unlock()
+			return payload, true
+		}
+		p.mu.Unlock()
+		select {
+		case <-p.stop:
+			return nil, false
+		case <-p.t.done:
+			return nil, false
+		case <-p.wake:
+		}
 	}
 }
 
@@ -345,13 +410,9 @@ func (p *peer) run() {
 	defer disconnect()
 
 	for {
-		var payload any
-		select {
-		case <-p.stop:
+		payload, ok := p.next()
+		if !ok {
 			return
-		case <-p.t.done:
-			return
-		case payload = <-p.queue:
 		}
 
 		if conn == nil {

@@ -245,3 +245,57 @@ func (h *chanHandler) OnViewChange(v gcs.View) {
 func (h *chanHandler) OnEjected()         {}
 func (h *chanHandler) StateSnapshot() any { return nil }
 func (h *chanHandler) InstallState(any)   {}
+
+// onInline reports whether p's queue is back on its inline slots, holding no
+// array of its own. Caller holds p.mu.
+func onInline(p *peer) bool {
+	return cap(p.queue) == len(p.inline) && &p.queue[:1][0] == &p.inline[0]
+}
+
+// TestPeerQueueFIFOBoundAndRelease drives one peer's send queue without its
+// sender: payloads leave in the order they came, a send beyond QueueSize is
+// dropped, a burst that fits the inline slots (after the sender took some)
+// stays there, and a drained queue releases the array a longer burst spilled
+// into.
+func TestPeerQueueFIFOBoundAndRelease(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		bound, in, take int
+	}{
+		{"spill and drain", 100, 100, 100},
+		{"drop past the bound", 20, 30, 20},
+		{"slide down inline", 100, 8, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &peer{t: &Transport{cfg: Config{QueueSize: tc.bound}}, wake: make(chan struct{}, 1)}
+			p.queue = p.inline[:0]
+			for i := range tc.in {
+				p.enqueue(i)
+			}
+			for i := range tc.take {
+				if got, ok := p.next(); !ok || got != i {
+					t.Fatalf("payload %d: got %v, %t", i, got, ok)
+				}
+			}
+			if tc.name == "slide down inline" {
+				for i := range tc.take {
+					p.enqueue(tc.in + i)
+				}
+				if !onInline(p) {
+					t.Fatalf("%d payloads spilled out of %d inline slots", tc.in, len(p.inline))
+				}
+				for i := tc.take; i < tc.in+tc.take; i++ {
+					if got, _ := p.next(); got != i {
+						t.Fatalf("payload %d after the slide: got %v", i, got)
+					}
+				}
+			}
+			if n := len(p.queue) - p.head; n != 0 {
+				t.Fatalf("%d payloads left queued", n)
+			}
+			if !onInline(p) {
+				t.Fatalf("a drained queue holds an array of %d slots", cap(p.queue))
+			}
+		})
+	}
+}
