@@ -78,7 +78,6 @@ func run() error {
 	// Register every type crossing the wire.
 	gcs.RegisterWire()
 	core.RegisterWire()
-	core.RegisterValue(0) // int box values
 
 	tr, err := tcpnet.New(tcpnet.Config{Self: transport.ID(*id), Addrs: addrs})
 	if err != nil {

@@ -3,7 +3,9 @@
 // one transaction: the breadth-first expansion reads grid cells, the
 // backtrace writes the path; transactions span from a handful of cells to
 // thousands, and ALC's retained leases shelter the long ones from being
-// repeatedly aborted by the short ones.
+// repeatedly aborted by the short ones. After its summary the demo prints
+// the routed board, read from replica 0, as ASCII art: one letter per net,
+// '#' for an obstacle, '.' for a free cell.
 package main
 
 import (
@@ -93,4 +95,38 @@ func main() {
 	st := cluster.Stats()
 	fmt.Printf("routed %d/%d nets in %v  (aborts %d, abort rate %.1f%%)\n",
 		routed, routed+blocked, elapsed.Round(time.Millisecond), st.Aborts, 100*st.AbortRate())
+	if err := render(cluster.Replica(0), board); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// render prints every layer of the board as replica r sees it.
+func render(r *alc.Replica, board *lee.Board) error {
+	glyph := func(v int) byte {
+		switch {
+		case v == lee.Obstacle:
+			return '#'
+		case v == lee.Free:
+			return '.'
+		default:
+			return byte('A' + (v-1)%26)
+		}
+	}
+	return r.AtomicRO(func(tx *alc.Tx) error {
+		for z := 0; z < board.Layers; z++ {
+			fmt.Printf("layer %d:\n", z)
+			for y := 0; y < board.H; y++ {
+				line := make([]byte, board.W)
+				for x := 0; x < board.W; x++ {
+					v, err := tx.Read(lee.CellID(z, y, x))
+					if err != nil {
+						return err
+					}
+					line[x] = glyph(v.(int))
+				}
+				fmt.Printf("  %s\n", line)
+			}
+		}
+		return nil
+	})
 }

@@ -28,7 +28,6 @@ func run() error {
 	// Register everything that crosses the wire.
 	gcs.RegisterWire()
 	core.RegisterWire()
-	core.RegisterValue(0) // int values
 
 	// Bind three listeners to learn free ports, then restart with the full
 	// address map (as a deployment would configure statically).

@@ -372,7 +372,7 @@ func TestDurableSecondRejoinAfterFullTakesADelta(t *testing.T) {
 	}
 }
 
-// unregistered is a box value type never passed to RegisterValue: no codec
+// unregistered is a box value type with no wire.Register codec: nothing
 // can encode it.
 type unregistered struct{ N int }
 
@@ -537,6 +537,57 @@ func TestDurableShardGroupFormatDirectoryRejoinsByFullTransfer(t *testing.T) {
 			return wal.EncodeRecord(b)
 		}
 		writeDir(t, dir, wal.EncodeRecord(snap), append(record(100, 8), record(101, 9)...))
+	})
+}
+
+// TestDurableGobValueFormatDirectoryRejoinsByFullTransfer: the same for a
+// directory in WAL format 0xA3, written by the build whose application box
+// values were gob blobs under the retired wire tag 0x0F. The directory is
+// discarded whole: its records are not replayed up to the first 0x0F value.
+func TestDurableGobValueFormatDirectoryRejoinsByFullTransfer(t *testing.T) {
+	rejoinsByFullTransfer(t, func(dir string) {
+		var err error
+		snap := []byte{0xA3}
+		snap = wire.AppendVarint(snap, 3) // store clock
+		snap = wire.AppendUvarint(snap, 1)
+		snap = wire.AppendString(snap, "counter")
+		snap = wire.AppendVarint(snap, 0) // writer
+		snap = wire.AppendUvarint(snap, 99)
+		if snap, err = wire.AppendAny(snap, 7); err != nil {
+			t.Fatal(err)
+		}
+		snap = append(snap, 1) // frontier present
+		snap = wire.AppendUvarint(snap, 1)
+		snap = wire.AppendVarint(snap, 0)
+		snap = wire.AppendUvarint(snap, 99)
+		snap = wire.AppendUvarint(snap, 0) // no TO-lane entries past it
+		// gobValue is the 0xA3 build's encoding of a value through the
+		// fallback: tag 0x0F, then a self-contained gob stream of an
+		// interface value.
+		gobValue := func(v any) []byte {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+				t.Fatal(err)
+			}
+			return wire.AppendBytes([]byte{0x0F}, buf.Bytes())
+		}
+		record := func(seq uint64, value []byte) []byte {
+			b := []byte{0xA3}
+			b = wire.AppendUvarint(b, 1) // entries
+			b = wire.AppendVarint(b, 0)  // txn
+			b = wire.AppendUvarint(b, seq)
+			b = wire.AppendVarint(b, 0) // lease
+			b = wire.AppendUvarint(b, 1)
+			b = wire.AppendVarint(b, 0)  // TO ordinal
+			b = wire.AppendUvarint(b, 1) // writes
+			b = wire.AppendString(b, "counter")
+			return wal.EncodeRecord(append(b, value...))
+		}
+		plain, err := wire.AppendAny(nil, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeDir(t, dir, wal.EncodeRecord(snap), append(record(100, plain), record(101, gobValue(9))...))
 	})
 }
 

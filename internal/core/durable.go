@@ -91,8 +91,8 @@ type WALStats struct {
 	// hold its entries' wire encodings (gauge).
 	RetainedBytes int64
 	// RetainUnencodable counts applied entries the delta window could not
-	// keep because a value has no codec (a type never passed to
-	// RegisterValue). Each counted as evicted at once: a joiner that lacks
+	// keep because a value has no codec (a type never registered with
+	// wire.Register). Each counted as evicted at once: a joiner that lacks
 	// one takes a full transfer.
 	RetainUnencodable int64
 	// FilteredSeen / FilteredNeverSeen count entries the apply path's
@@ -190,8 +190,10 @@ type Transfer struct {
 // build fails decoding at byte 0; bump it for any incompatible layout change.
 // 0xA1 was the layout with a shard-group number on every record and a
 // frontier per shard group in the snapshot; 0xA2 the snapshot without the TO
-// lane's applied entries past its frontier.
-const walFormat byte = 0xA3
+// lane's applied entries past its frontier; 0xA3 the layout whose box values
+// of application types (sorted-set nodes, vacation records) were gob blobs
+// under the retired wire tag 0x0F.
+const walFormat byte = 0xA4
 
 func appendWALRecord(b []byte, entries []applyWSEntry) ([]byte, error) {
 	return appendWSEntries(append(b, walFormat), entries)
@@ -528,7 +530,7 @@ func (d *durable) recover(store *stm.Store) (int64, error) {
 	if snapPayload != nil {
 		snap, front, toAbove, derr := readWALSnapshot(snapPayload)
 		// An intact frame around a payload that does not decode was written
-		// by an incompatible build (the gob-era, 0xA1 and 0xA2 formats
+		// by an incompatible build (the gob-era, 0xA1, 0xA2 and 0xA3 formats
 		// included).
 		if derr != nil {
 			return 0, d.discardState(store)
@@ -689,7 +691,7 @@ func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
 		// allocation.
 		n, err := log.AppendEncoded(func(b []byte) ([]byte, error) { return appendWALRecord(b, fresh) })
 		if err != nil {
-			// Unencodable values (box types never passed to RegisterValue)
+			// Unencodable values (box types with no wire.Register codec)
 			// or a failed write: degrade to memory-only rather than blocking
 			// commits.
 			d.errors.Inc()

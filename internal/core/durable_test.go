@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"reflect"
@@ -19,14 +20,25 @@ import (
 // and what recovery does with a directory it cannot use. The cluster-level
 // restart scenarios live in internal/cluster/durability_test.go.
 
-// walBox is an application box type without a wire codec: it rides the 0x0F
-// gob fallback into the log and back.
+// walBox is an application box type with its own codec (a test tag), as
+// internal/sortedset and internal/vacation register theirs: it rides that
+// codec into the log and back.
 type walBox struct {
 	Name  string
 	Seats int
 }
 
-func init() { RegisterValue(walBox{}) }
+func init() {
+	wire.Register(0x71, walBox{},
+		func(b []byte, v any) ([]byte, error) {
+			x := v.(walBox)
+			return wire.AppendVarint(wire.AppendString(b, x.Name), int64(x.Seats)), nil
+		},
+		func(r *wire.Reader) (any, error) {
+			x := walBox{Name: r.String(), Seats: int(r.Varint())}
+			return x, r.Err()
+		})
+}
 
 func openDurable(t *testing.T, dir string) (*durable, *stm.Store) {
 	t.Helper()
@@ -65,7 +77,7 @@ func urb(seq uint64, v stm.Value) applyWSEntry {
 }
 
 // roundTripEntries is the round-trip fixture: every primitive value tag, a
-// RegisterValue'd struct, an empty write-set and a TO-lane entry.
+// registered struct, an empty write-set and a TO-lane entry.
 func roundTripEntries() []applyWSEntry {
 	return []applyWSEntry{
 		{TxnID: stm.TxnID{Replica: 0, Seq: 1}, LeaseID: lease.RequestID{Proc: 0, Seq: 4}, WS: stm.WriteSet{
@@ -226,16 +238,15 @@ func TestDurableStatelessSnapshotStaysStateless(t *testing.T) {
 	}
 }
 
-// gobStream returns a bare encoding/gob stream — what the parent build framed
-// as a WAL record or snapshot payload — borrowed from the one place gob still
-// lives: the wire codec's 0x0F fallback (tag byte, length, stream).
+// gobStream returns a bare encoding/gob stream: what the gob-era build framed
+// as a WAL record or snapshot payload.
 func gobStream(t testing.TB) []byte {
 	t.Helper()
-	b, err := wire.AppendAny(nil, walBox{Name: "written by the gob build"})
-	if err != nil || b[0] != 0x0F {
-		t.Fatalf("no gob fallback blob: % x, %v", b, err)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(walBox{Name: "written by the gob build"}); err != nil {
+		t.Fatal(err)
 	}
-	return wire.NewReader(b[1:]).Bytes()
+	return buf.Bytes()
 }
 
 // TestDurableRecoveryDiscards walks every way a CRC-intact durability

@@ -152,7 +152,8 @@ func (h *gcsHandler) StateSnapshot() any {
 
 // wireSize measures a state transfer in the wire codec. Best-effort: without
 // RegisterWire (in-memory transports never serialize) or with a box value
-// that has no codec, the size is reported as 0, not an error.
+// whose type has no wire.Register codec, the size is reported as 0, not an
+// error.
 func wireSize(st any) int64 {
 	b, err := wire.AppendAny(nil, st)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
-	"github.com/alcstm/alc/internal/wire"
 )
 
 // errValidationFailed is the internal commit outcome for a transaction whose
@@ -124,8 +123,11 @@ type xferDelta struct {
 	CertLog []certLogEntry
 }
 
-// RegisterValue registers an application value type stored in boxes that is
-// not one of the wire codec's primitives (nil, bool, int, int64, uint64,
-// float64, string, []byte), so it can cross a serializing transport and be
-// written to the WAL.
-func RegisterValue(v any) { wire.RegisterValue(v) }
+// RegisterValue does nothing: a box value type beyond the wire codec's
+// primitives (nil, bool, int, int64, uint64, float64, string, []byte)
+// crosses a serializing transport and enters the WAL through a codec it
+// registers with wire.Register.
+//
+// Deprecated: kept only so benchmark/ compiles until its follow-up change
+// stops calling it.
+func RegisterValue(any) {}

@@ -27,8 +27,8 @@ const (
 // RegisterWire installs the binary codecs for every replication-layer wire
 // type, including the lease messages it broadcasts, for transports that
 // serialize payloads (tcpnet). Box VALUES use the wire package's primitive
-// tags; application types beyond those must additionally be registered
-// through RegisterValue.
+// tags; an application type beyond those registers its own codec with
+// wire.Register.
 func RegisterWire() {
 	wire.Register(tagApplyWSBatch, &applyWSBatchMsg{},
 		func(b []byte, v any) ([]byte, error) {

@@ -54,7 +54,6 @@ func incOrCreate(box string) func(*stm.Txn) error {
 func registerWire() {
 	gcs.RegisterWire()
 	core.RegisterWire()
-	core.RegisterValue(0)
 }
 
 // runReplicaHelper is the child process: one durable replica over TCP. It

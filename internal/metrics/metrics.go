@@ -49,10 +49,9 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram records durations in geometrically spaced buckets from 1µs to
-// ~17.9min and reports percentiles. It is safe for concurrent use.
+// ~17.9min; its Snapshot reports percentiles. It is safe for concurrent use.
 type Histogram struct {
 	buckets [_numBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64
 }
@@ -108,7 +107,6 @@ func BucketBounds() []time.Duration {
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketFor(d)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(int64(d))
 	for {
 		cur := h.max.Load()
@@ -118,18 +116,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Snapshot returns an immutable copy of the histogram. Snapshots are plain
 // values: safe to retain, compare and read concurrently while the live
 // histogram keeps observing.
 //
-// Observe updates bucket, count and sum with independent atomics, so a
-// snapshot racing an observation can pair a sum with a bucket population that
-// does not yet (or no longer) includes it. The snapshot is made
-// self-consistent by deriving the count from the buckets and clamping the sum
-// into the range the bucket populations admit, so Mean always lies within the
+// Observe updates bucket and sum with independent atomics, so a snapshot
+// racing an observation can pair a sum with a bucket population that does
+// not yet (or no longer) includes it. The snapshot is made self-consistent
+// by deriving the count from the buckets and clamping the sum into the
+// range the bucket populations admit, so Mean always lies within the
 // observed bucket bounds.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
@@ -166,8 +161,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time, immutable copy of a Histogram with
-// the same read API.
+// HistogramSnapshot is a point-in-time, immutable copy of a Histogram and
+// the one way to read it.
 type HistogramSnapshot struct {
 	buckets [_numBuckets]int64
 	count   int64
@@ -225,44 +220,9 @@ func (s HistogramSnapshot) String() string {
 		s.Count(), s.Mean(), s.Quantile(0.50), s.Quantile(0.99), s.Max())
 }
 
-// Mean returns the mean observed duration. It reads through Snapshot so a
-// concurrent Observe cannot pair a mismatched sum and count.
-func (h *Histogram) Mean() time.Duration {
-	return h.Snapshot().Mean()
-}
-
-// Max returns the largest observed duration.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) of the
-// observed durations, at bucket resolution.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i := 0; i < _numBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= target {
-			return _bucketBounds[i]
-		}
-	}
-	return _bucketBounds[_numBuckets-1]
-}
-
-// String formats the key percentiles.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
-}
-
 // IntDist tracks a distribution of small non-negative integers exactly (for
-// example, the number of aborts a transaction suffered before committing).
+// example, the number of aborts a transaction suffered before committing);
+// Freeze reads it.
 type IntDist struct {
 	mu     sync.Mutex
 	counts map[int]int64
@@ -284,52 +244,6 @@ func (d *IntDist) Observe(v int) {
 	d.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (d *IntDist) Count() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.total
-}
-
-// Mean returns the mean observed value.
-func (d *IntDist) Mean() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.total == 0 {
-		return 0
-	}
-	return float64(d.sum) / float64(d.total)
-}
-
-// FractionAtMost returns the fraction of observations <= v.
-func (d *IntDist) FractionAtMost(v int) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.total == 0 {
-		return 1
-	}
-	var n int64
-	for k, c := range d.counts {
-		if k <= v {
-			n += c
-		}
-	}
-	return float64(n) / float64(d.total)
-}
-
-// Max returns the largest observed value.
-func (d *IntDist) Max() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m := 0
-	for k := range d.counts {
-		if k > m {
-			m = k
-		}
-	}
-	return m
-}
-
 // Freeze returns an immutable copy of the distribution. Freezes are plain
 // values: safe to retain and read concurrently while the live distribution
 // keeps observing.
@@ -346,8 +260,8 @@ func (d *IntDist) Freeze() IntDistSnapshot {
 	return s
 }
 
-// IntDistSnapshot is a point-in-time, immutable copy of an IntDist with the
-// same read API. The zero value is an empty distribution.
+// IntDistSnapshot is a point-in-time, immutable copy of an IntDist and the
+// one way to read it. The zero value is an empty distribution.
 type IntDistSnapshot struct {
 	counts map[int]int64
 	total  int64
@@ -400,22 +314,6 @@ func (s IntDistSnapshot) Pairs() [][2]int64 {
 	out := make([][2]int64, len(keys))
 	for i, k := range keys {
 		out[i] = [2]int64{int64(k), s.counts[k]}
-	}
-	return out
-}
-
-// Snapshot returns the (value, count) pairs sorted by value.
-func (d *IntDist) Snapshot() [][2]int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]int, 0, len(d.counts))
-	for k := range d.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([][2]int64, len(keys))
-	for i, k := range keys {
-		out[i] = [2]int64{int64(k), d.counts[k]}
 	}
 	return out
 }

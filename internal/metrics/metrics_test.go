@@ -36,20 +36,21 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if s := h.Snapshot(); s.Quantile(0.5) != 0 || s.Mean() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	h.Observe(time.Millisecond)
 	h.Observe(2 * time.Millisecond)
 	h.Observe(10 * time.Millisecond)
 
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", h.Count())
+	s := h.Snapshot()
+	if s.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", s.Count())
 	}
-	if h.Max() != 10*time.Millisecond {
-		t.Fatalf("Max = %v, want 10ms", h.Max())
+	if s.Max() != 10*time.Millisecond {
+		t.Fatalf("Max = %v, want 10ms", s.Max())
 	}
-	mean := h.Mean()
+	mean := s.Mean()
 	if mean < 4*time.Millisecond || mean > 5*time.Millisecond {
 		t.Fatalf("Mean = %v, want ~4.33ms", mean)
 	}
@@ -60,7 +61,8 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
-	p50, p90, p99 := h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99)
+	s := h.Snapshot()
+	p50, p90, p99 := s.Quantile(0.5), s.Quantile(0.9), s.Quantile(0.99)
 	if !(p50 <= p90 && p90 <= p99) {
 		t.Fatalf("quantiles not monotone: p50=%v p90=%v p99=%v", p50, p90, p99)
 	}
@@ -75,11 +77,12 @@ func TestHistogramExtremeDurations(t *testing.T) {
 	h.Observe(-time.Second) // clamped to first bucket
 	h.Observe(0)
 	h.Observe(24 * time.Hour) // clamped to last bucket
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", h.Count())
+	s := h.Snapshot()
+	if s.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", s.Count())
 	}
-	if h.Quantile(1.0) != _bucketBounds[_numBuckets-1] {
-		t.Fatalf("Quantile(1) = %v, want last bucket bound", h.Quantile(1.0))
+	if s.Quantile(1.0) != _bucketBounds[_numBuckets-1] {
+		t.Fatalf("Quantile(1) = %v, want last bucket bound", s.Quantile(1.0))
 	}
 }
 
@@ -99,7 +102,7 @@ func TestQuickQuantileIsUpperBound(t *testing.T) {
 		}
 		// The 100th percentile upper bound must be >= the true max
 		// (within the last-bucket clamp).
-		q := h.Quantile(1.0)
+		q := h.Snapshot().Quantile(1.0)
 		return q >= maxD || q == _bucketBounds[_numBuckets-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -219,9 +222,6 @@ func TestHistogramSnapshotConsistentUnderRace(t *testing.T) {
 			t.Fatalf("snapshot mean %v outside admissible range [%v, %v] (count=%d sum=%v)",
 				m, loBound, hiBound, s.Count(), s.Sum())
 		}
-		if m := h.Mean(); m != 0 && (m < loBound || m > hiBound) {
-			t.Fatalf("live mean %v outside admissible range [%v, %v]", m, loBound, hiBound)
-		}
 	}
 	close(stop)
 	wg.Wait()
@@ -232,27 +232,28 @@ func TestIntDist(t *testing.T) {
 	for _, v := range []int{0, 0, 1, 1, 1, 2, 5} {
 		d.Observe(v)
 	}
-	if d.Count() != 7 {
-		t.Fatalf("Count = %d, want 7", d.Count())
+	s := d.Freeze()
+	if s.Count() != 7 {
+		t.Fatalf("Count = %d, want 7", s.Count())
 	}
-	if got := d.FractionAtMost(1); got < 0.70 || got > 0.72 {
+	if got := s.FractionAtMost(1); got < 0.70 || got > 0.72 {
 		t.Fatalf("FractionAtMost(1) = %v, want 5/7", got)
 	}
-	if d.Max() != 5 {
-		t.Fatalf("Max = %d, want 5", d.Max())
+	if s.Max() != 5 {
+		t.Fatalf("Max = %d, want 5", s.Max())
 	}
-	if mean := d.Mean(); mean < 1.42 || mean > 1.43 {
+	if mean := s.Mean(); mean < 1.42 || mean > 1.43 {
 		t.Fatalf("Mean = %v, want 10/7", mean)
 	}
-	snap := d.Snapshot()
-	if len(snap) != 4 || snap[0] != [2]int64{0, 2} || snap[3] != [2]int64{5, 1} {
-		t.Fatalf("Snapshot = %v", snap)
+	pairs := s.Pairs()
+	if len(pairs) != 4 || pairs[0] != [2]int64{0, 2} || pairs[3] != [2]int64{5, 1} {
+		t.Fatalf("Pairs = %v", pairs)
 	}
 }
 
 func TestIntDistEmpty(t *testing.T) {
-	d := NewIntDist()
-	if d.Mean() != 0 || d.Max() != 0 || d.FractionAtMost(0) != 1 {
+	s := NewIntDist().Freeze()
+	if s.Mean() != 0 || s.Max() != 0 || s.FractionAtMost(0) != 1 {
 		t.Fatal("empty IntDist should report zeros and full fraction")
 	}
 }

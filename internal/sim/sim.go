@@ -14,26 +14,9 @@ import (
 	"github.com/alcstm/alc/internal/history"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/randseed"
-	"github.com/alcstm/alc/internal/sortedset"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/trace"
-	"github.com/alcstm/alc/internal/vacation"
 )
-
-// registerDurableValues registers the workload box types that have no wire
-// codec (sorted-set nodes, vacation records): the WAL serializes box values
-// to disk even when the transport is in-memory.
-var registerValuesOnce sync.Once
-
-func registerDurableValues() {
-	registerValuesOnce.Do(func() {
-		core.RegisterValue(0)
-		core.RegisterValue(sortedset.RegisterValue())
-		for _, v := range vacation.RegisterValues() {
-			core.RegisterValue(v)
-		}
-	})
-}
 
 // Config parametrizes one simulation run. Only Seed is required.
 type Config struct {
@@ -176,7 +159,6 @@ func Run(cfg Config) *Result {
 		// Fsync off: memnet crashes are process-level (Close flushes), so the
 		// run measures recovery logic, not disk latency.
 		durability = core.DurabilityConfig{Dir: dir, Fsync: "off"}
-		registerDurableValues()
 	}
 
 	c, err := cluster.New(cluster.Config{

@@ -18,6 +18,8 @@ package sortedset
 import (
 	"fmt"
 	"hash/fnv"
+
+	"github.com/alcstm/alc/internal/wire"
 )
 
 // Txn is the slice of a transaction the set needs; satisfied by both the
@@ -528,6 +530,25 @@ func (s *Set) CheckInvariants(tx Txn) error {
 	return nil
 }
 
-// RegisterValue returns a value of the node type for gob registration on
-// serializing transports (core.RegisterValue(sortedset.RegisterValue())).
-func RegisterValue() any { return node{} }
+// tagNode is the wire tag of a node box value (the application-value range
+// 0x30-0x3F; see internal/wire). Tags are wire format: never renumber.
+const tagNode byte = 0x30
+
+// The node codec makes the set's boxes encodable wherever box values are
+// serialized: tcpnet frames, WAL records and snapshots, state transfers.
+func init() {
+	wire.Register(tagNode, node{}, encodeNode, decodeNode)
+}
+
+func encodeNode(b []byte, v any) ([]byte, error) {
+	n := v.(node)
+	b = wire.AppendVarint(b, int64(n.Key))
+	b = wire.AppendUint64(b, n.Prio)
+	b = wire.AppendString(b, n.Left)
+	return wire.AppendString(b, n.Right), nil
+}
+
+func decodeNode(r *wire.Reader) (any, error) {
+	n := node{Key: int(r.Varint()), Prio: r.Uint64(), Left: r.String(), Right: r.String()}
+	return n, r.Err()
+}

@@ -1,12 +1,14 @@
 package sortedset
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"github.com/alcstm/alc/internal/stm"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 // localSet runs the set against a plain local store with auto-commit
@@ -281,5 +283,38 @@ func TestTwoSetsAreIndependent(t *testing.T) {
 	}
 	if n, _ := a.Len(ro); n != 1 {
 		t.Fatalf("set a has %d elements, want 1", n)
+	}
+}
+
+// TestNodeCodec: a node box value survives the wire codec, and hostile input
+// (every truncation, a string length past the input) is an error, never a
+// panic.
+func TestNodeCodec(t *testing.T) {
+	for _, want := range []node{
+		{Key: -7, Prio: 1<<64 - 1, Left: "set:s:n:-9", Right: "set:s:n:3"},
+		{},
+	} {
+		b, err := wire.AppendAny(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[0] != tagNode {
+			t.Fatalf("tag = 0x%02x, want 0x%02x", b[0], tagNode)
+		}
+		r := wire.NewReader(b)
+		got, err := wire.ReadAny(r)
+		if err != nil || got != want || r.Len() != 0 {
+			t.Fatalf("roundtrip %#v = %#v, %v (%d bytes left)", want, got, err, r.Len())
+		}
+		for i := range b {
+			if v, err := wire.ReadAny(wire.NewReader(b[:i])); err == nil {
+				t.Fatalf("%d of %d bytes decoded as %#v", i, len(b), v)
+			}
+		}
+	}
+	b := wire.AppendUint64(wire.AppendVarint([]byte{tagNode}, 1), 2)
+	b = wire.AppendUvarint(b, 1000) // Left's length
+	if _, err := wire.ReadAny(wire.NewReader(append(b, "set"...))); !errors.Is(err, wire.ErrOversize) {
+		t.Fatalf("oversize string err = %v, want ErrOversize", err)
 	}
 }

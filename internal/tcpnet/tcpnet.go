@@ -15,9 +15,10 @@
 // stream.
 //
 // All payload types crossing the wire must be registered: gcs.RegisterWire
-// and core.RegisterWire cover the protocol stack, and applications register
-// box value types beyond the codec's primitives via core.RegisterValue (they
-// ride the wire codec's tag-0x0F app-value adapter).
+// and core.RegisterWire cover the protocol stack, and a box value type beyond
+// the codec's primitives carries its own codec, registered with
+// wire.Register in its package's init (internal/sortedset and
+// internal/vacation do so).
 package tcpnet
 
 import (

@@ -1,17 +1,20 @@
 package tcpnet
 
 import (
-	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/transport"
+	"github.com/alcstm/alc/internal/wire"
 )
 
-// testPayload is a gob-registered struct exercised across the wire.
+// testPayload is a struct with a test-tag wire codec, exercised across the
+// wire.
 type testPayload struct {
 	N    int
 	Text string
@@ -19,7 +22,26 @@ type testPayload struct {
 }
 
 func init() {
-	gob.Register(&testPayload{})
+	wire.Register(0x72, &testPayload{},
+		func(b []byte, v any) ([]byte, error) {
+			m := v.(*testPayload)
+			b = wire.AppendString(wire.AppendVarint(b, int64(m.N)), m.Text)
+			b = wire.AppendUvarint(b, uint64(len(m.Tags)))
+			for _, s := range m.Tags {
+				b = wire.AppendString(b, s)
+			}
+			return b, nil
+		},
+		func(r *wire.Reader) (any, error) {
+			m := &testPayload{N: int(r.Varint()), Text: r.String()}
+			if n := r.Count(); n > 0 {
+				m.Tags = make([]string, n)
+				for i := range m.Tags {
+					m.Tags[i] = r.String()
+				}
+			}
+			return m, r.Err()
+		})
 }
 
 // newPair starts two transports on loopback with wired addresses.
@@ -31,6 +53,13 @@ func newPair(t *testing.T) (*Transport, *Transport) {
 var newGroup2 *Transport // assigned by newGroup for the pair helper
 
 func newGroup(t *testing.T, n int) []*Transport {
+	t.Helper()
+	return newLoggedGroup(t, n, nil)
+}
+
+// newLoggedGroup is newGroup with every transport's diagnostics sent to
+// logf (nil: the default logger).
+func newLoggedGroup(t *testing.T, n int, logf func(string, ...any)) []*Transport {
 	t.Helper()
 	// First bind listeners on :0 to learn ports, then rebuild the address
 	// map for all transports.
@@ -53,7 +82,7 @@ func newGroup(t *testing.T, n int) []*Transport {
 
 	out := make([]*Transport, n)
 	for i := 0; i < n; i++ {
-		tr, err := New(Config{Self: transport.ID(i), Addrs: addrs})
+		tr, err := New(Config{Self: transport.ID(i), Addrs: addrs, Logf: logf})
 		if err != nil {
 			t.Fatalf("transport %d: %v", i, err)
 		}
@@ -152,6 +181,34 @@ func TestSendToDeadPeerDoesNotError(t *testing.T) {
 	}
 }
 
+// TestCleanCloseLogsNoDrop: a transport closed while a peer's connection is
+// open ends that connection's read loop with net.ErrClosed, which is a
+// shutdown, not a dropped connection worth a line.
+func TestCleanCloseLogsNoDrop(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	trs := newLoggedGroup(t, 2, logf)
+	if err := trs[0].Send(1, &testPayload{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, trs[1]) // transport 1 now reads an open inbound connection
+	_ = trs[1].Close()
+	_ = trs[0].Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, "dropping connection") {
+			t.Errorf("clean close logged %q", l)
+		}
+	}
+}
+
 func TestSendAfterCloseErrors(t *testing.T) {
 	trs := newGroup(t, 2)
 	_ = trs[0].Close()
@@ -171,7 +228,6 @@ func TestUnknownPeerDropsSilently(t *testing.T) {
 // total order and view installation must work exactly as over memnet.
 func TestGCSOverTCP(t *testing.T) {
 	gcs.RegisterWire()
-	gob.Register("") // string app bodies
 
 	trs := newGroup(t, 3)
 	ids := []transport.ID{0, 1, 2}

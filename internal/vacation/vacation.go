@@ -15,6 +15,8 @@ package vacation
 import (
 	"fmt"
 	"math/rand"
+
+	"github.com/alcstm/alc/internal/wire"
 )
 
 // Txn is the slice of a transaction the workload needs; it is satisfied by
@@ -276,6 +278,51 @@ func (db *DB) CheckInvariant(tx Txn) error {
 	return nil
 }
 
-// RegisterValues returns values of the box types for gob registration on
-// serializing transports.
-func RegisterValues() []any { return []any{Resource{}, Customer{}} }
+// Wire tags of the box value types (the application-value range 0x30-0x3F;
+// see internal/wire). Tags are wire format: never renumber.
+const (
+	tagResource byte = 0x31
+	tagCustomer byte = 0x32
+)
+
+// The codecs make the database's boxes encodable wherever box values are
+// serialized: tcpnet frames, WAL records and snapshots, state transfers.
+func init() {
+	wire.Register(tagResource, Resource{}, encodeResource, decodeResource)
+	wire.Register(tagCustomer, Customer{}, encodeCustomer, decodeCustomer)
+}
+
+func encodeResource(b []byte, v any) ([]byte, error) {
+	x := v.(Resource)
+	b = wire.AppendVarint(b, int64(x.Capacity))
+	b = wire.AppendVarint(b, int64(x.Available))
+	return wire.AppendVarint(b, int64(x.Price)), nil
+}
+
+func decodeResource(r *wire.Reader) (any, error) {
+	x := Resource{Capacity: int(r.Varint()), Available: int(r.Varint()), Price: int(r.Varint())}
+	return x, r.Err()
+}
+
+func encodeCustomer(b []byte, v any) ([]byte, error) {
+	x := v.(Customer)
+	b = wire.AppendUvarint(b, uint64(len(x.Reservations)))
+	for _, res := range x.Reservations {
+		b = wire.AppendVarint(b, int64(res.Kind))
+		b = wire.AppendVarint(b, int64(res.ID))
+	}
+	return b, nil
+}
+
+// decodeCustomer decodes no reservations as a nil slice, so a decoded value
+// is DeepEqual to the empty record ReleaseAll and Seed write.
+func decodeCustomer(r *wire.Reader) (any, error) {
+	var x Customer
+	if n := r.Count(); n > 0 {
+		x.Reservations = make([]Reservation, n)
+		for i := range x.Reservations {
+			x.Reservations[i] = Reservation{Kind: ResourceKind(r.Varint()), ID: int(r.Varint())}
+		}
+	}
+	return x, r.Err()
+}

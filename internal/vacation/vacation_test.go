@@ -2,9 +2,11 @@ package vacation
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/alcstm/alc/internal/stm"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 func newSeededStore(t *testing.T, db *DB) *stm.Store {
@@ -184,5 +186,37 @@ func TestKindString(t *testing.T) {
 	}
 	if ResourceKind(9).String() != "kind(9)" {
 		t.Fatal("unknown kind formatting wrong")
+	}
+}
+
+// TestCodecs: the box value types survive the wire codec (no reservations
+// decode as nil, as the seed and ReleaseAll write them), and hostile input
+// (every truncation, a reservation count past the input) is an error, never
+// a panic.
+func TestCodecs(t *testing.T) {
+	for _, want := range []any{
+		Resource{Capacity: 300, Available: -1, Price: 1 << 40},
+		Resource{},
+		Customer{Reservations: []Reservation{{Kind: Car, ID: 3}, {Kind: Room, ID: 1000}}},
+		Customer{},
+	} {
+		b, err := wire.AppendAny(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(b)
+		got, err := wire.ReadAny(r)
+		if err != nil || !reflect.DeepEqual(got, want) || r.Len() != 0 {
+			t.Fatalf("roundtrip %#v = %#v, %v (%d bytes left)", want, got, err, r.Len())
+		}
+		for i := range b {
+			if v, err := wire.ReadAny(wire.NewReader(b[:i])); err == nil {
+				t.Fatalf("%d of %d bytes of %#v decoded as %#v", i, len(b), want, v)
+			}
+		}
+	}
+	b := wire.AppendUvarint([]byte{tagCustomer}, 1000) // reservations
+	if _, err := wire.ReadAny(wire.NewReader(append(b, 2, 6, 4, 8))); !errors.Is(err, wire.ErrOversize) {
+		t.Fatalf("oversize count err = %v, want ErrOversize", err)
 	}
 }

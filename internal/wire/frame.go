@@ -108,7 +108,10 @@ func FinishFrame(b []byte, start int) []byte {
 // growing it as needed, and returns the body slice (valid until the next
 // call). A declared length of zero, above max, or a wrong version byte is an
 // error before any body allocation. io.EOF is returned untouched at a clean
-// frame boundary so callers can distinguish shutdown from truncation.
+// frame boundary so callers can distinguish shutdown from truncation; any
+// other read error is wrapped with ErrTruncated and stays visible to
+// errors.Is (a closed connection matches net.ErrClosed). A body that ends
+// after a complete header is torn: its io.EOF becomes io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, []byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -123,7 +126,7 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, []byte, error) {
 		if err == io.EOF {
 			return nil, buf, io.EOF
 		}
-		return nil, buf, fmt.Errorf("%w: frame header: %v", ErrTruncated, err)
+		return nil, buf, fmt.Errorf("%w: frame header: %w", ErrTruncated, err)
 	}
 	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
 	if n < 1 {
@@ -137,7 +140,10 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, []byte, error) {
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, buf, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, buf, fmt.Errorf("%w: frame body: %w", ErrTruncated, err)
 	}
 	if buf[0] != Version {
 		return nil, buf, fmt.Errorf("%w: frame version %d", ErrVersion, buf[0])

@@ -1,20 +1,17 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
 )
 
 // Message tags. One byte selects the decoder for a tagged value: primitives
-// are built in here, protocol messages register codecs in their own packages
-// (internal/gcs, internal/core), and anything else — an application box type
-// with no wire codec — falls back to a self-contained gob blob. That fallback
-// (tagGob, RegisterValue) is the only use of encoding/gob in the tree: this
-// file is its adapter, and CI fails if another non-test file imports it. Tags
-// are part of the wire format: they must never be renumbered, only retired.
+// are built in here, and protocol messages and application box values
+// register codecs in their own packages. A value with no codec has no
+// encoding: AppendAny returns an error for it. Tags are part of the wire
+// format: they must never be renumbered, only retired. Retired, never to be
+// reused: 0x0F (the reflective encoding/gob fallback for application values).
 const (
 	tagNil     byte = 0x00
 	tagFalse   byte = 0x01
@@ -25,10 +22,10 @@ const (
 	tagFloat64 byte = 0x06
 	tagString  byte = 0x07
 	tagBytes   byte = 0x08
-	tagGob     byte = 0x0F // fallback: length-prefixed self-contained gob stream
 
-	// TagMin is the lowest tag available to registered message codecs.
-	// gcs uses 0x10-0x1F, core/lease 0x20-0x2F; tests use 0x70+.
+	// TagMin is the lowest tag available to registered codecs. gcs uses
+	// 0x10-0x1F, core/lease 0x20-0x2F, in-tree application box values
+	// (internal/sortedset, internal/vacation) 0x30-0x3F; tests use 0x70+.
 	TagMin byte = 0x10
 )
 
@@ -82,12 +79,6 @@ func Register(tag byte, prototype any, app AppendFunc, read ReadFunc) {
 	registry.byType[t] = c
 }
 
-// RegisterValue makes an application box value type (anything beyond the
-// built-in primitives, e.g. a struct) encodable by AppendAny's tagGob
-// fallback — on the network and in the WAL alike. core.RegisterValue forwards
-// here.
-func RegisterValue(v any) { gob.Register(v) }
-
 func lookupType(t reflect.Type) *codec {
 	registry.RLock()
 	c := registry.byType[t]
@@ -102,11 +93,9 @@ func lookupTag(tag byte) *codec {
 	return c
 }
 
-// AppendAny appends one tagged value: nil, a primitive, a registered message,
-// or (as a last resort) a gob blob for application value types registered
-// through RegisterValue. The error is non-nil only when the fallback gob
-// encoding fails (an entirely unregistered type); protocol messages never
-// take that path.
+// AppendAny appends one tagged value: nil, a primitive, or a value of a
+// registered type. The error is non-nil when v, or a value nested in it (a
+// box value in a write-set), has a type with no codec.
 func AppendAny(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -132,16 +121,7 @@ func AppendAny(b []byte, v any) ([]byte, error) {
 	if c := lookupType(reflect.TypeOf(v)); c != nil {
 		return c.append(append(b, c.tag), v)
 	}
-	// Fallback: self-contained gob stream (fresh encoder per value so the
-	// blob carries its own type descriptions and decodes independently of
-	// connection history). Encode a copy: taking &v directly would force the
-	// parameter to heap on every call, including the hot primitive paths.
-	fallback := v
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&fallback); err != nil {
-		return b, fmt.Errorf("wire: no codec for %T and gob fallback failed: %w", v, err)
-	}
-	return AppendBytes(append(b, tagGob), blob.Bytes()), nil
+	return b, fmt.Errorf("wire: no codec for %T", v)
 }
 
 // ReadAny decodes one tagged value written by AppendAny. Hostile input yields
@@ -170,16 +150,6 @@ func ReadAny(r *Reader) (any, error) {
 		return r.String(), r.Err()
 	case tagBytes:
 		return r.Bytes(), r.Err()
-	case tagGob:
-		blob := r.Bytes()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("wire: gob fallback decode: %w", err)
-		}
-		return v, nil
 	}
 	c := lookupTag(tag)
 	if c == nil {

@@ -25,10 +25,8 @@
 // length-prefixed byte strings. Compound protocol messages register an
 // AppendFunc/ReadFunc pair per concrete type (Register); encode dispatches on
 // the dynamic type, decode on a one-byte tag. Application box values outside
-// the built-in primitives fall back to a self-contained gob blob (tag
-// tagGob, registry.go — the one place encoding/gob is imported), so
-// core.RegisterValue types work on the network and in the WAL at gob cost;
-// the protocol's own messages never touch gob.
+// the built-in primitives register the same way (tags 0x30-0x3F): a type
+// with no codec cannot be encoded, on the network or in the WAL.
 //
 // # Safety
 //

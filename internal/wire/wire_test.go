@@ -2,10 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
+	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -191,6 +191,25 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
+// closedReader fails every read the way a net.Conn does after Close.
+type closedReader struct{}
+
+func (closedReader) Read([]byte) (int, error) { return 0, net.ErrClosed }
+
+// TestReadFrameKeepsReadError: a read error stays visible to errors.Is
+// beside ErrTruncated, so a reader closed on purpose is told apart from a
+// torn frame; a body cut at its first byte is still torn, not a clean EOF.
+func TestReadFrameKeepsReadError(t *testing.T) {
+	_, _, err := ReadFrame(closedReader{}, nil, 0)
+	if !errors.Is(err, net.ErrClosed) || !errors.Is(err, ErrTruncated) {
+		t.Fatalf("closed reader err = %v, want net.ErrClosed and ErrTruncated", err)
+	}
+	_, _, err = ReadFrame(bytes.NewReader([]byte{5, 0, 0, 0}), nil, 0)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, ErrTruncated) || errors.Is(err, io.EOF) {
+		t.Fatalf("body cut after the header err = %v, want io.ErrUnexpectedEOF and ErrTruncated", err)
+	}
+}
+
 func TestAnyRoundtrip(t *testing.T) {
 	values := []any{
 		nil, true, false,
@@ -222,15 +241,7 @@ type wireTestMsg struct {
 	B string
 }
 
-// gobOnlyValue exercises the gob-blob fallback: gob-registered (like
-// application box values under core.RegisterValue) but no wire registration.
-type gobOnlyValue struct {
-	X int
-	Y []string
-}
-
 func init() {
-	gob.Register(&gobOnlyValue{})
 	Register(0x70, &wireTestMsg{},
 		func(b []byte, v any) ([]byte, error) {
 			m := v.(*wireTestMsg)
@@ -259,21 +270,20 @@ func TestRegisteredTypeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestGobFallbackRoundtrip(t *testing.T) {
-	want := &gobOnlyValue{X: 3, Y: []string{"gob", "blob"}}
-	b, err := AppendAny(nil, want)
-	if err != nil {
-		t.Fatal(err)
+// unregisteredValue has no codec: it cannot be encoded, and the tag the
+// retired gob fallback used (0x0F) decodes as unknown.
+type unregisteredValue struct{ X int }
+
+func TestUnregisteredTypeErrors(t *testing.T) {
+	b, err := AppendAny([]byte{0xAA}, unregisteredValue{X: 3})
+	if err == nil {
+		t.Fatalf("AppendAny(unregistered) = % x, want an error", b)
 	}
-	if b[0] != tagGob {
-		t.Fatalf("tag = 0x%02x, want gob fallback 0x%02x", b[0], tagGob)
+	if len(b) != 1 {
+		t.Fatalf("AppendAny(unregistered) left % x, want the input untouched", b)
 	}
-	got, err := ReadAny(NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("roundtrip = %#v, want %#v", got, want)
+	if _, err := ReadAny(NewReader([]byte{0x0F, 1, 0})); !errors.Is(err, ErrUnknownTag) {
+		t.Fatalf("retired tag 0x0F err = %v, want ErrUnknownTag", err)
 	}
 }
 
