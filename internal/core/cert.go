@@ -29,16 +29,12 @@ func (r *Replica) atomicCert(fn func(*stm.Txn) error) error {
 			return ErrTooManyRetries
 		}
 
-		// Sample the TO commit clock BEFORE the snapshot is taken, between
-		// installs: install moves the clock before the store (log before
-		// install), so the sample is taken under the apply barrier held
-		// exclusively. Every commit it counts is then in the store, and the
-		// sample can only under-state the transaction's snapshot position —
-		// widening the validation window (possible extra conservative
-		// aborts), never narrowing it.
-		r.dur.applyMu.Lock()
-		snapOrd := r.dur.toClock()
-		r.dur.applyMu.Unlock()
+		// Sample the TO commit clock BEFORE the snapshot is taken. install
+		// publishes it only after the store install, so every commit it
+		// counts is in the store, and the sample can only under-state the
+		// transaction's snapshot position — widening the validation window
+		// (possible extra conservative aborts), never narrowing it.
+		snapOrd := r.dur.clock.Load()
 
 		execStart := time.Now()
 		txn := r.store.Begin(false)

@@ -296,9 +296,14 @@ type Replica struct {
 	applyBatch []stm.TxnWriteSet
 
 	txnSeq  atomic.Uint64
-	applies atomic.Int64 // applied write-sets since the last automatic GC
+	applies int64 // applied write-sets since the last automatic GC (dispatcher)
 	primary atomic.Bool
 	stopped atomic.Bool
+
+	// seedMu and sealed order Seed before every store write the dispatcher
+	// makes (sealSeed).
+	seedMu sync.Mutex
+	sealed atomic.Bool
 
 	viewMu sync.Mutex
 	view   gcs.View // the last view the handler installed
@@ -362,9 +367,10 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 		r.dur.markComplete()
 		if cfg.Protocol == ProtocolALC {
 			// Its lease table starts empty, at position 0: a new epoch.
-			r.dur.openTOEpoch()
+			r.dur.applied.openTOEpoch()
 		}
 	}
+	r.dur.publishClock()
 	r.coal = newCoalescer(r)
 
 	gcsCfg.JoinFrontier = r.dur.advertise
@@ -482,7 +488,15 @@ func (r *Replica) Close() error {
 // With durability enabled, the seeded state becomes the baseline snapshot:
 // seeded boxes are created outside any write-set, so the WAL alone could
 // never reconstruct them after a crash.
+// Seed runs on the caller's goroutine, keeping the snapshot's fsyncs off
+// the dispatcher, so it must precede every store install (sealSeed): an
+// install waits for a Seed in progress, and a Seed after one fails.
 func (r *Replica) Seed(values map[string]stm.Value) error {
+	r.seedMu.Lock()
+	defer r.seedMu.Unlock()
+	if r.sealed.Load() {
+		return errors.New("core: Seed after the first store install")
+	}
 	for id, v := range values {
 		if _, err := r.store.CreateBox(id, v); err != nil {
 			return err
@@ -499,6 +513,16 @@ func (r *Replica) nextTxnID() stm.TxnID {
 	return stm.TxnID{Replica: r.id, Seq: r.txnSeq.Add(1)}
 }
 
+// sealSeed closes seeding before the dispatcher's first store write: it
+// waits out a Seed in progress, and makes every later one fail.
+func (r *Replica) sealSeed() {
+	if !r.sealed.Load() {
+		r.seedMu.Lock()
+		r.sealed.Store(true)
+		r.seedMu.Unlock()
+	}
+}
+
 // maybeGC prunes version histories after every cfg.GCEvery applied
 // write-sets. Every apply, and so every caller, runs on the dispatcher:
 // collections are serial by construction.
@@ -506,7 +530,7 @@ func (r *Replica) maybeGC() {
 	if r.cfg.GCEvery <= 0 {
 		return
 	}
-	if r.applies.Add(1)%int64(r.cfg.GCEvery) == 0 {
+	if r.applies++; r.applies%int64(r.cfg.GCEvery) == 0 {
 		r.store.GC()
 	}
 }

@@ -530,3 +530,113 @@ func TestFullInstallAbortsStraddlingTransaction(t *testing.T) {
 		t.Fatalf("x = %v after %d attempts, want 101 after 2 (the read of x = 5 is stale)", x, attempts.Load())
 	}
 }
+
+// TestCertClockNeverAheadOfStore: a CERT committer samples the commit clock
+// before it takes its snapshot, and every ordinal it can read must name a
+// write-set already in the store. Each commit increments n, so the commit at
+// ordinal k leaves n = k: a sample c must find n >= c. The hook reads the
+// clock between the durability tier's append (which moves the TO frontier)
+// and the store install, where a clock published ahead of the store shows;
+// a sampler beside concurrent committers reads it as a committer does.
+func TestCertClockNeverAheadOfStore(t *testing.T) {
+	r := newTestReplicaWith(t, Config{Protocol: ProtocolCert})
+	if err := r.WaitForView(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Seed(map[string]stm.Value{"n": 0}); err != nil {
+		t.Fatal(err)
+	}
+	readN := func() int {
+		var n any
+		if err := r.AtomicRO(func(tx *stm.Txn) (err error) { n, err = tx.Read("n"); return err }); err != nil {
+			t.Error(err)
+		}
+		return n.(int)
+	}
+	var hooked atomic.Int64
+	installHook = func(r *Replica) {
+		if c, n := r.dur.clock.Load(), readN(); int64(n) < c {
+			t.Errorf("between append and store install: clock %d, store n = %d", c, n)
+		}
+		hooked.Add(1)
+	}
+	t.Cleanup(func() { installHook = nil })
+
+	const committers, each = 4, 25
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		samples := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- samples
+				return
+			default:
+			}
+			if c, n := r.dur.clock.Load(), readN(); int64(n) < c {
+				t.Errorf("sampled clock %d, store n = %d", c, n)
+			}
+			samples++
+		}
+	}()
+	errs := make(chan error, committers)
+	for range committers {
+		go func() {
+			for range each {
+				if err := r.Atomic(incrementBox("n")); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range committers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if samples := <-sampled; samples == 0 {
+		t.Fatal("the sampler never ran")
+	}
+	if c, n := r.dur.clock.Load(), readN(); c != committers*each || n != committers*each || hooked.Load() != committers*each {
+		t.Fatalf("clock %d, n = %d, %d installs hooked; want %d each", c, n, hooked.Load(), committers*each)
+	}
+}
+
+// TestSeedPrecedesEveryInstall: Seed writes the store and takes the baseline
+// snapshot off the dispatcher, so the replica's first store install seals
+// seeding: it waits for a Seed in progress, and every later Seed fails
+// instead of racing the dispatcher. Seeds race a commit here; under the race
+// detector an access the seal leaves unordered shows.
+func TestSeedPrecedesEveryInstall(t *testing.T) {
+	r := newTestReplicaWith(t, Config{Durability: DurabilityConfig{Dir: t.TempDir(), Fsync: "off"}})
+	if err := r.WaitForView(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Seed(map[string]stm.Value{"x": 0}); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- r.Atomic(incrementBox("x")) }()
+	seeds := 0
+	for ; seeds < 10000; seeds++ {
+		if err := r.Seed(map[string]stm.Value{fmt.Sprintf("s%d", seeds): 0}); err != nil {
+			break
+		}
+	}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.store.Box(fmt.Sprintf("s%d", seeds)); ok {
+		t.Fatal("a refused Seed created its box")
+	}
+	if err := r.Seed(map[string]stm.Value{"late": 0}); err == nil {
+		t.Fatal("Seed after a commit succeeded")
+	}
+	if s := r.Stats().WAL; s.Snapshots != int64(seeds)+1 || s.Errors != 0 {
+		t.Fatalf("%d snapshots, %d errors; want one per accepted Seed (%d), 0", s.Snapshots, s.Errors, seeds+1)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -65,6 +67,14 @@ type WALStats struct {
 	// is the wall-clock time of the latest one (0: never).
 	Snapshots            int64
 	LastSnapshotUnixNano int64
+	// SnapshotLatency times durable snapshot attempts — store cut, encoding,
+	// WriteSnapshot's write and fsyncs, log truncation. Periodic and
+	// full-install snapshots run on the GCS dispatcher, which delivers
+	// nothing meanwhile.
+	SnapshotLatency metrics.HistogramSnapshot
+	// Degraded reports that a log write or encode failure turned
+	// persistence off: the replica runs memory-only from then on.
+	Degraded bool
 	// Recovery: what the last restart replayed.
 	RecoveredFromSnapshot bool
 	ReplayedRecords       int64
@@ -194,10 +204,6 @@ type Transfer struct {
 // of application types (sorted-set nodes, vacation records) were gob blobs
 // under the retired wire tag 0x0F.
 const walFormat byte = 0xA4
-
-func appendWALRecord(b []byte, entries []applyWSEntry) ([]byte, error) {
-	return appendWSEntries(append(b, walFormat), entries)
-}
 
 func readWALRecord(payload []byte) ([]applyWSEntry, error) {
 	r := walReader(payload)
@@ -434,30 +440,41 @@ func (sh *appliedState) seen(e applyWSEntry) bool {
 // durable is the replica's durability + delta-transfer state over one WAL
 // and snapshot file. The in-memory part is always active; the log/snapshot
 // part only when a directory is configured.
+//
+// The GCS dispatcher owns it: install's filter and log append, the periodic
+// snapshot, the state-transfer cuts, a full install and the join request's
+// frontier (advertise) all run there, one after another in delivery order,
+// so the store and the frontiers always agree between two of them. Recovery
+// runs before the endpoint exists, and Seed before the first store install
+// (Replica.sealSeed). mu guards only what other goroutines read: the delta
+// window, whose size stats reports, and the transfer record. CERT
+// committers read clock.
 type durable struct {
 	cfg DurabilityConfig
-
-	// applyMu is the store/frontier consistency barrier: every applier holds
-	// it shared around {durability filter; store install}, the snapshot path
-	// holds it exclusively around {store cut; frontier copy; log reset}, so a
-	// snapshot never observes a logged frontier advance without its store
-	// effect — or a log record it is about to truncate uncovered. Lock order:
-	// applyMu before mu.
-	applyMu sync.RWMutex
 
 	mu      sync.Mutex
 	applied appliedState
 
+	// clock is CERT's commit clock as a committer samples it: the TO
+	// frontier as of the last completed store install (publishClock), so
+	// every ordinal it names is already in the store.
+	clock atomic.Int64
+
 	log       *wal.Log
 	sinceSnap int
-	wantSnap  atomic.Bool
+	// rec is the reused WAL record buffer: walFormat · count · entries.
+	// append encodes each fresh entry into it once; the delta window copies
+	// the entry's bytes out and the log writes the whole record.
+	rec []byte
 
 	// Counters (see WALStats).
 	records        metrics.Counter
 	appendedBytes  metrics.Counter
 	fsyncLatency   metrics.Histogram
 	snapshots      metrics.Counter
+	snapLatency    metrics.Histogram
 	lastSnapNanos  atomic.Int64
+	degraded       atomic.Bool
 	recoveredSnap  bool
 	replayRecords  int64
 	replayEntries  int64
@@ -474,8 +491,8 @@ type durable struct {
 	unencodable    metrics.Counter
 	errors         metrics.Counter
 
-	// transfers is WALStats.Transfers; joinFrontier the frontier of this
-	// replica's latest join request. Both under mu.
+	// transfers is WALStats.Transfers, under mu; joinFrontier the frontier
+	// of this replica's latest join request.
 	transfers    []Transfer
 	joinFrontier map[transport.ID]uint64
 }
@@ -575,9 +592,10 @@ func (d *durable) recover(store *stm.Store) (int64, error) {
 }
 
 // discardState is recovery's one answer to a durability directory it cannot
-// build on — a corrupt or undecodable snapshot: count the fault, wipe snapshot and log, drop whatever
-// was recovered so far, and start stateless (nothing advertised, so the
-// replica takes a full transfer on join).
+// build on, a corrupt or undecodable snapshot. It counts the fault, wipes
+// snapshot and log, drops whatever was recovered so far, and starts
+// stateless: nothing is advertised, so the replica takes a full transfer on
+// join.
 func (d *durable) discardState(store *stm.Store) error {
 	d.errors.Inc()
 	if err := wal.RemoveSnapshot(d.cfg.Dir); err != nil {
@@ -597,47 +615,62 @@ var errStopReplay = fmt.Errorf("core: stop wal replay")
 // markComplete records that the store content is complete and matches the
 // frontier (initial member at birth, or full install).
 func (d *durable) markComplete() {
-	d.mu.Lock()
 	d.applied.hasState = true
-	d.mu.Unlock()
 }
 
-// pushRetainedLocked adds one applied entry to the delta window; a full
-// window gives up its oldest entry to the eviction watermarks. An entry with
-// a value that has no codec cannot be retained: it counts as evicted at
-// once, so a joiner that lacks it takes a full transfer, never a delta with a
-// hole. Caller holds d.mu.
-func (d *durable) pushRetainedLocked(e applyWSEntry) {
+// recordHeader is the room append reserves at the front of d.rec for
+// walFormat and the entry count, which is known only once the entries are
+// filtered (see logRecord).
+const recordHeader = 1 + binary.MaxVarintLen64
+
+// pushRetainedLocked encodes one applied entry onto the WAL record being
+// built in d.rec (with no log open, nothing is recorded and the buffer only
+// carries the entry) and adds a copy of its bytes to the delta window; a
+// full window gives up its oldest entry to the eviction watermarks. An entry
+// with a value that has no codec cannot be retained: it counts as evicted at
+// once, so a joiner that lacks it takes a full transfer, never a delta with
+// a hole, and false says the record is incomplete. Caller holds d.mu.
+func (d *durable) pushRetainedLocked(e applyWSEntry) bool {
 	sh := &d.applied
-	enc, err := sh.win.encode(e)
+	at := len(d.rec)
+	if d.log == nil {
+		at = 0
+	}
+	rec, err := appendWSEntry(d.rec[:at], e)
 	if err != nil {
+		d.rec = rec[:at]
 		d.unencodable.Inc()
 		sh.evict(e.TxnID, e.Ord)
-		return
+		return false
 	}
+	d.rec = rec
 	if sh.win.len() == d.cfg.Retain {
 		sh.evict(sh.win.header(0))
 	}
-	sh.win.push(enc, d.cfg.Retain)
+	sh.win.push(rec[at:], d.cfg.Retain)
+	return true
 }
 
 // append is the durability tier's entry on the apply path, called BEFORE the
-// write-sets are installed in the store, under applyMu (shared); recovery
-// replays the log through it too, before any log is open. It filters out
-// entries the store already absorbed — URB-lane entries (Ord == 0) at or
-// below the writer's frontier, TO-lane entries (Ord > 0) at or below the TO
-// frontier or applied past it — the idempotence point that makes delta
-// installs safe when the advertised frontier went stale. Survivors advance their lane's frontier,
-// enter the delta window, and are logged; the caller must apply exactly the
-// returned slice to the store. A TO-lane entry deliberately does NOT touch
-// the writer's URB frontier: TO delivery does not respect URB sequence
-// order, so advancing it would make receivers drop the writer's own earlier
-// URB messages still in flight.
+// write-sets are installed in the store; recovery replays the log through it
+// too, before any log is open. It filters out entries the store already
+// absorbed — URB-lane entries (Ord == 0) at or below the writer's frontier,
+// TO-lane entries (Ord > 0) at or below the TO frontier or applied past it —
+// the idempotence point that makes delta installs safe when the advertised
+// frontier went stale. Survivors advance their lane's frontier and are
+// encoded once, into the WAL record, whose bytes the delta window keeps; the
+// caller must apply exactly the returned slice to the store. A TO-lane entry
+// deliberately does NOT touch the writer's URB frontier: TO delivery does not
+// respect URB sequence order, so advancing it would make receivers drop the
+// writer's own earlier URB messages still in flight.
 //
-// Filtering and frontier advance happen under one lock acquisition; every
-// append+apply runs on the dispatcher, one after another in delivery order,
-// so log order is store order.
+// Every append+apply runs on the dispatcher, one after another in delivery
+// order, so log order is store order.
 func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
+	if d.log != nil {
+		d.rec = append(d.rec[:0], make([]byte, recordHeader)...)
+	}
+	encoded := true
 	d.mu.Lock()
 	sh := &d.applied
 	fresh := entries
@@ -669,110 +702,104 @@ func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
 		} else {
 			sh.frontier[e.TxnID.Replica] = e.TxnID.Seq
 		}
-		d.pushRetainedLocked(e)
-	}
-	// The handle is captured under mu: disableLog (another appender's write
-	// failure) nils d.log concurrently, and a degraded log must cost this
-	// appender an error from the closed handle, not a nil dereference.
-	var log *wal.Log
-	if len(fresh) > 0 {
-		log = d.log
-	}
-	if log != nil {
-		d.sinceSnap += len(fresh)
-		if d.cfg.SnapshotEvery > 0 && d.sinceSnap >= d.cfg.SnapshotEvery {
-			d.wantSnap.Store(true)
-		}
+		encoded = d.pushRetainedLocked(e) && encoded
 	}
 	d.mu.Unlock()
-
-	if log != nil {
-		// Encoded straight into the log's reused frame: one copy, no
-		// allocation.
-		n, err := log.AppendEncoded(func(b []byte) ([]byte, error) { return appendWALRecord(b, fresh) })
-		if err != nil {
-			// Unencodable values (box types with no wire.Register codec)
-			// or a failed write: degrade to memory-only rather than blocking
-			// commits.
-			d.errors.Inc()
-			d.disableLog()
-		} else {
-			d.records.Inc()
-			d.appendedBytes.Add(int64(n))
-		}
+	if d.log != nil && len(fresh) > 0 {
+		d.logRecord(len(fresh), encoded)
+	}
+	if cap(d.rec) > maxBatchBytes {
+		d.rec = nil // one oversized batch must not pin its buffer
 	}
 	return fresh
 }
 
-// disableLog turns persistence off after an unrecoverable write/encode
-// failure; the replica keeps serving from memory.
-func (d *durable) disableLog() {
-	d.mu.Lock()
-	log := d.log
-	d.log = nil
-	d.mu.Unlock()
-	if log != nil {
-		_ = log.Close()
+// logRecord finishes the record of the n entries append built in d.rec —
+// walFormat and n go at the end of the reserved header, right before the
+// entries — and appends it to the log. A value with no codec (a box type
+// never registered with wire.Register) left the record incomplete; that, or
+// a failed write, degrades the replica to memory-only rather than blocking
+// commits.
+func (d *durable) logRecord(n int, encoded bool) {
+	d.sinceSnap += n
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], uint64(n))
+	start := recordHeader - 1 - k
+	d.rec[start] = walFormat
+	copy(d.rec[start+1:], count[:k])
+	size, err := 0, errNoCodec
+	if encoded {
+		size, err = d.log.Append(d.rec[start:])
 	}
-}
-
-// maybeSnapshot takes the periodic durable snapshot when the log has grown
-// past the configured threshold. The exclusive applyMu acquisition inside
-// snapshot excludes every applier, so the store cut and the frontier copy
-// describe exactly the same state.
-func (d *durable) maybeSnapshot(store *stm.Store) {
-	if !d.wantSnap.CompareAndSwap(true, false) {
-		return
-	}
-	d.snapshot(store)
-}
-
-// snapshot durably writes the store image + applied frontier, then
-// truncates the log. The whole {cut; write; reset} runs under applyMu held
-// exclusively: appenders write the log inside their shared acquisition, so
-// nothing can slip a record between the frontier copy and the truncation
-// and be lost to both. Crash windows: before the rename, the old
-// snapshot+log still recover; between rename and truncation, replay filters
-// the (now covered) log records through the new frontiers.
-func (d *durable) snapshot(store *stm.Store) {
-	d.applyMu.Lock()
-	d.mu.Lock()
-	log := d.log
-	front, toAbove := d.applied.advertised(), slices.Clone(d.applied.toAbove)
-	d.mu.Unlock()
-	if log == nil {
-		d.applyMu.Unlock()
-		return
-	}
-	payload, err := appendWALSnapshot(nil, store.Snapshot(), front, toAbove)
-	if err == nil {
-		err = wal.WriteSnapshot(d.cfg.Dir, payload)
-	}
-	if err != nil {
-		d.applyMu.Unlock()
-		d.errors.Inc()
-		return
-	}
-	err = log.Reset()
-	d.applyMu.Unlock()
 	if err != nil {
 		d.errors.Inc()
 		d.disableLog()
 		return
 	}
-	d.mu.Lock()
-	d.sinceSnap = 0
-	d.mu.Unlock()
+	d.records.Inc()
+	d.appendedBytes.Add(int64(size))
+}
+
+var errNoCodec = errors.New("core: wal record holds a value with no codec")
+
+// disableLog turns persistence off after an unrecoverable write/encode
+// failure; the replica keeps serving from memory.
+func (d *durable) disableLog() {
+	_ = d.log.Close()
+	d.log = nil
+	d.degraded.Store(true)
+}
+
+// publishClock publishes the TO frontier as CERT's commit clock (clock).
+// Called once the store holds every entry the frontier counts: after each
+// store install and state transfer, and at start.
+func (d *durable) publishClock() {
+	d.clock.Store(d.applied.toFrontier)
+}
+
+// maybeSnapshot takes the periodic durable snapshot, right after a store
+// install, when the log has grown past the configured threshold.
+func (d *durable) maybeSnapshot(store *stm.Store) {
+	if d.sinceSnap >= d.cfg.SnapshotEvery && d.cfg.SnapshotEvery > 0 && d.snapshot(store) {
+		d.sinceSnap = 0
+	}
+}
+
+// snapshot durably writes the store image + applied frontier, then
+// truncates the log, and reports whether it did. It runs where nothing
+// installs meanwhile (see durable), so the store cut and the frontier
+// describe the same state and no record can land between the cut and the
+// truncation and be lost to both. Crash windows: before the rename, the old
+// snapshot+log still recover; between rename and truncation, replay filters
+// the (now covered) log records through the new frontiers.
+func (d *durable) snapshot(store *stm.Store) bool {
+	if d.log == nil {
+		return false
+	}
+	start := time.Now()
+	defer func() { d.snapLatency.Observe(time.Since(start)) }()
+	payload, err := appendWALSnapshot(nil, store.Snapshot(), d.applied.advertised(), d.applied.toAbove)
+	if err == nil {
+		err = wal.WriteSnapshot(d.cfg.Dir, payload)
+	}
+	if err != nil {
+		d.errors.Inc()
+		return false
+	}
+	if err := d.log.Reset(); err != nil {
+		d.errors.Inc()
+		d.disableLog()
+		return false
+	}
 	d.snapshots.Inc()
 	d.lastSnapNanos.Store(time.Now().UnixNano())
+	return true
 }
 
 // advertise returns the advertised frontier for the next joinReq, and keeps
 // it for the record of the transfer that answers the request. Nobody writes
 // the map.
 func (d *durable) advertise() map[transport.ID]uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.joinFrontier = d.applied.advertised()
 	return d.joinFrontier
 }
@@ -806,43 +833,27 @@ func (d *durable) stampInstall(view uint64) {
 // it: together, exactly what the store has absorbed (a full state transfer's
 // baseline).
 func (d *durable) cut() (map[transport.ID]uint64, []int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.applied.advertised(), slices.Clone(d.applied.toAbove)
 }
 
-// openTOEpoch starts a new TO-lane epoch (see appliedState.openTOEpoch). An
-// ALC initial member calls it once, before its endpoint starts.
-func (d *durable) openTOEpoch() {
-	d.mu.Lock()
-	d.applied.openTOEpoch()
-	d.mu.Unlock()
-}
-
-// toClock is CERT's totally ordered commit clock: the TO frontier. CERT's TO
-// lane has no gaps, so the frontier is the ordinal of the last valid
-// certification applied.
+// toClock is CERT's totally ordered commit clock on the dispatcher: the TO
+// frontier. CERT's TO lane has no gaps, so the frontier is the ordinal of the
+// last valid certification applied. Committers sample clock instead.
 func (d *durable) toClock() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.applied.toFrontier
 }
 
 // payloadOrd is the TO-lane ordinal of the §4.5(c) payload whose lease
 // request was TO-delivered at position pos of the current epoch.
 func (d *durable) payloadOrd(pos uint64) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return toEpochBase(d.applied.toFrontier) + int64(pos)
 }
 
 // resolvePayloads raises the TO frontier to lease position pos of the current
 // epoch: every payload at or below it is resolved (lease.Manager.ResolvedTO).
 func (d *durable) resolvePayloads(pos uint64) {
-	d.mu.Lock()
 	sh := &d.applied
 	sh.resolveTO(toEpochBase(sh.toFrontier) + int64(pos))
-	d.mu.Unlock()
 }
 
 // delta computes the entry suffix a joiner at frontier f is missing, oldest
@@ -851,17 +862,12 @@ func (d *durable) resolvePayloads(pos uint64) {
 // name other transactions), it claims progress this replica cannot verify (f
 // ahead of our frontiers — incomparable histories), or the gap reaches
 // entries already evicted from the retained window.
-func (d *durable) delta(f map[transport.ID]uint64) ([]applyWSEntry, declineReason) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out, why := d.deltaLocked(f)
-	if why != deltaServed {
-		d.declined[why].Inc()
-	}
-	return out, why
-}
-
-func (d *durable) deltaLocked(f map[transport.ID]uint64) ([]applyWSEntry, declineReason) {
+func (d *durable) delta(f map[transport.ID]uint64) (_ []applyWSEntry, why declineReason) {
+	defer func() {
+		if why != deltaServed {
+			d.declined[why].Inc()
+		}
+	}()
 	sh := &d.applied
 	fTO := int64(f[transport.Nobody])
 	if toEpochBase(fTO) != toEpochBase(sh.toFrontier) {
@@ -906,31 +912,24 @@ func (d *durable) deltaLocked(f map[transport.ID]uint64) ([]applyWSEntry, declin
 // empty at the transferred frontier and, when persistence is on, a fresh
 // durable snapshot replaces whatever the directory held (without it, a crash
 // would recover pre-transfer state and replay post-transfer records on top
-// of it). Runs on the dispatcher with applies drained (InstallState), after
-// the store install.
+// of it). Runs on the dispatcher (InstallState), after the store install.
 func (d *durable) installFull(f map[transport.ID]uint64, toAbove []int64, store *stm.Store) {
 	d.mu.Lock()
 	d.applied.resetTo(f)
+	d.mu.Unlock()
 	d.applied.adoptTOAbove(toAbove)
 	d.sinceSnap = 0
-	hasLog := d.log != nil
-	d.mu.Unlock()
 	d.fullInstalled.Inc()
-	if hasLog {
-		d.snapshot(store)
-	}
+	d.snapshot(store)
 }
 
 // close flushes and closes the log (final fsync under always/interval). The
 // caller guarantees no applier is running or can start (Replica.Close stops
 // the dispatcher first), so nothing appends to the closed handle.
 func (d *durable) close() {
-	d.mu.Lock()
-	log := d.log
-	d.log = nil
-	d.mu.Unlock()
-	if log != nil {
-		_ = log.Close()
+	if d.log != nil {
+		_ = d.log.Close()
+		d.log = nil
 	}
 }
 
@@ -948,6 +947,8 @@ func (d *durable) stats() WALStats {
 		FsyncLatency:          d.fsyncLatency.Snapshot(),
 		Snapshots:             d.snapshots.Value(),
 		LastSnapshotUnixNano:  d.lastSnapNanos.Load(),
+		SnapshotLatency:       d.snapLatency.Snapshot(),
+		Degraded:              d.degraded.Load(),
 		RecoveredFromSnapshot: d.recoveredSnap,
 		ReplayedRecords:       d.replayRecords,
 		ReplayedEntries:       d.replayEntries,

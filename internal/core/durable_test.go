@@ -51,16 +51,21 @@ func openDurable(t *testing.T, dir string) (*durable, *stm.Store) {
 	return d, store
 }
 
-// applyTo mirrors Replica.applyEntries: durability filter, then store install,
-// under the shared apply barrier.
+// applyTo mirrors Replica.install: durability filter, store install, then
+// the published clock.
 func applyTo(d *durable, store *stm.Store, entries ...applyWSEntry) []applyWSEntry {
-	d.applyMu.RLock()
-	defer d.applyMu.RUnlock()
 	fresh := d.append(entries)
 	for _, e := range fresh {
 		store.ApplyWriteSet(e.TxnID, e.WS)
 	}
+	d.publishClock()
 	return fresh
+}
+
+// appendWALRecord encodes a WAL record in one pass, as a reference for the
+// record durable.append builds entry by entry.
+func appendWALRecord(b []byte, entries []applyWSEntry) ([]byte, error) {
+	return appendWSEntries(append(b, walFormat), entries)
 }
 
 func image(store *stm.Store) map[string]stm.Value {
@@ -100,10 +105,10 @@ func roundTripEntries() []applyWSEntry {
 	}
 }
 
-// TestDurableWALFrameMatchesEncodeRecord: records encoded straight into the
-// log's reused frame — a large one, then a smaller one over its leftovers —
-// are byte for byte what framing a separately encoded payload gives, and
-// decode back to the entries logged.
+// TestDurableWALFrameMatchesEncodeRecord: records built in the reused record
+// buffer — a large one, then a smaller one over its leftovers — are byte for
+// byte what framing a separately encoded payload gives, and decode back to
+// the entries logged.
 func TestDurableWALFrameMatchesEncodeRecord(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openDurable(t, dir)
@@ -688,7 +693,7 @@ func TestDurableDeltaDeclineReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.markComplete()
-		d.openTOEpoch()
+		d.applied.openTOEpoch()
 		base := d.payloadOrd(0)
 		payload := func(pos uint64) applyWSEntry {
 			return applyWSEntry{TxnID: stm.TxnID{Replica: 2, Seq: pos}, Ord: d.payloadOrd(pos),
@@ -783,7 +788,7 @@ func TestDurableTOEpochs(t *testing.T) {
 
 	// Life 1: an initial member applies the payloads at positions 1-5.
 	d.markComplete()
-	d.openTOEpoch()
+	d.applied.openTOEpoch()
 	for pos := uint64(1); pos <= 5; pos++ {
 		applyTo(d, store, payload(pos, int(pos)))
 	}
@@ -796,7 +801,7 @@ func TestDurableTOEpochs(t *testing.T) {
 	if got := d.advertise(); !reflect.DeepEqual(got, map[transport.ID]uint64{transport.Nobody: old[transport.Nobody] - 1}) {
 		t.Fatalf("log replay recovered TO frontier %v, want the last applied payload of %v", got, old)
 	}
-	d.openTOEpoch()
+	d.applied.openTOEpoch()
 	if fresh := applyTo(d, store, payload(1, 10)); len(fresh) != 1 {
 		t.Fatal("the restarted group's first payload was filtered as already absorbed")
 	}
@@ -816,5 +821,112 @@ func TestDurableTOEpochs(t *testing.T) {
 	}
 	if s := d.stats(); s.ReplayedEntries != 6 || s.FilteredSeen+s.FilteredNeverSeen != 0 {
 		t.Fatalf("replay across the restart: %+v", s)
+	}
+}
+
+// TestDurableWindowKeepsTheRecordBytes: each applied entry is encoded once.
+// A six-entry batch appended with a log open and a four-entry window leaves
+// the window holding, for each entry it retains, exactly that entry's bytes
+// inside the WAL record.
+func TestDurableWindowKeepsTheRecordBytes(t *testing.T) {
+	dir := t.TempDir()
+	store := stm.NewStore()
+	d, err := newDurable(DurabilityConfig{Dir: dir, Fsync: "off", SnapshotEvery: -1, Retain: 4}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []applyWSEntry
+	for seq := uint64(1); seq <= 6; seq++ {
+		batch = append(batch, applyWSEntry{TxnID: stm.TxnID{Replica: 1, Seq: seq},
+			WS: stm.WriteSet{{Box: fmt.Sprintf("k%d", seq), Value: walBox{Name: "seat", Seats: int(seq)}}}})
+	}
+	if fresh := applyTo(d, store, batch...); len(fresh) != len(batch) {
+		t.Fatalf("%d of %d entries survived the filter", len(fresh), len(batch))
+	}
+	d.close()
+	log, err := os.ReadFile(wal.LogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, n, ok := wal.DecodeRecord(log)
+	if !ok || n != len(log) {
+		t.Fatalf("the log is not one intact record (%d of %d bytes)", n, len(log))
+	}
+	r := wire.NewReader(payload)
+	if r.Byte() != walFormat || r.Count() != len(batch) {
+		t.Fatal("record header is not walFormat and the batch's count")
+	}
+	var inRecord [][]byte
+	for range batch {
+		start := len(payload) - r.Len()
+		if _, err := readWSEntry(r); err != nil {
+			t.Fatal(err)
+		}
+		inRecord = append(inRecord, payload[start:len(payload)-r.Len()])
+	}
+	win := &d.applied.win
+	if win.len() != 4 {
+		t.Fatalf("window holds %d entries, want 4", win.len())
+	}
+	for i := range win.len() {
+		if got, want := win.enc(i), inRecord[2+i]; !bytes.Equal(got, want) {
+			t.Fatalf("window entry %d is\n %x\nwant the record's\n %x", i, got, want)
+		}
+	}
+}
+
+// TestDurableDegradedOnFailedAppend drives WALStats.Degraded
+// (alc_wal_degraded) both ways persistence turns off: a log append that
+// fails (here on a handle closed underneath the tier) and an entry with a
+// value that has no codec, which also counts as evicted from the window.
+// Either way the replica goes on memory-only.
+func TestDurableDegradedOnFailedAppend(t *testing.T) {
+	d, store := openDurable(t, t.TempDir())
+	if s := d.stats(); s.Degraded {
+		t.Fatal("degraded before any failure")
+	}
+	if err := d.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	applyTo(d, store, urb(1, 1))
+	if s := d.stats(); !s.Degraded || s.Errors != 1 || s.Records != 0 || d.log != nil {
+		t.Fatalf("after a failed append: %+v (log open %t)", s, d.log != nil)
+	}
+	if fresh := applyTo(d, store, urb(2, 2)); len(fresh) != 1 || d.stats().Errors != 1 {
+		t.Fatalf("memory-only append kept %d entries, Errors = %d; want 1, 1", len(fresh), d.stats().Errors)
+	}
+
+	type noCodec struct{ N int }
+	d, store = openDurable(t, t.TempDir())
+	applyTo(d, store, urb(1, 1), urb(2, noCodec{N: 2}), urb(3, 3))
+	if s := d.stats(); !s.Degraded || s.Errors != 1 || s.RetainUnencodable != 1 || s.RetainedEntries != 2 || s.Records != 0 {
+		t.Fatalf("after an entry with no codec: %+v", s)
+	}
+	if got := image(store)["k"]; got != 3 {
+		t.Fatalf("k = %v, want 3: the batch is applied whole", got)
+	}
+}
+
+// TestDurableSnapshotLatency drives WALStats.SnapshotLatency
+// (alc_wal_snapshot_seconds): with SnapshotEvery 2, the second logged
+// write-set makes the next delivery take a snapshot, which is timed.
+func TestDurableSnapshotLatency(t *testing.T) {
+	store := stm.NewStore()
+	d, err := newDurable(DurabilityConfig{Dir: t.TempDir(), Fsync: "off", SnapshotEvery: 2}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.close)
+	applyTo(d, store, urb(1, 1))
+	d.maybeSnapshot(store)
+	if s := d.stats(); s.Snapshots != 0 || s.SnapshotLatency.Count() != 0 {
+		t.Fatalf("a snapshot before SnapshotEvery write-sets: %+v", s)
+	}
+	applyTo(d, store, urb(2, 2))
+	d.maybeSnapshot(store)
+	s := d.stats()
+	if s.Snapshots != 1 || s.SnapshotLatency.Count() != 1 || s.SnapshotLatency.Sum() <= 0 {
+		t.Fatalf("after SnapshotEvery write-sets: %d snapshots, %d timed (sum %v); want 1, 1, > 0",
+			s.Snapshots, s.SnapshotLatency.Count(), s.SnapshotLatency.Sum())
 	}
 }

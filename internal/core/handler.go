@@ -40,7 +40,6 @@ func (h *gcsHandler) OnTODeliver(from transport.ID, body any) {
 	case *certMsg:
 		r.certApply(m)
 	}
-	r.maybeDurableSnapshot()
 }
 
 // OnURDeliver routes causally ordered messages: write-set applications (the
@@ -58,7 +57,6 @@ func (h *gcsHandler) OnURDeliver(from transport.ID, body any) {
 		r.lm.HandleFreed(m)
 		r.resolvePayloads()
 	}
-	r.maybeDurableSnapshot()
 }
 
 // confirmView runs on the first delivery after a view change: it lets the
@@ -80,18 +78,6 @@ func (r *Replica) resolvePayloads() {
 	if r.cfg.Protocol == ProtocolALC {
 		r.dur.resolvePayloads(r.lm.ResolvedTO())
 	}
-}
-
-// maybeDurableSnapshot runs the periodic durable snapshot. Store/frontier
-// consistency comes from the durability tier's apply barrier (dur.applyMu):
-// the snapshot excludes every in-flight applier, so the store content and the
-// applied frontier describe exactly the same state — the invariant the
-// snapshot file encodes.
-func (r *Replica) maybeDurableSnapshot() {
-	if !r.dur.wantSnap.Load() {
-		return
-	}
-	r.dur.maybeSnapshot(r.store)
 }
 
 // OnViewChange installs the group's new membership.
@@ -130,16 +116,14 @@ func (h *gcsHandler) OnEjected() {
 }
 
 // StateSnapshot captures the application state for a joiner: the STM heap,
-// the lease table, the CERT window, and the applied frontier. The store cut
-// is taken under the apply barrier, so it matches the frontier exactly.
+// the lease table, the CERT window, and the applied frontier. It runs on the
+// dispatcher, between installs, so the store cut matches the frontier
+// exactly.
 func (h *gcsHandler) StateSnapshot() any {
 	r := h.r
-	r.dur.applyMu.Lock()
-	snap := r.store.Snapshot()
 	frontier, toAbove := r.dur.cut()
-	r.dur.applyMu.Unlock()
 	st := &xferState{
-		Store:    snap,
+		Store:    r.store.Snapshot(),
 		Leases:   r.lm.SnapshotState(),
 		CertLog:  r.certLog.snapshot(),
 		Frontier: frontier,
@@ -208,9 +192,8 @@ func (h *gcsHandler) InstallState(state any) {
 		// void (the joiner's waiters were already failed at ejection).
 		r.coal.fail(ErrEjected)
 		r.inflight.reset()
-		r.dur.applyMu.Lock()
+		r.sealSeed()
 		r.store.Restore(st.Store)
-		r.dur.applyMu.Unlock()
 		r.certLog.restore(st.CertLog)
 		r.dur.installFull(st.Frontier, st.TOAbove, r.store)
 		r.lm.InstallState(st.Leases)
@@ -233,6 +216,7 @@ func (h *gcsHandler) InstallState(state any) {
 		r.dur.recordTransfer(Transfer{Joiner: r.id, Kind: TransferDelta})
 	}
 	r.resolvePayloads()
+	r.dur.publishClock()
 }
 
 // install is the one step every delivered write-set takes into the store: a
@@ -241,21 +225,26 @@ func (h *gcsHandler) InstallState(state any) {
 // already absorbed (idempotence across delta installs and stale-frontier
 // overlaps), logs the survivors and advances their lanes' frontiers — CERT's
 // commit clock included — and only those reach the store, under one
-// acquisition of its commit lock. The whole append+apply runs under the
-// durability tier's shared apply barrier so a concurrent snapshot never
-// observes a frontier without its store effect. It returns the entries
-// installed.
+// acquisition of its commit lock. Then the clock CERT committers sample is
+// published: it never names a commit the store does not hold yet; and the
+// periodic durable snapshot is taken when the log has grown enough. All of
+// it runs on the dispatcher, so no snapshot or state transfer can observe a
+// frontier without its store effect. It returns the entries installed.
 func (r *Replica) install(entries []applyWSEntry) []applyWSEntry {
 	start := time.Now()
-	r.dur.applyMu.RLock()
+	r.sealSeed()
 	fresh := r.dur.append(entries)
+	if installHook != nil {
+		installHook(r)
+	}
 	// The store does not keep the batch: its slice is dispatcher scratch.
 	batch := r.applyBatch[:0]
 	for _, e := range fresh {
 		batch = append(batch, stm.TxnWriteSet{Writer: e.TxnID, WS: e.WS})
 	}
 	r.store.ApplyWriteSets(batch)
-	r.dur.applyMu.RUnlock()
+	r.dur.publishClock()
+	r.dur.maybeSnapshot(r.store)
 	clear(batch)
 	if cap(batch) <= maxBatchTxns {
 		r.applyBatch = batch
@@ -314,3 +303,7 @@ func (r *Replica) onEnabledPayload(req *lease.Request, pos uint64) {
 // certification: a seam to widen the window between a payload request's
 // enablement and its apply.
 var payloadHook func(replica transport.ID)
+
+// installHook, when set (tests only), runs in every install between the
+// durability tier's append and the store install.
+var installHook func(r *Replica)

@@ -12,13 +12,13 @@ import (
 const windowSegment = 16 << 10
 
 // deltaWindow is the delta-transfer window of appliedState: the last Retain
-// applied entries, each kept in its wire encoding (appendWSEntry), so the
-// heap holds bytes rather than write-sets whose box names and values alias
-// the frames they arrived in. The encodings are packed, in apply order, into
-// segments; a ring of references, oldest at refs[head], indexes them. A
-// segment is recycled once the oldest entry has moved past it. Apart from the
-// short segment list nothing here holds a pointer, so the collector does not
-// walk the window.
+// applied entries, each kept in its wire encoding (appendWSEntry, copied out
+// of the WAL record durable.append encodes it into), so the heap holds bytes
+// rather than write-sets whose box names and values alias the frames they
+// arrived in. The encodings are packed, in apply order, into segments; a ring
+// of references, oldest at refs[head], indexes them. A segment is recycled
+// once the oldest entry has moved past it. Apart from the short segment list
+// nothing here holds a pointer, so the collector does not walk the window.
 //
 // Readers decode: the eviction watermarks and seen read an entry's header
 // only, and only delta decodes whole entries, for the suffix it serves.
@@ -32,8 +32,6 @@ type deltaWindow struct {
 	// spare is one emptied segment kept for reuse, so a full window takes
 	// and gives back segments without allocating.
 	spare []byte
-	// scratch is the reused encode buffer (see encode).
-	scratch []byte
 }
 
 // windowRef locates one encoding: segment number, offset and length.
@@ -43,16 +41,6 @@ type windowRef struct {
 }
 
 func (w *deltaWindow) len() int { return len(w.refs) }
-
-// encode encodes e into the reused scratch buffer; the result is valid until
-// the next encode. It fails for a value that has no codec.
-func (w *deltaWindow) encode(e applyWSEntry) ([]byte, error) {
-	b, err := appendWSEntry(w.scratch[:0], e)
-	if cap(b) <= windowSegment {
-		w.scratch = b[:0]
-	}
-	return b, err
-}
 
 // push adds an encoding (copied out of enc) as the newest entry. A window
 // already holding limit entries first gives up its oldest: the caller reads

@@ -159,7 +159,8 @@ type Config struct {
 	OrderInterval time.Duration
 	// AutoRejoin makes an ejected process request readmission automatically.
 	AutoRejoin bool
-	// JoinFrontier, when set, is sampled at every joinReq emission: a
+	// JoinFrontier, when set, is sampled on the dispatcher at every joinReq
+	// emission, like a Handler upcall but under the endpoint's lock: a
 	// non-nil result advertises the process's applied progress so the
 	// coordinator can serve a delta state transfer (DeltaProvider) instead
 	// of the full snapshot. Return nil when local state is absent or not

@@ -339,6 +339,14 @@ func writeMetrics(w io.Writer, reg *Registry) {
 	for _, s := range samples {
 		fmt.Fprintf(w, "alc_wal_retained_bytes{replica=%q} %d\n", s.name, s.stats.WAL.RetainedBytes)
 	}
+	fmt.Fprintf(w, "# HELP alc_wal_degraded Whether a log write or encode failure turned persistence off (the replica runs memory-only).\n# TYPE alc_wal_degraded gauge\n")
+	for _, s := range samples {
+		v := 0
+		if s.stats.WAL.Degraded {
+			v = 1
+		}
+		fmt.Fprintf(w, "alc_wal_degraded{replica=%q} %d\n", s.name, v)
+	}
 	fmt.Fprintf(w, "# HELP alc_wal_replay_duration_seconds WAL replay time of the last recovery.\n# TYPE alc_wal_replay_duration_seconds gauge\n")
 	for _, s := range samples {
 		fmt.Fprintf(w, "alc_wal_replay_duration_seconds{replica=%q} %s\n", s.name,
@@ -349,6 +357,11 @@ func writeMetrics(w io.Writer, reg *Registry) {
 	for _, s := range samples {
 		writeHist(w, "alc_wal_fsync_latency_seconds",
 			fmt.Sprintf("replica=%q", s.name), s.stats.WAL.FsyncLatency)
+	}
+	fmt.Fprintf(w, "# HELP alc_wal_snapshot_seconds Durable snapshot duration (store cut, encode, write and fsyncs, log truncation); periodic and full-install snapshots block the GCS dispatcher meanwhile.\n# TYPE alc_wal_snapshot_seconds histogram\n")
+	for _, s := range samples {
+		writeHist(w, "alc_wal_snapshot_seconds",
+			fmt.Sprintf("replica=%q", s.name), s.stats.WAL.SnapshotLatency)
 	}
 
 	fmt.Fprintf(w, "# HELP alc_in_primary Whether the replica is in the primary component.\n# TYPE alc_in_primary gauge\n")

@@ -786,3 +786,58 @@ func TestStatsConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestWALDegradedAndSnapshotMetrics drives the durability tier's silent
+// paths to non-zero values where an operator reads them: periodic snapshots
+// (SnapshotEvery 4) fill alc_wal_snapshot_seconds, and a value with no codec
+// turns persistence off, which alc_wal_degraded reports.
+func TestWALDegradedAndSnapshotMetrics(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		N:          3,
+		Core:       core.Config{Protocol: core.ProtocolALC},
+		Net:        memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:        testGCS(),
+		Seed:       map[string]stm.Value{"k": 0},
+		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", SnapshotEvery: 4},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(c.Close)
+	reg := obs.NewRegistry()
+	reg.Register("r0", func() *core.Replica { return c.Replica(0) })
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatalf("obs.Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	scrape := func() (map[string]string, map[string]float64) {
+		code, body := get(t, "http://"+srv.Addr()+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics status %d", code)
+		}
+		types, samples := parseProm(t, body)
+		values := make(map[string]float64)
+		for _, s := range samples {
+			values[s.name] = s.value
+		}
+		return types, values
+	}
+
+	commitN(t, c, 10)
+	types, values := scrape()
+	if types["alc_wal_snapshot_seconds"] != "histogram" || types["alc_wal_degraded"] != "gauge" {
+		t.Fatalf("types: snapshot_seconds %q, degraded %q", types["alc_wal_snapshot_seconds"], types["alc_wal_degraded"])
+	}
+	if values["alc_wal_snapshot_seconds_count"] < 1 || values["alc_wal_degraded"] != 0 {
+		t.Fatalf("after 10 commits: alc_wal_snapshot_seconds_count %v, alc_wal_degraded %v; want >= 1 and 0",
+			values["alc_wal_snapshot_seconds_count"], values["alc_wal_degraded"])
+	}
+
+	if err := c.Replica(0).Atomic(func(tx *stm.Txn) error { return tx.Write("opaque", opaque{N: 1}) }); err != nil {
+		t.Fatalf("write a value with no codec: %v", err)
+	}
+	if _, values = scrape(); values["alc_wal_degraded"] != 1 {
+		t.Fatalf("alc_wal_degraded = %v after an unloggable write-set, want 1", values["alc_wal_degraded"])
+	}
+}

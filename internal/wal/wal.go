@@ -65,18 +65,14 @@ func SnapshotPath(dir string) string { return filepath.Join(dir, snapshotName) }
 
 // EncodeRecord frames one payload: length prefix, CRC-32C, payload.
 func EncodeRecord(payload []byte) []byte {
-	out := make([]byte, headerSize+len(payload))
-	copy(out[headerSize:], payload)
-	sealRecord(out)
-	return out
+	return appendRecord(make([]byte, 0, headerSize+len(payload)), payload)
 }
 
-// sealRecord fills in the header of a frame whose first headerSize bytes
-// were reserved ahead of its payload: the payload's length and CRC-32C.
-func sealRecord(frame []byte) {
-	payload := frame[headerSize:]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+// appendRecord appends the frame of payload to b.
+func appendRecord(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
 }
 
 // frameClamp is the largest frame capacity a Log retains between appends:
@@ -225,9 +221,8 @@ type Log struct {
 	closed          bool
 	stop            chan struct{}
 	done            chan struct{}
-	// frame is the record frame appends encode into (AppendEncoded). It is
-	// written synchronously, so nothing references it once its append
-	// returns.
+	// frame is the reused buffer Append frames a record in; it is written
+	// under mu, so nothing references it once its append returns.
 	frame []byte
 	// fsync forces f to stable storage; tests substitute it to hold or fail
 	// an fsync.
@@ -290,39 +285,22 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Append frames payload and writes it to the log, returning the frame size.
-// Under PolicyAlways the record is fsynced before Append returns.
+// Append frames payload and writes it to the log in one write call,
+// returning the frame size. Under PolicyAlways the record is fsynced before
+// Append returns. payload is not retained.
 func (l *Log) Append(payload []byte) (int, error) {
-	return l.AppendEncoded(func(b []byte) ([]byte, error) { return append(b, payload...), nil })
-}
-
-// AppendEncoded is Append for a payload that encode appends to the log's
-// reused frame, behind a reserved header: no copy of the payload and, once
-// the frame has grown to the usual record size, no allocation. encode must
-// not retain its argument; its error is returned and nothing is written.
-func (l *Log) AppendEncoded(encode func([]byte) ([]byte, error)) (int, error) {
-	// The frame leaves the log while encode runs, outside the lock; a
-	// concurrent append finds none and allocates its own.
-	l.mu.Lock()
-	frame := l.frame
-	l.frame = nil
-	l.mu.Unlock()
-	frame, err := encode(append(frame[:0], make([]byte, headerSize)...))
-	if err != nil {
-		return 0, err
-	}
-	sealRecord(frame)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return 0, errors.New("wal: log closed")
 	}
+	frame := appendRecord(l.frame[:0], payload)
+	if cap(frame) <= frameClamp {
+		l.frame = frame
+	}
 	if _, err := l.f.Write(frame); err != nil {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if cap(frame) <= frameClamp {
-		l.frame = frame // written: nothing references it any more
 	}
 	l.size += int64(len(frame))
 	l.written++

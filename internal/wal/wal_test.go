@@ -59,30 +59,29 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendEncodedFrames: a payload encoded into the reused frame is framed
-// exactly as EncodeRecord frames it, an oversized frame is not kept, and an
-// encode error writes nothing.
-func TestAppendEncodedFrames(t *testing.T) {
+// TestAppendFrames: a payload appended through the reused frame is framed
+// exactly as EncodeRecord frames it, a smaller record over a larger one's
+// leftovers included, and an oversized frame is not kept.
+func TestAppendFrames(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, 0, Options{Policy: PolicyOff})
 	payloads := [][]byte{bytes.Repeat([]byte("x"), frameClamp+1), []byte("long record"), []byte("short")}
 	var want []byte
 	for _, p := range payloads {
-		n, err := l.AppendEncoded(func(b []byte) ([]byte, error) { return append(b, p...), nil })
+		n, err := l.Append(p)
 		if err != nil || n != headerSize+len(p) {
-			t.Fatalf("AppendEncoded = %d, %v; want %d", n, err, headerSize+len(p))
+			t.Fatalf("Append = %d, %v; want %d", n, err, headerSize+len(p))
 		}
 		if cap(l.frame) > frameClamp {
 			t.Fatalf("log keeps a %d-byte frame, clamp is %d", cap(l.frame), frameClamp)
 		}
 		want = append(want, EncodeRecord(p)...)
 	}
-	boom := errors.New("unencodable")
-	if _, err := l.AppendEncoded(func(b []byte) ([]byte, error) { return append(b, "partial"...), boom }); err != boom {
-		t.Fatalf("AppendEncoded with a failing encoder = %v, want its error", err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("late")); err == nil {
+		t.Fatal("Append on a closed log succeeded")
 	}
 	got, err := os.ReadFile(LogPath(dir))
 	if err != nil {
