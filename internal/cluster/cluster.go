@@ -15,6 +15,7 @@ import (
 
 	"github.com/alcstm/alc/internal/core"
 	"github.com/alcstm/alc/internal/gcs"
+	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/obs"
 	"github.com/alcstm/alc/internal/stm"
@@ -423,7 +424,7 @@ func rendezvous(items []string, candidates []transport.ID) (_ int, ok bool) {
 	}
 	var key uint64
 	for i, it := range items {
-		h := fnv64(it)
+		h := uint64(lease.Mapper{}.Class(it)) // FNV-1a
 		if i == 0 || h < key {
 			key = h
 		}
@@ -439,20 +440,6 @@ func rendezvous(items []string, candidates []transport.ID) (_ int, ok bool) {
 		}
 	}
 	return best, true
-}
-
-// fnv64 hashes a string (FNV-1a).
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // mix64 is a 64-bit finalizer (splitmix64) giving rendezvous weights.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,7 +159,7 @@ func servedTo(t *testing.T, c *Cluster, i int, view uint64) core.Transfer {
 // TestDurableRestartDeltaTransfer is the tentpole scenario: a crashed
 // replica recovers from its snapshot + WAL locally and rejoins through a
 // delta state transfer — the coordinator ships only the commit suffix, never
-// the full StateSnapshot.
+// the full state.
 func TestDurableRestartDeltaTransfer(t *testing.T) {
 	c, _ := newDurableCluster(t, 3, core.DurabilityConfig{})
 	commitN(t, c, "counter", 50)
@@ -746,30 +745,6 @@ func TestDurableWholeClusterRestart(t *testing.T) {
 	run(false)
 }
 
-// gcsLog collects the group layer's debug lines.
-type gcsLog struct {
-	mu    sync.Mutex
-	lines []string
-}
-
-func (l *gcsLog) logf(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	l.mu.Lock()
-	l.lines = append(l.lines, line)
-	l.mu.Unlock()
-}
-
-func (l *gcsLog) has(sub string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, line := range l.lines {
-		if strings.Contains(line, sub) {
-			return true
-		}
-	}
-	return false
-}
-
 // TestDurableCertRestartDeltaThenFull runs CERT across a restart and a full
 // transfer. Its commit clock is the durability tier's TO frontier, so a
 // rejoined replica must certify in step with the group after a delta install
@@ -829,23 +804,20 @@ func TestDurableCertRestartDeltaThenFull(t *testing.T) {
 	}
 }
 
-// TestFullTransferLogsReason: the coordinator says why a joiner got a full
-// transfer. A memory-only replica restarts with no state and advertises no
-// frontier; a durable one whose gap outruns the retained window advertises
+// TestFullTransferLogsReason: the coordinator records why a joiner got a
+// full transfer. A memory-only replica restarts with no state and advertises
+// no frontier; a durable one whose gap outruns the retained window advertises
 // one that the delta declines, and the decline is counted by reason.
 func TestFullTransferLogsReason(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		durable bool
-		want    string
+		name     string
+		durable  bool
+		declined string
 	}{
-		{"no frontier", false, "full state transfer to 2 (no frontier advertised)"},
-		{"delta declined", true, "full state transfer to 2 (delta declined)"},
+		{"no frontier", false, ""},
+		{"delta declined", true, "evicted"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			log := &gcsLog{}
-			gcsCfg := testGCS()
-			gcsCfg.Logf = log.logf
 			var dur core.DurabilityConfig
 			if tc.durable {
 				dur = core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8}
@@ -854,7 +826,7 @@ func TestFullTransferLogsReason(t *testing.T) {
 				N:          3,
 				Core:       core.Config{Protocol: core.ProtocolALC},
 				Net:        memnet.Config{Latency: 500 * time.Microsecond},
-				GCS:        gcsCfg,
+				GCS:        testGCS(),
 				Seed:       map[string]stm.Value{"counter": 0},
 				Durability: dur,
 			})
@@ -869,8 +841,11 @@ func TestFullTransferLogsReason(t *testing.T) {
 				t.Fatalf("restart: %v", err)
 			}
 			waitRejoined(t, c, 2)
-			if !log.has(tc.want) {
-				t.Fatalf("no %q in the gcs log", tc.want)
+			answer, served := joinAnswer(t, c, 2)
+			if answer.Kind != core.TransferFull || served.Kind != core.TransferFull ||
+				(served.Frontier != nil) != tc.durable || served.Declined != tc.declined {
+				t.Fatalf("join answered by %+v, served as %+v; want a full transfer, frontier advertised %t, declined %q",
+					answer, served, tc.durable, tc.declined)
 			}
 			var declined core.DeltaDeclines
 			for _, r := range c.Replicas() {

@@ -306,3 +306,31 @@ func TestPreferredFallsBackWithoutPrimary(t *testing.T) {
 		t.Fatalf("Preferred with no running replica = %s, want nil", describe(r))
 	}
 }
+
+// TestRendezvousPinnedOwners pins the owner rendezvous picks for fixed item
+// sets and candidate lists. Its item hash is lease.Mapper's FNV-1a, so a
+// change to either that moves placement shows here.
+func TestRendezvousPinnedOwners(t *testing.T) {
+	for _, tc := range []struct {
+		items      []string
+		candidates []transport.ID
+		want       transport.ID
+	}{
+		{[]string{"a"}, []transport.ID{0, 1, 2}, 1},
+		{[]string{"acct:1"}, []transport.ID{0, 1, 2}, 2},
+		{[]string{"x", "y", "z"}, []transport.ID{0, 1, 2}, 1},
+		{[]string{""}, []transport.ID{0, 1, 2}, 1},
+		{[]string{"a"}, []transport.ID{0, 1, 2, 3, 4}, 4},
+		{[]string{"acct:1", "acct:2"}, []transport.ID{0, 1, 2, 3, 4}, 2},
+		{[]string{"x", "y", "z"}, []transport.ID{0, 1, 2, 3, 4}, 3},
+		{[]string{"k"}, []transport.ID{0, 1, 2, 3, 4}, 1},
+		{[]string{""}, []transport.ID{0, 1, 2, 3, 4}, 3},
+		{[]string{"x", "y", "z"}, []transport.ID{4, 2, 7}, 4},
+		{[]string{"k"}, []transport.ID{4, 2, 7}, 7},
+		{[]string{"node/17", "node/3"}, []transport.ID{4, 2, 7}, 2},
+	} {
+		if got := rendezvousID(t, tc.items, tc.candidates); got != tc.want {
+			t.Errorf("rendezvous(%q, %v) = %d, want %d", tc.items, tc.candidates, got, tc.want)
+		}
+	}
+}

@@ -373,7 +373,6 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	r.dur.publishClock()
 	r.coal = newCoalescer(r)
 
-	gcsCfg.JoinFrontier = r.dur.advertise
 	ep, err := gcs.NewEndpoint(tr, &gcsHandler{r}, gcsCfg)
 	if err != nil {
 		r.dur.close()

@@ -531,6 +531,67 @@ func TestFullInstallAbortsStraddlingTransaction(t *testing.T) {
 	}
 }
 
+// TestStatesForCutsOnceAndEachFormInstalls: the coordinator decides each
+// joiner's transfer in one StatesFor call per view. Two stateless joiners of
+// one view share one full cut; a joiner whose advertised frontier the window
+// covers gets the entries past it while a stateless one in the same view
+// gets the cut, and each installs to the coordinator's store and frontier.
+func TestStatesForCutsOnceAndEachFormInstalls(t *testing.T) {
+	newDispatched := func() *Replica {
+		r := newTestReplica(t)
+		takeDispatcher(t, r)
+		return r
+	}
+	src := newDispatched()
+	h := &gcsHandler{src}
+	first := wsBatch("k", stm.TxnID{Replica: 1, Seq: 1}, stm.TxnID{Replica: 1, Seq: 2})
+	h.OnURDeliver(1, first)
+	mid := src.dur.advertise()
+	h.OnURDeliver(2, wsBatch("m", stm.TxnID{Replica: 1, Seq: 3}, stm.TxnID{Replica: 2, Seq: 1}))
+
+	states := h.StatesFor(2, map[transport.ID]map[transport.ID]uint64{7: nil, 8: nil})
+	if a, b := states[7].(*xferState), states[8].(*xferState); a == nil || a != b || a.Delta {
+		t.Fatalf("two stateless joiners got %+v and %+v, want one full cut", a, b)
+	}
+	states = h.StatesFor(3, map[transport.ID]map[transport.ID]uint64{7: mid, 8: nil})
+	delta, full := states[7].(*xferState), states[8].(*xferState)
+	if !delta.Delta || len(delta.Entries) != 2 || full.Delta {
+		t.Fatalf("delta joiner got %+v, stateless joiner %+v; want the 2 entries past its frontier and the cut", delta, full)
+	}
+	ws := src.Stats().WAL
+	var kinds []string
+	for _, x := range ws.Transfers {
+		kinds = append(kinds, fmt.Sprintf("view %d to %d: %s", x.View, x.Joiner, x.Kind))
+	}
+	if want := []string{"view 2 to 7: full", "view 2 to 8: full", "view 3 to 7: delta", "view 3 to 8: full"}; !reflect.DeepEqual(kinds, want) || ws.FullsServed != 3 || ws.DeltasServed != 1 {
+		t.Fatalf("served %v (fulls %d, deltas %d), want %v (3, 1)", kinds, ws.FullsServed, ws.DeltasServed, want)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		st    *xferState
+		prior *applyWSBatchMsg // what the joiner applied before it left
+	}{
+		{"delta", delta, first},
+		{"full", full, nil},
+	} {
+		j := newDispatched()
+		if tc.prior != nil {
+			(&gcsHandler{j}).OnURDeliver(1, tc.prior)
+		}
+		(&gcsHandler{j}).InstallState(tc.st)
+		if got, want := image(j.store), image(src.store); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s install: store %v, want %v", tc.name, got, want)
+		}
+		if got, want := j.dur.advertise(), src.dur.advertise(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s install: frontier %v, want %v", tc.name, got, want)
+		}
+		if x := j.Stats().WAL.Transfers; len(x) != 1 || x[0].Kind != tc.name || x[0].Served {
+			t.Fatalf("%s install recorded %+v", tc.name, x)
+		}
+	}
+}
+
 // TestCertClockNeverAheadOfStore: a CERT committer samples the commit clock
 // before it takes its snapshot, and every ordinal it can read must name a
 // write-set already in the store. Each commit increments n, so the commit at

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"github.com/alcstm/alc/internal/gcs"
@@ -11,14 +13,18 @@ import (
 	"github.com/alcstm/alc/internal/wire"
 )
 
-// gcsHandler adapts a Replica to the gcs.Handler interface without exposing
-// the upcall methods on the Replica's public API. All methods run on the GCS
-// dispatcher goroutine, sequentially, in the group's delivery order.
+// gcsHandler adapts a Replica to the gcs.Handler and gcs.StateTransfer
+// interfaces without exposing the upcall methods on the Replica's public
+// API. All methods run on the GCS dispatcher goroutine, sequentially, in the
+// group's delivery order.
 type gcsHandler struct {
 	r *Replica
 }
 
-var _ gcs.Handler = (*gcsHandler)(nil)
+var (
+	_ gcs.Handler       = (*gcsHandler)(nil)
+	_ gcs.StateTransfer = (*gcsHandler)(nil)
+)
 
 // OnOptDeliver feeds optimistically delivered lease requests to the lease
 // manager (§4.5 optimization (b): early lease freeing).
@@ -115,23 +121,48 @@ func (h *gcsHandler) OnEjected() {
 	r.inflight.reset()
 }
 
-// StateSnapshot captures the application state for a joiner: the STM heap,
-// the lease table, the CERT window, and the applied frontier. It runs on the
+// JoinFrontier advertises the applied frontier in this replica's next join
+// request (gcs.StateTransfer): nil while the store is not a complete,
+// frontier-consistent base, which demands a full transfer.
+func (h *gcsHandler) JoinFrontier() map[transport.ID]uint64 { return h.r.dur.advertise() }
+
+// StatesFor serves every joiner of view its state transfer (gcs.
+// StateTransfer). A joiner that advertised frontier f gets a delta — only the
+// write-set entries past f — unless durable.delta declines it (its gap
+// outruns the retained window or its frontier is incomparable); every other
+// joiner gets the full state, cut at most once per call. It runs on the
 // dispatcher, between installs, so the store cut matches the frontier
-// exactly.
-func (h *gcsHandler) StateSnapshot() any {
+// exactly. Each decision goes on the transfer record.
+func (h *gcsHandler) StatesFor(view uint64, joiners map[transport.ID]map[transport.ID]uint64) map[transport.ID]any {
 	r := h.r
-	frontier, toAbove := r.dur.cut()
-	st := &xferState{
-		Store:    r.store.Snapshot(),
-		Leases:   r.lm.SnapshotState(),
-		CertLog:  r.certLog.snapshot(),
-		Frontier: frontier,
-		TOAbove:  toAbove,
+	leases, certLog := r.lm.SnapshotState(), r.certLog.snapshot()
+	var full *xferState
+	out := make(map[transport.ID]any, len(joiners))
+	for _, j := range slices.Sorted(maps.Keys(joiners)) {
+		f := joiners[j]
+		rec := Transfer{View: view, Joiner: j, Served: true, Kind: TransferDelta, Frontier: f}
+		st := &xferState{Delta: true, Leases: leases, CertLog: certLog}
+		var why declineReason
+		if f != nil {
+			st.Entries, why = r.dur.delta(f)
+		}
+		if f != nil && why == deltaServed {
+			r.dur.deltasServed.Inc()
+			r.dur.lastDeltaBytes.Store(wireSize(st))
+		} else {
+			if full == nil {
+				frontier, toAbove := r.dur.cut()
+				full = &xferState{Store: r.store.Snapshot(), Frontier: frontier, TOAbove: toAbove,
+					Leases: leases, CertLog: certLog}
+				r.dur.lastFullBytes.Store(wireSize(full))
+			}
+			rec.Kind, rec.Declined, st = TransferFull, why.String(), full
+			r.dur.fullsServed.Inc()
+		}
+		r.dur.recordTransfer(rec)
+		out[j] = st
 	}
-	r.dur.fullsServed.Inc()
-	r.dur.lastFullBytes.Store(wireSize(st))
-	return st
+	return out
 }
 
 // wireSize measures a state transfer in the wire codec. Best-effort: without
@@ -146,75 +177,41 @@ func wireSize(st any) int64 {
 	return int64(len(b))
 }
 
-// StateDelta serves an incremental state transfer for a joiner that
-// advertised applied frontier f: only the write-set entries past f, plus the
-// (small) lease table and CERT window. ok=false when the joiner advertised no
-// frontier, its gap outruns the retained delta window or its frontier is
-// incomparable — the caller then falls back to StateSnapshot. Either way the
-// decision goes on the transfer record. Runs on the GCS dispatcher
-// (gcs.DeltaProvider).
-func (h *gcsHandler) StateDelta(joiner transport.ID, view uint64, f map[transport.ID]uint64) (any, bool) {
-	r := h.r
-	rec := Transfer{View: view, Joiner: joiner, Served: true, Kind: TransferFull, Frontier: f}
-	if f == nil {
-		r.dur.recordTransfer(rec)
-		return nil, false
-	}
-	entries, why := r.dur.delta(f)
-	if why != deltaServed {
-		rec.Declined = why.String()
-		r.dur.recordTransfer(rec)
-		return nil, false
-	}
-	rec.Kind = TransferDelta
-	r.dur.recordTransfer(rec)
-	st := &xferDelta{
-		Entries: entries,
-		Leases:  r.lm.SnapshotState(),
-		CertLog: r.certLog.snapshot(),
-	}
-	r.dur.deltasServed.Inc()
-	r.dur.lastDeltaBytes.Store(wireSize(st))
-	return st, true
-}
-
-// InstallState adopts a transferred application state (joining replica):
-// either the full snapshot or, when this replica advertised a usable applied
-// frontier, just the missing write-set suffix applied on top of the locally
-// recovered state. The lease table goes last: it says which payloads the
-// sender resolved, and the others fire here once the view is confirmed,
+// InstallState adopts a transferred state on this joining replica (gcs.
+// StateTransfer): the full state replaces the store and restarts the
+// durability tier at its frontier; a delta's suffix takes the one install
+// step on top of the locally recovered store — the durability filter drops
+// entries this store already absorbed (the advertised frontier can be stale:
+// an ejected replica keeps applying URB deliveries after its join request
+// went out), and CERT's TO-lane entries re-advance the commit clock through
+// their original ordinals. The lease table goes last: it says which payloads
+// the sender resolved, and the others fire here once the view is confirmed,
 // against the installed store and durability baseline.
 func (h *gcsHandler) InstallState(state any) {
 	r := h.r
-	switch st := state.(type) {
-	case *xferState:
-		// Anything still queued locally predates the transferred state and is
-		// void (the joiner's waiters were already failed at ejection).
-		r.coal.fail(ErrEjected)
-		r.inflight.reset()
+	st, _ := state.(*xferState)
+	if st == nil {
+		return
+	}
+	// Anything still queued locally predates the transferred state and is
+	// void (the joiner's waiters were already failed at ejection); the
+	// coalescer, failed here, has no batch outstanding for a delta's own
+	// entries to settle.
+	r.coal.fail(ErrEjected)
+	r.inflight.reset()
+	kind := TransferFull
+	if st.Delta {
+		kind = TransferDelta
+		r.applyEntries(st.Entries)
+		r.dur.deltaInstalled.Inc()
+	} else {
 		r.sealSeed()
 		r.store.Restore(st.Store)
-		r.certLog.restore(st.CertLog)
 		r.dur.installFull(st.Frontier, st.TOAbove, r.store)
-		r.lm.InstallState(st.Leases)
-		r.dur.recordTransfer(Transfer{Joiner: r.id, Kind: TransferFull})
-	case *xferDelta:
-		r.coal.fail(ErrEjected)
-		r.inflight.reset()
-		// The suffix takes the one install step: the durability filter drops
-		// entries this store already absorbed (the advertised frontier can be
-		// stale — an ejected replica keeps applying URB deliveries after its
-		// joinReq went out), the survivors are WAL-logged, applied, and
-		// retained for onward deltas. CERT's TO-lane entries re-advance the
-		// commit clock through their original ordinals. Its own entries
-		// resolve any waiter left; the coalescer, just failed, has no batch
-		// outstanding to settle.
-		r.applyEntries(st.Entries)
-		r.certLog.restore(st.CertLog)
-		r.lm.InstallState(st.Leases)
-		r.dur.deltaInstalled.Inc()
-		r.dur.recordTransfer(Transfer{Joiner: r.id, Kind: TransferDelta})
 	}
+	r.certLog.restore(st.CertLog)
+	r.lm.InstallState(st.Leases)
+	r.dur.recordTransfer(Transfer{Joiner: r.id, Kind: kind})
 	r.resolvePayloads()
 	r.dur.publishClock()
 }

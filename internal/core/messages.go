@@ -98,29 +98,25 @@ type certPayload struct {
 	WS    stm.WriteSet
 }
 
-// xferState is the application state transferred to a joining replica: the
-// STM heap, the lease table, the CERT validation log, and the applied
-// frontier the store corresponds to (the joiner's durability tier restarts
-// its delta window there).
+// xferState is the application state transferred to a joining replica, in
+// one of two forms. Delta says which: a joiner that advertised a frontier the
+// coordinator's retained window covers gets Entries, the write-set entries
+// past that frontier (oldest first, conflict-consistent order), installed on
+// top of its recovered store; any other joiner gets the store cut — Store,
+// the STM heap, with Frontier, the per-writer applied frontier it corresponds
+// to (see durable.frontier), and TOAbove, the TO-lane entries applied past
+// the frontier's TO ordinal — where its durability tier restarts its delta
+// window. An empty store is a valid cut, so only Delta tells the forms apart.
+// Both carry the lease table and the CERT validation log, which are small and
+// not incrementally expressible.
 type xferState struct {
-	Store   stm.StoreSnapshot
-	Leases  *lease.State
-	CertLog []certLogEntry
-	// Frontier is the coordinator's per-writer applied frontier at snapshot
-	// time (see durable.frontier); TOAbove the TO-lane entries it applied
-	// past the frontier's TO ordinal.
+	Delta    bool
+	Entries  []applyWSEntry
+	Store    stm.StoreSnapshot
 	Frontier map[transport.ID]uint64
 	TOAbove  []int64
-}
-
-// xferDelta is the incremental alternative to xferState for a joiner that
-// advertised a usable applied frontier: only the write-set entries past that
-// frontier (oldest first, conflict-consistent order), plus the lease table
-// and CERT window, which are small and not incrementally expressible.
-type xferDelta struct {
-	Entries []applyWSEntry
-	Leases  *lease.State
-	CertLog []certLogEntry
+	Leases   *lease.State
+	CertLog  []certLogEntry
 }
 
 // RegisterValue does nothing: a box value type beyond the wire codec's

@@ -11,8 +11,9 @@ import (
 
 // Binary wire tags for the replication-layer message types (range 0x20-0x2F;
 // gcs owns 0x10-0x1F). Tags are wire format: never renumber. Retired, never
-// to be reused: 0x20 (the single write-set message), 0x29 and 0x2A (the
-// shard-group envelopes).
+// to be reused: 0x20 (the single write-set message), 0x28 (the delta state
+// transfer, now a form of xferState), 0x29 and 0x2A (the shard-group
+// envelopes).
 const (
 	tagApplyWSBatch byte = 0x21
 	tagCertMsg      byte = 0x22
@@ -21,7 +22,6 @@ const (
 	tagLeaseFreed   byte = 0x25
 	tagLeaseState   byte = 0x26
 	tagXferState    byte = 0x27
-	tagXferDelta    byte = 0x28
 )
 
 // RegisterWire installs the binary codecs for every replication-layer wire
@@ -122,34 +122,13 @@ func RegisterWire() {
 	wire.Register(tagXferState, &xferState{},
 		func(b []byte, v any) ([]byte, error) {
 			m := v.(*xferState)
-			b, err := appendStoreSnapshot(b, m.Store)
-			if err != nil {
-				return b, err
-			}
-			if b, err = appendLeaseStatePtr(b, m.Leases); err != nil {
-				return b, err
-			}
-			b = appendCertLog(b, m.CertLog)
-			return appendOrds(appendFrontier(b, m.Frontier), m.TOAbove), nil
-		},
-		func(r *wire.Reader) (any, error) {
-			m := &xferState{}
+			b = wire.AppendBool(b, m.Delta)
 			var err error
-			if m.Store, err = readStoreSnapshot(r); err != nil {
-				return nil, err
+			if m.Delta {
+				b, err = appendWSEntries(b, m.Entries)
+			} else if b, err = appendStoreSnapshot(b, m.Store); err == nil {
+				b = appendOrds(appendFrontier(b, m.Frontier), m.TOAbove)
 			}
-			if m.Leases, err = readLeaseStatePtr(r); err != nil {
-				return nil, err
-			}
-			m.CertLog = readCertLog(r)
-			m.Frontier = readFrontier(r)
-			m.TOAbove = readOrds(r)
-			return m, r.Err()
-		})
-	wire.Register(tagXferDelta, &xferDelta{},
-		func(b []byte, v any) ([]byte, error) {
-			m := v.(*xferDelta)
-			b, err := appendWSEntries(b, m.Entries)
 			if err != nil {
 				return b, err
 			}
@@ -159,9 +138,15 @@ func RegisterWire() {
 			return appendCertLog(b, m.CertLog), nil
 		},
 		func(r *wire.Reader) (any, error) {
-			m := &xferDelta{}
+			m := &xferState{Delta: r.Bool()}
 			var err error
-			if m.Entries, err = readWSEntries(r); err != nil {
+			if m.Delta {
+				m.Entries, err = readWSEntries(r)
+			} else if m.Store, err = readStoreSnapshot(r); err == nil {
+				m.Frontier = readFrontier(r)
+				m.TOAbove = readOrds(r)
+			}
+			if err != nil {
 				return nil, err
 			}
 			if m.Leases, err = readLeaseStatePtr(r); err != nil {

@@ -68,12 +68,13 @@ func TestBinaryRoundtrip(t *testing.T) {
 			Frontier: map[transport.ID]uint64{0: 12, 2: 31},
 		},
 		&xferState{Store: stm.StoreSnapshot{Clock: 0}, Leases: nil, Frontier: nil},
-		&xferDelta{
-			Entries: []applyWSEntry{{TxnID: txn, LeaseID: lid, WS: ws}},
+		&xferState{
+			Delta:   true,
+			Entries: []applyWSEntry{{TxnID: txn, LeaseID: lid, Ord: 3, WS: ws}},
 			Leases:  &lease.State{NextPos: 1},
 			CertLog: []certLogEntry{{TS: 1, Boxes: nil}},
 		},
-		&xferDelta{},
+		&xferState{Delta: true},
 	}
 
 	for _, want := range msgs {
@@ -96,9 +97,9 @@ func TestBinaryRoundtrip(t *testing.T) {
 }
 
 // TestBinaryRejectsRetiredTags: the tags of the retired single write-set
-// message and of the shard-group envelopes stay unregistered, so a payload a
-// pre-change peer tagged with one of them is refused as an unknown tag
-// rather than decoded as something else.
+// message, delta state transfer and shard-group envelopes stay unregistered,
+// so a payload a pre-change peer tagged with one of them is refused as an
+// unknown tag rather than decoded as something else.
 func TestBinaryRejectsRetiredTags(t *testing.T) {
 	RegisterWire()
 	body, err := wire.AppendAny(nil, &applyWSBatchMsg{Entries: []applyWSEntry{
@@ -112,6 +113,7 @@ func TestBinaryRejectsRetiredTags(t *testing.T) {
 		tag  byte
 	}{
 		{"single write-set", 0x20},
+		{"delta state transfer", 0x28},
 		{"shard envelope", 0x29},
 		{"group envelope", 0x2A},
 	} {
@@ -126,31 +128,45 @@ func TestBinaryRejectsRetiredTags(t *testing.T) {
 }
 
 // TestBinaryRejectsTruncation cuts an encoded xferState (the widest message)
-// at every byte offset: each strict prefix must produce an error, never a
-// panic or a silently short message.
+// in each of its forms at every byte offset: each strict prefix must produce
+// an error, never a panic or a silently short message.
 func TestBinaryRejectsTruncation(t *testing.T) {
 	RegisterWire()
-	full, err := wire.AppendAny(nil, &xferState{
-		Store: stm.StoreSnapshot{Clock: 88, Boxes: []stm.BoxState{
-			{Box: "acct:1", Writer: stm.TxnID{Replica: 2, Seq: 31}, Value: 100},
-		}},
-		Leases: &lease.State{
-			Requests: []*lease.Request{{ID: lease.RequestID{Proc: 1, Seq: 7}}},
-			Queues:   map[lease.ConflictClass][]lease.RequestID{3: {{Proc: 1, Seq: 7}}},
-			Pos:      []uint64{0},
-			NextPos:  1,
-		},
-		CertLog:  []certLogEntry{{TS: 87, Boxes: []string{"acct:1"}}},
-		Frontier: map[transport.ID]uint64{0: 12},
-	})
-	if err != nil {
-		t.Fatal(err)
+	leases := &lease.State{
+		Requests: []*lease.Request{{ID: lease.RequestID{Proc: 1, Seq: 7}}},
+		Queues:   map[lease.ConflictClass][]lease.RequestID{3: {{Proc: 1, Seq: 7}}},
+		Pos:      []uint64{0},
+		NextPos:  1,
 	}
-	for cut := 0; cut < len(full); cut++ {
-		r := wire.NewReader(full[:cut])
-		v, err := wire.ReadAny(r)
-		if err == nil && r.Err() == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded to %#v without error", cut, len(full), v)
+	certLog := []certLogEntry{{TS: 87, Boxes: []string{"acct:1"}}}
+	for _, m := range []*xferState{
+		{
+			Store: stm.StoreSnapshot{Clock: 88, Boxes: []stm.BoxState{
+				{Box: "acct:1", Writer: stm.TxnID{Replica: 2, Seq: 31}, Value: 100},
+			}},
+			Leases:   leases,
+			CertLog:  certLog,
+			Frontier: map[transport.ID]uint64{0: 12},
+			TOAbove:  []int64{14},
+		},
+		{
+			Delta: true,
+			Entries: []applyWSEntry{{TxnID: stm.TxnID{Replica: 2, Seq: 32}, Ord: 5,
+				WS: stm.WriteSet{{Box: "acct:1", Value: 101}}}},
+			Leases:  leases,
+			CertLog: certLog,
+		},
+	} {
+		full, err := wire.AppendAny(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(full); cut++ {
+			r := wire.NewReader(full[:cut])
+			v, err := wire.ReadAny(r)
+			if err == nil && r.Err() == nil {
+				t.Fatalf("delta=%t: prefix of %d/%d bytes decoded to %#v without error", m.Delta, cut, len(full), v)
+			}
 		}
 	}
 }

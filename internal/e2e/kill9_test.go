@@ -169,8 +169,8 @@ func spawnChild(t *testing.T, peers, dir string, join bool) *exec.Cmd {
 // with replicas 0 and 1 in this process and replica 2 in a child process
 // with a durable data directory. The child is SIGKILLed mid-benchmark,
 // restarted against the same directory, and must catch up through a delta
-// state transfer — the coordinator must not capture a full StateSnapshot for
-// the restart, whose advertised frontier is inside the retained window.
+// state transfer — the coordinator must not cut the full state for the
+// restart, whose advertised frontier is inside the retained window.
 //
 // Only the transfers that admitted the child after the kill count, read from
 // the coordinators' transfer records. A full transfer at the child's first

@@ -42,6 +42,10 @@
 // is primary only if it contains a majority of the previous primary view;
 // processes outside the primary component receive an ejected notification
 // and may continue to serve local read-only work, exactly as §3 prescribes.
+// A process admitted into a view (a first join, a rejoin after ejection or a
+// restart) receives, with the install, the state the coordinator's handler
+// chose for it and installs it before its first view (StateTransfer); gcs
+// carries that state opaquely and never decides its form.
 package gcs
 
 import (
@@ -100,7 +104,9 @@ func (v View) String() string {
 // Handler receives the GCS upcalls. All methods are invoked sequentially
 // from a single dispatcher goroutine per endpoint, mirroring the
 // single-threaded protocol execution model the paper assumes; handlers may
-// call the endpoint's broadcast methods but must not block indefinitely.
+// call the endpoint's broadcast methods but must not block indefinitely. A
+// Handler with state to hand to joining processes also implements
+// StateTransfer, whose methods run on the same goroutine.
 type Handler interface {
 	// OnOptDeliver is the optimistic delivery of an OA-broadcast message:
 	// an early, possibly inaccurate estimate of the final total order.
@@ -113,22 +119,29 @@ type Handler interface {
 	OnViewChange(v View)
 	// OnEjected announces exclusion from the primary component.
 	OnEjected()
-	// StateSnapshot captures the application state for transfer to a
-	// joining process (called on the coordinator).
-	StateSnapshot() any
-	// InstallState installs a state snapshot on a joining process, before
-	// its first view change.
-	InstallState(state any)
 }
 
-// DeltaProvider is optionally implemented by Handlers that can serve
-// incremental state transfers. The coordinator asks StateDelta, for every
-// joiner of the view it installs, for just the suffix missing past the
-// applied frontier the joiner's joinReq advertised (nil: none was);
-// ok=false (no frontier, or one too old or incomparable) falls back to
-// StateSnapshot. Called on the dispatcher, like every Handler method.
-type DeltaProvider interface {
-	StateDelta(joiner transport.ID, view uint64, frontier map[transport.ID]uint64) (state any, ok bool)
+// StateTransfer is implemented by a Handler whose application state a
+// joining process must receive before its first view: Bravo et al.'s
+// reconfiguration contract, a new view starts from the old one's decided
+// state. The endpoint resolves it once, in NewEndpoint; what a joiner is
+// sent is the application's decision alone. A process whose handler lacks it
+// advertises nothing, admits joiners with a nil state and, when it joins
+// itself, gets no install upcall.
+type StateTransfer interface {
+	// JoinFrontier returns the applied progress this process advertises in
+	// its next join request, or nil when its local state is absent or not
+	// frontier-consistent. Sampled on the dispatcher at every request, like
+	// an upcall but under the endpoint's lock.
+	JoinFrontier() map[transport.ID]uint64
+	// StatesFor returns the state to ship to each joiner of view, called
+	// once per install on its coordinator, after the old view's last
+	// deliveries. joiners maps each joiner to the frontier it advertised
+	// (nil: none).
+	StatesFor(view uint64, joiners map[transport.ID]map[transport.ID]uint64) map[transport.ID]any
+	// InstallState installs the state a joining process was sent, before
+	// its first view change.
+	InstallState(state any)
 }
 
 // Config parametrizes an endpoint.
@@ -159,13 +172,6 @@ type Config struct {
 	OrderInterval time.Duration
 	// AutoRejoin makes an ejected process request readmission automatically.
 	AutoRejoin bool
-	// JoinFrontier, when set, is sampled on the dispatcher at every joinReq
-	// emission, like a Handler upcall but under the endpoint's lock: a
-	// non-nil result advertises the process's applied progress so the
-	// coordinator can serve a delta state transfer (DeltaProvider) instead
-	// of the full snapshot. Return nil when local state is absent or not
-	// frontier-consistent — that demands a full transfer.
-	JoinFrontier func() map[transport.ID]uint64
 	// Logf, if set, receives debug traces.
 	Logf func(format string, args ...any)
 }
@@ -193,6 +199,7 @@ type Endpoint struct {
 	cfg     Config
 	tr      transport.Transport
 	handler Handler
+	xfer    StateTransfer // handler's, or nil
 	self    transport.ID
 
 	mu        sync.Mutex
@@ -210,11 +217,9 @@ type Endpoint struct {
 
 	// suspicion state
 	lastHeard map[transport.ID]time.Time
-	joinReqs  map[transport.ID]bool
-	// joinFrontiers holds the applied frontier each pending joiner last
-	// advertised (absent: the joiner wants a full transfer). Reset with
-	// joinReqs at every install.
-	joinFrontiers map[transport.ID]map[transport.ID]uint64
+	// joinReqs maps each process waiting for admission to the applied
+	// frontier it last advertised (nil: none). Reset at every install.
+	joinReqs map[transport.ID]map[transport.ID]uint64
 	// peerJoinViews records, on an ejected process, the last installed view
 	// each peer advertised in a joinReq — the evidence from which a dead
 	// primary component is detected and recovered (maybeRecoverLocked).
@@ -278,7 +283,7 @@ type upcall struct {
 
 func onViewChange(h Handler, _ transport.ID, v any)  { h.OnViewChange(v.(View)) }
 func onEjected(h Handler, _ transport.ID, _ any)     { h.OnEjected() }
-func installState(h Handler, _ transport.ID, st any) { h.InstallState(st) }
+func installState(h Handler, _ transport.ID, st any) { h.(StateTransfer).InstallState(st) }
 
 // maxMembers bounds a group's size, and so every member-indexed vector a
 // frame may carry.
@@ -309,14 +314,14 @@ func NewEndpoint(tr transport.Transport, h Handler, cfg Config) (*Endpoint, erro
 		handler:       h,
 		self:          tr.Self(),
 		lastHeard:     make(map[transport.ID]time.Time),
-		joinReqs:      make(map[transport.ID]bool),
-		joinFrontiers: make(map[transport.ID]map[transport.ID]uint64),
+		joinReqs:      make(map[transport.ID]map[transport.ID]uint64),
 		staleSince:    make(map[transport.ID]time.Time),
 		peerJoinViews: make(map[transport.ID]uint64),
 		notify:        make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
 	}
+	e.xfer, _ = h.(StateTransfer)
 
 	initial := View{ID: 1, Members: members, Primary: true}
 	if cfg.Joining {

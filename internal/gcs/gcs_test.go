@@ -11,7 +11,7 @@ import (
 	"github.com/alcstm/alc/internal/transport"
 )
 
-// recorder is a Handler that captures every upcall.
+// recorder is a Handler and StateTransfer that captures every upcall.
 type recorder struct {
 	mu      sync.Mutex
 	opt     []string
@@ -20,10 +20,13 @@ type recorder struct {
 	views   []View
 	ejected int
 	state   any
+	// statesFor holds the joiners of every StatesFor call; installs logs
+	// the state installs and view changes in upcall order.
+	statesFor []map[transport.ID]map[transport.ID]uint64
+	installs  []string
 
-	snapshotFn func() any
-	onURD      func(from transport.ID, body any) // optional hook
-	onTOD      func(from transport.ID, body any)
+	onURD func(from transport.ID, body any) // optional hook
+	onTOD func(from transport.ID, body any)
 }
 
 func (r *recorder) OnOptDeliver(from transport.ID, body any) {
@@ -55,6 +58,7 @@ func (r *recorder) OnURDeliver(from transport.ID, body any) {
 func (r *recorder) OnViewChange(v View) {
 	r.mu.Lock()
 	r.views = append(r.views, v)
+	r.installs = append(r.installs, fmt.Sprintf("view %d", v.ID))
 	r.mu.Unlock()
 }
 
@@ -64,16 +68,29 @@ func (r *recorder) OnEjected() {
 	r.mu.Unlock()
 }
 
-func (r *recorder) StateSnapshot() any {
-	if r.snapshotFn != nil {
-		return r.snapshotFn()
+func (r *recorder) JoinFrontier() map[transport.ID]uint64 { return nil }
+
+// StatesFor gives each joiner a state naming the view, the joiner and the
+// frontier it advertised.
+func (r *recorder) StatesFor(view uint64, joiners map[transport.ID]map[transport.ID]uint64) map[transport.ID]any {
+	r.mu.Lock()
+	r.statesFor = append(r.statesFor, joiners)
+	r.mu.Unlock()
+	out := make(map[transport.ID]any, len(joiners))
+	for j, f := range joiners {
+		out[j] = stateFor(view, j, f)
 	}
-	return "snapshot"
+	return out
+}
+
+func stateFor(view uint64, joiner transport.ID, f map[transport.ID]uint64) string {
+	return fmt.Sprintf("state of view %d for %d (frontier %v)", view, joiner, f)
 }
 
 func (r *recorder) InstallState(state any) {
 	r.mu.Lock()
 	r.state = state
+	r.installs = append(r.installs, fmt.Sprintf("install %v", state))
 	r.mu.Unlock()
 }
 
@@ -447,7 +464,7 @@ func TestJoinerReceivesStateTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &recorder{snapshotFn: func() any { return fmt.Sprintf("state-of-group") }}
+		rec := &recorder{}
 		ep, err := NewEndpoint(tr, rec, testConfig(ids))
 		if err != nil {
 			t.Fatal(err)
@@ -488,14 +505,20 @@ func TestJoinerReceivesStateTransfer(t *testing.T) {
 		defer rec2.mu.Unlock()
 		return rec2.state != nil
 	})
-	if rec2.state != "state-of-group" {
-		t.Fatalf("joiner state = %v", rec2.state)
-	}
 	waitFor(t, 5*time.Second, "3-member view everywhere", func() bool {
 		v0, ok0 := recs[0].lastView()
 		v2, ok2 := rec2.lastView()
 		return ok0 && ok2 && len(v0.Members) == 3 && v0.ID == v2.ID
 	})
+	// The state the coordinator cut for this joiner in the view that
+	// admitted it, installed before that view.
+	rec2.mu.Lock()
+	first, installs := rec2.views[0], rec2.installs[:2]
+	rec2.mu.Unlock()
+	want := stateFor(first.ID, 2, nil)
+	if !reflect.DeepEqual(installs, []string{"install " + want, fmt.Sprintf("view %d", first.ID)}) {
+		t.Fatalf("joiner upcalls %v, want %q installed before view %d", installs, want, first.ID)
+	}
 
 	// The joiner participates in broadcasts.
 	if err := ep2.URBroadcast("from-joiner"); err != nil {

@@ -85,11 +85,8 @@ type heartbeat struct {
 type joinReq struct {
 	From   transport.ID
 	ViewID uint64
-	// Frontier advertises the sender's applied progress (per-writer highest
-	// applied transaction sequence number) when its local state is a
-	// complete, frontier-consistent base — the coordinator may then ship a
-	// delta state transfer instead of the full snapshot. Nil demands a full
-	// transfer.
+	// Frontier is the sender's StateTransfer.JoinFrontier (nil: none),
+	// handed to the coordinator's StatesFor with the sender's admission.
 	Frontier map[transport.ID]uint64
 }
 
@@ -135,9 +132,9 @@ type vcInstall struct {
 	// coordinator-assigned slots for payloads the old sequencer never
 	// ordered.
 	Orders []orderEntry
-	// HasState marks a state transfer for a joining member; State is the
-	// application snapshot captured after the coordinator finished the old
-	// view's deliveries.
+	// HasState marks a state transfer for a joining member; State is what
+	// the coordinator's StatesFor returned for it, after the coordinator
+	// finished the old view's deliveries (nil without a StateTransfer).
 	HasState bool
 	State    any
 }

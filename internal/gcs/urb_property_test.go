@@ -208,7 +208,6 @@ func (l *procLog) app(body any, to bool) {
 func (l *procLog) OnOptDeliver(transport.ID, any)    {}
 func (l *procLog) OnTODeliver(_ transport.ID, b any) { l.app(b, true) }
 func (l *procLog) OnURDeliver(_ transport.ID, b any) { l.app(b, false) }
-func (l *procLog) StateSnapshot() any                { return "state" }
 
 func (l *procLog) OnViewChange(v View) {
 	l.spec.mu.Lock()
@@ -224,6 +223,16 @@ func (l *procLog) OnEjected() {
 	l.spec.mu.Lock()
 	l.ejected = true
 	l.spec.mu.Unlock()
+}
+
+func (l *procLog) JoinFrontier() map[transport.ID]uint64 { return nil }
+
+func (l *procLog) StatesFor(_ uint64, joiners map[transport.ID]map[transport.ID]uint64) map[transport.ID]any {
+	out := make(map[transport.ID]any, len(joiners))
+	for j := range joiners {
+		out[j] = "state"
+	}
+	return out
 }
 
 func (l *procLog) InstallState(any) {

@@ -19,15 +19,14 @@ type proposal struct {
 
 // pendingInstall carries a computed view installation from the dispatch
 // round that decided it to the point (after local upcalls have run) where
-// the application state can be snapshotted for joiners.
+// the application can cut the joiners' states.
 type pendingInstall struct {
 	install *vcInstall
-	joiners map[transport.ID]bool
+	// joiners maps each joiner to the frontier it advertised (nil: none),
+	// captured before the install reset joinReqs.
+	joiners map[transport.ID]map[transport.ID]uint64
 	targets []transport.ID
 	ejected []transport.ID
-	// frontiers is each joiner's advertised applied frontier, captured
-	// before the install reset joinFrontiers (absent: full transfer).
-	frontiers map[transport.ID]map[transport.ID]uint64
 }
 
 // handleNet dispatches one incoming transport message.
@@ -70,12 +69,13 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 			case !ok:
 				e.staleSince[m.From] = time.Now()
 			case time.Since(since) > e.cfg.SuspectAfter:
-				e.joinReqs[m.From] = true
+				if _, ok := e.joinReqs[m.From]; !ok {
+					e.joinReqs[m.From] = nil
+				}
 			}
 		} else if m.View == e.view.ID {
 			delete(e.staleSince, m.From)
 			delete(e.joinReqs, m.From)
-			delete(e.joinFrontiers, m.From)
 		} else if m.View > e.view.ID && e.inPrimary && !e.joining {
 			// A peer is in a later view than the one this process still
 			// believes it is a primary member of. If that lasts (the same
@@ -95,12 +95,7 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 		}
 	case *joinReq:
 		if e.inPrimary {
-			e.joinReqs[m.From] = true
-			if m.Frontier != nil {
-				e.joinFrontiers[m.From] = m.Frontier
-			} else {
-				delete(e.joinFrontiers, m.From)
-			}
+			e.joinReqs[m.From] = m.Frontier
 		} else if !e.joining {
 			// Ejected with state: remember what view the peer claims, so a
 			// dead primary component can be detected and recovered.
@@ -232,12 +227,12 @@ func (e *Endpoint) sendJoinReq() {
 		viewID = e.view.ID // state intact: advertise it for recovery
 	}
 	req := &joinReq{From: e.self, ViewID: viewID}
-	if e.cfg.JoinFrontier != nil {
+	if e.xfer != nil {
 		// Sampled per request: the frontier moves while we wait (an ejected
 		// process keeps applying URB deliveries), and the install-time filter
 		// on the joiner — not this advertisement — is the correctness
 		// guarantee against overlap.
-		req.Frontier = e.cfg.JoinFrontier()
+		req.Frontier = e.xfer.JoinFrontier()
 	}
 	for _, m := range e.cfg.Members {
 		if m != e.self {
@@ -269,7 +264,7 @@ func (e *Endpoint) maybeProposeLocked(now time.Time, suspected map[transport.ID]
 	// cannot coordinate: it has no state and is waiting for admission).
 	acting := transport.Nobody
 	for _, m := range e.view.Members {
-		if !suspected[m] && !e.joinReqs[m] && (acting == transport.Nobody || m < acting) {
+		if _, joining := e.joinReqs[m]; !suspected[m] && !joining && (acting == transport.Nobody || m < acting) {
 			acting = m
 		}
 	}
@@ -531,7 +526,7 @@ func (e *Endpoint) handleFlush(f *vcFlush) {
 
 // computeInstallLocked merges the flush responses into a vcInstall, applies
 // it locally, and schedules distribution (after local upcalls have run, so
-// the state snapshot for joiners reflects the final old-view deliveries).
+// the joiners' states reflect the final old-view deliveries).
 func (e *Endpoint) computeInstallLocked() {
 	p := e.prop
 	e.prop = nil
@@ -624,8 +619,8 @@ func (e *Endpoint) computeInstallLocked() {
 
 	e.logf("installing %v: %d deliveries, %d orders", newView, len(deliveries), len(orderList))
 
-	// Apply locally first so the coordinator's state snapshot (taken after
-	// upcalls run) includes every old-view delivery.
+	// Apply locally first so the joiners' states (cut after upcalls run)
+	// include every old-view delivery.
 	ejected := make([]transport.ID, 0)
 	for _, m := range e.view.Members {
 		if !slices.Contains(p.members, m) {
@@ -640,11 +635,9 @@ func (e *Endpoint) computeInstallLocked() {
 	}
 	// Capture the joiners' advertised frontiers before applyInstallLocked
 	// resets the join bookkeeping.
-	frontiers := make(map[transport.ID]map[transport.ID]uint64, len(p.joiners))
+	joiners := make(map[transport.ID]map[transport.ID]uint64, len(p.joiners))
 	for j := range p.joiners {
-		if f, ok := e.joinFrontiers[j]; ok {
-			frontiers[j] = f
-		}
+		joiners[j] = e.joinReqs[j]
 	}
 	e.applyInstallLocked(install, false)
 	// While pendingSend is set the outbox holds (drainOutbox), so
@@ -653,17 +646,16 @@ func (e *Endpoint) computeInstallLocked() {
 	// them as from a future view. The hold is not blocked: a later prepare in
 	// this round sets blocked, and that flush report must stay final.
 	e.pendingSend = &pendingInstall{
-		install:   install,
-		joiners:   p.joiners,
-		targets:   targets,
-		ejected:   ejected,
-		frontiers: frontiers,
+		install: install,
+		joiners: joiners,
+		targets: targets,
+		ejected: ejected,
 	}
 }
 
-// distributePendingInstall runs on the dispatcher after upcalls: it captures
-// the application state for joiners, ships the install and only then clears
-// pendingSend, which holds the outbox.
+// distributePendingInstall runs on the dispatcher after upcalls: it asks the
+// application for the joiners' states, ships the install and only then
+// clears pendingSend, which holds the outbox.
 func (e *Endpoint) distributePendingInstall() {
 	e.mu.Lock()
 	ps := e.pendingSend
@@ -672,38 +664,14 @@ func (e *Endpoint) distributePendingInstall() {
 		return
 	}
 
-	// Per-joiner state: a joiner that advertised an applied frontier gets a
-	// delta (just the suffix it is missing) when the handler can serve one;
-	// everyone else gets the full snapshot, which is captured lazily — and at
-	// most once — only if some joiner actually needs it.
-	dp, _ := e.handler.(DeltaProvider)
-	var fullState any
-	fullCaptured := false
+	var states map[transport.ID]any
+	if e.xfer != nil && len(ps.joiners) > 0 {
+		states = e.xfer.StatesFor(ps.install.View.ID, ps.joiners)
+	}
 	for _, m := range ps.targets {
 		msg := *ps.install // shallow copy; slices shared read-only
-		if ps.joiners[m] {
-			msg.HasState = true
-			served := false
-			f, advertised := ps.frontiers[m]
-			why := "no frontier advertised"
-			if advertised {
-				why = "delta declined"
-			}
-			if dp != nil {
-				if delta, dok := dp.StateDelta(m, ps.install.View.ID, f); dok {
-					msg.State = delta
-					served = true
-					e.logf("delta state transfer to %d", m)
-				}
-			}
-			if !served {
-				e.logf("full state transfer to %d (%s)", m, why)
-				if !fullCaptured {
-					fullState = e.handler.StateSnapshot()
-					fullCaptured = true
-				}
-				msg.State = fullState
-			}
+		if _, ok := ps.joiners[m]; ok {
+			msg.HasState, msg.State = true, states[m]
 		}
 		_ = e.tr.Send(m, &msg)
 	}
@@ -739,7 +707,7 @@ func (e *Endpoint) handleInstall(in *vcInstall) {
 	}
 	pre := len(e.upcalls)
 	e.applyInstallLocked(in, in.HasState)
-	if in.HasState {
+	if in.HasState && e.xfer != nil {
 		// InstallState must run after the ejection upcall (if any) and before
 		// the view-change upcall applyInstallLocked just enqueued.
 		e.upcalls = slices.Insert(e.upcalls, pre, upcall{call: installState, body: in.State})
@@ -763,8 +731,7 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 	e.blockedSince = time.Time{}
 	e.wantJoin = false
 	e.prop = nil
-	e.joinReqs = make(map[transport.ID]bool)
-	e.joinFrontiers = make(map[transport.ID]map[transport.ID]uint64)
+	e.joinReqs = make(map[transport.ID]map[transport.ID]uint64)
 	e.staleSince = make(map[transport.ID]time.Time)
 	e.behindSince = time.Time{}
 	e.peerJoinViews = make(map[transport.ID]uint64)

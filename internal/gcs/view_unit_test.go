@@ -703,3 +703,80 @@ func TestFlushDeliversOrdersCausally(t *testing.T) {
 		t.Fatalf("TO-delivered %v, want [request] once", rec.to)
 	}
 }
+
+// TestStatesForOneCallPerInstall: a view that admits two joiners, one that
+// advertised a frontier and one that did not, asks the coordinator's
+// StateTransfer once, with both and their frontiers; each joiner is sent its
+// own state and installs it before its first view. A joiner whose handler
+// has no StateTransfer is admitted all the same, with no install upcall.
+func TestStatesForOneCallPerInstall(t *testing.T) {
+	members := []transport.ID{0, 1, 2, 3, 4}
+	e, sent, rec := unstarted(t, 0, members...)
+	front := map[transport.ID]uint64{0: 5, 1: 2}
+	e.handleNet(transport.Message{From: 3, Payload: &joinReq{From: 3, Frontier: front}})
+	e.handleNet(transport.Message{From: 4, Payload: &joinReq{From: 4}})
+	e.tick()
+	if e.prop == nil || !reflect.DeepEqual(e.prop.joiners, map[transport.ID]bool{3: true, 4: true}) {
+		t.Fatalf("proposal %+v, want one admitting joiners 3 and 4", e.prop)
+	}
+	id := e.prop.id
+	for _, m := range members {
+		flush := &vcFlush{ProposalID: id, From: m, ViewID: 1}
+		if m >= 3 {
+			flush.ViewID = 0 // restarted: no state
+		}
+		e.handleNet(transport.Message{From: m, Payload: flush})
+	}
+	e.distributePendingInstall()
+
+	want := map[transport.ID]map[transport.ID]uint64{3: front, 4: nil}
+	if !reflect.DeepEqual(rec.statesFor, []map[transport.ID]map[transport.ID]uint64{want}) {
+		t.Fatalf("StatesFor calls %v, want one with %v", rec.statesFor, want)
+	}
+	installs := make(map[transport.ID]*vcInstall)
+	for i, p := range sent.payloads {
+		if in, ok := p.(*vcInstall); ok {
+			installs[sent.to[i]] = in
+		}
+	}
+	for _, m := range members[1:] {
+		in := installs[m]
+		if in == nil || in.View.ID != id {
+			t.Fatalf("install to %d = %+v, want view %d", m, in, id)
+		}
+		if _, joiner := want[m]; in.HasState != joiner || joiner && in.State != stateFor(id, m, want[m]) {
+			t.Fatalf("install to %d: HasState %t, State %v", m, in.HasState, in.State)
+		}
+	}
+
+	admit := func(id transport.ID, h Handler) {
+		t.Helper()
+		net := memnet.New(memnet.Config{})
+		t.Cleanup(net.Close)
+		tr, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := NewEndpoint(tr, h, Config{Members: members, Joining: true, HeartbeatInterval: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.handleNet(transport.Message{From: 0, Payload: installs[id]})
+		j.runUpcalls()
+		if !j.InPrimary() || j.CurrentView().ID != installs[id].View.ID {
+			t.Fatalf("joiner %d not admitted: view %v", id, j.CurrentView())
+		}
+	}
+	for _, j := range []transport.ID{3, 4} {
+		jr := &recorder{}
+		admit(j, jr)
+		if w := []string{"install " + stateFor(id, j, want[j]), fmt.Sprintf("view %d", id)}; !reflect.DeepEqual(jr.installs, w) {
+			t.Fatalf("joiner %d upcalls %v, want %v", j, jr.installs, w)
+		}
+	}
+	bare := &recorder{}
+	admit(4, struct{ Handler }{bare})
+	if w := []string{fmt.Sprintf("view %d", id)}; !reflect.DeepEqual(bare.installs, w) || bare.state != nil {
+		t.Fatalf("joiner without StateTransfer: upcalls %v, state %v; want %v and none", bare.installs, bare.state, w)
+	}
+}

@@ -173,7 +173,7 @@ func readProcIDs(r *wire.Reader) []transport.ID {
 
 // appendVector encodes a per-process counter map (vector clock, frontier).
 // Nil-ness is preserved: a nil map means something different from an empty
-// one to joinReq.Frontier (nil demands a full state transfer).
+// one to joinReq.Frontier (nil: no frontier advertised).
 func appendVector(b []byte, m map[transport.ID]uint64) []byte {
 	if m == nil {
 		return append(b, 0)

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,21 +76,59 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // commitN runs n serial uncontended increments on replica 0.
+//
+// Under a short SuspectAfter a busy host can get replica 0 suspected, ejected
+// and readmitted (AutoRejoin) mid-test; an increment it had in flight then
+// fails with ErrEjected and may or may not have been applied. commitN
+// resolves that as internal/cluster's helper does: every increment also
+// writes its own number to "k#op", so once the replica is back and the
+// group has converged, that box says whether it took effect, and only one
+// that did not is retried.
 func commitN(t *testing.T, c *cluster.Cluster, n int) {
 	t.Helper()
+	r := c.Replica(0)
 	for i := 0; i < n; i++ {
-		err := c.Replica(0).Atomic(func(tx *stm.Txn) error {
-			v, err := tx.Read("k")
-			if err != nil {
-				return err
+		op := int(commitOps.Add(1))
+		for {
+			err := r.Atomic(func(tx *stm.Txn) error {
+				v, err := tx.Read("k")
+				if err != nil {
+					return err
+				}
+				if err := tx.Write("k", v.(int)+1); err != nil {
+					return err
+				}
+				return tx.Write("k#op", op)
+			})
+			if err == nil {
+				break
 			}
-			return tx.Write("k", v.(int)+1)
-		})
-		if err != nil {
-			t.Fatalf("commit %d: %v", i, err)
+			if !errors.Is(err, core.ErrEjected) {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			for deadline := time.Now().Add(15 * time.Second); !r.InPrimary(); time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("replica 0 never rejoined the primary component")
+				}
+			}
+			if err := c.WaitConverged(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			var last any
+			_ = r.AtomicRO(func(tx *stm.Txn) error {
+				last, _ = tx.Read("k#op")
+				return nil
+			})
+			t.Logf("commit %d failed with %v; applied: %t", i, err, last == op)
+			if last == op {
+				break
+			}
 		}
 	}
 }
+
+// commitOps numbers commitN's increments.
+var commitOps atomic.Int64
 
 // promSample is one parsed exposition sample.
 type promSample struct {

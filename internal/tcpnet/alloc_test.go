@@ -9,7 +9,7 @@ import (
 )
 
 // TestAllocBudgetIdlePeer: a peer's send queue is allocated on demand under
-// the QueueSize bound. Starting a peer allocates no QueueSize-slot array
+// the queueSize bound. Starting a peer allocates no queueSize-slot array
 // (8192 slots were 128 KiB per peer), a short burst fits in the peer's
 // inline slots, and a peer that has drained a longer one holds no array.
 func TestAllocBudgetIdlePeer(t *testing.T) {

@@ -59,7 +59,7 @@ func TestGarbageAfterHandshakeDropsConnection(t *testing.T) {
 	if err := wire.WriteHandshake(raw, wire.CodecWire); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
-	// A frame whose declared length is hostile (far above MaxFrame) must be
+	// A frame whose declared length is hostile (far above maxFrame) must be
 	// rejected before allocation; the conn dies, the transport survives.
 	if _, err := raw.Write([]byte{0xff, 0xff, 0xff, 0xff, wire.Version}); err != nil {
 		t.Fatalf("raw write: %v", err)

@@ -45,40 +45,35 @@ type Config struct {
 	DialTimeout time.Duration
 	// RedialInterval spaces reconnection attempts. Default 500ms.
 	RedialInterval time.Duration
-	// QueueSize bounds each peer's send queue and the inbox. Default 8192.
-	// A send queue is a bound, not an allocation: it holds only what is
-	// waiting, a burst longer than a few messages gets an array allocated
-	// on demand and released when the queue drains, and a send beyond the
-	// bound is dropped. The inbox is a channel of this capacity.
-	QueueSize int
-	// MaxFrame caps inbound wire-codec frame bodies (hostile or corrupt
-	// length prefixes are rejected before allocation). Default 64 MiB —
-	// state-transfer snapshots are the largest legitimate frames.
-	MaxFrame int
 	// Logf, if set, receives connection-failure diagnostics (handshake
 	// mismatches, undecodable peers). Defaults to the standard logger:
 	// codec misconfiguration must be loud, not a silent message drop.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fillDefaults() error {
+func (c *Config) fillDefaults() {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
 	}
 	if c.RedialInterval <= 0 {
 		c.RedialInterval = 500 * time.Millisecond
 	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 8192
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
-	return nil
 }
+
+// queueSize bounds each peer's send queue and the inbox. A send queue is a
+// bound, not an allocation: it holds only what is waiting, a burst longer
+// than a few messages gets an array allocated on demand and released when
+// the queue drains, and a send beyond the bound is dropped. The inbox is a
+// channel of this capacity.
+const queueSize = 8192
+
+// maxFrame caps inbound wire-codec frame bodies (hostile or corrupt length
+// prefixes are rejected before allocation): 64 MiB, because state-transfer
+// snapshots are the largest legitimate frames.
+const maxFrame = wire.DefaultMaxFrame
 
 // Transport is a TCP-backed transport endpoint.
 type Transport struct {
@@ -103,9 +98,7 @@ var _ transport.Transport = (*Transport)(nil)
 
 // New starts listening and returns the transport.
 func New(cfg Config) (*Transport, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
+	cfg.fillDefaults()
 	addr, ok := cfg.Addrs[cfg.Self]
 	if !ok {
 		return nil, fmt.Errorf("tcpnet: no address for self (%d)", cfg.Self)
@@ -117,7 +110,7 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:   cfg,
 		ln:    ln,
-		inbox: make(chan transport.Message, cfg.QueueSize),
+		inbox: make(chan transport.Message, queueSize),
 		peers: make(map[transport.ID]*peer),
 		done:  make(chan struct{}),
 	}
@@ -259,7 +252,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 func (t *Transport) readLoopWire(br *bufio.Reader) {
 	var buf []byte
 	for {
-		body, nbuf, err := wire.ReadFrame(br, buf, t.cfg.MaxFrame)
+		body, nbuf, err := wire.ReadFrame(br, buf, maxFrame)
 		buf = nbuf
 		if err != nil {
 			// Clean close (EOF) and shutdown races are normal; anything else
@@ -297,7 +290,7 @@ type peer struct {
 	addr string
 
 	// queue[head:] holds the payloads waiting to be sent, oldest first, at
-	// most cfg.QueueSize of them. A few fit in inline, so the common short
+	// most queueSize of them. A few fit in inline, so the common short
 	// burst allocates nothing; a longer one spills into an array allocated
 	// for it, which the queue drops when it drains. wake (one slot) tells
 	// run that something was queued.
@@ -314,7 +307,7 @@ type peer struct {
 func (p *peer) enqueue(payload any) {
 	p.mu.Lock()
 	n := len(p.queue) - p.head
-	if n >= p.t.cfg.QueueSize {
+	if n >= queueSize {
 		// Backpressure: drop the message; the GCS retransmits unstable
 		// traffic and treats prolonged loss as a failure.
 		p.mu.Unlock()

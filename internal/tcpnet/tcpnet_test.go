@@ -298,9 +298,7 @@ func (h *chanHandler) OnViewChange(v gcs.View) {
 	default:
 	}
 }
-func (h *chanHandler) OnEjected()         {}
-func (h *chanHandler) StateSnapshot() any { return nil }
-func (h *chanHandler) InstallState(any)   {}
+func (h *chanHandler) OnEjected() {}
 
 // onInline reports whether p's queue is back on its inline slots, holding no
 // array of its own. Caller holds p.mu.
@@ -309,21 +307,21 @@ func onInline(p *peer) bool {
 }
 
 // TestPeerQueueFIFOBoundAndRelease drives one peer's send queue without its
-// sender: payloads leave in the order they came, a send beyond QueueSize is
+// sender: payloads leave in the order they came, a send beyond queueSize is
 // dropped, a burst that fits the inline slots (after the sender took some)
 // stays there, and a drained queue releases the array a longer burst spilled
 // into.
 func TestPeerQueueFIFOBoundAndRelease(t *testing.T) {
 	for _, tc := range []struct {
-		name            string
-		bound, in, take int
+		name     string
+		in, take int
 	}{
-		{"spill and drain", 100, 100, 100},
-		{"drop past the bound", 20, 30, 20},
-		{"slide down inline", 100, 8, 3},
+		{"spill and drain", 100, 100},
+		{"drop past the bound", queueSize + 10, queueSize},
+		{"slide down inline", 8, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &peer{t: &Transport{cfg: Config{QueueSize: tc.bound}}, wake: make(chan struct{}, 1)}
+			p := &peer{t: &Transport{}, wake: make(chan struct{}, 1)}
 			p.queue = p.inline[:0]
 			for i := range tc.in {
 				p.enqueue(i)

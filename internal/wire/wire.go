@@ -56,8 +56,10 @@ import (
 // transfer's lease table says per request whether its §4.5(c) payload is
 // resolved, a full transfer carries the TO lane's applied entries past its
 // frontier, and a lease release says whether it is sent again after an
-// ejection.
-const Version = 5
+// ejection. Version 6: one state-transfer message — the delta form (tag
+// 0x28, retired) is a form of the full one (0x27), told apart by a leading
+// discriminator.
+const Version = 6
 
 // Errors returned by decode paths.
 var (
