@@ -163,7 +163,7 @@ func (c *clientConn) do(op wire.Op, key string, arg int64) (wire.Response, error
 	}
 	c.seq++
 	q := wire.Request{Seq: c.seq, Op: op, Key: key, Arg: arg}
-	ch := make(chan wire.Response, 1)
+	ch := respChans.Get().(chan wire.Response)
 	c.pending[q.Seq] = ch
 	c.wbuf = wire.AppendRequest(c.wbuf[:0], q)
 	_, err := c.conn.Write(c.wbuf)
@@ -174,6 +174,7 @@ func (c *clientConn) do(op wire.Op, key string, arg int64) (wire.Response, error
 		delete(c.pending, q.Seq)
 		c.dropConnLocked()
 		c.mu.Unlock()
+		respChans.Put(ch)
 		return wire.Response{}, fmt.Errorf("clientsrv: write: %w", err)
 	}
 	c.mu.Unlock()
@@ -182,8 +183,15 @@ func (c *clientConn) do(op wire.Op, key string, arg int64) (wire.Response, error
 	if !ok {
 		return wire.Response{}, fmt.Errorf("clientsrv: connection to %s lost", c.cfg.Addr)
 	}
+	respChans.Put(ch)
 	return p, nil
 }
+
+// respChans holds response channels for reuse. A channel goes back only
+// after its one response was received: the reader removed it from pending
+// before sending, so nothing else can send on it or close it. A channel
+// closed by a lost connection is left to the collector.
+var respChans = sync.Pool{New: func() any { return make(chan wire.Response, 1) }}
 
 // readLoop delivers responses until the connection dies, then fails every
 // waiter by closing its channel. It reads through a buffer as large as the

@@ -210,9 +210,10 @@ type Endpoint struct {
 	joining   bool
 	blocked   bool // flush in progress: app broadcasts are queued
 
-	// outbox holds application broadcasts awaiting transmission (queued
-	// while a flush is in progress). Unbounded: bounded in practice by the
-	// number of in-flight application transactions.
+	// outbox holds application broadcasts awaiting transmission: those
+	// submitted while a flush, an unshipped install or a join held
+	// broadcasts back, and any submitted behind them. Unbounded: bounded in
+	// practice by the number of in-flight application transactions.
 	outbox []outMsg
 
 	// suspicion state
@@ -379,7 +380,7 @@ func (e *Endpoint) InPrimary() bool {
 // (gauges): they move both ways as the dispatcher drains them.
 type QueueStats struct {
 	// Outbox is the number of application broadcasts queued behind a flush
-	// or awaiting the dispatcher.
+	// or an install, awaiting the dispatcher.
 	Outbox int `json:"outbox"`
 	// URBPending is the size of the URB pending set: messages received but
 	// not yet UR-delivered (awaiting quorum acks or causal predecessors).
@@ -424,6 +425,11 @@ func (e *Endpoint) URBroadcast(body any) error {
 	return e.submit(kindURB, body)
 }
 
+// submit broadcasts body at once, on the caller's goroutine, when
+// drainOutbox would send it right away: nothing holds broadcasts back
+// (holdLocked) and nothing is queued ahead of it. Otherwise it queues body
+// for the dispatcher. An inline broadcast wakes the dispatcher only if it left
+// the dispatcher work: a sequencer slot to order, or upcalls to run.
 func (e *Endpoint) submit(kind byte, body any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -433,8 +439,16 @@ func (e *Endpoint) submit(kind byte, body any) error {
 	if !e.inPrimary {
 		return ErrNotPrimary
 	}
-	e.outbox = append(e.outbox, outMsg{kind: kind, body: body})
-	e.kick()
+	if e.holdLocked() || len(e.outbox) > 0 {
+		e.outbox = append(e.outbox, outMsg{kind: kind, body: body})
+		e.kick()
+		return nil
+	}
+	upcalls := len(e.upcalls)
+	e.broadcastDataLocked(kind, body)
+	if len(e.upcalls) > upcalls || len(e.vs.seqQueue) > 0 {
+		e.kick()
+	}
 	return nil
 }
 
@@ -538,7 +552,7 @@ func (e *Endpoint) runUpcalls() {
 func (e *Endpoint) drainOutbox() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.blocked || e.pendingSend != nil || e.joining || len(e.outbox) == 0 || e.stopped {
+	if e.holdLocked() || len(e.outbox) == 0 || e.stopped {
 		return
 	}
 	msgs := e.outbox
@@ -553,6 +567,11 @@ func (e *Endpoint) drainOutbox() {
 	}
 	e.outbox = msgs[:0]
 }
+
+// holdLocked reports whether application broadcasts must wait in the
+// outbox: a flush is in progress, this process's install has not left yet,
+// or it is still joining.
+func (e *Endpoint) holdLocked() bool { return e.blocked || e.pendingSend != nil || e.joining }
 
 // outboxClamp is the largest outbox capacity drainOutbox keeps.
 const outboxClamp = 1024

@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/alcstm/alc/internal/gcs"
+	"github.com/alcstm/alc/internal/transport"
 )
 
 // TestAllocBudgetIdlePeer: a peer's send queue is allocated on demand under
@@ -48,4 +51,61 @@ func TestAllocBudgetIdlePeer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestAllocBudgetDirectSend: a Send that finds its peer's connection idle
+// encodes the frame into the peer's reused buffer and writes it on the
+// caller's goroutine. Warmed, a URB data frame costs that no allocation.
+func TestAllocBudgetDirectSend(t *testing.T) {
+	gcs.RegisterWire()
+	a, _ := newRawPeer(t, 1) // reads the first frame, then holds the rest
+	frame := urbFrame(t)
+	if err := a.Send(1, frame); err != nil {
+		t.Fatal(err)
+	}
+	p, err := a.peerFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, p)
+	if err := a.Send(1, frame); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() { _ = a.Send(1, frame) })
+	if idle, _, _ := peerState(p); !idle {
+		t.Fatal("frames still wait after the sends: they did not all leave directly")
+	}
+	if allocs != 0 {
+		t.Fatalf("a direct Send of a URB data frame allocated %.1f times, want 0", allocs)
+	}
+}
+
+// urbFrame returns the data frame a gcs endpoint sends to a peer for one
+// URB broadcast.
+func urbFrame(t *testing.T) any {
+	t.Helper()
+	a, _ := newPair(t)
+	c := &capture{Transport: a}
+	ep, err := gcs.NewEndpoint(c, &chanHandler{}, gcs.Config{Members: []transport.ID{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.URBroadcast("a write-set"); err != nil {
+		t.Fatal(err)
+	}
+	if c.last == nil {
+		t.Fatal("the broadcast sent nothing before it returned")
+	}
+	return c.last
+}
+
+// capture records the last payload sent through it.
+type capture struct {
+	transport.Transport
+	last any
+}
+
+func (c *capture) Send(to transport.ID, payload any) error {
+	c.last = payload
+	return c.Transport.Send(to, payload)
 }

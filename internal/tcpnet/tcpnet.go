@@ -7,6 +7,15 @@
 // connections are established lazily and re-dialed in the background after
 // failures.
 //
+// Each peer has one writer at a time. A Send that finds the peer's
+// connection up and idle encodes the frame and writes it itself, with a
+// write that never waits for room in the socket, so the frame crosses no
+// goroutine on its way out. Anything that cannot leave that way — the rest
+// of a partial write, frames sent while a write runs or while the connection
+// is down — waits in the peer's bounded backlog for its background writer,
+// which sends it in order and does the dialing. Nothing is delayed or
+// batched: every frame is one write, as soon as the socket is free.
+//
 // Frames use the hand-rolled binary codec from internal/wire: length-prefixed
 // frames, one tag byte per message type, reused buffers on both the encode
 // and decode path. Every connection opens with an 8-byte handshake naming the
@@ -29,6 +38,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -41,8 +51,6 @@ type Config struct {
 	Self transport.ID
 	// Addrs maps every process (including Self) to host:port.
 	Addrs map[transport.ID]string
-	// DialTimeout bounds connection attempts. Default 2s.
-	DialTimeout time.Duration
 	// RedialInterval spaces reconnection attempts. Default 500ms.
 	RedialInterval time.Duration
 	// Logf, if set, receives connection-failure diagnostics (handshake
@@ -52,9 +60,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.RedialInterval <= 0 {
 		c.RedialInterval = 500 * time.Millisecond
 	}
@@ -63,12 +68,15 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// queueSize bounds each peer's send queue and the inbox. A send queue is a
-// bound, not an allocation: it holds only what is waiting, a burst longer
-// than a few messages gets an array allocated on demand and released when
-// the queue drains, and a send beyond the bound is dropped. The inbox is a
+// queueSize bounds each peer's backlog and the inbox. A backlog is a bound,
+// not an allocation: it holds only what is waiting, a burst longer than a
+// few messages gets an array allocated on demand and released when the
+// backlog drains, and a send beyond the bound is dropped. The inbox is a
 // channel of this capacity.
 const queueSize = 8192
+
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 2 * time.Second
 
 // maxFrame caps inbound wire-codec frame bodies (hostile or corrupt length
 // prefixes are rejected before allocation): 64 MiB, because state-transfer
@@ -81,8 +89,9 @@ type Transport struct {
 	ln    net.Listener
 	inbox chan transport.Message
 
-	mu    sync.Mutex
-	peers map[transport.ID]*peer
+	mu      sync.Mutex
+	peers   map[transport.ID]*peer
+	inbound map[net.Conn]struct{} // accepted connections, closed by Close
 
 	// handshakeRejects counts inbound connections refused for a codec or
 	// version mismatch — the observable "failed loudly" signal.
@@ -108,11 +117,12 @@ func New(cfg Config) (*Transport, error) {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
 	t := &Transport{
-		cfg:   cfg,
-		ln:    ln,
-		inbox: make(chan transport.Message, queueSize),
-		peers: make(map[transport.ID]*peer),
-		done:  make(chan struct{}),
+		cfg:     cfg,
+		ln:      ln,
+		inbox:   make(chan transport.Message, queueSize),
+		peers:   make(map[transport.ID]*peer),
+		inbound: make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -140,8 +150,10 @@ func (t *Transport) HandshakeRejects() int {
 	return t.handshakeRejects
 }
 
-// Send enqueues a payload for delivery to a peer. Unreachable peers drop
-// messages silently (asynchronous-system semantics).
+// Send hands a payload to a peer's connection: written by the caller when
+// the connection is idle, queued for the peer's background writer
+// otherwise. It never waits for the peer. Unreachable peers drop messages
+// silently (asynchronous-system semantics).
 func (t *Transport) Send(to transport.ID, payload any) error {
 	select {
 	case <-t.done:
@@ -159,7 +171,7 @@ func (t *Transport) Send(to transport.ID, payload any) error {
 	if err != nil {
 		return nil //nolint:nilerr // unknown peer behaves like a dead one
 	}
-	p.enqueue(payload)
+	p.send(payload)
 	return nil
 }
 
@@ -171,6 +183,9 @@ func (t *Transport) Close() error {
 		t.mu.Lock()
 		for _, p := range t.peers {
 			p.close()
+		}
+		for c := range t.inbound {
+			_ = c.Close()
 		}
 		t.mu.Unlock()
 	})
@@ -188,14 +203,13 @@ func (t *Transport) peerFor(id transport.ID) (*peer, error) {
 	if !ok {
 		return nil, fmt.Errorf("tcpnet: unknown peer %d", id)
 	}
-	p := &peer{
-		t:    t,
-		id:   id,
-		addr: addr,
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+	select {
+	case <-t.done:
+		// Close has stopped the peers it found; start no new one.
+		return nil, transport.ErrClosed
+	default:
 	}
-	p.queue = p.inline[:0]
+	p := newPeer(t, id, addr)
 	t.peers[id] = p
 	t.wg.Add(1)
 	go p.run()
@@ -225,9 +239,20 @@ func (t *Transport) acceptLoop() {
 
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	defer conn.Close()
-	go func() {
-		<-t.done
+	t.mu.Lock()
+	select {
+	case <-t.done:
+		t.mu.Unlock()
+		_ = conn.Close()
+		return
+	default:
+	}
+	t.inbound[conn] = struct{}{}
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		delete(t.inbound, conn)
+		t.mu.Unlock()
 		_ = conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, readBufSize)
@@ -283,34 +308,99 @@ func (t *Transport) readLoopWire(br *bufio.Reader) {
 // than it are read through it, not into it.
 const readBufSize = 16 << 10
 
-// peer manages the outgoing connection to one process.
+// peer manages the outgoing connection to one process. It has one writer at
+// a time. A Send that finds the connection up and nothing waiting is that
+// writer: it encodes its frame into the peer's buffer and writes it without
+// waiting for room, so the frame crosses no goroutine. Whatever cannot go
+// out that way goes to the background writer (run), which sends it in order:
+// the unwritten rest of a partial write, frames that arrive while a write is
+// running or while the connection is down, and the dialing itself.
 type peer struct {
 	t    *Transport
 	id   transport.ID
 	addr string
 
-	// queue[head:] holds the payloads waiting to be sent, oldest first, at
-	// most queueSize of them. A few fit in inline, so the common short
+	mu     sync.Mutex
+	conn   net.Conn        // nil while down; run dials it
+	raw    syscall.RawConn // conn's, for the non-blocking write
+	busy   bool            // a writer holds conn, buf and rest
+	closed bool
+
+	// buf is the encode buffer, reused from frame to frame. rest is the
+	// unwritten tail of the last frame, still in buf: it is handed to run,
+	// not copied, and goes out before anything else.
+	buf  []byte
+	rest []byte
+
+	// queue[head:] is the backlog: payloads waiting for run, oldest first,
+	// at most queueSize of them. A few fit in inline, so the common short
 	// burst allocates nothing; a longer one spills into an array allocated
 	// for it, which the queue drops when it drains. wake (one slot) tells
-	// run that something was queued.
-	mu     sync.Mutex
+	// run that there is work.
 	queue  []any
 	head   int
 	inline [8]any
 	wake   chan struct{}
 
-	once sync.Once
+	// out, n and werr carry one non-blocking write through writeFn, the
+	// method value of writeSome, made once so that a write allocates no
+	// closure. The writer holding busy owns them.
+	out     []byte
+	n       int
+	werr    error
+	writeFn func(fd uintptr) bool
+
 	stop chan struct{}
 }
 
-func (p *peer) enqueue(payload any) {
+func newPeer(t *Transport, id transport.ID, addr string) *peer {
+	p := &peer{t: t, id: id, addr: addr, wake: make(chan struct{}, 1), stop: make(chan struct{})}
+	p.queue = p.inline[:0]
+	p.writeFn = p.writeSome
+	return p
+}
+
+// send writes payload's frame at once if the connection is up and nothing
+// is waiting or being written; otherwise it queues the payload for run. It
+// never waits for the peer.
+func (p *peer) send(payload any) {
 	p.mu.Lock()
+	if p.conn == nil || p.busy || p.rest != nil || p.head < len(p.queue) {
+		p.enqueue(payload)
+		p.mu.Unlock()
+		p.signal()
+		return
+	}
+	p.busy = true
+	raw := p.raw
+	p.mu.Unlock()
+
+	out := p.encode(payload)
+	var n int
+	var err error
+	if len(out) > 0 {
+		n, err = p.writeNow(raw, out)
+	}
+	p.mu.Lock()
+	p.busy = false
+	if err != nil {
+		p.disconnectLocked()
+	} else if n < len(out) {
+		p.rest = out[n:]
+	}
+	work := p.rest != nil || p.head < len(p.queue)
+	p.mu.Unlock()
+	if work {
+		p.signal()
+	}
+}
+
+// enqueue appends payload to the backlog, or drops it past queueSize: the
+// GCS retransmits unstable traffic and treats prolonged loss as a failure.
+// Caller holds p.mu.
+func (p *peer) enqueue(payload any) {
 	n := len(p.queue) - p.head
 	if n >= queueSize {
-		// Backpressure: drop the message; the GCS retransmits unstable
-		// traffic and treats prolonged loss as a failure.
-		p.mu.Unlock()
 		return
 	}
 	if len(p.queue) == cap(p.queue) && p.head > 0 {
@@ -320,127 +410,186 @@ func (p *peer) enqueue(payload any) {
 		p.queue, p.head = p.queue[:n], 0
 	}
 	p.queue = append(p.queue, payload)
-	p.mu.Unlock()
+}
+
+// dequeue takes the oldest backlog payload; false if there is none. Caller
+// holds p.mu.
+func (p *peer) dequeue() (any, bool) {
+	if p.head == len(p.queue) {
+		return nil, false
+	}
+	payload := p.queue[p.head]
+	p.queue[p.head] = nil
+	if p.head++; p.head == len(p.queue) {
+		p.queue, p.head = p.inline[:0], 0
+	}
+	return payload, true
+}
+
+func (p *peer) signal() {
 	select {
 	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
-// next blocks until a payload is queued and takes the oldest; false when
-// the peer or the transport stops.
-func (p *peer) next() (any, bool) {
-	for {
-		select {
-		case <-p.stop:
-			return nil, false
-		case <-p.t.done:
-			return nil, false
-		default:
-		}
-		p.mu.Lock()
-		if p.head < len(p.queue) {
-			payload := p.queue[p.head]
-			p.queue[p.head] = nil
-			if p.head++; p.head == len(p.queue) {
-				p.queue, p.head = p.inline[:0], 0
-			}
-			p.mu.Unlock()
-			return payload, true
-		}
-		p.mu.Unlock()
-		select {
-		case <-p.stop:
-			return nil, false
-		case <-p.t.done:
-			return nil, false
-		case <-p.wake:
-		}
+// encode frames payload into buf and returns the frame; nil if payload has
+// no codec. buf keeps at most frameBufClamp bytes across frames, so one
+// state-transfer snapshot does not pin its allocation. Only the writer
+// holding busy calls it.
+func (p *peer) encode(payload any) []byte {
+	if cap(p.buf) > frameBufClamp {
+		p.buf = nil
 	}
-}
-
-func (p *peer) close() { p.once.Do(func() { close(p.stop) }) }
-
-// frameBuf is a reusable encode buffer, reset in place between frames rather
-// than reallocated. reset clamps retained capacity so one oversized frame
-// (e.g. a state-transfer snapshot) does not pin its allocation forever.
-type frameBuf struct {
-	b []byte
-}
-
-// frameBufClamp is the largest capacity reset retains across frames.
-const frameBufClamp = 256 << 10
-
-func (f *frameBuf) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-func (f *frameBuf) reset() {
-	if cap(f.b) > frameBufClamp {
-		f.b = nil
-		return
+	out, err := wire.AppendEnvelope(p.buf[:0], int32(p.t.cfg.Self), payload)
+	if err != nil {
+		// An unregistered type is a programming error: say so, drop the
+		// message (asynchronous-system semantics), keep the connection.
+		p.t.cfg.Logf("tcpnet[%d]: wire encode to %d: %v", p.t.cfg.Self, p.id, err)
+		return nil
 	}
-	f.b = f.b[:0]
+	p.buf = out
+	return out
 }
 
-// run dials, streams the queue, and re-dials on failure. Each message is
-// encoded into a reused buffer and written to the socket as a single Write:
-// per-message segments never hit the network individually, and steady-state
-// sends allocate nothing for framing.
+// writeNow writes what of out the socket takes right now, without waiting
+// for room: a full socket buffer writes 0 bytes, not an error.
+func (p *peer) writeNow(raw syscall.RawConn, out []byte) (int, error) {
+	p.out = out
+	err := raw.Write(p.writeFn)
+	n, werr := p.n, p.werr
+	p.out, p.werr = nil, nil
+	if err != nil {
+		return 0, err
+	}
+	return n, werr
+}
+
+// writeSome is writeNow's one attempt on the descriptor. Returning true
+// tells the runtime not to wait for the socket to become writable.
+func (p *peer) writeSome(fd uintptr) bool {
+	p.n, p.werr = writeFD(fd, p.out)
+	return true
+}
+
+// disconnectLocked closes a broken connection; the partial frame in rest
+// dies with it. Caller holds p.mu and the writer's role is free.
+func (p *peer) disconnectLocked() {
+	if p.conn != nil {
+		_ = p.conn.Close()
+	}
+	p.conn, p.raw, p.rest = nil, nil, nil
+}
+
+// close stops run and closes the connection, which ends a write blocked on a
+// peer that does not read.
+func (p *peer) close() {
+	p.mu.Lock()
+	p.closed = true
+	if p.conn != nil {
+		_ = p.conn.Close()
+	}
+	p.mu.Unlock()
+	close(p.stop)
+}
+
+// run is the background writer. It dials, drains what send left it in
+// order, and redials on failure.
 func (p *peer) run() {
 	defer p.t.wg.Done()
-	var (
-		conn net.Conn
-		buf  frameBuf
-	)
-	disconnect := func() {
-		if conn != nil {
-			_ = conn.Close()
-			conn = nil
-			buf.b = nil
-		}
-	}
-	defer disconnect()
-
 	for {
-		payload, ok := p.next()
-		if !ok {
+		select {
+		case <-p.stop:
 			return
+		case <-p.wake:
 		}
-
-		if conn == nil {
-			c, err := net.DialTimeout("tcp", p.addr, p.t.cfg.DialTimeout)
-			if err != nil {
-				// Peer unreachable: drop and pace the next attempt.
-				select {
-				case <-time.After(p.t.cfg.RedialInterval):
-				case <-p.stop:
-					return
-				case <-p.t.done:
-					return
-				}
-				continue
-			}
-			if err := wire.WriteHandshake(c, wire.CodecWire); err != nil {
-				_ = c.Close()
-				continue
-			}
-			conn = c
-		}
-
-		buf.reset()
-		out, err := wire.AppendEnvelope(buf.b, int32(p.t.cfg.Self), payload)
-		if err != nil {
-			// Unencodable payload: drop the message (async-system semantics),
-			// keep the connection. This is a programming error — an
-			// unregistered type — so say so.
-			p.t.cfg.Logf("tcpnet[%d]: wire encode to %d: %v", p.t.cfg.Self, p.id, err)
-			continue
-		}
-		buf.b = out
-		if _, err := conn.Write(out); err != nil {
-			disconnect()
+		if !p.drain() {
+			return
 		}
 	}
 }
+
+// drain writes the rest of a partial frame and then the backlog, one frame
+// per write, dialing first if the connection is down. It returns when there
+// is nothing left or a direct writer holds the socket (that writer signals
+// if it leaves work behind); false once the peer stops.
+func (p *peer) drain() bool {
+	for {
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			return false
+		}
+		if p.busy || (p.rest == nil && p.head == len(p.queue)) {
+			p.mu.Unlock()
+			return true
+		}
+		if p.conn == nil {
+			p.mu.Unlock()
+			if !p.dial() {
+				return false
+			}
+			continue
+		}
+		p.busy = true
+		conn, out := p.conn, p.rest
+		p.rest = nil
+		var payload any
+		if out == nil {
+			payload, _ = p.dequeue()
+		}
+		p.mu.Unlock()
+
+		if out == nil {
+			out = p.encode(payload)
+		}
+		var err error
+		if len(out) > 0 {
+			_, err = conn.Write(out)
+		}
+		p.mu.Lock()
+		p.busy = false
+		if err != nil {
+			p.disconnectLocked()
+		}
+		p.mu.Unlock()
+	}
+}
+
+// dial connects to the peer and writes the handshake. A failed attempt
+// drops the oldest waiting payload and paces the next one by
+// RedialInterval. It returns false once the peer stops.
+func (p *peer) dial() bool {
+	c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
+	var raw syscall.RawConn
+	if err == nil {
+		if err = wire.WriteHandshake(c, wire.CodecWire); err == nil {
+			raw, err = c.(syscall.Conn).SyscallConn()
+		}
+		if err != nil {
+			_ = c.Close()
+		}
+	}
+	if err != nil {
+		p.mu.Lock()
+		p.dequeue()
+		p.mu.Unlock()
+		select {
+		case <-time.After(p.t.cfg.RedialInterval):
+			return true
+		case <-p.stop:
+			return false
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		_ = c.Close()
+		return false
+	}
+	p.conn, p.raw = c, raw
+	return true
+}
+
+// frameBufClamp is the largest encode or read buffer kept across frames.
+const frameBufClamp = 256 << 10
