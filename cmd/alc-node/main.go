@@ -25,7 +25,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,10 +56,10 @@ func run() error {
 		protocol  = flag.String("protocol", "alc", "alc or cert")
 		join      = flag.Bool("join", false, "rejoin a running group via state transfer")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/alc and /debug/pprof on this address (e.g. :8080)")
-		dataDir   = flag.String("data-dir", "", "directory for the write-ahead log and store snapshots (empty = no durability)")
+		dataDir   = flag.String("data-dir", "", "directory for the write-ahead log, whose first record is the latest store snapshot (empty = no durability)")
 		fsync     = flag.String("fsync", "interval", "WAL fsync policy: always, interval or off")
 		fsyncInt  = flag.Duration("fsync-interval", 5*time.Millisecond, "fsync cadence under -fsync=interval")
-		snapEvery = flag.Int("snapshot-every", 0, "take a store snapshot and truncate the WAL every N applied write-sets (0 = default 4096, negative = never)")
+		snapEvery = flag.Int("snapshot-every", 0, "rewrite the WAL to a store snapshot every N applied write-sets (0 = default 4096, negative = never)")
 		client    = flag.String("client", "", "serve the wire client protocol on this address (e.g. :7100; empty = no client port)")
 		inflight  = flag.Int("max-inflight", 0, "admission: concurrently executing client requests per connection (0 = default 64)")
 		pending   = flag.Int("max-pending", 0, "admission: server-wide executing client requests before shedding with the retryable overloaded status (0 = default 1024)")
@@ -218,43 +217,14 @@ func run() error {
 				}
 			}
 			err = replica.Atomic(func(tx *stm.Txn) error {
-				return applyInc(tx, fields[1], delta)
+				_, err := clientsrv.ApplyInc(tx, fields[1], int64(delta))
+				return err
 			})
 			report(err)
 		default:
 			fmt.Println("commands: set get inc stats dump quit")
 		}
 	}
-}
-
-// txRW is the slice of *stm.Txn that applyInc needs (seam for testing the
-// error-handling contract without driving a live store into each case).
-type txRW interface {
-	Read(box string) (stm.Value, error)
-	Write(box string, v stm.Value) error
-}
-
-// applyInc is the read-modify-write body of the inc command. Only a missing
-// box means "start from zero": any other read error (snapshot conflict,
-// finished transaction) must propagate so the STM aborts and transparently
-// re-executes — swallowing it would commit 0+delta over a value the
-// transaction was not entitled to ignore.
-func applyInc(tx txRW, key string, delta int) error {
-	cur := 0
-	v, err := tx.Read(key)
-	switch {
-	case errors.Is(err, stm.ErrNoSuchBox):
-		// box absent: create it at delta
-	case err != nil:
-		return err
-	default:
-		n, ok := v.(int)
-		if !ok {
-			return fmt.Errorf("inc %s: box holds %T, not int", key, v)
-		}
-		cur = n
-	}
-	return tx.Write(key, cur+delta)
 }
 
 func report(err error) {

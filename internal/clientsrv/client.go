@@ -24,9 +24,10 @@ type ClientConfig struct {
 	// Conns is the pool size. Requests round-robin across connections and
 	// pipeline freely within one. Default 4.
 	Conns int
-	// DialTimeout bounds connection attempts. Default 2s.
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 2 * time.Second
 
 // Client is a pooled, pipelined client-protocol client. Methods are safe for
 // concurrent use: any number of goroutines may issue requests; responses are
@@ -43,9 +44,6 @@ type Client struct {
 func Dial(cfg ClientConfig) *Client {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 4
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
 	}
 	c := &Client{cfg: cfg, conns: make([]*clientConn, cfg.Conns)}
 	for i := range c.conns {
@@ -137,7 +135,7 @@ func (c *clientConn) ensureConn() error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, err := c.dial("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	conn, err := c.dial("tcp", c.cfg.Addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("clientsrv: dial %s: %w", c.cfg.Addr, err)
 	}

@@ -1,4 +1,4 @@
-package main
+package clientsrv
 
 import (
 	"errors"
@@ -31,30 +31,30 @@ func (f *fakeTx) Write(box string, v stm.Value) error {
 func TestApplyIncPropagatesAbortErrors(t *testing.T) {
 	conflict := fmt.Errorf("validate: %w", stm.ErrConflict)
 	tx := &fakeTx{readErr: conflict}
-	err := applyInc(tx, "k", 5)
+	_, err := ApplyInc(tx, "k", 5)
 	if !errors.Is(err, stm.ErrConflict) {
-		t.Fatalf("applyInc returned %v, want the wrapped stm.ErrConflict", err)
+		t.Fatalf("ApplyInc returned %v, want the wrapped stm.ErrConflict", err)
 	}
 	if tx.wrote {
-		t.Fatalf("applyInc wrote %v after a conflicting read — the lost-update bug is back", tx.wroteVal)
+		t.Fatalf("ApplyInc wrote %v after a conflicting read — the lost-update bug is back", tx.wroteVal)
 	}
 }
 
 func TestApplyIncTxnDonePropagates(t *testing.T) {
 	tx := &fakeTx{readErr: stm.ErrTxnDone}
-	if err := applyInc(tx, "k", 1); !errors.Is(err, stm.ErrTxnDone) {
-		t.Fatalf("applyInc returned %v, want stm.ErrTxnDone", err)
+	if _, err := ApplyInc(tx, "k", 1); !errors.Is(err, stm.ErrTxnDone) {
+		t.Fatalf("ApplyInc returned %v, want stm.ErrTxnDone", err)
 	}
 	if tx.wrote {
-		t.Fatal("applyInc wrote after ErrTxnDone")
+		t.Fatal("ApplyInc wrote after ErrTxnDone")
 	}
 }
 
 // A genuinely missing box still means "create at delta".
 func TestApplyIncMissingBoxStartsAtZero(t *testing.T) {
 	tx := &fakeTx{readErr: fmt.Errorf("%w: %q", stm.ErrNoSuchBox, "k")}
-	if err := applyInc(tx, "k", 3); err != nil {
-		t.Fatalf("applyInc: %v", err)
+	if _, err := ApplyInc(tx, "k", 3); err != nil {
+		t.Fatalf("ApplyInc: %v", err)
 	}
 	if !tx.wrote || tx.wroteKey != "k" || tx.wroteVal != 3 {
 		t.Fatalf("wrote %v=%v, want k=3", tx.wroteKey, tx.wroteVal)
@@ -63,8 +63,8 @@ func TestApplyIncMissingBoxStartsAtZero(t *testing.T) {
 
 func TestApplyIncIncrementsExisting(t *testing.T) {
 	tx := &fakeTx{readVal: 39}
-	if err := applyInc(tx, "k", 3); err != nil {
-		t.Fatalf("applyInc: %v", err)
+	if _, err := ApplyInc(tx, "k", 3); err != nil {
+		t.Fatalf("ApplyInc: %v", err)
 	}
 	if tx.wroteVal != 42 {
 		t.Fatalf("wrote %v, want 42", tx.wroteVal)
@@ -73,30 +73,30 @@ func TestApplyIncIncrementsExisting(t *testing.T) {
 
 func TestApplyIncRejectsNonInt(t *testing.T) {
 	tx := &fakeTx{readVal: "not an int"}
-	if err := applyInc(tx, "k", 1); err == nil {
-		t.Fatal("applyInc accepted a non-int box")
+	if _, err := ApplyInc(tx, "k", 1); err == nil {
+		t.Fatal("ApplyInc accepted a non-int box")
 	}
 	if tx.wrote {
-		t.Fatal("applyInc wrote over a non-int box")
+		t.Fatal("ApplyInc wrote over a non-int box")
 	}
 }
 
-// End-to-end on a real store: applyInc against a live transaction both
+// End-to-end on a real store: ApplyInc against a live transaction both
 // creates a missing box and increments an existing one.
 func TestApplyIncOnRealStore(t *testing.T) {
 	store := stm.NewStore()
 
 	seed := store.Begin(false)
-	if err := applyInc(seed, "k", 10); err != nil {
-		t.Fatalf("applyInc (create): %v", err)
+	if _, err := ApplyInc(seed, "k", 10); err != nil {
+		t.Fatalf("ApplyInc (create): %v", err)
 	}
 	if err := seed.Commit(stm.TxnID{Seq: 1}); err != nil {
 		t.Fatalf("seed commit: %v", err)
 	}
 
 	tx := store.Begin(false)
-	if err := applyInc(tx, "k", 5); err != nil {
-		t.Fatalf("applyInc (increment): %v", err)
+	if _, err := ApplyInc(tx, "k", 5); err != nil {
+		t.Fatalf("ApplyInc (increment): %v", err)
 	}
 	if err := tx.Commit(stm.TxnID{Seq: 2}); err != nil {
 		t.Fatalf("commit: %v", err)

@@ -590,13 +590,12 @@ func TestDurableGobValueFormatDirectoryRejoinsByFullTransfer(t *testing.T) {
 	})
 }
 
-// writeDir replaces a crashed replica's durability directory content.
+// writeDir replaces a crashed replica's log with an older build's state in
+// today's one-file layout: its snapshot frame where the base record goes,
+// then its log records.
 func writeDir(t *testing.T, dir string, snap, log []byte) {
 	t.Helper()
-	if err := os.WriteFile(wal.SnapshotPath(dir), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(wal.LogPath(dir), log, 0o644); err != nil {
+	if err := os.WriteFile(wal.LogPath(dir), append(snap, log...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

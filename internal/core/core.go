@@ -104,7 +104,7 @@ type Config struct {
 	// Deprecated: kept only so benchmark/ compiles until its follow-up change
 	// stops setting it.
 	Shards int
-	// Durability configures the write-ahead log + snapshot tier and the
+	// Durability configures the write-ahead log tier and the
 	// delta state-transfer window (see DurabilityConfig). The zero value
 	// keeps the replica memory-only but still able to serve deltas.
 	Durability DurabilityConfig
@@ -289,7 +289,7 @@ type Replica struct {
 	waiters map[stm.TxnID]commitWaiter
 
 	// Durability tier: applied-frontier tracking + delta window (always),
-	// WAL + snapshots (when configured with a directory).
+	// the WAL (when configured with a directory).
 	dur *durable
 	// applyBatch is install's scratch batch, reused: every apply runs on the
 	// dispatcher.
@@ -353,7 +353,7 @@ func NewReplica(tr transport.Transport, cfg Config, gcsCfg gcs.Config) (*Replica
 	r.txnSeq.Store(uint64(time.Now().UnixNano()))
 	r.primary.Store(!gcsCfg.Joining)
 
-	// Durability: recover the store from snapshot + WAL (if a directory is
+	// Durability: recover the store from the WAL (if a directory is
 	// configured and holds state) before the endpoint exists — the recovered
 	// frontier is what the joinReq will advertise for a delta transfer.
 	dur, err := newDurable(cfg.Durability, r.store)
@@ -484,12 +484,13 @@ func (r *Replica) Close() error {
 
 // Seed initializes boxes directly in the local store, before the replica
 // starts processing transactions. Every replica must be seeded identically.
-// With durability enabled, the seeded state becomes the baseline snapshot:
-// seeded boxes are created outside any write-set, so the WAL alone could
-// never reconstruct them after a crash.
-// Seed runs on the caller's goroutine, keeping the snapshot's fsyncs off
-// the dispatcher, so it must precede every store install (sealSeed): an
-// install waits for a Seed in progress, and a Seed after one fails.
+// With durability enabled, the seeded state becomes the log's base record
+// (durable.snapshot): seeded boxes are created outside any write-set, so
+// entry records alone could never reconstruct them after a crash.
+// Seed runs on the caller's goroutine, keeping the log's rewrite (and its
+// fsyncs, under the interval and always policies) off the dispatcher, so it
+// must precede every store install (sealSeed): an install waits for a Seed
+// in progress, and a Seed after one fails.
 func (r *Replica) Seed(values map[string]stm.Value) error {
 	r.seedMu.Lock()
 	defer r.seedMu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,23 +17,25 @@ import (
 )
 
 // DurabilityConfig enables the per-replica durability tier: a write-ahead
-// log of applied write-set batches plus periodic store snapshots, giving a
-// restarted replica a local base to recover from so it can rejoin via a
-// delta state transfer instead of pulling the full store.
+// log of applied write-set batches that a periodic store snapshot rewrites
+// to one base record, giving a restarted replica a local base to recover
+// from so it can rejoin via a delta state transfer instead of pulling the
+// full store.
 type DurabilityConfig struct {
-	// Dir is the replica's durability directory (WAL + snapshot). Empty
-	// disables persistence; the in-memory delta-transfer bookkeeping (applied
-	// frontier + retained entry ring) stays on regardless, so a memory-only
-	// replica can still *serve* deltas to durable peers.
+	// Dir is the replica's durability directory, which holds the log
+	// (wal.Open) and nothing else. Empty disables persistence; the in-memory
+	// delta-transfer bookkeeping (applied frontier + retained entry ring)
+	// stays on regardless, so a memory-only replica can still *serve* deltas
+	// to durable peers.
 	Dir string
 	// Fsync selects the log's fsync policy: "always", "interval" (default)
 	// or "off". See wal.Policy.
 	Fsync string
 	// FsyncInterval is the "interval" policy's period. Default 5ms.
 	FsyncInterval time.Duration
-	// SnapshotEvery takes a store snapshot (and truncates the log) after
-	// this many logged write-sets. Default 4096; negative disables periodic
-	// snapshots (the log then grows until Close).
+	// SnapshotEvery rewrites the log to a store snapshot, its base record,
+	// after this many logged write-sets. Default 4096; negative disables
+	// periodic snapshots (the log then grows until Close).
 	SnapshotEvery int
 	// Retain is how many applied write-set entries every replica keeps in
 	// memory for serving delta transfers. A joiner whose gap outruns this
@@ -67,9 +68,9 @@ type WALStats struct {
 	// is the wall-clock time of the latest one (0: never).
 	Snapshots            int64
 	LastSnapshotUnixNano int64
-	// SnapshotLatency times durable snapshot attempts — store cut, encoding,
-	// WriteSnapshot's write and fsyncs, log truncation. Periodic and
-	// full-install snapshots run on the GCS dispatcher, which delivers
+	// SnapshotLatency times durable snapshot attempts — store cut, encoding
+	// and the log's rewrite to the new base record, with its fsyncs. Periodic
+	// and full-install snapshots run on the GCS dispatcher, which delivers
 	// nothing meanwhile.
 	SnapshotLatency metrics.HistogramSnapshot
 	// Degraded reports that a log write or encode failure turned
@@ -108,10 +109,10 @@ type WALStats struct {
 	// FilteredSeen / FilteredNeverSeen count entries the apply path's
 	// frontier filter dropped as already absorbed. Seen: the entry is still
 	// in the retained window or at/below its eviction watermark — a
-	// genuine duplicate (a delta install over a stale advertised frontier, a
-	// replayed log record the snapshot covers). NeverSeen: at/below the
-	// frontier yet in neither — an entry overtaken by a later one from its
-	// writer, i.e. an acknowledged commit being lost; must stay 0.
+	// genuine duplicate (a delta install over a stale advertised frontier).
+	// NeverSeen: at/below the frontier yet in neither — an entry overtaken by
+	// a later one from its writer, i.e. an acknowledged commit being lost;
+	// must stay 0.
 	FilteredSeen      int64
 	FilteredNeverSeen int64
 	// Transfers is the bounded record of this replica's state-transfer
@@ -120,7 +121,8 @@ type WALStats struct {
 	Transfers []Transfer
 	// Errors counts durability faults: encode/write/snapshot failures (the
 	// replica degrades to memory-only operation rather than stopping) and
-	// recovery discarding a snapshot, log or log suffix it cannot use.
+	// recovery discarding a log record it cannot decode and the rest of the
+	// log after it.
 	Errors int64
 }
 
@@ -186,41 +188,47 @@ type Transfer struct {
 	Declined string `json:"declined,omitempty"`
 }
 
-// walFormat is the first byte of every WAL record and snapshot payload, ahead
-// of fields in the wire codec (the same helpers that put write-sets and store
-// snapshots on the network, so one fuzzed decoder guards disk and network):
+// A WAL payload is a format byte ahead of fields in the wire codec (the same
+// helpers that put write-sets and store snapshots on the network, so one
+// fuzzed decoder guards disk and network):
 //
-//	record:   walFormat · appendWSEntries — one applied batch in apply order
-//	snapshot: walFormat · appendStoreSnapshot · appendFrontier, in
-//	          advertised() form · appendOrds, the TO lane's applied entries
-//	          past its frontier
+//	entry record: walRecordFormat · appendWSEntries — one applied batch in
+//	              apply order
+//	base record:  walBaseFormat · appendStoreSnapshot · appendFrontier, in
+//	              advertised() form · appendOrds, the TO lane's applied
+//	              entries past its frontier
 //
-// The value is one no encoding/gob stream can begin with (its leading length
-// byte is 0x00-0x7F or 0xF8-0xFF), so a directory written by the gob-era
-// build fails decoding at byte 0; bump it for any incompatible layout change.
-// 0xA1 was the layout with a shard-group number on every record and a
-// frontier per shard group in the snapshot; 0xA2 the snapshot without the TO
-// lane's applied entries past its frontier; 0xA3 the layout whose box values
-// of application types (sorted-set nodes, vacation records) were gob blobs
-// under the retired wire tag 0x0F.
-const walFormat byte = 0xA4
+// The base record, the store cut every later record builds on, is only ever
+// the log's first (wal.Log.Rewrite). Neither byte is one an encoding/gob
+// stream can begin with (its leading length byte is 0x00-0x7F or
+// 0xF8-0xFF), so a directory written by the gob-era build fails decoding at
+// byte 0; take new values for any incompatible layout change. Retired: 0xA1,
+// the layout with a shard-group number on every record and a frontier per
+// shard group in the snapshot; 0xA2, the snapshot without the TO lane's
+// applied entries past its frontier; 0xA3, the layout whose box values of
+// application types were gob blobs under the retired wire tag 0x0F; 0xA4,
+// the layout with the snapshot in a file of its own beside the log.
+const (
+	walRecordFormat byte = 0xA5
+	walBaseFormat   byte = 0xA6
+)
 
 func readWALRecord(payload []byte) ([]applyWSEntry, error) {
-	r := walReader(payload)
+	r := walReader(payload, walRecordFormat)
 	entries, err := readWSEntries(r)
 	return entries, walPayloadEnd(r, err)
 }
 
-func appendWALSnapshot(b []byte, store stm.StoreSnapshot, front map[transport.ID]uint64, toAbove []int64) ([]byte, error) {
-	b, err := appendStoreSnapshot(append(b, walFormat), store)
+func appendWALBase(b []byte, store stm.StoreSnapshot, front map[transport.ID]uint64, toAbove []int64) ([]byte, error) {
+	b, err := appendStoreSnapshot(append(b, walBaseFormat), store)
 	if err != nil {
 		return b, err
 	}
 	return appendOrds(appendFrontier(b, front), toAbove), nil
 }
 
-func readWALSnapshot(payload []byte) (stm.StoreSnapshot, map[transport.ID]uint64, []int64, error) {
-	r := walReader(payload)
+func readWALBase(payload []byte) (stm.StoreSnapshot, map[transport.ID]uint64, []int64, error) {
+	r := walReader(payload, walBaseFormat)
 	store, err := readStoreSnapshot(r)
 	if err != nil {
 		return store, nil, nil, err
@@ -232,10 +240,10 @@ func readWALSnapshot(payload []byte) (stm.StoreSnapshot, map[transport.ID]uint64
 
 // walReader returns a copying reader (decoded values outlive the replay
 // buffer) over the payload past its format byte — over nothing when the
-// format is foreign, so the decoder's first read fails.
-func walReader(payload []byte) *wire.Reader {
+// format is not the one expected, so the decoder's first read fails.
+func walReader(payload []byte, format byte) *wire.Reader {
 	r := wire.NewReader(payload)
-	if r.Byte() != walFormat {
+	if r.Byte() != format {
 		return wire.NewReader(nil)
 	}
 	return r
@@ -331,7 +339,7 @@ func (sh *appliedState) resetTo(f map[transport.ID]uint64) {
 // and it keeps the wire format a plain ID→seq map), the TO commit clock — or
 // nil when the local store is not a complete frontier-consistent state. It
 // is what a joinReq carries (nil makes the coordinator ship a full transfer)
-// and what the snapshot file records.
+// and what a base record holds.
 func (sh *appliedState) advertised() map[transport.ID]uint64 {
 	if !sh.hasState {
 		return nil
@@ -354,9 +362,9 @@ func (sh *appliedState) evict(id stm.TxnID, ord int64) {
 }
 
 // adoptTOAbove takes the TO lane's applied entries past the frontier from a
-// snapshot or a full transfer. They are absorbed but not in the delta window,
-// so the eviction watermark rises past them: a joiner that may lack one needs
-// a full transfer.
+// base record or a full transfer. They are absorbed but not in the delta
+// window, so the eviction watermark rises past them: a joiner that may lack
+// one needs a full transfer.
 func (sh *appliedState) adoptTOAbove(toAbove []int64) {
 	sh.toAbove = toAbove
 	for _, o := range toAbove {
@@ -437,9 +445,9 @@ func (sh *appliedState) seen(e applyWSEntry) bool {
 	return false
 }
 
-// durable is the replica's durability + delta-transfer state over one WAL
-// and snapshot file. The in-memory part is always active; the log/snapshot
-// part only when a directory is configured.
+// durable is the replica's durability + delta-transfer state over one log
+// file. The in-memory part is always active; the log only when a directory
+// is configured.
 //
 // The GCS dispatcher owns it: install's filter and log append, the periodic
 // snapshot, the state-transfer cuts, a full install and the join request's
@@ -462,7 +470,7 @@ type durable struct {
 
 	log       *wal.Log
 	sinceSnap int
-	// rec is the reused WAL record buffer: walFormat · count · entries.
+	// rec is the reused WAL record buffer: walRecordFormat · count · entries.
 	// append encodes each fresh entry into it once; the delta window copies
 	// the entry's bytes out and the log writes the whole record.
 	rec []byte
@@ -498,9 +506,9 @@ type durable struct {
 }
 
 // newDurable builds the durability state and, when a directory is
-// configured, recovers the store from snapshot + log before returning. The
-// caller (NewReplica) runs this before the GCS endpoint exists, so recovery
-// has the store to itself.
+// configured, recovers the store from its log before returning. The caller
+// (NewReplica) runs this before the GCS endpoint exists, so recovery has the
+// store to itself.
 func newDurable(cfg DurabilityConfig, store *stm.Store) (*durable, error) {
 	cfg.fillDefaults()
 	d := &durable{cfg: cfg}
@@ -508,109 +516,65 @@ func newDurable(cfg DurabilityConfig, store *stm.Store) (*durable, error) {
 	if cfg.Dir == "" {
 		return d, nil
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: durability dir: %w", err)
-	}
 	policy, err := wal.ParsePolicy(cfg.Fsync)
 	if err != nil {
 		return nil, err
 	}
-	validSize, err := d.recover(store)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.OpenLog(wal.LogPath(cfg.Dir), validSize, wal.Options{
+	start := time.Now()
+	log, err := wal.Open(cfg.Dir, wal.Options{
 		Policy:   policy,
 		Interval: cfg.FsyncInterval,
 		OnFsync:  d.fsyncLatency.Observe,
-	})
+	}, func(payload []byte) error { return d.replay(store, payload) })
 	if err != nil {
 		return nil, err
 	}
+	if !d.recoveredSnap && d.replayRecords > 0 {
+		// With a base record, its frontier says whether the store is
+		// complete. A log without one was never rewritten, so it is an
+		// initial member's complete history: safe to advertise.
+		d.markComplete()
+	}
+	d.replayDuration = time.Since(start)
 	d.log = log
 	return d, nil
 }
 
-// recover rebuilds the store from the durability directory: restore the
-// snapshot (if any), then replay the log suffix, filtering each record
-// through the snapshot's frontier so records covered by the snapshot (a
-// crash can land between snapshot write and log truncation) are not applied
-// twice. It returns the log's valid-prefix size for OpenLog's torn-tail
-// truncation. A snapshot that cannot be used invalidates the log too (its
-// records build on an unreconstructable base): see discardState.
-func (d *durable) recover(store *stm.Store) (int64, error) {
-	start := time.Now()
-	snapPayload, err := wal.ReadSnapshot(d.cfg.Dir)
-	if err != nil {
-		return 0, d.discardState(store) // the frame does not verify: corrupt
-	}
-	if snapPayload != nil {
-		snap, front, toAbove, derr := readWALSnapshot(snapPayload)
-		// An intact frame around a payload that does not decode was written
-		// by an incompatible build (the gob-era, 0xA1, 0xA2 and 0xA3 formats
-		// included).
-		if derr != nil {
-			return 0, d.discardState(store)
+// replay is recovery's step for one intact log record. The log's first
+// record may be its base: it restores the store cut and the frontiers.
+// Every other record is an entry record, run through the apply path's own
+// filter (no log is open yet, so append only filters, advances the
+// frontiers and refills the delta window) into the store. A record that
+// does not decode — written by an incompatible build (the gob-era and
+// 0xA1-0xA4 formats included) or damaged behind an intact CRC — is counted,
+// and its error ends the log there: wal.Open truncates the rest. When it is
+// the first record, nothing was recovered, so the replica starts stateless,
+// advertises nothing and rejoins by full transfer.
+func (d *durable) replay(store *stm.Store, payload []byte) error {
+	if !d.recoveredSnap && d.replayRecords == 0 && len(payload) > 0 && payload[0] == walBaseFormat {
+		snap, front, toAbove, err := readWALBase(payload)
+		if err != nil {
+			d.errors.Inc()
+			return err
 		}
 		store.Restore(snap)
 		d.applied.resetTo(front)
 		d.applied.adoptTOAbove(toAbove)
 		d.recoveredSnap = true
-	}
-
-	records, validSize, err := wal.Replay(wal.LogPath(d.cfg.Dir), func(payload []byte) error {
-		entries, derr := readWALRecord(payload)
-		if derr != nil {
-			// An undecodable record despite an intact CRC is a codec/schema
-			// problem, not tail damage. Treat conservatively as end-of-log:
-			// the prefix stands, OpenLog truncates the rest.
-			d.errors.Inc()
-			return errStopReplay
-		}
-		// The apply path's own filter (no log is open yet, so append only
-		// filters, advances the frontiers and refills the delta window) drops
-		// what the snapshot covers.
-		for _, e := range d.append(entries) {
-			store.ApplyWriteSet(e.TxnID, e.WS)
-			d.replayEntries++
-		}
 		return nil
-	})
-	if err != nil && err != errStopReplay {
-		return 0, err
 	}
-	if snapPayload == nil && records > 0 {
-		// With a snapshot, it says whether the store is complete. Without
-		// one the log was never truncated (that only happens right after a
-		// snapshot is durably in place), so it is an initial member's
-		// complete history: safe to advertise.
-		d.markComplete()
+	entries, err := readWALRecord(payload)
+	if err != nil {
+		d.errors.Inc()
+		return err
 	}
-	d.replayRecords = int64(records)
-	d.replayDuration = time.Since(start)
-	return validSize, nil
-}
-
-// discardState is recovery's one answer to a durability directory it cannot
-// build on, a corrupt or undecodable snapshot. It counts the fault, wipes
-// snapshot and log, drops whatever was recovered so far, and starts
-// stateless: nothing is advertised, so the replica takes a full transfer on
-// join.
-func (d *durable) discardState(store *stm.Store) error {
-	d.errors.Inc()
-	if err := wal.RemoveSnapshot(d.cfg.Dir); err != nil {
-		return fmt.Errorf("core: discard unusable snapshot: %w", err)
+	for _, e := range d.append(entries) {
+		store.ApplyWriteSet(e.TxnID, e.WS)
+		d.replayEntries++
 	}
-	if err := os.Remove(wal.LogPath(d.cfg.Dir)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("core: discard orphaned wal: %w", err)
-	}
-	store.Restore(stm.StoreSnapshot{})
-	d.applied.resetTo(nil)
-	d.recoveredSnap, d.replayEntries = false, 0
+	d.replayRecords++
 	return nil
 }
-
-var errStopReplay = fmt.Errorf("core: stop wal replay")
 
 // markComplete records that the store content is complete and matches the
 // frontier (initial member at birth, or full install).
@@ -619,8 +583,8 @@ func (d *durable) markComplete() {
 }
 
 // recordHeader is the room append reserves at the front of d.rec for
-// walFormat and the entry count, which is known only once the entries are
-// filtered (see logRecord).
+// walRecordFormat and the entry count, which is known only once the entries
+// are filtered (see logRecord).
 const recordHeader = 1 + binary.MaxVarintLen64
 
 // pushRetainedLocked encodes one applied entry onto the WAL record being
@@ -715,8 +679,8 @@ func (d *durable) append(entries []applyWSEntry) []applyWSEntry {
 }
 
 // logRecord finishes the record of the n entries append built in d.rec —
-// walFormat and n go at the end of the reserved header, right before the
-// entries — and appends it to the log. A value with no codec (a box type
+// walRecordFormat and n go at the end of the reserved header, right before
+// the entries — and appends it to the log. A value with no codec (a box type
 // never registered with wire.Register) left the record incomplete; that, or
 // a failed write, degrades the replica to memory-only rather than blocking
 // commits.
@@ -725,7 +689,7 @@ func (d *durable) logRecord(n int, encoded bool) {
 	var count [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(count[:], uint64(n))
 	start := recordHeader - 1 - k
-	d.rec[start] = walFormat
+	d.rec[start] = walRecordFormat
 	copy(d.rec[start+1:], count[:k])
 	size, err := 0, errNoCodec
 	if encoded {
@@ -765,28 +729,24 @@ func (d *durable) maybeSnapshot(store *stm.Store) {
 	}
 }
 
-// snapshot durably writes the store image + applied frontier, then
-// truncates the log, and reports whether it did. It runs where nothing
-// installs meanwhile (see durable), so the store cut and the frontier
-// describe the same state and no record can land between the cut and the
-// truncation and be lost to both. Crash windows: before the rename, the old
-// snapshot+log still recover; between rename and truncation, replay filters
-// the (now covered) log records through the new frontiers.
+// snapshot persists the store cut — image, applied frontier and the TO
+// lane's entries past it — as the log's new base record, which replaces
+// every record logged so far (wal.Log.Rewrite), and reports whether it did.
+// It runs where nothing installs meanwhile (see durable), so the cut and the
+// frontier describe the same state. A failure degrades the replica to
+// memory-only: after a full install or a Seed, the log no longer holds the
+// state the replica runs.
 func (d *durable) snapshot(store *stm.Store) bool {
 	if d.log == nil {
 		return false
 	}
 	start := time.Now()
 	defer func() { d.snapLatency.Observe(time.Since(start)) }()
-	payload, err := appendWALSnapshot(nil, store.Snapshot(), d.applied.advertised(), d.applied.toAbove)
+	base, err := appendWALBase(nil, store.Snapshot(), d.applied.advertised(), d.applied.toAbove)
 	if err == nil {
-		err = wal.WriteSnapshot(d.cfg.Dir, payload)
+		err = d.log.Rewrite(base)
 	}
 	if err != nil {
-		d.errors.Inc()
-		return false
-	}
-	if err := d.log.Reset(); err != nil {
 		d.errors.Inc()
 		d.disableLog()
 		return false
@@ -909,8 +869,8 @@ func (d *durable) delta(f map[transport.ID]uint64) (_ []applyWSEntry, why declin
 
 // installFull resets the durability state around a full state transfer:
 // the transferred state IS the new baseline, so the delta window restarts
-// empty at the transferred frontier and, when persistence is on, a fresh
-// durable snapshot replaces whatever the directory held (without it, a crash
+// empty at the transferred frontier and, when persistence is on, the log is
+// rewritten to the installed cut as its base record (without it, a crash
 // would recover pre-transfer state and replay post-transfer records on top
 // of it). Runs on the dispatcher (InstallState), after the store install.
 func (d *durable) installFull(f map[transport.ID]uint64, toAbove []int64, store *stm.Store) {

@@ -5,7 +5,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/alcstm/alc/internal/lease"
@@ -16,7 +19,7 @@ import (
 )
 
 // The durability tier driven directly — newDurable over a temp dir, no
-// replica, no GCS: what a WAL record and a snapshot carry across a restart,
+// replica, no GCS: what an entry record and a base record carry across a restart,
 // and what recovery does with a directory it cannot use. The cluster-level
 // restart scenarios live in internal/cluster/durability_test.go.
 
@@ -65,7 +68,7 @@ func applyTo(d *durable, store *stm.Store, entries ...applyWSEntry) []applyWSEnt
 // appendWALRecord encodes a WAL record in one pass, as a reference for the
 // record durable.append builds entry by entry.
 func appendWALRecord(b []byte, entries []applyWSEntry) ([]byte, error) {
-	return appendWSEntries(append(b, walFormat), entries)
+	return appendWSEntries(append(b, walRecordFormat), entries)
 }
 
 func image(store *stm.Store) map[string]stm.Value {
@@ -196,24 +199,44 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	d.close()
 
-	// Life 4: a crash between the snapshot's rename and the log truncation
-	// leaves a log whose records the new snapshot already covers; replay
-	// reads them and applies none (the filter counts them as seen before).
-	payload, err := appendWALSnapshot(nil, store.Snapshot(), wantAdv, nil)
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"wal.log"}) {
+		t.Fatalf("after a snapshot the directory holds %q, want the log alone", names)
+	}
+
+	// Life 4: a rewrite that crashed before its rename left its temporary
+	// file, a newer base, beside the log. Recovery removes it and recovers
+	// the log whole.
+	base, err := appendWALBase(nil, stm.StoreSnapshot{}, map[transport.ID]uint64{transport.Nobody: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.WriteSnapshot(dir, payload); err != nil {
+	if err := os.WriteFile(wal.LogPath(dir)+".tmp", wal.EncodeRecord(base), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d, store = openDurable(t, dir)
-	if s := d.stats(); s.ReplayedRecords != 1 || s.ReplayedEntries != 0 || s.Errors != 0 ||
-		s.FilteredSeen != 1 || s.FilteredNeverSeen != 0 {
-		t.Fatalf("covered-record recovery: %+v", s)
+	if s := d.stats(); !s.RecoveredFromSnapshot || s.ReplayedRecords != 1 || s.ReplayedEntries != 1 || s.Errors != 0 {
+		t.Fatalf("recovery beside a leftover rewrite: %+v", s)
 	}
 	if got := image(store); !reflect.DeepEqual(got, wantImage) {
-		t.Fatalf("covered-record recovery: store\n got  %#v\n want %#v", got, wantImage)
+		t.Fatalf("recovery beside a leftover rewrite: store\n got  %#v\n want %#v", got, wantImage)
 	}
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"wal.log"}) {
+		t.Fatalf("after recovery the directory holds %q, want the log alone", names)
+	}
+}
+
+// dirNames lists the files in a durability directory.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestDurableStatelessSnapshotStaysStateless: a snapshot taken before the
@@ -254,10 +277,15 @@ func gobStream(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestDurableRecoveryDiscards walks every way a CRC-intact durability
-// directory can still be unusable. Each must end exactly as documented —
-// stateless (directory wiped, store empty, nothing advertised) or on the
-// intact log prefix with the tail truncated — and be counted in Errors.
+// TestDurableRecoveryDiscards walks every way a durability directory can
+// hold a log recovery cannot fully use. Each must end exactly as documented:
+// stateless (log truncated to empty, store empty, nothing advertised), or on
+// the base and the intact records before the first one that does not
+// decode, with the rest truncated. A record that does not decode behind an
+// intact CRC is counted in Errors; a frame that fails its CRC is a torn tail
+// and is not. A directory of the older layout — a snapshot file beside the
+// log — holds nothing a reader accepts and is discarded whole, the snapshot
+// file included.
 func TestDurableRecoveryDiscards(t *testing.T) {
 	record := func(entries ...applyWSEntry) []byte {
 		p, err := appendWALRecord(nil, entries)
@@ -266,12 +294,12 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 		}
 		return p
 	}
-	// snapshot is {k: 100} at writer 1's Seq 10.
+	// base is {k: 100} at writer 1's Seq 10.
 	store := stm.StoreSnapshot{Clock: 3, Boxes: []stm.BoxState{
 		{Box: "k", Writer: stm.TxnID{Replica: 1, Seq: 10}, Value: 100},
 	}}
 	front := map[transport.ID]uint64{1: 10, transport.Nobody: 0}
-	snapshot, err := appendWALSnapshot(nil, store, front, nil)
+	base, err := appendWALBase(nil, store, front, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,49 +318,68 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshotA1 = appendFrontier(append(snapshotA1, 1), front)
-	corruptFrame := wal.EncodeRecord(snapshot)
+	// The 0xA4 layout: today's fields, under one format byte for both
+	// payloads, with the snapshot in a file of its own.
+	snapshotA4 := append([]byte{0xA4}, base[1:]...)
+	recordA4 := func(entries ...applyWSEntry) []byte {
+		return append([]byte{0xA4}, record(entries...)[1:]...)
+	}
+	corruptFrame := wal.EncodeRecord(base)
 	corruptFrame[len(corruptFrame)-1] ^= 0xFF
-	gobPayload := gobStream(t) // under the same CRC framing, as the parent build wrote it
+	gobPayload := gobStream(t) // under the same CRC framing, as the gob-era build wrote it
 
 	tests := []struct {
-		name     string
-		snapFile []byte   // raw snapshot file content; nil: none
+		name string
+		// snapFile is the older layout's snapshot file beside the log; nil:
+		// none.
+		snapFile []byte
 		log      [][]byte // record payloads, framed by the test
-		// keep < 0: stateless. Otherwise recovery stands on the snapshot plus
-		// the first keep log records.
+		torn     []byte   // raw bytes after the framed records
+		// keep < 0: stateless. Otherwise recovery stands on the first keep
+		// log records.
 		keep      int
+		errors    int64
 		wantK     stm.Value
 		wantFront map[transport.ID]uint64
 	}{
-		{name: "corrupt snapshot frame", snapFile: corruptFrame,
-			log: [][]byte{record(urb(11, 1))}, keep: -1},
-		{name: "undecodable snapshot", snapFile: wal.EncodeRecord([]byte{walFormat, 0xFF, 0xFF}),
-			log: [][]byte{record(urb(11, 1))}, keep: -1},
-		{name: "gob-era snapshot and log", snapFile: wal.EncodeRecord(gobPayload),
-			log: [][]byte{gobPayload, gobPayload}, keep: -1},
-		{name: "0xA1 snapshot and log", snapFile: wal.EncodeRecord(snapshotA1),
-			log: [][]byte{recordA1(urb(11, 1))}, keep: -1},
-		{name: "snapshot with trailing bytes", snapFile: wal.EncodeRecord(append(snapshot, 0)),
+		{name: "corrupt snapshot frame", torn: append(corruptFrame, wal.EncodeRecord(record(urb(11, 1)))...),
 			keep: -1},
+		{name: "undecodable snapshot", log: [][]byte{{walBaseFormat, 0xFF, 0xFF}, record(urb(11, 1))},
+			keep: -1, errors: 1},
+		{name: "gob-era snapshot and log", snapFile: wal.EncodeRecord(gobPayload),
+			log: [][]byte{gobPayload, gobPayload}, keep: -1, errors: 1},
+		{name: "0xA1 snapshot and log", snapFile: wal.EncodeRecord(snapshotA1),
+			log: [][]byte{recordA1(urb(11, 1))}, keep: -1, errors: 1},
+		{name: "0xA4 snapshot and log", snapFile: wal.EncodeRecord(snapshotA4),
+			log: [][]byte{recordA4(urb(11, 1)), recordA4(urb(12, 2))}, keep: -1, errors: 1},
+		{name: "0xA4 snapshot, log truncated after it", snapFile: wal.EncodeRecord(snapshotA4),
+			keep: -1},
+		{name: "0xA4 snapshot as the base", log: [][]byte{snapshotA4, record(urb(11, 1))},
+			keep: -1, errors: 1},
+		{name: "snapshot with trailing bytes", log: [][]byte{append(slices.Clone(base), 0)},
+			keep: -1, errors: 1},
 		{name: "gob-era log, no snapshot",
-			log: [][]byte{gobPayload, gobPayload}, keep: -1},
+			log: [][]byte{gobPayload, gobPayload}, keep: -1, errors: 1},
 		{name: "0xA1 log, no snapshot",
-			log: [][]byte{recordA1(urb(1, 1)), recordA1(urb(2, 2))}, keep: -1},
-		{name: "undecodable record mid-log", snapFile: wal.EncodeRecord(snapshot),
-			log:  [][]byte{record(urb(11, 1)), record(urb(12, 2)), {walFormat, 0xFF}, record(urb(13, 3))},
-			keep: 2, wantK: 2, wantFront: map[transport.ID]uint64{1: 12, transport.Nobody: 0}},
+			log: [][]byte{recordA1(urb(1, 1)), recordA1(urb(2, 2))}, keep: -1, errors: 1},
+		{name: "undecodable record mid-log",
+			log:  [][]byte{base, record(urb(11, 1)), record(urb(12, 2)), {walRecordFormat, 0xFF}, record(urb(13, 3))},
+			keep: 3, errors: 1, wantK: 2, wantFront: map[transport.ID]uint64{1: 12, transport.Nobody: 0}},
 		{name: "record with trailing bytes",
 			log:  [][]byte{record(urb(1, 1)), append(record(urb(2, 2)), 0)},
-			keep: 1, wantK: 1, wantFront: map[transport.ID]uint64{1: 1, transport.Nobody: 0}},
-		{name: "gob-era record after a snapshot", snapFile: wal.EncodeRecord(snapshot),
-			log:  [][]byte{gobPayload},
-			keep: 0, wantK: 100, wantFront: map[transport.ID]uint64{1: 10, transport.Nobody: 0}},
+			keep: 1, errors: 1, wantK: 1, wantFront: map[transport.ID]uint64{1: 1, transport.Nobody: 0}},
+		{name: "gob-era record after a snapshot",
+			log:  [][]byte{base, gobPayload},
+			keep: 1, errors: 1, wantK: 100, wantFront: map[transport.ID]uint64{1: 10, transport.Nobody: 0}},
+		{name: "base record after the first",
+			log:  [][]byte{record(urb(1, 1)), base, record(urb(2, 2))},
+			keep: 1, errors: 1, wantK: 1, wantFront: map[transport.ID]uint64{1: 1, transport.Nobody: 0}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			dir := t.TempDir()
 			if tt.snapFile != nil {
-				if err := os.WriteFile(wal.SnapshotPath(dir), tt.snapFile, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, "snapshot.snap"), tt.snapFile, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -344,23 +391,23 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 					keepSize = len(logFile)
 				}
 			}
-			if err := os.WriteFile(wal.LogPath(dir), logFile, 0o644); err != nil {
+			if err := os.WriteFile(wal.LogPath(dir), append(logFile, tt.torn...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
 			d, store := openDurable(t, dir)
-			if got := d.stats().Errors; got != 1 {
-				t.Errorf("Errors = %d, want 1", got)
+			if got := d.stats().Errors; got != tt.errors {
+				t.Errorf("Errors = %d, want %d", got, tt.errors)
 			}
 			if st, err := os.Stat(wal.LogPath(dir)); err != nil {
 				t.Error(err)
 			} else if st.Size() != int64(keepSize) {
 				t.Errorf("log after recovery: %d bytes, want %d", st.Size(), keepSize)
 			}
+			if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"wal.log"}) {
+				t.Errorf("after recovery the directory holds %q, want the log alone", names)
+			}
 			if tt.keep < 0 {
-				if _, err := os.Stat(wal.SnapshotPath(dir)); !os.IsNotExist(err) {
-					t.Errorf("snapshot file survived the discard (stat err %v)", err)
-				}
 				if got := image(store); len(got) != 0 {
 					t.Errorf("store after discard = %v, want empty", got)
 				}
@@ -595,7 +642,7 @@ func TestDurableRetainedBytesBounded(t *testing.T) {
 }
 
 // FuzzWALPayload feeds arbitrary bytes — what a CRC-intact but foreign or
-// damaged record or snapshot hands recovery — to both payload decoders. They
+// damaged entry or base record hands recovery — to both payload decoders. They
 // must never panic, never size anything past the input's length (the
 // wire.Reader.Count bound), and whatever decodes must re-encode to a payload
 // that decodes to the same value.
@@ -605,14 +652,23 @@ func FuzzWALPayload(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(p)
-	snap, err := appendWALSnapshot(nil, stm.StoreSnapshot{Clock: 88, Boxes: []stm.BoxState{
+	base, err := appendWALBase(nil, stm.StoreSnapshot{Clock: 88, Boxes: []stm.BoxState{
 		{Box: "acct:1", Writer: stm.TxnID{Replica: 2, Seq: 31}, Value: 100},
 		{Box: "struct", Value: walBox{Name: "car", Seats: 4}},
 	}}, map[transport.ID]uint64{0: 12, 2: 31, transport.Nobody: 4}, []int64{7, 9})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(snap)
+	f.Add(base)
+	// A stateless base: an empty store cut with no frontier to advertise.
+	stateless, err := appendWALBase(nil, stm.StoreSnapshot{}, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stateless)
+	// The same payloads under the retired 0xA4 format byte.
+	f.Add(append([]byte{0xA4}, p[1:]...))
+	f.Add(append([]byte{0xA4}, base[1:]...))
 	// A 0xA1 record and snapshot, as the build with shard groups wrote them.
 	recordA1, err := appendWSEntries([]byte{0xA1, 0}, roundTripEntries())
 	if err != nil {
@@ -625,7 +681,8 @@ func FuzzWALPayload(f *testing.F) {
 	}
 	f.Add(appendFrontier(append(snapA1, 1), map[transport.ID]uint64{0: 12, transport.Nobody: 4}))
 	f.Add(gobStream(f))
-	f.Add([]byte{walFormat})
+	f.Add([]byte{walRecordFormat})
+	f.Add([]byte{walBaseFormat})
 	f.Add([]byte{})
 
 	isNaN := func(v stm.Value) bool {
@@ -655,7 +712,7 @@ func FuzzWALPayload(f *testing.F) {
 				t.Fatalf("record round trip: err %v\n got  %#v\n want %#v", err, entries2, entries)
 			}
 		}
-		if store, front, above, err := readWALSnapshot(data); err == nil {
+		if store, front, above, err := readWALBase(data); err == nil {
 			if sized := len(store.Boxes) + len(front) + len(above); sized > len(data) {
 				t.Fatalf("%d boxes, %d frontier entries, %d TO ordinals decoded from %d bytes",
 					len(store.Boxes), len(front), len(above), len(data))
@@ -665,14 +722,14 @@ func FuzzWALPayload(f *testing.F) {
 					t.Skip()
 				}
 			}
-			again, err := appendWALSnapshot(nil, store, front, above)
+			again, err := appendWALBase(nil, store, front, above)
 			if err != nil {
-				t.Fatalf("re-encode snapshot: %v", err)
+				t.Fatalf("re-encode base: %v", err)
 			}
-			store2, front2, above2, err := readWALSnapshot(again)
+			store2, front2, above2, err := readWALBase(again)
 			if err != nil || !reflect.DeepEqual(store2, store) || !reflect.DeepEqual(front2, front) ||
 				!reflect.DeepEqual(above2, above) {
-				t.Fatalf("snapshot round trip: err %v\n got  %#v %v %v\n want %#v %v %v",
+				t.Fatalf("base round trip: err %v\n got  %#v %v %v\n want %#v %v %v",
 					err, store2, front2, above2, store, front, above)
 			}
 		}
@@ -853,8 +910,8 @@ func TestDurableWindowKeepsTheRecordBytes(t *testing.T) {
 		t.Fatalf("the log is not one intact record (%d of %d bytes)", n, len(log))
 	}
 	r := wire.NewReader(payload)
-	if r.Byte() != walFormat || r.Count() != len(batch) {
-		t.Fatal("record header is not walFormat and the batch's count")
+	if r.Byte() != walRecordFormat || r.Count() != len(batch) {
+		t.Fatal("record header is not walRecordFormat and the batch's count")
 	}
 	var inRecord [][]byte
 	for range batch {
@@ -928,5 +985,54 @@ func TestDurableSnapshotLatency(t *testing.T) {
 	if s.Snapshots != 1 || s.SnapshotLatency.Count() != 1 || s.SnapshotLatency.Sum() <= 0 {
 		t.Fatalf("after SnapshotEvery write-sets: %d snapshots, %d timed (sum %v); want 1, 1, > 0",
 			s.Snapshots, s.SnapshotLatency.Count(), s.SnapshotLatency.Sum())
+	}
+}
+
+// TestDurableBaseRewritesFollowThePolicy counts fsyncs through the log's
+// fsync hook while the three writers of a base record run: Seed, the
+// periodic snapshot and a full install. Under "off" none of them fsyncs.
+// Under "always" each rewrite fsyncs its new file and its directory, while
+// only the appended record's fsync is timed in FsyncLatency; the rewrites
+// are timed in SnapshotLatency.
+func TestDurableBaseRewritesFollowThePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		fsync                 string
+		perRewrite, perAppend int64
+	}{{"off", 0, 0}, {"always", 2, 1}} {
+		t.Run(tc.fsync, func(t *testing.T) {
+			dir := t.TempDir()
+			r := newTestReplicaWith(t, Config{Durability: DurabilityConfig{Dir: dir, Fsync: tc.fsync, SnapshotEvery: 1}})
+			var fsyncs atomic.Int64
+			r.dur.log.SetFsync(func(f *os.File) error {
+				fsyncs.Add(1)
+				return f.Sync()
+			})
+			if err := r.Seed(map[string]stm.Value{"k": 0}); err != nil {
+				t.Fatal(err)
+			}
+			if got := fsyncs.Load(); got != tc.perRewrite {
+				t.Fatalf("Seed issued %d fsyncs, want %d", got, tc.perRewrite)
+			}
+			takeDispatcher(t, r)
+			// One logged write-set reaches SnapshotEvery: its append, then the
+			// periodic rewrite.
+			(&gcsHandler{r}).OnURDeliver(1, wsBatch("k", stm.TxnID{Replica: 1, Seq: 1}))
+			if got, want := fsyncs.Load(), 2*tc.perRewrite+tc.perAppend; got != want {
+				t.Fatalf("after a periodic snapshot: %d fsyncs, want %d", got, want)
+			}
+			frontier, toAbove := r.dur.cut()
+			(&gcsHandler{r}).InstallState(&xferState{Leases: r.lm.SnapshotState(), Frontier: frontier, TOAbove: toAbove})
+			if got, want := fsyncs.Load(), 3*tc.perRewrite+tc.perAppend; got != want {
+				t.Fatalf("after a full install: %d fsyncs, want %d", got, want)
+			}
+			s := r.Stats().WAL
+			if s.Snapshots != 3 || s.SnapshotLatency.Count() != 3 || s.FsyncLatency.Count() != tc.perAppend || s.Errors != 0 {
+				t.Fatalf("%d snapshots (%d timed), %d log fsyncs timed, %d errors; want 3 (3), %d, 0",
+					s.Snapshots, s.SnapshotLatency.Count(), s.FsyncLatency.Count(), s.Errors, tc.perAppend)
+			}
+			if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"wal.log"}) {
+				t.Fatalf("the directory holds %q, want the log alone", names)
+			}
+		})
 	}
 }

@@ -49,12 +49,10 @@ type Config struct {
 	// per link); see Faults. The zero value disables injection. Faults can
 	// also be installed or cleared at runtime with Network.SetFaults.
 	Faults Faults
-	// QueueSize bounds each link's in-flight queue and each endpoint inbox.
-	// Zero selects a generous default.
-	QueueSize int
 }
 
-const _defaultQueueSize = 16384
+// queueSize bounds each link's in-flight queue and each endpoint inbox.
+const queueSize = 16384
 
 // Network is a simulated asynchronous network connecting a set of endpoints.
 type Network struct {
@@ -76,9 +74,6 @@ type linkKey struct {
 
 // New creates an empty simulated network.
 func New(cfg Config) *Network {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = _defaultQueueSize
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -112,7 +107,7 @@ func (n *Network) Endpoint(id transport.ID) (*Endpoint, error) {
 	ep := &Endpoint{
 		id:    id,
 		net:   n,
-		inbox: make(chan transport.Message, n.cfg.QueueSize),
+		inbox: make(chan transport.Message, queueSize),
 		done:  make(chan struct{}),
 	}
 	n.endpoints[id] = ep
@@ -349,7 +344,7 @@ func newLink(n *Network, key linkKey) *link {
 	l := &link{
 		net:  n,
 		key:  key,
-		ch:   make(chan timedMessage, n.cfg.QueueSize),
+		ch:   make(chan timedMessage, queueSize),
 		done: make(chan struct{}),
 	}
 	go l.run()

@@ -253,7 +253,7 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		func(s repSample) int64 { return s.stats.WAL.Records })
 	counter("alc_wal_appended_bytes_total", "Bytes appended to the write-ahead log (frames included).",
 		func(s repSample) int64 { return s.stats.WAL.AppendedBytes })
-	counter("alc_wal_snapshots_total", "Durable store snapshots taken (each truncates the log).",
+	counter("alc_wal_snapshots_total", "Durable store snapshots taken (each rewrites the log to its base record).",
 		func(s repSample) int64 { return s.stats.WAL.Snapshots })
 	counter("alc_wal_replayed_records_total", "WAL records replayed by the last recovery.",
 		func(s repSample) int64 { return s.stats.WAL.ReplayedRecords })
@@ -358,7 +358,7 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		writeHist(w, "alc_wal_fsync_latency_seconds",
 			fmt.Sprintf("replica=%q", s.name), s.stats.WAL.FsyncLatency)
 	}
-	fmt.Fprintf(w, "# HELP alc_wal_snapshot_seconds Durable snapshot duration (store cut, encode, write and fsyncs, log truncation); periodic and full-install snapshots block the GCS dispatcher meanwhile.\n# TYPE alc_wal_snapshot_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP alc_wal_snapshot_seconds Durable snapshot duration (store cut, encode, the log rewrite and its fsyncs); periodic and full-install snapshots block the GCS dispatcher meanwhile.\n# TYPE alc_wal_snapshot_seconds histogram\n")
 	for _, s := range samples {
 		writeHist(w, "alc_wal_snapshot_seconds",
 			fmt.Sprintf("replica=%q", s.name), s.stats.WAL.SnapshotLatency)

@@ -1,7 +1,6 @@
-// Package wal implements the per-replica durability substrate: an
-// append-only write-ahead log of opaque payload records plus an atomically
-// replaced snapshot file, both CRC-framed so that recovery after a crash can
-// tell exactly how much of the tail survived.
+// Package wal implements the per-replica durability substrate: a directory
+// that holds one append-only log of opaque, CRC-framed payload records, so
+// that recovery after a crash can tell exactly how much of the tail survived.
 //
 // Record framing is length-prefixed and checksummed:
 //
@@ -10,14 +9,16 @@
 // Replay reads records until the first frame that cannot be proven intact — a
 // torn tail (short header or short payload), a corrupt length, or a CRC
 // mismatch — and stops there without error: everything before the damage is
-// the durable prefix, everything after it never happened. The caller then
-// reopens the log truncated to that prefix, so new appends land on a clean
-// tail instead of hiding behind garbage.
+// the durable prefix, everything after it never happened. Open then truncates
+// the file to that prefix, so new appends land on a clean tail instead of
+// hiding behind garbage.
 //
-// The snapshot file is written to a temporary name, fsynced and renamed into
-// place, so a crash mid-write leaves the previous snapshot (or none) intact.
-// Snapshot payloads use the same frame so a damaged file is detected rather
-// than decoded.
+// A log may start with a base record, a cut of the state every later record
+// builds on. Rewrite is the only way to put one there: it writes the base to
+// a temporary file, fsyncs it, renames it over the log and fsyncs the
+// directory, so a crash leaves either the old file whole or the new one, and
+// the log never holds records a base already covers. Every fsync, a rewrite's
+// included, follows the log's Policy.
 package wal
 
 import (
@@ -41,27 +42,24 @@ const (
 	MaxRecordSize = 64 << 20
 )
 
-// File names inside a replica's durability directory.
+// File names inside a durability directory.
 const (
-	logName      = "wal.log"
-	snapshotName = "snapshot.snap"
-	snapshotTmp  = "snapshot.tmp"
+	logName = "wal.log"
+	// tmpSuffix names the file a Rewrite builds beside the log.
+	tmpSuffix = ".tmp"
 )
+
+// leftovers are the files Open removes from a durability directory: the
+// temporary file of a Rewrite that crashed before its rename, and the
+// snapshot files of the older layout, which kept the store cut beside the log.
+var leftovers = []string{logName + tmpSuffix, "snapshot.snap", "snapshot.tmp"}
 
 // castagnoli is the CRC-32C table (iSCSI polynomial, hardware-accelerated on
 // amd64/arm64), the conventional choice for storage framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a snapshot file whose frame does not verify. (Log
-// replay never returns it: a broken log tail is a normal crash artifact and
-// simply ends the replay.)
-var ErrCorrupt = errors.New("wal: corrupt frame")
-
 // LogPath returns the log file path inside a durability directory.
 func LogPath(dir string) string { return filepath.Join(dir, logName) }
-
-// SnapshotPath returns the snapshot file path inside a durability directory.
-func SnapshotPath(dir string) string { return filepath.Join(dir, snapshotName) }
 
 // EncodeRecord frames one payload: length prefix, CRC-32C, payload.
 func EncodeRecord(payload []byte) []byte {
@@ -104,11 +102,11 @@ func DecodeRecord(b []byte) (payload []byte, n int, ok bool) {
 }
 
 // Replay streams every intact record of the log at path into fn, in append
-// order, stopping silently at the first frame that does not verify. It
-// returns the number of records delivered and the byte offset of the end of
-// the valid prefix — the size the log should be truncated to before new
-// appends. A missing file is an empty log, not an error; fn's error aborts
-// the replay and is returned.
+// order, stopping silently at the first frame that does not verify or the
+// first record fn returns an error for. It returns the number of records fn
+// accepted and the byte offset of the end of them — the size the log should
+// be truncated to before new appends. A missing file is an empty log, not an
+// error.
 func Replay(path string, fn func(payload []byte) error) (records int, validSize int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -136,8 +134,8 @@ func Replay(path string, fn func(payload []byte) error) (records int, validSize 
 		if crc32.Checksum(payload, castagnoli) != crc {
 			return records, validSize, nil // bit rot / torn rewrite
 		}
-		if err := fn(payload); err != nil {
-			return records, validSize, err
+		if fn(payload) != nil {
+			return records, validSize, nil // the caller's end of the log
 		}
 		records++
 		validSize += headerSize + int64(length)
@@ -192,8 +190,9 @@ type Options struct {
 	Policy Policy
 	// Interval is the PolicyInterval fsync period. Default 5ms.
 	Interval time.Duration
-	// OnFsync, when non-nil, observes the latency of every fsync issued
-	// (metrics hook; must be cheap).
+	// OnFsync, when non-nil, observes the latency of every fsync that makes
+	// appended records durable (metrics hook; must be cheap). A Rewrite's
+	// fsyncs are the caller's to time.
 	OnFsync func(time.Duration)
 }
 
@@ -210,23 +209,46 @@ type Log struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signalled when an fsync finishes
 	f    *os.File
+	path string
 	opts Options
 	// written and synced are logical log positions: written grows by one at
-	// every append and truncation (it never moves back, Reset included);
-	// synced is the value written had when the last successful fsync began.
+	// every append and rewrite (it never moves back); synced is the value
+	// written had when the last successful fsync began.
 	written, synced int64
 	syncing         bool  // an fsync is in flight
 	err             error // the first failed fsync's error
-	size            int64
 	closed          bool
 	stop            chan struct{}
 	done            chan struct{}
 	// frame is the reused buffer Append frames a record in; it is written
 	// under mu, so nothing references it once its append returns.
 	frame []byte
-	// fsync forces f to stable storage; tests substitute it to hold or fail
-	// an fsync.
+	// fsync forces a file — the log, a rewrite's new file or its directory —
+	// to stable storage; tests substitute it (SetFsync) to count, hold or
+	// fail fsyncs.
 	fsync func(*os.File) error
+}
+
+// Open opens the log of durability directory dir, creating the directory if
+// needed. It removes the leftovers of an interrupted Rewrite or of the older
+// layout, hands every intact record to replay in order — the base record
+// first, when the log has one — and truncates the file after the last record
+// replay accepted: a torn tail, or the record replay returned an error for,
+// and everything after it, never happened.
+func Open(dir string, opts Options, replay func(payload []byte) error) (*Log, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: durability dir: %w", err)
+	}
+	for _, name := range leftovers {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("wal: remove leftover: %w", err)
+		}
+	}
+	_, validSize, err := Replay(LogPath(dir), replay)
+	if err != nil {
+		return nil, err
+	}
+	return OpenLog(LogPath(dir), validSize, opts)
 }
 
 // OpenLog opens (creating if needed) the log at path for appending,
@@ -255,7 +277,7 @@ func OpenLog(path string, validSize int64, opts Options) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
 	}
-	l := &Log{f: f, opts: opts, size: validSize, fsync: (*os.File).Sync}
+	l := &Log{f: f, path: path, opts: opts, fsync: (*os.File).Sync}
 	l.cond = sync.NewCond(&l.mu)
 	if opts.Policy == PolicyInterval {
 		l.stop = make(chan struct{})
@@ -263,6 +285,14 @@ func OpenLog(path string, validSize int64, opts Options) (*Log, error) {
 		go l.syncLoop()
 	}
 	return l, nil
+}
+
+// SetFsync replaces the function that forces a file to stable storage
+// ((*os.File).Sync): tests count, hold or fail the log's fsyncs with it.
+func (l *Log) SetFsync(fsync func(*os.File) error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fsync = fsync
 }
 
 // syncLoop is the PolicyInterval background fsync.
@@ -302,7 +332,6 @@ func (l *Log) Append(payload []byte) (int, error) {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(frame))
 	l.written++
 	pos := l.written
 	l.mu.Unlock()
@@ -335,10 +364,10 @@ func (l *Log) syncTo(pos int64) error {
 		return l.err
 	}
 	l.syncing = true
-	upTo, f := l.written, l.f
+	upTo, f, fsync := l.written, l.f, l.fsync
 	l.mu.Unlock()
 	start := time.Now()
-	err := l.fsync(f)
+	err := fsync(f)
 	if l.opts.OnFsync != nil {
 		l.opts.OnFsync(time.Since(start))
 	}
@@ -353,34 +382,63 @@ func (l *Log) syncTo(pos int64) error {
 	return nil
 }
 
-// Size returns the log's current length in bytes.
-func (l *Log) Size() int64 {
+// Rewrite atomically replaces the log with a file that holds base as its one
+// record, and appends continue on the new file. The base is written to a
+// temporary file beside the log, which is fsynced, renamed over the log, and
+// its directory fsynced — the fsyncs only under PolicyInterval and
+// PolicyAlways, and not observed by Options.OnFsync. A crash before the
+// rename leaves the old log whole (Open removes the temporary file); after
+// it, the new one. On error the log is as it was.
+func (l *Log) Rewrite(base []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.size
-}
-
-// Reset truncates the log to empty. Called after a snapshot has been durably
-// written: every logged record is covered by the snapshot, so the log
-// restarts from the snapshot boundary.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	for l.syncing {
+		l.cond.Wait()
+	}
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
+	tmp := l.path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: rewrite: %w", err)
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: reset seek: %w", err)
+	frame := appendRecord(l.frame[:0], base)
+	if cap(frame) <= frameClamp {
+		l.frame = frame
 	}
-	l.size = 0
+	durable := l.opts.Policy != PolicyOff
+	_, err = f.Write(frame)
+	if err == nil && durable {
+		err = l.fsync(f)
+	}
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("wal: rewrite: %w", err)
+	}
+	// The replaced file's last close frees its blocks, which waits on the
+	// file system's journal (hundreds of milliseconds on a loaded ext4 disk,
+	// under every policy): it runs off the caller's goroutine.
+	go l.f.Close()
+	l.f = f
 	l.written++
+	if durable {
+		// The directory fsync makes the rename itself durable; best-effort
+		// on filesystems that reject directory syncs.
+		if d, err := os.Open(filepath.Dir(l.path)); err == nil {
+			_ = l.fsync(d)
+			_ = d.Close()
+		}
+		l.synced = l.written
+	}
 	return nil
 }
 
-// Close fsyncs and closes the log.
+// Close closes the log, fsyncing it first unless the policy is PolicyOff.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -392,7 +450,9 @@ func (l *Log) Close() error {
 		close(l.stop)
 		<-l.done
 	}
-	_ = l.Sync()
+	if l.opts.Policy != PolicyOff {
+		_ = l.Sync()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.syncing {
@@ -400,65 +460,4 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	return l.f.Close()
-}
-
-// WriteSnapshot durably replaces the snapshot file in dir with the framed
-// payload: write to a temporary file, fsync it, rename into place, fsync the
-// directory. A crash at any point leaves either the old snapshot or the new
-// one, never a torn mix.
-func WriteSnapshot(dir string, payload []byte) error {
-	tmp := filepath.Join(dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: snapshot tmp: %w", err)
-	}
-	if _, err := f.Write(EncodeRecord(payload)); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: snapshot fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, SnapshotPath(dir)); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	// Directory fsync makes the rename itself durable; best-effort on
-	// filesystems that reject directory syncs.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
-}
-
-// ReadSnapshot loads and verifies the snapshot file in dir. A missing file
-// returns (nil, nil); a file whose frame does not verify returns ErrCorrupt
-// (wrapped) — the caller must then discard the log too, because the log's
-// records build on a base that can no longer be reconstructed.
-func ReadSnapshot(dir string) ([]byte, error) {
-	b, err := os.ReadFile(SnapshotPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: read snapshot: %w", err)
-	}
-	payload, n, ok := DecodeRecord(b)
-	if !ok || n != len(b) {
-		return nil, fmt.Errorf("%w: snapshot %s", ErrCorrupt, SnapshotPath(dir))
-	}
-	return payload, nil
-}
-
-// RemoveSnapshot deletes the snapshot file (corrupt-state recovery).
-func RemoveSnapshot(dir string) error {
-	err := os.Remove(SnapshotPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
 }

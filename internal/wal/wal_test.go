@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,7 +265,8 @@ func TestReplayStopsAtDamage(t *testing.T) {
 	}
 }
 
-// TestLogReset: truncation at a snapshot boundary empties the log.
+// TestLogReset: a rewrite restarts the log at its base record: the records
+// appended before it are gone, those appended after it follow the base.
 func TestLogReset(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, 0, Options{Policy: PolicyOff})
@@ -273,21 +275,21 @@ func TestLogReset(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if err := l.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
+	if err := l.Rewrite([]byte("base")); err != nil {
+		t.Fatalf("Rewrite: %v", err)
 	}
-	if l.Size() != 0 {
-		t.Fatalf("Size after Reset = %d", l.Size())
+	if size, want := fileSize(t, LogPath(dir)), int64(headerSize+len("base")); size != want {
+		t.Fatalf("log after Rewrite: %d bytes, want %d", size, want)
 	}
 	if _, err := l.Append([]byte("post-snapshot")); err != nil {
-		t.Fatalf("Append after Reset: %v", err)
+		t.Fatalf("Append after Rewrite: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	got, _ := replayAll(t, dir)
-	if len(got) != 1 || !bytes.Equal(got[0], []byte("post-snapshot")) {
-		t.Fatalf("after Reset replay = %q, want just post-snapshot", got)
+	if len(got) != 2 || string(got[0]) != "base" || string(got[1]) != "post-snapshot" {
+		t.Fatalf("after Rewrite replay = %q, want the base and post-snapshot", got)
 	}
 }
 
@@ -341,10 +343,14 @@ func TestFsyncPolicies(t *testing.T) {
 			Policy:  PolicyOff,
 			OnFsync: func(time.Duration) { fsyncs++ },
 		})
+		l.SetFsync(func(*os.File) error { fsyncs++; return nil })
 		for i := 0; i < 3; i++ {
 			if _, err := l.Append([]byte("x")); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 		if fsyncs != 0 {
 			t.Fatalf("off policy issued %d fsyncs", fsyncs)
@@ -369,52 +375,266 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: write-then-read, plus atomic replacement.
+// openDir opens dir's log through Open and returns what it replayed.
+func openDir(t *testing.T, dir string, opts Options) (*Log, [][]byte) {
+	t.Helper()
+	var got [][]byte
+	l, err := Open(dir, opts, func(p []byte) error {
+		got = append(got, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l, got
+}
+
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// dirFiles lists the names in dir.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestSnapshotRoundTrip: a base record written by Rewrite, then replaced by
+// a second one, is what Open replays first, followed by the records appended
+// after the second; the directory holds the log alone.
 func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if b, err := ReadSnapshot(dir); err != nil || b != nil {
-		t.Fatalf("ReadSnapshot(empty dir) = (%v, %v)", b, err)
+	dir := filepath.Join(t.TempDir(), "replica", "0")
+	l, got := openDir(t, dir, Options{Policy: PolicyOff})
+	if len(got) != 0 {
+		t.Fatalf("a new directory replayed %q", got)
 	}
-	if err := WriteSnapshot(dir, []byte("state v1")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	for _, step := range []func() error{
+		func() error { return l.Rewrite([]byte("state v1")) },
+		func() error { _, err := l.Append([]byte("after v1")); return err },
+		func() error { return l.Rewrite([]byte("state v2")) },
+		func() error { _, err := l.Append([]byte("after v2")); return err },
+		l.Close,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := WriteSnapshot(dir, []byte("state v2")); err != nil {
-		t.Fatalf("WriteSnapshot (replace): %v", err)
+	_, got = openDir(t, dir, Options{Policy: PolicyOff})
+	if len(got) != 2 || string(got[0]) != "state v2" || string(got[1]) != "after v2" {
+		t.Fatalf("replayed %q, want the second base and the record after it", got)
 	}
-	b, err := ReadSnapshot(dir)
-	if err != nil || !bytes.Equal(b, []byte("state v2")) {
-		t.Fatalf("ReadSnapshot = (%q, %v)", b, err)
+	if names := dirFiles(t, dir); len(names) != 1 || names[0] != logName {
+		t.Fatalf("directory holds %q, want the log alone", names)
 	}
 }
 
-// TestSnapshotCorruption: a damaged snapshot must be detected, not decoded.
+// TestSnapshotCorruption: a base record whose frame does not verify ends the
+// log at its start: Open replays nothing, truncates the file to empty, and
+// the next record appended is the first one replayed.
 func TestSnapshotCorruption(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteSnapshot(dir, []byte("important state")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	l, _ := openDir(t, dir, Options{Policy: PolicyOff})
+	if err := l.Rewrite([]byte("important state")); err != nil {
+		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(SnapshotPath(dir))
+	if _, err := l.Append([]byte("built on it")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(LogPath(dir))
 	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
+		t.Fatal(err)
 	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(SnapshotPath(dir), raw, 0o644); err != nil {
-		t.Fatalf("write damaged snapshot: %v", err)
+	raw[headerSize] ^= 0xFF
+	if err := os.WriteFile(LogPath(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(dir); err == nil {
-		t.Fatal("ReadSnapshot accepted a corrupt snapshot")
+	l, got := openDir(t, dir, Options{Policy: PolicyOff})
+	if size := fileSize(t, LogPath(dir)); len(got) != 0 || size != 0 {
+		t.Fatalf("a damaged base replayed %q and left %d bytes", got, size)
 	}
-	if err := RemoveSnapshot(dir); err != nil {
-		t.Fatalf("RemoveSnapshot: %v", err)
+	if _, err := l.Append([]byte("fresh")); err != nil {
+		t.Fatal(err)
 	}
-	if b, err := ReadSnapshot(dir); err != nil || b != nil {
-		t.Fatalf("ReadSnapshot after remove = (%v, %v)", b, err)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := replayAll(t, dir); len(got) != 1 || string(got[0]) != "fresh" {
+		t.Fatalf("replayed %q, want the one record appended after the damage", got)
 	}
 }
 
-// TestDecodeRecordTrailing: DecodeRecord reports the exact frame size so a
-// snapshot file with trailing bytes is rejected by the caller's n != len
-// check.
+// TestOpenEndsTheLogWhereReplayFails: Open creates the directory, removes
+// what an interrupted rewrite or the older layout left beside the log (and
+// nothing else), and a replay error ends the log at that record: the file is
+// truncated to the records before it.
+func TestOpenEndsTheLogWhereReplayFails(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, dir, 0, Options{Policy: PolicyOff})
+	for _, p := range []string{"a", "bad", "c"} {
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append(slices.Clone(leftovers), "unrelated") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	l, err := Open(dir, Options{Policy: PolicyOff}, func(p []byte) error {
+		if string(p) == "bad" {
+			return errors.New("undecodable")
+		}
+		got = append(got, string(p))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if size := fileSize(t, LogPath(dir)); !slices.Equal(got, []string{"a"}) || size != int64(headerSize+1) {
+		t.Fatalf("replayed %q into a %d-byte log, want only a", got, size)
+	}
+	if names := dirFiles(t, dir); !slices.Equal(names, []string{"unrelated", logName}) {
+		t.Fatalf("directory holds %q after Open", names)
+	}
+}
+
+// TestRewriteCrashPoints: a crash before the rename leaves the temporary
+// file beside the old log, which recovers whole; a crash after it leaves the
+// new file, which recovers the new base and every record appended after it.
+func TestRewriteCrashPoints(t *testing.T) {
+	t.Run("before the rename", func(t *testing.T) {
+		dir := t.TempDir()
+		l, _ := openDir(t, dir, Options{Policy: PolicyOff})
+		for _, p := range []string{"old base", "r1", "r2"} {
+			if _, err := l.Append([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The rewrite wrote part of its new base, then the process died.
+		if err := os.WriteFile(LogPath(dir)+tmpSuffix, EncodeRecord([]byte("new base"))[:10], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, got := openDir(t, dir, Options{Policy: PolicyOff})
+		if len(got) != 3 || string(got[0]) != "old base" || string(got[2]) != "r2" {
+			t.Fatalf("replayed %q, want the old log whole", got)
+		}
+		if names := dirFiles(t, dir); len(names) != 1 {
+			t.Fatalf("directory holds %q, want the log alone", names)
+		}
+	})
+	t.Run("after the rename", func(t *testing.T) {
+		dir := t.TempDir()
+		l, _ := openDir(t, dir, Options{Policy: PolicyOff})
+		for _, step := range []func() error{
+			func() error { _, err := l.Append([]byte("r1")); return err },
+			func() error { return l.Rewrite([]byte("new base")) },
+			func() error { _, err := l.Append([]byte("r2")); return err },
+			func() error { _, err := l.Append([]byte("r3")); return err },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The process dies here: nothing is closed, the page cache holds
+		// what was written.
+		_, got := openDir(t, dir, Options{Policy: PolicyOff})
+		if len(got) != 3 || string(got[0]) != "new base" || string(got[1]) != "r2" || string(got[2]) != "r3" {
+			t.Fatalf("replayed %q, want the new base, r2 and r3", got)
+		}
+	})
+}
+
+// TestRewriteFailureKeepsTheLog: a rewrite that cannot create its temporary
+// file returns the error, and the log goes on appending to the old file.
+func TestRewriteFailureKeepsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openDir(t, dir, Options{Policy: PolicyOff})
+	if _, err := l.Append([]byte("r1")); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the temporary file goes makes its creation fail.
+	if err := os.Mkdir(LogPath(dir)+tmpSuffix, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rewrite([]byte("base")); err == nil {
+		t.Fatal("Rewrite succeeded without its temporary file")
+	}
+	if _, err := l.Append([]byte("r2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := replayAll(t, dir); len(got) != 2 || string(got[0]) != "r1" || string(got[1]) != "r2" {
+		t.Fatalf("replayed %q, want r1 and r2", got)
+	}
+}
+
+// TestRewriteFsyncs counts a rewrite's fsyncs through the fsync hook: none
+// under PolicyOff; under PolicyInterval and PolicyAlways the new file's and
+// then its directory's, and neither reaches OnFsync.
+func TestRewriteFsyncs(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		want   int
+	}{{PolicyOff, 0}, {PolicyInterval, 2}, {PolicyAlways, 2}} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			var observed int
+			l, _ := openDir(t, dir, Options{Policy: tc.policy, Interval: time.Hour,
+				OnFsync: func(time.Duration) { observed++ }})
+			var synced []string
+			l.SetFsync(func(f *os.File) error {
+				synced = append(synced, f.Name())
+				return f.Sync()
+			})
+			if err := l.Rewrite([]byte("base")); err != nil {
+				t.Fatal(err)
+			}
+			if len(synced) != tc.want || observed != 0 {
+				t.Fatalf("rewrite issued fsyncs of %q, OnFsync saw %d; want %d, 0", synced, observed, tc.want)
+			}
+			if tc.want == 2 && (synced[0] != LogPath(dir)+tmpSuffix || synced[1] != dir) {
+				t.Fatalf("rewrite fsynced %q, want the new file, then the directory", synced)
+			}
+			if tc.want == 0 {
+				return
+			}
+			if err := l.Sync(); err != nil || len(synced) != tc.want {
+				t.Fatalf("Sync after a rewrite: %v, %d fsyncs in all; the rewrite covered the file", err, len(synced))
+			}
+		})
+	}
+}
+
+// TestDecodeRecordTrailing: DecodeRecord reports the exact frame size, so a
+// caller walking a buffer of records steps to the next one.
 func TestDecodeRecordTrailing(t *testing.T) {
 	frame := EncodeRecord([]byte("abc"))
 	payload, n, ok := DecodeRecord(append(frame, 0xEE))
@@ -512,8 +732,8 @@ func TestAppendDuringFsyncGetsItsOwnFsync(t *testing.T) {
 }
 
 // TestSyncSkipsCoveredRecords: Sync fsyncs only when something was written
-// since the last successful fsync began; a Reset counts as a write, since the
-// truncation must reach the disk too.
+// since the last successful fsync began; a rewrite under PolicyOff counts as
+// a write, since it fsyncs nothing itself.
 func TestSyncSkipsCoveredRecords(t *testing.T) {
 	l := openTestLog(t, t.TempDir(), 0, Options{Policy: PolicyOff})
 	var calls int
@@ -534,7 +754,7 @@ func TestSyncSkipsCoveredRecords(t *testing.T) {
 		}, 1},
 		{"nothing new", func() error { return nil }, 1},
 		{"one more append", func() error { _, err := l.Append([]byte("c")); return err }, 2},
-		{"reset", l.Reset, 3},
+		{"rewrite", func() error { return l.Rewrite([]byte("base")) }, 3},
 	}
 	for _, s := range steps {
 		if err := s.write(); err != nil {
