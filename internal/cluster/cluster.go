@@ -30,7 +30,10 @@ var clusterSeq atomic.Int64
 type Config struct {
 	// N is the number of replicas.
 	N int
-	// Core configures the replication protocol on every replica.
+	// Core configures the replication protocol on every replica. Its
+	// Durability.Dir, when set, is a cluster root: replica i persists under
+	// Dir/r<i>, so a Restart recovers locally and rejoins via a delta state
+	// transfer instead of the full snapshot.
 	Core core.Config
 	// Net configures the simulated network.
 	Net memnet.Config
@@ -40,11 +43,6 @@ type Config struct {
 	Seed map[string]stm.Value
 	// StartTimeout bounds waiting for the initial view. Default 10s.
 	StartTimeout time.Duration
-	// Durability enables the WAL + snapshot tier. Dir is a cluster root:
-	// replica i persists under Dir/r<i>, so a Restart recovers locally and
-	// rejoins via a delta state transfer instead of the full snapshot. The
-	// remaining fields pass through to every replica.
-	Durability core.DurabilityConfig
 }
 
 // Cluster is a running set of replicas over one simulated network. All
@@ -62,7 +60,10 @@ type Cluster struct {
 }
 
 // New builds and starts a cluster, blocking until every replica has
-// installed the initial full view.
+// installed the initial full view. Every replica runs before any is seeded:
+// a Seed that outlasts the group's SuspectAfter would otherwise leave the
+// replicas started so far alone in the view, and they would eject
+// themselves.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("cluster: invalid size %d", cfg.N)
@@ -98,6 +99,14 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.replicas[i] = r
 	}
+	if cfg.Seed != nil {
+		for i, r := range c.replicas {
+			if err := r.Seed(cfg.Seed); err != nil {
+				c.Close()
+				return nil, fmt.Errorf("cluster: seed replica %d: %w", i, err)
+			}
+		}
+	}
 	for i, r := range c.replicas {
 		if err := r.WaitForView(cfg.N, cfg.StartTimeout); err != nil {
 			c.Close()
@@ -117,19 +126,12 @@ func (c *Cluster) startReplica(i int, joining bool) (*core.Replica, error) {
 	gcsCfg.Joining = joining
 	gcsCfg.AutoRejoin = true
 	coreCfg := c.cfg.Core
-	if c.cfg.Durability.Dir != "" {
-		coreCfg.Durability = c.cfg.Durability
-		coreCfg.Durability.Dir = filepath.Join(c.cfg.Durability.Dir, fmt.Sprintf("r%d", i))
+	if root := coreCfg.Durability.Dir; root != "" {
+		coreCfg.Durability.Dir = filepath.Join(root, fmt.Sprintf("r%d", i))
 	}
 	r, err := core.NewReplica(tr, coreCfg, gcsCfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
-	}
-	if !joining && c.cfg.Seed != nil {
-		if err := r.Seed(c.cfg.Seed); err != nil {
-			_ = r.Close()
-			return nil, fmt.Errorf("cluster: seed replica %d: %w", i, err)
-		}
 	}
 	return r, nil
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/alcstm/alc/internal/lee"
 	"github.com/alcstm/alc/internal/memnet"
 	"github.com/alcstm/alc/internal/stm"
+	"github.com/alcstm/alc/internal/wire"
 )
 
 func testGCS() gcs.Config {
@@ -94,6 +95,49 @@ func runCounterWorkload(t *testing.T, c *Cluster, perReplica int) {
 	for _, r := range c.Replicas() {
 		if got := readBox(t, r, "counter"); got != want {
 			t.Fatalf("replica %d: counter = %v, want %d", r.ID(), got, want)
+		}
+	}
+}
+
+// slowSeed is a box value whose encoding takes seedStall: a durable Seed,
+// which writes the store's base record, outlasts SuspectAfter without
+// loading the host.
+type slowSeed struct{}
+
+const seedStall = 400 * time.Millisecond
+
+func init() {
+	wire.Register(0x7A, slowSeed{},
+		func(b []byte, _ any) ([]byte, error) {
+			time.Sleep(seedStall)
+			return b, nil
+		},
+		func(*wire.Reader) (any, error) { return slowSeed{}, nil })
+}
+
+// TestNewSeedsAfterEveryReplicaRuns: a Seed that outlasts SuspectAfter must
+// not cost the initial view. New starts every replica before it seeds any;
+// seeding replica 0 before replica 1 existed left replica 0 alone, and it
+// ejected itself.
+func TestNewSeedsAfterEveryReplicaRuns(t *testing.T) {
+	const n = 3
+	gcsCfg := testGCS()
+	c, err := New(Config{
+		N: n,
+		Core: core.Config{Protocol: core.ProtocolALC,
+			Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"}},
+		Net:  memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:  gcsCfg,
+		Seed: map[string]stm.Value{"slow": slowSeed{}},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	defer c.Close()
+	for i, r := range c.Replicas() {
+		if v := r.GCS().CurrentView(); v.ID != 1 || len(v.Members) != n || !r.InPrimary() {
+			t.Errorf("replica %d after New: view %d with members %v (primary %t); want view 1 with all %d, each seeded in %v, SuspectAfter %v",
+				i, v.ID, v.Members, r.InPrimary(), n, seedStall, gcsCfg.SuspectAfter)
 		}
 	}
 }

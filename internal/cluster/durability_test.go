@@ -38,12 +38,11 @@ func newDurableCluster(t *testing.T, n int, dur core.DurabilityConfig) (*Cluster
 		dur.Fsync = "off"
 	}
 	c, err := New(Config{
-		N:          n,
-		Core:       core.Config{Protocol: core.ProtocolALC, GCEvery: -1},
-		Net:        memnet.Config{Latency: 500 * time.Microsecond},
-		GCS:        testGCS(),
-		Seed:       map[string]stm.Value{"counter": 0, "a": 0, "b": 0},
-		Durability: dur,
+		N:    n,
+		Core: core.Config{Protocol: core.ProtocolALC, GCEvery: -1, Durability: dur},
+		Net:  memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: map[string]stm.Value{"counter": 0, "a": 0, "b": 0},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -423,11 +422,10 @@ func TestDurableUnencodableEntryForcesFullTransfer(t *testing.T) {
 func TestDurableRestartWithoutSnapshotReplaysLog(t *testing.T) {
 	root := t.TempDir()
 	c, err := New(Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolALC, GCEvery: -1},
-		Net:        memnet.Config{Latency: 500 * time.Microsecond},
-		GCS:        testGCS(),
-		Durability: core.DurabilityConfig{Dir: root, Fsync: "off"},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC, GCEvery: -1, Durability: core.DurabilityConfig{Dir: root, Fsync: "off"}},
+		Net:  memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:  testGCS(),
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -649,12 +647,11 @@ func TestDurableCloseUnderApplyLoad(t *testing.T) {
 		seed[fmt.Sprintf("c%d", i)] = 0
 	}
 	c, err := New(Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolALC},
-		Net:        memnet.Config{Latency: 200 * time.Microsecond},
-		GCS:        testGCS(),
-		Seed:       seed,
-		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC, Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"}},
+		Net:  memnet.Config{Latency: 200 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: seed,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -705,11 +702,10 @@ func TestDurableCloseUnderApplyLoad(t *testing.T) {
 // recovered frontier of the previous run.
 func TestDurableWholeClusterRestart(t *testing.T) {
 	cfg := Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolALC, GCEvery: -1},
-		Net:        memnet.Config{Latency: 500 * time.Microsecond},
-		GCS:        testGCS(),
-		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC, GCEvery: -1, Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"}},
+		Net:  memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:  testGCS(),
 	}
 	run := func(first bool) {
 		c, err := New(cfg)
@@ -751,12 +747,11 @@ func TestDurableWholeClusterRestart(t *testing.T) {
 // a full one (the clock jumps to the transferred frontier).
 func TestDurableCertRestartDeltaThenFull(t *testing.T) {
 	c, err := New(Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolCert, GCEvery: -1, MaxRetries: 50},
-		Net:        memnet.Config{Latency: 500 * time.Microsecond},
-		GCS:        testGCS(),
-		Seed:       map[string]stm.Value{"counter": 0},
-		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolCert, GCEvery: -1, MaxRetries: 50, Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8}},
+		Net:  memnet.Config{Latency: 500 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: map[string]stm.Value{"counter": 0},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -822,12 +817,11 @@ func TestFullTransferLogsReason(t *testing.T) {
 				dur = core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8}
 			}
 			c, err := New(Config{
-				N:          3,
-				Core:       core.Config{Protocol: core.ProtocolALC},
-				Net:        memnet.Config{Latency: 500 * time.Microsecond},
-				GCS:        testGCS(),
-				Seed:       map[string]stm.Value{"counter": 0},
-				Durability: dur,
+				N:    3,
+				Core: core.Config{Protocol: core.ProtocolALC, Durability: dur},
+				Net:  memnet.Config{Latency: 500 * time.Microsecond},
+				GCS:  testGCS(),
+				Seed: map[string]stm.Value{"counter": 0},
 			})
 			if err != nil {
 				t.Fatalf("cluster.New: %v", err)

@@ -52,12 +52,13 @@ func (r *Replica) AtomicRO(fn func(*stm.Txn) error) error {
 //
 //	run fn; read-only commits locally
 //	early validation (cheap local pre-abort)
-//	prepare — establish a lease on the transaction's conflict classes: reuse
-//	  a held one (zero messages), join a local request still in flight,
-//	  replace it if the re-execution changed its data-set (§4.4 piggybacked
-//	  release), or acquire it (one OAB; on a lease miss the read/write-set
-//	  rides along and the transaction commits at lease establishment —
-//	  §4.5(c), see commitPiggybacked)
+//	prepare — one lease.Manager.Establish call brings the transaction's lease
+//	  up to its conflict classes: keep the held one, replace it if the
+//	  re-execution changed its data-set and it is alone on it (§4.4
+//	  piggybacked release) or leave it, then reuse a held lease (zero
+//	  messages), join a local request still in flight, or acquire one (one
+//	  OAB; on a lease miss the read/write-set rides along and the transaction
+//	  commits at lease establishment — §4.5(c), see commitPiggybacked)
 //	certify — validate the full read-set under the lease; failure re-executes
 //	  WHILE HOLDING the lease, which shelters the transaction from further
 //	  remote conflicts
@@ -72,10 +73,9 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 	const escalateAfter = 3
 
 	var (
-		none     lease.RequestID
-		held     lease.RequestID // the lease this transaction holds, or none
-		wildcard bool
-		aborts   int
+		none   lease.RequestID
+		held   lease.RequestID // the lease this transaction holds, or none
+		aborts int
 		// remoteSheltered counts final-validation failures attributable to a
 		// REMOTE writer while the transaction held a covering lease that was
 		// already established before the attempt began — aborts §4's lease
@@ -89,13 +89,11 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		// read-set forever.
 		accum map[lease.ConflictClass]struct{}
 	)
-	release := func() {
+	defer func() {
 		if held != none {
 			r.lm.Finished(held)
-			held = none
 		}
-	}
-	defer release()
+	}()
 
 	// End-to-end latency is timed from the first attempt: restarting the
 	// clock on re-execution would report only the final attempt's cost for
@@ -131,7 +129,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			return nil
 		}
 
-		// The attempt's conflict classes are computed once: the lease calls,
+		// The attempt's conflict classes are computed once: the lease call,
 		// the in-flight reservation and a lease request all take this slice
 		// (a request keeps it, so every attempt computes a fresh one).
 		rs, ws := txn.ReadSet(), txn.WriteSet()
@@ -161,42 +159,38 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			continue
 		}
 
-		// Lease establishment (escalation, replacement, reuse, acquisition,
-		// or the §4.5(c) piggyback) — everything from here until the final
-		// validation is the lease-wait stage.
+		// Prepare: lease establishment — everything from here until the
+		// final validation is the lease-wait stage. The §4.4 escalation asks
+		// for a wildcard (nil classes); the §4.5(c) lease miss is reported
+		// instead of acquired only for a transaction's own classes.
 		leaseStart := time.Now()
-
-		// §4.4 escalation: a wildcard lease. The held lease is released first;
-		// establishLease below acquires the wildcard like any other lease.
-		if aborts >= escalateAfter && !wildcard {
-			release()
-			wildcard = true
+		want := cls
+		if aborts >= escalateAfter {
+			want = nil
 		}
-
-		// §4.5(c) piggyback: the lease-miss path, tried only when no lease
-		// is held.
-		if !r.cfg.DisablePiggybackCert && !wildcard && held == none {
-			// Lease retention fast path first: an enabled request from an
-			// earlier transaction serves this one with zero communication. A
-			// covering local request still in flight is joined below
-			// (establishLease); the join returns only once that request's own
-			// payload, if it has one, is resolved here.
-			if id, ok := r.lm.TryReuseClasses(cls); ok {
-				held = id
-			} else if !r.lm.HasCoverage(cls) {
-				done, err := r.commitPiggybacked(txn, rs, ws, cls, &held, &aborts, remoteSheltered, txnStart, leaseStart)
-				if done {
-					return err
-				}
-				continue
+		id, err := r.lm.Establish(held, want, want != nil && !r.cfg.DisablePiggybackCert)
+		held = id
+		switch {
+		case err == nil:
+		case errors.Is(err, lease.ErrMiss):
+			done, err := r.commitPiggybacked(txn, rs, ws, cls, &held, &aborts, remoteSheltered, txnStart, leaseStart)
+			if done {
+				return err
 			}
-		}
-
-		// Prepare: lease establishment.
-		if lerr, retry := r.establishLease(txn, &held, cls, wildcard, &aborts); lerr != nil {
-			return lerr
-		} else if retry {
-			continue // acquisition orphaned by a state transfer: re-execute from scratch
+			continue
+		case errors.Is(err, lease.ErrDeadlock):
+			// A state transfer orphaned the acquisition: re-execute from
+			// scratch.
+			txn.Abort()
+			r.nAborts[abortDeadlock].Inc()
+			aborts++
+			continue
+		case errors.Is(err, lease.ErrNotPrimary):
+			txn.Abort()
+			return ErrEjected
+		default:
+			txn.Abort()
+			return ErrStopped
 		}
 		r.stageLeaseWait.Observe(time.Since(leaseStart))
 
@@ -252,65 +246,6 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 		})
 		return nil
 	}
-}
-
-// establishLease brings *held up to covering classes (any class, when
-// wildcard). Returns a terminal error, or retry=true when a state transfer
-// orphaned the acquisition (lease.ErrDeadlock; aborts already counted).
-//
-// It never waits for a lease while the transaction is associated with
-// another one, which is what keeps lease deadlocks out by construction
-// (§4.4): a replacement releases the held request in the same totally
-// ordered step, a shared lease is left (Finished) before acquiring, and the
-// caller releases before it escalates to a wildcard.
-func (r *Replica) establishLease(txn *stm.Txn, held *lease.RequestID, classes []lease.ConflictClass, wildcard bool, aborts *int) (error, bool) {
-	var none lease.RequestID
-	if wildcard {
-		if *held != none {
-			return nil, false // a wildcard lease covers any class
-		}
-		id, err := r.lm.GetLeaseEverything(none)
-		if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
-			return lerr, false
-		}
-		if err != nil {
-			return nil, true
-		}
-		*held = id
-		return nil, false
-	}
-	if *held != none {
-		if r.lm.Covers(*held, classes) {
-			return nil, false
-		}
-		// The re-execution changed the transaction's conflict classes (§4.4).
-		if r.lm.ActiveCount(*held) == 1 {
-			id, err := r.lm.GetLeaseReplacing(classes, *held)
-			*held = none
-			if lerr := r.leaseErr(txn, err, aborts); lerr != nil || err != nil {
-				return lerr, lerr == nil
-			}
-			*held = id
-			return nil, false
-		}
-		// Other transactions share the lease: release our association and
-		// acquire separately.
-		r.lm.Finished(*held)
-		*held = none
-	}
-	if id, ok := r.lm.TryReuseClasses(classes); ok {
-		*held = id
-		return nil, false
-	}
-	id, err := r.lm.GetLeaseClasses(classes)
-	if lerr := r.leaseErr(txn, err, aborts); lerr != nil {
-		return lerr, false
-	}
-	if err != nil {
-		return nil, true
-	}
-	*held = id
-	return nil, false
 }
 
 // commitPiggybacked runs the §4.5(c) flow: the read/write-set travel on the
@@ -375,27 +310,6 @@ func (r *Replica) commitPiggybacked(
 	default:
 		txn.Abort()
 		return true, err
-	}
-}
-
-// leaseErr classifies a lease acquisition error: terminal errors are
-// returned, an acquisition orphaned by a state transfer (ErrDeadlock) retries
-// (nil result with err != nil at the call site).
-func (r *Replica) leaseErr(txn *stm.Txn, err error, aborts *int) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, lease.ErrDeadlock):
-		txn.Abort()
-		r.nAborts[abortDeadlock].Inc()
-		*aborts++
-		return nil
-	case errors.Is(err, lease.ErrNotPrimary):
-		txn.Abort()
-		return ErrEjected
-	default:
-		txn.Abort()
-		return ErrStopped
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/stm"
 )
 
@@ -76,9 +77,9 @@ func TestAllocBudgetDeltaWindowFull(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetLeaseReuse: a transaction that reuses a held lease
-// computes its conflict classes once, and that is the only allocation of
-// the acquisition and its release.
+// TestAllocBudgetLeaseReuse: a transaction that reuses a held lease through
+// Establish computes its conflict classes once, and that is the only
+// allocation of the acquisition and its release.
 func TestAllocBudgetLeaseReuse(t *testing.T) {
 	r := newTestReplica(t)
 	if err := r.WaitForView(1, 5*time.Second); err != nil {
@@ -86,15 +87,16 @@ func TestAllocBudgetLeaseReuse(t *testing.T) {
 	}
 	rs := stm.ReadSet{{Box: "a"}, {Box: "b"}}
 	ws := stm.WriteSet{{Box: "a", Value: 1}, {Box: "b", Value: 2}}
-	id, err := r.lm.GetLeaseClasses(r.dataClasses(rs, ws))
+	id, err := r.lm.Establish(lease.RequestID{}, r.dataClasses(rs, ws), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.lm.Finished(id)
 	reuse := func() {
-		id, ok := r.lm.TryReuseClasses(r.dataClasses(rs, ws))
-		if !ok {
-			t.Fatal("held lease not reused")
+		// With the miss flag set, anything but a reuse returns at once.
+		id, err := r.lm.Establish(lease.RequestID{}, r.dataClasses(rs, ws), true)
+		if err != nil {
+			t.Fatalf("held lease not reused: %v", err)
 		}
 		r.lm.Finished(id)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/metrics"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
@@ -194,7 +195,7 @@ type Transfer struct {
 //
 //	entry record: walRecordFormat · appendWSEntries — one applied batch in
 //	              apply order
-//	base record:  walBaseFormat · appendStoreSnapshot · appendFrontier, in
+//	base record:  walBaseFormat · appendStoreSnapshot · gcs.AppendVector, in
 //	              advertised() form · appendOrds, the TO lane's applied
 //	              entries past its frontier
 //
@@ -224,7 +225,7 @@ func appendWALBase(b []byte, store stm.StoreSnapshot, front map[transport.ID]uin
 	if err != nil {
 		return b, err
 	}
-	return appendOrds(appendFrontier(b, front), toAbove), nil
+	return appendOrds(gcs.AppendVector(b, front), toAbove), nil
 }
 
 func readWALBase(payload []byte) (stm.StoreSnapshot, map[transport.ID]uint64, []int64, error) {
@@ -233,7 +234,7 @@ func readWALBase(payload []byte) (stm.StoreSnapshot, map[transport.ID]uint64, []
 	if err != nil {
 		return store, nil, nil, err
 	}
-	front := readFrontier(r)
+	front := gcs.ReadVector(r)
 	toAbove := readOrds(r)
 	return store, front, toAbove, walPayloadEnd(r, nil)
 }

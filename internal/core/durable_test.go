@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
@@ -317,7 +318,7 @@ func TestDurableRecoveryDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshotA1 = appendFrontier(append(snapshotA1, 1), front)
+	snapshotA1 = gcs.AppendVector(append(snapshotA1, 1), front)
 	// The 0xA4 layout: today's fields, under one format byte for both
 	// payloads, with the snapshot in a file of its own.
 	snapshotA4 := append([]byte{0xA4}, base[1:]...)
@@ -679,7 +680,7 @@ func FuzzWALPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(appendFrontier(append(snapA1, 1), map[transport.ID]uint64{0: 12, transport.Nobody: 4}))
+	f.Add(gcs.AppendVector(append(snapA1, 1), map[transport.ID]uint64{0: 12, transport.Nobody: 4}))
 	f.Add(gobStream(f))
 	f.Add([]byte{walRecordFormat})
 	f.Add([]byte{walBaseFormat})

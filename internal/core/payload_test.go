@@ -169,11 +169,11 @@ func TestPayloadOrdinalsAgreeAcrossReplicas(t *testing.T) {
 }
 
 // TestJoinedTransactionWaitsForPayload: a local transaction that joins a
-// payload request still in flight (HasCoverage, then GetLease's reuse path)
-// wakes when the request is held. If that were at enablement, before the
-// payload is applied here, it could validate against a store still missing
-// the payload and commit a lost update. The hook widens the window between
-// enablement and apply on every replica.
+// payload request still in flight (Establish's join) wakes when the request
+// is held. If that were at enablement, before the payload is applied here,
+// it could validate against a store still missing the payload and commit a
+// lost update. The hook widens the window between enablement and apply on
+// every replica.
 func TestJoinedTransactionWaitsForPayload(t *testing.T) {
 	const (
 		threads = 8

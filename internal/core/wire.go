@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/alcstm/alc/internal/gcs"
 	"github.com/alcstm/alc/internal/lease"
 	"github.com/alcstm/alc/internal/stm"
 	"github.com/alcstm/alc/internal/transport"
@@ -127,7 +128,7 @@ func RegisterWire() {
 			if m.Delta {
 				b, err = appendWSEntries(b, m.Entries)
 			} else if b, err = appendStoreSnapshot(b, m.Store); err == nil {
-				b = appendOrds(appendFrontier(b, m.Frontier), m.TOAbove)
+				b = appendOrds(gcs.AppendVector(b, m.Frontier), m.TOAbove)
 			}
 			if err != nil {
 				return b, err
@@ -143,7 +144,7 @@ func RegisterWire() {
 			if m.Delta {
 				m.Entries, err = readWSEntries(r)
 			} else if m.Store, err = readStoreSnapshot(r); err == nil {
-				m.Frontier = readFrontier(r)
+				m.Frontier = gcs.ReadVector(r)
 				m.TOAbove = readOrds(r)
 			}
 			if err != nil {
@@ -510,37 +511,4 @@ func readOrds(r *wire.Reader) []int64 {
 		ords[i] = r.Varint()
 	}
 	return ords
-}
-
-// appendFrontier matches gcs's vector encoding (presence byte + pairs);
-// xferState.Frontier nil-ness tells the joiner's durability tier whether a
-// baseline frontier exists.
-func appendFrontier(b []byte, m map[transport.ID]uint64) []byte {
-	if m == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = wire.AppendUvarint(b, uint64(len(m)))
-	for id, v := range m {
-		b = wire.AppendVarint(b, int64(id))
-		b = wire.AppendUvarint(b, v)
-	}
-	return b
-}
-
-func readFrontier(r *wire.Reader) map[transport.ID]uint64 {
-	if r.Byte() == 0 {
-		return nil
-	}
-	n := r.Count()
-	m := make(map[transport.ID]uint64, n)
-	for i := 0; i < n; i++ {
-		id := transport.ID(r.Varint())
-		v := r.Uvarint()
-		if r.Err() != nil {
-			return nil
-		}
-		m[id] = v
-	}
-	return m
 }

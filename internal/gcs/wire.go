@@ -61,11 +61,11 @@ func RegisterWire() {
 			m := v.(*joinReq)
 			b = appendProcID(b, m.From)
 			b = wire.AppendUvarint(b, m.ViewID)
-			return appendVector(b, m.Frontier), nil
+			return AppendVector(b, m.Frontier), nil
 		},
 		func(r *wire.Reader) (any, error) {
 			m := &joinReq{From: readProcID(r), ViewID: r.Uvarint()}
-			m.Frontier = readVector(r)
+			m.Frontier = ReadVector(r)
 			return m, r.Err()
 		})
 	wire.Register(tagVCPrepare, &vcPrepare{},
@@ -171,10 +171,12 @@ func readProcIDs(r *wire.Reader) []transport.ID {
 	return ids
 }
 
-// appendVector encodes a per-process counter map (vector clock, frontier).
-// Nil-ness is preserved: a nil map means something different from an empty
-// one to joinReq.Frontier (nil: no frontier advertised).
-func appendVector(b []byte, m map[transport.ID]uint64) []byte {
+// AppendVector encodes a per-process counter map (vector clock, frontier):
+// a presence byte, then the pairs. Nil-ness is preserved: a nil map means
+// something different from an empty one to joinReq.Frontier (nil: no
+// frontier advertised) and to core's transferred frontier (nil: no baseline).
+// core's transfer message and WAL base record use it too.
+func AppendVector(b []byte, m map[transport.ID]uint64) []byte {
 	if m == nil {
 		return append(b, 0)
 	}
@@ -187,7 +189,8 @@ func appendVector(b []byte, m map[transport.ID]uint64) []byte {
 	return b
 }
 
-func readVector(r *wire.Reader) map[transport.ID]uint64 {
+// ReadVector decodes AppendVector's encoding.
+func ReadVector(r *wire.Reader) map[transport.ID]uint64 {
 	if r.Byte() == 0 {
 		return nil
 	}

@@ -22,7 +22,8 @@ type Mapper struct {
 }
 
 // Classes maps a set of data item IDs to their sorted, deduplicated set of
-// conflict classes.
+// conflict classes. The result is never nil, even for no items: nil asks
+// Establish for a wildcard.
 func (m Mapper) Classes(ids []string) []ConflictClass {
 	out := make([]ConflictClass, len(ids))
 	for i, id := range ids {

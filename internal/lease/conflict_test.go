@@ -107,7 +107,7 @@ func TestQuickClassOfIsFNV1a(t *testing.T) {
 }
 
 // Property: the classes of a sub-multiset are a subset of the classes of the
-// full set (the invariant Covers depends on), and shared items always
+// full set (the invariant a kept lease depends on), and shared items always
 // intersect.
 func TestQuickSubsetOfUnion(t *testing.T) {
 	f := func(a, b []string) bool {

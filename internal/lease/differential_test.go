@@ -97,16 +97,22 @@ func (md *model) held(r *mreq) bool {
 	return md.enabled(r) && (!r.payload || r.fired)
 }
 
-func (r *mreq) admits(classes []ConflictClass) bool {
-	return r.local && !r.blocked && !r.freed && (r.wildcard || subset(classes, r.classes))
+// covers: only a wildcard covers a wildcard ask.
+func (r *mreq) covers(classes []ConflictClass, wildcard bool) bool {
+	return r.wildcard || !wildcard && subset(classes, r.classes)
 }
 
-// joinable is the oldest request admitting a transaction on classes: enqueued
-// ones in TO order, then in-flight ones in issue order.
-func (md *model) joinable(classes []ConflictClass) *mreq {
+func (r *mreq) admits(classes []ConflictClass, wildcard bool) bool {
+	return r.local && !r.blocked && !r.freed && r.covers(classes, wildcard)
+}
+
+// joinable is the oldest request admitting a transaction on classes (every
+// class, for a wildcard): enqueued ones in TO order, then in-flight ones in
+// issue order.
+func (md *model) joinable(classes []ConflictClass, wildcard bool) *mreq {
 	var best *mreq
 	for _, r := range md.reqs {
-		if !r.admits(classes) {
+		if !r.admits(classes, wildcard) {
 			continue
 		}
 		if best == nil || (r.enqueued && (!best.enqueued || r.pos < best.pos)) {
@@ -119,21 +125,21 @@ func (md *model) joinable(classes []ConflictClass) *mreq {
 // holder is the held local request covering classes.
 func (md *model) holder(classes []ConflictClass) *mreq {
 	for _, r := range md.reqs {
-		if r.local && (r.wildcard || subset(classes, r.classes)) && md.held(r) {
+		if r.local && r.covers(classes, false) && md.held(r) {
 			return r
 		}
 	}
 	return nil
 }
 
-// issue is a fresh local request; old, when it is a live local request, is
-// released by piggyback.
-func (md *model) issue(classes []ConflictClass, wildcard, payload bool, old RequestID) (*mreq, []RequestID) {
+// issue is a fresh local request; old, when non-nil, is the held request it
+// replaces: released by piggyback.
+func (md *model) issue(classes []ConflictClass, wildcard, payload bool, old *mreq) (*mreq, []RequestID) {
 	var freeFirst []RequestID
-	if o := md.find(old); old != (RequestID{}) && o != nil && o.local {
-		o.active--
-		o.blocked, o.replace = true, true
-		freeFirst = []RequestID{old}
+	if old != nil {
+		old.active--
+		old.blocked, old.replace = true, true
+		freeFirst = []RequestID{old.id}
 	}
 	md.seq++
 	r := &mreq{id: RequestID{Proc: md.self, Seq: md.seq}, classes: classes, wildcard: wildcard,
@@ -357,10 +363,21 @@ type diffResult struct {
 
 // diffCall is a blocking acquisition running on its own goroutine.
 type diffCall struct {
-	on    *mreq // the request it waits on
+	on    *mreq // the request it waits on; nil for a lease miss
 	fresh bool  // it issued the request (counts as Acquired)
 	done  chan diffResult
 }
+
+// The outcomes of Establish, counted over a run of seeds: each must be driven.
+const (
+	outKeep = iota
+	outReplace
+	outLeave // a held lease others share is left
+	outJoin
+	outMiss
+	outIssue
+	nOutcomes
+)
 
 // undelivered is an OA-broadcast request not yet TO-delivered.
 type undelivered struct {
@@ -383,6 +400,7 @@ type diffDriver struct {
 	remotes  []RequestID // remote requests their owner has not released
 	rseq     uint64
 	wg       sync.WaitGroup
+	outcomes *[nOutcomes]int
 }
 
 func (d *diffDriver) randomSet() []string {
@@ -405,13 +423,48 @@ func (d *diffDriver) spawn(on *mreq, fresh bool, f func() (RequestID, error)) {
 }
 
 // issue mirrors a fresh local request in the model and the delivery schedule.
-func (d *diffDriver) issue(classes []ConflictClass, wildcard, payload bool, old RequestID, f func() (RequestID, error)) {
+func (d *diffDriver) issue(classes []ConflictClass, wildcard, payload bool, old *mreq, f func() (RequestID, error)) {
 	r, freeFirst := d.md.issue(classes, wildcard, payload, old)
-	if len(freeFirst) > 0 {
-		d.held = without1(d.held, old)
-	}
 	d.pending = append(d.pending, &undelivered{id: r.id, freeFirst: freeFirst})
 	d.spawn(r, true, f)
+}
+
+// establish mirrors one Establish call: keep the held request, replace it
+// when the call is its one associate, or leave it; then join the oldest
+// admitting local request, report a miss (only with nothing held on entry),
+// or issue a request.
+func (d *diffDriver) establish(held RequestID, classes []ConflictClass, miss bool) {
+	m, md := d.m, d.md
+	wildcard := classes == nil
+	call := func() (RequestID, error) { return m.Establish(held, classes, miss) }
+	if h := md.find(held); h != nil && h.local && !h.freed {
+		switch {
+		case h.covers(classes, wildcard):
+			d.outcomes[outKeep]++
+			d.spawn(h, false, call)
+			return
+		case h.active == 1:
+			d.outcomes[outReplace]++
+			d.issue(classes, wildcard, false, h, call)
+			return
+		case h.active > 1:
+			d.outcomes[outLeave]++
+		}
+	}
+	md.finished(held)
+	switch r := md.joinable(classes, wildcard); {
+	case r != nil:
+		d.outcomes[outJoin]++
+		r.active++
+		md.stats.Reused++
+		d.spawn(r, false, call)
+	case miss && held == (RequestID{}):
+		d.outcomes[outMiss]++
+		d.spawn(nil, false, call)
+	default:
+		d.outcomes[outIssue]++
+		d.issue(classes, wildcard, false, nil, call)
+	}
 }
 
 func without1(ids []RequestID, id RequestID) []RequestID {
@@ -421,47 +474,27 @@ func without1(ids []RequestID, id RequestID) []RequestID {
 	return ids
 }
 
-// soleHeld picks a held request the application is alone on, or zero.
-func (d *diffDriver) soleHeld() RequestID {
-	for _, i := range d.rng.Perm(len(d.held)) {
-		if r := d.md.find(d.held[i]); r != nil && r.active == 1 && !r.freed {
-			return d.held[i]
-		}
-	}
-	return RequestID{}
-}
-
 func (d *diffDriver) step() {
 	m, md := d.m, d.md
 	switch k := d.rng.Intn(100); {
-	case k < 14 && len(d.calls) < 4: // GetLease: join or issue
-		set := d.randomSet()
-		classes := m.cfg.Mapper.Classes(set)
-		if r := md.joinable(classes); r != nil {
-			r.active++
-			md.stats.Reused++
-			d.spawn(r, false, func() (RequestID, error) { return m.GetLease(set) })
-		} else {
-			d.issue(classes, false, false, RequestID{}, func() (RequestID, error) { return m.GetLease(set) })
+	case k < 22 && len(d.calls) < 4: // Establish
+		var held RequestID
+		if len(d.held) > 0 && d.rng.Intn(3) != 0 {
+			// The call takes the association over: it comes back with the
+			// call's result.
+			held = d.held[d.rng.Intn(len(d.held))]
+			d.held = without1(d.held, held)
 		}
-	case k < 20 && len(d.calls) < 4:
+		var classes []ConflictClass // nil: a wildcard
+		if d.rng.Intn(10) != 0 {
+			classes = m.cfg.Mapper.Classes(d.randomSet())
+		}
+		d.establish(held, classes, d.rng.Intn(2) == 0)
+	case k < 28 && len(d.calls) < 4:
 		classes, payload := m.cfg.Mapper.Classes(d.randomSet()), d.rng.Int()
-		d.issue(classes, false, true, RequestID{}, func() (RequestID, error) {
+		d.issue(classes, false, true, nil, func() (RequestID, error) {
 			return m.GetLeaseWithPayload(classes, payload)
 		})
-	case k < 25 && len(d.calls) < 4:
-		if old := d.soleHeld(); old != (RequestID{}) {
-			classes := m.cfg.Mapper.Classes(d.randomSet())
-			d.issue(classes, false, false, old, func() (RequestID, error) {
-				return m.GetLeaseReplacing(classes, old)
-			})
-		}
-	case k < 28 && len(d.calls) < 4:
-		var old RequestID
-		if d.rng.Intn(2) == 0 {
-			old = d.soleHeld()
-		}
-		d.issue(nil, true, false, old, func() (RequestID, error) { return m.GetLeaseEverything(old) })
 	case k < 38: // TryReuse
 		set := d.randomSet()
 		want := md.holder(m.cfg.Mapper.Classes(set))
@@ -576,22 +609,23 @@ func (d *diffDriver) confirmView() {
 }
 
 // resolve waits for the calls the model says are over and checks how they
-// ended: a call returns once its request is enabled, and fails with
-// ErrDeadlock when a state transfer orphaned it.
+// ended: a call returns once its request is enabled, fails with ErrDeadlock
+// when a state transfer orphaned it, and a lease miss returns ErrMiss at once.
 func (d *diffDriver) resolve() {
 	open := d.calls[:0]
 	for _, c := range d.calls {
+		if c.on == nil {
+			if got := d.result(c, "lease miss"); !errors.Is(got.err, ErrMiss) {
+				d.t.Fatalf("lease miss returned %v, %v", got.id, got.err)
+			}
+			continue
+		}
 		orphan := d.md.find(c.on.id) != c.on
 		if !orphan && !d.md.held(c.on) {
 			open = append(open, c)
 			continue
 		}
-		var got diffResult
-		select {
-		case got = <-c.done:
-		case <-time.After(10 * time.Second):
-			d.t.Fatalf("call on %v did not return (orphan=%t)", c.on.id, orphan)
-		}
+		got := d.result(c, fmt.Sprintf("call on %v (orphan=%t)", c.on.id, orphan))
 		switch {
 		case orphan:
 			if !errors.Is(got.err, ErrDeadlock) {
@@ -607,6 +641,18 @@ func (d *diffDriver) resolve() {
 		}
 	}
 	d.calls = open
+}
+
+// result is what a call returned, once it has.
+func (d *diffDriver) result(c *diffCall, what string) diffResult {
+	d.t.Helper()
+	select {
+	case got := <-c.done:
+		return got
+	case <-time.After(10 * time.Second):
+		d.t.Fatalf("%s did not return", what)
+		return diffResult{}
+	}
 }
 
 type reqView struct {
@@ -668,8 +714,20 @@ func (d *diffDriver) check(event string) {
 	if got, want := m.HoldsLease(set), md.holder(classes) != nil; got != want {
 		d.t.Fatalf("after %s: HoldsLease(%v) = %t, model %t", event, set, got, want)
 	}
-	if got, want := m.HasCoverage(classes), md.joinable(classes) != nil; got != want {
-		d.t.Fatalf("after %s: HasCoverage(%v) = %t, model %t", event, set, got, want)
+	for _, classes := range [][]ConflictClass{classes, nil} {
+		m.mu.Lock()
+		var got RequestID
+		if st := m.joinableLocked(classes); st != nil {
+			got = st.req.ID
+		}
+		m.mu.Unlock()
+		var want RequestID
+		if r := md.joinable(classes, classes == nil); r != nil {
+			want = r.id
+		}
+		if got != want {
+			d.t.Fatalf("after %s: joinable(%v) = %v, model %v", event, classes, got, want)
+		}
 	}
 }
 
@@ -737,29 +795,39 @@ func (m *Manager) checkIndexesLocked() error {
 }
 
 // TestDifferentialAgainstNaiveModel drives one Manager through randomized
-// schedules of every acquisition form, TryReuse, Finished, Opt- and
+// schedules of Establish (every outcome: keep, replace, leave, join, miss,
+// issue; wildcards included), payload requests, TryReuse, Finished, Opt- and
 // TO-deliveries in any order, early and late releases, view changes and state
 // transfers, and after every event compares it with the naive scan model: the
 // table (who is enabled, who is blocked, how many transactions each request
 // carries), the Freed batches broadcast and the payload callbacks (ids and
-// order), all six Stats counters, and the maintained indexes against the
-// request map. It is the semantic gate of the class-indexed table and runs
-// under -short.
+// order), all six Stats counters, the request a join would pick, and the
+// maintained indexes against the request map. It is the semantic gate of the
+// class-indexed table and runs under -short.
 func TestDifferentialAgainstNaiveModel(t *testing.T) {
+	var outcomes [nOutcomes]int
+	runs := 0
 	for _, cfg := range []Config{{}, {OptimisticFree: true}} {
 		for seed := int64(1); seed <= 12; seed++ {
 			name := fmt.Sprintf("opt=%t/seed=%d", cfg.OptimisticFree, seed)
-			t.Run(name, func(t *testing.T) { runDifferential(t, cfg, seed) })
+			if t.Run(name, func(t *testing.T) { runDifferential(t, cfg, seed, &outcomes) }) {
+				runs++
+			}
 		}
+	}
+	t.Logf("Establish outcomes (keep, replace, leave, join, miss, issue): %v", outcomes)
+	if runs == 24 && slices.Contains(outcomes[:], 0) {
+		t.Errorf("an Establish outcome was never driven: %v", outcomes)
 	}
 }
 
-func runDifferential(t *testing.T, cfg Config, seed int64) {
+func runDifferential(t *testing.T, cfg Config, seed int64, outcomes *[nOutcomes]int) {
 	d := &diffDriver{
-		t:   t,
-		rng: rand.New(rand.NewSource(seed)),
-		bus: &diffBus{},
-		md:  &model{optFree: cfg.OptimisticFree, early: map[RequestID]bool{}},
+		t:        t,
+		rng:      rand.New(rand.NewSource(seed)),
+		bus:      &diffBus{},
+		md:       &model{optFree: cfg.OptimisticFree, early: map[RequestID]bool{}},
+		outcomes: outcomes,
 	}
 	d.m = NewManager(0, d.bus, cfg)
 	d.m.SetPayloadHandler(func(req *Request, _ uint64) { d.payloads = append(d.payloads, req.ID) })

@@ -45,8 +45,12 @@ import (
 	"github.com/alcstm/alc/internal/transport"
 )
 
-// Errors returned by GetLease.
+// Errors returned by Establish and the other acquisition calls.
 var (
+	// ErrMiss is Establish's lease miss: nothing held, enabled or in flight
+	// here covers the classes, and the caller asked to be told rather than
+	// have a request issued.
+	ErrMiss = errors.New("lease: miss")
 	// ErrNotPrimary is returned when the replica has been ejected from the
 	// primary component: no new leases can be established (the paper's ⊥).
 	ErrNotPrimary = errors.New("lease: not in primary component")
@@ -71,8 +75,14 @@ func (id RequestID) String() string { return fmt.Sprintf("lease(%d:%d)", id.Proc
 type Request struct {
 	ID      RequestID
 	Classes []ConflictClass
-	// Wildcard requests a lease on the whole set of conflict classes
-	// (§4.4's deterministic fallback): it conflicts with every request.
+	// Wildcard requests a lease on the whole set of conflict classes: §4.4's
+	// "simple, albeit somewhat extreme, workaround" for a transaction whose
+	// data set keeps drifting across re-executions, which deterministically
+	// bounds its aborts. It conflicts with every request: it is enabled only
+	// once every older request is released, and while it is enabled no other
+	// request can be. Live wildcards are kept apart from the class queues
+	// (Manager.wild), so a table without one pays a length check per
+	// enablement test.
 	Wildcard bool
 	// FreeFirst carries piggybacked releases (§4.4 deadlock avoidance): at
 	// TO-delivery these requests are dequeued before this one is enqueued,
@@ -289,38 +299,76 @@ func (m *Manager) Close() {
 
 // --- Acquisition (application side) ------------------------------------------
 
-// The acquisition and reuse calls below take a transaction's conflict
-// classes, computed once per attempt by the caller with the manager's Mapper
-// (sorted and deduplicated, as Mapper.Classes returns them). A request keeps
-// the slice it was acquired with: the caller must not modify it afterwards.
-// GetLease and TryReuse also take a data set, for callers without classes at
-// hand (the lease-layer probes of benchmark/, tests).
+// Establish and GetLeaseWithPayload take a transaction's conflict classes,
+// computed once per attempt by the caller with the manager's Mapper (sorted
+// and deduplicated, as Mapper.Classes returns them). A request keeps the
+// slice it was issued with: the caller must not modify it afterwards.
+// GetLease and TryReuse take a data set instead, for callers without classes
+// at hand (the lease-layer probes of benchmark/, tests).
+
+// Establish is the one acquisition call behind a commit attempt. held is the
+// lease the transaction holds (zero: none), classes the attempt's conflict
+// classes; nil classes asks for a wildcard, a lease on every class (§4.4's
+// fallback). Under one critical section it does exactly one of these, the
+// first that applies:
+//
+//   - keep held, if it still covers the classes;
+//   - replace it (§4.4): a new request whose FreeFirst releases held in the
+//     same totally ordered step — only when this transaction is held's one
+//     associate, counted here, since the release would otherwise pull the
+//     lease from under the others;
+//   - otherwise leave held (Finished), then:
+//   - join the oldest local request that admits the transaction: an enabled
+//     one is reused without any communication (lease retention), one in
+//     flight is waited for until it is held (its payload, if any, resolved
+//     here);
+//   - with miss set and nothing held on entry, return ErrMiss: the caller
+//     sends its §4.5(c) payload through GetLeaseWithPayload;
+//   - else OA-broadcast a new request and wait for it to reach the head of
+//     every class queue.
+//
+// It never waits for a lease while the transaction is associated with
+// another one, which keeps lease deadlocks out by construction (§4.4).
+// Returns the lease the transaction now holds, to pass to Finished. On an
+// error it holds none: ErrMiss, ErrNotPrimary (the paper's ⊥), ErrDeadlock (a
+// state transfer orphaned the request; retry) or ErrStopped.
+func (m *Manager) Establish(held RequestID, classes []ConflictClass, miss bool) (RequestID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := m.reqs[held]
+	if err := m.usableLocked(); err != nil {
+		m.leaveLocked(old)
+		return RequestID{}, err
+	}
+	if old != nil && old.local && !old.freed && !old.aborted {
+		if old.covers(classes) {
+			return held, nil
+		}
+		if old.active == 1 {
+			// The new request takes the association over; the old one admits
+			// no one, and its release is reserved for the piggyback.
+			old.active = 0
+			m.setBlockedLocked(old)
+			old.replacePending = true
+			return m.issueLocked(&Request{Classes: classes, Wildcard: classes == nil, FreeFirst: []RequestID{held}}, old)
+		}
+	}
+	m.leaveLocked(old)
+	if st := m.joinableLocked(classes); st != nil {
+		m.joinLocked(st)
+		return m.awaitLocked(st)
+	}
+	if miss && held == (RequestID{}) {
+		return RequestID{}, ErrMiss
+	}
+	return m.issueLocked(&Request{Classes: classes, Wildcard: classes == nil}, nil)
+}
 
 // GetLease establishes a lease on the conflict classes of the given data
-// items, blocking until the lease is held. It is GetLeaseClasses over the
-// data set's classes.
+// items with nothing held, blocking until the lease is held: it is Establish
+// for a transaction that holds no lease and takes no miss.
 func (m *Manager) GetLease(dataSet []string) (RequestID, error) {
-	return m.GetLeaseClasses(m.cfg.Mapper.Classes(dataSet))
-}
-
-// GetLeaseClasses establishes a lease on the given conflict classes,
-// blocking until the lease is held. It implements the paper's getLease: an
-// existing unblocked local request covering the classes is reused without
-// any communication (lease retention); otherwise a new request is
-// OA-broadcast and the call waits for it to reach the head of every class
-// queue. Returns the request ID to pass to Finished, or ErrNotPrimary (the
-// paper's ⊥), ErrDeadlock (a state transfer orphaned the request), or
-// ErrStopped.
-func (m *Manager) GetLeaseClasses(classes []ConflictClass) (RequestID, error) {
-	return m.acquire(&Request{Classes: classes}, RequestID{}, true)
-}
-
-// GetLeaseReplacing is GetLeaseClasses with the §4.4 deadlock-avoidance
-// piggyback: the previously held request old is released atomically (in the
-// total order) right before the new request is enqueued. The caller must be
-// the only transaction associated with old.
-func (m *Manager) GetLeaseReplacing(classes []ConflictClass, old RequestID) (RequestID, error) {
-	return m.acquire(&Request{Classes: classes}, old, false)
+	return m.Establish(RequestID{}, m.cfg.Mapper.Classes(dataSet), false)
 }
 
 // GetLeaseWithPayload acquires a fresh lease request carrying an opaque
@@ -329,44 +377,19 @@ func (m *Manager) GetLeaseReplacing(classes []ConflictClass, old RequestID) (Req
 // the transaction the moment the lease is established). Payload requests are
 // never satisfied by reuse: the payload must travel.
 func (m *Manager) GetLeaseWithPayload(classes []ConflictClass, payload any) (RequestID, error) {
-	return m.acquire(&Request{Classes: classes, Payload: payload}, RequestID{}, false)
-}
-
-// acquire is the one acquisition path behind the GetLease forms: with reuse,
-// the transaction joins a local request that can still admit it; otherwise
-// req is OA-broadcast — releasing old, when it is a live local request, in
-// the same totally ordered step — and the call waits for it to be enabled.
-func (m *Manager) acquire(req *Request, old RequestID, reuse bool) (RequestID, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.usableLocked(); err != nil {
-		m.mu.Unlock()
 		return RequestID{}, err
 	}
-	if reuse {
-		if st := m.joinableLocked(req.Classes); st != nil {
-			defer m.mu.Unlock()
-			st.active++
-			m.nReused.Inc()
-			if m.cfg.Tracer != nil {
-				m.tracef("join %v active=%d", st.req.ID, st.active)
-			}
-			return m.awaitLocked(st)
-		}
-	}
+	return m.issueLocked(&Request{Classes: classes, Payload: payload}, nil)
+}
 
-	var replaced *reqState
-	if old != (RequestID{}) {
-		if replaced = m.reqs[old]; replaced != nil && replaced.local {
-			// The replacement transfers this transaction's association to
-			// the new request; mark the old one unusable for reuse and
-			// reserve its release for the piggyback.
-			replaced.active--
-			m.setBlockedLocked(replaced)
-			replaced.replacePending = true
-			req.FreeFirst = []RequestID{old}
-		}
-	}
-
+// issueLocked OA-broadcasts req as a new local request carrying one
+// transaction and waits for it to be enabled. replaced, when non-nil, is the
+// held request req's FreeFirst releases. The lock is released across the
+// broadcast.
+func (m *Manager) issueLocked(req *Request, replaced *reqState) (RequestID, error) {
 	m.nextSeq++
 	req.ID = RequestID{Proc: m.self, Seq: m.nextSeq}
 	st := &reqState{req: req, local: true, active: 1}
@@ -379,11 +402,10 @@ func (m *Manager) acquire(req *Request, old RequestID, reuse bool) (RequestID, e
 	err := m.bcast.OABroadcast(req)
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err != nil {
 		delete(m.reqs, req.ID)
 		m.inflight = without(m.inflight, st)
-		if req.FreeFirst != nil {
+		if replaced != nil {
 			// The piggybacked release never left: let the old request
 			// drain-release through the ordinary path.
 			replaced.replacePending = false
@@ -396,6 +418,15 @@ func (m *Manager) acquire(req *Request, old RequestID, reuse bool) (RequestID, e
 		m.nAcquired.Inc()
 	}
 	return id, err
+}
+
+// joinLocked associates one more transaction with a local request.
+func (m *Manager) joinLocked(st *reqState) {
+	st.active++
+	m.nReused.Inc()
+	if m.cfg.Tracer != nil {
+		m.tracef("join %v active=%d", st.req.ID, st.active)
+	}
 }
 
 // awaitLocked waits for st to be enabled on behalf of one transaction already
@@ -450,7 +481,7 @@ func (m *Manager) waitEnabledLocked(st *reqState) error {
 		case st.aborted:
 			return ErrDeadlock
 		case st.freed:
-			// Released while waiting (view change or replacement race).
+			// Released while waiting.
 			return ErrDeadlock
 		case m.heldLocked(st):
 			return nil
@@ -474,9 +505,10 @@ func (m *Manager) heldLocked(st *reqState) bool {
 
 // --- Reuse: the class index ---------------------------------------------------
 
-// covers reports whether the request's classes include all of classes.
+// covers reports whether the request's classes include all of classes; only
+// a wildcard covers a wildcard ask (nil classes).
 func (st *reqState) covers(classes []ConflictClass) bool {
-	return st.req.Wildcard || subset(classes, st.req.Classes)
+	return st.req.Wildcard || classes != nil && subset(classes, st.req.Classes)
 }
 
 // admits reports whether a new local transaction on classes may be
@@ -489,9 +521,7 @@ func (st *reqState) admits(classes []ConflictClass) bool {
 // on classes, or nil: enqueued requests in TO order, then in-flight ones in
 // issue order. A covering request is a wildcard or contains the first class,
 // so only that class's queue, the live wildcards and the in-flight set can
-// hold one. (An empty data set — the replication manager never asks for one,
-// an update transaction has a write-set — is covered by wildcards and
-// in-flight requests only.)
+// hold one. (A wildcard ask has no first class: only wildcards admit it.)
 func (m *Manager) joinableLocked(classes []ConflictClass) *reqState {
 	var best *reqState
 	for _, ordered := range [2][]*reqState{m.firstQueueLocked(classes), m.wild} {
@@ -537,66 +567,21 @@ func (m *Manager) holderLocked(classes []ConflictClass) *reqState {
 	return nil
 }
 
-// TryReuse is TryReuseClasses over the data set's conflict classes.
+// TryReuse attempts a zero-communication acquisition on the data set's
+// conflict classes: if this replica holds an enabled, unblocked, unreleased
+// request covering them, one transaction is associated with it immediately
+// (the lease-retention fast path). Non-blocking: returns false when no such
+// request exists.
 func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
-	return m.TryReuseClasses(m.cfg.Mapper.Classes(dataSet))
-}
-
-// TryReuseClasses attempts a zero-communication acquisition: if this replica
-// holds an enabled, unblocked, unreleased request covering the classes, the
-// transaction is associated with it immediately (the lease-retention fast
-// path). Non-blocking: returns false when no such request exists.
-func (m *Manager) TryReuseClasses(classes []ConflictClass) (RequestID, bool) {
+	classes := m.cfg.Mapper.Classes(dataSet)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.usableLocked() != nil {
-		return RequestID{}, false
-	}
 	st := m.holderLocked(classes)
-	if st == nil || st.blocked {
+	if m.usableLocked() != nil || st == nil || st.blocked {
 		return RequestID{}, false
 	}
-	st.active++
-	m.nReused.Inc()
-	if m.cfg.Tracer != nil {
-		m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
-	}
+	m.joinLocked(st)
 	return st.req.ID, true
-}
-
-// HasCoverage reports whether any local request — enabled, queued, or still
-// in flight — could serve the classes (unblocked, unreleased, covering).
-// The Replication Manager uses it to decide between joining an existing
-// acquisition (GetLeaseClasses' reuse path, which waits for enablement) and
-// issuing a fresh §4.5(c) payload request: issuing a new request while a
-// covering one is pending would block the older one (the fairness rule) and
-// defeat lease retention under concurrent local threads.
-func (m *Manager) HasCoverage(classes []ConflictClass) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.joinableLocked(classes) != nil
-}
-
-// Covers reports whether the given held lease request still covers the
-// classes: used by the Replication Manager when a transaction re-executes, to
-// decide between retaining the lease (same classes, §4's at-most-one-abort
-// guarantee) and replacing it (§4.4).
-func (m *Manager) Covers(id RequestID, classes []ConflictClass) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.reqs[id]
-	return st != nil && st.local && !st.freed && !st.aborted && st.covers(classes)
-}
-
-// ActiveCount returns the number of transactions associated with a local
-// request (1 means the caller is alone and replacement is safe).
-func (m *Manager) ActiveCount(id RequestID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st := m.reqs[id]; st != nil {
-		return st.active
-	}
-	return 0
 }
 
 // Finished implements the paper's finishedXact: it dissociates one
@@ -605,7 +590,12 @@ func (m *Manager) ActiveCount(id RequestID) int {
 func (m *Manager) Finished(id RequestID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.reqs[id]
+	m.leaveLocked(m.reqs[id])
+}
+
+// leaveLocked dissociates one transaction from st (nil: none) and releases
+// st if that drained a blocked request.
+func (m *Manager) leaveLocked(st *reqState) {
 	if st == nil || !st.local {
 		return
 	}
@@ -613,7 +603,7 @@ func (m *Manager) Finished(id RequestID) {
 		st.active--
 	}
 	if m.cfg.Tracer != nil {
-		m.tracef("finished %v active=%d blocked=%t", id, st.active, st.blocked)
+		m.tracef("finished %v active=%d blocked=%t", st.req.ID, st.active, st.blocked)
 	}
 	m.maybeFreeAllLocked()
 	m.gcLocked(st)

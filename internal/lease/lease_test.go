@@ -465,13 +465,10 @@ func TestReplacementAtomicSwap(t *testing.T) {
 	// Replica 0 holds {x}; the transaction re-executes touching {y} and
 	// replaces the lease.
 	idX := getLeaseT(t, ms[0], []string{"x"})
-	if ms[0].ActiveCount(idX) != 1 {
-		t.Fatalf("ActiveCount = %d, want 1", ms[0].ActiveCount(idX))
-	}
 
-	idY, err := ms[0].GetLeaseReplacing(ms[0].cfg.Mapper.Classes([]string{"y"}), idX)
+	idY, err := ms[0].Establish(idX, ms[0].cfg.Mapper.Classes([]string{"y"}), false)
 	if err != nil {
-		t.Fatalf("GetLeaseReplacing: %v", err)
+		t.Fatalf("Establish: %v", err)
 	}
 	b.sync()
 	if ms[0].HoldsLease([]string{"x"}) {
@@ -503,7 +500,7 @@ func TestCrossReplacementNoDeadlock(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		id, err := ms[0].GetLeaseReplacing(ms[0].cfg.Mapper.Classes([]string{"y"}), idX)
+		id, err := ms[0].Establish(idX, ms[0].cfg.Mapper.Classes([]string{"y"}), false)
 		if err != nil {
 			errs <- err
 			return
@@ -512,7 +509,7 @@ func TestCrossReplacementNoDeadlock(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		id, err := ms[1].GetLeaseReplacing(ms[1].cfg.Mapper.Classes([]string{"x"}), idY)
+		id, err := ms[1].Establish(idY, ms[1].cfg.Mapper.Classes([]string{"x"}), false)
 		if err != nil {
 			errs <- err
 			return
@@ -531,6 +528,57 @@ func TestCrossReplacementNoDeadlock(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("replacement failed: %v", err)
 	}
+}
+
+// TestSharedLeaseIsLeftNotReplaced: a transaction whose re-execution drifts
+// to other classes replaces its lease only when it is the lease's one
+// associate. Here A holds L on x alone, B joins L, and A's re-execution asks
+// for y: A must leave L, not release it by piggyback, so replica 1's request
+// for x waits until B finishes. Counting L's associates under one lock
+// acquisition and replacing under another let B's join slip in between, and
+// replica 1 got x while B still ran under L.
+func TestSharedLeaseIsLeftNotReplaced(t *testing.T) {
+	b := newBus()
+	defer b.close()
+	ms := newManagers(t, b, 2, Config{})
+	x := ms[0].cfg.Mapper.Classes([]string{"x"})
+
+	idL := getLeaseT(t, ms[0], []string{"x"}) // A
+	idB, err := ms[0].Establish(RequestID{}, x, true)
+	if err != nil || idB != idL {
+		t.Fatalf("B's Establish = %v, %v; want a reuse of %v", idB, err, idL)
+	}
+	idY, err := ms[0].Establish(idL, ms[0].cfg.Mapper.Classes([]string{"y"}), false) // A drifts
+	if err != nil {
+		t.Fatalf("A's Establish: %v", err)
+	}
+	if idY == idL {
+		t.Fatalf("A kept %v, which does not cover y", idL)
+	}
+	b.sync()
+	if !ms[0].HoldsLease([]string{"x"}) {
+		t.Fatalf("%v released while B runs under it", idL)
+	}
+
+	got := make(chan RequestID, 1)
+	go func() {
+		if id, err := ms[1].GetLease([]string{"x"}); err == nil {
+			got <- id
+		}
+	}()
+	select {
+	case id := <-got:
+		t.Fatalf("replica 1 acquired x as %v while B runs under %v", id, idL)
+	case <-time.After(50 * time.Millisecond):
+	}
+	ms[0].Finished(idB)
+	select {
+	case id := <-got:
+		ms[1].Finished(id)
+	case <-time.After(5 * time.Second):
+		t.Fatal("replica 1 never acquired x after B finished")
+	}
+	ms[0].Finished(idY)
 }
 
 func TestStateSnapshotInstallRoundTrip(t *testing.T) {

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,21 +11,23 @@ import (
 	"github.com/alcstm/alc/internal/transport"
 )
 
-// TestModelCheckMutualExclusion drives several lease managers with a
-// randomized workload (plain acquisitions, shared joins, replacements,
-// wildcards and §4.5(c) payload requests) and checks the protocol's core
-// safety invariant at every step of the bus's serialization point: no two
-// replicas may simultaneously hold enabled, unreleased leases on intersecting
-// conflict classes, and a wildcard holder excludes everyone. It runs each seed
-// with and without the §4.5(b) optimistic release, which the replication
-// manager enables by default.
+// TestModelCheckMutualExclusion drives several lease managers, two workers
+// each, with a randomized workload (acquisitions, shared joins, kept,
+// replaced and left leases, wildcards and §4.5(c) payload requests after a
+// lease miss) and checks two safety invariants at every step of the bus's
+// serialization point: no two replicas may simultaneously hold enabled,
+// unreleased leases on intersecting conflict classes (a wildcard holder
+// excludes everyone), and every lease a worker holds is enabled, unreleased,
+// at its own replica — a transaction runs only under a held lease (§4). It
+// runs each seed with and without the §4.5(b) optimistic release, which the
+// replication manager enables by default.
 //
-// The workers follow the replication manager's rule — never wait for a lease
-// while associated with another one: a replacement or a wildcard releases the
-// held request in the same totally ordered step, a plain acquisition finishes
-// the held one first, and a payload request is issued only with nothing held.
-// With that rule §4.4 admits no lease deadlock, so no acquisition may fail
-// with ErrDeadlock (nothing here installs state) and the run must not hang.
+// The workers drive Establish the way the replication manager does: each op
+// is one commit attempt of a transaction that passes the lease it holds, and
+// a transaction ends (Finished) now and then. Establish never waits for a
+// lease while the transaction is associated with another one, so §4.4 admits
+// no lease deadlock: no acquisition may fail with ErrDeadlock (nothing here
+// installs state) and the run must not hang.
 func TestModelCheckMutualExclusion(t *testing.T) {
 	for _, cfg := range []Config{{}, {OptimisticFree: true}} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -37,12 +40,20 @@ func TestModelCheckMutualExclusion(t *testing.T) {
 func runModelCheck(t *testing.T, cfg Config, seed int64) {
 	const (
 		managers  = 4
+		workers   = 2 // per manager: a lease can be shared
 		perWorker = 30
 		items     = 6
 	)
 	b := newBus()
 	defer b.close()
 	ms := newManagers(t, b, managers, cfg)
+
+	// holding[w] is the lease worker w runs under, zero between ops; a
+	// worker clears it before it passes the lease on.
+	var (
+		holdMu  sync.Mutex
+		holding [managers * workers]RequestID
+	)
 
 	// The invariant checker runs inside the bus dispatcher: between events
 	// the replicated state is quiescent, so enabled-lease sets are
@@ -82,54 +93,70 @@ func runModelCheck(t *testing.T, cfg Config, seed int64) {
 				}
 			}
 		}
+		holdMu.Lock()
+		defer holdMu.Unlock()
+		for w, id := range holding {
+			if id == (RequestID{}) {
+				continue
+			}
+			m := ms[w/workers]
+			m.mu.Lock()
+			st := m.reqs[id]
+			held := st != nil && !st.freed && m.enabledLocked(st)
+			m.mu.Unlock()
+			if !held && violation == "" {
+				violation = fmt.Sprintf("worker %d runs under %v, which replica %d no longer holds", w, id, m.self)
+			}
+		}
 	}
 	b.afterEvent = checkOnce
 
 	var wg sync.WaitGroup
-	for i, m := range ms {
+	for w := 0; w < managers*workers; w++ {
 		wg.Add(1)
-		go func(i int, m *Manager) {
+		go func(w int, m *Manager) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*managers + int64(i)))
+			rng := rand.New(rand.NewSource(seed*managers*workers + int64(w)))
+			hold := func(id RequestID) {
+				holdMu.Lock()
+				holding[w] = id
+				holdMu.Unlock()
+			}
 			var held RequestID
 			for op := 0; op < perWorker; op++ {
-				// Random item subset.
+				hold(RequestID{})
+				if held != (RequestID{}) && rng.Intn(3) == 0 {
+					// The transaction commits: the next op starts another.
+					m.Finished(held)
+					held = RequestID{}
+				}
+				// Random item subset; now and then a wildcard.
 				set := make([]string, 0, 3)
 				for k := 0; k < 1+rng.Intn(3); k++ {
 					set = append(set, fmt.Sprintf("item-%d", rng.Intn(items)))
 				}
-				var (
-					id  RequestID
-					err error
-				)
-				switch {
-				case held == (RequestID{}) && rng.Intn(8) == 0:
-					id, err = m.GetLeaseWithPayload(m.cfg.Mapper.Classes(set), op)
-				case rng.Intn(10) == 0:
-					id, err = m.GetLeaseEverything(held)
-					held = RequestID{}
-				case held != (RequestID{}) && rng.Intn(3) == 0 && m.ActiveCount(held) == 1:
-					id, err = m.GetLeaseReplacing(m.cfg.Mapper.Classes(set), held)
-					held = RequestID{}
-				default:
-					if held != (RequestID{}) {
-						m.Finished(held)
-						held = RequestID{}
-					}
-					id, err = m.GetLease(set)
+				classes := m.cfg.Mapper.Classes(set)
+				if rng.Intn(10) == 0 {
+					classes = nil
 				}
-				if err != nil {
-					t.Errorf("worker %d op %d: %v", i, op, err)
-					return
+				id, err := m.Establish(held, classes, classes != nil && rng.Intn(4) == 0)
+				if errors.Is(err, ErrMiss) {
+					id, err = m.GetLeaseWithPayload(classes, op)
 				}
 				held = id
+				if err != nil {
+					t.Errorf("worker %d op %d: %v", w, op, err)
+					return
+				}
+				hold(held)
 				// Hold briefly so overlapping acquisitions pile up.
 				time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
 			}
+			hold(RequestID{})
 			if held != (RequestID{}) {
 				m.Finished(held)
 			}
-		}(i, m)
+		}(w, ms[w/workers])
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -149,7 +176,7 @@ func runModelCheck(t *testing.T, cfg Config, seed int64) {
 	b.sync()
 
 	if violation != "" {
-		t.Fatalf("mutual exclusion violated: %s", violation)
+		t.Fatalf("safety violated: %s", violation)
 	}
 	if t.Failed() {
 		t.FailNow()

@@ -15,7 +15,7 @@ func TestWildcardWaitsForEveryOlderRequest(t *testing.T) {
 
 	acquired := make(chan RequestID, 1)
 	go func() {
-		id, err := ms[1].GetLeaseEverything(RequestID{})
+		id, err := ms[1].Establish(RequestID{}, nil, false)
 		if err != nil {
 			t.Error(err)
 			return
@@ -62,7 +62,7 @@ func TestWildcardBlocksYoungerRequests(t *testing.T) {
 
 	widCh := make(chan RequestID, 1)
 	go func() {
-		id, err := ms[0].GetLeaseEverything(RequestID{})
+		id, err := ms[0].Establish(RequestID{}, nil, false)
 		if err == nil {
 			widCh <- id
 		}
@@ -104,17 +104,17 @@ func TestWildcardReplacesHeldLease(t *testing.T) {
 	ms := newManagers(t, b, 2, Config{})
 
 	idX := getLeaseT(t, ms[0], []string{"x"})
-	wid, err := ms[0].GetLeaseEverything(idX)
+	wid, err := ms[0].Establish(idX, nil, false)
 	if err != nil {
-		t.Fatalf("GetLeaseEverything: %v", err)
+		t.Fatalf("Establish(wildcard): %v", err)
 	}
 	b.sync()
 	if !ms[0].HoldsLease([]string{"x"}) || !ms[0].HoldsLease([]string{"y"}) {
 		t.Fatal("wildcard replacement does not cover")
 	}
-	// Covers treats the wildcard as a universal superset.
-	if !ms[0].Covers(wid, ms[0].cfg.Mapper.Classes([]string{"a", "b", "c"})) {
-		t.Fatal("Covers(wildcard) = false")
+	// A held wildcard is a universal superset: it is kept for any classes.
+	if id, err := ms[0].Establish(wid, ms[0].cfg.Mapper.Classes([]string{"a", "b", "c"}), false); id != wid || err != nil {
+		t.Fatalf("Establish over a held wildcard = %v, %v; want it kept", id, err)
 	}
 	ms[0].Finished(wid)
 }
@@ -124,7 +124,7 @@ func TestWildcardStateTransferRoundTrip(t *testing.T) {
 	defer b.close()
 	ms := newManagers(t, b, 2, Config{})
 
-	wid, err := ms[0].GetLeaseEverything(RequestID{})
+	wid, err := ms[0].Establish(RequestID{}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -587,12 +587,11 @@ func TestRoutingMetrics(t *testing.T) {
 // entries, and alc_wal_delta_declined_total says so with reason="evicted".
 func TestWALDeltaDeclinedMetric(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolALC},
-		Net:        memnet.Config{Latency: 300 * time.Microsecond},
-		GCS:        testGCS(),
-		Seed:       map[string]stm.Value{"k": 0},
-		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC, Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", Retain: 8}},
+		Net:  memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: map[string]stm.Value{"k": 0},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -652,12 +651,11 @@ type opaque struct{ N int }
 // transfer, recorded by the coordinator with the reason it declined a delta.
 func TestWALRetainAndTransferMetrics(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolALC},
-		Net:        memnet.Config{Latency: 300 * time.Microsecond},
-		GCS:        testGCS(),
-		Seed:       map[string]stm.Value{"k": 0},
-		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC, Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off"}},
+		Net:  memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: map[string]stm.Value{"k": 0},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -833,12 +831,11 @@ func TestStatsConcurrentReaders(t *testing.T) {
 // turns persistence off, which alc_wal_degraded reports.
 func TestWALDegradedAndSnapshotMetrics(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		N:          3,
-		Core:       core.Config{Protocol: core.ProtocolALC},
-		Net:        memnet.Config{Latency: 300 * time.Microsecond},
-		GCS:        testGCS(),
-		Seed:       map[string]stm.Value{"k": 0},
-		Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", SnapshotEvery: 4},
+		N:    3,
+		Core: core.Config{Protocol: core.ProtocolALC, Durability: core.DurabilityConfig{Dir: t.TempDir(), Fsync: "off", SnapshotEvery: 4}},
+		Net:  memnet.Config{Latency: 300 * time.Microsecond},
+		GCS:  testGCS(),
+		Seed: map[string]stm.Value{"k": 0},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

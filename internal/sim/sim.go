@@ -170,6 +170,7 @@ func Run(cfg Config) *Result {
 			GCEvery:    -1,
 			MaxRetries: cfg.MaxRetries,
 			Tracer:     tracer,
+			Durability: durability,
 		},
 		Net: memnet.Config{
 			Latency: 200 * time.Microsecond,
@@ -182,8 +183,7 @@ func Run(cfg Config) *Result {
 			RetransmitAfter:   25 * time.Millisecond,
 			Tick:              5 * time.Millisecond,
 		},
-		Seed:       w.seed(),
-		Durability: durability,
+		Seed: w.seed(),
 	})
 	if err != nil {
 		res.Err = fmt.Errorf("sim: cluster start: %w", err)
