@@ -27,13 +27,18 @@
 //
 // Atomic broadcast is layered on URB with a fixed sequencer (the view
 // coordinator): the payload is Opt-delivered at first receipt (one step),
-// the sequencer assigns a global sequence number and disseminates it through
-// an internal URB message, and the payload is TO-delivered when both the
-// payload and its sequence number are UR-delivered and all lower sequence
-// numbers have been TO-delivered — three communication steps failure-free.
-// This reproduces the latency gap the paper's ALC protocol exploits: 2 steps
-// for a lease-holder's commit (one URB) versus 3+ for certification (one AB),
-// plus the sequencer's serial bottleneck under load.
+// the sequencer assigns a global sequence number, and the payload is
+// TO-delivered when both the payload and its sequence number are UR-delivered
+// and all lower sequence numbers have been TO-delivered — three communication
+// steps failure-free. A sequence number is not a message of its own: it rides
+// the next data frame the sequencer broadcasts (urbData.Orders) — its own OAB
+// payload, or a broadcast its handler makes in the same dispatch round, such
+// as a lease release answering the Opt-delivered request — and only the slots
+// no frame carried leave at the end of the round, in an order-only frame. A
+// sequencer-origin OAB therefore costs one broadcast. This reproduces the
+// latency gap the paper's ALC protocol exploits: 2 steps for a lease-holder's
+// commit (one URB) versus 3+ for certification (one AB), plus the sequencer's
+// serial bottleneck under load.
 //
 // Membership changes run a coordinator-driven flush (virtual synchrony):
 // members stop broadcasting, report their unstable messages, and the
@@ -387,8 +392,10 @@ type QueueStats struct {
 	URBPending int `json:"urbPending"`
 	// URBRetained counts delivered messages retained for flush/stability.
 	URBRetained int `json:"urbRetained"`
-	// SeqQueue is the sequencer's backlog of unassigned total-order slots
-	// (nonzero only on the coordinator).
+	// SeqQueue is the sequencer's backlog of total-order slots assigned but
+	// not yet sent: the next data frame carries them (nonzero only on the
+	// coordinator, and past a dispatch round only under OrderInterval
+	// pacing or a flush).
 	SeqQueue int `json:"seqQueue"`
 	// Dispatch is the number of inbound transport messages queued ahead of
 	// the dispatcher goroutine.
@@ -429,7 +436,8 @@ func (e *Endpoint) URBroadcast(body any) error {
 // drainOutbox would send it right away: nothing holds broadcasts back
 // (holdLocked) and nothing is queued ahead of it. Otherwise it queues body
 // for the dispatcher. An inline broadcast wakes the dispatcher only if it left
-// the dispatcher work: a sequencer slot to order, or upcalls to run.
+// the dispatcher work: a sequencer slot the pacing kept off its frame, or
+// upcalls to run.
 func (e *Endpoint) submit(kind byte, body any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -445,7 +453,7 @@ func (e *Endpoint) submit(kind byte, body any) error {
 		return nil
 	}
 	upcalls := len(e.upcalls)
-	e.broadcastDataLocked(kind, body)
+	e.sendDataLocked(kind, body)
 	if len(e.upcalls) > upcalls || len(e.vs.seqQueue) > 0 {
 		e.kick()
 	}
@@ -515,11 +523,9 @@ func (e *Endpoint) run() {
 			e.tick()
 		}
 		e.drainOutbox()
-		e.mu.Lock()
-		e.flushSequencerLocked()
-		e.mu.Unlock()
 		e.flushAcks()
 		e.runUpcalls()
+		e.flushOrders()
 		e.distributePendingInstall()
 	}
 }
@@ -558,7 +564,7 @@ func (e *Endpoint) drainOutbox() {
 	msgs := e.outbox
 	if e.inPrimary {
 		for _, m := range msgs {
-			e.broadcastDataLocked(m.kind, m.body)
+			e.sendDataLocked(m.kind, m.body)
 		}
 	}
 	clear(msgs)
@@ -576,11 +582,13 @@ func (e *Endpoint) holdLocked() bool { return e.blocked || e.pendingSend != nil 
 // outboxClamp is the largest outbox capacity drainOutbox keeps.
 const outboxClamp = 1024
 
-// broadcastDataLocked assigns identity and vector clock to a message, stages
-// it (the sender holds it from here on) and sends it to the other members.
+// sendDataLocked assigns identity and vector clock to a message, stages it
+// (the sender holds it from here on) and sends it to the other members.
 // When any of them is owed an acknowledgement the frame carries this
-// process's held vector, which settles what is owed to all of them.
-func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
+// process's held vector, which settles what is owed to all of them. On the
+// sequencer the frame carries every order slot not sent yet that the pacing
+// allows (takeOrdersLocked), an OAB payload's own slot among them.
+func (e *Endpoint) sendDataLocked(kind byte, body any) {
 	vs := e.vs
 	if vs.self < 0 {
 		e.logf("broadcast outside the installed view %v dropped", e.view)
@@ -593,6 +601,10 @@ func (e *Endpoint) broadcastDataLocked(kind byte, body any) {
 	vs.mySeq++
 	d := &urbData{View: e.view.ID, ID: msgID{Sender: e.self, Seq: vs.mySeq}, Kind: kind, Body: body}
 	d.VC, d.Acks = vs.vectors(owes)
+	if kind == kindOAB {
+		e.sequencerAssignLocked(d.ID)
+	}
+	d.Orders = e.takeOrdersLocked()
 	e.stageLocked(vs.self, d)
 	if owes {
 		clear(vs.owed)

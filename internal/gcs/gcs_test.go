@@ -27,12 +27,17 @@ type recorder struct {
 
 	onURD func(from transport.ID, body any) // optional hook
 	onTOD func(from transport.ID, body any)
+	onOpt func(from transport.ID, body any)
 }
 
 func (r *recorder) OnOptDeliver(from transport.ID, body any) {
 	r.mu.Lock()
 	r.opt = append(r.opt, fmt.Sprint(body))
+	hook := r.onOpt
 	r.mu.Unlock()
+	if hook != nil {
+		hook(from, body)
+	}
 }
 
 func (r *recorder) OnTODeliver(from transport.ID, body any) {

@@ -10,7 +10,7 @@ import (
 const (
 	kindURB   byte = 1 // application uniform reliable broadcast
 	kindOAB   byte = 2 // application atomic broadcast payload
-	kindOrder byte = 3 // internal: sequencer order assignment batch
+	kindOrder byte = 3 // internal: order assignments alone (nil Body)
 )
 
 // msgID identifies a broadcast message within a view: the sender and the
@@ -23,11 +23,12 @@ type msgID struct {
 func (id msgID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq) }
 
 // urbData is the single wire format for all broadcast payloads. Every
-// broadcast (URB, OAB payload, internal order batch) is disseminated
+// broadcast (URB, OAB payload, order-only frame) is disseminated
 // uniform-reliably: the frame is its sender's ack of its own messages up to
 // it, and the message is UR-delivered once a majority is known to hold it and
 // its causal predecessors (VC) have been delivered. Both vectors are indexed
-// like the view's Members.
+// like the view's Members. On the sequencer any frame also carries the total
+// order slots assigned since its last frame (Orders).
 type urbData struct {
 	View uint64
 	ID   msgID
@@ -47,6 +48,10 @@ type urbData struct {
 	// It is attached when the sender owes a peer an acknowledgement, and
 	// stays true for the rest of the view, so copies carry it everywhere.
 	Acks []uint64
+	// Orders are the sequencer's slots assigned but not yet sent when this
+	// frame left: its own OAB's slot among them. They take effect at this
+	// frame's UR-delivery, before its body.
+	Orders []orderEntry
 }
 
 // urbAck is one member's cumulative acknowledgement, for its peers' quorum
@@ -63,12 +68,6 @@ type urbAck struct {
 type orderEntry struct {
 	ID   msgID
 	GSeq uint64
-}
-
-// orderBatch is the body of an internal kindOrder message emitted by the
-// sequencer (the view coordinator).
-type orderBatch struct {
-	Entries []orderEntry
 }
 
 // heartbeat is a liveness beacon.

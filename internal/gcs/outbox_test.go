@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/alcstm/alc/internal/transport"
@@ -25,12 +26,7 @@ func TestDrainOutboxKeepsOrder(t *testing.T) {
 	}
 	e.blocked = false
 	e.drainOutbox()
-	var got []*urbData
-	for i, p := range sent.payloads {
-		if d, ok := p.(*urbData); ok && sent.to[i] == 1 {
-			got = append(got, d)
-		}
-	}
+	got := dataTo(sent, 1)
 	if len(got) != n {
 		t.Fatalf("peer 1 was sent %d messages, want %d", len(got), n)
 	}
@@ -44,13 +40,22 @@ func TestDrainOutboxKeepsOrder(t *testing.T) {
 	}
 }
 
+// dataTo returns the data frames sent to peer, in order.
+func dataTo(sent *sentLog, peer transport.ID) []*urbData {
+	var out []*urbData
+	for i, p := range sent.payloads {
+		if d, ok := p.(*urbData); ok && sent.to[i] == peer {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // dataFrames returns the bodies of the data frames sent to peer, in order.
 func dataFrames(sent *sentLog, peer transport.ID) []any {
 	var out []any
-	for i, p := range sent.payloads {
-		if d, ok := p.(*urbData); ok && sent.to[i] == peer {
-			out = append(out, d.Body)
-		}
+	for _, d := range dataTo(sent, peer) {
+		out = append(out, d.Body)
 	}
 	return out
 }
@@ -58,8 +63,9 @@ func dataFrames(sent *sentLog, peer transport.ID) []any {
 // TestBroadcastSendsBeforeReturning: in an unblocked installed view a
 // broadcast is sent to both peers on the caller's goroutine, before
 // URBroadcast returns and with no dispatcher running. A URB broadcast leaves
-// the dispatcher no work and does not wake it; an OAB broadcast at the
-// sequencer leaves an order slot and an Opt-delivery, and does.
+// the dispatcher no work and does not wake it. An OAB broadcast at the
+// sequencer carries its own order slot in its frame, so it leaves no slot
+// behind; it still leaves an Opt-delivery, and wakes the dispatcher for it.
 func TestBroadcastSendsBeforeReturning(t *testing.T) {
 	e, sent, _ := unstarted(t, 0, 0, 1, 2)
 	if err := e.URBroadcast("now"); err != nil {
@@ -79,9 +85,13 @@ func TestBroadcastSendsBeforeReturning(t *testing.T) {
 	if got := dataFrames(sent, 1); len(got) != 2 || got[1] != "ordered" {
 		t.Fatalf("peer 1 was sent %v, want the OAB broadcast second", got)
 	}
-	if len(e.vs.seqQueue) != 1 || len(e.notify) != 1 {
-		t.Fatalf("an OAB broadcast at the sequencer left %d order slots and a wake-up %t, want 1 and true",
-			len(e.vs.seqQueue), len(e.notify) != 0)
+	d := sent.last().(*urbData)
+	if want := []orderEntry{{ID: d.ID, GSeq: 0}}; !slices.Equal(d.Orders, want) {
+		t.Fatalf("the OAB frame carries orders %v, want its own slot %v", d.Orders, want)
+	}
+	if len(e.vs.seqQueue) != 0 || len(e.upcalls) != 1 || len(e.notify) != 1 {
+		t.Fatalf("an OAB broadcast at the sequencer left %d order slots, %d upcalls and a wake-up %t, want 0, 1 and true",
+			len(e.vs.seqQueue), len(e.upcalls), len(e.notify) != 0)
 	}
 }
 

@@ -223,8 +223,9 @@ func (e *Endpoint) handleData(d *urbData, from transport.ID) {
 
 // stageLocked puts a message this process holds for the first time in
 // pending, advances its held vector, Opt-delivers an OAB payload (spontaneous
-// delivery: one communication step after the OA-broadcast) and hands it to
-// the sequencer.
+// delivery: one communication step after the OA-broadcast) and hands a peer's
+// to the sequencer. sendDataLocked hands this process's own payload over
+// before staging it, so that its frame carries its slot.
 func (e *Endpoint) stageLocked(s int, d *urbData) {
 	vs := e.vs
 	q, i := insert(vs.pending[s], pendingMsg{data: d, sentAt: time.Now(), committed: d.Committed})
@@ -237,7 +238,9 @@ func (e *Endpoint) stageLocked(s int, d *urbData) {
 	}
 	if d.Kind == kindOAB {
 		e.enqueueUpcall(Handler.OnOptDeliver, d.ID.Sender, d.Body)
-		e.sequencerAssignLocked(d.ID)
+		if s != vs.self {
+			e.sequencerAssignLocked(d.ID)
+		}
 	}
 }
 
@@ -309,8 +312,12 @@ func (e *Endpoint) tryDeliverLocked() {
 }
 
 // urDeliverLocked finalizes the UR-delivery of the head of sender s's pending
-// queue. A view change's final set (final) is delivered through here too, in
-// causal order, and its order batches take effect as they are delivered: a
+// queue. The order slots a frame carries take effect first, then its body: a
+// lease release the sequencer broadcast in the round that ordered the request
+// it answers reaches the application after that request's TO-delivery, as if
+// the slot had left in a frame of its own before it. A view change's final
+// set (final) is delivered through here too, in causal order, and its order
+// slots take effect as they are delivered: a
 // message sent after its sender TO-delivered a payload must not reach the
 // application before that payload's TO-delivery here, in the flush as
 // anywhere else (a §4.5(c) write-set committed under a piggybacked lease
@@ -332,21 +339,17 @@ func (e *Endpoint) urDeliverLocked(s int, final bool) {
 	vs.retained[s] = append(vs.retained[s], pm)
 	vs.prune(s)
 
-	switch {
-	case d.Kind == kindURB:
-		e.enqueueUpcall(Handler.OnURDeliver, d.ID.Sender, d.Body)
-	case d.Kind == kindOAB:
-		vs.urDone[d.ID] = true
-		e.tryTODeliverLocked()
-	case d.Kind == kindOrder:
-		batch, ok := d.Body.(*orderBatch)
-		if !ok {
-			e.logf("malformed order batch from %v", d.ID.Sender)
-			return
-		}
-		for _, ent := range batch.Entries {
+	if len(d.Orders) > 0 {
+		for _, ent := range d.Orders {
 			vs.orders[ent.GSeq] = ent.ID
 		}
+		e.tryTODeliverLocked()
+	}
+	switch d.Kind {
+	case kindURB:
+		e.enqueueUpcall(Handler.OnURDeliver, d.ID.Sender, d.Body)
+	case kindOAB:
+		vs.urDone[d.ID] = true
 		e.tryTODeliverLocked()
 	}
 }
@@ -378,49 +381,69 @@ func (e *Endpoint) tryTODeliverLocked() {
 }
 
 // sequencerAssignLocked assigns the next global sequence number to an OAB
-// payload if this process is the current sequencer. The assignments are
-// batched and broadcast at the end of the dispatch round, so bursts cost one
-// internal message.
+// payload if this process is the current sequencer. The slot waits in
+// seqQueue for the next data frame this process sends (takeOrdersLocked),
+// or for the end of the dispatch round (flushOrders), so a burst costs at
+// most one frame of its own.
 func (e *Endpoint) sequencerAssignLocked(id msgID) {
 	vs := e.vs
 	if e.view.Coordinator() != e.self || e.joining {
 		return
 	}
-	// stageLocked calls this exactly once per message (first insertion into
-	// pending); duplicates are filtered before reaching it.
+	// Called exactly once per message: by stageLocked on its first insertion
+	// into pending (duplicates are filtered before reaching it), or by
+	// sendDataLocked for this process's own.
 	vs.seqQueue = append(vs.seqQueue, orderEntry{ID: id, GSeq: vs.seqNext})
 	vs.seqNext++
 }
 
-// flushSequencerLocked broadcasts accumulated order assignments, paced by
-// the OrderInterval token bucket when configured.
-func (e *Endpoint) flushSequencerLocked() {
+// orderBudgetLocked returns how many queued slots the next frame may carry:
+// all of them, or as many as the OrderInterval token bucket holds.
+func (e *Endpoint) orderBudgetLocked() int {
 	vs := e.vs
-	if len(vs.seqQueue) == 0 || e.blocked {
-		return
-	}
 	n := len(vs.seqQueue)
-	if iv := e.cfg.OrderInterval; iv > 0 {
-		now := time.Now()
-		if vs.seqRefill.IsZero() {
-			vs.seqRefill = now
-		}
-		vs.seqTokens += float64(now.Sub(vs.seqRefill)) / float64(iv)
+	iv := e.cfg.OrderInterval
+	if n == 0 || iv <= 0 {
+		return n
+	}
+	now := time.Now()
+	if vs.seqRefill.IsZero() {
 		vs.seqRefill = now
-		if burst := 4.0; vs.seqTokens > burst {
-			vs.seqTokens = burst
-		}
-		if int(vs.seqTokens) < n {
-			n = int(vs.seqTokens)
-		}
-		if n == 0 {
-			return // paced out; the next tick or delivery retries
-		}
+	}
+	const burst = 4.0
+	vs.seqTokens = min(vs.seqTokens+float64(now.Sub(vs.seqRefill))/float64(iv), burst)
+	vs.seqRefill = now
+	return min(n, int(vs.seqTokens))
+}
+
+// takeOrdersLocked removes from seqQueue the slots the frame being built
+// carries (orderBudgetLocked), nil if none. The frame keeps the returned
+// slice; seqQueue goes on past it in the same array and never writes into it.
+func (e *Endpoint) takeOrdersLocked() []orderEntry {
+	vs := e.vs
+	n := e.orderBudgetLocked()
+	if n == 0 {
+		return nil
+	}
+	if e.cfg.OrderInterval > 0 {
 		vs.seqTokens -= float64(n)
 	}
-	batch := &orderBatch{Entries: vs.seqQueue[:n:n]}
-	vs.seqQueue = append([]orderEntry(nil), vs.seqQueue[n:]...)
-	e.broadcastDataLocked(kindOrder, batch)
+	orders := vs.seqQueue[:n:n]
+	vs.seqQueue = vs.seqQueue[n:]
+	return orders
+}
+
+// flushOrders sends the slots no data frame of this dispatch round carried,
+// in an order-only frame. It runs after the round's upcalls, so that a
+// broadcast the handler makes from an Opt-delivery (a lease release) carries
+// the slot of the request that caused it. Nothing leaves while broadcasts are
+// held (holdLocked): the install reassigns a flushed view's unsent slots.
+func (e *Endpoint) flushOrders() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.stopped && !e.holdLocked() && e.orderBudgetLocked() > 0 {
+		e.sendDataLocked(kindOrder, nil)
+	}
 }
 
 // retransmitLocked re-sends unstable messages to members that have not

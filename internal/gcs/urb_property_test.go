@@ -20,7 +20,10 @@ import (
 // ack frames, duplicated and delayed frames, a crash and the victim's
 // restart, a minority partition and its heal, and a stray process outside
 // the view relaying copies of data frames and forging acknowledgements — with
-// every member broadcasting a mix of URB and OAB messages, and checks the
+// every member broadcasting a mix of URB and OAB messages and answering some
+// of its peers' Opt-delivered OAB messages with a URB broadcast from the
+// upcall (as a lease holder answers a request with a release, so that at the
+// sequencer the answer carries the request's order slot), and checks the
 // recorded history:
 //
 //   - at most one delivery per message per process, and each message is
@@ -87,7 +90,13 @@ type urbSpec struct {
 	rounds  map[heldKey]*round                // every broadcast, at its sender
 	logs    []*procLog
 	// relay, if set, may hand a message its sender just staged to the stray.
-	relay      func(from transport.ID, d *urbData, members []transport.ID)
+	relay func(from transport.ID, d *urbData, members []transport.ID)
+	// echo makes processes answer Opt-deliveries (procLog.OnOptDeliver);
+	// echoes counts each process's answers, across its incarnations, and
+	// rode the answers whose frame carried order slots.
+	echo       bool
+	echoes     map[transport.ID]int
+	rode       int
 	violations []string
 }
 
@@ -115,6 +124,7 @@ func (s *urbSpec) violatef(format string, args ...any) {
 type procLog struct {
 	spec *urbSpec
 	id   transport.ID
+	ep   *Endpoint // set before the endpoint starts
 	urb  []*urbData
 	// epochs has one entry per installed view.
 	epochs            []*epoch
@@ -164,6 +174,9 @@ func (s *urbSpec) hook(l *procLog, ep *Endpoint) func(*urbData, urbEvent) {
 				s.holders[k][l.id] = true
 			}
 			if own {
+				if b, ok := d.Body.(propBody); ok && b.N < 0 && len(d.Orders) > 0 {
+					s.rode++
+				}
 				s.rounds[k] = &round{at: time.Now(), took: -1}
 				if s.relay != nil {
 					s.relay(l.id, d, ep.view.Members)
@@ -205,7 +218,21 @@ func (l *procLog) app(body any, to bool) {
 	e.delivered = append(e.delivered, appDelivery{body: b, to: to})
 }
 
-func (l *procLog) OnOptDeliver(transport.ID, any)    {}
+// OnOptDeliver answers every other OAB message of a peer with a URB
+// broadcast from the upcall, when the schedule asks for echoes. The answers
+// are numbered below zero, apart from the broadcasters' messages.
+func (l *procLog) OnOptDeliver(from transport.ID, body any) {
+	b, ok := body.(propBody)
+	if !l.spec.echo || !ok || from == l.id || b.N%2 != 0 {
+		return
+	}
+	l.spec.mu.Lock()
+	l.spec.echoes[l.id]++
+	n := -l.spec.echoes[l.id]
+	l.spec.mu.Unlock()
+	_ = l.ep.URBroadcast(propBody{Sender: l.id, N: n})
+}
+
 func (l *procLog) OnTODeliver(_ transport.ID, b any) { l.app(b, true) }
 func (l *procLog) OnURDeliver(_ transport.ID, b any) { l.app(b, false) }
 
@@ -286,14 +313,16 @@ type urbRun struct {
 	wg   sync.WaitGroup
 }
 
-// newURBRun starts n members with cfg (Members filled in). The stray is a
-// process outside the view: as a sender stages a message, it may send a
-// member a copy of the frame, as a member's relay would, and may send the
-// sender an acknowledgement claiming to hold the message.
-func newURBRun(t *testing.T, n int, seed int64, net *memnet.Network, cfg Config, drop float64) *urbRun {
+// newURBRun starts n members with cfg (Members filled in), answering
+// Opt-deliveries if echo. The stray is a process outside the view: as a
+// sender stages a message, it may send a member a copy of the frame, as a
+// member's relay would, and may send the sender an acknowledgement claiming
+// to hold the message.
+func newURBRun(t *testing.T, n int, seed int64, net *memnet.Network, cfg Config, drop float64, echo bool) *urbRun {
 	r := &urbRun{
-		t:    t,
-		spec: &urbSpec{holders: make(map[heldKey]map[transport.ID]bool), members: make(map[uint64][]transport.ID), rounds: make(map[heldKey]*round)},
+		t: t,
+		spec: &urbSpec{holders: make(map[heldKey]map[transport.ID]bool), members: make(map[uint64][]transport.ID),
+			rounds: make(map[heldKey]*round), echo: echo, echoes: make(map[transport.ID]int)},
 		net:  net,
 		cfg:  cfg,
 		ids:  make([]transport.ID, n),
@@ -349,6 +378,7 @@ func (r *urbRun) start(id transport.ID, joining bool) {
 		r.t.Fatal(err)
 	}
 	ep.urbHook = r.spec.hook(l, ep)
+	l.ep = ep
 	ep.Start()
 	r.mu.Lock()
 	r.eps[id] = ep
@@ -484,7 +514,7 @@ func runURBSchedule(t *testing.T, n int, seed int64) {
 		RetransmitAfter:   30 * time.Millisecond,
 		Tick:              3 * time.Millisecond,
 		AutoRejoin:        true,
-	}, drop)
+	}, drop, true)
 	r.broadcast(0.5, r.ids...)
 	pause := func() { time.Sleep(time.Duration(30+rng.Intn(50)) * time.Millisecond) }
 
@@ -507,7 +537,11 @@ func runURBSchedule(t *testing.T, n int, seed int64) {
 	r.settled("after the heal", r.ids)
 
 	pause()
-	r.finish(nil)
+	r.finish(func() {
+		if r.spec.rode == 0 {
+			r.spec.violatef("no order slot rode an answer to an Opt-delivery")
+		}
+	})
 }
 
 // runDesignatedDown drives the designated-receiver schedule: three members,
@@ -525,12 +559,12 @@ func runDesignatedDown(t *testing.T, seed int64, isolate bool) {
 		Tick:              20 * time.Millisecond,
 		AutoRejoin:        true,
 	}
-	r := newURBRun(t, n, seed, net, cfg, 0)
+	r := newURBRun(t, n, seed, net, cfg, 0, false)
 	down := r.ids[rng.Intn(n)]
 	sender := r.ids[(int(down)+n-1)%n] // down is the member after sender
 	// The third member is a follower: it never broadcasts, so no data frame of
 	// its carries the acknowledgement sender needs while down is down (nor
-	// does an order batch, sender broadcasting URB only).
+	// does an order-only frame, sender broadcasting URB only).
 	r.broadcast(0.5, down)
 	r.broadcast(0, sender)
 

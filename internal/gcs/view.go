@@ -44,7 +44,6 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 			return
 		}
 		e.handleData(m, msg.From)
-		e.flushSequencerLocked()
 	case *urbAck:
 		if !e.joining && m.View == e.view.ID {
 			e.noteHeldLocked(e.view.index(m.From), m.Held)
@@ -157,7 +156,6 @@ func (e *Endpoint) tick() {
 	}
 	if !e.joining {
 		e.retransmitLocked(now)
-		e.flushSequencerLocked()
 	}
 
 	if e.joining || (!e.inPrimary && (e.wantJoin || e.cfg.AutoRejoin)) {
@@ -552,16 +550,12 @@ func (e *Endpoint) computeInstallLocked() {
 			if _, ok := union[d.ID]; !ok {
 				union[d.ID] = d
 			}
-			// Order batches carry assignments that may not have been
+			// Any frame may carry assignments that have not been
 			// UR-delivered anywhere yet.
-			if d.Kind == kindOrder {
-				if b, ok := d.Body.(*orderBatch); ok {
-					for _, ent := range b.Entries {
-						ordered[ent.ID] = ent.GSeq
-						if ent.GSeq+1 > maxAssigned {
-							maxAssigned = ent.GSeq + 1
-						}
-					}
+			for _, ent := range d.Orders {
+				ordered[ent.ID] = ent.GSeq
+				if ent.GSeq+1 > maxAssigned {
+					maxAssigned = ent.GSeq + 1
 				}
 			}
 		}

@@ -132,7 +132,7 @@ func TestFlushingMemberDoesNotAckNewPeerData(t *testing.T) {
 	}
 	e.flushAcks()
 	e.mu.Lock()
-	e.broadcastDataLocked(kindURB, "own-before-flush")
+	e.sendDataLocked(kindURB, "own-before-flush")
 	e.mu.Unlock()
 	own := msgID{Sender: 1, Seq: 1}
 
@@ -475,7 +475,7 @@ func TestReceiverAcksOnlySenderThisRound(t *testing.T) {
 	}
 
 	e.mu.Lock()
-	e.broadcastDataLocked(kindURB, "reply")
+	e.sendDataLocked(kindURB, "reply")
 	e.mu.Unlock()
 	for i, p := range sent.payloads {
 		if d, ok := p.(*urbData); ok && !reflect.DeepEqual(d.Acks, []uint64{1, 0, 0}) {
@@ -542,7 +542,7 @@ func TestNonDesignatedReceiverAcksAtOnceWhenDesignatedIsQuiet(t *testing.T) {
 func TestAckFromOutsideTheViewChangesNoState(t *testing.T) {
 	e, _, _ := unstarted(t, 0, 0, 1, 2)
 	e.mu.Lock()
-	e.broadcastDataLocked(kindURB, "x")
+	e.sendDataLocked(kindURB, "x")
 	e.mu.Unlock()
 	state := slices.Clone(e.vs.ackedBy)
 	for _, a := range []*urbAck{
@@ -641,7 +641,7 @@ func TestBroadcastStagesBeforeSendingNotToSelf(t *testing.T) {
 		}
 	}
 	e.mu.Lock()
-	e.broadcastDataLocked(kindOAB, "x")
+	e.sendDataLocked(kindOAB, "x")
 	e.mu.Unlock()
 	if !reflect.DeepEqual(sent.to, []transport.ID{1, 2}) {
 		t.Fatalf("broadcast sent to %v, want the two peers", sent.to)
@@ -659,17 +659,17 @@ func TestBroadcastStagesBeforeSendingNotToSelf(t *testing.T) {
 	}
 }
 
-// TestFlushDeliversOrdersCausally: in a view change's final set, an order
-// batch takes effect where it falls in causal order. A message its sender
-// broadcast after TO-delivering a payload — a write-set committed under a
-// lease request that carried its transaction's write-set — reaches the
-// application after that payload's TO-delivery here too, not after every
-// other message of the final set.
+// TestFlushDeliversOrdersCausally: in a view change's final set, the order
+// slots a frame carries (Orders) take effect where the frame falls in causal
+// order. A message its sender broadcast after TO-delivering a payload — a
+// write-set committed under a lease request that carried its transaction's
+// write-set — reaches the application after that payload's TO-delivery here
+// too, not after every other message of the final set.
 func TestFlushDeliversOrdersCausally(t *testing.T) {
 	e, _, rec := unstarted(t, 2, 0, 1, 2)
 	request := &urbData{View: 1, ID: msgID{Sender: 1, Seq: 1}, Kind: kindOAB, VC: []uint64{0, 0, 0}, Body: "request"}
 	order := &urbData{View: 1, ID: msgID{Sender: 0, Seq: 1}, Kind: kindOrder, VC: []uint64{0, 1, 0},
-		Body: &orderBatch{Entries: []orderEntry{{ID: request.ID, GSeq: 0}}}}
+		Orders: []orderEntry{{ID: request.ID, GSeq: 0}}}
 	// Sender 1 TO-delivered the request (it delivered the order), then sent.
 	after := &urbData{View: 1, ID: msgID{Sender: 1, Seq: 2}, Kind: kindURB, VC: []uint64{1, 1, 0}, Body: "after"}
 

@@ -8,11 +8,12 @@ import (
 )
 
 // Binary wire tags for the GCS message types (range 0x10-0x1F; see
-// wire.Register). Tags are wire format: never renumber.
+// wire.Register). Tags are wire format: never renumber. 0x12, the sequencer's
+// separate order message until wire version 7, is retired: order slots ride
+// urbData. Never reuse it.
 const (
 	tagURBData     byte = 0x10
 	tagURBAck      byte = 0x11
-	tagOrderBatch  byte = 0x12
 	tagHeartbeat   byte = 0x13
 	tagJoinReq     byte = 0x14
 	tagVCPrepare   byte = 0x15
@@ -40,13 +41,6 @@ func RegisterWire() {
 				return nil, err
 			}
 			return m, nil
-		})
-	wire.Register(tagOrderBatch, &orderBatch{},
-		func(b []byte, v any) ([]byte, error) {
-			return appendOrderEntries(b, v.(*orderBatch).Entries), nil
-		},
-		func(r *wire.Reader) (any, error) {
-			return &orderBatch{Entries: readOrderEntries(r)}, r.Err()
 		})
 	wire.Register(tagHeartbeat, &heartbeat{},
 		func(b []byte, v any) ([]byte, error) {
@@ -307,6 +301,7 @@ func appendURBData(b []byte, m *urbData) ([]byte, error) {
 	b = append(b, m.Kind)
 	b = wire.AppendBool(b, m.Committed)
 	b = appendCounters(b, m.VC, m.Acks)
+	b = appendOrderEntries(b, m.Orders)
 	return wire.AppendAny(b, m.Body)
 }
 
@@ -316,6 +311,7 @@ func readURBData(r *wire.Reader) (*urbData, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.Orders = readOrderEntries(r)
 	if m.Body, err = wire.ReadAny(r); err != nil {
 		return nil, err
 	}

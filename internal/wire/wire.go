@@ -58,8 +58,9 @@ import (
 // frontier, and a lease release says whether it is sent again after an
 // ejection. Version 6: one state-transfer message — the delta form (tag
 // 0x28, retired) is a form of the full one (0x27), told apart by a leading
-// discriminator.
-const Version = 6
+// discriminator. Version 7: the sequencer's order slots ride any gcs data
+// frame (urbData.Orders); its separate order message (tag 0x12) is retired.
+const Version = 7
 
 // Errors returned by decode paths.
 var (

@@ -124,6 +124,7 @@ func TestHandshake(t *testing.T) {
 		{"future version", []byte{'A', 'L', 'C', Version + 1, CodecWire, 0, 0, 0}, CodecWire},
 		{"previous version", []byte{'A', 'L', 'C', Version - 1, CodecWire, 0, 0, 0}, CodecWire},
 		{"version 5: two state-transfer messages", []byte{'A', 'L', 'C', 5, CodecWire, 0, 0, 0}, CodecWire},
+		{"version 6: a separate order message", []byte{'A', 'L', 'C', 6, CodecWire, 0, 0, 0}, CodecWire},
 		{"short preamble", []byte{'A', 'L'}, CodecWire},
 	}
 	for _, tc := range cases {
