@@ -98,9 +98,8 @@ func run() error {
 			SnapshotEvery: *snapEvery,
 		},
 	}, gcs.Config{
-		Members:    members,
-		Joining:    *join,
-		AutoRejoin: true,
+		Members: members,
+		Joining: *join,
 	})
 	if err != nil {
 		return err

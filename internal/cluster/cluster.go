@@ -41,9 +41,10 @@ type Config struct {
 	GCS gcs.Config
 	// Seed pre-populates every replica's store identically.
 	Seed map[string]stm.Value
-	// StartTimeout bounds waiting for the initial view. Default 10s.
-	StartTimeout time.Duration
 }
+
+// startTimeout bounds waiting for the initial view.
+const startTimeout = 10 * time.Second
 
 // Cluster is a running set of replicas over one simulated network. All
 // methods are safe for concurrent use (failure injection may race with
@@ -67,9 +68,6 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("cluster: invalid size %d", cfg.N)
-	}
-	if cfg.StartTimeout <= 0 {
-		cfg.StartTimeout = 10 * time.Second
 	}
 	c := &Cluster{
 		cfg:      cfg,
@@ -108,7 +106,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	for i, r := range c.replicas {
-		if err := r.WaitForView(cfg.N, cfg.StartTimeout); err != nil {
+		if err := r.WaitForView(cfg.N, startTimeout); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
@@ -124,7 +122,6 @@ func (c *Cluster) startReplica(i int, joining bool) (*core.Replica, error) {
 	gcsCfg := c.cfg.GCS
 	gcsCfg.Members = c.ids
 	gcsCfg.Joining = joining
-	gcsCfg.AutoRejoin = true
 	coreCfg := c.cfg.Core
 	if root := coreCfg.Durability.Dir; root != "" {
 		coreCfg.Durability.Dir = filepath.Join(root, fmt.Sprintf("r%d", i))

@@ -53,11 +53,11 @@ func newDurableCluster(t *testing.T, n int, dur core.DurabilityConfig) (*Cluster
 
 // commitN applies n serial increments spread across the live replicas.
 //
-// On a starved host a replica can be suspected, ejected and readmitted
-// (AutoRejoin) under any test; an increment it had in flight then fails with
-// ErrEjected and may or may not have been applied (at most once). commitN
-// resolves that instead of guessing: every increment also writes its own
-// number to box+"#op", so once the replica is back and the group has
+// On a starved host a replica can be suspected, ejected and readmitted (on
+// its own join request) under any test; an increment it had in flight then
+// fails with ErrEjected and may or may not have been applied (at most once).
+// commitN resolves that instead of guessing: every increment also writes its
+// own number to box+"#op", so once the replica is back and the group has
 // converged, that box says whether the increment took effect, and only one
 // that did not is retried.
 func commitN(t *testing.T, c *Cluster, box string, n int) {

@@ -95,7 +95,7 @@ func runReplicaHelper() {
 			Fsync:         "interval",
 			FsyncInterval: 2 * time.Millisecond,
 		},
-	}, gcs.Config{Members: members, Joining: join, AutoRejoin: true})
+	}, gcs.Config{Members: members, Joining: join})
 	if err != nil {
 		fail("replica: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestKill9RestartCatchesUpViaDelta(t *testing.T) {
 			Protocol:   core.ProtocolALC,
 			Lease:      lease.Config{OptimisticFree: true},
 			Durability: core.DurabilityConfig{Retain: 1 << 16},
-		}, gcs.Config{Members: members, AutoRejoin: true})
+		}, gcs.Config{Members: members})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}

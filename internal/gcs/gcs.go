@@ -47,10 +47,12 @@
 // is primary only if it contains a majority of the previous primary view;
 // processes outside the primary component receive an ejected notification
 // and may continue to serve local read-only work, exactly as §3 prescribes.
-// A process admitted into a view (a first join, a rejoin after ejection or a
-// restart) receives, with the install, the state the coordinator's handler
-// chose for it and installs it before its first view (StateTransfer); gcs
-// carries that state opaquely and never decides its form.
+// A process outside the primary component asks to be readmitted, with join
+// requests, until an install admits it. A process admitted into a view (a
+// first join, a rejoin after ejection or a restart) receives, with the
+// install, the state the coordinator's handler chose for it and installs it
+// before its first view (StateTransfer); gcs carries that state opaquely and
+// never decides its form.
 package gcs
 
 import (
@@ -175,7 +177,8 @@ type Config struct {
 	// when reproducing published throughput figures; it has no effect on
 	// URB traffic.
 	OrderInterval time.Duration
-	// AutoRejoin makes an ejected process request readmission automatically.
+	// Deprecated: AutoRejoin is ignored. A process outside the primary
+	// component (joining, or ejected) always asks to be readmitted.
 	AutoRejoin bool
 	// Logf, if set, receives debug traces.
 	Logf func(format string, args ...any)
@@ -231,19 +234,12 @@ type Endpoint struct {
 	// primary component is detected and recovered (maybeRecoverLocked).
 	peerJoinViews map[transport.ID]uint64
 	ejectedSince  time.Time
-	// staleSince records when a member was first seen heartbeating a view
-	// older than the current one (cleared by a current-view beacon). Only a
-	// member stale for longer than SuspectAfter is pulled back in as a joiner:
-	// right after an install every member's in-flight beacons are stale, and
-	// readmitting a healthy member on one of them wipes its live lease state
-	// cluster-wide while it still has transactions committing under it.
-	staleSince map[transport.ID]time.Time
-	// behindSince is the mirror image, seen from the laggard: when this
-	// process, believing itself a primary member, first saw a peer beacon a
-	// view NEWER than its own (zero: never since the last install). Behind
-	// for longer than SuspectAfter means the install is not merely in flight —
-	// this process was dropped from the view and missed the eject notice, or
-	// lost the install — and nobody else will tell it: see handleNet.
+	// behindSince is when this process, believing itself a primary member,
+	// first saw a peer beacon a view NEWER than its own (zero: never since
+	// the last install). Behind for longer than SuspectAfter means the
+	// install is not merely in flight — this process was dropped from the
+	// view and missed the eject notice, or lost the install — and nobody
+	// else will tell it: see handleNet.
 	behindSince time.Time
 
 	// flush state (proposer side)
@@ -257,7 +253,6 @@ type Endpoint struct {
 	// timers
 	lastBeat    time.Time
 	lastJoinReq time.Time
-	wantJoin    bool
 
 	// pending handler upcalls, collected under mu, invoked outside it by the
 	// dispatcher, which keeps the last batch's buffer in ran for reuse
@@ -321,7 +316,6 @@ func NewEndpoint(tr transport.Transport, h Handler, cfg Config) (*Endpoint, erro
 		self:          tr.Self(),
 		lastHeard:     make(map[transport.ID]time.Time),
 		joinReqs:      make(map[transport.ID]map[transport.ID]uint64),
-		staleSince:    make(map[transport.ID]time.Time),
 		peerJoinViews: make(map[transport.ID]uint64),
 		notify:        make(chan struct{}, 1),
 		stop:          make(chan struct{}),

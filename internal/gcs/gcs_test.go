@@ -24,6 +24,8 @@ type recorder struct {
 	// the state installs and view changes in upcall order.
 	statesFor []map[transport.ID]map[transport.ID]uint64
 	installs  []string
+	// front is the frontier JoinFrontier advertises.
+	front map[transport.ID]uint64
 
 	onURD func(from transport.ID, body any) // optional hook
 	onTOD func(from transport.ID, body any)
@@ -73,7 +75,7 @@ func (r *recorder) OnEjected() {
 	r.mu.Unlock()
 }
 
-func (r *recorder) JoinFrontier() map[transport.ID]uint64 { return nil }
+func (r *recorder) JoinFrontier() map[transport.ID]uint64 { return r.front }
 
 // StatesFor gives each joiner a state naming the view, the joiner and the
 // frontier it advertised.

@@ -513,7 +513,6 @@ func runURBSchedule(t *testing.T, n int, seed int64) {
 		FlushTimeout:      250 * time.Millisecond,
 		RetransmitAfter:   30 * time.Millisecond,
 		Tick:              3 * time.Millisecond,
-		AutoRejoin:        true,
 	}, drop, true)
 	r.broadcast(0.5, r.ids...)
 	pause := func() { time.Sleep(time.Duration(30+rng.Intn(50)) * time.Millisecond) }
@@ -557,7 +556,6 @@ func runDesignatedDown(t *testing.T, seed int64, isolate bool) {
 		FlushTimeout:      800 * time.Millisecond,
 		RetransmitAfter:   320 * time.Millisecond,
 		Tick:              20 * time.Millisecond,
-		AutoRejoin:        true,
 	}
 	r := newURBRun(t, n, seed, net, cfg, 0, false)
 	down := r.ids[rng.Intn(n)]

@@ -50,41 +50,27 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 			e.tryDeliverLocked()
 		}
 	case *heartbeat:
-		// Liveness already recorded. A beacon from a process stuck in an
-		// older view tells the coordinator to pull it back in through a
-		// state transfer. Right after a view install every member's in-flight
-		// beacons still carry the old view, so a single stale beacon must not
-		// be trusted: the pull-in requires the member to STAY stale for the
-		// full suspicion interval, and a beacon at the current view cancels
-		// it. A healthy member's stale beacons drain within one heartbeat
-		// interval; a genuinely stuck process is stale forever. Acting on the
-		// first stale beacon readmits a healthy member as a joiner and wipes
-		// its application state (including its live lease requests)
-		// cluster-wide while it may still have transactions committing under
-		// them — a mutual-exclusion violation.
-		if m.View < e.view.ID && e.isCoordinatorLocked() && e.view.Contains(m.From) {
-			since, ok := e.staleSince[m.From]
-			switch {
-			case !ok:
-				e.staleSince[m.From] = time.Now()
-			case time.Since(since) > e.cfg.SuspectAfter:
-				if _, ok := e.joinReqs[m.From]; !ok {
-					e.joinReqs[m.From] = nil
-				}
-			}
-		} else if m.View == e.view.ID {
-			delete(e.staleSince, m.From)
+		// Liveness already recorded. Beacons never readmit anyone: a process
+		// comes back only on its own join request, which carries its
+		// frontier, or on a flush report from an older view (handleFlush).
+		// Right after an install every member's in-flight beacons still
+		// carry the old view, so readmitting on them would wipe a healthy
+		// member's live lease requests cluster-wide. A beacon at the current
+		// view voids the sender's join request: it is a member of this view
+		// already, and a request delayed past its admission must not
+		// readmit it a second time.
+		if m.View == e.view.ID {
 			delete(e.joinReqs, m.From)
 		} else if m.View > e.view.ID && e.inPrimary && !e.joining {
 			// A peer is in a later view than the one this process still
-			// believes it is a primary member of. If that lasts (the same
-			// patience as above: an install in flight explains a few beacons),
-			// this process is behind the primary component for good. The
-			// coordinator's pull-in above only covers members of ITS view; a
-			// process dropped from the view whose eject notice was lost — it
-			// was partitioned away, or not yet running — hears everybody's
-			// beacons, so it never suspects a quorum and never ejects itself,
-			// and would stay wedged in the dead view forever. Rejoin instead.
+			// believes it is a primary member of. If that lasts for
+			// SuspectAfter (an install in flight explains a few beacons),
+			// this process is behind the primary component for good: it was
+			// dropped from the view and its eject notice was lost (it was
+			// partitioned away, or not yet running), or it lost the install.
+			// It hears everybody's beacons, so it never suspects a quorum and
+			// never ejects itself, and would stay wedged in the dead view
+			// forever. Rejoin instead.
 			switch {
 			case e.behindSince.IsZero():
 				e.behindSince = time.Now()
@@ -118,10 +104,6 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 // vcStale tells a proposer that its view is behind the respondent's.
 type vcStale struct {
 	ViewID uint64
-}
-
-func (e *Endpoint) isCoordinatorLocked() bool {
-	return !e.joining && e.inPrimary && e.view.Coordinator() == e.self
 }
 
 // ejectLocked marks the process as excluded from the primary component.
@@ -158,10 +140,10 @@ func (e *Endpoint) tick() {
 		e.retransmitLocked(now)
 	}
 
-	if e.joining || (!e.inPrimary && (e.wantJoin || e.cfg.AutoRejoin)) {
-		e.maybeJoinReqLocked(now)
-	}
 	if !e.inPrimary {
+		// Joining or ejected: ask to be readmitted, with this process's
+		// frontier, until an install arrives.
+		e.maybeJoinReqLocked(now)
 		if !e.joining {
 			// Ejected with state intact: watch for a dead primary component
 			// and recover it (no-op while any live primary can readmit us).
@@ -237,7 +219,6 @@ func (e *Endpoint) sendJoinReq() {
 			_ = e.tr.Send(m, req)
 		}
 	}
-	e.wantJoin = true
 }
 
 // suspectedLocked returns the set of current-view members considered failed.
@@ -511,10 +492,11 @@ func (e *Endpoint) handleFlush(f *vcFlush) {
 	}
 	if f.ViewID < e.view.ID {
 		// The respondent is behind (missed a previous install): it needs a
-		// full state transfer, not a flush merge.
+		// full state transfer, not a flush merge. Nothing it holds belongs
+		// to this view, so its report adds no message, order slot or slot
+		// count to the install.
 		p.joiners[f.From] = true
-		f.Unstable = nil
-		f.Orders = nil
+		f.Unstable, f.Orders, f.SeqNext = nil, nil, 0
 	}
 	p.responses[f.From] = f
 	if len(p.responses) == len(p.members) {
@@ -690,13 +672,14 @@ func (e *Endpoint) handleInstall(in *vcInstall) {
 	}
 	if in.HasState && e.inPrimary && !e.joining {
 		// The group readmitted this process as a joiner while it considers
-		// itself a healthy member (it was stuck in an old view long enough to
-		// be pulled back in). Everything pre-install is void — the other
-		// members purged this process's lease requests when they installed
-		// the view, so releasing a broadcast queued during the flush into the
-		// new view would commit a write-set under a dead lease. Go through a
-		// full ejection first: the outbox is dropped and in-flight commits
-		// fail and retry against the transferred state.
+		// itself a healthy member: it missed an install, answered the next
+		// prepare from its old view, and handleFlush made it a joiner.
+		// Everything pre-install is void — the other members purged this
+		// process's lease requests when they installed the view, so
+		// releasing a broadcast queued during the flush into the new view
+		// would commit a write-set under a dead lease. Go through a full
+		// ejection first: the outbox is dropped and in-flight commits fail
+		// and retry against the transferred state.
 		e.ejectLocked()
 	}
 	pre := len(e.upcalls)
@@ -723,10 +706,8 @@ func (e *Endpoint) applyInstallLocked(in *vcInstall, freshState bool) {
 	e.joining = false
 	e.blocked = false
 	e.blockedSince = time.Time{}
-	e.wantJoin = false
 	e.prop = nil
 	e.joinReqs = make(map[transport.ID]map[transport.ID]uint64)
-	e.staleSince = make(map[transport.ID]time.Time)
 	e.behindSince = time.Time{}
 	e.peerJoinViews = make(map[transport.ID]uint64)
 	now := time.Now()

@@ -309,17 +309,7 @@ func TestFlushTimeoutDoesNotCountJoinersAsSurvivors(t *testing.T) {
 // forever ("cluster never recovered full membership"). A few newer-view
 // beacons alone — an install still in flight — must not trigger it.
 func TestLaggardRejoinsOnPersistentNewerViewBeacons(t *testing.T) {
-	net := memnet.New(memnet.Config{})
-	defer net.Close()
-	tr, err := net.Endpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recorder{}
-	e, err := NewEndpoint(tr, rec, Config{Members: []transport.ID{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, sent, rec := unstarted(t, 2, 0, 1, 2)
 	beacon := func(from transport.ID, view uint64) {
 		e.handleNet(transport.Message{From: from, Payload: &heartbeat{View: view, From: from}})
 	}
@@ -337,18 +327,132 @@ func TestLaggardRejoinsOnPersistentNewerViewBeacons(t *testing.T) {
 	if !e.inPrimary || e.view.ID != 2 || !e.behindSince.IsZero() {
 		t.Fatalf("after the install: inPrimary=%t view=%d behindSince=%v", e.inPrimary, e.view.ID, e.behindSince)
 	}
+	if reqs := joinReqsSent(sent); len(reqs) != 0 {
+		t.Fatalf("join requests sent before the laggard was behind for good: %v", reqs)
+	}
 
 	// Dropped from view 3 without notice: the beacons keep coming.
 	beacon(0, 3)
 	e.behindSince = time.Now().Add(-2 * e.cfg.SuspectAfter)
 	beacon(1, 3)
-	if e.inPrimary || !e.wantJoin {
-		t.Fatalf("persistently behind: inPrimary=%t wantJoin=%t, want ejected and rejoining", e.inPrimary, e.wantJoin)
+	want := map[transport.ID]joinReq{0: {From: 2, ViewID: 2}, 1: {From: 2, ViewID: 2}}
+	if reqs := joinReqsSent(sent); e.inPrimary || !reflect.DeepEqual(reqs, want) {
+		t.Fatalf("persistently behind: inPrimary=%t join requests %v, want ejected and %v", e.inPrimary, reqs, want)
 	}
 	e.runUpcalls()
 	if rec.ejected != 1 {
 		t.Fatalf("OnEjected upcalls = %d, want 1", rec.ejected)
 	}
+}
+
+// TestStaleBeaconsAloneAdmitNoMember: a member of the coordinator's view that
+// beacons an older view for longer than SuspectAfter is not readmitted on
+// that evidence. A process comes back on its own join request, which carries
+// its frontier; readmitting on beacons would do it with no frontier (a full
+// transfer), and right after an install a healthy member's in-flight beacons
+// carry the older view too.
+func TestStaleBeaconsAloneAdmitNoMember(t *testing.T) {
+	net := memnet.New(memnet.Config{})
+	t.Cleanup(net.Close)
+	tr, err := net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := &sentLog{Transport: tr}
+	members := []transport.ID{0, 1, 2}
+	e, err := NewEndpoint(sent, &recorder{}, Config{Members: members,
+		HeartbeatInterval: time.Minute, SuspectAfter: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.handleNet(transport.Message{From: 1, Payload: &vcInstall{
+		ProposalID: 2, View: View{ID: 2, Members: members, Primary: true}}})
+	beacons := func() {
+		e.handleNet(transport.Message{From: 1, Payload: &heartbeat{View: 1, From: 1}})
+		e.handleNet(transport.Message{From: 2, Payload: &heartbeat{View: 2, From: 2}})
+	}
+	beacons()
+	time.Sleep(2 * e.cfg.SuspectAfter)
+	beacons()
+	e.tick()
+	if _, ok := e.joinReqs[1]; ok || e.prop != nil {
+		t.Fatalf("stale beacons: join requests %v, proposal %+v; want neither", e.joinReqs, e.prop)
+	}
+	for _, p := range sent.payloads {
+		if _, ok := p.(*vcPrepare); ok {
+			t.Fatalf("stale beacons alone started a view change: %+v", p)
+		}
+	}
+
+	front := map[transport.ID]uint64{0: 4, 1: 3}
+	e.handleNet(transport.Message{From: 1, Payload: &joinReq{From: 1, ViewID: 1, Frontier: front}})
+	e.tick()
+	if e.prop == nil || !reflect.DeepEqual(e.prop.joiners, map[transport.ID]bool{1: true}) ||
+		!reflect.DeepEqual(e.joinReqs[1], front) {
+		t.Fatalf("after its join request: proposal %+v, join requests %v; want 1 admitted with its frontier",
+			e.prop, e.joinReqs)
+	}
+}
+
+// TestEjectedEndpointAsksToRejoin: a process ejected from the primary
+// component, by an eject notice or by losing sight of a quorum, asks to be
+// readmitted at its next tick, advertising its view and its frontier. Its
+// Config does not opt in: nobody else readmits a process that has not
+// asked, so one that never asked would stay out for good.
+func TestEjectedEndpointAsksToRejoin(t *testing.T) {
+	tests := []struct {
+		name  string
+		eject func(e *Endpoint)
+	}{
+		{"eject notice", func(e *Endpoint) {
+			e.handleNet(transport.Message{From: 0, Payload: &ejectNotice{ViewID: 2}})
+		}},
+		{"quorum lost", func(e *Endpoint) {
+			long := time.Now().Add(-2 * e.cfg.SuspectAfter)
+			e.lastHeard[0], e.lastHeard[2] = long, long
+			e.tick()
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			net := memnet.New(memnet.Config{})
+			t.Cleanup(net.Close)
+			tr, err := net.Endpoint(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := &sentLog{Transport: tr}
+			front := map[transport.ID]uint64{0: 2, 1: 5}
+			e, err := NewEndpoint(sent, &recorder{front: front},
+				Config{Members: []transport.ID{0, 1, 2}, HeartbeatInterval: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tt.eject(e)
+			if e.inPrimary {
+				t.Fatal("not ejected")
+			}
+			if reqs := joinReqsSent(sent); len(reqs) != 0 {
+				t.Fatalf("join requests sent at the ejection: %v", reqs)
+			}
+			e.tick()
+			want := joinReq{From: 1, ViewID: 1, Frontier: front}
+			if reqs := joinReqsSent(sent); !reflect.DeepEqual(reqs, map[transport.ID]joinReq{0: want, 2: want}) {
+				t.Fatalf("join requests after the next tick: %v, want %+v to 0 and 2", reqs, want)
+			}
+		})
+	}
+}
+
+// joinReqsSent returns the last join request sent to each peer.
+func joinReqsSent(s *sentLog) map[transport.ID]joinReq {
+	out := make(map[transport.ID]joinReq)
+	for i, p := range s.payloads {
+		if r, ok := p.(*joinReq); ok {
+			out[s.to[i]] = *r
+		}
+	}
+	return out
 }
 
 // sentLog records what an endpoint sends, in order; onSend, if set, runs
@@ -701,6 +805,47 @@ func TestFlushDeliversOrdersCausally(t *testing.T) {
 	defer rec.mu.Unlock()
 	if !slices.Equal(rec.to, []string{"request"}) {
 		t.Fatalf("TO-delivered %v, want [request] once", rec.to)
+	}
+}
+
+// TestOlderViewFlushReportAddsNothing: a member that missed an install
+// answers the next prepare from its older view. It is readmitted with a
+// full state transfer, and nothing in its report reaches the install: its
+// order slots name message IDs of its own view, which can collide with this
+// view's (a message ID is a sender and a sequence number), and its slot count
+// is its view's. Here the current view's unordered request must get slot 0:
+// the stale report's slot 7 for the same ID could put it among slots this
+// view has already given out, and its count of 9 would renumber it.
+func TestOlderViewFlushReportAddsNothing(t *testing.T) {
+	members := []transport.ID{0, 1, 2}
+	e, _, _ := unstarted(t, 0, members...)
+	e.handleNet(transport.Message{From: 1, Payload: &vcInstall{
+		ProposalID: 2, View: View{ID: 2, Members: members, Primary: true}}})
+	request := &urbData{View: 2, ID: msgID{Sender: 2, Seq: 1}, Kind: kindOAB, VC: make([]uint64, 3), Body: "request"}
+	old := &urbData{View: 1, ID: msgID{Sender: 1, Seq: 4}, Kind: kindOAB, VC: make([]uint64, 3), Body: "old",
+		Orders: []orderEntry{{ID: msgID{Sender: 1, Seq: 4}, GSeq: 8}}}
+
+	e.mu.Lock()
+	e.proposeLocked(0, members, map[transport.ID]bool{}, time.Now())
+	id := e.prop.id
+	e.mu.Unlock()
+	e.handleNet(transport.Message{From: 0, Payload: &vcFlush{ProposalID: id, From: 0, ViewID: 2}})
+	e.handleNet(transport.Message{From: 2, Payload: &vcFlush{ProposalID: id, From: 2, ViewID: 2,
+		Unstable: []*urbData{request}}})
+	e.handleNet(transport.Message{From: 1, Payload: &vcFlush{ProposalID: id, From: 1, ViewID: 1,
+		Unstable: []*urbData{old}, Orders: []orderEntry{{ID: request.ID, GSeq: 7}}, SeqNext: 9}})
+	if e.pendingSend == nil {
+		t.Fatal("no install computed")
+	}
+	in := e.pendingSend.install
+	if len(in.Deliveries) != 1 || in.Deliveries[0] != request {
+		t.Fatalf("install deliveries %v, want the current view's request alone", in.Deliveries)
+	}
+	if want := []orderEntry{{ID: request.ID, GSeq: 0}}; !slices.Equal(in.Orders, want) {
+		t.Fatalf("install orders %v, want %v", in.Orders, want)
+	}
+	if !slices.Equal(in.View.Rejoined, []transport.ID{1}) {
+		t.Fatalf("rejoined %v, want [1] (a full transfer)", in.View.Rejoined)
 	}
 }
 

@@ -81,12 +81,14 @@ func (m *Manager) InstallState(st *State) {
 	m.mu.Lock()
 
 	// A state-bearing install can land while local acquisitions are in
-	// flight (a member re-admitted through a state transfer it did not
-	// need). The table rebuild below would orphan their reqState objects —
-	// waiters blocked on them would never be woken again — so abort them
-	// first: the callers observe ErrDeadlock and retry under a fresh
-	// request against the installed table. This is the only source of
-	// ErrDeadlock.
+	// flight: a member that missed an install still believes itself a
+	// primary member, answers the next prepare from its older view, and is
+	// readmitted through a full transfer it did not ask for (gcs
+	// handleFlush, the one readmission without a join request). The table
+	// rebuild below would orphan their reqState objects — waiters blocked on
+	// them would never be woken again — so abort them first: the callers
+	// observe ErrDeadlock and retry under a fresh request against the
+	// installed table. This is the only source of ErrDeadlock.
 	for _, rs := range m.reqs {
 		if rs.local && !rs.freed {
 			rs.aborted = true

@@ -78,10 +78,10 @@ func get(t *testing.T, url string) (int, string) {
 // commitN runs n serial uncontended increments on replica 0.
 //
 // Under a short SuspectAfter a busy host can get replica 0 suspected, ejected
-// and readmitted (AutoRejoin) mid-test; an increment it had in flight then
-// fails with ErrEjected and may or may not have been applied. commitN
-// resolves that as internal/cluster's helper does: every increment also
-// writes its own number to "k#op", so once the replica is back and the
+// and readmitted (on its own join request) mid-test; an increment it had in
+// flight then fails with ErrEjected and may or may not have been applied.
+// commitN resolves that as internal/cluster's helper does: every increment
+// also writes its own number to "k#op", so once the replica is back and the
 // group has converged, that box says whether it took effect, and only one
 // that did not is retried.
 func commitN(t *testing.T, c *cluster.Cluster, n int) {
